@@ -11,7 +11,7 @@
 use std::sync::{Arc, Mutex};
 
 use quorum_analysis::availability::{zone_of, zoned_params};
-use quorum_core::lanes::{bernoulli_lane_words, bernoulli_lanes, LANE_TRIALS};
+use quorum_core::lanes::{bernoulli_lane_words, bernoulli_lanes, BERNOULLI_BITS, LANE_TRIALS};
 use quorum_core::{Color, Coloring, ColoringDelta, Organizations, WORD_BITS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,10 +33,30 @@ const MAX_POOLED_CURSORS: usize = 32;
 ///
 /// Steps are **not stored**. The trajectory holds only the step-0 baseline
 /// coloring and the RNG state that follows it; every later step is
-/// re-derived on demand by word-packed transition sampling (one
-/// binary-expansion Bernoulli mask per 64 elements per rate, XORed into the
-/// current words). Memory is therefore constant at any horizon — a
-/// million-step timeline costs the same as a ten-step one.
+/// re-derived on demand and XORed into the current words. Memory is
+/// therefore constant at any horizon — a million-step timeline costs the
+/// same as a ten-step one.
+///
+/// Each direction of a step (green→red at `fail`, red→green at `repair`)
+/// draws its hits with one of two samplers, chosen once per rate at
+/// construction as a pure function of `(fail, repair)`:
+///
+/// * the **dense** path draws one binary-expansion Bernoulli mask per 64
+///   elements, `32 − tz(round(p·2³²))` RNG words per word whether or not
+///   anything flips;
+/// * the **sparse** path draws geometric gaps between hits over the
+///   eligible (green or red) elements and locates each hit by per-word
+///   popcounts: one RNG word per flip plus one per step, so a step costs one
+///   popcount per 64 elements plus work proportional to its flips.
+///
+/// Each rate takes whichever path is expected to cost less per step at
+/// stationarity, where each direction flips a `fail·repair/(fail + repair)`
+/// share of the elements per step, with a sparse hit costing as much as 30
+/// dense RNG words (measured): the dense path for fast churn such as
+/// `(0.2, 0.6)`, the sparse one for low rates such as `(2⁻¹², 2⁻⁶)`. Both
+/// flip every eligible element independently with its rate (up to the
+/// `2⁻³³` quantisation of the dense masks and the `f64` rounding of the
+/// sparse path's inversion).
 ///
 /// The coloring at step `t` is a pure function of `(seed, t)`, which is what
 /// keeps churn experiments bit-identical across engine thread counts:
@@ -52,6 +72,8 @@ pub struct ChurnTrajectory {
     repair: f64,
     seed: u64,
     steps: usize,
+    /// The sampler of each direction, fixed by `(fail, repair)`.
+    transitions: Transitions,
     /// The step-0 coloring (stationary draw).
     baseline: Coloring,
     /// The RNG state immediately after drawing the baseline; cloning it
@@ -78,6 +100,7 @@ impl Clone for ChurnTrajectory {
             repair: self.repair,
             seed: self.seed,
             steps: self.steps,
+            transitions: self.transitions,
             baseline: self.baseline.clone(),
             rng_after_init: self.rng_after_init.clone(),
             cursors: Mutex::new(Vec::new()),
@@ -131,6 +154,7 @@ impl ChurnTrajectory {
             repair,
             seed,
             steps,
+            transitions: Transitions::choose(fail, repair),
             baseline,
             rng_after_init: rng,
             cursors: Mutex::new(Vec::new()),
@@ -198,11 +222,20 @@ impl ChurnTrajectory {
     /// the coloring **and** the [`ColoringDelta`] from the previous step —
     /// the streaming input of incremental (delta) re-evaluation.
     pub fn walk(&self) -> ChurnWalker<'_> {
+        // Room for a flip in every word up front, so no step allocates. A
+        // delta that grew mid-walk reallocated at random steps and shifted
+        // the caller's heap; a benchmark that rebuilds its set-up between
+        // walk chunks then refaulted ~240 pages per build.
+        let mut delta = ColoringDelta::empty(self.n);
+        for w in 0..self.baseline.word_count() {
+            delta.push_word(w, 1);
+        }
+        delta.clear();
         ChurnWalker {
             trajectory: self,
             next_step: 0,
             coloring: self.baseline.clone(),
-            delta: ColoringDelta::empty(self.n),
+            delta,
             rng: self.rng_after_init.clone(),
         }
     }
@@ -247,8 +280,7 @@ impl ChurnTrajectory {
                 delta.clear();
                 let sink = &mut delta;
                 step_words(
-                    self.fail,
-                    self.repair,
+                    self.transitions,
                     &mut cursor.rng,
                     &mut cursor.coloring,
                     |w, flips| sink.push_word(w, flips),
@@ -287,8 +319,7 @@ impl ChurnTrajectory {
         };
         while cursor.position < target {
             step_words(
-                self.fail,
-                self.repair,
+                self.transitions,
                 &mut cursor.rng,
                 &mut cursor.coloring,
                 |_, _| {},
@@ -338,8 +369,7 @@ impl ChurnWalker<'_> {
         if self.next_step > 0 {
             let sink = &mut self.delta;
             step_words(
-                self.trajectory.fail,
-                self.trajectory.repair,
+                self.trajectory.transitions,
                 &mut self.rng,
                 &mut self.coloring,
                 |w, flips| sink.push_word(w, flips),
@@ -368,23 +398,185 @@ fn fill_word_bernoulli<R: Rng + ?Sized>(p_red: f64, rng: &mut R, out: &mut Color
     }
 }
 
-/// Advances a coloring one Markov step with word-packed transition sampling:
-/// per 64-element word, one Bernoulli(`fail`) mask and one Bernoulli(`repair`)
-/// mask from the binary-expansion sampler, combined into the flip set
-/// `(red & repair) | (green & fail)` and XORed in. `on_flips` observes each
-/// word's raw flip mask (tail bits possibly set; sinks mask them).
+/// What one sparse-path hit costs, in RNG words of the dense path: the gap
+/// draw (an `ln`) plus finding the hit in its word. Measured on 4096
+/// elements (x86-64, 2-vCPU VM): a hit took 44 ns against 1.4–1.5 ns per
+/// mask word, and at fail:repair = 1:3 the two paths tie near fail 0.0225,
+/// where this rule with 30 ties too.
+const SKIP_HIT_COST: f64 = 30.0;
+
+/// How one direction of a churn step draws its hits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum RateSampler {
+    /// One binary-expansion Bernoulli(`p`) mask per 64 elements.
+    Dense(f64),
+    /// Geometric gaps between hits over the eligible elements; the payload is
+    /// `1 / ln(1 − p)`.
+    Skip(f64),
+}
+
+impl RateSampler {
+    /// The cheaper sampler for rate `p` when a `flip_rate` share of the
+    /// elements flips per step in each direction: the dense path draws
+    /// `32 − tz(round(p·2³²))` words per 64 elements, the sparse one about
+    /// one gap per flip.
+    fn choose(p: f64, flip_rate: f64) -> Self {
+        let scaled = (p * (1u64 << BERNOULLI_BITS) as f64).round() as u64;
+        let dense_words = if scaled == 0 || scaled >= 1 << BERNOULLI_BITS {
+            0
+        } else {
+            BERNOULLI_BITS - scaled.trailing_zeros()
+        };
+        if SKIP_HIT_COST * flip_rate * (WORD_BITS as f64) < f64::from(dense_words) {
+            RateSampler::Skip(1.0 / (-p).ln_1p())
+        } else {
+            RateSampler::Dense(p)
+        }
+    }
+}
+
+/// The samplers of a trajectory's two directions.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Transitions {
+    fail: RateSampler,
+    repair: RateSampler,
+}
+
+impl Transitions {
+    /// Chooses each direction's sampler, a pure function of the rates: at
+    /// stationarity green→red and red→green each flip
+    /// `fail·repair/(fail + repair)` of the elements per step.
+    fn choose(fail: f64, repair: f64) -> Self {
+        let flip_rate = fail * repair / (fail + repair);
+        Transitions {
+            fail: RateSampler::choose(fail, flip_rate),
+            repair: RateSampler::choose(repair, flip_rate),
+        }
+    }
+}
+
+/// One direction's hits within one step, drawn word by word in element
+/// order.
+struct Hits {
+    sampler: RateSampler,
+    /// Sparse path: eligible elements in the words already visited.
+    seen: usize,
+    /// Sparse path: the rank, among the eligible elements, of the next hit.
+    next: usize,
+}
+
+impl Hits {
+    /// Starts a step; the sparse path draws its first gap here.
+    fn start<R: Rng + ?Sized>(sampler: RateSampler, rng: &mut R) -> Self {
+        let next = match sampler {
+            RateSampler::Dense(_) => 0,
+            RateSampler::Skip(inv_ln_stay) => skip_gap(inv_ln_stay, rng),
+        };
+        Hits {
+            sampler,
+            seen: 0,
+            next,
+        }
+    }
+
+    /// The hits among `eligible`, the `count` eligible bits of the next word.
+    #[inline]
+    fn word<R: Rng + ?Sized>(&mut self, eligible: u64, count: usize, rng: &mut R) -> u64 {
+        match self.sampler {
+            RateSampler::Dense(p) => bernoulli_lanes(p, || rng.next_u64()) & eligible,
+            RateSampler::Skip(inv_ln_stay) => {
+                let end = self.seen + count;
+                let hits = if self.next < end {
+                    self.skip_hits(eligible, end, inv_ln_stay, rng)
+                } else {
+                    0
+                };
+                self.seen = end;
+                hits
+            }
+        }
+    }
+
+    /// The sparse path's hits in a word holding at least one: selects the
+    /// bit of each hit's rank, then skips to the next. Out of line, so the
+    /// per-word check in [`Hits::word`] inlines; that halved the cost of a
+    /// step without hits.
+    #[inline(never)]
+    fn skip_hits<R: Rng + ?Sized>(
+        &mut self,
+        eligible: u64,
+        end: usize,
+        inv_ln_stay: f64,
+        rng: &mut R,
+    ) -> u64 {
+        let mut hits = 0;
+        while self.next < end {
+            let mut rest = eligible;
+            for _ in self.seen..self.next {
+                rest &= rest - 1;
+            }
+            hits |= rest & rest.wrapping_neg();
+            self.next = (self.next + 1).saturating_add(skip_gap(inv_ln_stay, rng));
+        }
+        hits
+    }
+}
+
+/// A geometric gap `⌊ln U / ln(1 − p)⌋` with `U` uniform on (0, 1]: the
+/// number of eligible elements before the next hit when each is hit with
+/// probability `p`. Saturates at `usize::MAX` for gaps beyond any universe.
+fn skip_gap<R: Rng + ?Sized>(inv_ln_stay: f64, rng: &mut R) -> usize {
+    let u = ((rng.next_u64() >> 11) + 1) as f64 / (1u64 << 53) as f64;
+    (u.ln() * inv_ln_stay) as usize
+}
+
+/// Advances a coloring one Markov step: green elements turn red at the
+/// `fail` sampler's hits and red ones green at the `repair` sampler's, both
+/// drawn against the step's starting coloring, one word at a time.
+///
+/// A dense sampler draws a 64-element Bernoulli mask per word; with both
+/// dense, the RNG stream is the fail mask then the repair mask, word by
+/// word. A sparse sampler draws one gap when the step starts and one per
+/// hit, and ranks its hits by per-word popcounts (one per word for both
+/// directions), so with both sparse a step costs a popcount per word plus
+/// work per flip. `on_flips` observes each word's nonzero flip mask.
 fn step_words<R: Rng + ?Sized>(
-    fail: f64,
-    repair: f64,
+    transitions: Transitions,
     rng: &mut R,
     coloring: &mut Coloring,
     mut on_flips: impl FnMut(usize, u64),
 ) {
+    if let (RateSampler::Dense(fail), RateSampler::Dense(repair)) =
+        (transitions.fail, transitions.repair)
+    {
+        // Both dense: the masks alone, without the sparse path's per-word
+        // bookkeeping, which slows this loop by up to 1.8×.
+        for w in 0..coloring.word_count() {
+            let fail_mask = bernoulli_lanes(fail, || rng.next_u64());
+            let repair_mask = bernoulli_lanes(repair, || rng.next_u64());
+            let red = coloring.red_words()[w];
+            let flips = (red & repair_mask) | (!red & fail_mask);
+            if flips != 0 {
+                coloring.set_red_word(w, red ^ flips);
+                on_flips(w, flips);
+            }
+        }
+        return;
+    }
+    let n = coloring.universe_size();
+    let mut fail = Hits::start(transitions.fail, rng);
+    let mut repair = Hits::start(transitions.repair, rng);
     for w in 0..coloring.word_count() {
-        let fail_mask = bernoulli_lanes(fail, || rng.next_u64());
-        let repair_mask = bernoulli_lanes(repair, || rng.next_u64());
         let red = coloring.red_words()[w];
-        let flips = (red & repair_mask) | (!red & fail_mask);
+        let bits = (n - (w * WORD_BITS).min(n)).min(WORD_BITS);
+        let live = if bits == WORD_BITS {
+            u64::MAX
+        } else {
+            (1u64 << bits) - 1
+        };
+        let reds = red.count_ones() as usize;
+        let turn_red = fail.word(!red & live, bits - reds, rng);
+        let flips = turn_red | repair.word(red, reds, rng);
         if flips != 0 {
             coloring.set_red_word(w, red ^ flips);
             on_flips(w, flips);
@@ -988,12 +1180,24 @@ impl FailureModel {
                 format!("org-zoned(g={},q={q:.3},p={p:.3})", orgs.group_count())
             }
             FailureModel::Churn { trajectory } => format!(
-                "churn(fail={:.3},repair={:.3},steps={})",
-                trajectory.fail_rate(),
-                trajectory.repair_rate(),
+                "churn(fail={},repair={},steps={})",
+                rate_label(trajectory.fail_rate()),
+                rate_label(trajectory.repair_rate()),
                 trajectory.len()
             ),
         }
+    }
+}
+
+/// A rate for a label: three decimals when they are exact, else the shortest
+/// form that parses back to the rate, so a nonzero rate never prints as
+/// zero and distinct rates never share a label.
+fn rate_label(rate: f64) -> String {
+    let short = format!("{rate:.3}");
+    if short.parse() == Ok(rate) {
+        short
+    } else {
+        rate.to_string()
     }
 }
 
@@ -1056,7 +1260,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn iid_respects_probability_roughly() {
@@ -1378,17 +1582,6 @@ mod tests {
     }
 
     #[test]
-    fn churn_stationary_fraction_holds_along_the_timeline() {
-        let trajectory = ChurnTrajectory::generate(50, 0.2, 0.3, 2_000, 5);
-        let reds: usize = trajectory.iter().map(|c| c.red_count()).sum();
-        let rate = reds as f64 / (50 * 2_000) as f64;
-        assert!(
-            (rate - 0.4).abs() < 0.03,
-            "time-averaged red rate {rate} should be near 0.4"
-        );
-    }
-
-    #[test]
     fn churn_model_replays_the_trajectory_per_trial() {
         let model = FailureModel::churn(8, 0.3, 0.3, 16, 21);
         let trajectory = match &model {
@@ -1487,6 +1680,209 @@ mod tests {
         assert_eq!(walker.remaining(), 0);
     }
 
+    #[test]
+    fn churn_rates_choose_their_sampler() {
+        let skip = |s: RateSampler| matches!(s, RateSampler::Skip(_));
+        for (fail, repair) in [(1.0 / 4096.0, 1.0 / 64.0), (0.02, 0.06), (0.01, 0.03)] {
+            let sparse = Transitions::choose(fail, repair);
+            assert!(
+                skip(sparse.fail) && skip(sparse.repair),
+                "({fail}, {repair}): {sparse:?}"
+            );
+        }
+        // A zero rate stays dense, where it draws nothing.
+        assert!(!skip(Transitions::choose(0.0, 1.0 / 64.0).fail));
+        assert!(!skip(Transitions::choose(1.0 / 64.0, 0.0).repair));
+        for (fail, repair) in [(0.2, 0.6), (0.3, 0.5), (1.0 / 64.0, 1.0 / 8.0)] {
+            let dense = Transitions::choose(fail, repair);
+            assert!(
+                !skip(dense.fail) && !skip(dense.repair),
+                "({fail}, {repair}): {dense:?}"
+            );
+        }
+        let mixed = Transitions::choose(0.01, 0.5);
+        assert!(skip(mixed.fail) && !skip(mixed.repair), "{mixed:?}");
+    }
+
+    #[test]
+    fn dense_churn_replays_the_word_mask_stream() {
+        // Rates on the dense path keep the stream of one fail mask and one
+        // repair mask per word, so their timelines never change.
+        for (fail, repair) in [(0.2, 0.6), (0.3, 0.5)] {
+            let (n, steps, seed) = (130, 200, 17);
+            let trajectory = ChurnTrajectory::generate(n, fail, repair, steps, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut expected = Coloring::all_green(n);
+            fill_word_bernoulli(fail / (fail + repair), &mut rng, &mut expected);
+            for (t, coloring) in trajectory.iter().enumerate() {
+                if t > 0 {
+                    for w in 0..expected.word_count() {
+                        let fail_mask = bernoulli_lanes(fail, || rng.next_u64());
+                        let repair_mask = bernoulli_lanes(repair, || rng.next_u64());
+                        let red = expected.red_words()[w];
+                        expected.set_red_word(w, red ^ ((red & repair_mask) | (!red & fail_mask)));
+                    }
+                }
+                assert_eq!(coloring, expected, "({fail}, {repair}) step {t}");
+            }
+        }
+    }
+
+    /// Counts the words drawn from the wrapped generator.
+    struct CountingRng {
+        inner: StdRng,
+        words: usize,
+    }
+
+    impl RngCore for CountingRng {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.words += 1;
+            self.inner.next_u64()
+        }
+
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            for chunk in dest.chunks_mut(8) {
+                chunk.copy_from_slice(&self.next_u64().to_le_bytes()[..chunk.len()]);
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_churn_draws_per_flip() {
+        // At (2⁻¹², 2⁻⁶) the dense path would draw 12 + 6 words per 64
+        // elements, 1152 a step at n = 4096; the sparse path draws one gap
+        // per direction per step plus one per flip.
+        let n = 4096;
+        let trajectory = ChurnTrajectory::generate(n, 1.0 / 4096.0, 1.0 / 64.0, 2, 5);
+        let mut rng = CountingRng {
+            inner: StdRng::seed_from_u64(5),
+            words: 0,
+        };
+        let mut coloring = trajectory.baseline.clone();
+        let mut total_flips = 0;
+        for step in 0..2_000 {
+            rng.words = 0;
+            let mut flips = 0;
+            step_words(
+                trajectory.transitions,
+                &mut rng,
+                &mut coloring,
+                |_, mask| {
+                    flips += mask.count_ones() as usize;
+                },
+            );
+            assert!(
+                rng.words <= 2 + 2 * flips + 2,
+                "step {step}: {} words for {flips} flips",
+                rng.words
+            );
+            total_flips += flips;
+        }
+        assert!(total_flips > 2_000, "the walk must flip: {total_flips}");
+    }
+
+    #[test]
+    fn churn_walks_follow_the_chain_law_on_both_paths() {
+        // Per-step transition frequencies, the time-average red fraction and
+        // the mean flips per step, each within 5σ of its stationary value.
+        // n = 4000 leaves a half-filled tail word.
+        let n = 4000;
+        for (fail, repair, steps) in [
+            (1.0 / 4096.0, 1.0 / 64.0, 40_000),
+            (1.0 / 64.0, 1.0 / 8.0, 4_000),
+            (0.02, 0.06, 4_000),
+            (0.2, 0.6, 1_000),
+            (0.2, 0.3, 1_000),
+            (0.01, 0.5, 2_000),
+        ] {
+            let trajectory = ChurnTrajectory::generate(n, fail, repair, steps, 2024);
+            let mut walker = trajectory.walk();
+            let (mut greens, mut reds, mut failed, mut repaired) = (0.0, 0.0, 0.0, 0.0);
+            let mut red_sum = 0.0;
+            let mut previous: Option<Coloring> = None;
+            while let Some((coloring, delta)) = walker.step() {
+                if let Some(before) = &previous {
+                    greens += before.green_count() as f64;
+                    reds += before.red_count() as f64;
+                    for e in delta.flipped_elements() {
+                        if before.is_green(e) {
+                            failed += 1.0;
+                        } else {
+                            repaired += 1.0;
+                        }
+                    }
+                }
+                red_sum += coloring.red_count() as f64;
+                previous = Some(coloring.clone());
+            }
+            let transitions = (steps - 1) as f64;
+            let red = fail / (fail + repair);
+            // Lag-one autocorrelation of an element's state, and the
+            // variance inflation of a time average over a correlated chain.
+            let lambda = 1.0 - fail - repair;
+            let inflation = (1.0 + lambda) / (1.0 - lambda);
+            let red_var = red * (1.0 - red) * inflation / n as f64 / steps as f64;
+            let flips_mean = 2.0 * n as f64 * fail * repair / (fail + repair);
+            // Binomial noise given the coloring, plus the flip mean's
+            // dependence on the red count, (n − R)·fail + R·repair.
+            let flips_var = n as f64
+                * ((1.0 - red) * fail * (1.0 - fail) + red * repair * (1.0 - repair))
+                / transitions
+                + (repair - fail).powi(2) * (n * n) as f64 * red_var;
+            let checks = [
+                ("fail", failed / greens, fail, fail * (1.0 - fail) / greens),
+                (
+                    "repair",
+                    repaired / reds,
+                    repair,
+                    repair * (1.0 - repair) / reds,
+                ),
+                ("red", red_sum / n as f64 / steps as f64, red, red_var),
+                (
+                    "flips",
+                    (failed + repaired) / transitions,
+                    flips_mean,
+                    flips_var,
+                ),
+            ];
+            for (name, got, want, var) in checks {
+                assert!(
+                    (got - want).abs() <= 5.0 * var.sqrt(),
+                    "({fail}, {repair}) {name}: {got} vs {want} ± {}",
+                    var.sqrt()
+                );
+            }
+        }
+    }
+
+    /// Rates across both samplers: dyadic and non-dyadic, from 2⁻¹² to 1.
+    const CHURN_RATES: [f64; 20] = [
+        1.0 / 4096.0,
+        1.0 / 2048.0,
+        1.0 / 1024.0,
+        1.0 / 512.0,
+        1.0 / 256.0,
+        1.0 / 128.0,
+        1.0 / 64.0,
+        1.0 / 32.0,
+        0.0003,
+        0.003,
+        0.01,
+        0.02,
+        0.06,
+        0.125,
+        0.25,
+        0.375,
+        0.5,
+        0.625,
+        0.875,
+        1.0,
+    ];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1496,13 +1892,14 @@ mod tests {
         #[test]
         fn prop_delta_replay_matches_eager_generation(
             n in 1usize..140,
-            fail_num in 0u32..=8,
-            repair_num in 1u32..=8,
+            fail_index in 0usize..=CHURN_RATES.len(),
+            repair_index in 0usize..CHURN_RATES.len(),
             steps in 1usize..48,
             seed in proptest::prelude::any::<u64>(),
         ) {
-            let fail = f64::from(fail_num) / 8.0;
-            let repair = f64::from(repair_num) / 8.0;
+            // The last fail index stands for rate zero.
+            let fail = CHURN_RATES.get(fail_index).copied().unwrap_or(0.0);
+            let repair = CHURN_RATES[repair_index];
             let trajectory = ChurnTrajectory::generate(n, fail, repair, steps, seed);
             let eager: Vec<Coloring> = trajectory.iter().collect();
             prop_assert_eq!(eager.len(), steps);
@@ -1783,28 +2180,34 @@ mod tests {
             let expect = if coloring.is_green(e) { u64::MAX } else { 0 };
             assert_eq!(&lanes[e * width..(e + 1) * width], &[expect; 2]);
         }
-        // Churn: bit t of word w is the trajectory at time (first + w)·64 + t.
-        let model = FailureModel::churn(n, 0.3, 0.3, 16, 21);
-        let trajectory = match &model {
-            FailureModel::Churn { trajectory } => Arc::clone(trajectory),
-            _ => unreachable!(),
-        };
-        let first_word = 3u64;
-        model.sample_green_lanes(
-            n,
-            first_word,
-            &mut lane_streams(first_word, width),
-            &mut lanes,
-        );
-        for w in 0..width {
-            for t in 0..64u64 {
-                let coloring = trajectory.coloring_at((first_word + w as u64) * 64 + t);
-                for e in 0..n {
-                    assert_eq!(
-                        (lanes[e * width + w] >> t) & 1 == 1,
-                        coloring.is_green(e),
-                        "word {w} trial {t} element {e}"
-                    );
+        // Churn: bit t of word w is the trajectory at time (first + w)·64 + t,
+        // on the dense path and on the sparse one (whose 256-step horizon the
+        // window wraps).
+        for (n, fail, repair, steps) in [(9, 0.3, 0.3, 16), (200, 0.01, 0.03, 256)] {
+            let model = FailureModel::churn(n, fail, repair, steps, 21);
+            let trajectory = match &model {
+                FailureModel::Churn { trajectory } => Arc::clone(trajectory),
+                _ => unreachable!(),
+            };
+            let first_word = 3u64;
+            let mut lanes = vec![0u64; n * width];
+            model.sample_green_lanes(
+                n,
+                first_word,
+                &mut lane_streams(first_word, width),
+                &mut lanes,
+            );
+            for w in 0..width {
+                for t in 0..64u64 {
+                    let coloring = trajectory.coloring_at((first_word + w as u64) * 64 + t);
+                    for e in 0..n {
+                        assert_eq!(
+                            (lanes[e * width + w] >> t) & 1 == 1,
+                            coloring.is_green(e),
+                            "{} word {w} trial {t} element {e}",
+                            model.label()
+                        );
+                    }
                 }
             }
         }
@@ -1829,5 +2232,21 @@ mod tests {
         assert!(FailureModel::churn(3, 0.1, 0.2, 8, 1)
             .label()
             .contains("churn"));
+        // Registry churn labels keep their three-decimal form; low rates
+        // print exactly instead of as zero, so distinct rates stay distinct.
+        assert_eq!(
+            FailureModel::churn(3, 0.05, 0.15, 512, 1).label(),
+            "churn(fail=0.050,repair=0.150,steps=512)"
+        );
+        assert_eq!(
+            FailureModel::churn(3, 0.3, 0.5, 512, 1).label(),
+            "churn(fail=0.300,repair=0.500,steps=512)"
+        );
+        let low = FailureModel::churn(3, 1.0 / 4096.0, 1.0 / 64.0, 8, 1).label();
+        assert_eq!(low, "churn(fail=0.000244140625,repair=0.015625,steps=8)");
+        assert_ne!(
+            low,
+            FailureModel::churn(3, 1.0 / 8192.0, 1.0 / 64.0, 8, 1).label()
+        );
     }
 }
