@@ -11,7 +11,7 @@
 use std::sync::{Arc, Mutex};
 
 use quorum_analysis::availability::{zone_of, zoned_params};
-use quorum_core::lanes::{bernoulli_lane_words, bernoulli_lanes, BERNOULLI_BITS, LANE_TRIALS};
+use quorum_core::lanes::{bernoulli_lane_words, bernoulli_lanes, LANE_TRIALS};
 use quorum_core::{Color, Coloring, ColoringDelta, Organizations, WORD_BITS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -222,10 +222,7 @@ impl ChurnTrajectory {
     /// the coloring **and** the [`ColoringDelta`] from the previous step —
     /// the streaming input of incremental (delta) re-evaluation.
     pub fn walk(&self) -> ChurnWalker<'_> {
-        // Room for a flip in every word up front, so no step allocates. A
-        // delta that grew mid-walk reallocated at random steps and shifted
-        // the caller's heap; a benchmark that rebuilds its set-up between
-        // walk chunks then refaulted ~240 pages per build.
+        // Room for one entry per word, so a step never allocates.
         let mut delta = ColoringDelta::empty(self.n);
         for w in 0..self.baseline.word_count() {
             delta.push_word(w, 1);
@@ -418,15 +415,14 @@ enum RateSampler {
 impl RateSampler {
     /// The cheaper sampler for rate `p` when a `flip_rate` share of the
     /// elements flips per step in each direction: the dense path draws
-    /// `32 − tz(round(p·2³²))` words per 64 elements, the sparse one about
-    /// one gap per flip.
+    /// `32 − tz(round(p·2³²))` words per 64 elements (counted here from the
+    /// fill itself), the sparse one about one gap per flip.
     fn choose(p: f64, flip_rate: f64) -> Self {
-        let scaled = (p * (1u64 << BERNOULLI_BITS) as f64).round() as u64;
-        let dense_words = if scaled == 0 || scaled >= 1 << BERNOULLI_BITS {
+        let mut dense_words = 0u32;
+        bernoulli_lanes(p, || {
+            dense_words += 1;
             0
-        } else {
-            BERNOULLI_BITS - scaled.trailing_zeros()
-        };
+        });
         if SKIP_HIT_COST * flip_rate * (WORD_BITS as f64) < f64::from(dense_words) {
             RateSampler::Skip(1.0 / (-p).ln_1p())
         } else {
@@ -546,23 +542,6 @@ fn step_words<R: Rng + ?Sized>(
     coloring: &mut Coloring,
     mut on_flips: impl FnMut(usize, u64),
 ) {
-    if let (RateSampler::Dense(fail), RateSampler::Dense(repair)) =
-        (transitions.fail, transitions.repair)
-    {
-        // Both dense: the masks alone, without the sparse path's per-word
-        // bookkeeping, which slows this loop by up to 1.8×.
-        for w in 0..coloring.word_count() {
-            let fail_mask = bernoulli_lanes(fail, || rng.next_u64());
-            let repair_mask = bernoulli_lanes(repair, || rng.next_u64());
-            let red = coloring.red_words()[w];
-            let flips = (red & repair_mask) | (!red & fail_mask);
-            if flips != 0 {
-                coloring.set_red_word(w, red ^ flips);
-                on_flips(w, flips);
-            }
-        }
-        return;
-    }
     let n = coloring.universe_size();
     let mut fail = Hits::start(transitions.fail, rng);
     let mut repair = Hits::start(transitions.repair, rng);
