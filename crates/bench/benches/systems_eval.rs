@@ -94,12 +94,19 @@ fn bench_enumeration(c: &mut Criterion) {
 
 fn bench_batched_availability(c: &mut Criterion) {
     // The acceptance hot path: iid availability at n ≈ 1024, scalar
-    // one-coloring-per-trial versus 64-trials-per-word-pass lanes.
+    // one-coloring-per-trial versus 64-trials-per-word-pass lanes. The
+    // compiled `Compose` twins run beside their native families.
     let mut group = c.benchmark_group("availability/iid_n1024");
     let systems: Vec<(&str, probequorum::core::DynQuorumSystem)> = vec![
         ("Maj", std::sync::Arc::new(Majority::new(1025).unwrap())),
         ("Tree", std::sync::Arc::new(TreeQuorum::new(9).unwrap())),
+        ("TreeC", SystemSpec::tree_as_compose(9).build().unwrap()),
         ("Grid", std::sync::Arc::new(Grid::new(32, 32).unwrap())),
+        (
+            "GridC",
+            SystemSpec::grid_as_compose(32, 32).build().unwrap(),
+        ),
+        ("OrgMaj", SystemSpec::org_majority(31, 33).build().unwrap()),
     ];
     for (name, system) in &systems {
         group.bench_function(BenchmarkId::new("scalar_200_trials", *name), |b| {

@@ -156,63 +156,81 @@ impl<const W: usize> Lanes for LaneBlock<W> {
 }
 
 /// Lanes of "at least `threshold` of the inputs are 1", computed with a
-/// bit-sliced ripple-carry counter: bit `t` of the result is 1 iff at least
+/// bit-sliced carry-save counter: bit `t` of the result is 1 iff at least
 /// `threshold` of the input lanes have bit `t` set.
 ///
-/// Cost is O(`lanes.len()` · amortised-carry) word operations for 64 trials —
-/// the per-trial cardinality check of Majority-style systems collapses to
-/// roughly `n/64` word operations.
+/// Cost is about one full adder (five word operations) per input for 64
+/// trials, plus O(log `lanes.len()`) to settle the count — the per-trial
+/// cardinality check of Majority-style systems collapses to roughly `5n/64`
+/// word operations, independent of the input values.
 pub fn count_at_least(lanes: &[u64], threshold: usize) -> u64 {
     count_at_least_lanes(lanes.iter().copied(), threshold)
 }
 
+/// Bit planes of a per-lane count: enough for any `usize` number of inputs.
+const PLANES: usize = usize::BITS as usize;
+
+/// `(a + b + c)` per lane as `(sum, carry)` bits.
+fn full_add<L: Lanes>(a: L, b: L, c: L) -> (L, L) {
+    let ab = a.xor(b);
+    (ab.xor(c), a.and(b).or(ab.and(c)))
+}
+
 /// The generic form of [`count_at_least`], over any [`Lanes`] width: with
-/// [`LaneBlock`] inputs every ripple-carry step advances `W·64` trials.
+/// [`LaneBlock`] inputs every adder step advances `W·64` trials.
+///
+/// The counter lives in two fixed on-stack plane arrays, so no call
+/// allocates. Inputs enter as addends of weight 1; each level `i` pairs
+/// its addends through a full adder into its sum plane, passing the carry
+/// up as an addend of weight `2^(i+1)`. Level `i` holds an unpaired addend
+/// exactly when bit `i` of the input count so far is set, so the pairing
+/// follows a binary increment of that count: one adder per input, amortised.
 pub fn count_at_least_lanes<L, I>(lanes: I, threshold: usize) -> L
 where
     L: Lanes,
     I: IntoIterator<Item = L>,
-    I::IntoIter: ExactSizeIterator,
 {
-    let lanes = lanes.into_iter();
-    let input_count = lanes.len();
     if threshold == 0 {
         return L::ones();
     }
-    if threshold > input_count {
+    let mut sum = [L::zeros(); PLANES];
+    let mut unpaired = [L::zeros(); PLANES];
+    let mut count = 0usize;
+    lanes.into_iter().for_each(|lane| {
+        let paired = count.trailing_ones() as usize;
+        let mut addend = lane;
+        for level in 0..paired {
+            let (s, carry) = full_add(sum[level], unpaired[level], addend);
+            sum[level] = s;
+            addend = carry;
+        }
+        unpaired[paired] = addend;
+        count += 1;
+    });
+    if threshold > count {
         return L::zeros();
     }
-    // counter[i] holds bit i (LSB first) of the per-trial running count.
-    let mut counter: Vec<L> =
-        Vec::with_capacity(usize::BITS as usize - input_count.leading_zeros() as usize);
-    for lane in lanes {
-        let mut carry = lane;
-        for c in counter.iter_mut() {
-            if !carry.any() {
-                break;
-            }
-            let next = c.and(carry);
-            *c = c.xor(carry);
-            carry = next;
-        }
-        if carry.any() {
-            counter.push(carry);
-        }
-    }
-    let bits = counter.len();
-    if bits < usize::BITS as usize && threshold >= (1usize << bits) {
-        return L::zeros();
+    // Settle the unpaired addends into the sum planes; the per-lane total
+    // is at most `count`, so it fits in `bits` planes.
+    let bits = (usize::BITS - count.leading_zeros()) as usize;
+    let mut carry = L::zeros();
+    for (level, plane) in sum.iter_mut().enumerate().take(bits) {
+        let addend = if count >> level & 1 == 1 {
+            unpaired[level]
+        } else {
+            L::zeros()
+        };
+        (*plane, carry) = full_add(*plane, addend, carry);
     }
     // Bit-sliced comparison count >= threshold, MSB to LSB.
     let mut ge = L::zeros();
     let mut eq = L::ones();
-    for i in (0..bits).rev() {
-        let counter_bit = counter[i];
-        if (threshold >> i) & 1 == 0 {
-            ge = ge.or(eq.and(counter_bit));
-            eq = eq.and(counter_bit.not());
+    for (level, &plane) in sum.iter().enumerate().take(bits).rev() {
+        if (threshold >> level) & 1 == 0 {
+            ge = ge.or(eq.and(plane));
+            eq = eq.and(plane.not());
         } else {
-            eq = eq.and(counter_bit);
+            eq = eq.and(plane);
         }
     }
     ge.or(eq)
@@ -415,13 +433,12 @@ mod tests {
         assert_eq!(w, 2);
     }
 
-    /// A width-W `count_at_least_lanes` must agree word-for-word with W
-    /// independent single-word evaluations over the interleaved layout.
-    #[test]
-    fn block_count_at_least_matches_per_word_evaluation() {
-        const W: usize = 4;
-        let mut next = stream(7);
-        for n in [1usize, 3, 9, 64, 91] {
+    /// A width-W `count_at_least_lanes` must agree word-for-word with the
+    /// per-trial popcount of each word over the interleaved layout, for
+    /// input counts that fill several carry levels.
+    fn check_block_count_at_least<const W: usize>(seed: u64) {
+        let mut next = stream(seed);
+        for n in [1usize, 2, 3, 9, 64, 91, 255, 256, 257, 600] {
             let lanes: Vec<u64> = (0..n * W).map(|_| next()).collect();
             for threshold in [0usize, 1, n / 3, n / 2, n, n + 1] {
                 let blocks =
@@ -431,12 +448,19 @@ mod tests {
                     let word_lanes: Vec<u64> = (0..n).map(|e| lanes[e * W + w]).collect();
                     assert_eq!(
                         block_result.0[w],
-                        count_at_least(&word_lanes, threshold),
-                        "n={n} threshold={threshold} word {w}"
+                        scalar_count_at_least(&word_lanes, threshold),
+                        "W={W} n={n} threshold={threshold} word {w}"
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn block_count_at_least_matches_per_word_evaluation() {
+        check_block_count_at_least::<1>(5);
+        check_block_count_at_least::<4>(7);
+        check_block_count_at_least::<8>(9);
     }
 
     #[test]

@@ -9,21 +9,35 @@
 //! expressible as compositions (see `SystemSpec::{tree_as_compose,
 //! hqs_as_compose, grid_as_compose}`), and Majority is the one-gate case.
 
-use quorum_core::lanes::{count_at_least_lanes, Lanes};
+use std::cell::RefCell;
+use std::vec::Drain;
+
+use quorum_core::lanes::{count_at_least_lanes, majority3_lanes, Lanes};
 use quorum_core::{
     Coloring, ColoringDelta, DeltaEvaluator, ElementId, ElementSet, QuorumError, QuorumSystem,
 };
 
 use crate::dispatch_lane_block;
 
-/// Hard cap on circuit size, matching the other families' representability
-/// guards.
+/// Hard cap on circuit size (leaves plus gates), matching the other
+/// families' representability guards.
 const MAX_NODES: usize = 1 << 26;
+
+/// Largest universe a composition may span: element ids are stored as
+/// `u32`.
+pub(crate) const MAX_UNIVERSE: u64 = 1 << 32;
 
 /// Largest universe for which [`Composition::enumerate_quorums`] runs the
 /// exact antichain circuit DP (same limit as the trait's brute-force
 /// default).
 const ENUM_LIMIT: usize = 24;
+
+/// Work budget of the antichain DP that [`Composition::new`] runs to make a
+/// non-read-once composition's quorum sizes exact, in candidate unions
+/// formed. Each union is also checked against the antichain it joins, so a
+/// build spends at most about `budget²/2` subset tests there (tens of
+/// milliseconds).
+const SIZE_DP_BUDGET: usize = 1 << 14;
 
 /// Recursive builder input for [`Composition`]: a leaf names one universe
 /// element, a gate requires `threshold` of its children.
@@ -59,32 +73,73 @@ impl CompositionNode {
     }
 }
 
-/// Flattened circuit node. Children always carry smaller indices than their
-/// parents (post-order), so one ascending sweep evaluates the whole circuit.
+/// How a gate combines its children, fixed at compile time from its
+/// threshold `k` and child count `m`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Kind {
+    /// `k = 0`: constant true.
+    True,
+    /// `k = m`: every child.
+    And,
+    /// `k = 1`: any child.
+    Or,
+    /// 2-of-3.
+    Majority3,
+    /// Any other `k`-of-`m`.
+    AtLeast,
+}
+
+impl Kind {
+    fn of(k: usize, m: usize) -> Kind {
+        match k {
+            0 => Kind::True,
+            _ if k == m => Kind::And,
+            1 => Kind::Or,
+            2 if m == 3 => Kind::Majority3,
+            _ => Kind::AtLeast,
+        }
+    }
+}
+
+/// One gate of the post-order tape. Its gate children are the top `gates`
+/// values of the value stack when it runs; its leaf children are the
+/// element ids `leaves[leaf_start..leaf_end]`, read in place.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Node {
-    Leaf(u32),
-    Gate {
-        threshold: u32,
-        start: u32,
-        len: u32,
-    },
+struct Gate {
+    kind: Kind,
+    threshold: u32,
+    gates: u32,
+    leaf_start: u32,
+    leaf_end: u32,
 }
 
 /// A recursive threshold composition implementing [`QuorumSystem`].
 ///
-/// The circuit is stored flat in post-order; `contains_quorum` is one
-/// bottom-up sweep, the lane evaluators run the same sweep as a word
-/// circuit over [`count_at_least_lanes`] (64·W trials per traversal), and
-/// the delta evaluator keeps a per-gate satisfied-children counter so a
-/// churn step costs O(flips · depth).
+/// [`Composition::new`] compiles the node tree into one post-order gate
+/// tape: each gate records its kind (constant, AND, OR, 2-of-3 or
+/// `k`-of-`m`, fixed from its threshold and child count), its threshold,
+/// how many of its children are gates, and a range of leaf element ids.
+/// Every evaluator is one iterative sweep over the tape: a gate reads its
+/// leaves in place and its gate children off a value stack whose height is
+/// fixed at compile time, so no evaluator recurses on circuit depth.
+///
+/// * `contains_quorum` sweeps booleans.
+/// * The lane evaluators sweep 64·W trials at once. AND and OR gates stop
+///   reading leaves once every lane is decided, 2-of-3 gates are
+///   [`majority3_lanes`], other gates the carry-save counter of
+///   [`count_at_least_lanes`]; the value stack is a per-thread buffer
+///   reused across calls, so a sweep allocates nothing.
+/// * The delta evaluator builds its own gate-parent and element→gate index
+///   and keeps a satisfied-children counter per gate, so a churn step costs
+///   O(flips · depth) with early exit.
 ///
 /// `min_quorum_size` / `max_quorum_size` come from the bottom-up
 /// disjoint-children DP (min = sum of the `k` smallest child minima, max =
 /// sum of the `k` largest child maxima). The DP is exact for *read-once*
-/// compositions (no element appears in two leaves); when leaves repeat the
-/// sizes are refined through the exact antichain enumeration for universes
-/// up to 24 elements and otherwise reported as the DP's upper bounds.
+/// compositions (no element appears in two leaves). When leaves repeat, a
+/// universe of at most 24 elements refines the sizes through the exact
+/// antichain DP, within a fixed work budget; past the budget, or above 24
+/// elements, the sizes are the DP's upper bounds.
 ///
 /// # Examples
 ///
@@ -105,18 +160,24 @@ enum Node {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Composition {
     n: usize,
-    nodes: Vec<Node>,
-    child_ids: Vec<u32>,
-    /// `parent[v]` is the gate consuming node `v`; `u32::MAX` marks the root.
-    parent: Vec<u32>,
-    /// CSR multimap element → leaf nodes (elements may repeat).
-    leaf_off: Vec<u32>,
-    leaf_nodes: Vec<u32>,
+    /// The gates in post-order: every gate after its gate children, the
+    /// root last. A bare-leaf root compiles to one pass-through gate.
+    gates: Vec<Gate>,
+    /// Leaf element ids; each gate's leaf children are contiguous.
+    leaves: Vec<u32>,
+    /// Most values the sweeps' value stack holds at once.
+    stack_height: usize,
     depth: usize,
     read_once: bool,
     min_q: usize,
     max_q: usize,
     sizes_exact: bool,
+}
+
+thread_local! {
+    /// The lane sweep's value stack: grown to the tallest circuit this
+    /// thread has evaluated, then reused.
+    static LANE_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Composition {
@@ -127,6 +188,8 @@ impl Composition {
     ///
     /// * [`QuorumError::ElementOutOfRange`] when a leaf names an element
     ///   `>= universe`.
+    /// * [`QuorumError::UniverseTooLarge`] when `universe` exceeds 2³²
+    ///   elements.
     /// * [`QuorumError::InvalidConstruction`] when the universe is empty, a
     ///   gate has no children, a threshold exceeds its child count, or the
     ///   circuit exceeds the representability cap.
@@ -136,65 +199,33 @@ impl Composition {
                 reason: "a composition needs a non-empty universe".into(),
             });
         }
-        let mut nodes = Vec::new();
-        let mut child_ids = Vec::new();
-        let depth = flatten(&root, universe, &mut nodes, &mut child_ids)?;
-
-        let mut parent = vec![u32::MAX; nodes.len()];
-        for (v, node) in nodes.iter().enumerate() {
-            if let Node::Gate { start, len, .. } = node {
-                for &c in &child_ids[*start as usize..(*start + *len) as usize] {
-                    parent[c as usize] = v as u32;
-                }
-            }
+        if universe as u64 > MAX_UNIVERSE {
+            return Err(QuorumError::UniverseTooLarge {
+                actual: universe,
+                limit: MAX_UNIVERSE as usize,
+            });
         }
-
-        // CSR element → leaf-node multimap, via counting sort.
-        let mut leaf_off = vec![0u32; universe + 1];
-        for node in &nodes {
-            if let Node::Leaf(e) = node {
-                leaf_off[*e as usize + 1] += 1;
-            }
-        }
-        for e in 0..universe {
-            leaf_off[e + 1] += leaf_off[e];
-        }
-        let mut cursor = leaf_off.clone();
-        let mut leaf_nodes = vec![0u32; leaf_off[universe] as usize];
-        for (v, node) in nodes.iter().enumerate() {
-            if let Node::Leaf(e) = node {
-                leaf_nodes[cursor[*e as usize] as usize] = v as u32;
-                cursor[*e as usize] += 1;
-            }
-        }
-        let read_once = (0..universe).all(|e| leaf_off[e + 1] - leaf_off[e] <= 1);
-
-        let mut this = Composition {
-            n: universe,
-            nodes,
-            child_ids,
-            parent,
-            leaf_off,
-            leaf_nodes,
-            depth,
-            read_once,
-            min_q: 0,
-            max_q: 0,
-            sizes_exact: false,
+        let mut this = compile(universe, &root)?;
+        // Read-once check without a universe-sized table: more leaves than
+        // elements must repeat one; otherwise look for a repeat in sorted
+        // order.
+        this.read_once = this.leaves.len() <= universe && {
+            let mut sorted = this.leaves.clone();
+            sorted.sort_unstable();
+            sorted.windows(2).all(|pair| pair[0] != pair[1])
         };
-        let (min_q, max_q) = this.size_dp();
-        this.min_q = min_q;
-        this.max_q = max_q;
+        (this.min_q, this.max_q) = this.size_dp();
         this.sizes_exact = this.read_once;
         if !this.read_once && universe <= ENUM_LIMIT {
-            let quorums = this.minimal_antichain();
-            if let (Some(min), Some(max)) = (
-                quorums.iter().map(ElementSet::len).min(),
-                quorums.iter().map(ElementSet::len).max(),
-            ) {
-                this.min_q = min;
-                this.max_q = max;
-                this.sizes_exact = true;
+            if let Some(quorums) = this.minimal_antichain(SIZE_DP_BUDGET) {
+                if let (Some(min), Some(max)) = (
+                    quorums.iter().map(ElementSet::len).min(),
+                    quorums.iter().map(ElementSet::len).max(),
+                ) {
+                    this.min_q = min;
+                    this.max_q = max;
+                    this.sizes_exact = true;
+                }
             }
         }
         Ok(this)
@@ -202,15 +233,18 @@ impl Composition {
 
     /// Number of threshold gates in the circuit.
     pub fn gate_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|node| matches!(node, Node::Gate { .. }))
-            .count()
+        // Depth 0 is a bare leaf, whose pass-through gate is not in the
+        // source tree.
+        if self.depth == 0 {
+            0
+        } else {
+            self.gates.len()
+        }
     }
 
     /// Number of leaves in the circuit (counting repeats).
     pub fn leaf_count(&self) -> usize {
-        self.leaf_nodes.len()
+        self.leaves.len()
     }
 
     /// Gate depth of the circuit (a bare leaf has depth 0).
@@ -225,142 +259,233 @@ impl Composition {
     }
 
     /// Whether `min_quorum_size` / `max_quorum_size` are exact (always true
-    /// for read-once compositions and for universes up to 24 elements;
-    /// otherwise they are the disjoint-children DP's upper bounds).
+    /// for read-once compositions; for repeated leaves, true when the
+    /// universe has at most 24 elements and the antichain DP finished
+    /// within its work budget; otherwise they are the disjoint-children
+    /// DP's upper bounds).
     pub fn quorum_sizes_exact(&self) -> bool {
         self.sizes_exact
     }
 
-    /// The disjoint-children DP over (min, max) minimal-quorum sizes.
-    fn size_dp(&self) -> (usize, usize) {
-        let mut mins = vec![0usize; self.nodes.len()];
-        let mut maxs = vec![0usize; self.nodes.len()];
-        let mut scratch: Vec<usize> = Vec::new();
-        for (v, node) in self.nodes.iter().enumerate() {
-            match node {
-                Node::Leaf(_) => {
-                    mins[v] = 1;
-                    maxs[v] = 1;
-                }
-                Node::Gate {
-                    threshold,
-                    start,
-                    len,
-                } => {
-                    let k = *threshold as usize;
-                    if k == 0 {
-                        continue; // constant true: the empty quorum
-                    }
-                    let children = &self.child_ids[*start as usize..(*start + *len) as usize];
-                    scratch.clear();
-                    scratch.extend(children.iter().map(|&c| mins[c as usize]));
-                    scratch.sort_unstable();
-                    mins[v] = scratch[..k].iter().sum();
-                    scratch.clear();
-                    scratch.extend(children.iter().map(|&c| maxs[c as usize]));
-                    scratch.sort_unstable_by(|a, b| b.cmp(a));
-                    maxs[v] = scratch[..k].iter().sum();
-                }
-            }
-        }
-        let root = self.nodes.len() - 1;
-        (mins[root], maxs[root])
+    /// The leaf element ids of `gate`.
+    fn leaves_of(&self, gate: &Gate) -> &[u32] {
+        &self.leaves[gate.leaf_start as usize..gate.leaf_end as usize]
     }
 
-    /// The exact minimal-quorum antichain via the circuit DP: each node
+    /// Folds the tape bottom-up over a value stack: `gate_value(index,
+    /// gate, children)` turns a gate and the values of its gate children
+    /// (in child order) into the gate's own value. Returns the root's.
+    fn fold<V>(&self, mut gate_value: impl FnMut(usize, &Gate, Drain<'_, V>) -> V) -> V {
+        let mut stack = Vec::with_capacity(self.stack_height);
+        for (g, gate) in self.gates.iter().enumerate() {
+            let base = stack.len() - gate.gates as usize;
+            let value = gate_value(g, gate, stack.drain(base..));
+            stack.push(value);
+        }
+        stack.pop().expect("a composition has a root gate")
+    }
+
+    /// The disjoint-children DP over (min, max) minimal-quorum sizes.
+    fn size_dp(&self) -> (usize, usize) {
+        let (mut mins, mut maxs) = (Vec::new(), Vec::new());
+        self.fold(|_, gate, children| {
+            mins.clear();
+            maxs.clear();
+            let leaves = std::iter::repeat_n((1, 1), self.leaves_of(gate).len());
+            for (min, max) in children.chain(leaves) {
+                mins.push(min);
+                maxs.push(max);
+            }
+            mins.sort_unstable();
+            maxs.sort_unstable_by(|a, b| b.cmp(a));
+            // A constant-true gate (k = 0) sums nothing: the empty quorum.
+            let k = gate.threshold as usize;
+            (mins[..k].iter().sum(), maxs[..k].iter().sum())
+        })
+    }
+
+    /// The exact minimal-quorum antichain via the circuit DP: each gate
     /// carries its antichain of minimal satisfying sets; a `k`-of-`m` gate
     /// unions every `k`-subset's cross product, dropping dominated sets as
     /// they appear. Handles repeated leaves exactly (unions overlap and
-    /// shrink) — only feasible for small universes.
-    fn minimal_antichain(&self) -> Vec<ElementSet> {
-        let mut sets: Vec<Vec<ElementSet>> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let acc = match node {
-                Node::Leaf(e) => vec![ElementSet::singleton(self.n, *e as usize)],
-                Node::Gate {
-                    threshold,
-                    start,
-                    len,
-                } => {
-                    let k = *threshold as usize;
-                    if k == 0 {
-                        vec![ElementSet::empty(self.n)]
-                    } else {
-                        let children = &self.child_ids[*start as usize..(*start + *len) as usize];
-                        let mut acc: Vec<ElementSet> = Vec::new();
-                        let mut picked: Vec<u32> = Vec::with_capacity(k);
-                        subsets_cross(children, k, &sets, &mut picked, &mut acc, self.n);
-                        acc
+    /// shrink) — only feasible for small universes. Returns `None` once it
+    /// has formed more than `budget` candidate unions.
+    fn minimal_antichain(&self, budget: usize) -> Option<Vec<ElementSet>> {
+        let singletons: Vec<Vec<ElementSet>> = (0..self.n)
+            .map(|e| vec![ElementSet::singleton(self.n, e)])
+            .collect();
+        let mut unions = 0usize;
+        let mut quorums = self.fold(|_, gate, children| {
+            let gate_sets: Vec<Vec<ElementSet>> = children.collect();
+            let children: Vec<&[ElementSet]> = gate_sets
+                .iter()
+                .map(Vec::as_slice)
+                .chain(
+                    self.leaves_of(gate)
+                        .iter()
+                        .map(|&e| singletons[e as usize].as_slice()),
+                )
+                .collect();
+            let mut acc: Vec<ElementSet> = Vec::new();
+            // Every k-subset of the children, in lexicographic order.
+            let mut picked: Vec<usize> = (0..gate.threshold as usize).collect();
+            loop {
+                let mut partial = vec![ElementSet::empty(self.n)];
+                for &c in &picked {
+                    let mut next: Vec<ElementSet> = Vec::new();
+                    for base in &partial {
+                        for q in children[c] {
+                            unions += 1;
+                            if unions > budget {
+                                return Vec::new();
+                            }
+                            insert_minimal(&mut next, base.union(q));
+                        }
                     }
+                    partial = next;
                 }
-            };
-            sets.push(acc);
+                for q in partial {
+                    insert_minimal(&mut acc, q);
+                }
+                if !next_subset(&mut picked, children.len()) {
+                    return acc;
+                }
+            }
+        });
+        if unions > budget {
+            return None;
         }
-        let mut quorums = sets.pop().expect("circuit has a root");
         quorums.sort_by(|a, b| {
             a.len()
                 .cmp(&b.len())
                 .then_with(|| a.to_vec().cmp(&b.to_vec()))
         });
-        quorums
+        Some(quorums)
+    }
+
+    /// Sweeps the tape over boolean leaves (`green(e)`), reporting each
+    /// gate's index, satisfied-children count and value to `visit`; returns
+    /// the root's value.
+    fn sweep_bool(
+        &self,
+        green: impl Fn(usize) -> bool,
+        mut visit: impl FnMut(usize, u32, bool),
+    ) -> bool {
+        self.fold(|g, gate, children| {
+            let sat = children.filter(|&value| value).count()
+                + self
+                    .leaves_of(gate)
+                    .iter()
+                    .filter(|&&e| green(e as usize))
+                    .count();
+            let value = sat >= gate.threshold as usize;
+            visit(g, sat as u32, value);
+            value
+        })
     }
 
     fn green_lane_block_impl<L: Lanes>(&self, lanes: &[u64]) -> L {
-        let mut values: Vec<L> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let value = match node {
-                Node::Leaf(e) => L::load(&lanes[*e as usize * L::WORDS..]),
-                Node::Gate {
-                    threshold,
-                    start,
-                    len,
-                } => {
-                    let children = &self.child_ids[*start as usize..(*start + *len) as usize];
-                    count_at_least_lanes(
-                        children.iter().map(|&c| values[c as usize]),
-                        *threshold as usize,
-                    )
+        LANE_STACK.with(|stack| {
+            let mut stack = stack.borrow_mut();
+            let words = self.stack_height * L::WORDS;
+            if stack.len() < words {
+                stack.resize(words, 0);
+            }
+            self.lane_sweep(lanes, &mut stack[..words])
+        })
+    }
+
+    /// The lane sweep over a value stack of `stack_height` values of `L`.
+    fn lane_sweep<L: Lanes>(&self, lanes: &[u64], stack: &mut [u64]) -> L {
+        let words = L::WORDS;
+        let leaf = |e: &u32| L::load(&lanes[*e as usize * words..]);
+        let mut top = 0;
+        for gate in &self.gates {
+            let base = top - gate.gates as usize;
+            let children = stack[base * words..top * words]
+                .chunks_exact(words)
+                .map(L::load);
+            let leaves = self.leaves_of(gate);
+            let value = match gate.kind {
+                Kind::True => L::ones(),
+                Kind::And => {
+                    let mut acc = children.fold(L::ones(), L::and);
+                    for e in leaves {
+                        if !acc.any() {
+                            break;
+                        }
+                        acc = acc.and(leaf(e));
+                    }
+                    acc
                 }
+                Kind::Or => {
+                    let mut acc = children.fold(L::zeros(), L::or);
+                    for e in leaves {
+                        if !acc.not().any() {
+                            break;
+                        }
+                        acc = acc.or(leaf(e));
+                    }
+                    acc
+                }
+                Kind::Majority3 => {
+                    let g = gate.gates as usize;
+                    let input = |i: usize| {
+                        if i < g {
+                            L::load(&stack[(base + i) * words..])
+                        } else {
+                            leaf(&leaves[i - g])
+                        }
+                    };
+                    majority3_lanes(input(0), input(1), input(2))
+                }
+                Kind::AtLeast => count_at_least_lanes(
+                    children.chain(leaves.iter().map(leaf)),
+                    gate.threshold as usize,
+                ),
             };
-            values.push(value);
+            value.store(&mut stack[base * words..]);
+            top = base + 1;
         }
-        *values.last().expect("circuit has a root")
+        L::load(stack)
     }
 }
 
-/// Post-order flatten; returns the gate depth of `node`.
-fn flatten(
-    node: &CompositionNode,
-    universe: usize,
-    nodes: &mut Vec<Node>,
-    child_ids: &mut Vec<u32>,
-) -> Result<usize, QuorumError> {
-    if nodes.len() >= MAX_NODES {
-        return Err(QuorumError::InvalidConstruction {
-            reason: format!("composition exceeds {MAX_NODES} circuit nodes"),
-        });
-    }
-    match node {
-        CompositionNode::Leaf(e) => {
-            if *e >= universe {
+/// Compiles the node tree into the post-order gate tape. A first pass
+/// validates the tree and counts its gates and leaves, so the second pass
+/// writes the tape into pre-sized arrays. Both walks keep their own stack,
+/// so deep trees compile without recursion. Sizes and the read-once flag
+/// are left to the caller.
+fn compile(universe: usize, root: &CompositionNode) -> Result<Composition, QuorumError> {
+    let (mut gate_count, mut leaf_count) = (0usize, 0usize);
+    let mut open = vec![std::slice::from_ref(root).iter()];
+    while let Some(siblings) = open.last_mut() {
+        let Some(node) = siblings.next() else {
+            open.pop();
+            continue;
+        };
+        if gate_count + leaf_count >= MAX_NODES {
+            return Err(QuorumError::InvalidConstruction {
+                reason: format!("composition exceeds {MAX_NODES} circuit nodes"),
+            });
+        }
+        match node {
+            CompositionNode::Leaf(e) if *e >= universe => {
                 return Err(QuorumError::ElementOutOfRange {
                     element: *e,
                     universe,
                 });
             }
-            nodes.push(Node::Leaf(*e as u32));
-            Ok(0)
-        }
-        CompositionNode::Gate {
-            threshold,
-            children,
-        } => {
-            if children.is_empty() {
+            CompositionNode::Leaf(_) => leaf_count += 1,
+            CompositionNode::Gate { children, .. } if children.is_empty() => {
                 return Err(QuorumError::InvalidConstruction {
                     reason: "composition gate has no children".into(),
                 });
             }
-            if *threshold > children.len() {
+            CompositionNode::Gate {
+                threshold,
+                children,
+            } if *threshold > children.len() => {
                 return Err(QuorumError::InvalidConstruction {
                     reason: format!(
                         "composition gate threshold {threshold} exceeds its {} children",
@@ -368,22 +493,89 @@ fn flatten(
                     ),
                 });
             }
-            let mut depth = 0;
-            let mut ids = Vec::with_capacity(children.len());
-            for child in children {
-                depth = depth.max(flatten(child, universe, nodes, child_ids)? + 1);
-                ids.push((nodes.len() - 1) as u32);
+            CompositionNode::Gate { children, .. } => {
+                gate_count += 1;
+                open.push(children.iter());
             }
-            let start = child_ids.len() as u32;
-            child_ids.extend_from_slice(&ids);
-            nodes.push(Node::Gate {
-                threshold: *threshold as u32,
-                start,
-                len: ids.len() as u32,
-            });
-            Ok(depth)
         }
     }
+
+    /// A gate whose children are being compiled.
+    struct Frame<'a> {
+        threshold: usize,
+        children: &'a [CompositionNode],
+        /// Children visited so far.
+        next: usize,
+        /// Depth of the deepest gate child compiled so far.
+        below: usize,
+    }
+    fn frame(node: &CompositionNode) -> Option<Frame<'_>> {
+        match node {
+            CompositionNode::Gate {
+                threshold,
+                children,
+            } => Some(Frame {
+                threshold: *threshold,
+                children,
+                next: 0,
+                below: 0,
+            }),
+            CompositionNode::Leaf(_) => None,
+        }
+    }
+    let mut circuit = Composition {
+        n: universe,
+        gates: Vec::with_capacity(gate_count.max(1)),
+        leaves: Vec::with_capacity(leaf_count),
+        stack_height: 0,
+        depth: 0,
+        read_once: false,
+        min_q: 0,
+        max_q: 0,
+        sizes_exact: false,
+    };
+    // A bare leaf compiles to one pass-through 1-of-1 gate.
+    let mut frames = vec![frame(root).unwrap_or(Frame {
+        threshold: 1,
+        children: std::slice::from_ref(root),
+        next: 0,
+        below: 0,
+    })];
+    let mut height = 0usize;
+    while let Some(top) = frames.last_mut() {
+        if let Some(child) = top.children.get(top.next) {
+            top.next += 1;
+            frames.extend(frame(child));
+            continue;
+        }
+        let done = frames.pop().expect("the loop holds a frame");
+        let leaf_start = circuit.leaves.len();
+        circuit
+            .leaves
+            .extend(done.children.iter().filter_map(|child| match child {
+                CompositionNode::Leaf(e) => Some(*e as u32),
+                CompositionNode::Gate { .. } => None,
+            }));
+        let gates = done.children.len() - (circuit.leaves.len() - leaf_start);
+        height = height + 1 - gates;
+        circuit.stack_height = circuit.stack_height.max(height);
+        circuit.gates.push(Gate {
+            kind: Kind::of(done.threshold, done.children.len()),
+            threshold: done.threshold as u32,
+            gates: gates as u32,
+            leaf_start: leaf_start as u32,
+            leaf_end: circuit.leaves.len() as u32,
+        });
+        let depth = done.below + 1;
+        match frames.last_mut() {
+            Some(parent) => parent.below = parent.below.max(depth),
+            None => circuit.depth = depth,
+        }
+    }
+    if gate_count == 0 {
+        circuit.depth = 0;
+    }
+    Ok(circuit)
 }
 
 /// Inserts `cand` into the antichain `acc`: skipped when an existing set is
@@ -396,103 +588,117 @@ fn insert_minimal(acc: &mut Vec<ElementSet>, cand: ElementSet) {
     acc.push(cand);
 }
 
-/// Enumerates every `k`-subset of `children` and pushes the antichain of
-/// cross-product unions of the picked children's minimal sets into `acc`.
-fn subsets_cross(
-    children: &[u32],
-    k: usize,
-    sets: &[Vec<ElementSet>],
-    picked: &mut Vec<u32>,
-    acc: &mut Vec<ElementSet>,
-    n: usize,
-) {
-    if k == 0 {
-        // Cross product of the picked children's antichains.
-        let mut partial = vec![ElementSet::empty(n)];
-        for &c in picked.iter() {
-            let mut next: Vec<ElementSet> = Vec::new();
-            for base in &partial {
-                for q in &sets[c as usize] {
-                    insert_minimal(&mut next, base.union(q));
-                }
+/// Advances `picked` (a sorted `k`-subset of `0..m`) to the next subset in
+/// lexicographic order; `false` after the last one.
+fn next_subset(picked: &mut [usize], m: usize) -> bool {
+    let k = picked.len();
+    for i in (0..k).rev() {
+        if picked[i] < m - k + i {
+            picked[i] += 1;
+            for j in i + 1..k {
+                picked[j] = picked[j - 1] + 1;
             }
-            partial = next;
+            return true;
         }
-        for q in partial {
-            insert_minimal(acc, q);
-        }
-        return;
     }
-    if children.len() < k {
-        return;
-    }
-    picked.push(children[0]);
-    subsets_cross(&children[1..], k - 1, sets, picked, acc, n);
-    picked.pop();
-    subsets_cross(&children[1..], k, sets, picked, acc, n);
+    false
 }
 
-/// Incremental composition evaluation: a cached boolean per circuit node
-/// plus a satisfied-children counter per gate. Each flipped leaf adjusts
-/// its parent's counter and climbs toward the root only while a gate's
-/// verdict actually changes, so a churn step costs O(flips · depth) with
-/// early exit, independent of evaluation order even with repeated leaves.
+/// Per-gate state of the delta evaluator.
+#[derive(Debug, Clone, Copy)]
+struct DeltaGate {
+    /// The gate consuming this one ([`ROOT`] at the root).
+    parent: u32,
+    threshold: u32,
+    /// Satisfied children.
+    sat: u32,
+    value: bool,
+}
+
+/// The root gate's `parent`.
+const ROOT: u32 = u32::MAX;
+
+/// Incremental composition evaluation: a satisfied-children counter and a
+/// cached value per gate. Each flipped element adjusts the counters of the
+/// gates listing it as a leaf and climbs toward the root only while a
+/// gate's value actually changes, so a churn step costs O(flips · depth)
+/// with early exit, independent of evaluation order even with repeated
+/// leaves.
 #[derive(Debug, Clone)]
 struct CompositionDeltaEval {
     circuit: Composition,
-    value: Vec<bool>,
-    sat: Vec<u32>,
+    gates: Vec<DeltaGate>,
+    /// CSR element → gates listing it as a leaf, once per occurrence: the
+    /// gates of `e` are `leaf_gates[leaf_off[e]..leaf_off[e + 1]]`.
+    leaf_off: Vec<u32>,
+    leaf_gates: Vec<u32>,
     primed: bool,
 }
 
 impl CompositionDeltaEval {
-    fn recompute(&mut self, coloring: &Coloring) {
-        for v in 0..self.circuit.nodes.len() {
-            match &self.circuit.nodes[v] {
-                Node::Leaf(e) => {
-                    self.value[v] = coloring.is_green(*e as usize);
-                }
-                Node::Gate {
-                    threshold,
-                    start,
-                    len,
-                } => {
-                    let children =
-                        &self.circuit.child_ids[*start as usize..(*start + *len) as usize];
-                    let sat = children.iter().filter(|&&c| self.value[c as usize]).count();
-                    self.sat[v] = sat as u32;
-                    self.value[v] = sat >= *threshold as usize;
-                }
+    fn new(circuit: &Composition) -> Self {
+        let mut gates: Vec<DeltaGate> = circuit
+            .gates
+            .iter()
+            .map(|gate| DeltaGate {
+                parent: ROOT,
+                threshold: gate.threshold,
+                sat: 0,
+                value: false,
+            })
+            .collect();
+        // Fold gate indices up the tape to find each gate's parent.
+        circuit.fold(|g, _, children: Drain<'_, usize>| {
+            for child in children {
+                gates[child].parent = g as u32;
             }
+            g
+        });
+        // Counting sort of the leaf occurrences by element: count, prefix
+        // to block ends, then fill each block back to front.
+        let mut leaf_off = vec![0u32; circuit.n + 1];
+        for &e in &circuit.leaves {
+            leaf_off[e as usize] += 1;
+        }
+        for e in 1..=circuit.n {
+            leaf_off[e] += leaf_off[e - 1];
+        }
+        let mut leaf_gates = vec![0u32; circuit.leaves.len()];
+        for (g, gate) in circuit.gates.iter().enumerate().rev() {
+            for &e in circuit.leaves_of(gate).iter().rev() {
+                leaf_off[e as usize] -= 1;
+                leaf_gates[leaf_off[e as usize] as usize] = g as u32;
+            }
+        }
+        CompositionDeltaEval {
+            circuit: circuit.clone(),
+            gates,
+            leaf_off,
+            leaf_gates,
+            primed: false,
         }
     }
 
-    /// Flips leaf node `leaf` to `new` and propagates the change upward.
-    fn propagate(&mut self, leaf: usize, new: bool) {
-        let mut v = leaf;
-        let mut val = new;
+    /// One child of gate `g` turned satisfied (`up`) or unsatisfied;
+    /// propagates the change toward the root while values change.
+    fn propagate(&mut self, mut g: usize, mut up: bool) {
         loop {
-            self.value[v] = val;
-            let p = self.circuit.parent[v];
-            if p == u32::MAX {
-                return;
-            }
-            let p = p as usize;
-            if val {
-                self.sat[p] += 1;
+            let gate = &mut self.gates[g];
+            if up {
+                gate.sat += 1;
             } else {
-                self.sat[p] -= 1;
+                gate.sat -= 1;
             }
-            let threshold = match &self.circuit.nodes[p] {
-                Node::Gate { threshold, .. } => *threshold as usize,
-                Node::Leaf(_) => unreachable!("a parent is always a gate"),
-            };
-            let new_val = self.sat[p] as usize >= threshold;
-            if new_val == self.value[p] {
+            let value = gate.sat >= gate.threshold;
+            if value == gate.value {
                 return;
             }
-            v = p;
-            val = new_val;
+            gate.value = value;
+            if gate.parent == ROOT {
+                return;
+            }
+            g = gate.parent as usize;
+            up = value;
         }
     }
 }
@@ -504,7 +710,14 @@ impl DeltaEvaluator for CompositionDeltaEval {
             self.circuit.n,
             "universe mismatch"
         );
-        self.recompute(coloring);
+        let gates = &mut self.gates;
+        self.circuit.sweep_bool(
+            |e| coloring.is_green(e),
+            |g, sat, value| {
+                gates[g].sat = sat;
+                gates[g].value = value;
+            },
+        );
         self.primed = true;
         self.verdict()
     }
@@ -513,16 +726,9 @@ impl DeltaEvaluator for CompositionDeltaEval {
         assert!(self.primed, "update before reset");
         assert_eq!(post.universe_size(), self.circuit.n, "universe mismatch");
         for e in delta.flipped_elements() {
-            let new = post.is_green(e);
-            let (lo, hi) = (
-                self.circuit.leaf_off[e] as usize,
-                self.circuit.leaf_off[e + 1] as usize,
-            );
-            for i in lo..hi {
-                let leaf = self.circuit.leaf_nodes[i] as usize;
-                if self.value[leaf] != new {
-                    self.propagate(leaf, new);
-                }
+            let green = post.is_green(e);
+            for i in self.leaf_off[e]..self.leaf_off[e + 1] {
+                self.propagate(self.leaf_gates[i as usize] as usize, green);
             }
         }
         self.verdict()
@@ -530,7 +736,10 @@ impl DeltaEvaluator for CompositionDeltaEval {
 
     fn verdict(&self) -> bool {
         assert!(self.primed, "verdict before reset");
-        *self.value.last().expect("circuit has a root")
+        self.gates
+            .last()
+            .expect("a composition has a root gate")
+            .value
     }
 }
 
@@ -549,21 +758,7 @@ impl QuorumSystem for Composition {
     }
 
     fn contains_quorum(&self, set: &ElementSet) -> bool {
-        let mut values = vec![false; self.nodes.len()];
-        for (v, node) in self.nodes.iter().enumerate() {
-            values[v] = match node {
-                Node::Leaf(e) => set.contains(*e as usize),
-                Node::Gate {
-                    threshold,
-                    start,
-                    len,
-                } => {
-                    let children = &self.child_ids[*start as usize..(*start + *len) as usize];
-                    children.iter().filter(|&&c| values[c as usize]).count() >= *threshold as usize
-                }
-            };
-        }
-        *values.last().expect("circuit has a root")
+        self.sweep_bool(|e| set.contains(e), |_, _, _| {})
     }
 
     fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
@@ -576,12 +771,7 @@ impl QuorumSystem for Composition {
     }
 
     fn delta_evaluator(&self) -> Option<Box<dyn DeltaEvaluator + Send>> {
-        Some(Box::new(CompositionDeltaEval {
-            value: vec![false; self.nodes.len()],
-            sat: vec![0; self.nodes.len()],
-            circuit: self.clone(),
-            primed: false,
-        }))
+        Some(Box::new(CompositionDeltaEval::new(self)))
     }
 
     fn min_quorum_size(&self) -> usize {
@@ -599,7 +789,9 @@ impl QuorumSystem for Composition {
                 limit: ENUM_LIMIT,
             });
         }
-        Ok(self.minimal_antichain())
+        Ok(self
+            .minimal_antichain(usize::MAX)
+            .expect("an unbounded antichain DP finishes"))
     }
 }
 
@@ -645,6 +837,87 @@ mod tests {
             Composition::new(0, CompositionNode::leaf(0)),
             Err(QuorumError::InvalidConstruction { .. })
         ));
+        // Element ids are u32: the universe may span at most 2³² elements.
+        assert!(matches!(
+            Composition::new((1 << 32) + 1, CompositionNode::leaf(0)),
+            Err(QuorumError::UniverseTooLarge { .. })
+        ));
+        let widest = Composition::new(1 << 32, CompositionNode::leaf(u32::MAX as usize)).unwrap();
+        assert_eq!(widest.universe_size(), 1 << 32);
+    }
+
+    #[test]
+    fn bare_leaf_is_a_gateless_circuit() {
+        let c = Composition::new(3, CompositionNode::leaf(1)).unwrap();
+        assert_eq!((c.gate_count(), c.leaf_count(), c.depth()), (0, 1, 0));
+        assert_eq!((c.min_quorum_size(), c.max_quorum_size()), (1, 1));
+        assert_eq!(c.name(), "Compose(n=3,gates=0,depth=0)");
+        assert!(c.contains_quorum(&ElementSet::singleton(3, 1)));
+        assert!(!c.contains_quorum(&ElementSet::from_iter(3, [0, 2])));
+        assert_eq!(c.green_quorum_lanes(&[1, 2, 3]), Some(2));
+        assert_eq!(
+            c.enumerate_quorums().unwrap(),
+            vec![ElementSet::singleton(3, 1)]
+        );
+        let mut evaluator = c.delta_evaluator().unwrap();
+        let green = Coloring::all_green(3);
+        assert!(evaluator.reset(&green));
+        let mut red = green.clone();
+        red.set_color(1, quorum_core::Color::Red);
+        assert!(!evaluator.update(&red, &green.diff(&red)));
+    }
+
+    #[test]
+    fn size_refinement_stops_at_its_budget() {
+        // 9-of-19 over 0..18 with element 0 twice: the exact antichain DP
+        // forms ~8·10⁵ unions (seconds of work, ~11× more per two extra
+        // elements); the budget stops it and keeps the DP bounds.
+        let children = (0..18).chain([0]).map(CompositionNode::leaf).collect();
+        let c = Composition::new(18, CompositionNode::gate(9, children)).unwrap();
+        assert!(!c.is_read_once());
+        assert!(!c.quorum_sizes_exact());
+        assert_eq!((c.min_quorum_size(), c.max_quorum_size()), (9, 9));
+    }
+
+    #[test]
+    fn deep_chains_evaluate_without_recursion() {
+        const DEPTH: usize = 50_000;
+        // Building and dropping the nested node tree recurses; give that
+        // thread room. The compiled circuit is flat.
+        let chain = std::thread::Builder::new()
+            .stack_size(256 << 20)
+            .spawn(|| {
+                let mut node = CompositionNode::leaf(1);
+                for _ in 0..DEPTH {
+                    node = CompositionNode::gate(1, vec![node]);
+                }
+                Composition::new(2, node).unwrap()
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!((chain.gate_count(), chain.depth()), (DEPTH, DEPTH));
+        // Every evaluator runs on a 256 KiB stack.
+        std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || {
+                let width = 8;
+                let lanes: Vec<u64> = (0..2 * width).map(|i| mix(i as u64)).collect();
+                let mut out = vec![0u64; width];
+                assert!(chain.green_quorum_lane_block(&lanes, width, &mut out));
+                assert_eq!(out, lanes[width..]);
+                assert!(chain.contains_quorum(&ElementSet::singleton(2, 1)));
+                assert!(!chain.contains_quorum(&ElementSet::singleton(2, 0)));
+                let mut evaluator = chain.delta_evaluator().unwrap();
+                let green = Coloring::all_green(2);
+                assert!(evaluator.reset(&green));
+                let mut red = green.clone();
+                red.set_color(1, quorum_core::Color::Red);
+                assert!(!evaluator.update(&red, &green.diff(&red)));
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl Majority {
         self.n.div_ceil(2)
     }
 
-    /// The threshold check at any lane width: the ripple-carry counter over
+    /// The threshold check at any lane width: the carry-save counter over
     /// element-major blocks advances `W·64` trials per pass.
     fn green_lane_block_impl<L: Lanes>(&self, lanes: &[u64]) -> L {
         count_at_least_lanes(
@@ -138,7 +138,7 @@ impl QuorumSystem for Majority {
     fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
         debug_assert_eq!(lanes.len(), self.n);
         // 64 trials per pass: the cardinality threshold becomes a bit-sliced
-        // ripple-carry count over the element lanes.
+        // carry-save count over the element lanes.
         Some(self.green_lane_block_impl::<u64>(lanes))
     }
 

@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 use quorum_core::{DynQuorumSystem, ElementId, Organizations, QuorumError, QuorumSystem};
 
+use crate::composition::MAX_UNIVERSE;
 use crate::{Composition, CompositionNode, CrumblingWalls, Grid, Hqs, Majority, TreeQuorum, Wheel};
 
 /// A declarative description of a quorum system: the paper's named families,
@@ -88,7 +89,7 @@ pub enum SystemSpec {
     /// A threshold gate: satisfied when at least `threshold` children are.
     /// Children must be [`SystemSpec::Leaf`] or nested
     /// [`SystemSpec::Compose`] gates; the universe is inferred as the
-    /// largest leaf index plus one.
+    /// largest leaf index plus one, and leaves must be below 2³².
     Compose {
         /// How many children must be satisfied.
         threshold: usize,
@@ -401,6 +402,18 @@ impl SystemSpec {
     ) -> Result<CompositionNode, SpecError> {
         match self {
             SystemSpec::Leaf(e) => {
+                // The universe is the largest leaf plus one: a leaf at or past
+                // the composition limit would overflow it or alias a `u32`
+                // element id.
+                if *e as u64 >= MAX_UNIVERSE {
+                    return Err(SpecError::invalid(
+                        path,
+                        QuorumError::ElementOutOfRange {
+                            element: *e,
+                            universe: MAX_UNIVERSE as usize,
+                        },
+                    ));
+                }
                 *max_leaf = (*max_leaf).max(*e);
                 Ok(CompositionNode::Leaf(*e))
             }
@@ -839,6 +852,18 @@ mod tests {
                 children: 2
             }
         );
+
+        // Leaves past the 2³² composition limit: the inferred universe
+        // would overflow, or the leaf would alias a `u32` element id.
+        for text in ["1(18446744073709551615)", "1(4294967296)"] {
+            let err = SystemSpec::parse(text).unwrap_err();
+            assert_eq!(err.path, vec![0], "{text}");
+            assert!(matches!(err.kind, SpecErrorKind::Invalid { .. }), "{text}");
+        }
+        // The largest representable leaf builds, allocating nothing
+        // universe-sized.
+        let system = SystemSpec::parse("1(4294967295)").unwrap().build().unwrap();
+        assert_eq!(system.universe_size(), 1 << 32);
 
         // A bare leaf at the root.
         let err = SystemSpec::Leaf(0).validate().unwrap_err();

@@ -12,11 +12,13 @@ use quorum_core::lanes::LANE_WIDTHS;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Builds a random composition tree over exactly the elements of
-/// `elements` (each appearing as one leaf): the slice is cut into 2–4
-/// contiguous chunks, singleton chunks become leaves, larger chunks recurse,
-/// and the gate's threshold is drawn from `1..=children`.
-fn random_compose(rng: &mut StdRng, elements: &[ElementId]) -> SystemSpec {
+/// Builds a random composition tree over the elements of `elements`, each
+/// appearing as at least one leaf: the slice is cut into 2–4 contiguous
+/// chunks, singleton chunks become leaves, larger chunks recurse. One gate
+/// in three also takes an extra leaf repeating an element of `0..n`, and the
+/// gate's threshold is drawn from `1..=children`, or is 0 (constant true)
+/// one time in eight.
+fn random_compose(rng: &mut StdRng, elements: &[ElementId], n: usize) -> SystemSpec {
     assert!(elements.len() >= 2);
     let chunk_count = rng.gen_range(2..=elements.len().min(4));
     // Random cut points partition the slice into `chunk_count` chunks.
@@ -28,22 +30,50 @@ fn random_compose(rng: &mut StdRng, elements: &[ElementId]) -> SystemSpec {
         }
     }
     cuts.sort_unstable();
-    let children: Vec<SystemSpec> = cuts
+    let mut children: Vec<SystemSpec> = cuts
         .windows(2)
         .map(|w| {
             let chunk = &elements[w[0]..w[1]];
             if chunk.len() == 1 {
                 SystemSpec::Leaf(chunk[0])
             } else {
-                random_compose(rng, chunk)
+                random_compose(rng, chunk, n)
             }
         })
         .collect();
-    let threshold = rng.gen_range(1..=children.len());
+    if rng.gen_range(0..3) == 0 {
+        children.push(SystemSpec::Leaf(rng.gen_range(0..n)));
+    }
+    let threshold = if rng.gen_range(0..8) == 0 {
+        0
+    } else {
+        rng.gen_range(1..=children.len())
+    };
     SystemSpec::Compose {
         threshold,
         children,
     }
+}
+
+/// Lane words for `n` elements at `width` words each, every element biased
+/// toward all-zero or all-one lanes so that AND and OR gates decide every
+/// lane before their last leaf: exact `0` or `u64::MAX` words, the AND or OR
+/// of three random words, or uniform words.
+fn biased_lanes(rng: &mut StdRng, n: usize, width: usize) -> Vec<u64> {
+    let mut lanes = Vec::with_capacity(n * width);
+    for _ in 0..n {
+        let bias = rng.gen_range(0..5);
+        for _ in 0..width {
+            lanes.push(match bias {
+                0 => 0,
+                1 => u64::MAX,
+                2 => rng.gen::<u64>() & rng.gen::<u64>() & rng.gen::<u64>(),
+                3 => rng.gen::<u64>() | rng.gen::<u64>() | rng.gen::<u64>(),
+                _ => rng.gen(),
+            });
+        }
+    }
+    lanes
 }
 
 /// Scalar reference: does any of the enumerated quorums lie inside the
@@ -57,14 +87,15 @@ fn enumerated_verdict(quorums: &[ElementSet], coloring: &Coloring) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// On random composition trees with n ≤ 16 elements, the lane circuit,
-    /// the scalar evaluator and the enumerated coterie agree on all 64
-    /// packed trials of a random lane block.
+    /// On random composition trees with n ≤ 16 elements (repeated leaves
+    /// and constant-true gates included), the lane circuit at widths 1, 4
+    /// and 8, the scalar evaluator and the enumerated coterie agree on every
+    /// packed trial of a biased lane block.
     #[test]
     fn random_trees_lane_scalar_coterie_agree(seed in 0u64..10_000, n in 2usize..=16) {
         let mut rng = StdRng::seed_from_u64(seed);
         let elements: Vec<ElementId> = (0..n).collect();
-        let spec = random_compose(&mut rng, &elements);
+        let spec = random_compose(&mut rng, &elements, n);
         prop_assert!(spec.validate().is_ok(), "generated specs are valid");
         let system = spec.build().unwrap();
         prop_assert_eq!(system.universe_size(), n);
@@ -80,24 +111,43 @@ proptest! {
             Err(QuorumError::NotIntersecting { .. }) => {
                 prop_assert!(find_disjoint_pair(&quorums).is_some());
             }
+            // A constant-true root: the empty quorum is no coterie.
+            Err(QuorumError::Empty) => {
+                prop_assert_eq!(&quorums, &vec![ElementSet::empty(n)]);
+            }
             Err(other) => prop_assert!(false, "unexpected error: {other}"),
         }
 
-        let lanes: Vec<u64> = (0..n).map(|_| rng.gen::<u64>()).collect();
-        let word = system
-            .green_quorum_lanes(&lanes)
-            .expect("compositions implement lane evaluation");
-        for lane in 0..64 {
-            let coloring = Coloring::from_fn(n, |e| {
-                if (lanes[e] >> lane) & 1 == 1 {
-                    Color::Green
-                } else {
-                    Color::Red
-                }
-            });
-            let scalar = system.has_green_quorum(&coloring);
-            prop_assert_eq!((word >> lane) & 1 == 1, scalar, "lane vs scalar");
-            prop_assert_eq!(enumerated_verdict(&quorums, &coloring), scalar, "enumeration vs scalar");
+        // Word w of the width-8 block, as a single-word lane slice.
+        const MAX_WIDTH: usize = 8;
+        let lanes = biased_lanes(&mut rng, n, MAX_WIDTH);
+        let word = |w: usize| -> Vec<u64> { (0..n).map(|e| lanes[e * MAX_WIDTH + w]).collect() };
+        let singles: Vec<u64> = (0..MAX_WIDTH)
+            .map(|w| system.green_quorum_lanes(&word(w)).expect("compositions implement lanes"))
+            .collect();
+        for width in LANE_WIDTHS {
+            let block: Vec<u64> = (0..n * width)
+                .map(|i| lanes[(i / width) * MAX_WIDTH + i % width])
+                .collect();
+            let mut out = vec![0u64; width];
+            prop_assert!(system.green_quorum_lane_block(&block, width, &mut out));
+            prop_assert_eq!(&out[..], &singles[..width], "lane block at width {}", width);
+        }
+
+        for (w, verdicts) in singles.iter().enumerate() {
+            let words = word(w);
+            for lane in 0..64 {
+                let coloring = Coloring::from_fn(n, |e| {
+                    if (words[e] >> lane) & 1 == 1 {
+                        Color::Green
+                    } else {
+                        Color::Red
+                    }
+                });
+                let scalar = system.has_green_quorum(&coloring);
+                prop_assert_eq!((verdicts >> lane) & 1 == 1, scalar, "lane vs scalar");
+                prop_assert_eq!(enumerated_verdict(&quorums, &coloring), scalar, "enumeration vs scalar");
+            }
         }
     }
 
@@ -109,7 +159,7 @@ proptest! {
     fn random_trees_enumerate_the_minimal_antichain(seed in 0u64..10_000, n in 2usize..=12) {
         let mut rng = StdRng::seed_from_u64(seed);
         let elements: Vec<ElementId> = (0..n).collect();
-        let spec = random_compose(&mut rng, &elements);
+        let spec = random_compose(&mut rng, &elements, n);
         let system = spec.build().unwrap();
         let quorums = system.enumerate_quorums().unwrap();
         for (i, a) in quorums.iter().enumerate() {
