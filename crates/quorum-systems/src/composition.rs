@@ -206,14 +206,7 @@ impl Composition {
             });
         }
         let mut this = compile(universe, &root)?;
-        // Read-once check without a universe-sized table: more leaves than
-        // elements must repeat one; otherwise look for a repeat in sorted
-        // order.
-        this.read_once = this.leaves.len() <= universe && {
-            let mut sorted = this.leaves.clone();
-            sorted.sort_unstable();
-            sorted.windows(2).all(|pair| pair[0] != pair[1])
-        };
+        this.read_once = !has_repeated_leaf(&this.leaves, universe);
         (this.min_q, this.max_q) = this.size_dp();
         this.sizes_exact = this.read_once;
         if !this.read_once && universe <= ENUM_LIMIT {
@@ -363,27 +356,7 @@ impl Composition {
         Some(quorums)
     }
 
-    /// Sweeps the tape over boolean leaves (`green(e)`), reporting each
-    /// gate's index, satisfied-children count and value to `visit`; returns
-    /// the root's value.
-    fn sweep_bool(
-        &self,
-        green: impl Fn(usize) -> bool,
-        mut visit: impl FnMut(usize, u32, bool),
-    ) -> bool {
-        self.fold(|g, gate, children| {
-            let sat = children.filter(|&value| value).count()
-                + self
-                    .leaves_of(gate)
-                    .iter()
-                    .filter(|&&e| green(e as usize))
-                    .count();
-            let value = sat >= gate.threshold as usize;
-            visit(g, sat as u32, value);
-            value
-        })
-    }
-
+    /// The lane sweep on this thread's reusable value stack.
     fn green_lane_block_impl<L: Lanes>(&self, lanes: &[u64]) -> L {
         LANE_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
@@ -396,6 +369,8 @@ impl Composition {
     }
 
     /// The lane sweep over a value stack of `stack_height` values of `L`.
+    /// An AND (OR) gate stops reading leaves once every lane is 0 (1): no
+    /// further leaf can change it.
     fn lane_sweep<L: Lanes>(&self, lanes: &[u64], stack: &mut [u64]) -> L {
         let words = L::WORDS;
         let leaf = |e: &u32| L::load(&lanes[*e as usize * words..]);
@@ -578,6 +553,27 @@ fn compile(universe: usize, root: &CompositionNode) -> Result<Composition, Quoru
     Ok(circuit)
 }
 
+/// Whether some element appears in two leaves, using no table larger than
+/// the leaves themselves: a bitset over the universe when it has at most
+/// one word per leaf, else a sorted copy of the leaves (a universe far
+/// larger than the circuit).
+fn has_repeated_leaf(leaves: &[u32], universe: usize) -> bool {
+    let words = universe.div_ceil(64);
+    if words <= leaves.len() {
+        let mut seen = vec![0u64; words];
+        leaves.iter().any(|&e| {
+            let (word, bit) = (e as usize / 64, 1u64 << (e % 64));
+            let repeat = seen[word] & bit != 0;
+            seen[word] |= bit;
+            repeat
+        })
+    } else {
+        let mut sorted = leaves.to_vec();
+        sorted.sort_unstable();
+        sorted.windows(2).any(|pair| pair[0] == pair[1])
+    }
+}
+
 /// Inserts `cand` into the antichain `acc`: skipped when an existing set is
 /// contained in it, and existing supersets of it are evicted.
 fn insert_minimal(acc: &mut Vec<ElementSet>, cand: ElementSet) {
@@ -612,7 +608,12 @@ struct DeltaGate {
     threshold: u32,
     /// Satisfied children.
     sat: u32,
-    value: bool,
+}
+
+impl DeltaGate {
+    fn satisfied(&self) -> bool {
+        self.sat >= self.threshold
+    }
 }
 
 /// The root gate's `parent`.
@@ -623,10 +624,11 @@ const ROOT: u32 = u32::MAX;
 /// gates listing it as a leaf and climbs toward the root only while a
 /// gate's value actually changes, so a churn step costs O(flips · depth)
 /// with early exit, independent of evaluation order even with repeated
-/// leaves.
+/// leaves. The evaluator keeps only its own index, not the tape.
 #[derive(Debug, Clone)]
 struct CompositionDeltaEval {
-    circuit: Composition,
+    n: usize,
+    /// In tape order: every gate after its gate children.
     gates: Vec<DeltaGate>,
     /// CSR element → gates listing it as a leaf, once per occurrence: the
     /// gates of `e` are `leaf_gates[leaf_off[e]..leaf_off[e + 1]]`.
@@ -644,7 +646,6 @@ impl CompositionDeltaEval {
                 parent: ROOT,
                 threshold: gate.threshold,
                 sat: 0,
-                value: false,
             })
             .collect();
         // Fold gate indices up the tape to find each gate's parent.
@@ -671,7 +672,7 @@ impl CompositionDeltaEval {
             }
         }
         CompositionDeltaEval {
-            circuit: circuit.clone(),
+            n: circuit.n,
             gates,
             leaf_off,
             leaf_gates,
@@ -679,56 +680,63 @@ impl CompositionDeltaEval {
         }
     }
 
+    /// The gates listing element `e` as a leaf.
+    fn gates_of(&self, e: usize) -> std::ops::Range<usize> {
+        self.leaf_off[e] as usize..self.leaf_off[e + 1] as usize
+    }
+
     /// One child of gate `g` turned satisfied (`up`) or unsatisfied;
     /// propagates the change toward the root while values change.
     fn propagate(&mut self, mut g: usize, mut up: bool) {
         loop {
             let gate = &mut self.gates[g];
+            let was = gate.satisfied();
             if up {
                 gate.sat += 1;
             } else {
                 gate.sat -= 1;
             }
-            let value = gate.sat >= gate.threshold;
-            if value == gate.value {
-                return;
-            }
-            gate.value = value;
-            if gate.parent == ROOT {
+            let now = gate.satisfied();
+            if now == was || gate.parent == ROOT {
                 return;
             }
             g = gate.parent as usize;
-            up = value;
+            up = now;
         }
     }
 }
 
 impl DeltaEvaluator for CompositionDeltaEval {
     fn reset(&mut self, coloring: &Coloring) -> bool {
-        assert_eq!(
-            coloring.universe_size(),
-            self.circuit.n,
-            "universe mismatch"
-        );
-        let gates = &mut self.gates;
-        self.circuit.sweep_bool(
-            |e| coloring.is_green(e),
-            |g, sat, value| {
-                gates[g].sat = sat;
-                gates[g].value = value;
-            },
-        );
+        assert_eq!(coloring.universe_size(), self.n, "universe mismatch");
+        for gate in &mut self.gates {
+            gate.sat = 0;
+        }
+        for e in 0..self.n {
+            if coloring.is_green(e) {
+                for i in self.gates_of(e) {
+                    self.gates[self.leaf_gates[i] as usize].sat += 1;
+                }
+            }
+        }
+        // Tape order settles every gate's children before the gate.
+        for g in 0..self.gates.len() {
+            let gate = self.gates[g];
+            if gate.satisfied() && gate.parent != ROOT {
+                self.gates[gate.parent as usize].sat += 1;
+            }
+        }
         self.primed = true;
         self.verdict()
     }
 
     fn update(&mut self, post: &Coloring, delta: &ColoringDelta) -> bool {
         assert!(self.primed, "update before reset");
-        assert_eq!(post.universe_size(), self.circuit.n, "universe mismatch");
+        assert_eq!(post.universe_size(), self.n, "universe mismatch");
         for e in delta.flipped_elements() {
             let green = post.is_green(e);
-            for i in self.leaf_off[e]..self.leaf_off[e + 1] {
-                self.propagate(self.leaf_gates[i as usize] as usize, green);
+            for i in self.gates_of(e) {
+                self.propagate(self.leaf_gates[i] as usize, green);
             }
         }
         self.verdict()
@@ -739,7 +747,7 @@ impl DeltaEvaluator for CompositionDeltaEval {
         self.gates
             .last()
             .expect("a composition has a root gate")
-            .value
+            .satisfied()
     }
 }
 
@@ -758,7 +766,12 @@ impl QuorumSystem for Composition {
     }
 
     fn contains_quorum(&self, set: &ElementSet) -> bool {
-        self.sweep_bool(|e| set.contains(e), |_, _, _| {})
+        self.fold(|_, gate, children| {
+            let leaves = self.leaves_of(gate);
+            let sat = children.filter(|&value| value).count()
+                + leaves.iter().filter(|&&e| set.contains(e as usize)).count();
+            sat >= gate.threshold as usize
+        })
     }
 
     fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {

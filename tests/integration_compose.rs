@@ -89,8 +89,8 @@ proptest! {
 
     /// On random composition trees with n ≤ 16 elements (repeated leaves
     /// and constant-true gates included), the lane circuit at widths 1, 4
-    /// and 8, the scalar evaluator and the enumerated coterie agree on every
-    /// packed trial of a biased lane block.
+    /// and 8, the scalar evaluator, the delta evaluator and the enumerated
+    /// coterie agree on every packed trial of a biased lane block.
     #[test]
     fn random_trees_lane_scalar_coterie_agree(seed in 0u64..10_000, n in 2usize..=16) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -134,6 +134,10 @@ proptest! {
             prop_assert_eq!(&out[..], &singles[..width], "lane block at width {}", width);
         }
 
+        // The delta evaluator walks the same trials one coloring after
+        // another.
+        let mut delta_eval = delta_evaluator_for(&system);
+        let mut previous: Option<Coloring> = None;
         for (w, verdicts) in singles.iter().enumerate() {
             let words = word(w);
             for lane in 0..64 {
@@ -147,6 +151,12 @@ proptest! {
                 let scalar = system.has_green_quorum(&coloring);
                 prop_assert_eq!((verdicts >> lane) & 1 == 1, scalar, "lane vs scalar");
                 prop_assert_eq!(enumerated_verdict(&quorums, &coloring), scalar, "enumeration vs scalar");
+                let delta = match &previous {
+                    None => delta_eval.reset(&coloring),
+                    Some(before) => delta_eval.update(&coloring, &before.diff(&coloring)),
+                };
+                prop_assert_eq!(delta, scalar, "delta vs scalar");
+                previous = Some(coloring);
             }
         }
     }
