@@ -484,6 +484,7 @@ fn compile(universe: usize, root: &CompositionNode) -> Result<Composition, Quoru
         /// Depth of the deepest gate child compiled so far.
         below: usize,
     }
+    /// A fresh frame for a gate node; `None` for a leaf.
     fn frame(node: &CompositionNode) -> Option<Frame<'_>> {
         match node {
             CompositionNode::Gate {
@@ -524,6 +525,8 @@ fn compile(universe: usize, root: &CompositionNode) -> Result<Composition, Quoru
             continue;
         }
         let done = frames.pop().expect("the loop holds a frame");
+        // The `as u32` casts cannot truncate: leaves are below the universe
+        // (at most 2³², checked by the caller) and counts below MAX_NODES.
         let leaf_start = circuit.leaves.len();
         circuit
             .leaves
