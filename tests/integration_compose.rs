@@ -1,9 +1,9 @@
 //! Equivalence suite for recursive threshold compositions: on random
-//! composition trees the word-parallel lane circuit, the scalar evaluator
-//! and the enumerated coterie must tell the same story, and the Tree, HQS
-//! and Grid systems re-expressed as `Compose` trees must be bit-identical
-//! to the native constructions across the scalar, lane and delta evaluation
-//! paths and across engine thread counts.
+//! composition trees the word-parallel lane circuit, the scalar and delta
+//! evaluators and the enumerated coterie must tell the same story, and the
+//! Tree, HQS and Grid systems re-expressed as `Compose` trees must be
+//! bit-identical to the native constructions across the scalar, lane and
+//! delta evaluation paths and across engine thread counts.
 
 use probequorum::prelude::*;
 use probequorum::sim::eval::universal_strategy;
