@@ -863,6 +863,23 @@ mod tests {
     }
 
     #[test]
+    fn repeated_leaves_are_found_in_dense_and_sparse_universes() {
+        let pair = |a, b| {
+            CompositionNode::gate(1, vec![CompositionNode::leaf(a), CompositionNode::leaf(b)])
+        };
+        // A small universe takes the bitset, a far larger one the sorted
+        // copy of the leaves.
+        for universe in [8, 1 << 20] {
+            assert!(Composition::new(universe, pair(5, 6))
+                .unwrap()
+                .is_read_once());
+            assert!(!Composition::new(universe, pair(5, 5))
+                .unwrap()
+                .is_read_once());
+        }
+    }
+
+    #[test]
     fn bare_leaf_is_a_gateless_circuit() {
         let c = Composition::new(3, CompositionNode::leaf(1)).unwrap();
         assert_eq!((c.gate_count(), c.leaf_count(), c.depth()), (0, 1, 0));
