@@ -528,7 +528,10 @@ fn main() {
         run_regression_check(&args[1..]);
     }
 
-    let config = ReproConfig::from_env();
+    let config = ReproConfig::from_env().unwrap_or_else(|error| {
+        eprintln!("{error}");
+        std::process::exit(2);
+    });
     let requested = if args.is_empty() {
         vec!["all".to_string()]
     } else {

@@ -60,27 +60,94 @@ impl Default for ReproConfig {
     }
 }
 
+/// A `REPRO_*` environment variable whose value cannot be used.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReproConfigError {
+    /// The variable's name.
+    pub variable: &'static str,
+    /// The rejected value (lossily decoded if it was not UTF-8).
+    pub value: String,
+    /// What the variable accepts.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for ReproConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}={:?} is not {}",
+            self.variable, self.value, self.expected
+        )
+    }
+}
+
+impl std::error::Error for ReproConfigError {}
+
+/// Reads one `REPRO_*` variable through `lookup`: unset keeps `default`; a
+/// set value must parse as `T` and be at least `min`.
+fn repro_var<T: std::str::FromStr + PartialOrd>(
+    lookup: &impl Fn(&str) -> Option<String>,
+    variable: &'static str,
+    default: T,
+    min: T,
+    expected: &'static str,
+) -> Result<T, ReproConfigError> {
+    let Some(value) = lookup(variable) else {
+        return Ok(default);
+    };
+    match value.parse() {
+        Ok(parsed) if parsed >= min => Ok(parsed),
+        _ => Err(ReproConfigError {
+            variable,
+            value,
+            expected,
+        }),
+    }
+}
+
 impl ReproConfig {
     /// Reads the configuration from the `REPRO_TRIALS` / `REPRO_SEED` /
-    /// `REPRO_THREADS` environment variables, falling back to the defaults.
-    pub fn from_env() -> Self {
-        let mut config = ReproConfig::default();
-        if let Ok(value) = std::env::var("REPRO_TRIALS") {
-            if let Ok(parsed) = value.parse() {
-                config.trials = parsed;
-            }
-        }
-        if let Ok(value) = std::env::var("REPRO_SEED") {
-            if let Ok(parsed) = value.parse() {
-                config.seed = parsed;
-            }
-        }
-        if let Ok(value) = std::env::var("REPRO_THREADS") {
-            if let Ok(parsed) = value.parse() {
-                config.threads = parsed;
-            }
-        }
-        config
+    /// `REPRO_THREADS` environment variables; unset variables keep their
+    /// defaults.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first set variable whose value is not a decimal integer
+    /// in range: `REPRO_TRIALS` must be positive, `REPRO_THREADS` may be 0
+    /// (all cores).
+    pub fn from_env() -> Result<Self, ReproConfigError> {
+        Self::from_lookup(|variable| {
+            std::env::var_os(variable).map(|value| value.to_string_lossy().into_owned())
+        })
+    }
+
+    /// [`from_env`](Self::from_env) over any variable lookup, so the parser
+    /// runs on plain strings.
+    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, ReproConfigError> {
+        let default = ReproConfig::default();
+        Ok(ReproConfig {
+            trials: repro_var(
+                &lookup,
+                "REPRO_TRIALS",
+                default.trials,
+                1,
+                "a positive trial count",
+            )?,
+            seed: repro_var(
+                &lookup,
+                "REPRO_SEED",
+                default.seed,
+                0,
+                "an unsigned 64-bit seed",
+            )?,
+            threads: repro_var(
+                &lookup,
+                "REPRO_THREADS",
+                default.threads,
+                0,
+                "a thread count (0 = all cores)",
+            )?,
+        })
     }
 
     /// The evaluation engine this configuration selects.
@@ -2340,6 +2407,51 @@ mod tests {
             trials: 200,
             seed: 7,
             threads: 0,
+        }
+    }
+
+    /// Parses a configuration from `NAME=value` pairs instead of the process
+    /// environment, which tests running in parallel would share.
+    fn parse(vars: &[(&str, &str)]) -> Result<ReproConfig, ReproConfigError> {
+        ReproConfig::from_lookup(|name| {
+            vars.iter()
+                .find(|(key, _)| *key == name)
+                .map(|(_, value)| value.to_string())
+        })
+    }
+
+    #[test]
+    fn repro_vars_parse_or_name_the_bad_value() {
+        let defaults = parse(&[]).unwrap();
+        assert_eq!(
+            (defaults.trials, defaults.seed, defaults.threads),
+            (5_000, 2_001, 0)
+        );
+        let set = parse(&[
+            ("REPRO_TRIALS", "300"),
+            ("REPRO_SEED", "18446744073709551615"),
+            ("REPRO_THREADS", "0"),
+        ])
+        .unwrap();
+        assert_eq!((set.trials, set.seed, set.threads), (300, u64::MAX, 0));
+
+        for (variable, value) in [
+            ("REPRO_TRIALS", "abc"),
+            ("REPRO_TRIALS", "-5"),
+            ("REPRO_TRIALS", "99999999999999999999999"),
+            ("REPRO_TRIALS", "0"),
+            ("REPRO_TRIALS", ""),
+            ("REPRO_SEED", "0x10"),
+            ("REPRO_THREADS", "x"),
+            ("REPRO_THREADS", "-1"),
+        ] {
+            let error = parse(&[(variable, value)]).unwrap_err();
+            assert_eq!((error.variable, error.value.as_str()), (variable, value));
+            let message = error.to_string();
+            assert!(
+                message.starts_with(&format!("{variable}=\"{value}\"")),
+                "{message}"
+            );
         }
     }
 

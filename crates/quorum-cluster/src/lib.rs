@@ -54,6 +54,7 @@ pub mod network;
 pub mod node;
 pub mod spec;
 pub mod time;
+mod wheel;
 pub mod workload;
 
 pub use chaos::{ChaosKind, ChaosSchedule, ChaosState, ChaosWindow};

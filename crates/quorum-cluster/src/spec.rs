@@ -34,8 +34,8 @@ use rand::rngs::StdRng;
 use crate::live::{run_live, LiveOptions, LiveReport};
 use crate::network::{NetworkModel, ProbePolicy};
 use crate::workload::{
-    run_net_engine, ArrivalProcess, Distribution, LoadLedger, NetSessionPlan, SessionPlan,
-    WorkloadConfig, WorkloadReport,
+    run_net_engine, ArrivalProcess, Distribution, LoadLedger, NetSessionPlan, PlanView,
+    SessionPlan, WorkloadConfig, WorkloadReport,
 };
 use crate::{NodeId, SimTime};
 
@@ -336,6 +336,16 @@ pub struct SpecReport {
 }
 
 impl SpecReport {
+    /// The result of a sim-backend run.
+    fn sim(report: WorkloadReport) -> Self {
+        SpecReport {
+            report,
+            trace: None,
+            live: None,
+            agreement: None,
+        }
+    }
+
     /// Whether the run's cross-validation agreed (vacuously true for the sim
     /// backend, which has nothing to disagree with).
     pub fn agrees(&self) -> bool {
@@ -502,40 +512,18 @@ impl WorkloadSpec {
         F: FnMut(u64, &LoadLedger, SimTime, &mut StdRng) -> NetSessionPlan,
     {
         match &self.backend {
-            Backend::Sim => {
-                let report = run_net_engine(
-                    self.nodes,
-                    &self.config,
-                    &self.network,
-                    &self.policy,
-                    seed,
-                    session,
-                );
-                SpecReport {
-                    report,
-                    trace: None,
-                    live: None,
-                    agreement: None,
-                }
-            }
+            Backend::Sim => SpecReport::sim(self.engine(seed, session)),
             Backend::Live(options) => {
                 let mut trace = SessionTrace::default();
-                let report = run_net_engine(
-                    self.nodes,
-                    &self.config,
-                    &self.network,
-                    &self.policy,
-                    seed,
-                    |index, ledger, now, rng| {
-                        let plan = session(index, ledger, now, rng);
-                        trace.sessions.push(TracedSession {
-                            index,
-                            arrival: now,
-                            plan: plan.clone(),
-                        });
-                        plan
-                    },
-                );
+                let report = self.engine(seed, |index, ledger, now, rng| {
+                    let plan = session(index, ledger, now, rng);
+                    trace.sessions.push(TracedSession {
+                        index,
+                        arrival: now,
+                        plan: plan.clone(),
+                    });
+                    plan
+                });
                 // The spec's network model is the source of truth for the
                 // process- and message-fault schedules: hand them to the
                 // live runtime so workers crash (and supervisors sequence
@@ -565,6 +553,10 @@ impl WorkloadSpec {
     /// [`run_workload`](crate::workload::run_workload)): green probes answer
     /// first try, red probes are one unanswered attempt.
     ///
+    /// The report is the one [`run`](Self::run) gives for the same plans
+    /// widened by [`NetSessionPlan::from_plan`]. The sim backend prices the
+    /// plans as they stand; the live backend widens them for its trace.
+    ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid or a plan's `colors` length
@@ -573,9 +565,30 @@ impl WorkloadSpec {
     where
         F: FnMut(u64, &LoadLedger, SimTime) -> SessionPlan,
     {
-        self.run(seed, |index, ledger, now, _rng| {
-            NetSessionPlan::from_plan(session(index, ledger, now))
-        })
+        match self.backend {
+            Backend::Sim => SpecReport::sim(self.engine(seed, |index, ledger, now, _rng| {
+                session(index, ledger, now).checked()
+            })),
+            Backend::Live(_) => self.run(seed, |index, ledger, now, _rng| {
+                NetSessionPlan::from_plan(session(index, ledger, now))
+            }),
+        }
+    }
+
+    /// Runs the discrete-event engine on this spec's parameters.
+    fn engine<P, F>(&self, seed: u64, session: F) -> WorkloadReport
+    where
+        P: PlanView,
+        F: FnMut(u64, &LoadLedger, SimTime, &mut StdRng) -> P,
+    {
+        run_net_engine(
+            self.nodes,
+            &self.config,
+            &self.network,
+            &self.policy,
+            seed,
+            session,
+        )
     }
 }
 

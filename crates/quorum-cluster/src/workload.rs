@@ -37,9 +37,18 @@
 //! point of the pre-network engine) is exactly [`run_net_workload`] on a
 //! [`NetworkModel::clean`] network with the [`ProbePolicy::sequential`]
 //! policy, so clean-network rows are bit-identical to the old engine's.
+//!
+//! Pending events (arrivals, probe resolutions, hedge timers) wait on a
+//! timing wheel of one-microsecond slots; events a span or more ahead of the
+//! clock wait in an overflow heap until the clock comes within the span.
+//! The wheel fires events in `(time, schedule order)`, exactly like a binary
+//! heap keyed on a schedule counter, because the engine never schedules an
+//! event before the instant it is processing. The engine reads both plan
+//! types through one view, so a latency-only [`SessionPlan`] is priced as it
+//! stands, without being widened into a [`NetSessionPlan`], and the engine
+//! allocates nothing per probe.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use quorum_analysis::{load_imbalance, wasted_work_fraction, LogHistogram};
 use quorum_core::Color;
@@ -48,6 +57,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use crate::network::{NetworkModel, ProbePolicy};
+use crate::wheel::TimingWheel;
 use crate::{NodeId, SimTime};
 
 /// A distribution over durations, sampled with the engine's seeded RNG.
@@ -316,10 +326,10 @@ impl LoadLedger {
 
     /// Requests queued or in service at `node` as of `now`.
     pub fn backlog(&self, node: NodeId, now: SimTime) -> usize {
-        self.outstanding[node]
-            .iter()
-            .filter(|&&finish| finish > now)
-            .count()
+        // Finish times are non-decreasing along the queue (see `serve`), so
+        // the unfinished requests are a suffix.
+        let queue = &self.outstanding[node];
+        queue.len() - queue.partition_point(|&finish| finish <= now)
     }
 
     /// A single load score for `node` as of `now`: the current backlog in the
@@ -346,8 +356,11 @@ impl LoadLedger {
 /// What one client session will do, decided by the caller's session closure:
 /// the probe order its strategy chose and the color each probe will observe.
 ///
-/// This is the latency-only plan of [`run_workload`]; the message-level
-/// engine works on [`NetSessionPlan`]s, which add per-attempt fates.
+/// This is the latency-only plan of
+/// [`WorkloadSpec::run_plans`](crate::spec::WorkloadSpec::run_plans): a green
+/// probe answers first try and a red probe is one unanswered request. The
+/// sim engine prices it as it stands; [`NetSessionPlan`]s add arbitrary
+/// per-attempt fates.
 #[derive(Debug, Clone)]
 pub struct SessionPlan {
     /// The elements to probe, in order.
@@ -387,20 +400,30 @@ pub struct NetSessionPlan {
     pub success: bool,
 }
 
+impl SessionPlan {
+    /// Returns the plan after checking that its `colors` align with its
+    /// `sequence`.
+    pub(crate) fn checked(self) -> Self {
+        assert_eq!(
+            self.sequence.len(),
+            self.colors.len(),
+            "session plan colors must align with its probe sequence"
+        );
+        self
+    }
+}
+
 impl NetSessionPlan {
     /// Adapts a latency-only [`SessionPlan`]: green probes answer first try,
     /// red probes are one unanswered attempt — the oracle semantics of the
-    /// pre-network engine.
+    /// pre-network engine. The sim engine prices a [`SessionPlan`] without
+    /// this conversion; the live backend's trace needs it.
     ///
     /// # Panics
     ///
     /// Panics if the plan's `colors` length does not match its `sequence`.
     pub fn from_plan(plan: SessionPlan) -> Self {
-        assert_eq!(
-            plan.sequence.len(),
-            plan.colors.len(),
-            "session plan colors must align with its probe sequence"
-        );
+        let plan = plan.checked();
         NetSessionPlan {
             probes: plan
                 .sequence
@@ -416,6 +439,68 @@ impl NetSessionPlan {
                 })
                 .collect(),
             success: plan.success,
+        }
+    }
+}
+
+/// One probe as the engine prices it: the node, the color the client
+/// records, and the failed attempts before that (see [`NetProbe`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ProbeView<'a> {
+    pub(crate) node: NodeId,
+    pub(crate) observed: Color,
+    pub(crate) failures: &'a [AttemptLoss],
+}
+
+/// The engine's read-only view of a session plan. Both plan types implement
+/// it, so the engine prices a latency-only [`SessionPlan`] in place instead
+/// of widening it into a [`NetSessionPlan`].
+pub(crate) trait PlanView {
+    /// The number of probes.
+    fn len(&self) -> usize;
+    /// Whether the session located a live quorum.
+    fn success(&self) -> bool;
+    /// Probe `index`, in issue order.
+    fn probe(&self, index: usize) -> ProbeView<'_>;
+}
+
+impl PlanView for SessionPlan {
+    fn len(&self) -> usize {
+        self.sequence.len()
+    }
+
+    fn success(&self) -> bool {
+        self.success
+    }
+
+    fn probe(&self, index: usize) -> ProbeView<'_> {
+        let observed = self.colors[index];
+        ProbeView {
+            node: self.sequence[index],
+            observed,
+            failures: match observed {
+                Color::Green => &[],
+                Color::Red => &[AttemptLoss::Request],
+            },
+        }
+    }
+}
+
+impl PlanView for NetSessionPlan {
+    fn len(&self) -> usize {
+        self.probes.len()
+    }
+
+    fn success(&self) -> bool {
+        self.success
+    }
+
+    fn probe(&self, index: usize) -> ProbeView<'_> {
+        let probe = &self.probes[index];
+        ProbeView {
+            node: probe.node,
+            observed: probe.observed,
+            failures: &probe.failures,
         }
     }
 }
@@ -500,9 +585,8 @@ impl WorkloadReport {
     }
 }
 
-/// One scheduled event. Ordered by `(time, seq)`: `seq` is a global issue
-/// counter, so simultaneous events fire in the deterministic order they were
-/// scheduled.
+/// One scheduled event. The [`TimingWheel`] fires simultaneous events in the
+/// deterministic order they were scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
     /// A new session arrives (index into the session count).
@@ -515,14 +599,12 @@ enum EventKind {
     HedgeDue(usize, usize),
 }
 
-/// The event queue: min-ordered on `(time, schedule counter, kind)`.
-type EventHeap = BinaryHeap<Reverse<(SimTime, u64, EventKind)>>;
-
 #[derive(Debug)]
-struct ActiveSession {
-    probes: Vec<NetProbe>,
-    success: bool,
-    resolved: Vec<bool>,
+struct ActiveSession<P> {
+    /// The plan, until the session completes and its buffers are freed.
+    plan: Option<P>,
+    /// The plan's probe count.
+    len: usize,
     next_issue: usize,
     in_flight: usize,
     done: usize,
@@ -559,6 +641,10 @@ impl EngineState {
             .unwrap_or(request_at)
             .max(request_at);
         let finish = queue_free + service;
+        // `LoadLedger::backlog` binary-searches on this order.
+        debug_assert!(self.ledger.outstanding[node]
+            .back()
+            .is_none_or(|&last| last <= finish));
         self.ledger.busy[node] += service;
         self.ledger.outstanding[node].push_back(finish);
         let depth = self.ledger.outstanding[node].len();
@@ -575,7 +661,7 @@ impl EngineState {
     /// the delay → queue → service → delay pipeline.
     fn price_probe(
         &mut self,
-        probe: &NetProbe,
+        probe: ProbeView<'_>,
         now: SimTime,
         config: &WorkloadConfig,
         delay: &Distribution,
@@ -590,7 +676,7 @@ impl EngineState {
             self.ledger.timeouts[node] += 1;
             self.probes_total += 1;
             self.messages += 1; // the request was transmitted
-            if crate::spec::attempt_is_wasted(probe.observed, attempt, &probe.failures) {
+            if crate::spec::attempt_is_wasted(probe.observed, attempt, probe.failures) {
                 self.wasted += 1;
             }
             if *loss == AttemptLoss::Response {
@@ -711,7 +797,16 @@ where
 /// in virtual time under `network` and `policy`, with all randomness drawn
 /// from one `StdRng` seeded with `seed` — the report is a pure function of
 /// `(n, config, network, policy, seed, session)`.
-pub(crate) fn run_net_engine<F>(
+///
+/// Events wait in a [`TimingWheel`] of one-microsecond slots, which fires
+/// them in `(time, schedule order)` order. That relies on the engine never
+/// scheduling before the instant it is processing: arrivals, resolutions
+/// and hedge timers all lie at or after `now`.
+///
+/// The engine reads plans through [`PlanView`], so latency-only
+/// [`SessionPlan`]s are priced as they stand, without being widened into
+/// [`NetSessionPlan`]s. Nothing is allocated per probe.
+pub(crate) fn run_net_engine<P, F>(
     n: usize,
     config: &WorkloadConfig,
     network: &NetworkModel,
@@ -720,7 +815,8 @@ pub(crate) fn run_net_engine<F>(
     mut session: F,
 ) -> WorkloadReport
 where
-    F: FnMut(u64, &LoadLedger, SimTime, &mut StdRng) -> NetSessionPlan,
+    P: PlanView,
+    F: FnMut(u64, &LoadLedger, SimTime, &mut StdRng) -> P,
 {
     assert!(config.is_valid(), "inconsistent workload configuration");
     let delay = network.delay.unwrap_or(config.rpc_latency);
@@ -735,12 +831,7 @@ where
         lost_to_crash: 0,
     };
     let mut latency = LogHistogram::new();
-    let mut heap: EventHeap = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut schedule = |heap: &mut EventHeap, at: SimTime, kind: EventKind| {
-        heap.push(Reverse((at, seq, kind)));
-        seq += 1;
-    };
+    let mut events = TimingWheel::new();
 
     // Seed the arrival stream.
     let total_sessions = config.sessions as u64;
@@ -748,54 +839,50 @@ where
     match config.arrival {
         ArrivalProcess::OpenPoisson { mean_interarrival } => {
             let first = Distribution::exponential(mean_interarrival).sample(&mut rng);
-            schedule(&mut heap, first, EventKind::Arrival(0));
+            events.push(first, EventKind::Arrival(0));
             sessions_issued = 1;
         }
         ArrivalProcess::ClosedLoop { clients, think } => {
             sessions_issued = (clients as u64).min(total_sessions);
             for client in 0..sessions_issued {
                 let at = think.sample(&mut rng);
-                schedule(&mut heap, at, EventKind::Arrival(client));
+                events.push(at, EventKind::Arrival(client));
             }
         }
     }
 
-    let mut active: Vec<ActiveSession> = Vec::new();
+    let mut active: Vec<ActiveSession<P>> = Vec::new();
     let mut completed = 0usize;
     let mut successes = 0usize;
     let mut last_completion = SimTime::ZERO;
 
     // Issues probe `index` of session `slot` at `now`: prices it, schedules
     // its resolution and (when hedging) its hedge timer.
-    let issue = |slot: usize,
+    let issue = |session: &mut ActiveSession<P>,
+                 slot: usize,
                  index: usize,
                  now: SimTime,
-                 active: &mut Vec<ActiveSession>,
-                 heap: &mut EventHeap,
+                 events: &mut TimingWheel<EventKind>,
                  state: &mut EngineState,
-                 rng: &mut StdRng,
-                 schedule: &mut dyn FnMut(&mut EventHeap, SimTime, EventKind)| {
-        let resolve_at = state.price_probe(
-            &active[slot].probes[index],
-            now,
-            config,
-            &delay,
-            policy,
-            rng,
-        );
-        active[slot].next_issue = index + 1;
-        active[slot].in_flight += 1;
-        schedule(heap, resolve_at, EventKind::Resolved(slot, index));
+                 rng: &mut StdRng| {
+        let plan = session
+            .plan
+            .as_ref()
+            .expect("an unfinished session keeps its plan");
+        let resolve_at = state.price_probe(plan.probe(index), now, config, &delay, policy, rng);
+        session.next_issue = index + 1;
+        session.in_flight += 1;
+        events.push(resolve_at, EventKind::Resolved(slot, index));
         if let Some(hedge) = policy.hedge {
             // Only meaningful if the probe is still unresolved at the timer
             // and a next candidate exists.
-            if resolve_at > now + hedge && index + 1 < active[slot].probes.len() {
-                schedule(heap, now + hedge, EventKind::HedgeDue(slot, index));
+            if resolve_at > now + hedge && index + 1 < session.len {
+                events.push(now + hedge, EventKind::HedgeDue(slot, index));
             }
         }
     };
 
-    while let Some(Reverse((now, _, kind))) = heap.pop() {
+    while let Some((now, kind)) = events.pop() {
         match kind {
             EventKind::Arrival(session_index) => {
                 // Open-loop arrivals breed the next arrival immediately, so
@@ -803,94 +890,87 @@ where
                 if let ArrivalProcess::OpenPoisson { mean_interarrival } = config.arrival {
                     if sessions_issued < total_sessions {
                         let gap = Distribution::exponential(mean_interarrival).sample(&mut rng);
-                        schedule(&mut heap, now + gap, EventKind::Arrival(sessions_issued));
+                        events.push(now + gap, EventKind::Arrival(sessions_issued));
                         sessions_issued += 1;
                     }
                 }
                 let plan = session(session_index, &state.ledger, now, &mut rng);
-                if plan.probes.is_empty() {
+                let len = plan.len();
+                if len == 0 {
                     // A zero-probe session (degenerate but legal): completes
                     // instantly.
                     completed += 1;
-                    successes += usize::from(plan.success);
+                    successes += usize::from(plan.success());
                     latency.record(0);
                     last_completion = last_completion.max(now);
                     if let ArrivalProcess::ClosedLoop { think, .. } = config.arrival {
                         if sessions_issued < total_sessions {
                             let gap = think.sample(&mut rng);
-                            schedule(&mut heap, now + gap, EventKind::Arrival(sessions_issued));
+                            events.push(now + gap, EventKind::Arrival(sessions_issued));
                             sessions_issued += 1;
                         }
                     }
                     continue;
                 }
-                let count = plan.probes.len();
+                let slot = active.len();
                 active.push(ActiveSession {
-                    probes: plan.probes,
-                    success: plan.success,
-                    resolved: vec![false; count],
+                    plan: Some(plan),
+                    len,
                     next_issue: 0,
                     in_flight: 0,
                     done: 0,
                     started: now,
                     hedge_race: false,
                 });
-                let slot = active.len() - 1;
                 issue(
+                    &mut active[slot],
                     slot,
                     0,
                     now,
-                    &mut active,
-                    &mut heap,
+                    &mut events,
                     &mut state,
                     &mut rng,
-                    &mut schedule,
                 );
             }
             EventKind::Resolved(slot, index) => {
+                let session = &mut active[slot];
                 // A hedge race ends the moment the faster of its two probes
                 // resolves: the one still in flight is cancelled in the
                 // ledger. Counted once per race (a pipeline that keeps
                 // running past a stalled probe is not a new race), so
                 // `cancelled <= hedges` always holds.
-                if active[slot].hedge_race && active[slot].in_flight == 2 {
+                if session.hedge_race && session.in_flight == 2 {
                     state.cancelled += 1;
-                    active[slot].hedge_race = false;
+                    session.hedge_race = false;
                 }
-                active[slot].resolved[index] = true;
-                active[slot].done += 1;
-                active[slot].in_flight -= 1;
-                if active[slot].next_issue == index + 1
-                    && active[slot].next_issue < active[slot].probes.len()
-                {
-                    let next = active[slot].next_issue;
+                session.done += 1;
+                session.in_flight -= 1;
+                if session.next_issue == index + 1 && session.next_issue < session.len {
                     issue(
+                        session,
                         slot,
-                        next,
+                        index + 1,
                         now,
-                        &mut active,
-                        &mut heap,
+                        &mut events,
                         &mut state,
                         &mut rng,
-                        &mut schedule,
                     );
                     continue;
                 }
-                if active[slot].done == active[slot].probes.len() {
-                    // Session complete. Drop the plan's buffers so memory
-                    // stays proportional to in-flight sessions, not total
-                    // sessions.
-                    let session = &mut active[slot];
+                if session.done == session.len {
+                    // Session complete: free the plan's buffers. The entry
+                    // itself stays, because events name sessions by their
+                    // index in `active`, so `active` keeps one small record
+                    // per admitted session.
+                    let plan = session.plan.take().expect("a session completes once");
                     latency.record((now - session.started).as_micros());
                     completed += 1;
-                    successes += usize::from(session.success);
-                    session.probes = Vec::new();
-                    session.resolved = Vec::new();
+                    successes += usize::from(plan.success());
                     last_completion = last_completion.max(now);
                     if let ArrivalProcess::ClosedLoop { think, .. } = config.arrival {
                         if sessions_issued < total_sessions {
                             let gap = think.sample(&mut rng);
-                            schedule(&mut heap, now + gap, EventKind::Arrival(sessions_issued));
+                            events.push(now + gap, EventKind::Arrival(sessions_issued));
                             sessions_issued += 1;
                         }
                     }
@@ -899,25 +979,26 @@ where
             EventKind::HedgeDue(slot, index) => {
                 // Launch the next candidate only if the hedged probe is
                 // still unresolved, its successor has not been issued some
-                // other way, and the two-in-flight cap leaves room.
-                let launch = !active[slot].probes.is_empty()
-                    && !active[slot].resolved[index]
-                    && active[slot].next_issue == index + 1
-                    && active[slot].next_issue < active[slot].probes.len()
-                    && active[slot].in_flight < 2;
-                if launch {
+                // other way, and the two-in-flight cap leaves room. The
+                // first condition follows from the second: when probe
+                // `index` resolves with `next_issue == index + 1`, it
+                // issues its successor itself or has none, so the test
+                // below can only pass while `index` is in flight.
+                let session = &mut active[slot];
+                if session.next_issue == index + 1
+                    && session.next_issue < session.len
+                    && session.in_flight < 2
+                {
                     state.hedges += 1;
-                    active[slot].hedge_race = true;
-                    let next = active[slot].next_issue;
+                    session.hedge_race = true;
                     issue(
+                        session,
                         slot,
-                        next,
+                        index + 1,
                         now,
-                        &mut active,
-                        &mut heap,
+                        &mut events,
                         &mut state,
                         &mut rng,
-                        &mut schedule,
                     );
                 }
             }
@@ -1130,6 +1211,27 @@ mod tests {
         assert!(!ledger.is_empty());
     }
 
+    /// The binary-searched backlog equals the linear count of unfinished
+    /// requests, ties at `now` included (a request finishing at `now` is
+    /// done).
+    #[test]
+    fn backlog_matches_the_linear_count() {
+        let mut ledger = LoadLedger::new(1);
+        // Non-decreasing, with runs of equal finish times, as `serve` builds.
+        for finish in [3, 5, 5, 5, 8, 13, 13, 20] {
+            ledger.outstanding[0].push_back(SimTime::from_micros(finish));
+        }
+        for micros in 0..=22 {
+            let now = SimTime::from_micros(micros);
+            let linear = ledger.outstanding[0]
+                .iter()
+                .filter(|&&finish| finish > now)
+                .count();
+            assert_eq!(ledger.backlog(0, now), linear, "at {now}");
+        }
+        assert_eq!(ledger.backlog(0, SimTime::from_micros(5)), 4);
+    }
+
     #[test]
     fn distributions_sample_sane_values() {
         let mut rng = StdRng::seed_from_u64(5);
@@ -1177,36 +1279,104 @@ mod tests {
         );
     }
 
-    /// The clean network + sequential policy path through the message-level
-    /// engine is the old engine: same draws, same timeline, plus the new
-    /// message counters.
+    /// Sequential scans of Maj(n) on mixed colorings: every fifth session
+    /// probes nothing, every fifth sees an all-red universe, and the rest
+    /// see i.i.d. failures at p = 0.3.
+    fn mixed_sessions(n: usize) -> impl FnMut(u64, &LoadLedger, SimTime) -> SessionPlan {
+        let maj = Majority::new(n).unwrap();
+        move |session, _ledger, _now| {
+            let mut rng = StdRng::seed_from_u64(session);
+            let coloring = match session % 5 {
+                0 => {
+                    return SessionPlan {
+                        sequence: vec![],
+                        colors: vec![],
+                        success: false,
+                    }
+                }
+                1 => Coloring::from_fn(n, |_| Color::Red),
+                _ => Coloring::from_fn(n, |_| {
+                    if rng.gen_bool(0.3) {
+                        Color::Red
+                    } else {
+                        Color::Green
+                    }
+                }),
+            };
+            let run = run_strategy(&maj, &SequentialScan::new(), &coloring, &mut rng);
+            SessionPlan {
+                colors: run.sequence.iter().map(|&e| coloring.color(e)).collect(),
+                sequence: run.sequence,
+                success: run.witness.is_green(),
+            }
+        }
+    }
+
+    /// Asserts that two reports agree on every field.
+    fn assert_same_report(a: &WorkloadReport, b: &WorkloadReport, case: &str) {
+        assert_eq!(a.sessions, b.sessions, "{case}: sessions");
+        assert_eq!(a.successes, b.successes, "{case}: successes");
+        assert_eq!(a.probes, b.probes, "{case}: probes");
+        assert_eq!(a.duration, b.duration, "{case}: duration");
+        assert_eq!(a.latency, b.latency, "{case}: latency");
+        assert_eq!(a.messages, b.messages, "{case}: messages");
+        assert_eq!(a.wasted_probes, b.wasted_probes, "{case}: wasted");
+        assert_eq!(a.hedges, b.hedges, "{case}: hedges");
+        assert_eq!(a.cancelled, b.cancelled, "{case}: cancelled");
+        assert_eq!(a.lost_to_crash, b.lost_to_crash, "{case}: lost to crash");
+        let (x, y) = (&a.ledger, &b.ledger);
+        assert_eq!(x.probes_received(), y.probes_received(), "{case}: probes");
+        assert_eq!(x.timeouts(), y.timeouts(), "{case}: timeouts");
+        for node in 0..x.len() {
+            assert_eq!(x.busy_time(node), y.busy_time(node), "{case}: busy");
+            assert_eq!(x.peak_backlog(node), y.peak_backlog(node), "{case}: peak");
+        }
+    }
+
+    /// Latency-only plans cost the same whether the engine prices them in
+    /// place (`run_plans`) or widened by `NetSessionPlan::from_plan` (`run`):
+    /// same draws, same timeline, same counters, under either arrival
+    /// process and every policy, zero-probe and all-red sessions included.
+    /// On the clean network with the sequential policy this is the
+    /// pre-network engine.
     #[test]
     fn net_engine_on_clean_network_equals_latency_engine() {
         let n = 7;
-        let config = lan_config(
+        let arrivals = [
             ArrivalProcess::OpenPoisson {
                 mean_interarrival: SimTime::from_micros(300),
             },
-            150,
-        );
-        let direct = run_workload(n, &config, 11, maj_sessions(n));
-        let mut inner = maj_sessions(n);
-        let via_net = run_net_workload(
-            n,
-            &config,
-            &NetworkModel::clean(),
-            &ProbePolicy::sequential(),
-            11,
-            |index, ledger, now, _rng| NetSessionPlan::from_plan(inner(index, ledger, now)),
-        );
-        assert_eq!(direct.duration, via_net.duration);
-        assert_eq!(direct.latency, via_net.latency);
-        assert_eq!(direct.probes, via_net.probes);
-        assert_eq!(
-            direct.ledger.probes_received(),
-            via_net.ledger.probes_received()
-        );
-        assert_eq!(direct.messages, via_net.messages);
+            ArrivalProcess::ClosedLoop {
+                clients: 4,
+                think: Distribution::exponential(SimTime::from_micros(200)),
+            },
+        ];
+        let policies = [
+            ProbePolicy::sequential(),
+            ProbePolicy::retry(3, SimTime::from_micros(500)),
+            ProbePolicy::sequential().with_hedge(SimTime::from_millis(1)),
+        ];
+        for arrival in arrivals {
+            for policy in policies {
+                let case = format!("{} / {policy:?}", arrival.label());
+                let spec = crate::spec::WorkloadSpec::new(n)
+                    .config(lan_config(arrival, 150))
+                    .policy(policy);
+                let direct = spec.run_plans(11, mixed_sessions(n)).report;
+                let mut inner = mixed_sessions(n);
+                let widened = spec
+                    .run(11, |index, ledger, now, _rng| {
+                        NetSessionPlan::from_plan(inner(index, ledger, now))
+                    })
+                    .report;
+                assert_same_report(&direct, &widened, &case);
+                assert_eq!(direct.sessions, 150, "{case}");
+                assert_eq!(direct.latency.min(), 0, "{case}: zero-probe sessions");
+                if policy.hedge.is_some() {
+                    assert!(direct.hedges > 0, "{case}: the hedge path must run");
+                }
+            }
+        }
     }
 
     /// Retried attempts charge timeouts and backoff; response-lost attempts
