@@ -1,16 +1,15 @@
 //! Criterion benchmarks for the multi-word lane engine: lane-trials/second
 //! of `batched_failure_probability_wide` at universe sizes 1k / 64k / 1M and
-//! every supported lane-block width, plus the raw Bernoulli lane fill.
+//! every supported lane-block width, plus the i.i.d. lane fill alone.
 //!
 //! The interesting reads are the width sweeps at fixed n (how much a wider
 //! block buys per pass) and the n sweep at fixed width (how throughput holds
 //! up as the universe outgrows cache).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use probequorum::core::lanes::{bernoulli_lane_words, LANE_WIDTHS};
+use probequorum::core::lanes::LANE_WIDTHS;
 use probequorum::prelude::*;
-use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -85,23 +84,27 @@ fn bench_million_elements(c: &mut Criterion) {
     group.finish();
 }
 
-/// The raw Bernoulli lane fill feeding the estimators, per block width.
+/// The i.i.d. lane fill feeding the estimators, per block width, at a lane
+/// probability of ½ (one random word per lane word) and ¼ (two):
+/// `FailureModel::sample_green_lanes`, which runs the block fill
+/// (`bernoulli_lane_rows`) over its per-trial-word streams.
 fn bench_lane_fill(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale/bernoulli_fill_n64k");
     let n = 65_536usize;
-    for width in LANE_WIDTHS {
-        group.bench_function(BenchmarkId::from_parameter(width), |b| {
-            let mut rngs: Vec<StdRng> = (0..width)
-                .map(|i| StdRng::seed_from_u64(i as u64))
-                .collect();
-            let mut out = vec![0u64; n * width];
-            b.iter(|| {
-                for slot in out.chunks_mut(width) {
-                    bernoulli_lane_words(0.25, slot, |i| rngs[i].next_u64());
-                }
-                out[0]
-            })
-        });
+    for p in [0.5, 0.25] {
+        let model = FailureModel::iid(1.0 - p);
+        for width in LANE_WIDTHS {
+            group.bench_function(BenchmarkId::new(format!("p{p}"), width), |b| {
+                let mut rngs: Vec<TrialRng> = (0..width)
+                    .map(|i| TrialRng::seed_from_u64(i as u64))
+                    .collect();
+                let mut out = vec![0u64; n * width];
+                b.iter(|| {
+                    model.sample_green_lanes(n, 0, &mut rngs, &mut out);
+                    out[0]
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -14,7 +14,8 @@
 //! too noisy for hard wall-clock thresholds.
 //!
 //! The workspace is offline (no serde), so a ~100-line recursive-descent
-//! JSON parser for the artifact's own schema lives here.
+//! JSON parser for the artifact's own schema lives here; it rejects input
+//! nested deeper than the artifacts ever are.
 
 use std::collections::BTreeMap;
 
@@ -59,9 +60,15 @@ impl Json {
     }
 }
 
+/// How deep arrays and objects may nest. Artifacts nest about 5 deep; the
+/// bound keeps the recursive descent's stack use small on any input.
+const MAX_NESTING: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -69,6 +76,7 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -102,8 +110,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -111,6 +119,18 @@ impl<'a> Parser<'a> {
             Some(_) => self.number(),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or object one level deeper, past [`MAX_NESTING`] an
+    /// error at the offset of its opening bracket.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(&format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
@@ -955,6 +975,38 @@ mod tests {
         assert!(parse_artifact("{").is_err());
         assert!(parse_artifact("[]").is_err(), "wrong root shape");
         assert!(parse_artifact("{\"schema\": \"other/1\"}").is_err());
+    }
+
+    #[test]
+    fn parser_bounds_nesting_on_a_small_stack() {
+        // Run where the default thread stack is small: unbounded recursion
+        // overflowed a 2 MiB stack at 10 000 levels.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+                // At the bound the text parses; the root is not an artifact.
+                assert_eq!(
+                    parse_artifact(&nested(MAX_NESTING)).unwrap_err(),
+                    "missing schema field"
+                );
+                let past = format!(
+                    "JSON parse error at byte {MAX_NESTING}: nesting deeper than {MAX_NESTING} levels"
+                );
+                assert_eq!(parse_artifact(&nested(MAX_NESTING + 1)).unwrap_err(), past);
+                assert_eq!(parse_artifact(&"[".repeat(100_000)).unwrap_err(), past);
+                let objects = "{\"a\":".repeat(MAX_NESTING + 1);
+                assert_eq!(
+                    parse_artifact(&objects).unwrap_err(),
+                    format!(
+                        "JSON parse error at byte {}: nesting deeper than {MAX_NESTING} levels",
+                        5 * MAX_NESTING
+                    )
+                );
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

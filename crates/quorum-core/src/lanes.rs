@@ -253,6 +253,42 @@ pub fn majority3_lanes<L: Lanes>(a: L, b: L, c: L) -> L {
 /// trial count, and half the random words of a full 53-bit expansion.
 pub const BERNOULLI_BITS: u32 = 32;
 
+/// A probability at the lane expansion's precision (see [`BERNOULLI_BITS`]).
+enum Quantised {
+    /// `p` rounds to 0 or 1: every lane bit equals this word's, and no
+    /// randomness is drawn.
+    Constant(u64),
+    /// `round(p·2³²) = bits · 2^(32 − draws)` with `bits` odd: fold `draws`
+    /// random words into each lane word, the lowest bit of `bits` first.
+    Expansion { bits: u64, draws: u32 },
+}
+
+/// Quantises `p` to `round(p·2³²)/2³²`. Bits of the expansion below its
+/// lowest set bit are no-ops (`r & 0 = 0`) and are skipped; every position
+/// above — including zero bits, which halve the probability via `r & acc` —
+/// costs one word.
+fn quantise(p: f64) -> Quantised {
+    if p <= 0.0 {
+        return Quantised::Constant(0);
+    }
+    if p >= 1.0 {
+        return Quantised::Constant(u64::MAX);
+    }
+    const SCALE: f64 = (1u64 << BERNOULLI_BITS) as f64;
+    let scaled = (p * SCALE).round() as u64;
+    if scaled == 0 {
+        return Quantised::Constant(0);
+    }
+    if scaled >= 1u64 << BERNOULLI_BITS {
+        return Quantised::Constant(u64::MAX);
+    }
+    let skip = scaled.trailing_zeros();
+    Quantised::Expansion {
+        bits: scaled >> skip,
+        draws: BERNOULLI_BITS - skip,
+    }
+}
+
 /// Fills one lane word with 64 independent Bernoulli(`p`) draws using the
 /// binary-expansion trick: with `p = Σ bᵢ 2⁻ⁱ`, folding fresh random words
 /// `r` as `acc = r | acc` (bit 1) / `acc = r & acc` (bit 0) from the least
@@ -263,32 +299,14 @@ pub const BERNOULLI_BITS: u32 = 32;
 /// fewer for dyadic probabilities (a single word for `p = 1/2`), since
 /// trailing zero bits of the expansion are skipped.
 pub fn bernoulli_lanes<F: FnMut() -> u64>(p: f64, mut next_word: F) -> u64 {
-    if p <= 0.0 {
-        return 0;
+    match quantise(p) {
+        Quantised::Constant(word) => word,
+        Quantised::Expansion { bits, draws } => {
+            let mut acc = [0u64];
+            fold_row(bits, draws, &mut acc, &mut |_| next_word());
+            acc[0]
+        }
     }
-    if p >= 1.0 {
-        return u64::MAX;
-    }
-    const SCALE: f64 = (1u64 << BERNOULLI_BITS) as f64;
-    let mut scaled = (p * SCALE).round() as u64;
-    if scaled == 0 {
-        return 0;
-    }
-    if scaled >= 1u64 << BERNOULLI_BITS {
-        return u64::MAX;
-    }
-    // Bits below the lowest set bit are no-ops (`r & 0 = 0`) and are skipped;
-    // every position above — including zero bits, which halve the probability
-    // via `r & acc` — must consume one word.
-    let skip = scaled.trailing_zeros();
-    scaled >>= skip;
-    let mut acc = 0u64;
-    for _ in skip..BERNOULLI_BITS {
-        let r = next_word();
-        acc = if scaled & 1 == 1 { r | acc } else { r & acc };
-        scaled >>= 1;
-    }
-    acc
 }
 
 /// Fills `out.len()` lane words with independent Bernoulli(`p`) draws, one
@@ -297,56 +315,96 @@ pub fn bernoulli_lanes<F: FnMut() -> u64>(p: f64, mut next_word: F) -> u64 {
 /// and quantity a standalone [`bernoulli_lanes`] call on that stream would
 /// consume it.
 ///
-/// This is the block-width fill of the multi-word engine: a width-`W` trial
+/// This is the fill of one element's trial words: a width-`W` trial
 /// superblock uses `W` per-trial-word RNG streams, so lane content is
 /// bit-identical whether the block is filled at width 1, 4 or 8 — the
 /// determinism contract that keeps wide estimators byte-compatible with the
-/// single-word ones.
+/// single-word ones. To fill a whole element-major block at one `p`, use
+/// [`bernoulli_lane_rows`], which quantises `p` once for the block and draws
+/// the streams exactly as per-element calls of this function would.
 pub fn bernoulli_lane_words<F: FnMut(usize) -> u64>(p: f64, out: &mut [u64], mut next_word: F) {
-    if p <= 0.0 {
-        out.fill(0);
-        return;
-    }
-    if p >= 1.0 {
-        out.fill(u64::MAX);
-        return;
-    }
-    const SCALE: f64 = (1u64 << BERNOULLI_BITS) as f64;
-    let mut scaled = (p * SCALE).round() as u64;
-    if scaled == 0 {
-        out.fill(0);
-        return;
-    }
-    if scaled >= 1u64 << BERNOULLI_BITS {
-        out.fill(u64::MAX);
-        return;
-    }
-    let skip = scaled.trailing_zeros();
-    scaled >>= skip;
-    out.fill(0);
-    for _ in skip..BERNOULLI_BITS {
-        if scaled & 1 == 1 {
-            for (w, acc) in out.iter_mut().enumerate() {
-                *acc |= next_word(w);
-            }
-        } else {
-            for (w, acc) in out.iter_mut().enumerate() {
-                *acc &= next_word(w);
-            }
-        }
-        scaled >>= 1;
+    match quantise(p) {
+        Quantised::Constant(word) => out.fill(word),
+        Quantised::Expansion { bits, draws } => fold_row(bits, draws, out, &mut next_word),
     }
 }
 
-/// The [`LaneBlock`] form of [`bernoulli_lane_words`]: fills one width-`W`
-/// block from `W` independent word streams.
-pub fn bernoulli_lane_block<const W: usize, F: FnMut(usize) -> u64>(
+/// Fills an element-major block of lane words with independent
+/// Bernoulli(`p`) draws: row `e` is `block[e·width..(e + 1)·width]`, and its
+/// word `w` comes from stream `w` (`next_word(w)`). The result, and the order
+/// and quantity in which every stream is drawn, equal those of
+/// [`bernoulli_lane_words`] called on each row in turn.
+///
+/// `p` is quantised once per call. For the widths in [`LANE_WIDTHS`] the
+/// rows are filled by a fixed-width loop that stores each stream's first
+/// draw and folds the remaining expansion bits in place; at `p = ½` there
+/// is nothing to fold, and a row is a lock-step copy of the `width`
+/// streams. Other widths fold row by row at a runtime width.
+///
+/// # Panics
+///
+/// Panics if `width == 0` or `block.len()` is not a multiple of `width`.
+pub fn bernoulli_lane_rows<F: FnMut(usize) -> u64>(
     p: f64,
-    next_word: F,
-) -> LaneBlock<W> {
-    let mut out = [0u64; W];
-    bernoulli_lane_words(p, &mut out, next_word);
-    LaneBlock(out)
+    width: usize,
+    block: &mut [u64],
+    mut next_word: F,
+) {
+    assert!(width > 0, "lane width must be positive");
+    assert_eq!(
+        block.len() % width,
+        0,
+        "a lane block holds whole rows of {width} words"
+    );
+    let (bits, draws) = match quantise(p) {
+        Quantised::Constant(word) => return block.fill(word),
+        Quantised::Expansion { bits, draws } => (bits, draws),
+    };
+    match width {
+        1 => fill_rows::<1, F>(bits, draws, block, next_word),
+        4 => fill_rows::<4, F>(bits, draws, block, next_word),
+        8 => fill_rows::<8, F>(bits, draws, block, next_word),
+        _ => {
+            for row in block.chunks_exact_mut(width) {
+                fold_row(bits, draws, row, &mut next_word);
+            }
+        }
+    }
+}
+
+/// Folds a `draws`-word expansion into one row: stream `w`'s first draw is
+/// stored in `row[w]` (the lowest expansion bit is always 1, and `r | 0 =
+/// r`), then each further bit ORs or ANDs in one more draw per stream.
+#[inline(always)]
+fn fold_row<F: FnMut(usize) -> u64>(mut bits: u64, draws: u32, row: &mut [u64], next_word: &mut F) {
+    for (w, acc) in row.iter_mut().enumerate() {
+        *acc = next_word(w);
+    }
+    for _ in 1..draws {
+        bits >>= 1;
+        if bits & 1 == 1 {
+            for (w, acc) in row.iter_mut().enumerate() {
+                *acc |= next_word(w);
+            }
+        } else {
+            for (w, acc) in row.iter_mut().enumerate() {
+                *acc &= next_word(w);
+            }
+        }
+    }
+}
+
+/// [`bernoulli_lane_rows`] at a compile-time width `W`.
+fn fill_rows<const W: usize, F: FnMut(usize) -> u64>(
+    bits: u64,
+    draws: u32,
+    block: &mut [u64],
+    mut next_word: F,
+) {
+    for row in block.chunks_exact_mut(W) {
+        let row = <&mut [u64; W]>::try_from(row).expect("chunks_exact_mut yields rows of W words");
+        fold_row(bits, draws, row, &mut next_word);
+    }
 }
 
 #[cfg(test)]
@@ -495,16 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn block_bernoulli_helper_equals_slice_fill() {
-        let mut streams: Vec<_> = (0..4).map(|w| stream(77 + w as u64)).collect();
-        let block: LaneBlock<4> = bernoulli_lane_block(0.3, |w| streams[w]());
-        let mut expected = [0u64; 4];
-        let mut streams: Vec<_> = (0..4).map(|w| stream(77 + w as u64)).collect();
-        bernoulli_lane_words(0.3, &mut expected, |w| streams[w]());
-        assert_eq!(block.0, expected);
-    }
-
-    #[test]
     fn bernoulli_lanes_extremes_and_dyadic_economy() {
         let draws = std::cell::Cell::new(0usize);
         let mut next = stream(2);
@@ -559,6 +607,60 @@ mod tests {
             }
         }
         reds as f64 / trials as f64
+    }
+
+    /// Probabilities at the edges of the expansion: the constants, 2⁻³³ (the
+    /// rounding cut, which rounds up to 2⁻³²) and 2⁻³², one- and two-bit
+    /// dyadic expansions, full 32-word ones, and 1 − 2⁻³³, which rounds to 1.
+    const EDGE_P: [f64; 10] = [
+        0.0,
+        1.0 / (1u64 << 33) as f64,
+        1.0 / (1u64 << 32) as f64,
+        0.25,
+        0.5,
+        0.75,
+        0.1,
+        0.3,
+        1.0 - 1.0 / (1u64 << 33) as f64,
+        1.0,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// The block fill equals per-row `bernoulli_lane_words` from
+        /// identical streams — every lane word, and every stream's next word
+        /// afterwards, so the draw counts match too — over the fixed-width
+        /// paths (1, 4, 8) and the runtime-width fallback. Both outputs start
+        /// from a non-zero pattern, so a fill that ORs into the block fails.
+        #[test]
+        fn prop_block_fill_equals_per_row_fill(
+            edge in 0usize..=EDGE_P.len(),
+            random_p in 0.0f64..1.0,
+            width in 1usize..=9,
+            n in 0usize..=70,
+            seed in 0u64..1 << 48,
+        ) {
+            let p = EDGE_P.get(edge).copied().unwrap_or(random_p);
+            let streams = || -> Vec<_> { (0..width).map(|w| stream(seed + w as u64)).collect() };
+            let mut block = vec![0x5A5A_F0F0_3C3C_9696u64; n * width];
+            let mut block_streams = streams();
+            bernoulli_lane_rows(p, width, &mut block, |w| block_streams[w]());
+            let mut rows = vec![!0x5A5A_F0F0_3C3C_9696u64; n * width];
+            let mut row_streams = streams();
+            for row in rows.chunks_mut(width) {
+                bernoulli_lane_words(p, row, |w| row_streams[w]());
+            }
+            proptest::prop_assert_eq!(&block, &rows, "p = {}, width {}, n {}", p, width, n);
+            for w in 0..width {
+                proptest::prop_assert_eq!(
+                    block_streams[w](),
+                    row_streams[w](),
+                    "p = {}, width {}, n {}: stream {} drew a different count",
+                    p, width, n, w
+                );
+            }
+        }
     }
 
     proptest::proptest! {

@@ -19,12 +19,12 @@
 //! count **and any lane width** — the same contract as the evaluation engine.
 
 use quorum_analysis::RunningStats;
-use quorum_core::lanes::{bernoulli_lane_words, LANE_TRIALS};
+use quorum_core::lanes::LANE_TRIALS;
 use quorum_core::{ElementSet, QuorumSystem, WORD_BITS};
-use rand::RngCore;
 use rayon::prelude::*;
 
 use crate::eval::{derive_rng, TrialRng};
+use crate::failure::fill_iid_green_lanes;
 use crate::montecarlo::Estimate;
 
 /// The reserved cell coordinate of batched availability runs in the
@@ -63,6 +63,13 @@ where
 /// **every width returns the same bits** — `width` only tunes how many trials
 /// each traversal of the quorum predicate amortises.
 ///
+/// Superblocks run in parallel. Each worker allocates one element-major
+/// block of `n · width` lane words per call and reuses it for every
+/// superblock it runs: the i.i.d. block fill
+/// ([`quorum_core::lanes::bernoulli_lane_rows`]) overwrites each word the
+/// evaluator reads, so no superblock sees another's lanes, and one block per
+/// worker is alive at a time.
+///
 /// Widths outside [`quorum_core::lanes::LANE_WIDTHS`] (and partial tail
 /// blocks) transparently fall back to word-at-a-time evaluation; systems
 /// without any lane evaluator fall back further to a per-trial transpose +
@@ -85,7 +92,6 @@ where
     assert!(trials > 0, "at least one trial is required");
     assert!(width > 0, "lane width must be positive");
     let n = system.universe_size();
-    let green_probability = 1.0 - p;
     let words = trials.div_ceil(LANE_TRIALS);
     let superblocks: Vec<usize> = (0..words).step_by(width).collect();
 
@@ -94,36 +100,37 @@ where
     // over all of its trials in one circuit walk, return the failure words.
     let block_words: Vec<(Vec<u64>, usize)> = superblocks
         .into_par_iter()
-        .map(|first_word| {
-            let w = width.min(words - first_word);
-            let mut rngs: Vec<TrialRng> = (0..w)
-                .map(|i| derive_rng(base_seed, BATCH_CELL, (first_word + i) as u64))
-                .collect();
-            let mut lanes = vec![0u64; n * w];
-            for slot in lanes.chunks_mut(w) {
-                bernoulli_lane_words(green_probability, slot, |i| rngs[i].next_u64());
-            }
-            let take = (LANE_TRIALS * w).min(trials - first_word * LANE_TRIALS);
-            let mut available = vec![0u64; w];
-            if !system.green_quorum_lane_block(&lanes, w, &mut available) {
-                // No block evaluator at this width: gather each trial word
-                // out of the element-major layout and take the word path.
-                let mut word_lanes = vec![0u64; n];
-                for (j, out) in available.iter_mut().enumerate() {
-                    for (e, lane) in word_lanes.iter_mut().enumerate() {
-                        *lane = lanes[e * w + j];
+        .map_init(
+            || vec![0u64; n * width.min(words)],
+            |block, first_word| {
+                let w = width.min(words - first_word);
+                let lanes = &mut block[..n * w];
+                let mut rngs: Vec<TrialRng> = (0..w)
+                    .map(|i| derive_rng(base_seed, BATCH_CELL, (first_word + i) as u64))
+                    .collect();
+                fill_iid_green_lanes(p, &mut rngs, lanes);
+                let take = (LANE_TRIALS * w).min(trials - first_word * LANE_TRIALS);
+                let mut available = vec![0u64; w];
+                if !system.green_quorum_lane_block(lanes, w, &mut available) {
+                    // No block evaluator at this width: gather each trial word
+                    // out of the element-major layout and take the word path.
+                    let mut word_lanes = vec![0u64; n];
+                    for (j, out) in available.iter_mut().enumerate() {
+                        for (e, lane) in word_lanes.iter_mut().enumerate() {
+                            *lane = lanes[e * w + j];
+                        }
+                        let word_take = LANE_TRIALS.min(trials - (first_word + j) * LANE_TRIALS);
+                        *out = system
+                            .green_quorum_lanes(&word_lanes)
+                            .unwrap_or_else(|| transpose_and_check(system, &word_lanes, word_take));
                     }
-                    let word_take = LANE_TRIALS.min(trials - (first_word + j) * LANE_TRIALS);
-                    *out = system
-                        .green_quorum_lanes(&word_lanes)
-                        .unwrap_or_else(|| transpose_and_check(system, &word_lanes, word_take));
                 }
-            }
-            for word in &mut available {
-                *word = !*word;
-            }
-            (available, take)
-        })
+                for word in &mut available {
+                    *word = !*word;
+                }
+                (available, take)
+            },
+        )
         .collect();
 
     // Word-parallel fold: up to 64·width indicator trials per push, in trial
@@ -297,14 +304,18 @@ mod tests {
 
     #[test]
     fn batched_estimates_are_thread_count_invariant() {
+        // 7 777 trials are 122 words: at width 8, 16 superblocks ending in a
+        // 2-word tail, so the per-worker runs are uneven and every worker
+        // reuses its lane block, the tail's narrower block included.
         let hqs = Hqs::new(3).unwrap();
-        let ambient = batched_failure_probability(&hqs, 0.4, 7_777, 21);
-        let single = crate::eval::EvalEngine::with_threads(1)
-            .install(|| batched_failure_probability(&hqs, 0.4, 7_777, 21));
-        let wide = crate::eval::EvalEngine::with_threads(8)
-            .install(|| batched_failure_probability(&hqs, 0.4, 7_777, 21));
-        assert_eq!(ambient, single);
-        assert_eq!(single, wide);
+        for width in [1usize, 4, 8] {
+            let ambient = batched_failure_probability_wide(&hqs, 0.4, 7_777, 21, width);
+            for threads in [1usize, 2, 3, 8] {
+                let pinned = crate::eval::EvalEngine::with_threads(threads)
+                    .install(|| batched_failure_probability_wide(&hqs, 0.4, 7_777, 21, width));
+                assert_eq!(ambient, pinned, "width {width}, {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::sync::{Arc, Mutex};
 
 use quorum_analysis::availability::{zone_of, zoned_params};
-use quorum_core::lanes::{bernoulli_lane_words, bernoulli_lanes, LANE_TRIALS};
+use quorum_core::lanes::{bernoulli_lane_rows, bernoulli_lane_words, bernoulli_lanes, LANE_TRIALS};
 use quorum_core::{Color, Coloring, ColoringDelta, Organizations, WORD_BITS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -1199,13 +1199,23 @@ fn draw_red<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
 }
 
 /// Fills an element-major green-lane block for i.i.d.(`p_fail`) failures:
-/// each element's `width` trial words come from the exact binary-expansion
-/// sampler at the survival probability, one independent stream per word.
-fn fill_iid_green_lanes<R: Rng>(p_fail: f64, rngs: &mut [R], out: &mut [u64]) {
-    let width = rngs.len();
+/// each element's `width = rngs.len()` trial words come from the exact
+/// binary-expansion sampler at the survival probability, one independent
+/// stream per word, through one [`bernoulli_lane_rows`] call. For the widths
+/// in [`quorum_core::lanes::LANE_WIDTHS`] the fill reads the streams through
+/// a fixed-size array, so every stream index in its unrolled row loop is a
+/// constant.
+pub(crate) fn fill_iid_green_lanes<R: Rng>(p_fail: f64, rngs: &mut [R], out: &mut [u64]) {
+    fn fixed<const W: usize, R: Rng>(green: f64, rngs: &mut [R], out: &mut [u64]) {
+        let streams = <&mut [R; W]>::try_from(rngs).expect("dispatched on the stream count");
+        bernoulli_lane_rows(green, W, out, |i| streams[i].next_u64());
+    }
     let green = 1.0 - p_fail;
-    for slot in out.chunks_mut(width) {
-        bernoulli_lane_words(green, slot, |i| rngs[i].next_u64());
+    match rngs.len() {
+        1 => fixed::<1, R>(green, rngs, out),
+        4 => fixed::<4, R>(green, rngs, out),
+        8 => fixed::<8, R>(green, rngs, out),
+        width => bernoulli_lane_rows(green, width, out, |i| rngs[i].next_u64()),
     }
 }
 

@@ -644,6 +644,7 @@ impl FromStr for SystemSpec {
         let mut parser = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let spec = parser.spec()?;
         parser.skip_ws();
@@ -654,13 +655,34 @@ impl FromStr for SystemSpec {
     }
 }
 
+/// How deep gates and `orgs(...)` wrappers may nest in the text form. The
+/// parser, the lowering to a [`CompositionNode`] and the drop of a spec all
+/// recurse once per level; at this depth all three fit a 2 MiB thread stack
+/// with room to spare, even in an unoptimised build.
+const MAX_NESTING: usize = 256;
+
 /// Hand-rolled recursive-descent parser for the compact text form.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Gates and `orgs(...)` wrappers open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
+    /// Opens one more level of nesting at `pos`, or fails past
+    /// [`MAX_NESTING`]; the caller closes it with `depth -= 1`.
+    fn descend(&mut self) -> Result<(), SpecError> {
+        if self.depth == MAX_NESTING {
+            return Err(SpecError::parse(
+                self.pos,
+                format!("nesting deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
         while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
             self.pos += 1;
@@ -713,6 +735,7 @@ impl Parser<'_> {
             Some(b) if b.is_ascii_digit() => {
                 let value = self.number()?;
                 if self.peek() == Some(b'(') {
+                    self.descend()?;
                     self.pos += 1;
                     let mut children = vec![self.spec()?];
                     while self.peek() == Some(b',') {
@@ -720,6 +743,7 @@ impl Parser<'_> {
                         children.push(self.spec()?);
                     }
                     self.expect(b')')?;
+                    self.depth -= 1;
                     Ok(SystemSpec::Compose {
                         threshold: value,
                         children,
@@ -760,6 +784,7 @@ impl Parser<'_> {
     }
 
     fn orgs(&mut self) -> Result<SystemSpec, SpecError> {
+        self.descend()?;
         self.expect(b'(')?;
         let mut groups = Vec::new();
         while self.peek() == Some(b'[') {
@@ -781,6 +806,7 @@ impl Parser<'_> {
         }
         let inner = Box::new(self.spec()?);
         self.expect(b')')?;
+        self.depth -= 1;
         Ok(SystemSpec::Orgs { groups, inner })
     }
 }
@@ -833,6 +859,39 @@ mod tests {
                 "{bad:?} gave {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_the_bound_fits_a_small_stack() {
+        // Run where the default thread stack is small: unbounded, the text
+        // parser overflowed a 2 MiB stack at 10 000 levels.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let chain = |gates: usize| "1(".repeat(gates) + "0" + &")".repeat(gates);
+                let spec = SystemSpec::parse(&chain(MAX_NESTING)).unwrap();
+                let built = spec.build().unwrap();
+                assert_eq!(built.universe_size(), 1);
+                assert!(built.contains_quorum(&ElementSet::singleton(1, 0)));
+                drop(spec);
+                let deeper = SystemSpec::parse(&chain(MAX_NESTING + 1)).unwrap_err();
+                assert_eq!(
+                    deeper.kind,
+                    SpecErrorKind::Parse {
+                        offset: 2 * MAX_NESTING + 1,
+                        reason: format!("nesting deeper than {MAX_NESTING} levels"),
+                    }
+                );
+                // `orgs(...)` wrappers count as levels too.
+                let orgs = SystemSpec::parse(&"orgs([0];".repeat(MAX_NESTING + 1)).unwrap_err();
+                assert!(
+                    matches!(orgs.kind, SpecErrorKind::Parse { offset, .. } if offset == 9 * MAX_NESTING + 4),
+                    "{orgs:?}"
+                );
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]
