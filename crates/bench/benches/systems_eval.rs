@@ -176,9 +176,40 @@ fn bench_failure_sampling(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_churn_walk(c: &mut Criterion) {
+    // The churn walk alone: 4 096 `ChurnWalker::step` calls per iteration,
+    // restarting the walk at its horizon. Sparse rates rank their hits
+    // through the trajectory's index; a dense direction visits every word.
+    let mut group = c.benchmark_group("churn/walk_step");
+    for n in [4096usize, 65_536] {
+        for (label, fail, repair) in [
+            ("sparse", 1.0 / 4096.0, 1.0 / 64.0),
+            ("mixed", 0.01, 0.5),
+            ("dense", 0.2, 0.6),
+        ] {
+            let trajectory = ChurnTrajectory::generate(n, fail, repair, 1 << 20, 1);
+            let mut walker = trajectory.walk();
+            group.bench_function(BenchmarkId::new(label, n), |b| {
+                b.iter(|| {
+                    let mut flipped_words = 0;
+                    for _ in 0..4096 {
+                        if walker.remaining() == 0 {
+                            walker = trajectory.walk();
+                        }
+                        let (_, delta) = walker.step().expect("the walk has steps left");
+                        flipped_words += delta.entries().len();
+                    }
+                    flipped_words
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_contains_quorum, bench_availability, bench_batched_availability, bench_engine_probes, bench_enumeration, bench_failure_sampling
+    targets = bench_contains_quorum, bench_availability, bench_batched_availability, bench_engine_probes, bench_enumeration, bench_failure_sampling, bench_churn_walk
 }
 criterion_main!(benches);

@@ -17,9 +17,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// How many replay cursors a [`ChurnTrajectory`] keeps warm for random
-/// access. Each cursor is one coloring plus one RNG state, so the cap bounds
-/// the trajectory's memory at a handful of cache lines regardless of how many
-/// threads stream it.
+/// access. Each cursor is one coloring, one RNG state, the coloring's rank
+/// index and the flips of its last step, so the cap bounds the trajectory's
+/// memory at a fixed multiple of one coloring regardless of how many threads
+/// stream it.
 const MAX_POOLED_CURSORS: usize = 32;
 
 /// A streaming fail/repair Markov trajectory over colorings.
@@ -45,18 +46,29 @@ const MAX_POOLED_CURSORS: usize = 32;
 ///   elements, `32 − tz(round(p·2³²))` RNG words per word whether or not
 ///   anything flips;
 /// * the **sparse** path draws geometric gaps between hits over the
-///   eligible (green or red) elements and locates each hit by per-word
-///   popcounts: one RNG word per flip plus one per step, so a step costs one
-///   popcount per 64 elements plus work proportional to its flips.
+///   eligible (green or red) elements: one RNG word per flip plus one per
+///   direction per step.
 ///
 /// Each rate takes whichever path is expected to cost less per step at
 /// stationarity, where each direction flips a `fail·repair/(fail + repair)`
 /// share of the elements per step, with a sparse hit costing as much as 30
-/// dense RNG words (measured): the dense path for fast churn such as
-/// `(0.2, 0.6)`, the sparse one for low rates such as `(2⁻¹², 2⁻⁶)`. Both
-/// flip every eligible element independently with its rate (up to the
-/// `2⁻³³` quantisation of the dense masks and the `f64` rounding of the
-/// sparse path's inversion).
+/// dense RNG words (measured against an earlier per-word scan): the dense
+/// path for fast churn such as `(0.2, 0.6)`, the sparse one for low rates
+/// such as `(2⁻¹², 2⁻⁶)`. Both flip every eligible element independently
+/// with its rate (up to the `2⁻³³` quantisation of the dense masks and the
+/// `f64` rounding of the sparse path's inversion).
+///
+/// When both directions are sparse, a step never visits the words without
+/// hits: a Fenwick tree over the per-word red counts (4 bytes per 64
+/// elements, built once by [`ChurnTrajectory::generate`] and copied into
+/// every walker and replay cursor) turns each hit's rank into its word in
+/// `O(log(n/64))`, so a step costs
+/// `O(flips · log n)`. Hits are consumed in ascending word order, a word's
+/// fail hits before its repair hits, and every rank is taken against the
+/// step's starting coloring, so the index takes a step's flips only after
+/// the step. When either direction is dense, a step visits every word: one
+/// mask draw per dense direction, and one popcount to rank a sparse
+/// direction's hits.
 ///
 /// The coloring at step `t` is a pure function of `(seed, t)`, which is what
 /// keeps churn experiments bit-identical across engine thread counts:
@@ -79,17 +91,36 @@ pub struct ChurnTrajectory {
     /// The RNG state immediately after drawing the baseline; cloning it
     /// replays the transition stream from step 0 deterministically.
     rng_after_init: StdRng,
+    /// The baseline's rank index (empty unless both directions are sparse).
+    index: RankIndex,
     /// Warm replay cursors for random access, most recently used at the back.
     cursors: Mutex<Vec<ChurnCursor>>,
 }
 
-/// One replay position: the coloring at `position` and the RNG state ready
-/// to advance it to `position + 1`.
-#[derive(Debug, Clone)]
+/// One replay position: the coloring at `position`, the RNG state ready to
+/// advance it to `position + 1`, the coloring's rank index, and the flips of
+/// the step that reached `position`.
+#[derive(Debug)]
 struct ChurnCursor {
     position: usize,
     coloring: Coloring,
     rng: StdRng,
+    index: RankIndex,
+    delta: ColoringDelta,
+}
+
+impl ChurnCursor {
+    /// Advances one Markov step; `delta` takes the step's flips.
+    fn step(&mut self, transitions: Transitions) {
+        churn_step(
+            transitions,
+            &mut self.rng,
+            &mut self.coloring,
+            &mut self.index,
+            &mut self.delta,
+        );
+        self.position += 1;
+    }
 }
 
 impl Clone for ChurnTrajectory {
@@ -103,6 +134,7 @@ impl Clone for ChurnTrajectory {
             transitions: self.transitions,
             baseline: self.baseline.clone(),
             rng_after_init: self.rng_after_init.clone(),
+            index: self.index.clone(),
             cursors: Mutex::new(Vec::new()),
         }
     }
@@ -148,15 +180,21 @@ impl ChurnTrajectory {
         let stationary_red = fail / (fail + repair);
         let mut baseline = Coloring::all_green(n);
         fill_word_bernoulli(stationary_red, &mut rng, &mut baseline);
+        let transitions = Transitions::choose(fail, repair);
+        let index = match transitions.skips() {
+            Some(_) => RankIndex::new(&baseline),
+            None => RankIndex::default(),
+        };
         ChurnTrajectory {
             n,
             fail,
             repair,
             seed,
             steps,
-            transitions: Transitions::choose(fail, repair),
+            transitions,
             baseline,
             rng_after_init: rng,
+            index,
             cursors: Mutex::new(Vec::new()),
         }
     }
@@ -222,18 +260,16 @@ impl ChurnTrajectory {
     /// the coloring **and** the [`ColoringDelta`] from the previous step —
     /// the streaming input of incremental (delta) re-evaluation.
     pub fn walk(&self) -> ChurnWalker<'_> {
+        let mut cursor = self.fresh_cursor();
         // Room for one entry per word, so a step never allocates.
-        let mut delta = ColoringDelta::empty(self.n);
         for w in 0..self.baseline.word_count() {
-            delta.push_word(w, 1);
+            cursor.delta.push_word(w, 1);
         }
-        delta.clear();
+        cursor.delta.clear();
         ChurnWalker {
             trajectory: self,
             next_step: 0,
-            coloring: self.baseline.clone(),
-            delta,
-            rng: self.rng_after_init.clone(),
+            cursor,
         }
     }
 
@@ -262,29 +298,22 @@ impl ChurnTrajectory {
         }
         let steps = self.steps as u64;
         let mut cursor = self.checkout((start % steps) as usize);
-        let mut delta = ColoringDelta::empty(self.n);
-        f(0, &cursor.coloring, &delta);
+        cursor.delta.clear();
+        f(0, &cursor.coloring, &cursor.delta);
         for i in 1..count {
             let at = (start + i as u64) % steps;
             if at == 0 {
                 // Wrap: jump back to the baseline and report the jump as a
                 // plain diff — the replay is a cycle, not a Markov step.
-                cursor.coloring.diff_into(&self.baseline, &mut delta);
+                cursor.coloring.diff_into(&self.baseline, &mut cursor.delta);
                 cursor.coloring.copy_from(&self.baseline);
                 cursor.rng = self.rng_after_init.clone();
+                cursor.index.clone_from(&self.index);
                 cursor.position = 0;
             } else {
-                delta.clear();
-                let sink = &mut delta;
-                step_words(
-                    self.transitions,
-                    &mut cursor.rng,
-                    &mut cursor.coloring,
-                    |w, flips| sink.push_word(w, flips),
-                );
-                cursor.position += 1;
+                cursor.step(self.transitions);
             }
-            f(i, &cursor.coloring, &delta);
+            f(i, &cursor.coloring, &cursor.delta);
         }
         self.checkin(cursor);
     }
@@ -295,6 +324,8 @@ impl ChurnTrajectory {
             position: 0,
             coloring: self.baseline.clone(),
             rng: self.rng_after_init.clone(),
+            index: self.index.clone(),
+            delta: ColoringDelta::empty(self.n),
         }
     }
 
@@ -315,13 +346,7 @@ impl ChurnTrajectory {
             }
         };
         while cursor.position < target {
-            step_words(
-                self.transitions,
-                &mut cursor.rng,
-                &mut cursor.coloring,
-                |_, _| {},
-            );
-            cursor.position += 1;
+            cursor.step(self.transitions);
         }
         cursor
     }
@@ -348,9 +373,7 @@ impl ChurnTrajectory {
 pub struct ChurnWalker<'a> {
     trajectory: &'a ChurnTrajectory,
     next_step: usize,
-    coloring: Coloring,
-    delta: ColoringDelta,
-    rng: StdRng,
+    cursor: ChurnCursor,
 }
 
 impl ChurnWalker<'_> {
@@ -362,18 +385,11 @@ impl ChurnWalker<'_> {
         if self.next_step >= self.trajectory.steps {
             return None;
         }
-        self.delta.clear();
         if self.next_step > 0 {
-            let sink = &mut self.delta;
-            step_words(
-                self.trajectory.transitions,
-                &mut self.rng,
-                &mut self.coloring,
-                |w, flips| sink.push_word(w, flips),
-            );
+            self.cursor.step(self.trajectory.transitions);
         }
         self.next_step += 1;
-        Some((&self.coloring, &self.delta))
+        Some((&self.cursor.coloring, &self.cursor.delta))
     }
 
     /// The step index of the most recently yielded coloring, if any.
@@ -397,9 +413,13 @@ fn fill_word_bernoulli<R: Rng + ?Sized>(p_red: f64, rng: &mut R, out: &mut Color
 
 /// What one sparse-path hit costs, in RNG words of the dense path: the gap
 /// draw (an `ln`) plus finding the hit in its word. Measured on 4096
-/// elements (x86-64, 2-vCPU VM): a hit took 44 ns against 1.4–1.5 ns per
-/// mask word, and at fail:repair = 1:3 the two paths tie near fail 0.0225,
-/// where this rule with 30 ties too.
+/// elements (x86-64, 2-vCPU VM) against the per-word scan of
+/// [`step_words`], before both-sparse steps ranked their hits through a
+/// [`RankIndex`]: a hit took 44 ns against 1.4–1.5 ns per mask word, and at
+/// fail:repair = 1:3 the two paths tie near fail 0.0225, where this rule
+/// with 30 ties too. It now overstates a both-sparse hit, but it stays
+/// because it selects each rate's sampler, and with it the rate's RNG
+/// stream.
 const SKIP_HIT_COST: f64 = 30.0;
 
 /// How one direction of a churn step draws its hits.
@@ -447,6 +467,15 @@ impl Transitions {
         Transitions {
             fail: RateSampler::choose(fail, flip_rate),
             repair: RateSampler::choose(repair, flip_rate),
+        }
+    }
+
+    /// Both directions' `1 / ln(1 − p)` when both are sparse: the steps that
+    /// rank their hits through a [`RankIndex`].
+    fn skips(self) -> Option<(f64, f64)> {
+        match (self.fail, self.repair) {
+            (RateSampler::Skip(fail), RateSampler::Skip(repair)) => Some((fail, repair)),
+            _ => None,
         }
     }
 }
@@ -526,16 +555,231 @@ fn skip_gap<R: Rng + ?Sized>(inv_ln_stay: f64, rng: &mut R) -> usize {
     (u.ln() * inv_ln_stay) as usize
 }
 
-/// Advances a coloring one Markov step: green elements turn red at the
-/// `fail` sampler's hits and red ones green at the `repair` sampler's, both
-/// drawn against the step's starting coloring, one word at a time.
+/// Advances `coloring` one Markov step and records its flips in `delta`:
+/// the one step function behind [`ChurnWalker`] and the replay cursors. A
+/// both-sparse step ranks its hits through `index` ([`step_ranked`]), which
+/// takes the flips once the step is done; any other step visits every word
+/// ([`step_words`]) and leaves the (empty) index alone.
+fn churn_step<R: Rng + ?Sized>(
+    transitions: Transitions,
+    rng: &mut R,
+    coloring: &mut Coloring,
+    index: &mut RankIndex,
+    delta: &mut ColoringDelta,
+) {
+    delta.clear();
+    match transitions.skips() {
+        Some(skips) => {
+            step_ranked(skips, rng, coloring, index, |w, flips| {
+                delta.push_word(w, flips)
+            });
+            index.take_flips(coloring, delta);
+        }
+        None => step_words(transitions, rng, coloring, |w, flips| {
+            delta.push_word(w, flips)
+        }),
+    }
+}
+
+/// The per-word red counts of a coloring in a Fenwick tree, so that the
+/// word holding the green or red element of a given rank is found, and a
+/// word's count changed, in `O(log(n/64))` steps. Green counts follow from
+/// the word sizes, so one `u32` per word serves both directions.
+#[derive(Debug, Clone, Default)]
+struct RankIndex {
+    /// Universe size, which sizes the partial tail word.
+    n: usize,
+    /// Node `i` (1-based) holds the red count of words `i − lowbit(i) .. i`.
+    tree: Vec<u32>,
+}
+
+impl RankIndex {
+    /// Indexes `coloring`: one popcount per word, then a linear build.
+    fn new(coloring: &Coloring) -> Self {
+        let mut tree: Vec<u32> = coloring
+            .red_words()
+            .iter()
+            .map(|w| w.count_ones())
+            .collect();
+        for node in 1..=tree.len() {
+            let parent = node + (node & node.wrapping_neg());
+            if parent <= tree.len() {
+                tree[parent - 1] += tree[node - 1];
+            }
+        }
+        RankIndex {
+            n: coloring.universe_size(),
+            tree,
+        }
+    }
+
+    /// The word holding the eligible element of rank `rank` (0-based), and
+    /// that element's rank among the word's eligible ones; the word count if
+    /// at most `rank` elements are eligible. The eligible elements are the
+    /// green ones when `green` is set, else the red ones.
+    fn locate(&self, mut rank: usize, green: bool) -> (usize, usize) {
+        let words = self.tree.len();
+        let mut word = 0;
+        let mut span = words.checked_ilog2().map_or(0, |log| 1 << log);
+        while span > 0 {
+            let end = word + span;
+            if end <= words {
+                let reds = self.tree[end - 1] as usize;
+                let count = if green {
+                    (end * WORD_BITS).min(self.n) - word * WORD_BITS - reds
+                } else {
+                    reds
+                };
+                if rank >= count {
+                    word = end;
+                    rank -= count;
+                }
+            }
+            span >>= 1;
+        }
+        (word, rank)
+    }
+
+    /// Takes a finished step's flips: `coloring` is the step's result and
+    /// `delta` its flips.
+    fn take_flips(&mut self, coloring: &Coloring, delta: &ColoringDelta) {
+        for &(w, flips) in delta.entries() {
+            let red = coloring.red_words()[w as usize];
+            let change = red.count_ones().wrapping_sub((red ^ flips).count_ones());
+            let mut node = w as usize + 1;
+            while node <= self.tree.len() {
+                self.tree[node - 1] = self.tree[node - 1].wrapping_add(change);
+                node += node & node.wrapping_neg();
+            }
+        }
+    }
+}
+
+/// The set bit of `word` with rank `rank` (0-based from the least
+/// significant bit), as a mask: byte popcounts and their running sums find
+/// its byte without a loop, then clearing low bits finds it within the byte.
+/// `rank` must be below `word.count_ones()`.
+fn select_bit(word: u64, rank: usize) -> u64 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    debug_assert!(rank < word.count_ones() as usize);
+    let mut bytes = word - ((word >> 1) & 0x5555_5555_5555_5555);
+    bytes = (bytes & 0x3333_3333_3333_3333) + ((bytes >> 2) & 0x3333_3333_3333_3333);
+    bytes = (bytes + (bytes >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    // Byte i of `through` counts the set bits of bytes 0..=i. A byte of
+    // `reached` has its high bit set iff that count is at most `rank`;
+    // those bytes form a prefix, and the byte after them holds the bit.
+    let through = bytes.wrapping_mul(ONES);
+    let reached = ((((rank as u64) * ONES) | HIGHS) - through) & HIGHS;
+    let shift = (!reached & HIGHS).trailing_zeros() & !7;
+    let before = ((through << 8) >> shift) & 0xFF;
+    let mut rest = (word >> shift) & 0xFF;
+    for _ in before..rank as u64 {
+        rest &= rest - 1;
+    }
+    (rest & rest.wrapping_neg()) << shift
+}
+
+/// One direction's hits within a both-sparse step, located through the
+/// step's starting [`RankIndex`].
+struct RankedHits {
+    inv_ln_stay: f64,
+    /// Fail hits rank the green elements, repair hits the red ones.
+    green: bool,
+    /// The rank, among the eligible elements, of the next hit.
+    next: usize,
+    /// The word holding the next hit (the word count once none is left) and
+    /// the hit's rank among that word's eligible elements.
+    word: usize,
+    rank_in_word: usize,
+}
+
+impl RankedHits {
+    /// Starts a step: draws the first gap and locates its hit.
+    fn start<R: Rng + ?Sized>(
+        inv_ln_stay: f64,
+        green: bool,
+        index: &RankIndex,
+        rng: &mut R,
+    ) -> Self {
+        let next = skip_gap(inv_ln_stay, rng);
+        let (word, rank_in_word) = index.locate(next, green);
+        RankedHits {
+            inv_ln_stay,
+            green,
+            next,
+            word,
+            rank_in_word,
+        }
+    }
+
+    /// The hits in word `w`, whose eligible elements are `eligible`; each
+    /// hit draws the gap to the next, which is then located.
+    fn take<R: Rng + ?Sized>(
+        &mut self,
+        w: usize,
+        eligible: u64,
+        index: &RankIndex,
+        rng: &mut R,
+    ) -> u64 {
+        let mut hits = 0;
+        while self.word == w {
+            hits |= select_bit(eligible, self.rank_in_word);
+            self.next = (self.next + 1).saturating_add(skip_gap(self.inv_ln_stay, rng));
+            (self.word, self.rank_in_word) = index.locate(self.next, self.green);
+        }
+        hits
+    }
+}
+
+/// A both-sparse step (`skips` holds each direction's `1 / ln(1 − p)`)
+/// that visits only the words holding hits. It draws and consumes exactly
+/// what [`step_words`] does, in the same order: the fail gap, the repair
+/// gap, then the words with hits in ascending order, each word's fail hits
+/// (one gap each) before its repair hits. `index` holds the step's starting
+/// red counts, against which every rank is taken, so it must take the flips
+/// only after the step. `on_flips` observes each word's nonzero flip mask.
+fn step_ranked<R: Rng + ?Sized>(
+    (fail, repair): (f64, f64),
+    rng: &mut R,
+    coloring: &mut Coloring,
+    index: &RankIndex,
+    mut on_flips: impl FnMut(usize, u64),
+) {
+    let n = coloring.universe_size();
+    let words = coloring.word_count();
+    let mut fail = RankedHits::start(fail, true, index, rng);
+    let mut repair = RankedHits::start(repair, false, index, rng);
+    loop {
+        let w = fail.word.min(repair.word);
+        if w >= words {
+            break;
+        }
+        let red = coloring.red_words()[w];
+        let live = if (w + 1) * WORD_BITS > n {
+            (1u64 << (n % WORD_BITS)) - 1
+        } else {
+            u64::MAX
+        };
+        let turn_red = fail.take(w, !red & live, index, rng);
+        let flips = turn_red | repair.take(w, red, index, rng);
+        coloring.set_red_word(w, red ^ flips);
+        on_flips(w, flips);
+    }
+}
+
+/// Advances a coloring one Markov step by visiting every word: green
+/// elements turn red at the `fail` sampler's hits and red ones green at the
+/// `repair` sampler's, both drawn against the step's starting coloring.
 ///
 /// A dense sampler draws a 64-element Bernoulli mask per word; with both
 /// dense, the RNG stream is the fail mask then the repair mask, word by
 /// word. A sparse sampler draws one gap when the step starts and one per
-/// hit, and ranks its hits by per-word popcounts (one per word for both
-/// directions), so with both sparse a step costs a popcount per word plus
-/// work per flip. `on_flips` observes each word's nonzero flip mask.
+/// hit, and ranks its hits by one popcount per word. A step therefore costs
+/// a visit to every word however few elements flip. Trajectories with a
+/// dense direction step here; both-sparse ones take [`step_ranked`], which
+/// consumes the same draws in the same order, and for which this loop is
+/// the test reference. `on_flips` observes each word's nonzero flip mask.
 fn step_words<R: Rng + ?Sized>(
     transitions: Transitions,
     rng: &mut R,
@@ -1744,31 +1988,30 @@ mod tests {
     fn sparse_churn_draws_per_flip() {
         // At (2⁻¹², 2⁻⁶) the dense path would draw 12 + 6 words per 64
         // elements, 1152 a step at n = 4096; the sparse path draws one gap
-        // per direction per step plus one per flip.
+        // per direction per step plus one per flip. Stepped as the walker
+        // steps, through the rank index.
         let n = 4096;
         let trajectory = ChurnTrajectory::generate(n, 1.0 / 4096.0, 1.0 / 64.0, 2, 5);
+        assert!(trajectory.transitions.skips().is_some());
         let mut rng = CountingRng {
             inner: StdRng::seed_from_u64(5),
             words: 0,
         };
         let mut coloring = trajectory.baseline.clone();
+        let mut index = trajectory.index.clone();
+        let mut delta = ColoringDelta::empty(n);
         let mut total_flips = 0;
         for step in 0..2_000 {
             rng.words = 0;
-            let mut flips = 0;
-            step_words(
+            churn_step(
                 trajectory.transitions,
                 &mut rng,
                 &mut coloring,
-                |_, mask| {
-                    flips += mask.count_ones() as usize;
-                },
+                &mut index,
+                &mut delta,
             );
-            assert!(
-                rng.words <= 2 + 2 * flips + 2,
-                "step {step}: {} words for {flips} flips",
-                rng.words
-            );
+            let flips = delta.flip_count();
+            assert_eq!(rng.words, 2 + flips, "step {step}: words for {flips} flips");
             total_flips += flips;
         }
         assert!(total_flips > 2_000, "the walk must flip: {total_flips}");
@@ -1913,6 +2156,84 @@ mod tests {
                     trajectory.coloring_at(t),
                     eager[(t % steps as u64) as usize].clone()
                 );
+            }
+        }
+    }
+
+    /// The pairs of `CHURN_RATES` whose directions are both sparse.
+    fn both_sparse_rates() -> Vec<(f64, f64)> {
+        let pairs: Vec<(f64, f64)> = CHURN_RATES
+            .iter()
+            .flat_map(|&fail| CHURN_RATES.iter().map(move |&repair| (fail, repair)))
+            .filter(|&(fail, repair)| Transitions::choose(fail, repair).skips().is_some())
+            .collect();
+        assert!(pairs.len() > 20, "too few both-sparse pairs: {pairs:?}");
+        pairs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The rank-indexed step replays the word loop: from one coloring
+        /// and one RNG state, consecutive steps give the same coloring
+        /// words, the same `(word, mask)` flips and the same next word of
+        /// the stream, and the index follows the coloring. n up to 5 000
+        /// spans 1–7 index levels and partial tail words; the red fractions
+        /// include all-green and all-red words.
+        #[test]
+        fn prop_ranked_step_replays_the_word_loop(
+            n in 1usize..=5_000,
+            red_fraction in prop::sample::select(vec![
+                0.0,
+                1.0 / 4096.0,
+                0.015,
+                0.5,
+                1.0 - 1.0 / 4096.0,
+                1.0,
+            ]),
+            rates in prop::sample::select(both_sparse_rates()),
+            seed in any::<u64>(),
+        ) {
+            let transitions = Transitions::choose(rates.0, rates.1);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut expected = Coloring::all_green(n);
+            fill_word_bernoulli(red_fraction, &mut rng, &mut expected);
+            let mut cursor = ChurnCursor {
+                position: 0,
+                coloring: expected.clone(),
+                rng: rng.clone(),
+                index: RankIndex::new(&expected),
+                delta: ColoringDelta::empty(n),
+            };
+            for step in 0..6 {
+                let mut flips = Vec::new();
+                step_words(transitions, &mut rng, &mut expected, |w, mask| {
+                    flips.push((w as u32, mask))
+                });
+                cursor.step(transitions);
+                prop_assert_eq!(cursor.delta.entries(), &flips[..], "step {}", step);
+                prop_assert_eq!(cursor.coloring.red_words(), expected.red_words());
+                prop_assert_eq!(&cursor.index.tree, &RankIndex::new(&expected).tree);
+            }
+            prop_assert_eq!(cursor.rng.next_u64(), rng.next_u64());
+        }
+    }
+
+    #[test]
+    fn select_bit_picks_each_rank() {
+        for word in [
+            1u64,
+            0x8000_0000_0000_0001,
+            u64::MAX,
+            0xF0F0_0000_0001_0300,
+            0x0100_0000_0000_0000,
+        ] {
+            let bits: Vec<u64> = (0..64)
+                .map(|b| 1u64 << b)
+                .filter(|b| word & b != 0)
+                .collect();
+            for (rank, &bit) in bits.iter().enumerate() {
+                assert_eq!(select_bit(word, rank), bit, "{word:#x} rank {rank}");
             }
         }
     }
