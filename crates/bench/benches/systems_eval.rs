@@ -207,9 +207,59 @@ fn bench_churn_walk(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_delta_update(c: &mut Criterion) {
+    // `DeltaEvaluator::update` alone over a pre-materialised 2 048-step walk
+    // at (2⁻¹², 2⁻⁶), one update per step. A delta is its own inverse, so
+    // every other iteration replays the walk backward and no iteration pays
+    // for a `reset`. The natives run beside their compiled `Compose` twins;
+    // stderr gives each walk's flip count, for the time per flip.
+    const STEPS: usize = 2048;
+    let mut group = c.benchmark_group("churn/delta_update");
+    let systems = [
+        ("Tree12", SystemSpec::Tree { height: 12 }),
+        ("TreeC12", SystemSpec::tree_as_compose(12)),
+        ("HQS8", SystemSpec::Hqs { height: 8 }),
+        ("HQSC8", SystemSpec::hqs_as_compose(8)),
+        ("Grid64x64", SystemSpec::Grid { rows: 64, cols: 64 }),
+        ("GridC64x64", SystemSpec::grid_as_compose(64, 64)),
+        ("Maj4097", SystemSpec::Majority { n: 4097 }),
+    ];
+    for (name, spec) in systems {
+        let system = spec.build().unwrap();
+        let n = system.universe_size();
+        let trajectory = ChurnTrajectory::generate(n, 1.0 / 4096.0, 1.0 / 64.0, STEPS + 1, 1);
+        let mut walker = trajectory.walk();
+        let mut steps = Vec::with_capacity(STEPS + 1);
+        while let Some((coloring, delta)) = walker.step() {
+            steps.push((coloring.clone(), delta.clone()));
+        }
+        let flips: usize = steps.iter().map(|(_, delta)| delta.flip_count()).sum();
+        eprintln!("churn/delta_update/{name}: {flips} flips per walk");
+        let mut evaluator = delta_evaluator_for(&system);
+        evaluator.reset(&steps[0].0);
+        let mut forward = true;
+        group.bench_function(BenchmarkId::from_parameter(name), |b| {
+            b.iter(|| {
+                let mut up = 0usize;
+                for k in 1..=STEPS {
+                    let (post, delta) = if forward {
+                        (&steps[k].0, &steps[k].1)
+                    } else {
+                        (&steps[STEPS - k].0, &steps[STEPS + 1 - k].1)
+                    };
+                    up += usize::from(evaluator.update(post, delta));
+                }
+                forward = !forward;
+                up
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_contains_quorum, bench_availability, bench_batched_availability, bench_engine_probes, bench_enumeration, bench_failure_sampling, bench_churn_walk
+    targets = bench_contains_quorum, bench_availability, bench_batched_availability, bench_engine_probes, bench_enumeration, bench_failure_sampling, bench_churn_walk, bench_delta_update
 }
 criterion_main!(benches);

@@ -131,7 +131,9 @@ struct Gate {
 ///   reused across calls, so a sweep allocates nothing.
 /// * The delta evaluator builds its own gate-parent and element→gate index
 ///   and keeps a satisfied-children counter per gate, so a churn step costs
-///   O(flips · depth) with early exit.
+///   O(flips · depth) with early exit. [`TreeQuorum`](crate::TreeQuorum)
+///   and [`Hqs`](crate::Hqs) use it too, on an index built from their heap
+///   layouts.
 ///
 /// `min_quorum_size` / `max_quorum_size` come from the bottom-up
 /// disjoint-children DP (min = sum of the `k` smallest child minima, max =
@@ -620,16 +622,17 @@ impl DeltaGate {
 }
 
 /// The root gate's `parent`.
-const ROOT: u32 = u32::MAX;
+pub(crate) const ROOT: u32 = u32::MAX;
 
 /// Incremental composition evaluation: a satisfied-children counter and a
 /// cached value per gate. Each flipped element adjusts the counters of the
 /// gates listing it as a leaf and climbs toward the root only while a
 /// gate's value actually changes, so a churn step costs O(flips · depth)
 /// with early exit, independent of evaluation order even with repeated
-/// leaves. The evaluator keeps only its own index, not the tape.
+/// leaves. The evaluator keeps only its own index, not the tape, so the
+/// native Tree and HQS build the same index from their heap layouts.
 #[derive(Debug, Clone)]
-struct CompositionDeltaEval {
+pub(crate) struct CompositionDeltaEval {
     n: usize,
     /// In tape order: every gate after its gate children.
     gates: Vec<DeltaGate>,
@@ -642,19 +645,11 @@ struct CompositionDeltaEval {
 
 impl CompositionDeltaEval {
     fn new(circuit: &Composition) -> Self {
-        let mut gates: Vec<DeltaGate> = circuit
-            .gates
-            .iter()
-            .map(|gate| DeltaGate {
-                parent: ROOT,
-                threshold: gate.threshold,
-                sat: 0,
-            })
-            .collect();
         // Fold gate indices up the tape to find each gate's parent.
+        let mut parents = vec![ROOT; circuit.gates.len()];
         circuit.fold(|g, _, children: Drain<'_, usize>| {
             for child in children {
-                gates[child].parent = g as u32;
+                parents[child] = g as u32;
             }
             g
         });
@@ -674,8 +669,34 @@ impl CompositionDeltaEval {
                 leaf_gates[leaf_off[e as usize] as usize] = g as u32;
             }
         }
+        let thresholds = circuit.gates.iter().map(|gate| gate.threshold);
+        Self::from_index(parents.into_iter().zip(thresholds), leaf_off, leaf_gates)
+    }
+
+    /// Builds the evaluator from its index: `gates` in tape order as
+    /// `(parent, threshold)`, every gate after its gate children and the
+    /// root last with parent [`ROOT`], and the element → gate CSR over the
+    /// `leaf_off.len() − 1` elements.
+    pub(crate) fn from_index(
+        gates: impl IntoIterator<Item = (u32, u32)>,
+        leaf_off: Vec<u32>,
+        leaf_gates: Vec<u32>,
+    ) -> Self {
+        let gates: Vec<DeltaGate> = gates
+            .into_iter()
+            .map(|(parent, threshold)| DeltaGate {
+                parent,
+                threshold,
+                sat: 0,
+            })
+            .collect();
+        // Parents come later in the tape, so only the last gate is the root.
+        debug_assert!(gates.iter().enumerate().all(|(g, gate)| match gate.parent {
+            ROOT => g + 1 == gates.len(),
+            parent => g < parent as usize && (parent as usize) < gates.len(),
+        }));
         CompositionDeltaEval {
-            n: circuit.n,
+            n: leaf_off.len() - 1,
             gates,
             leaf_off,
             leaf_gates,

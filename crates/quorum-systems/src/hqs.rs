@@ -1,83 +1,13 @@
 //! The Hierarchical Quorum System (HQS) of Kumar.
 
 use quorum_core::lanes::{majority3_lanes, Lanes};
-use quorum_core::{
-    Coloring, ColoringDelta, DeltaEvaluator, ElementId, ElementSet, QuorumError, QuorumSystem,
-};
+use quorum_core::{DeltaEvaluator, ElementId, ElementSet, QuorumError, QuorumSystem};
 
+use crate::composition::{CompositionDeltaEval, ROOT};
 use crate::dispatch_lane_block;
 
-/// Incremental HQS evaluation over the complete ternary gate tree in heap
-/// order (node `k` has children `3k+1 .. 3k+3`; the `3^h` leaves occupy the
-/// last heap slots left to right, so leaf `j` sits at `internal + j`). A
-/// delta recomputes only the flipped leaves and their root paths in
-/// decreasing heap order — O(flips · height) per update.
-#[derive(Debug, Clone)]
-struct HqsDeltaEval {
-    /// Number of internal (2-of-3 gate) nodes, `(3^h − 1) / 2`.
-    internal: usize,
-    /// Number of leaves, `3^h` — the universe size.
-    leaves: usize,
-    value: Vec<bool>,
-    dirty: Vec<usize>,
-    primed: bool,
-}
-
-impl HqsDeltaEval {
-    fn gate(&self, k: usize, coloring: &Coloring) -> bool {
-        if k >= self.internal {
-            return coloring.is_green(k - self.internal);
-        }
-        let (a, b, c) = (
-            self.value[3 * k + 1],
-            self.value[3 * k + 2],
-            self.value[3 * k + 3],
-        );
-        (a && (b || c)) || (b && c)
-    }
-}
-
-impl DeltaEvaluator for HqsDeltaEval {
-    fn reset(&mut self, coloring: &Coloring) -> bool {
-        assert_eq!(coloring.universe_size(), self.leaves, "universe mismatch");
-        for k in (0..self.internal + self.leaves).rev() {
-            self.value[k] = self.gate(k, coloring);
-        }
-        self.primed = true;
-        self.value[0]
-    }
-
-    fn update(&mut self, post: &Coloring, delta: &ColoringDelta) -> bool {
-        assert!(self.primed, "update before reset");
-        assert_eq!(post.universe_size(), self.leaves, "universe mismatch");
-        let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.clear();
-        for e in delta.flipped_elements() {
-            let mut k = self.internal + e;
-            loop {
-                dirty.push(k);
-                if k == 0 {
-                    break;
-                }
-                k = (k - 1) / 3;
-            }
-        }
-        // Children carry larger heap indices than their parents, so a
-        // descending sweep recomputes every dirty gate after its inputs.
-        dirty.sort_unstable_by(|a, b| b.cmp(a));
-        dirty.dedup();
-        for &k in &dirty {
-            self.value[k] = self.gate(k, post);
-        }
-        self.dirty = dirty;
-        self.value[0]
-    }
-
-    fn verdict(&self) -> bool {
-        assert!(self.primed, "verdict before reset");
-        self.value[0]
-    }
-}
+/// Largest representable height: `3^16` leaves.
+const MAX_HEIGHT: usize = 16;
 
 /// Kumar's Hierarchical Quorum System over `n = 3^h` elements.
 ///
@@ -125,7 +55,7 @@ impl Hqs {
                 reason: "HQS requires height at least 1".into(),
             });
         }
-        if height > 16 {
+        if height > MAX_HEIGHT {
             return Err(QuorumError::InvalidConstruction {
                 reason: format!("HQS of height {height} is too large to represent"),
             });
@@ -136,7 +66,8 @@ impl Hqs {
         })
     }
 
-    /// Creates the largest HQS with at most `max_elements` leaves.
+    /// Creates the largest HQS with at most `max_elements` leaves, capped at
+    /// the largest representable height (16).
     ///
     /// # Errors
     ///
@@ -148,7 +79,7 @@ impl Hqs {
             });
         }
         let mut h = 1;
-        while 3usize.pow(h as u32 + 1) <= max_elements {
+        while h < MAX_HEIGHT && 3usize.pow(h as u32 + 1) <= max_elements {
             h += 1;
         }
         Self::new(h)
@@ -259,15 +190,21 @@ impl QuorumSystem for Hqs {
         dispatch_lane_block!(self, lanes, width, out)
     }
 
+    /// The composition evaluator on the ternary heap (node `k` has children
+    /// `3k+1 ..= 3k+3`, leaf `j` sits at `internal + j`): internal node `k`
+    /// is 2-of-3 gate `internal − 1 − k`, so children precede parents and
+    /// the root is last. A leaf feeds its parent's gate.
     fn delta_evaluator(&self) -> Option<Box<dyn DeltaEvaluator + Send>> {
         let internal = (self.n - 1) / 2;
-        Some(Box::new(HqsDeltaEval {
-            internal,
-            leaves: self.n,
-            value: vec![false; internal + self.n],
-            dirty: Vec::new(),
-            primed: false,
-        }))
+        let gate = |k: usize| (internal - 1 - k) as u32;
+        let gates = (0..internal)
+            .rev()
+            .map(|k| (if k == 0 { ROOT } else { gate((k - 1) / 3) }, 2));
+        Some(Box::new(CompositionDeltaEval::from_index(
+            gates,
+            (0..=self.n as u32).collect(),
+            (0..self.n).map(|j| gate((internal + j - 1) / 3)).collect(),
+        )))
     }
 
     fn min_quorum_size(&self) -> usize {
@@ -306,6 +243,12 @@ mod tests {
         assert_eq!(Hqs::with_at_most(9).unwrap().height(), 2);
         assert_eq!(Hqs::with_at_most(100).unwrap().height(), 4);
         assert!(Hqs::with_at_most(2).is_err());
+        // The search stops at the largest representable height.
+        assert_eq!(Hqs::with_at_most(3usize.pow(16) - 1).unwrap().height(), 15);
+        for max in [3usize.pow(16), 3usize.pow(17), usize::MAX] {
+            assert_eq!(Hqs::with_at_most(max).unwrap().height(), 16);
+            assert_eq!(Hqs::with_size_hint(max).height(), 16);
+        }
     }
 
     #[test]

@@ -332,6 +332,52 @@ mod tests {
         }
     }
 
+    /// The heap-indexed Tree and HQS evaluators on every transition between
+    /// colorings at heights 1 and 2 (one gate, then the first parent links):
+    /// every multi-flip delta, a node flipped with its ancestor included,
+    /// against `has_green_quorum` and the compiled twin's evaluator.
+    #[test]
+    fn heap_indexed_evaluators_match_scratch_on_all_transitions() {
+        use quorum_core::Coloring;
+
+        for height in [1, 2] {
+            let pairs: [(DynQuorumSystem, SystemSpec); 2] = [
+                (
+                    Arc::new(TreeQuorum::new(height).unwrap()),
+                    SystemSpec::tree_as_compose(height),
+                ),
+                (
+                    Arc::new(Hqs::new(height).unwrap()),
+                    SystemSpec::hqs_as_compose(height),
+                ),
+            ];
+            for (native, twin) in pairs {
+                let twin = twin.build().unwrap();
+                let colorings = Coloring::enumerate_all(native.universe_size());
+                let verdicts: Vec<bool> = colorings
+                    .iter()
+                    .map(|c| native.has_green_quorum(c))
+                    .collect();
+                let mut evals = [native.delta_evaluator(), twin.delta_evaluator()]
+                    .map(|eval| eval.expect("both carry a delta evaluator"));
+                for (start, &was) in colorings.iter().zip(&verdicts) {
+                    for (end, &expected) in colorings.iter().zip(&verdicts) {
+                        let delta = start.diff(end);
+                        for eval in &mut evals {
+                            assert_eq!(eval.reset(start), was);
+                            assert_eq!(
+                                eval.update(end, &delta),
+                                expected,
+                                "{} transition {start} -> {end}",
+                                native.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Every family's word-parallel lane evaluator must agree with the scalar
     /// characteristic function, trial by trial, across word-boundary sizes.
     #[test]

@@ -1,79 +1,13 @@
 //! The Tree quorum system of Agrawal & El Abbadi.
 
 use quorum_core::lanes::Lanes;
-use quorum_core::{
-    Coloring, ColoringDelta, DeltaEvaluator, ElementId, ElementSet, QuorumError, QuorumSystem,
-};
+use quorum_core::{DeltaEvaluator, ElementId, ElementSet, QuorumError, QuorumSystem};
 
+use crate::composition::{CompositionDeltaEval, ROOT};
 use crate::dispatch_lane_block;
 
-/// Incremental tree evaluation: one cached gate value per node. A delta only
-/// recomputes the flipped nodes and their root paths — the dirty subcircuit —
-/// in decreasing heap order (children before parents), so an update costs
-/// O(flips · height) instead of O(n).
-#[derive(Debug, Clone)]
-struct TreeDeltaEval {
-    n: usize,
-    value: Vec<bool>,
-    dirty: Vec<usize>,
-    primed: bool,
-}
-
-impl TreeDeltaEval {
-    /// Recomputes the gate at node `v` from the coloring and the (already
-    /// current) child values.
-    fn gate(&self, v: usize, coloring: &Coloring) -> bool {
-        let green = coloring.is_green(v);
-        let l = 2 * v + 1;
-        if l >= self.n {
-            return green;
-        }
-        let (left, right) = (self.value[l], self.value[l + 1]);
-        (green && (left || right)) || (left && right)
-    }
-}
-
-impl DeltaEvaluator for TreeDeltaEval {
-    fn reset(&mut self, coloring: &Coloring) -> bool {
-        assert_eq!(coloring.universe_size(), self.n, "universe mismatch");
-        for v in (0..self.n).rev() {
-            self.value[v] = self.gate(v, coloring);
-        }
-        self.primed = true;
-        self.value[0]
-    }
-
-    fn update(&mut self, post: &Coloring, delta: &ColoringDelta) -> bool {
-        assert!(self.primed, "update before reset");
-        assert_eq!(post.universe_size(), self.n, "universe mismatch");
-        let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.clear();
-        for e in delta.flipped_elements() {
-            let mut v = e;
-            loop {
-                dirty.push(v);
-                if v == 0 {
-                    break;
-                }
-                v = (v - 1) / 2;
-            }
-        }
-        // Children carry larger heap indices than their parents, so a
-        // descending sweep recomputes every dirty gate after its inputs.
-        dirty.sort_unstable_by(|a, b| b.cmp(a));
-        dirty.dedup();
-        for &v in &dirty {
-            self.value[v] = self.gate(v, post);
-        }
-        self.dirty = dirty;
-        self.value[0]
-    }
-
-    fn verdict(&self) -> bool {
-        assert!(self.primed, "verdict before reset");
-        self.value[0]
-    }
-}
+/// Largest representable height: `2^26 − 1` nodes.
+const MAX_HEIGHT: usize = 25;
 
 /// The Tree quorum system over a complete binary tree of height `h`
 /// (`n = 2^{h+1} − 1` elements, one per tree node, in heap order: the root is
@@ -126,7 +60,7 @@ impl TreeQuorum {
                 reason: "tree quorum systems require height at least 1".into(),
             });
         }
-        if height > 25 {
+        if height > MAX_HEIGHT {
             return Err(QuorumError::InvalidConstruction {
                 reason: format!("tree of height {height} is too large to represent"),
             });
@@ -135,7 +69,8 @@ impl TreeQuorum {
         Ok(TreeQuorum { height, n })
     }
 
-    /// Creates the largest tree system with at most `max_elements` elements.
+    /// Creates the largest tree system with at most `max_elements` elements,
+    /// capped at the largest representable height (25).
     ///
     /// # Errors
     ///
@@ -147,7 +82,7 @@ impl TreeQuorum {
             });
         }
         let mut h = 1;
-        while (1usize << (h + 2)) - 1 <= max_elements {
+        while h < MAX_HEIGHT && (1usize << (h + 2)) - 1 <= max_elements {
             h += 1;
         }
         Self::new(h)
@@ -255,13 +190,22 @@ impl QuorumSystem for TreeQuorum {
         dispatch_lane_block!(self, lanes, width, out)
     }
 
+    /// The composition evaluator on the heap layout: internal node `v` is
+    /// 2-of-3 gate `internal − 1 − v` over `{v, L, R}`, so children precede
+    /// parents and the root is last. An internal element feeds its own
+    /// gate, a leaf its parent's.
     fn delta_evaluator(&self) -> Option<Box<dyn DeltaEvaluator + Send>> {
-        Some(Box::new(TreeDeltaEval {
-            n: self.n,
-            value: vec![false; self.n],
-            dirty: Vec::new(),
-            primed: false,
-        }))
+        let internal = self.n / 2;
+        let gate = |v: usize| (internal - 1 - v) as u32;
+        let gates = (0..internal)
+            .rev()
+            .map(|v| (if v == 0 { ROOT } else { gate((v - 1) / 2) }, 2));
+        let feeds = |e: usize| gate(if e < internal { e } else { (e - 1) / 2 });
+        Some(Box::new(CompositionDeltaEval::from_index(
+            gates,
+            (0..=self.n as u32).collect(),
+            (0..self.n).map(feeds).collect(),
+        )))
     }
 
     fn min_quorum_size(&self) -> usize {
@@ -306,6 +250,15 @@ mod tests {
         assert_eq!(TreeQuorum::with_at_most(7).unwrap().universe_size(), 7);
         assert_eq!(TreeQuorum::with_at_most(100).unwrap().universe_size(), 63);
         assert!(TreeQuorum::with_at_most(2).is_err());
+        // The search stops at the largest representable height.
+        assert_eq!(
+            TreeQuorum::with_at_most((1 << 26) - 2).unwrap().height(),
+            24
+        );
+        for max in [(1 << 26) - 1, 1 << 27, usize::MAX] {
+            assert_eq!(TreeQuorum::with_at_most(max).unwrap().height(), 25);
+            assert_eq!(TreeQuorum::with_size_hint(max).height(), 25);
+        }
     }
 
     #[test]
