@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use probequorum::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
 fn configured() -> Criterion {
@@ -129,6 +129,62 @@ fn bench_batched_availability(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_lanes_native_vs_tape(c: &mut Criterion) {
+    // `green_quorum_lane_block` alone on p = ½ lane words, each native
+    // family beside its compiled `Compose` twin, at n ≈ 2⁶, 2¹⁰ and 2¹⁶ and
+    // widths 1 and 8: where the tape comes within 10 % of the native kernel,
+    // at sizes no probebench workload runs.
+    let mut group = c.benchmark_group("lanes/native_vs_tape");
+    let mut pairs = Vec::new();
+    for h in [5, 9, 15] {
+        let (native, twin) = (
+            SystemSpec::Tree { height: h },
+            SystemSpec::tree_as_compose(h),
+        );
+        pairs.push(("Tree", h.to_string(), native, twin));
+    }
+    for h in [4, 6, 10] {
+        let (native, twin) = (SystemSpec::Hqs { height: h }, SystemSpec::hqs_as_compose(h));
+        pairs.push(("HQS", h.to_string(), native, twin));
+    }
+    for side in [8, 32, 256] {
+        let native = SystemSpec::Grid {
+            rows: side,
+            cols: side,
+        };
+        let twin = SystemSpec::grid_as_compose(side, side);
+        pairs.push(("Grid", format!("{side}x{side}"), native, twin));
+    }
+    for n in [65, 1025, 65_537] {
+        let (native, twin) = (
+            SystemSpec::Majority { n },
+            SystemSpec::majority_as_compose(n),
+        );
+        pairs.push(("Maj", n.to_string(), native, twin));
+    }
+    let mut rng = StdRng::seed_from_u64(23);
+    for (family, size, native, twin) in pairs {
+        let systems = [
+            (format!("{family}{size}"), native.build().unwrap()),
+            (format!("{family}C{size}"), twin.build().unwrap()),
+        ];
+        let n = systems[0].1.universe_size();
+        for width in [1usize, 8] {
+            let lanes: Vec<u64> = (0..n * width).map(|_| rng.gen()).collect();
+            let mut out = vec![0u64; width];
+            for (name, system) in &systems {
+                group.bench_function(BenchmarkId::new(format!("w{width}"), name), |b| {
+                    b.iter(|| {
+                        assert!(system.green_quorum_lane_block(&lanes, width, &mut out));
+                        out[0]
+                    })
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
 fn bench_engine_probes(c: &mut Criterion) {
     // Expected-probes through the chunked engine: one plan cell at n = 1025.
     use probequorum::sim::eval::{erase_system, typed_strategy, ColoringSource, EvalPlan};
@@ -223,6 +279,7 @@ fn bench_delta_update(c: &mut Criterion) {
         ("Grid64x64", SystemSpec::Grid { rows: 64, cols: 64 }),
         ("GridC64x64", SystemSpec::grid_as_compose(64, 64)),
         ("Maj4097", SystemSpec::Majority { n: 4097 }),
+        ("MajC4097", SystemSpec::majority_as_compose(4097)),
     ];
     for (name, spec) in systems {
         let system = spec.build().unwrap();
@@ -260,6 +317,6 @@ fn bench_delta_update(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_contains_quorum, bench_availability, bench_batched_availability, bench_engine_probes, bench_enumeration, bench_failure_sampling, bench_churn_walk, bench_delta_update
+    targets = bench_contains_quorum, bench_availability, bench_batched_availability, bench_lanes_native_vs_tape, bench_engine_probes, bench_enumeration, bench_failure_sampling, bench_churn_walk, bench_delta_update
 }
 criterion_main!(benches);

@@ -1400,9 +1400,11 @@ fn compose_lane_agreement(
     for round in 0..rounds {
         let mut rngs = [StdRng::seed_from_u64(seed ^ (round as u64 + 1))];
         model.sample_green_lanes(n, round as u64, &mut rngs, &mut lanes);
-        let word = system
-            .green_quorum_lanes(&lanes)
-            .expect("compositions implement lane evaluation");
+        let mut word = 0u64;
+        assert!(
+            system.green_quorum_lane_block(&lanes, 1, std::slice::from_mut(&mut word)),
+            "compositions implement lane evaluation"
+        );
         for lane in 0..64 {
             for (element, bits) in lanes.iter().enumerate() {
                 let green = (bits >> lane) & 1 == 1;
@@ -1591,17 +1593,14 @@ pub fn compose(config: &ReproConfig) -> Table {
         .into_iter()
         .next()
         .expect("the scenario battery is non-empty");
-    let cell = NetWorkloadCell {
-        system: erase_spec(&org_spec).expect("valid spec"),
-        strategy: WorkloadStrategy::Paper(universal_strategy(SequentialScan::new())),
-        source: ColoringSource::iid(0.05),
-        workload: "open-poisson".into(),
-        config: workload_config,
-        net: scenario.name.to_string(),
-        network: scenario.network.clone(),
-        policy: scenario.policy,
-        health: None,
-    };
+    let cell = WorkloadCell::new(
+        erase_spec(&org_spec).expect("valid spec"),
+        WorkloadStrategy::Paper(universal_strategy(SequentialScan::new())),
+        ColoringSource::iid(0.05),
+        "open-poisson",
+        workload_config,
+    )
+    .with_scenario(&scenario);
     let outcome = run_live_cell(base_seed ^ 0x11fe, 0, &cell, &options);
     if !outcome.agreement.agree {
         eprintln!(
@@ -1676,13 +1675,13 @@ pub fn workload(config: &ReproConfig) -> Table {
         ] {
             for (name, workload_config) in &workloads {
                 for source in &scenarios {
-                    cells.push(WorkloadCell {
-                        system: system.clone(),
-                        strategy: strategy.clone(),
-                        source: source.clone(),
-                        workload: (*name).to_string(),
-                        config: *workload_config,
-                    });
+                    cells.push(WorkloadCell::new(
+                        system.clone(),
+                        strategy.clone(),
+                        source.clone(),
+                        *name,
+                        *workload_config,
+                    ));
                 }
             }
         }
@@ -1704,8 +1703,7 @@ pub fn workload(config: &ReproConfig) -> Table {
 /// every faulty scenario runs twice — once with the **naive** single-attempt
 /// policy and once with the scenario's recommended robust policy — so each
 /// row pair shows what retries and hedging buy. The `clean` rows are the
-/// control: they are produced by exactly the latency-only engine's code path
-/// and match [`workload`]-style cells bit for bit.
+/// control: the network every [`workload`] cell runs on.
 ///
 /// Rows report ok-rate (sessions that located a quorum in their *observed*
 /// coloring), virtual-time throughput, p50/p95/p99 session latency, probes,
@@ -1741,23 +1739,24 @@ pub fn network(config: &ReproConfig) -> Table {
             if !scenario.policy.is_sequential() {
                 policies.push(ProbePolicy::sequential());
             }
+            let cell = WorkloadCell::new(
+                system.clone(),
+                WorkloadStrategy::Paper(Arc::clone(paper)),
+                ColoringSource::iid(0.05),
+                "open-poisson",
+                workload_config,
+            )
+            .with_scenario(&scenario);
             for policy in policies {
-                cells.push(NetWorkloadCell {
-                    system: system.clone(),
-                    strategy: WorkloadStrategy::Paper(Arc::clone(paper)),
-                    source: ColoringSource::iid(0.05),
-                    workload: "open-poisson".into(),
-                    config: workload_config,
-                    net: scenario.name.to_string(),
-                    network: scenario.network.clone(),
+                cells.push(WorkloadCell {
                     policy,
-                    health: None,
+                    ..cell.clone()
                 });
             }
         }
     }
 
-    let outcomes = run_net_workload_cells(&config.engine(), config.section_seed("network"), &cells);
+    let outcomes = run_workload_cells(&config.engine(), config.section_seed("network"), &cells);
     net_outcomes_table(&outcomes)
 }
 
@@ -1821,17 +1820,14 @@ pub fn live(config: &ReproConfig) -> (Table, Table) {
     for (system, paper) in &systems {
         let n = system.universe_size();
         for scenario in network_scenarios(n, &workload_config) {
-            let cell = NetWorkloadCell {
-                system: system.clone(),
-                strategy: WorkloadStrategy::Paper(Arc::clone(paper)),
-                source: ColoringSource::iid(0.05),
-                workload: "open-poisson".into(),
-                config: workload_config,
-                net: scenario.name.to_string(),
-                network: scenario.network.clone(),
-                policy: scenario.policy,
-                health: None,
-            };
+            let cell = WorkloadCell::new(
+                system.clone(),
+                WorkloadStrategy::Paper(Arc::clone(paper)),
+                ColoringSource::iid(0.05),
+                "open-poisson",
+                workload_config,
+            )
+            .with_scenario(&scenario);
             let outcome = run_live_cell(seed, index, &cell, &options);
             index += 1;
             if !outcome.agreement.agree {
@@ -1968,17 +1964,14 @@ pub fn chaos(config: &ReproConfig) -> (Table, Table) {
         let n = system.universe_size();
         for scenario in chaos_scenarios(n, &workload_config) {
             for health in [None, Some(HealthConfig::default())] {
-                let mut cell = NetWorkloadCell {
-                    system: system.clone(),
-                    strategy: WorkloadStrategy::Paper(Arc::clone(paper)),
-                    source: ColoringSource::iid(0.05),
-                    workload: "open-poisson".into(),
-                    config: workload_config,
-                    net: scenario.name.to_string(),
-                    network: scenario.network.clone(),
-                    policy: scenario.policy,
-                    health: None,
-                };
+                let mut cell = WorkloadCell::new(
+                    system.clone(),
+                    WorkloadStrategy::Paper(Arc::clone(paper)),
+                    ColoringSource::iid(0.05),
+                    "open-poisson",
+                    workload_config,
+                )
+                .with_scenario(&scenario);
                 if let Some(breaker) = health {
                     cell = cell.with_health(breaker);
                 }
@@ -2076,8 +2069,8 @@ pub fn chaos(config: &ReproConfig) -> (Table, Table) {
 /// * `avail/scalar` — the scalar Monte-Carlo availability estimator (one
 ///   coloring sampled and checked per trial);
 /// * `avail/batched` — the word-parallel batched estimator (64 trials per
-///   word pass via `green_quorum_lanes`), with its speedup over the scalar
-///   path in the last column.
+///   lane word through `green_quorum_lane_block`), with its speedup over
+///   the scalar path in the last column.
 ///
 /// Timings are wall-clock and therefore **not** deterministic; the
 /// `reproduce` binary prints this table to stderr and records it in the

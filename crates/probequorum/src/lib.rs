@@ -71,8 +71,6 @@ pub mod prelude {
         SessionTrace, SimTime, SpecReport, SupervisorPolicy, WorkloadConfig, WorkloadReport,
         WorkloadSpec,
     };
-    #[allow(deprecated)]
-    pub use quorum_cluster::{run_net_workload, run_workload};
     pub use quorum_core::{
         delta_evaluator_for, Color, Coloring, ColoringDelta, Coterie, DeltaEvaluator,
         DynQuorumSystem, ElementId, ElementSet, Organizations, QuorumError, QuorumSystem,
@@ -94,10 +92,9 @@ pub mod prelude {
         batched_availability, batched_failure_probability, chaos_recovery_micros, chaos_scenarios,
         closed_loop_workload, estimate_expected_probes, estimate_worst_case,
         exhaustive_expected_probes, net_outcomes_table, network_scenarios, open_poisson_workload,
-        outcomes_table, run_live_cell, run_net_workload_cells, run_workload_cells,
-        standard_workloads, sweep, worst_case_over_colorings, ChurnTrajectory, Estimate,
-        FailureModel, LiveCellOutcome, NetScenario, NetWorkloadCell, NetWorkloadOutcome, Table,
-        WorkloadCell, WorkloadOutcome, WorkloadStrategy,
+        outcomes_table, run_live_cell, run_workload_cells, standard_workloads, sweep,
+        worst_case_over_colorings, ChurnTrajectory, Estimate, FailureModel, LiveCellOutcome,
+        NetScenario, Table, WorkloadCell, WorkloadOutcome, WorkloadStrategy,
     };
     pub use quorum_systems::{
         catalogue, BuiltSystem, Composition, CompositionNode, CrumblingWalls, Grid, Hqs, Majority,

@@ -70,8 +70,6 @@ pub use spec::{
     TracedSession, WorkloadSpec,
 };
 pub use time::SimTime;
-#[allow(deprecated)]
-pub use workload::{run_net_workload, run_workload};
 pub use workload::{
     ArrivalProcess, Distribution, LoadLedger, NetProbe, NetSessionPlan, SessionPlan,
     WorkloadConfig, WorkloadReport,

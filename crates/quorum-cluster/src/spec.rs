@@ -3,12 +3,10 @@
 //! virtual-time simulator and the real-concurrency live runtime from the
 //! same [`NetSessionPlan`] / [`ProbePolicy`] types.
 //!
-//! Historically the crate grew three diverging run surfaces —
-//! [`run_workload`](crate::workload::run_workload) (latency-only),
-//! [`run_net_workload`](crate::workload::run_net_workload) (message-level)
-//! and `quorum-sim`'s cell wrappers — each threading the same parameters in
-//! a different order. `WorkloadSpec` subsumes them: the old free functions
-//! are kept as deprecated, bit-identical thin wrappers over the builder.
+//! It is the one run surface of the workload engine: latency-only plans
+//! ([`WorkloadSpec::run_plans`]) and message-level plans
+//! ([`WorkloadSpec::run`]) go through the same builder, and `quorum-sim`'s
+//! workload cells are assembled on it.
 //!
 //! The backend axis is where the API earns its keep:
 //!
@@ -324,8 +322,7 @@ pub fn cross_validate(
 /// [`Backend::Live`].
 #[derive(Debug)]
 pub struct SpecReport {
-    /// The discrete-event engine's report — identical to what the deprecated
-    /// free functions returned for the same inputs.
+    /// The discrete-event engine's report.
     pub report: WorkloadReport,
     /// The captured per-session trace (live backend only).
     pub trace: Option<SessionTrace>,
@@ -493,8 +490,16 @@ impl WorkloadSpec {
     }
 
     /// Runs the spec. `session(index, ledger, now, rng)` is called once per
-    /// session at its (virtual) arrival time — exactly the closure contract
-    /// of the deprecated [`run_net_workload`](crate::workload::run_net_workload).
+    /// session at its (virtual) arrival time, with the live ledger and the
+    /// engine's RNG: the caller samples the failure scenario, decides each
+    /// element's transit fate through [`NetworkModel::probe_fate`], runs its
+    /// strategy against the *observed* coloring, and returns the resulting
+    /// [`NetSessionPlan`]. Failed attempts cost the configured timeout (plus
+    /// the policy's backoff); answered attempts travel the delay → queue →
+    /// service → delay pipeline; a hedging policy launches the session's
+    /// next candidate once a probe has not resolved after the hedging delay
+    /// (at most two probes in flight, the race's slower probe counted as
+    /// cancelled).
     ///
     /// Under [`Backend::Sim`] this is the discrete-event engine, bit for bit.
     /// Under [`Backend::Live`] the sim runs first (same bits), its trace is
@@ -549,9 +554,11 @@ impl WorkloadSpec {
         }
     }
 
-    /// Runs the spec on latency-only plans (the contract of the deprecated
-    /// [`run_workload`](crate::workload::run_workload)): green probes answer
-    /// first try, red probes are one unanswered attempt.
+    /// Runs the spec on latency-only plans: green probes answer first try,
+    /// red probes are one unanswered attempt (the timeout). `session(index,
+    /// ledger, now)` is called once per session at its arrival time, with
+    /// the live ledger — where a caller samples the failure scenario and
+    /// runs a (possibly load-aware) probe strategy.
     ///
     /// The report is the one [`run`](Self::run) gives for the same plans
     /// widened by [`NetSessionPlan::from_plan`]. The sim backend prices the

@@ -33,10 +33,11 @@
 //! network model, and running a probe strategy against the *observed*
 //! coloring; the engine turns them into interleaved, queued, timed RPCs.
 //! Everything is a pure function of the seed and the supplied closure, so
-//! runs are bit-reproducible — and [`run_workload`] (the latency-only entry
-//! point of the pre-network engine) is exactly [`run_net_workload`] on a
+//! runs are bit-reproducible. [`WorkloadSpec`](crate::spec::WorkloadSpec)
+//! is the entry point: `run` takes message-level plans, and `run_plans`
+//! takes latency-only ones, which price exactly as `run` prices them on a
 //! [`NetworkModel::clean`] network with the [`ProbePolicy::sequential`]
-//! policy, so clean-network rows are bit-identical to the old engine's.
+//! policy.
 //!
 //! Pending events (arrivals, probe resolutions, hedge timers) wait on a
 //! timing wheel of one-microsecond slots; events a span or more ahead of the
@@ -717,82 +718,6 @@ impl EngineState {
     }
 }
 
-/// Runs one latency-only workload over `n` nodes, returning its report.
-///
-/// This is the oracle-flavoured entry point: probes to live nodes always
-/// answer, probes to crashed nodes cost the timeout. It is a thin wrapper
-/// over [`WorkloadSpec`](crate::spec::WorkloadSpec) on a clean network with
-/// the sequential policy, so its rows are bit-identical to the builder's.
-///
-/// `session(index, ledger, now)` is called once per session, at its arrival
-/// time, with the live ledger — this is where a caller samples the failure
-/// scenario and runs a (possibly load-aware) probe strategy.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid or a plan's `colors` length does
-/// not match its `sequence`.
-#[deprecated(
-    since = "0.1.0",
-    note = "assemble a `quorum_cluster::spec::WorkloadSpec` and call `run_plans` instead"
-)]
-pub fn run_workload<F>(n: usize, config: &WorkloadConfig, seed: u64, session: F) -> WorkloadReport
-where
-    F: FnMut(u64, &LoadLedger, SimTime) -> SessionPlan,
-{
-    crate::spec::WorkloadSpec::new(n)
-        .config(*config)
-        .run_plans(seed, session)
-        .report
-}
-
-/// Runs one message-level workload over `n` nodes, returning its report.
-///
-/// `session(index, ledger, now, rng)` is called once per session, at its
-/// arrival time, with the live ledger and the engine's RNG — the caller
-/// samples the failure scenario, decides each element's transit fate through
-/// [`NetworkModel::probe_fate`], runs its strategy against the *observed*
-/// coloring, and returns the resulting [`NetSessionPlan`]. The engine then
-/// executes the plan probe by probe: failed attempts cost the configured
-/// timeout (plus the policy's backoff), answered attempts travel the delay →
-/// queue → service → delay pipeline, and — when the policy hedges — a probe
-/// that has not resolved after the hedging delay launches the session's next
-/// candidate in parallel (at most two probes in flight; the race's slower
-/// probe is counted as cancelled).
-///
-/// Determinism: all randomness comes from one `StdRng` seeded with `seed`
-/// (handed to the closure for fate draws), events tie-break on a schedule
-/// counter, and the engine is single-threaded — the report is a pure
-/// function of `(n, config, network, policy, seed, session)`.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid. (A red observation with no
-/// failed attempts is legal: it is a *shed* probe that resolves instantly
-/// at zero cost.)
-#[deprecated(
-    since = "0.1.0",
-    note = "assemble a `quorum_cluster::spec::WorkloadSpec` and call `run` instead"
-)]
-pub fn run_net_workload<F>(
-    n: usize,
-    config: &WorkloadConfig,
-    network: &NetworkModel,
-    policy: &ProbePolicy,
-    seed: u64,
-    session: F,
-) -> WorkloadReport
-where
-    F: FnMut(u64, &LoadLedger, SimTime, &mut StdRng) -> NetSessionPlan,
-{
-    crate::spec::WorkloadSpec::new(n)
-        .config(*config)
-        .network(network.clone())
-        .policy(*policy)
-        .run(seed, session)
-        .report
-}
-
 /// The discrete-event engine behind every backend: prices each session plan
 /// in virtual time under `network` and `policy`, with all randomness drawn
 /// from one `StdRng` seeded with `seed` — the report is a pure function of
@@ -1022,10 +947,10 @@ where
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::network::PartitionSchedule;
+    use crate::spec::WorkloadSpec;
     use quorum_core::{Coloring, QuorumSystem};
     use quorum_probe::run_strategy;
     use quorum_probe::strategies::SequentialScan;
@@ -1068,7 +993,10 @@ mod tests {
             },
             200,
         );
-        let report = run_workload(n, &config, 1, maj_sessions(n));
+        let report = WorkloadSpec::new(n)
+            .config(config)
+            .run_plans(1, maj_sessions(n))
+            .report;
         assert_eq!(report.sessions, 200);
         assert_eq!(report.successes, 200);
         // Sequential scan on all-green Maj(7) always probes 4 elements.
@@ -1103,7 +1031,10 @@ mod tests {
             },
             60,
         );
-        let report = run_workload(n, &config, 2, maj_sessions(n));
+        let report = WorkloadSpec::new(n)
+            .config(config)
+            .run_plans(2, maj_sessions(n))
+            .report;
         assert_eq!(report.sessions, 60);
         // At most `clients` sessions in flight ⇒ a node's backlog can never
         // exceed the client population.
@@ -1125,12 +1056,13 @@ mod tests {
             },
             100,
         );
-        let a = run_workload(n, &config, 9, maj_sessions(n));
-        let b = run_workload(n, &config, 9, maj_sessions(n));
+        let spec = WorkloadSpec::new(n).config(config);
+        let a = spec.run_plans(9, maj_sessions(n)).report;
+        let b = spec.run_plans(9, maj_sessions(n)).report;
         assert_eq!(a.duration, b.duration);
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.ledger.probes_received(), b.ledger.probes_received());
-        let c = run_workload(n, &config, 10, maj_sessions(n));
+        let c = spec.run_plans(10, maj_sessions(n)).report;
         assert_ne!(a.duration, c.duration, "a different seed must differ");
     }
 
@@ -1151,8 +1083,13 @@ mod tests {
             },
             150,
         );
-        let calm = run_workload(n, &relaxed, 3, maj_sessions(n));
-        let hot = run_workload(n, &slammed, 3, maj_sessions(n));
+        let spec = WorkloadSpec::new(n);
+        let calm = spec
+            .clone()
+            .config(relaxed)
+            .run_plans(3, maj_sessions(n))
+            .report;
+        let hot = spec.config(slammed).run_plans(3, maj_sessions(n)).report;
         let hot_p99 = hot.latency.p99().unwrap();
         let calm_p99 = calm.latency.p99().unwrap();
         assert!(
@@ -1175,15 +1112,18 @@ mod tests {
         );
         // Element 0 is crashed in every session's view.
         let coloring = Coloring::from_fn(n, |e| if e == 0 { Color::Red } else { Color::Green });
-        let report = run_workload(n, &config, 4, |session, _ledger, _now| {
-            let mut rng = StdRng::seed_from_u64(session);
-            let run = run_strategy(&maj, &SequentialScan::new(), &coloring, &mut rng);
-            SessionPlan {
-                colors: run.sequence.iter().map(|&e| coloring.color(e)).collect(),
-                sequence: run.sequence,
-                success: run.witness.is_green(),
-            }
-        });
+        let report = WorkloadSpec::new(n)
+            .config(config)
+            .run_plans(4, |session, _ledger, _now| {
+                let mut rng = StdRng::seed_from_u64(session);
+                let run = run_strategy(&maj, &SequentialScan::new(), &coloring, &mut rng);
+                SessionPlan {
+                    colors: run.sequence.iter().map(|&e| coloring.color(e)).collect(),
+                    sequence: run.sequence,
+                    success: run.witness.is_green(),
+                }
+            })
+            .report;
         assert_eq!(report.sessions, 20);
         assert_eq!(report.successes, 20);
         assert_eq!(report.ledger.timeouts()[0], 20);
@@ -1359,7 +1299,7 @@ mod tests {
         for arrival in arrivals {
             for policy in policies {
                 let case = format!("{} / {policy:?}", arrival.label());
-                let spec = crate::spec::WorkloadSpec::new(n)
+                let spec = WorkloadSpec::new(n)
                     .config(lan_config(arrival, 150))
                     .policy(policy);
                 let direct = spec.run_plans(11, mixed_sessions(n)).report;
@@ -1391,21 +1331,18 @@ mod tests {
             10,
         );
         let policy = ProbePolicy::retry(3, SimTime::from_micros(500));
-        let report = run_net_workload(
-            n,
-            &config,
-            &NetworkModel::clean(),
-            &policy,
-            13,
-            |_index, _ledger, _now, _rng| NetSessionPlan {
+        let report = WorkloadSpec::new(n)
+            .config(config)
+            .policy(policy)
+            .run(13, |_index, _ledger, _now, _rng| NetSessionPlan {
                 probes: vec![NetProbe {
                     node: 0,
                     observed: Color::Green,
                     failures: vec![AttemptLoss::Request, AttemptLoss::Response],
                 }],
                 success: true,
-            },
-        );
+            })
+            .report;
         assert_eq!(report.sessions, 10);
         // 3 attempts per session: 2 failed + 1 answered.
         assert_eq!(report.probes, 30);
@@ -1463,23 +1400,13 @@ mod tests {
             ],
             success: true,
         };
-        let sequential = run_net_workload(
-            n,
-            &config,
-            &NetworkModel::clean(),
-            &ProbePolicy::sequential(),
-            17,
-            |_, _, _, _| plan(),
-        );
+        let spec = WorkloadSpec::new(n).config(config);
+        let sequential = spec.run(17, |_, _, _, _| plan()).report;
         let hedged_policy = ProbePolicy::sequential().with_hedge(SimTime::from_millis(1));
-        let hedged = run_net_workload(
-            n,
-            &config,
-            &NetworkModel::clean(),
-            &hedged_policy,
-            17,
-            |_, _, _, _| plan(),
-        );
+        let hedged = spec
+            .policy(hedged_policy)
+            .run(17, |_, _, _, _| plan())
+            .report;
         assert_eq!(hedged.successes, sequential.successes, "ok-rate unchanged");
         assert_eq!(hedged.probes, sequential.probes, "same observations");
         // Each session hedges exactly once (past the stalled red probe),
@@ -1516,17 +1443,22 @@ mod tests {
             ..NetworkModel::clean()
         };
         let policy = ProbePolicy::sequential();
-        let report = run_net_workload(n, &config, &network, &policy, 19, |_, _, now, rng| {
-            let fate = network.probe_fate(0, true, now, &policy, rng);
-            NetSessionPlan {
-                probes: vec![NetProbe {
-                    node: 0,
-                    observed: fate.observed,
-                    failures: fate.failures,
-                }],
-                success: fate.observed == Color::Green,
-            }
-        });
+        let report = WorkloadSpec::new(n)
+            .config(config)
+            .network(network.clone())
+            .policy(policy)
+            .run(19, |_, _, now, rng| {
+                let fate = network.probe_fate(0, true, now, &policy, rng);
+                NetSessionPlan {
+                    probes: vec![NetProbe {
+                        node: 0,
+                        observed: fate.observed,
+                        failures: fate.failures,
+                    }],
+                    success: fate.observed == Color::Green,
+                }
+            })
+            .report;
         assert_eq!(report.sessions, 40);
         assert!(
             report.successes > 0 && report.successes < 40,
@@ -1553,11 +1485,13 @@ mod tests {
             service: Distribution::fixed(SimTime::from_micros(100)),
             probe_timeout: SimTime::from_millis(1),
         };
-        let _ = run_workload(3, &config, 0, |_, _, _| SessionPlan {
-            sequence: vec![],
-            colors: vec![],
-            success: false,
-        });
+        let _ = WorkloadSpec::new(3)
+            .config(config)
+            .run_plans(0, |_, _, _| SessionPlan {
+                sequence: vec![],
+                colors: vec![],
+                success: false,
+            });
     }
 
     #[test]
@@ -1569,11 +1503,13 @@ mod tests {
             },
             1,
         );
-        let _ = run_workload(3, &config, 0, |_, _, _| SessionPlan {
-            sequence: vec![0, 1],
-            colors: vec![Color::Green],
-            success: true,
-        });
+        let _ = WorkloadSpec::new(3)
+            .config(config)
+            .run_plans(0, |_, _, _| SessionPlan {
+                sequence: vec![0, 1],
+                colors: vec![Color::Green],
+                success: true,
+            });
     }
 
     #[test]

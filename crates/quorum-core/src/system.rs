@@ -48,67 +48,33 @@ pub trait QuorumSystem {
         self.contains_quorum(&coloring.red_set())
     }
 
-    /// Word-parallel evaluation of the characteristic function over **64
-    /// trials at once**: `lanes[e]` carries element `e`'s liveness bit for 64
-    /// independent trials (bit `t` set = green in trial `t`), and bit `t` of
-    /// the returned word is 1 iff trial `t`'s green set contains a quorum.
+    /// Word-parallel evaluation of the characteristic function over
+    /// `width · 64` trials per circuit traversal.
     ///
-    /// Returns `None` when the construction has no lane evaluator; batched
-    /// estimators then fall back to transposing the block and calling
-    /// [`QuorumSystem::contains_quorum`] per trial. Implementations reduce
-    /// quorum checks to AND/OR/threshold word operations over the lanes (see
-    /// [`crate::lanes`]), so the per-trial cost drops by up to 64×.
+    /// Each lane word carries 64 independent trials (bit `t` set = green in
+    /// trial `t`). The lanes are laid out element-major — `lanes[e * width +
+    /// w]` is trial word `w` of element `e`, so each element's block is one
+    /// contiguous `[u64; width]` load. On success the `width` result words
+    /// are written to `out` (bit `t` of `out[w]` = trial `w·64+t` contains a
+    /// green quorum) and `true` is returned. Implementations reduce quorum
+    /// checks to AND/OR/threshold word operations over the lanes (see
+    /// [`crate::lanes`]), so the per-trial cost drops by up to 64×; width 1
+    /// is the single-word case.
     ///
-    /// `lanes.len()` must equal [`QuorumSystem::universe_size`].
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        let _ = lanes;
-        None
-    }
-
-    /// Multi-word block evaluation: `width · 64` trials per circuit traversal.
-    ///
-    /// The lanes are laid out element-major — `lanes[e * width + w]` is trial
-    /// word `w` of element `e`, so each element's block is one contiguous
-    /// `[u64; width]` load. On success the `width` result words are written to
-    /// `out` (bit `t` of `out[w]` = trial `w·64+t` contains a green quorum)
-    /// and `true` is returned.
-    ///
-    /// Implementations dispatch the widths in [`crate::lanes::LANE_WIDTHS`] to
-    /// monomorphised [`crate::lanes::LaneBlock`] evaluators; the default falls
-    /// back to gathering each trial word and calling
-    /// [`QuorumSystem::green_quorum_lanes`], and returns `false` (out
-    /// unspecified) when no lane evaluator exists at all. The method stays
+    /// Implementations dispatch the widths in [`crate::lanes::LANE_WIDTHS`]
+    /// to monomorphised [`crate::lanes::LaneBlock`] evaluators and return
+    /// `false` (out unspecified) for any other width. The default has no
+    /// lane evaluator at all and always returns `false`; batched estimators
+    /// then fall back to transposing the block and calling
+    /// [`QuorumSystem::contains_quorum`] per trial. The method stays
     /// object-safe (runtime `width`, no generics) so `dyn QuorumSystem`
     /// callers get the wide path too.
     ///
     /// `lanes.len()` must equal `universe_size() · width` and `out.len()` must
     /// equal `width`.
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
-        let n = self.universe_size();
-        debug_assert_eq!(lanes.len(), n * width);
-        debug_assert_eq!(out.len(), width);
-        if width == 1 {
-            match self.green_quorum_lanes(lanes) {
-                Some(word) => {
-                    out[0] = word;
-                    return true;
-                }
-                None => return false,
-            }
-        }
-        // Fallback: strided gather of each trial word through the single-word
-        // evaluator. Correct for any width, at single-word speed.
-        let mut scratch = vec![0u64; n];
-        for (w, out_word) in out.iter_mut().enumerate() {
-            for (e, s) in scratch.iter_mut().enumerate() {
-                *s = lanes[e * width + w];
-            }
-            match self.green_quorum_lanes(&scratch) {
-                Some(word) => *out_word = word,
-                None => return false,
-            }
-        }
-        true
+        let _ = (lanes, width, out);
+        false
     }
 
     /// An incremental evaluator of the green-quorum predicate, when the
@@ -192,9 +158,6 @@ impl<T: QuorumSystem + ?Sized> QuorumSystem for &T {
     fn max_quorum_size(&self) -> usize {
         (**self).max_quorum_size()
     }
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        (**self).green_quorum_lanes(lanes)
-    }
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
         (**self).green_quorum_lane_block(lanes, width, out)
     }
@@ -222,9 +185,6 @@ impl<T: QuorumSystem + ?Sized> QuorumSystem for Arc<T> {
     fn max_quorum_size(&self) -> usize {
         (**self).max_quorum_size()
     }
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        (**self).green_quorum_lanes(lanes)
-    }
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
         (**self).green_quorum_lane_block(lanes, width, out)
     }
@@ -251,9 +211,6 @@ impl<T: QuorumSystem + ?Sized> QuorumSystem for Box<T> {
     }
     fn max_quorum_size(&self) -> usize {
         (**self).max_quorum_size()
-    }
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        (**self).green_quorum_lanes(lanes)
     }
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
         (**self).green_quorum_lane_block(lanes, width, out)

@@ -7,9 +7,9 @@
 //! = alive in trial `t`), filled straight from the RNG by the exact
 //! binary-expansion sampler of [`quorum_core::lanes::bernoulli_lanes`], and
 //! the quorum availability check becomes AND/OR/popcount over lanes via
-//! [`quorum_core::QuorumSystem::green_quorum_lanes`]. Systems without a lane
-//! evaluator transparently fall back to a per-trial transpose + scalar check,
-//! so the estimator is total over all constructions.
+//! [`quorum_core::QuorumSystem::green_quorum_lane_block`]. Systems without
+//! a lane evaluator transparently fall back to a per-trial transpose +
+//! scalar check, so the estimator is total over all constructions.
 //!
 //! Determinism: trial word `j` of a run derives its RNG as
 //! `derive_rng(base_seed, BATCH_CELL, j)` and consumes it element-
@@ -17,6 +17,8 @@
 //! superblock. Results are therefore a pure function of
 //! `(system, p, trials, base_seed)` and bit-identical for any worker-thread
 //! count **and any lane width** — the same contract as the evaluation engine.
+
+use std::slice;
 
 use quorum_analysis::RunningStats;
 use quorum_core::lanes::LANE_TRIALS;
@@ -119,10 +121,11 @@ where
                         for (e, lane) in word_lanes.iter_mut().enumerate() {
                             *lane = lanes[e * w + j];
                         }
-                        let word_take = LANE_TRIALS.min(trials - (first_word + j) * LANE_TRIALS);
-                        *out = system
-                            .green_quorum_lanes(&word_lanes)
-                            .unwrap_or_else(|| transpose_and_check(system, &word_lanes, word_take));
+                        if !system.green_quorum_lane_block(&word_lanes, 1, slice::from_mut(out)) {
+                            let word_take =
+                                LANE_TRIALS.min(trials - (first_word + j) * LANE_TRIALS);
+                            *out = transpose_and_check(system, &word_lanes, word_take);
+                        }
                     }
                 }
                 for word in &mut available {

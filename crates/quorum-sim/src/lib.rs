@@ -15,7 +15,8 @@
 //! estimators that evaluate 64 trials per word pass for monotone systems,
 //! and the [`workload`] module runs heavy-traffic [`WorkloadCell`]s on the
 //! cluster's discrete-event scheduler (concurrent sessions, service queues,
-//! load-aware probing) with the same thread-count-invariant guarantee. The
+//! load-aware probing, a message-level network whose default is the clean
+//! one) with the same thread-count-invariant guarantee. The
 //! classic entry points below ([`estimate_expected_probes`],
 //! [`worst_case_over_colorings`], [`sweep`], …) are thin wrappers over the
 //! same engine.
@@ -68,8 +69,8 @@ pub use montecarlo::{estimate_expected_probes, exhaustive_expected_probes, Estim
 pub use report::Table;
 pub use workload::{
     chaos_recovery_micros, chaos_scenarios, closed_loop_workload, net_outcomes_table,
-    network_scenarios, open_poisson_workload, outcomes_table, run_live_cell,
-    run_net_workload_cells, run_workload_cells, standard_workloads, LiveCellOutcome, NetScenario,
-    NetWorkloadCell, NetWorkloadOutcome, WorkloadCell, WorkloadOutcome, WorkloadStrategy,
+    network_scenarios, open_poisson_workload, outcomes_table, run_live_cell, run_workload_cells,
+    standard_workloads, LiveCellOutcome, NetScenario, WorkloadCell, WorkloadOutcome,
+    WorkloadStrategy,
 };
 pub use worstcase::{estimate_worst_case, worst_case_over_colorings};

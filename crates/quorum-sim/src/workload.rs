@@ -1,24 +1,27 @@
 //! Heavy-traffic workload cells: `(system, strategy, failure scenario,
-//! workload)` combinations executed on the cluster's discrete-event
-//! workload engine.
+//! workload, network scenario)` combinations executed on the cluster's
+//! discrete-event workload engine.
 //!
 //! The probe-count engine ([`crate::eval`]) answers *how many probes* a
 //! strategy needs; this module answers how a strategy behaves **under
-//! traffic**: many concurrent client sessions, per-node service queues, and
-//! load-aware probe ordering. Each [`WorkloadCell`] runs one complete
-//! workload simulation — sequential inside, so the discrete-event timeline is
-//! exact — and cells run in parallel across the engine's rayon pool. Every
-//! cell is a pure function of `(base_seed, cell index, cell spec)`, so the
-//! resulting rows are bit-identical for any worker-thread count, like the
-//! rest of the evaluation engine.
+//! traffic**: many concurrent client sessions, per-node service queues,
+//! load-aware probe ordering, and a message-level network between client and
+//! nodes. Each [`WorkloadCell`] runs one complete workload simulation —
+//! sequential inside, so the discrete-event timeline is exact — and cells
+//! run in parallel across the engine's rayon pool. A cell starts on the
+//! clean network with the sequential policy ([`NetScenario::clean`]);
+//! [`WorkloadCell::with_scenario`] lifts it onto a network-fault scenario.
+//! Every cell is a pure function of `(base_seed, cell index, cell spec)`, so
+//! the resulting rows are bit-identical for any worker-thread count, like
+//! the rest of the evaluation engine.
 
 use std::sync::Arc;
 
 use quorum_analysis::load_imbalance;
 use quorum_cluster::{
     AgreementReport, ArrivalProcess, Backend, ChaosSchedule, Distribution, LiveOptions, LiveReport,
-    NetProbe, NetSessionPlan, NetworkModel, PartitionSchedule, ProbePolicy, SessionPlan,
-    SessionTrace, SimTime, SpecReport, WorkloadConfig, WorkloadSpec,
+    NetProbe, NetSessionPlan, NetworkModel, PartitionSchedule, ProbePolicy, SessionTrace, SimTime,
+    SpecReport, WorkloadConfig, WorkloadSpec,
 };
 use quorum_core::{Color, Coloring};
 use quorum_probe::session::{observed_coloring, ProbeFate};
@@ -60,21 +63,77 @@ impl std::fmt::Debug for WorkloadStrategy {
 }
 
 /// One workload simulation: a system probed by a strategy under a failure
-/// scenario and an arrival/service model.
+/// scenario, an arrival/service model and a network-fault scenario.
 #[derive(Clone)]
 pub struct WorkloadCell {
     /// The quorum system under load.
     pub system: DynSystem,
     /// The probe strategy serving the sessions.
     pub strategy: WorkloadStrategy,
-    /// The failure scenario: session `s` observes the scenario's trial-`s`
-    /// coloring, so strategies sharing a cell index and seed are compared on
-    /// identical failure timelines.
+    /// The failure scenario (true crashes, as distinct from network
+    /// faults): session `s` observes the scenario's trial-`s` coloring, so
+    /// strategies sharing a cell index and seed are compared on identical
+    /// failure timelines.
     pub source: ColoringSource,
     /// A short name for the arrival/service model (e.g. `"open-lan"`).
     pub workload: String,
     /// The arrival, latency, service and timeout model.
     pub config: WorkloadConfig,
+    /// The network-fault scenario's name (report column).
+    pub net: String,
+    /// The message-level network the cell runs on.
+    pub network: NetworkModel,
+    /// The client-side robustness policy.
+    pub policy: ProbePolicy,
+    /// When set, every session runs behind a shared [`HealthView`] circuit
+    /// breaker: probes to open nodes are shed, sessions that cannot reach a
+    /// healthy quorum degrade without probing, and probe outcomes feed the
+    /// per-node failure EWMA.
+    pub health: Option<HealthConfig>,
+}
+
+impl WorkloadCell {
+    /// A cell on the [`NetScenario::clean`] network: no message faults, the
+    /// sequential policy, and no health view.
+    pub fn new(
+        system: DynSystem,
+        strategy: WorkloadStrategy,
+        source: ColoringSource,
+        workload: impl Into<String>,
+        config: WorkloadConfig,
+    ) -> Self {
+        let NetScenario {
+            name,
+            network,
+            policy,
+        } = NetScenario::clean();
+        WorkloadCell {
+            system,
+            strategy,
+            source,
+            workload: workload.into(),
+            config,
+            net: name.to_string(),
+            network,
+            policy,
+            health: None,
+        }
+    }
+
+    /// Lifts the cell onto a network scenario: its name, its network and
+    /// the policy it recommends.
+    pub fn with_scenario(mut self, scenario: &NetScenario) -> Self {
+        self.net = scenario.name.to_string();
+        self.network = scenario.network.clone();
+        self.policy = scenario.policy;
+        self
+    }
+
+    /// Puts the cell's sessions behind a health-aware circuit breaker.
+    pub fn with_health(mut self, config: HealthConfig) -> Self {
+        self.health = Some(config);
+        self
+    }
 }
 
 /// The deterministic summary of one executed [`WorkloadCell`].
@@ -88,11 +147,16 @@ pub struct WorkloadOutcome {
     pub strategy: String,
     /// Workload label.
     pub workload: String,
+    /// Network-scenario label.
+    pub net: String,
+    /// Policy label.
+    pub policy: String,
     /// Failure-scenario label.
     pub scenario: String,
     /// Sessions completed.
     pub sessions: usize,
-    /// Fraction of sessions that located a live quorum.
+    /// Fraction of sessions that located a live quorum in their *observed*
+    /// coloring (network faults can push this below the crash-only rate).
     pub success_rate: f64,
     /// Completed sessions per second of virtual time.
     pub throughput_per_sec: f64,
@@ -102,12 +166,23 @@ pub struct WorkloadOutcome {
     pub p95_us: u64,
     /// 99th-percentile session latency.
     pub p99_us: u64,
-    /// Mean probes per session.
+    /// Mean probes per session (attempts included).
     pub probes_per_session: f64,
+    /// Mean messages per session (requests plus transmitted responses).
+    pub messages_per_session: f64,
+    /// Fraction of probe attempts whose answer was never used.
+    pub wasted_fraction: f64,
     /// Load-imbalance factor (max/mean probes per node).
     pub imbalance: f64,
     /// Highest backlog any node reached.
     pub peak_backlog: usize,
+    /// Sessions that degraded gracefully instead of failing outright: the
+    /// health layer either shed at least one of their probes or declined the
+    /// whole session because no healthy quorum was reachable. Always zero
+    /// for health-blind cells.
+    pub degraded: u64,
+    /// Requests delivered into crashed nodes and dropped unserved.
+    pub lost_to_crash: u64,
 }
 
 /// A LAN-ish open-loop workload: Poisson arrivals at the given mean
@@ -154,104 +229,8 @@ pub fn standard_workloads(sessions: usize) -> Vec<(&'static str, WorkloadConfig)
     ]
 }
 
-/// Executes one cell. Sequential inside (the discrete-event timeline is a
-/// strict total order); pure in `(base_seed, cell_index, cell)`.
-fn run_cell(base_seed: u64, cell_index: u64, cell: &WorkloadCell) -> WorkloadOutcome {
-    let n = cell.system.universe_size();
-    // Only the load-aware strategies read the view; paper cells skip both
-    // the allocation and the per-session score refresh below.
-    let view = match &cell.strategy {
-        WorkloadStrategy::Paper(_) => None,
-        WorkloadStrategy::LeastLoaded | WorkloadStrategy::PowerOfTwo => Some(LoadView::new(n)),
-    };
-    let strategy: DynProbeStrategy = match (&cell.strategy, &view) {
-        (WorkloadStrategy::Paper(strategy), _) => Arc::clone(strategy),
-        (WorkloadStrategy::LeastLoaded, Some(view)) => {
-            universal_strategy(LeastLoadedScan::new(view.clone()))
-        }
-        (WorkloadStrategy::PowerOfTwo, Some(view)) => {
-            universal_strategy(PowerOfTwoScan::new(view.clone()))
-        }
-        _ => unreachable!("load-aware strategies always carry a view"),
-    };
-    assert!(
-        strategy.supports(cell.system.as_ref()),
-        "strategy {} does not support system {}",
-        strategy.name(),
-        cell.system.name()
-    );
-
-    // The engine's own randomness (latencies, service times, arrivals) is
-    // seeded per cell; each session's strategy/scenario randomness derives
-    // from (base_seed, cell, session) exactly like an eval-plan trial.
-    let engine_seed = base_seed
-        .rotate_left(17)
-        .wrapping_add((cell_index + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut scratch = Coloring::all_green(n);
-    let report = WorkloadSpec::new(n)
-        .config(cell.config)
-        .run_plans(engine_seed, |session, ledger, now| {
-            // Publish the ledger's current scores so load-aware strategies
-            // see the backlog this session would join.
-            if let Some(view) = &view {
-                for e in 0..n {
-                    view.set(e, ledger.score(e, now));
-                }
-            }
-            let mut rng = derive_rng(base_seed, cell_index, session);
-            cell.source.sample_into(n, session, &mut rng, &mut scratch);
-            let run = strategy.run(cell.system.as_ref(), &scratch, &mut rng);
-            SessionPlan {
-                colors: run.sequence.iter().map(|&e| scratch.color(e)).collect(),
-                sequence: run.sequence,
-                success: run.witness.is_green(),
-            }
-        })
-        .report;
-
-    let peak_backlog = (0..n)
-        .map(|e| report.ledger.peak_backlog(e))
-        .max()
-        .unwrap_or(0);
-    WorkloadOutcome {
-        system: cell.system.name(),
-        universe_size: n,
-        strategy: cell.strategy.label(),
-        workload: cell.workload.clone(),
-        scenario: cell.source.label(),
-        sessions: report.sessions,
-        success_rate: report.success_rate(),
-        throughput_per_sec: report.throughput_per_sec(),
-        p50_us: report.latency.p50().unwrap_or(0),
-        p95_us: report.latency.p95().unwrap_or(0),
-        p99_us: report.latency.p99().unwrap_or(0),
-        probes_per_session: report.probes_per_session(),
-        imbalance: load_imbalance(report.ledger.probes_received()),
-        peak_backlog,
-    }
-}
-
-/// Runs every cell, in parallel across the engine's worker pool, returning
-/// outcomes in cell order. Bit-identical for any thread count.
-pub fn run_workload_cells(
-    engine: &EvalEngine,
-    base_seed: u64,
-    cells: &[WorkloadCell],
-) -> Vec<WorkloadOutcome> {
-    let indexed: Vec<(u64, &WorkloadCell)> = cells
-        .iter()
-        .enumerate()
-        .map(|(index, cell)| (index as u64, cell))
-        .collect();
-    engine.install(|| {
-        indexed
-            .into_par_iter()
-            .map(|(index, cell)| run_cell(base_seed, index, cell))
-            .collect()
-    })
-}
-
-/// Renders outcomes as the standard workload table.
+/// Renders outcomes as the standard workload table: the arrival model and
+/// the load columns, without the network ones (see [`net_outcomes_table`]).
 pub fn outcomes_table(outcomes: &[WorkloadOutcome]) -> Table {
     let mut table = Table::new([
         "system",
@@ -300,14 +279,26 @@ pub struct NetScenario {
     pub policy: ProbePolicy,
 }
 
+impl NetScenario {
+    /// The fault-free control scenario: the clean network with the
+    /// sequential policy. Every [`WorkloadCell`] starts on it.
+    pub fn clean() -> Self {
+        NetScenario {
+            name: "clean",
+            network: NetworkModel::clean(),
+            policy: ProbePolicy::sequential(),
+        }
+    }
+}
+
 /// The standard network-fault battery for a universe of `n` nodes under
 /// `config`: clean, lossy, heavy-tail delay, minority partition, flapping
 /// partition and asymmetric split.
 ///
 /// Partition windows are placed relative to the run's
 /// [`WorkloadConfig::horizon_hint`], so the same scenario scales with the
-/// session count. The `clean` scenario is bit-identical to the latency-only
-/// engine — it is the control row of every network experiment.
+/// session count. The first entry is [`NetScenario::clean`], the control
+/// row of every network experiment.
 pub fn network_scenarios(n: usize, config: &WorkloadConfig) -> Vec<NetScenario> {
     let horizon = config.horizon_hint().as_micros();
     let at = |num: u64, den: u64| SimTime::from_micros(horizon * num / den);
@@ -316,11 +307,7 @@ pub fn network_scenarios(n: usize, config: &WorkloadConfig) -> Vec<NetScenario> 
     let backoff = SimTime::from_micros(300);
     let hedge = SimTime::from_millis(2);
     vec![
-        NetScenario {
-            name: "clean",
-            network: NetworkModel::clean(),
-            policy: ProbePolicy::sequential(),
-        },
+        NetScenario::clean(),
         NetScenario {
             // 6 % of messages vanish on each leg; three attempts with
             // backoff recover almost every probe.
@@ -391,7 +378,7 @@ pub fn network_scenarios(n: usize, config: &WorkloadConfig) -> Vec<NetScenario> 
 ///   disjoint quarter, so for a stretch of the run no majority is healthy.
 ///
 /// Each scenario pairs with a bounded-retry policy; run the same cells with
-/// and without [`NetWorkloadCell::with_health`] to measure what the
+/// and without [`WorkloadCell::with_health`] to measure what the
 /// health-aware client buys.
 pub fn chaos_scenarios(n: usize, config: &WorkloadConfig) -> Vec<NetScenario> {
     let horizon = config.horizon_hint().as_micros();
@@ -442,117 +429,19 @@ pub fn chaos_scenarios(n: usize, config: &WorkloadConfig) -> Vec<NetScenario> {
     ]
 }
 
-/// One message-level workload simulation: a [`WorkloadCell`] plus the
-/// network-fault scenario it runs through.
-#[derive(Clone)]
-pub struct NetWorkloadCell {
-    /// The quorum system under load.
-    pub system: DynSystem,
-    /// The probe strategy serving the sessions.
-    pub strategy: WorkloadStrategy,
-    /// The failure scenario (true crashes, as distinct from network faults).
-    pub source: ColoringSource,
-    /// A short name for the arrival/service model.
-    pub workload: String,
-    /// The arrival, latency, service and timeout model.
-    pub config: WorkloadConfig,
-    /// The network-fault scenario's name (report column).
-    pub net: String,
-    /// The message-level network the cell runs on.
-    pub network: NetworkModel,
-    /// The client-side robustness policy.
-    pub policy: ProbePolicy,
-    /// When set, every session runs behind a shared [`HealthView`] circuit
-    /// breaker: probes to open nodes are shed, sessions that cannot reach a
-    /// healthy quorum degrade without probing, and probe outcomes feed the
-    /// per-node failure EWMA.
-    pub health: Option<HealthConfig>,
-}
-
-impl NetWorkloadCell {
-    /// Lifts a latency-only cell onto a network scenario (health-blind).
-    pub fn from_cell(cell: WorkloadCell, scenario: &NetScenario) -> Self {
-        NetWorkloadCell {
-            system: cell.system,
-            strategy: cell.strategy,
-            source: cell.source,
-            workload: cell.workload,
-            config: cell.config,
-            net: scenario.name.to_string(),
-            network: scenario.network.clone(),
-            policy: scenario.policy,
-            health: None,
-        }
-    }
-
-    /// Puts the cell's sessions behind a health-aware circuit breaker.
-    pub fn with_health(mut self, config: HealthConfig) -> Self {
-        self.health = Some(config);
-        self
-    }
-}
-
-/// The deterministic summary of one executed [`NetWorkloadCell`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetWorkloadOutcome {
-    /// System label.
-    pub system: String,
-    /// Universe size.
-    pub universe_size: usize,
-    /// Strategy label.
-    pub strategy: String,
-    /// Workload label.
-    pub workload: String,
-    /// Network-scenario label.
-    pub net: String,
-    /// Policy label.
-    pub policy: String,
-    /// Failure-scenario label.
-    pub scenario: String,
-    /// Sessions completed.
-    pub sessions: usize,
-    /// Fraction of sessions that located a live quorum in their *observed*
-    /// coloring (network faults can push this below the crash-only rate).
-    pub success_rate: f64,
-    /// Completed sessions per second of virtual time.
-    pub throughput_per_sec: f64,
-    /// Median session latency, microseconds of virtual time.
-    pub p50_us: u64,
-    /// 95th-percentile session latency.
-    pub p95_us: u64,
-    /// 99th-percentile session latency.
-    pub p99_us: u64,
-    /// Mean probes per session (attempts included).
-    pub probes_per_session: f64,
-    /// Mean messages per session (requests plus transmitted responses).
-    pub messages_per_session: f64,
-    /// Fraction of probe attempts whose answer was never used.
-    pub wasted_fraction: f64,
-    /// Load-imbalance factor (max/mean probes per node).
-    pub imbalance: f64,
-    /// Highest backlog any node reached.
-    pub peak_backlog: usize,
-    /// Sessions that degraded gracefully instead of failing outright: the
-    /// health layer either shed at least one of their probes or declined the
-    /// whole session because no healthy quorum was reachable. Always zero
-    /// for health-blind cells.
-    pub degraded: u64,
-    /// Requests delivered into crashed nodes and dropped unserved.
-    pub lost_to_crash: u64,
-}
-
-/// Executes one network cell on the given backend via [`WorkloadSpec`].
-/// Sequential inside; the sim half is pure in `(base_seed, cell_index,
-/// cell)`. Uses the same engine seed derivation as the latency-only
-/// [`run_cell`], so a `clean` network cell reproduces its [`WorkloadCell`]
-/// twin bit for bit.
-fn run_net_cell_spec(
+/// Executes one cell on the given backend via [`WorkloadSpec`], returning
+/// the spec report and the number of degraded sessions. Sequential inside
+/// (the discrete-event timeline is a strict total order); the sim half is
+/// pure in `(base_seed, cell_index, cell)`.
+fn run_cell(
     base_seed: u64,
     cell_index: u64,
-    cell: &NetWorkloadCell,
+    cell: &WorkloadCell,
     backend: Backend,
 ) -> (SpecReport, u64) {
     let n = cell.system.universe_size();
+    // Only the load-aware strategies read the view; paper cells skip both
+    // the allocation and the per-session score refresh below.
     let view = match &cell.strategy {
         WorkloadStrategy::Paper(_) => None,
         WorkloadStrategy::LeastLoaded | WorkloadStrategy::PowerOfTwo => Some(LoadView::new(n)),
@@ -574,6 +463,9 @@ fn run_net_cell_spec(
         cell.system.name()
     );
 
+    // The engine's own randomness (latencies, service times, arrivals) is
+    // seeded per cell; each session's strategy/scenario randomness derives
+    // from (base_seed, cell, session) exactly like an eval-plan trial.
     let engine_seed = base_seed
         .rotate_left(17)
         .wrapping_add((cell_index + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -586,6 +478,8 @@ fn run_net_cell_spec(
         .policy(cell.policy)
         .backend(backend)
         .run(engine_seed, |session, ledger, now, net_rng| {
+            // Publish the ledger's current scores so load-aware strategies
+            // see the backlog this session would join.
             if let Some(view) = &view {
                 for e in 0..n {
                     view.set(e, ledger.score(e, now));
@@ -651,18 +545,18 @@ fn run_net_cell_spec(
     (report, degraded)
 }
 
-/// Summarises an executed network cell's engine report as the standard row.
-fn net_outcome_from_report(
-    cell: &NetWorkloadCell,
+/// Summarises an executed cell's engine report as the standard row.
+fn outcome_from_report(
+    cell: &WorkloadCell,
     report: &quorum_cluster::WorkloadReport,
     degraded: u64,
-) -> NetWorkloadOutcome {
+) -> WorkloadOutcome {
     let n = cell.system.universe_size();
     let peak_backlog = (0..n)
         .map(|e| report.ledger.peak_backlog(e))
         .max()
         .unwrap_or(0);
-    NetWorkloadOutcome {
+    WorkloadOutcome {
         system: cell.system.name(),
         universe_size: n,
         strategy: cell.strategy.label(),
@@ -686,19 +580,13 @@ fn net_outcome_from_report(
     }
 }
 
-/// Executes one network cell on the sim backend.
-fn run_net_cell(base_seed: u64, cell_index: u64, cell: &NetWorkloadCell) -> NetWorkloadOutcome {
-    let (spec, degraded) = run_net_cell_spec(base_seed, cell_index, cell, Backend::Sim);
-    net_outcome_from_report(cell, &spec.report, degraded)
-}
-
-/// The result of executing one network cell on **both** backends: the sim
+/// The result of executing one cell on **both** backends: the sim
 /// row, the live runtime's wall-clock report, and the observable-by-
 /// observable cross-validation between the two executions.
 #[derive(Debug)]
 pub struct LiveCellOutcome {
     /// The simulator's row for the cell (virtual time).
-    pub sim: NetWorkloadOutcome,
+    pub sim: WorkloadOutcome,
     /// The live runtime's report for the same trace (wall-clock time).
     pub live: LiveReport,
     /// The sim-vs-live agreement verdict.
@@ -708,20 +596,19 @@ pub struct LiveCellOutcome {
     pub trace: SessionTrace,
 }
 
-/// Executes one network cell through [`Backend::Live`]: the simulator runs
-/// first (bit-identical to [`run_net_workload_cells`] for the same seed and
-/// cell index), its trace replays on the real-concurrency runtime, and every
+/// Executes one cell through [`Backend::Live`]: the simulator runs first
+/// (bit-identical to [`run_workload_cells`] for the same seed and cell
+/// index), its trace replays on the real-concurrency runtime, and every
 /// logical observable is cross-validated between the two executions.
 pub fn run_live_cell(
     base_seed: u64,
     cell_index: u64,
-    cell: &NetWorkloadCell,
+    cell: &WorkloadCell,
     options: &LiveOptions,
 ) -> LiveCellOutcome {
-    let (spec, degraded) =
-        run_net_cell_spec(base_seed, cell_index, cell, Backend::Live(options.clone()));
+    let (spec, degraded) = run_cell(base_seed, cell_index, cell, Backend::Live(options.clone()));
     LiveCellOutcome {
-        sim: net_outcome_from_report(cell, &spec.report, degraded),
+        sim: outcome_from_report(cell, &spec.report, degraded),
         live: spec.live.expect("the live backend always reports"),
         agreement: spec.agreement.expect("the live backend always validates"),
         trace: spec.trace.expect("the live backend always traces"),
@@ -765,14 +652,15 @@ pub fn chaos_recovery_micros(
         .collect()
 }
 
-/// Runs every network cell, in parallel across the engine's worker pool,
-/// returning outcomes in cell order. Bit-identical for any thread count.
-pub fn run_net_workload_cells(
+/// Runs every cell on the sim backend, in parallel across the engine's
+/// worker pool, returning outcomes in cell order. Bit-identical for any
+/// thread count.
+pub fn run_workload_cells(
     engine: &EvalEngine,
     base_seed: u64,
-    cells: &[NetWorkloadCell],
-) -> Vec<NetWorkloadOutcome> {
-    let indexed: Vec<(u64, &NetWorkloadCell)> = cells
+    cells: &[WorkloadCell],
+) -> Vec<WorkloadOutcome> {
+    let indexed: Vec<(u64, &WorkloadCell)> = cells
         .iter()
         .enumerate()
         .map(|(index, cell)| (index as u64, cell))
@@ -780,13 +668,18 @@ pub fn run_net_workload_cells(
     engine.install(|| {
         indexed
             .into_par_iter()
-            .map(|(index, cell)| run_net_cell(base_seed, index, cell))
+            .map(|(index, cell)| {
+                let (spec, degraded) = run_cell(base_seed, index, cell, Backend::Sim);
+                outcome_from_report(cell, &spec.report, degraded)
+            })
             .collect()
     })
 }
 
-/// Renders network outcomes as the standard network-workload table.
-pub fn net_outcomes_table(outcomes: &[NetWorkloadOutcome]) -> Table {
+/// Renders outcomes as the network-workload table: the network scenario
+/// and policy columns, messages and wasted fraction in place of the
+/// workload label and load columns of [`outcomes_table`].
+pub fn net_outcomes_table(outcomes: &[WorkloadOutcome]) -> Table {
     let mut table = Table::new([
         "system",
         "n",
@@ -843,28 +736,29 @@ mod tests {
             WorkloadStrategy::PowerOfTwo,
         ] {
             for (name, config) in &workloads {
-                cells.push(WorkloadCell {
-                    system: system.clone(),
-                    strategy: strategy.clone(),
-                    source: ColoringSource::iid(0.1),
-                    workload: (*name).to_string(),
-                    config: *config,
-                });
+                cells.push(WorkloadCell::new(
+                    system.clone(),
+                    strategy.clone(),
+                    ColoringSource::iid(0.1),
+                    *name,
+                    *config,
+                ));
             }
         }
         cells
     }
 
     #[test]
-    fn outcomes_are_thread_count_invariant() {
-        let cells = maj_cells(300);
-        let single = run_workload_cells(&EvalEngine::with_threads(1), 42, &cells);
-        let parallel = run_workload_cells(&EvalEngine::with_threads(4), 42, &cells);
-        assert_eq!(single, parallel, "workload rows diverged across threads");
-        assert_eq!(
-            outcomes_table(&single).render(),
-            outcomes_table(&parallel).render()
-        );
+    fn default_cell_is_clean_sequential_and_health_blind() {
+        let cell = maj_cells(10).swap_remove(0);
+        assert_eq!(cell.net, "clean");
+        assert_eq!(cell.network, NetworkModel::clean());
+        assert!(cell.network.is_clean());
+        assert_eq!(cell.policy, ProbePolicy::sequential());
+        assert!(cell.health.is_none());
+        let lifted = cell.with_scenario(&NetScenario::clean());
+        assert_eq!(lifted.net, "clean");
+        assert_eq!(lifted.policy, ProbePolicy::sequential());
     }
 
     #[test]
@@ -917,78 +811,44 @@ mod tests {
     fn incompatible_paper_strategy_is_rejected() {
         use quorum_probe::strategies::ProbeCw;
         use quorum_systems::CrumblingWalls;
-        let cell = WorkloadCell {
-            system: erase_system(Majority::new(5).unwrap()),
-            strategy: WorkloadStrategy::Paper(crate::eval::typed_strategy::<CrumblingWalls, _>(
+        let cell = WorkloadCell::new(
+            erase_system(Majority::new(5).unwrap()),
+            WorkloadStrategy::Paper(crate::eval::typed_strategy::<CrumblingWalls, _>(
                 ProbeCw::new(),
             )),
-            source: ColoringSource::iid(0.1),
-            workload: "open".into(),
-            config: open_poisson_workload(10, SimTime::from_micros(200)),
-        };
+            ColoringSource::iid(0.1),
+            "open",
+            open_poisson_workload(10, SimTime::from_micros(200)),
+        );
         let _ = run_workload_cells(&EvalEngine::with_threads(1), 1, &[cell]);
     }
 
     #[test]
-    fn clean_network_cells_reproduce_latency_cells_bit_for_bit() {
-        // The acceptance guarantee of the message-level engine: lifting a
-        // cell onto the clean scenario changes *nothing* — same engine seed,
-        // same draws, same rows.
-        let cells = maj_cells(200);
-        let plain = run_workload_cells(&EvalEngine::with_threads(0), 42, &cells);
-        let clean = NetScenario {
-            name: "clean",
-            network: NetworkModel::clean(),
-            policy: ProbePolicy::sequential(),
-        };
-        let net_cells: Vec<NetWorkloadCell> = cells
-            .into_iter()
-            .map(|cell| NetWorkloadCell::from_cell(cell, &clean))
-            .collect();
-        let net = run_net_workload_cells(&EvalEngine::with_threads(0), 42, &net_cells);
-        assert_eq!(plain.len(), net.len());
-        for (a, b) in plain.iter().zip(&net) {
-            assert_eq!(
-                a.success_rate, b.success_rate,
-                "{}/{}",
-                a.system, a.workload
-            );
-            assert_eq!(a.throughput_per_sec, b.throughput_per_sec);
-            assert_eq!(
-                (a.p50_us, a.p95_us, a.p99_us),
-                (b.p50_us, b.p95_us, b.p99_us)
-            );
-            assert_eq!(a.probes_per_session, b.probes_per_session);
-            assert_eq!(a.imbalance, b.imbalance);
-            assert_eq!(a.peak_backlog, b.peak_backlog);
-            assert_eq!(b.wasted_fraction, 0.0, "clean networks waste nothing");
-        }
+    fn outcomes_are_thread_count_invariant() {
+        let cells = maj_cells(300);
+        let single = run_workload_cells(&EvalEngine::with_threads(1), 42, &cells);
+        let parallel = run_workload_cells(&EvalEngine::with_threads(4), 42, &cells);
+        assert_eq!(single, parallel, "workload rows diverged across threads");
+        assert_eq!(
+            outcomes_table(&single).render(),
+            outcomes_table(&parallel).render()
+        );
     }
 
     #[test]
     fn net_outcomes_are_thread_count_invariant() {
-        let system = erase_system(Majority::new(15).unwrap());
         let config = open_poisson_workload(250, SimTime::from_micros(250));
-        let cells: Vec<NetWorkloadCell> = network_scenarios(15, &config)
+        let base = WorkloadCell {
+            config,
+            ..maj_cells(250).swap_remove(0)
+        };
+        let cells: Vec<WorkloadCell> = network_scenarios(15, &config)
             .iter()
-            .map(|scenario| {
-                NetWorkloadCell::from_cell(
-                    WorkloadCell {
-                        system: system.clone(),
-                        strategy: WorkloadStrategy::Paper(
-                            universal_strategy(SequentialScan::new()),
-                        ),
-                        source: ColoringSource::iid(0.1),
-                        workload: "open-poisson".into(),
-                        config,
-                    },
-                    scenario,
-                )
-            })
+            .map(|scenario| base.clone().with_scenario(scenario))
             .collect();
         assert_eq!(cells.len(), 6, "the standard battery has six scenarios");
-        let single = run_net_workload_cells(&EvalEngine::with_threads(1), 9, &cells);
-        let parallel = run_net_workload_cells(&EvalEngine::with_threads(4), 9, &cells);
+        let single = run_workload_cells(&EvalEngine::with_threads(1), 9, &cells);
+        let parallel = run_workload_cells(&EvalEngine::with_threads(4), 9, &cells);
         assert_eq!(single, parallel, "network rows diverged across threads");
         assert_eq!(
             net_outcomes_table(&single).render(),
@@ -1001,16 +861,17 @@ mod tests {
         let system = erase_system(Majority::new(15).unwrap());
         let config = open_poisson_workload(300, SimTime::from_micros(250));
         let lossy_net = NetworkModel::lossy(150_000); // 15 % per leg
-        let build = |net: &str, network: NetworkModel, policy: ProbePolicy| NetWorkloadCell {
-            system: system.clone(),
-            strategy: WorkloadStrategy::Paper(universal_strategy(SequentialScan::new())),
-            source: ColoringSource::iid(0.05),
-            workload: "open-poisson".into(),
-            config,
+        let build = |net: &str, network: NetworkModel, policy: ProbePolicy| WorkloadCell {
             net: net.into(),
             network,
             policy,
-            health: None,
+            ..WorkloadCell::new(
+                system.clone(),
+                WorkloadStrategy::Paper(universal_strategy(SequentialScan::new())),
+                ColoringSource::iid(0.05),
+                "open-poisson",
+                config,
+            )
         };
         let cells = vec![
             build("clean", NetworkModel::clean(), ProbePolicy::sequential()),
@@ -1021,7 +882,7 @@ mod tests {
                 ProbePolicy::retry(4, SimTime::from_micros(200)),
             ),
         ];
-        let outcomes = run_net_workload_cells(&EvalEngine::with_threads(0), 3, &cells);
+        let outcomes = run_workload_cells(&EvalEngine::with_threads(0), 3, &cells);
         let (clean, naive, robust) = (&outcomes[0], &outcomes[1], &outcomes[2]);
         assert!(
             naive.success_rate < clean.success_rate,
@@ -1045,17 +906,15 @@ mod tests {
         config: WorkloadConfig,
         scenario: &NetScenario,
         health: Option<HealthConfig>,
-    ) -> NetWorkloadCell {
-        let mut cell = NetWorkloadCell::from_cell(
-            WorkloadCell {
-                system: erase_system(Majority::new(n).unwrap()),
-                strategy: WorkloadStrategy::Paper(universal_strategy(SequentialScan::new())),
-                source: ColoringSource::iid(0.02),
-                workload: "open-poisson".into(),
-                config,
-            },
-            scenario,
-        );
+    ) -> WorkloadCell {
+        let mut cell = WorkloadCell::new(
+            erase_system(Majority::new(n).unwrap()),
+            WorkloadStrategy::Paper(universal_strategy(SequentialScan::new())),
+            ColoringSource::iid(0.02),
+            "open-poisson",
+            config,
+        )
+        .with_scenario(scenario);
         if let Some(config) = health {
             cell = cell.with_health(config);
         }
@@ -1126,8 +985,7 @@ mod tests {
             let scenario = scenarios.iter().find(|s| s.name == name).unwrap();
             let naive = chaos_cell(n, config, scenario, None);
             let aware = chaos_cell(n, config, scenario, Some(HealthConfig::default()));
-            let outcomes =
-                run_net_workload_cells(&EvalEngine::with_threads(0), 17, &[naive, aware]);
+            let outcomes = run_workload_cells(&EvalEngine::with_threads(0), 17, &[naive, aware]);
             let (naive, aware) = (&outcomes[0], &outcomes[1]);
             assert_eq!(naive.degraded, 0, "health-blind cells never degrade");
             assert!(
@@ -1149,7 +1007,7 @@ mod tests {
     fn chaos_outcomes_are_thread_count_invariant() {
         let n = 15;
         let config = open_poisson_workload(200, SimTime::from_micros(250));
-        let cells: Vec<NetWorkloadCell> = chaos_scenarios(n, &config)
+        let cells: Vec<WorkloadCell> = chaos_scenarios(n, &config)
             .iter()
             .flat_map(|scenario| {
                 [
@@ -1158,8 +1016,8 @@ mod tests {
                 ]
             })
             .collect();
-        let single = run_net_workload_cells(&EvalEngine::with_threads(1), 13, &cells);
-        let parallel = run_net_workload_cells(&EvalEngine::with_threads(4), 13, &cells);
+        let single = run_workload_cells(&EvalEngine::with_threads(1), 13, &cells);
+        let parallel = run_workload_cells(&EvalEngine::with_threads(4), 13, &cells);
         assert_eq!(single, parallel, "chaos rows diverged across threads");
     }
 
@@ -1172,17 +1030,15 @@ mod tests {
             .iter()
             .find(|s| s.name == "asym-split")
             .expect("battery has the asymmetric split");
-        let cell = NetWorkloadCell::from_cell(
-            WorkloadCell {
-                system: system.clone(),
-                strategy: WorkloadStrategy::Paper(universal_strategy(SequentialScan::new())),
-                source: ColoringSource::iid(0.02),
-                workload: "open-poisson".into(),
-                config,
-            },
-            asym,
-        );
-        let outcome = &run_net_workload_cells(&EvalEngine::with_threads(1), 5, &[cell])[0];
+        let cell = WorkloadCell::new(
+            system,
+            WorkloadStrategy::Paper(universal_strategy(SequentialScan::new())),
+            ColoringSource::iid(0.02),
+            "open-poisson",
+            config,
+        )
+        .with_scenario(asym);
+        let outcome = &run_workload_cells(&EvalEngine::with_threads(1), 5, &[cell])[0];
         assert!(
             outcome.wasted_fraction > 0.0,
             "responses dropped after service must register as waste"

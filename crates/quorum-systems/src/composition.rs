@@ -798,11 +798,6 @@ impl QuorumSystem for Composition {
         })
     }
 
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        debug_assert_eq!(lanes.len(), self.n);
-        Some(self.green_lane_block_impl::<u64>(lanes))
-    }
-
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
         dispatch_lane_block!(self, lanes, width, out)
     }
@@ -908,7 +903,7 @@ mod tests {
         assert_eq!(c.name(), "Compose(n=3,gates=0,depth=0)");
         assert!(c.contains_quorum(&ElementSet::singleton(3, 1)));
         assert!(!c.contains_quorum(&ElementSet::from_iter(3, [0, 2])));
-        assert_eq!(c.green_quorum_lanes(&[1, 2, 3]), Some(2));
+        assert_eq!(crate::lane_word(&c, &[1, 2, 3]), 2);
         assert_eq!(
             c.enumerate_quorums().unwrap(),
             vec![ElementSet::singleton(3, 1)]
@@ -1124,7 +1119,7 @@ mod tests {
         .unwrap();
         let n = c.universe_size();
         let lanes: Vec<u64> = (0..n).map(|e| mix(e as u64 + 17)).collect();
-        let verdicts = c.green_quorum_lanes(&lanes).unwrap();
+        let verdicts = crate::lane_word(&c, &lanes);
         for t in 0..64 {
             let set = ElementSet::from_iter(n, (0..n).filter(|&e| lanes[e] >> t & 1 == 1));
             assert_eq!(verdicts >> t & 1 == 1, c.contains_quorum(&set), "trial {t}");
@@ -1141,7 +1136,7 @@ mod tests {
             assert!(c.green_quorum_lane_block(&lanes, width, &mut out));
             for w in 0..width {
                 let word: Vec<u64> = (0..n).map(|e| lanes[e * width + w]).collect();
-                assert_eq!(out[w], c.green_quorum_lanes(&word).unwrap(), "word {w}");
+                assert_eq!(out[w], crate::lane_word(&c, &word), "word {w}");
             }
         }
         let mut out = vec![0u64; 3];

@@ -5,7 +5,7 @@ use quorum_core::{
     Coloring, ColoringDelta, DeltaEvaluator, ElementId, ElementSet, QuorumError, QuorumSystem,
 };
 
-use crate::dispatch_lane_block;
+use crate::{dispatch_lane_block, too_large, MAX_ELEMENTS};
 
 /// Incremental crumbling-walls evaluation: a green tally per row, adjusted
 /// in O(1) per flip, with the bottom-up `2k − 1`-style verdict fold rerun
@@ -125,8 +125,8 @@ impl CrumblingWalls {
     ///
     /// # Errors
     ///
-    /// Returns [`QuorumError::InvalidConstruction`] if no rows are given or if
-    /// any row has width 0.
+    /// Returns [`QuorumError::InvalidConstruction`] if no rows are given, if
+    /// any row has width 0, or if the widths sum past 2²⁶.
     pub fn new(widths: Vec<usize>) -> Result<Self, QuorumError> {
         if widths.is_empty() {
             return Err(QuorumError::InvalidConstruction {
@@ -137,6 +137,13 @@ impl CrumblingWalls {
             return Err(QuorumError::InvalidConstruction {
                 reason: "crumbling wall rows must be nonempty".into(),
             });
+        }
+        let total = widths.iter().try_fold(0usize, |acc, &w| acc.checked_add(w));
+        if total.is_none_or(|n| n > MAX_ELEMENTS) {
+            return Err(too_large(format_args!(
+                "a crumbling wall of {} rows",
+                widths.len()
+            )));
         }
         let mut offsets = Vec::with_capacity(widths.len());
         let mut acc = 0;
@@ -169,26 +176,34 @@ impl CrumblingWalls {
     ///
     /// # Errors
     ///
-    /// Returns [`QuorumError::InvalidConstruction`] if `d < 2`.
+    /// Returns [`QuorumError::InvalidConstruction`] if `d < 2` or if the
+    /// `d(d+1)/2` elements exceed 2²⁶.
     pub fn triang(d: usize) -> Result<Self, QuorumError> {
         if d < 2 {
             return Err(QuorumError::InvalidConstruction {
                 reason: format!("triang requires at least 2 rows, got {d}"),
             });
         }
+        // Checked before collecting the widths, so a huge `d` allocates
+        // nothing.
+        if d > MAX_ELEMENTS || (d as u64) * (d as u64 + 1) / 2 > MAX_ELEMENTS as u64 {
+            return Err(too_large(format_args!("triang with {d} rows")));
+        }
         Self::new((1..=d).collect())
     }
 
-    /// Creates the largest Triang system with at most `max(size_hint, 3)`
-    /// elements (and at least 2 rows). Infallible counterpart of
-    /// [`CrumblingWalls::triang`] for catalogues and registries.
+    /// Creates the largest Triang system with at most `size_hint` elements,
+    /// the hint clamped to `[3, 2²⁶]` (so at least 2 rows). Infallible
+    /// counterpart of [`CrumblingWalls::triang`] for catalogues and
+    /// registries.
     pub fn triang_with_size_hint(size_hint: usize) -> Self {
-        // Largest d with d(d+1)/2 <= max(size_hint, 3), at least 2 rows.
-        let mut d = 1;
-        while (d + 1) * (d + 2) / 2 <= size_hint.max(3) {
+        // Largest d with d(d+1)/2 <= the clamped hint.
+        let target = size_hint.clamp(3, MAX_ELEMENTS);
+        let mut d = 2;
+        while (d + 1) * (d + 2) / 2 <= target {
             d += 1;
         }
-        Self::triang(d.max(2)).expect("d >= 2 is always valid")
+        Self::triang(d).expect("d >= 2 within the cap is always valid")
     }
 
     /// Number of rows `k`.
@@ -302,14 +317,6 @@ impl QuorumSystem for CrumblingWalls {
         false
     }
 
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        debug_assert_eq!(lanes.len(), self.n);
-        // Bottom-up over rows, 64 trials per pass: "row full" is an AND over
-        // its element lanes, "row represented" an OR; a quorum exists when
-        // some row is full with every row below it represented.
-        Some(self.green_lane_block_impl::<u64>(lanes))
-    }
-
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
         dispatch_lane_block!(self, lanes, width, out)
     }
@@ -394,6 +401,34 @@ mod tests {
             CrumblingWalls::new(vec![1, 0, 2]),
             Err(QuorumError::InvalidConstruction { .. })
         ));
+    }
+
+    #[test]
+    fn universe_is_capped_at_two_to_the_26() {
+        let rejected = |result: Result<CrumblingWalls, QuorumError>| {
+            matches!(result, Err(QuorumError::InvalidConstruction { .. }))
+        };
+        assert_eq!(
+            CrumblingWalls::new(vec![1, MAX_ELEMENTS - 1])
+                .unwrap()
+                .universe_size(),
+            MAX_ELEMENTS
+        );
+        assert!(rejected(CrumblingWalls::new(vec![1, MAX_ELEMENTS])));
+        assert!(rejected(CrumblingWalls::new(vec![usize::MAX, 1])));
+        // 11 584 rows hold 67 100 640 elements; one more row passes 2^26.
+        assert_eq!(CrumblingWalls::triang(11_584).unwrap().row_count(), 11_584);
+        for rows in [11_585, 1_000_000_000_000, usize::MAX] {
+            assert!(rejected(CrumblingWalls::triang(rows)), "{rows} rows");
+        }
+        for hint in [MAX_ELEMENTS, MAX_ELEMENTS + 1, usize::MAX] {
+            assert_eq!(
+                CrumblingWalls::triang_with_size_hint(hint).row_count(),
+                11_584
+            );
+        }
+        assert_eq!(CrumblingWalls::triang_with_size_hint(0).row_count(), 2);
+        assert_eq!(CrumblingWalls::triang_with_size_hint(10).row_count(), 4);
     }
 
     #[test]

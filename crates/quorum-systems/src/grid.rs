@@ -6,7 +6,7 @@ use quorum_core::{
     Coloring, ColoringDelta, DeltaEvaluator, ElementId, ElementSet, QuorumError, QuorumSystem,
 };
 
-use crate::dispatch_lane_block;
+use crate::{dispatch_lane_block, too_large, MAX_ELEMENTS};
 
 /// Incremental grid evaluation: per-row and per-column red tallies plus
 /// clean-row/clean-column counters. Each flip adjusts two tallies, the
@@ -127,24 +127,28 @@ impl Grid {
     /// # Errors
     ///
     /// Returns [`QuorumError::InvalidConstruction`] if either dimension is 0,
-    /// or if both are 1.
+    /// if both are 1, or if `rows · cols` exceeds 2²⁶.
     pub fn new(rows: usize, cols: usize) -> Result<Self, QuorumError> {
-        if rows == 0 || cols == 0 || rows * cols < 2 {
+        if rows == 0 || cols == 0 || (rows, cols) == (1, 1) {
             return Err(QuorumError::InvalidConstruction {
                 reason: format!(
                     "grid dimensions must be positive and non-trivial, got {rows}x{cols}"
                 ),
             });
         }
+        if rows.checked_mul(cols).is_none_or(|n| n > MAX_ELEMENTS) {
+            return Err(too_large(format_args!("a {rows}x{cols} grid")));
+        }
         Ok(Grid { rows, cols })
     }
 
-    /// Creates the largest square grid with at most `max(size_hint, 4)`
-    /// elements (side at least 2). Infallible counterpart of [`Grid::new`]
-    /// for catalogues and registries.
+    /// Creates the largest square grid with at most `size_hint` elements,
+    /// the hint clamped to `[4, 2²⁶]` (so the side is 2 to 2¹³).
+    /// Infallible counterpart of [`Grid::new`] for catalogues and
+    /// registries.
     pub fn with_size_hint(size_hint: usize) -> Self {
-        let side = ((size_hint.max(4)) as f64).sqrt().floor() as usize;
-        Grid::new(side.max(2), side.max(2)).expect("side >= 2 is always valid")
+        let side = (size_hint.clamp(4, MAX_ELEMENTS) as f64).sqrt().floor() as usize;
+        Grid::new(side, side).expect("a side in [2, 2^13] is always valid")
     }
 
     /// Number of rows.
@@ -225,13 +229,6 @@ impl QuorumSystem for Grid {
         (0..self.cols).any(|c| (0..self.rows).all(|r| set.contains(self.element(r, c))))
     }
 
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        debug_assert_eq!(lanes.len(), self.rows * self.cols);
-        // 64 trials per pass: a full row/column is an AND over its element
-        // lanes, "any row" / "any column" an OR over the row/column lanes.
-        Some(self.green_lane_block_impl::<u64>(lanes))
-    }
-
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
         dispatch_lane_block!(self, lanes, width, out)
     }
@@ -262,6 +259,38 @@ impl QuorumSystem for Grid {
 mod tests {
     use super::*;
     use quorum_core::CharacteristicFunction;
+
+    /// Products that overflow or pass the cap are rejected as too large —
+    /// not as "non-trivial", and not wrapped into a tiny universe.
+    #[test]
+    fn universe_is_capped_at_two_to_the_26() {
+        assert_eq!(Grid::new(8192, 8192).unwrap().universe_size(), MAX_ELEMENTS);
+        assert_eq!(
+            Grid::new(1, MAX_ELEMENTS).unwrap().universe_size(),
+            MAX_ELEMENTS
+        );
+        for (rows, cols) in [
+            (MAX_ELEMENTS + 1, 1),
+            (8193, 8192),
+            (3, 6_148_914_691_236_517_206),
+            (1 << 32, 1 << 32),
+            (usize::MAX, usize::MAX),
+        ] {
+            match Grid::new(rows, cols) {
+                Err(QuorumError::InvalidConstruction { reason }) => {
+                    assert!(
+                        reason.contains("exceeds the limit"),
+                        "{rows}x{cols}: {reason}"
+                    )
+                }
+                other => panic!("{rows}x{cols} built {other:?}"),
+            }
+        }
+        for hint in [MAX_ELEMENTS, MAX_ELEMENTS + 1, usize::MAX] {
+            let grid = Grid::with_size_hint(hint);
+            assert_eq!((grid.rows(), grid.cols()), (8192, 8192));
+        }
+    }
 
     #[test]
     fn construction_validation() {

@@ -181,11 +181,6 @@ impl QuorumSystem for Hqs {
         self.evaluate_with(|leaf| set.contains(leaf))
     }
 
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        debug_assert_eq!(lanes.len(), self.n);
-        Some(self.green_lane_block_impl::<u64>(lanes))
-    }
-
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
         dispatch_lane_block!(self, lanes, width, out)
     }

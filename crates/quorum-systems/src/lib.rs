@@ -60,8 +60,22 @@ pub use spec::{BuiltSystem, SpecError, SpecErrorKind, SystemSpec};
 pub use tree::TreeQuorum;
 pub use wheel::Wheel;
 
-use quorum_core::DynQuorumSystem;
+use quorum_core::{DynQuorumSystem, QuorumError};
 use std::sync::Arc;
+
+/// Largest universe the named families build: 2²⁶ elements. Every
+/// evaluator allocates per element, so Majority, Wheel, CrumblingWalls and
+/// Grid reject a larger universe (or one whose size overflows) before
+/// allocating anything; the height caps of Tree and HQS keep them under it.
+pub(crate) const MAX_ELEMENTS: usize = 1 << 26;
+
+/// The [`QuorumError::InvalidConstruction`] for a universe past
+/// [`MAX_ELEMENTS`].
+pub(crate) fn too_large(what: impl std::fmt::Display) -> QuorumError {
+    QuorumError::InvalidConstruction {
+        reason: format!("{what} exceeds the limit of {MAX_ELEMENTS} elements"),
+    }
+}
 
 /// Dispatches a family's const-generic `green_lane_block_impl` over the
 /// supported widths ([`quorum_core::lanes::LANE_WIDTHS`]), storing the result
@@ -88,6 +102,18 @@ macro_rules! dispatch_lane_block {
     }};
 }
 pub(crate) use dispatch_lane_block;
+
+/// The single-word lane verdict: the block evaluator at width 1.
+#[cfg(test)]
+pub(crate) fn lane_word<S: quorum_core::QuorumSystem + ?Sized>(system: &S, lanes: &[u64]) -> u64 {
+    let mut word = 0;
+    assert!(
+        system.green_quorum_lane_block(lanes, 1, std::slice::from_mut(&mut word)),
+        "{} has no lane evaluator",
+        system.name()
+    );
+    word
+}
 
 /// A catalogue entry: a named family plus a constructor from a size hint.
 ///
@@ -257,8 +283,8 @@ mod tests {
                     for w in 0..width {
                         let word_lanes: Vec<u64> = (0..n).map(|e| lanes[e * width + w]).collect();
                         assert_eq!(
-                            Some(out[w]),
-                            system.green_quorum_lanes(&word_lanes),
+                            out[w],
+                            crate::lane_word(&system, &word_lanes),
                             "{} n={n} width={width} word {w} diverged",
                             entry.family
                         );
@@ -400,9 +426,7 @@ mod tests {
                 let n = system.universe_size();
                 for _ in 0..4 {
                     let lanes: Vec<u64> = (0..n).map(|_| next()).collect();
-                    let lane_result = system
-                        .green_quorum_lanes(&lanes)
-                        .unwrap_or_else(|| panic!("{} has no lane evaluator", entry.family));
+                    let lane_result = crate::lane_word(&system, &lanes);
                     for t in 0..64 {
                         let green =
                             ElementSet::from_iter(n, (0..n).filter(|&e| (lanes[e] >> t) & 1 == 1));

@@ -3,7 +3,7 @@
 use quorum_core::lanes::{count_at_least_lanes, Lanes};
 use quorum_core::{Coloring, ColoringDelta, DeltaEvaluator, ElementSet, QuorumError, QuorumSystem};
 
-use crate::dispatch_lane_block;
+use crate::{dispatch_lane_block, too_large, MAX_ELEMENTS};
 
 /// Incremental majority evaluation: a cached green count, adjusted per delta
 /// by the popcounts of each dirty word split into red-ward and green-ward
@@ -79,7 +79,7 @@ impl Majority {
     ///
     /// Returns [`QuorumError::InvalidConstruction`] unless `n` is odd and at
     /// least 3 (the paper defines Maj for odd `n`; even `n` would break the
-    /// intersection property for simple majorities).
+    /// intersection property for simple majorities), or if `n` exceeds 2²⁶.
     pub fn new(n: usize) -> Result<Self, QuorumError> {
         if n < 3 || n % 2 == 0 {
             return Err(QuorumError::InvalidConstruction {
@@ -88,23 +88,21 @@ impl Majority {
                 ),
             });
         }
+        if n > MAX_ELEMENTS {
+            return Err(too_large(format_args!("majority over {n} elements")));
+        }
         Ok(Majority { n })
     }
 
     /// Creates the majority system whose universe is closest to `size_hint`
-    /// from above: `size_hint` rounded up to an odd number, at least 3.
+    /// from above: `size_hint` rounded up to an odd number, at least 3 and
+    /// at most 2²⁶ − 1.
     ///
     /// Infallible counterpart of [`Majority::new`] used by catalogues and
     /// registries that sweep heterogeneous families from a single size knob.
     pub fn with_size_hint(size_hint: usize) -> Self {
-        let n = if size_hint < 3 {
-            3
-        } else if size_hint % 2 == 0 {
-            size_hint + 1
-        } else {
-            size_hint
-        };
-        Majority::new(n).expect("odd n >= 3 is always valid")
+        Majority::new(size_hint.clamp(3, MAX_ELEMENTS - 1) | 1)
+            .expect("odd n in [3, 2^26) is always valid")
     }
 
     /// The uniform quorum size `(n+1)/2`.
@@ -133,13 +131,6 @@ impl QuorumSystem for Majority {
 
     fn contains_quorum(&self, set: &ElementSet) -> bool {
         set.len() >= self.quorum_size()
-    }
-
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        debug_assert_eq!(lanes.len(), self.n);
-        // 64 trials per pass: the cardinality threshold becomes a bit-sliced
-        // carry-save count over the element lanes.
-        Some(self.green_lane_block_impl::<u64>(lanes))
     }
 
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
@@ -203,6 +194,26 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use quorum_core::{CharacteristicFunction, Coloring};
+
+    #[test]
+    fn universe_is_capped_at_two_to_the_26() {
+        assert!(Majority::new(MAX_ELEMENTS - 1).is_ok());
+        for n in [MAX_ELEMENTS + 1, usize::MAX] {
+            assert!(matches!(
+                Majority::new(n),
+                Err(QuorumError::InvalidConstruction { .. })
+            ));
+        }
+        for hint in [MAX_ELEMENTS, MAX_ELEMENTS + 1, usize::MAX] {
+            assert_eq!(
+                Majority::with_size_hint(hint).universe_size(),
+                MAX_ELEMENTS - 1
+            );
+        }
+        assert_eq!(Majority::with_size_hint(0).universe_size(), 3);
+        assert_eq!(Majority::with_size_hint(8).universe_size(), 9);
+        assert_eq!(Majority::with_size_hint(9).universe_size(), 9);
+    }
 
     #[test]
     fn construction_validates_parity_and_size() {

@@ -837,6 +837,41 @@ mod tests {
         round_trip(&SystemSpec::org_majority_with_size_hint(40));
     }
 
+    /// Hostile sizes in the text form come back as typed errors, never as
+    /// an abort, a wrapped universe or a hang: parsing validates by
+    /// building, and the builders check the element cap first.
+    #[test]
+    fn parse_rejects_universes_past_the_element_cap() {
+        for ok in [
+            "maj(67108863)",
+            "wheel(67108864)",
+            "triang(11584)",
+            "grid(8192,8192)",
+        ] {
+            assert!(SystemSpec::parse(ok).is_ok(), "{ok}");
+        }
+        for bad in [
+            "maj(67108865)",
+            "maj(18446744073709551615)",
+            "wheel(67108865)",
+            "wheel(18446744073709551615)",
+            "triang(11585)",
+            "triang(1000000000000)",
+            "triang(18446744073709551615)",
+            "grid(8193,8192)",
+            "grid(3,6148914691236517206)",
+            "grid(4294967296,4294967296)",
+        ] {
+            let err = SystemSpec::parse(bad).unwrap_err();
+            match &err.kind {
+                SpecErrorKind::Invalid { reason } => {
+                    assert!(reason.contains("exceeds the limit"), "{bad}: {reason}")
+                }
+                other => panic!("{bad}: unexpected {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn parse_accepts_whitespace_and_rejects_junk() {
         let spec = SystemSpec::parse(" 2( 0 , 1 , 2 ) ").unwrap();

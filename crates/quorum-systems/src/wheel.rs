@@ -5,7 +5,7 @@ use quorum_core::{
     Coloring, ColoringDelta, DeltaEvaluator, ElementId, ElementSet, QuorumError, QuorumSystem,
 };
 
-use crate::dispatch_lane_block;
+use crate::{dispatch_lane_block, too_large, MAX_ELEMENTS};
 
 /// Incremental wheel evaluation: the cached hub state and a rim-green
 /// counter. Each flip is an O(1) adjustment; the verdict is "hub plus any
@@ -88,21 +88,24 @@ impl Wheel {
     /// # Errors
     ///
     /// Returns [`QuorumError::InvalidConstruction`] if `n < 3` (with fewer
-    /// than three elements the rim degenerates).
+    /// than three elements the rim degenerates) or if `n` exceeds 2²⁶.
     pub fn new(n: usize) -> Result<Self, QuorumError> {
         if n < 3 {
             return Err(QuorumError::InvalidConstruction {
                 reason: format!("wheel requires at least 3 elements, got {n}"),
             });
         }
+        if n > MAX_ELEMENTS {
+            return Err(too_large(format_args!("wheel over {n} elements")));
+        }
         Ok(Wheel { n })
     }
 
     /// Creates the wheel whose universe is closest to `size_hint`
-    /// (`max(size_hint, 3)` elements). Infallible counterpart of
-    /// [`Wheel::new`] for catalogues and registries.
+    /// (`size_hint` clamped to `[3, 2²⁶]` elements). Infallible counterpart
+    /// of [`Wheel::new`] for catalogues and registries.
     pub fn with_size_hint(size_hint: usize) -> Self {
-        Wheel::new(size_hint.max(3)).expect("n >= 3 is always valid")
+        Wheel::new(size_hint.clamp(3, MAX_ELEMENTS)).expect("n in [3, 2^26] is always valid")
     }
 
     /// The hub element (index 0).
@@ -152,12 +155,6 @@ impl QuorumSystem for Wheel {
         }
     }
 
-    fn green_quorum_lanes(&self, lanes: &[u64]) -> Option<u64> {
-        debug_assert_eq!(lanes.len(), self.n);
-        // Hub + any rim element, or the whole rim: two OR/AND folds.
-        Some(self.green_lane_block_impl::<u64>(lanes))
-    }
-
     fn green_quorum_lane_block(&self, lanes: &[u64], width: usize, out: &mut [u64]) -> bool {
         dispatch_lane_block!(self, lanes, width, out)
     }
@@ -193,6 +190,20 @@ impl QuorumSystem for Wheel {
 mod tests {
     use super::*;
     use quorum_core::{CharacteristicFunction, Coloring};
+
+    #[test]
+    fn universe_is_capped_at_two_to_the_26() {
+        assert!(Wheel::new(MAX_ELEMENTS).is_ok());
+        for n in [MAX_ELEMENTS + 1, usize::MAX] {
+            assert!(matches!(
+                Wheel::new(n),
+                Err(QuorumError::InvalidConstruction { .. })
+            ));
+        }
+        for hint in [MAX_ELEMENTS, MAX_ELEMENTS + 1, usize::MAX] {
+            assert_eq!(Wheel::with_size_hint(hint).universe_size(), MAX_ELEMENTS);
+        }
+    }
 
     #[test]
     fn construction_rejects_tiny_universes() {

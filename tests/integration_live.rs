@@ -1,14 +1,10 @@
 //! End-to-end tests of the live runtime behind the unified `WorkloadSpec`
 //! API: sim-vs-live observable agreement across the network scenario
-//! battery, admission control shedding load under overload, graceful
-//! shutdown draining every node queue, and the deprecated free functions
-//! staying bit-identical to the builder they wrap.
-
-#![allow(deprecated)] // the wrapper-equivalence proptest calls the old API on purpose
+//! battery, admission control shedding load under overload, and graceful
+//! shutdown draining every node queue.
 
 use probequorum::cluster::spec::TracedSession;
 use probequorum::prelude::*;
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 
 /// A live configuration fast enough for CI: time compressed 500×, no
@@ -17,15 +13,15 @@ fn fast_live() -> LiveOptions {
     LiveOptions::default().time_scale(0.002)
 }
 
-fn tree_cell(sessions: usize, scenario: &NetScenario) -> NetWorkloadCell {
-    let cell = WorkloadCell {
-        system: erase_system(TreeQuorum::new(3).unwrap()),
-        strategy: WorkloadStrategy::Paper(typed_strategy::<TreeQuorum, _>(ProbeTree::new())),
-        source: ColoringSource::iid(0.15),
-        workload: "open-poisson".into(),
-        config: open_poisson_workload(sessions, SimTime::from_micros(250)),
-    };
-    NetWorkloadCell::from_cell(cell, scenario)
+fn tree_cell(sessions: usize, scenario: &NetScenario) -> WorkloadCell {
+    WorkloadCell::new(
+        erase_system(TreeQuorum::new(3).unwrap()),
+        WorkloadStrategy::Paper(typed_strategy::<TreeQuorum, _>(ProbeTree::new())),
+        ColoringSource::iid(0.15),
+        "open-poisson",
+        open_poisson_workload(sessions, SimTime::from_micros(250)),
+    )
+    .with_scenario(scenario)
 }
 
 /// The tentpole cross-validation: one trace replayed through the simulator
@@ -196,80 +192,4 @@ fn graceful_shutdown_drains_bounded_queues() {
         live.requests_served
     );
     assert!(outcome.agrees(), "draining must not break agreement");
-}
-
-proptest! {
-    #![proptest_config(proptest::test_runner::Config::with_cases(24))]
-
-    /// Satellite guarantee: the deprecated free functions are bit-identical
-    /// wrappers over the `WorkloadSpec` builder for random configurations.
-    #[test]
-    fn deprecated_wrappers_match_the_builder(
-        seed in 0u64..1_000,
-        sessions in 1usize..40,
-        interarrival_us in 50u64..1_000,
-        loss_ppm in 0u32..80_000,
-        attempts in 1u32..4,
-    ) {
-        let config = WorkloadConfig {
-            arrival: ArrivalProcess::OpenPoisson {
-                mean_interarrival: SimTime::from_micros(interarrival_us),
-            },
-            sessions,
-            rpc_latency: Distribution::uniform(
-                SimTime::from_micros(100),
-                SimTime::from_micros(400),
-            ),
-            service: Distribution::exponential(SimTime::from_micros(150)),
-            probe_timeout: SimTime::from_millis(5),
-        };
-        let network = NetworkModel::lossy(loss_ppm);
-        let policy = ProbePolicy::retry(attempts, SimTime::from_micros(200));
-        let plan = |_: u64, _: &LoadLedger, _: SimTime, rng: &mut StdRng| {
-            let fate = network.probe_fate(1, true, SimTime::ZERO, &policy, rng);
-            let ok = fate.observed == Color::Green;
-            NetSessionPlan {
-                probes: vec![NetProbe {
-                    node: 1,
-                    observed: fate.observed,
-                    failures: fate.failures,
-                }],
-                success: ok,
-            }
-        };
-        let wrapper = run_net_workload(4, &config, &network, &policy, seed, plan);
-        let builder = WorkloadSpec::new(4)
-            .config(config)
-            .network(network.clone())
-            .policy(policy)
-            .run(seed, plan)
-            .report;
-        prop_assert_eq!(wrapper.sessions, builder.sessions);
-        prop_assert_eq!(wrapper.successes, builder.successes);
-        prop_assert_eq!(wrapper.probes, builder.probes);
-        prop_assert_eq!(wrapper.messages, builder.messages);
-        prop_assert_eq!(wrapper.wasted_probes, builder.wasted_probes);
-        prop_assert_eq!(wrapper.duration, builder.duration);
-        prop_assert_eq!(wrapper.latency, builder.latency);
-        prop_assert_eq!(
-            wrapper.ledger.probes_received(),
-            builder.ledger.probes_received()
-        );
-    }
-
-    /// The latency-only wrapper too: `run_workload` == builder `run_plans`.
-    #[test]
-    fn latency_wrapper_matches_the_builder(seed in 0u64..1_000, sessions in 1usize..30) {
-        let config = open_poisson_workload(sessions, SimTime::from_micros(300));
-        let plan = |session: u64, _: &LoadLedger, _: SimTime| SessionPlan {
-            sequence: vec![session as usize % 5],
-            colors: vec![Color::Green],
-            success: true,
-        };
-        let wrapper = run_workload(5, &config, seed, plan);
-        let builder = WorkloadSpec::new(5).config(config).run_plans(seed, plan).report;
-        prop_assert_eq!(wrapper.duration, builder.duration);
-        prop_assert_eq!(wrapper.latency, builder.latency);
-        prop_assert_eq!(wrapper.messages, builder.messages);
-    }
 }

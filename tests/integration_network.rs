@@ -1,7 +1,6 @@
 //! End-to-end tests of the message-level network layer: partition
-//! schedules, the fault-injection engine, clean-network bit-compatibility
-//! with the latency-only engine, robustness policies, and thread-count
-//! determinism — all through the `probequorum` facade.
+//! schedules, the fault-injection engine, robustness policies, and
+//! thread-count determinism — all through the `probequorum` facade.
 
 use probequorum::prelude::*;
 use proptest::prelude::*;
@@ -26,33 +25,27 @@ fn paper_cells(sessions: usize) -> Vec<WorkloadCell> {
     ];
     pairs
         .into_iter()
-        .map(|(system, paper)| WorkloadCell {
-            system,
-            strategy: WorkloadStrategy::Paper(paper),
-            source: ColoringSource::iid(0.1),
-            workload: "open-poisson".into(),
-            config: open_config(sessions),
+        .map(|(system, paper)| {
+            WorkloadCell::new(
+                system,
+                WorkloadStrategy::Paper(paper),
+                ColoringSource::iid(0.1),
+                "open-poisson",
+                open_config(sessions),
+            )
         })
         .collect()
 }
 
-fn lift(
-    cells: Vec<WorkloadCell>,
-    network: NetworkModel,
-    policy: ProbePolicy,
-) -> Vec<NetWorkloadCell> {
+fn lift(cells: Vec<WorkloadCell>, network: NetworkModel, policy: ProbePolicy) -> Vec<WorkloadCell> {
+    let scenario = NetScenario {
+        name: "test",
+        network,
+        policy,
+    };
     cells
         .into_iter()
-        .map(|cell| {
-            NetWorkloadCell::from_cell(
-                cell,
-                &NetScenario {
-                    name: "test",
-                    network: network.clone(),
-                    policy,
-                },
-            )
-        })
+        .map(|cell| cell.with_scenario(&scenario))
         .collect()
 }
 
@@ -104,30 +97,6 @@ proptest! {
         prop_assert!(schedule.unreachable_at(n, at).is_empty());
     }
 
-    /// Satellite: a zero-loss / no-partition / no-delay-override network
-    /// reproduces the latency-only workload rows bit for bit, for any seed.
-    #[test]
-    fn clean_network_reproduces_workload_rows_bit_for_bit(seed in 0u64..200) {
-        let engine = EvalEngine::with_threads(1);
-        let plain = run_workload_cells(&engine, seed, &paper_cells(120));
-        let net = run_net_workload_cells(
-            &engine,
-            seed,
-            &lift(paper_cells(120), NetworkModel::clean(), ProbePolicy::sequential()),
-        );
-        for (a, b) in plain.iter().zip(&net) {
-            prop_assert_eq!(a.success_rate, b.success_rate);
-            prop_assert_eq!(a.throughput_per_sec, b.throughput_per_sec);
-            prop_assert_eq!(a.p50_us, b.p50_us);
-            prop_assert_eq!(a.p95_us, b.p95_us);
-            prop_assert_eq!(a.p99_us, b.p99_us);
-            prop_assert_eq!(a.probes_per_session, b.probes_per_session);
-            prop_assert_eq!(a.imbalance, b.imbalance);
-            prop_assert_eq!(a.peak_backlog, b.peak_backlog);
-            prop_assert_eq!(b.wasted_fraction, 0.0);
-        }
-    }
-
     /// Satellite: on a clean network, hedging never decreases the ok-rate
     /// (it only overlaps stalls), for any seed and hedge delay.
     #[test]
@@ -136,14 +105,14 @@ proptest! {
         hedge_us in 200u64..20_000,
     ) {
         let engine = EvalEngine::with_threads(1);
-        let plain = run_net_workload_cells(
+        let plain = run_workload_cells(
             &engine,
             seed,
             &lift(paper_cells(100), NetworkModel::clean(), ProbePolicy::sequential()),
         );
         let hedged_policy =
             ProbePolicy::sequential().with_hedge(SimTime::from_micros(hedge_us));
-        let hedged = run_net_workload_cells(
+        let hedged = run_workload_cells(
             &engine,
             seed,
             &lift(paper_cells(100), NetworkModel::clean(), hedged_policy),
@@ -165,26 +134,20 @@ proptest! {
 fn network_outcomes_are_bit_identical_across_thread_counts() {
     let system = erase_system(TreeQuorum::new(4).unwrap());
     let config = open_config(250);
-    let cells: Vec<NetWorkloadCell> = network_scenarios(31, &config)
+    let cell = WorkloadCell::new(
+        system,
+        WorkloadStrategy::Paper(typed_strategy::<TreeQuorum, _>(ProbeTree::new())),
+        ColoringSource::iid(0.08),
+        "open-poisson",
+        config,
+    );
+    let cells: Vec<WorkloadCell> = network_scenarios(31, &config)
         .iter()
-        .map(|scenario| {
-            NetWorkloadCell::from_cell(
-                WorkloadCell {
-                    system: system.clone(),
-                    strategy: WorkloadStrategy::Paper(typed_strategy::<TreeQuorum, _>(
-                        ProbeTree::new(),
-                    )),
-                    source: ColoringSource::iid(0.08),
-                    workload: "open-poisson".into(),
-                    config,
-                },
-                scenario,
-            )
-        })
+        .map(|scenario| cell.clone().with_scenario(scenario))
         .collect();
-    let single = run_net_workload_cells(&EvalEngine::with_threads(1), 2001, &cells);
-    let four = run_net_workload_cells(&EvalEngine::with_threads(4), 2001, &cells);
-    let eight = run_net_workload_cells(&EvalEngine::with_threads(8), 2001, &cells);
+    let single = run_workload_cells(&EvalEngine::with_threads(1), 2001, &cells);
+    let four = run_workload_cells(&EvalEngine::with_threads(4), 2001, &cells);
+    let eight = run_workload_cells(&EvalEngine::with_threads(8), 2001, &cells);
     assert_eq!(single, four, "1 vs 4 threads diverged");
     assert_eq!(single, eight, "1 vs 8 threads diverged");
     assert_eq!(
@@ -197,7 +160,7 @@ fn network_outcomes_are_bit_identical_across_thread_counts() {
 fn loss_degrades_naive_sessions_and_retries_recover_them() {
     let engine = EvalEngine::new();
     let lossy = NetworkModel::lossy(120_000); // 12 % per message leg
-    let clean = run_net_workload_cells(
+    let clean = run_workload_cells(
         &engine,
         5,
         &lift(
@@ -206,12 +169,12 @@ fn loss_degrades_naive_sessions_and_retries_recover_them() {
             ProbePolicy::sequential(),
         ),
     );
-    let naive = run_net_workload_cells(
+    let naive = run_workload_cells(
         &engine,
         5,
         &lift(paper_cells(300), lossy.clone(), ProbePolicy::sequential()),
     );
-    let robust = run_net_workload_cells(
+    let robust = run_workload_cells(
         &engine,
         5,
         &lift(
@@ -262,22 +225,22 @@ fn minority_partition_dips_and_heals() {
         ),
         ..NetworkModel::clean()
     };
-    let cells = |net: NetworkModel| {
-        vec![NetWorkloadCell {
-            system: erase_system(Majority::new(n).unwrap()),
-            strategy: WorkloadStrategy::Paper(typed_strategy::<Majority, _>(ProbeMaj::new())),
-            source: ColoringSource::iid(0.05),
-            workload: "open-poisson".into(),
-            config,
+    let cells = |network: NetworkModel| {
+        vec![WorkloadCell {
             net: "test".into(),
-            network: net,
-            policy: ProbePolicy::sequential(),
-            health: None,
+            network,
+            ..WorkloadCell::new(
+                erase_system(Majority::new(n).unwrap()),
+                WorkloadStrategy::Paper(typed_strategy::<Majority, _>(ProbeMaj::new())),
+                ColoringSource::iid(0.05),
+                "open-poisson",
+                config,
+            )
         }]
     };
     let engine = EvalEngine::new();
-    let clean = &run_net_workload_cells(&engine, 7, &cells(NetworkModel::clean()))[0];
-    let split = &run_net_workload_cells(&engine, 7, &cells(network))[0];
+    let clean = &run_workload_cells(&engine, 7, &cells(NetworkModel::clean()))[0];
+    let split = &run_workload_cells(&engine, 7, &cells(network))[0];
     assert!(
         split.probes_per_session > clean.probes_per_session,
         "partitioned sessions must probe past the cut minority: {} vs {}",
@@ -299,18 +262,18 @@ fn asymmetric_split_wastes_served_work_and_flapping_recovers_between_flaps() {
     let config = open_config(300);
     let n = 15usize;
     let scenarios = network_scenarios(n, &config);
-    let base = WorkloadCell {
-        system: erase_system(Majority::new(n).unwrap()),
-        strategy: WorkloadStrategy::Paper(typed_strategy::<Majority, _>(ProbeMaj::new())),
-        source: ColoringSource::iid(0.05),
-        workload: "open-poisson".into(),
+    let base = WorkloadCell::new(
+        erase_system(Majority::new(n).unwrap()),
+        WorkloadStrategy::Paper(typed_strategy::<Majority, _>(ProbeMaj::new())),
+        ColoringSource::iid(0.05),
+        "open-poisson",
         config,
-    };
-    let cells: Vec<NetWorkloadCell> = scenarios
+    );
+    let cells: Vec<WorkloadCell> = scenarios
         .iter()
-        .map(|s| NetWorkloadCell::from_cell(base.clone(), s))
+        .map(|s| base.clone().with_scenario(s))
         .collect();
-    let outcomes = run_net_workload_cells(&EvalEngine::new(), 13, &cells);
+    let outcomes = run_workload_cells(&EvalEngine::new(), 13, &cells);
     let get = |name: &str| {
         outcomes
             .iter()
@@ -353,14 +316,13 @@ fn hedging_cuts_the_heavy_tail() {
         ..NetworkModel::clean()
     };
     let engine = EvalEngine::new();
-    let naive = run_net_workload_cells(
+    let naive = run_workload_cells(
         &engine,
         3,
         &lift(paper_cells(400), network.clone(), ProbePolicy::sequential()),
     );
     let hedged_policy = ProbePolicy::sequential().with_hedge(SimTime::from_millis(1));
-    let hedged =
-        run_net_workload_cells(&engine, 3, &lift(paper_cells(400), network, hedged_policy));
+    let hedged = run_workload_cells(&engine, 3, &lift(paper_cells(400), network, hedged_policy));
     for (n, h) in naive.iter().zip(&hedged) {
         assert_eq!(
             h.success_rate, n.success_rate,

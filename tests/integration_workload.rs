@@ -14,13 +14,13 @@ fn cells_for(system: DynSystem, paper: DynProbeStrategy, sessions: usize) -> Vec
         WorkloadStrategy::PowerOfTwo,
     ] {
         for (name, config) in standard_workloads(sessions) {
-            cells.push(WorkloadCell {
-                system: system.clone(),
-                strategy: strategy.clone(),
-                source: ColoringSource::iid(0.1),
-                workload: name.to_string(),
+            cells.push(WorkloadCell::new(
+                system.clone(),
+                strategy.clone(),
+                ColoringSource::iid(0.1),
+                name,
                 config,
-            });
+            ));
         }
     }
     cells
@@ -85,12 +85,14 @@ fn open_loop_overload_shows_up_in_the_tail_latency() {
     let sessions = 300;
     let calm_config = open_poisson_workload(sessions, SimTime::from_millis(20));
     let slammed_config = open_poisson_workload(sessions, SimTime::from_micros(40));
-    let build = |label: &str, config| WorkloadCell {
-        system: system.clone(),
-        strategy: WorkloadStrategy::Paper(paper.clone()),
-        source: ColoringSource::iid(0.05),
-        workload: label.to_string(),
-        config,
+    let build = |label: &str, config| {
+        WorkloadCell::new(
+            system.clone(),
+            WorkloadStrategy::Paper(paper.clone()),
+            ColoringSource::iid(0.05),
+            label,
+            config,
+        )
     };
     let outcomes = run_workload_cells(
         &EvalEngine::new(),
@@ -118,12 +120,14 @@ fn failure_scenarios_propagate_into_workload_success_rates() {
     let system = erase_system(Majority::new(15).unwrap());
     let paper = typed_strategy::<Majority, _>(ProbeMaj::new());
     let sessions = 400;
-    let build = |source| WorkloadCell {
-        system: system.clone(),
-        strategy: WorkloadStrategy::Paper(paper.clone()),
-        source,
-        workload: "open-poisson".into(),
-        config: open_poisson_workload(sessions, SimTime::from_micros(250)),
+    let build = |source| {
+        WorkloadCell::new(
+            system.clone(),
+            WorkloadStrategy::Paper(paper.clone()),
+            source,
+            "open-poisson",
+            open_poisson_workload(sessions, SimTime::from_micros(250)),
+        )
     };
     let outcomes = run_workload_cells(
         &EvalEngine::new(),
