@@ -18,9 +18,9 @@
 //! * [`sim`] — the parallel registry-driven evaluation engine
 //!   ([`sim::eval`]), Monte-Carlo estimators, failure models, sweeps and
 //!   report tables (`quorum-sim`);
-//! * [`cluster`] — the discrete-event cluster simulator (`quorum-cluster`);
-//! * [`protocols`] — quorum-based mutual exclusion and the replicated
-//!   register (`quorum-protocols`).
+//! * [`cluster`] — the discrete-event workload engine that prices probe
+//!   sessions under traffic and network faults, and the live runtime that
+//!   replays its traces (`quorum-cluster`).
 //!
 //! # Quickstart
 //!
@@ -52,7 +52,6 @@ pub use quorum_analysis as analysis;
 pub use quorum_cluster as cluster;
 pub use quorum_core as core;
 pub use quorum_probe as probe;
-pub use quorum_protocols as protocols;
 pub use quorum_sim as sim;
 pub use quorum_systems as systems;
 
@@ -65,11 +64,10 @@ pub mod prelude {
     };
     pub use quorum_cluster::{
         cross_validate, plan_observables, AgreementReport, ArrivalProcess, Backend, ChaosKind,
-        ChaosSchedule, ChaosState, ChaosWindow, Cluster, Distribution, LinkDirection, LiveOptions,
-        LiveReport, LoadLedger, NetProbe, NetSessionPlan, NetworkConfig, NetworkModel,
-        PartitionKind, PartitionSchedule, PartitionWindow, PlanCost, ProbePolicy, SessionPlan,
-        SessionTrace, SimTime, SpecReport, SupervisorPolicy, WorkloadConfig, WorkloadReport,
-        WorkloadSpec,
+        ChaosSchedule, ChaosState, ChaosWindow, Distribution, LinkDirection, LiveOptions,
+        LiveReport, LoadLedger, NetProbe, NetSessionPlan, NetworkModel, PartitionKind,
+        PartitionSchedule, PartitionWindow, PlanCost, ProbePolicy, SessionPlan, SessionTrace,
+        SimTime, SpecReport, SupervisorPolicy, WorkloadConfig, WorkloadReport, WorkloadSpec,
     };
     pub use quorum_core::{
         delta_evaluator_for, Color, Coloring, ColoringDelta, Coterie, DeltaEvaluator,
@@ -79,9 +77,6 @@ pub mod prelude {
     pub use quorum_probe::{
         exact, run_strategy, strategies::*, yao, BreakerState, DecisionTree, GatedOutcome,
         HealthConfig, HealthView, InputDistribution, ProbeOracle, ProbeRun, ProbeStrategy,
-    };
-    pub use quorum_protocols::{
-        MutexError, QuorumMutex, ReadResult, RegisterError, ReplicatedRegister,
     };
     pub use quorum_sim::eval::{
         erase_spec, erase_system, typed_strategy, universal_strategy, ColoringSource,
@@ -119,6 +114,6 @@ mod tests {
     fn facade_modules_are_reachable() {
         assert_eq!(crate::systems::Wheel::new(4).unwrap().universe_size(), 4);
         assert_eq!(crate::core::ElementSet::full(6).len(), 6);
-        assert!(crate::cluster::NetworkConfig::wan().is_valid());
+        assert!(crate::cluster::NetworkModel::clean().is_clean());
     }
 }

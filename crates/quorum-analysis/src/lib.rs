@@ -32,7 +32,6 @@ pub mod fit;
 pub mod histogram;
 pub mod lemmas;
 pub mod minimal;
-pub mod noise;
 pub mod stats;
 
 pub use availability::{
@@ -45,5 +44,4 @@ pub use minimal::{
     availability_bounds, find_disjoint_pair, minimal_blocking_sets, minimal_quorums,
     AvailabilityBounds, MINIMAL_ENUM_LIMIT,
 };
-pub use noise::{transcript_edit_distance, NoiseSensitivity};
 pub use stats::{RunningStats, Summary};

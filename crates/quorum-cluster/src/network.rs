@@ -1,75 +1,22 @@
-//! Network models: legacy latency/timeout profiles, and the message-level
-//! fault model — per-link loss, delay overrides and partition schedules —
-//! that the workload engine prices probe sessions against.
+//! The message-level fault model — per-link loss, delay overrides and
+//! partition schedules — that the workload engine prices probe sessions
+//! against.
 //!
-//! Two layers live here:
-//!
-//! * [`NetworkConfig`] is the original oracle-flavoured profile used by
-//!   [`Cluster`](crate::Cluster): probes to live nodes cost a round trip,
-//!   probes to crashed nodes cost the timeout.
-//! * [`NetworkModel`] + [`PartitionSchedule`] + [`ProbePolicy`] form the
-//!   message-level model: a probe is a request/response pair, either leg can
-//!   be lost (`loss_ppm`) or blocked by a timed partition window, and a
-//!   dropped message simply never arrives — the *client* decides how long to
-//!   wait, how often to retry, and when to hedge. The model's
-//!   [`NetworkModel::probe_fate`] decides each element's observable outcome;
-//!   the workload engine (see [`crate::workload`]) prices the attempts in
-//!   virtual time.
+//! [`NetworkModel`] + [`PartitionSchedule`] + [`ProbePolicy`] form the
+//! model: a probe is a request/response pair, either leg can be lost
+//! (`loss_ppm`) or blocked by a timed partition window, and a dropped
+//! message simply never arrives — the *client* decides how long to wait,
+//! how often to retry, and when to hedge. The model's
+//! [`NetworkModel::probe_fate`] decides each element's observable outcome;
+//! the workload engine (see [`crate::workload`]) prices the attempts in
+//! virtual time.
 
-use quorum_core::{Color, Coloring};
 use quorum_probe::session::{AttemptLoss, ProbeFate};
 use rand::{Rng, RngCore};
 
 use crate::chaos::{ChaosSchedule, ChaosState};
 use crate::workload::Distribution;
 use crate::{NodeId, SimTime};
-
-/// Configuration of the simulated network.
-///
-/// Probe RPCs to live nodes take a round-trip time drawn uniformly from
-/// `[min_latency, max_latency]`; probes to crashed nodes cost `probe_timeout`
-/// (the client gives up after that long and colors the element red).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetworkConfig {
-    /// Smallest round-trip time to a live node.
-    pub min_latency: SimTime,
-    /// Largest round-trip time to a live node.
-    pub max_latency: SimTime,
-    /// How long the client waits before declaring a node crashed.
-    pub probe_timeout: SimTime,
-}
-
-impl NetworkConfig {
-    /// A LAN-like profile: 0.2–1 ms round trips, 10 ms timeout.
-    pub fn lan() -> Self {
-        NetworkConfig {
-            min_latency: SimTime::from_micros(200),
-            max_latency: SimTime::from_millis(1),
-            probe_timeout: SimTime::from_millis(10),
-        }
-    }
-
-    /// A WAN-like profile: 20–80 ms round trips, 500 ms timeout.
-    pub fn wan() -> Self {
-        NetworkConfig {
-            min_latency: SimTime::from_millis(20),
-            max_latency: SimTime::from_millis(80),
-            probe_timeout: SimTime::from_millis(500),
-        }
-    }
-
-    /// Validates the configuration (latencies ordered, timeout no smaller than
-    /// the largest latency).
-    pub fn is_valid(&self) -> bool {
-        self.min_latency <= self.max_latency && self.probe_timeout >= self.max_latency
-    }
-}
-
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        NetworkConfig::lan()
-    }
-}
 
 /// Which leg of a probe RPC a message travels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,34 +210,6 @@ impl PartitionSchedule {
         ends.sort_unstable();
         ends.dedup();
         ends.into_iter().find(|&t| self.is_quiescent_at(t))
-    }
-
-    /// The nodes with any blocked direction at `at` (what a round-based
-    /// protocol trace treats as unreachable).
-    pub fn unreachable_at(&self, n: usize, at: SimTime) -> Vec<NodeId> {
-        (0..n)
-            .filter(|&node| {
-                !self.delivers(node, LinkDirection::Request, at)
-                    || !self.delivers(node, LinkDirection::Response, at)
-            })
-            .collect()
-    }
-
-    /// Overlays the schedule onto a ground-truth coloring: the view at `at`,
-    /// with every element whose node has any blocked direction forced red —
-    /// to a probing client an unreachable node is indistinguishable from a
-    /// crashed one. This is the one shared query for round-based protocol
-    /// traces; [`PartitionSchedule::unreachable_at`] lists the same nodes.
-    pub fn observed_coloring(&self, truth: &Coloring, at: SimTime) -> Coloring {
-        Coloring::from_fn(truth.universe_size(), |e| {
-            if self.delivers(e, LinkDirection::Request, at)
-                && self.delivers(e, LinkDirection::Response, at)
-            {
-                truth.color(e)
-            } else {
-                Color::Red
-            }
-        })
     }
 }
 
@@ -523,30 +442,6 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn profiles_are_valid() {
-        assert!(NetworkConfig::lan().is_valid());
-        assert!(NetworkConfig::wan().is_valid());
-        assert!(NetworkConfig::default().is_valid());
-        assert_eq!(NetworkConfig::default(), NetworkConfig::lan());
-    }
-
-    #[test]
-    fn invalid_configurations_are_detected() {
-        let broken = NetworkConfig {
-            min_latency: SimTime::from_millis(5),
-            max_latency: SimTime::from_millis(1),
-            probe_timeout: SimTime::from_millis(10),
-        };
-        assert!(!broken.is_valid());
-        let short_timeout = NetworkConfig {
-            min_latency: SimTime::from_micros(100),
-            max_latency: SimTime::from_millis(2),
-            probe_timeout: SimTime::from_millis(1),
-        };
-        assert!(!short_timeout.is_valid());
-    }
-
-    #[test]
     fn minority_window_blocks_both_directions_inside_only() {
         let schedule = PartitionSchedule::minority(
             vec![0, 1],
@@ -557,16 +452,21 @@ mod tests {
         let before = SimTime::from_millis(9);
         let at_end = SimTime::from_millis(20);
         for direction in [LinkDirection::Request, LinkDirection::Response] {
-            assert!(!schedule.delivers(0, direction, inside));
-            assert!(schedule.delivers(2, direction, inside), "unlisted node");
-            assert!(schedule.delivers(0, direction, before), "window not open");
-            assert!(
-                schedule.delivers(0, direction, at_end),
-                "until is exclusive"
-            );
+            for node in [0, 1] {
+                assert!(!schedule.delivers(node, direction, inside));
+                assert!(
+                    schedule.delivers(node, direction, before),
+                    "window not open"
+                );
+                assert!(
+                    schedule.delivers(node, direction, at_end),
+                    "until is exclusive"
+                );
+            }
+            for node in [2, 3] {
+                assert!(schedule.delivers(node, direction, inside), "unlisted node");
+            }
         }
-        assert_eq!(schedule.unreachable_at(4, inside), vec![0, 1]);
-        assert!(schedule.unreachable_at(4, before).is_empty());
     }
 
     #[test]
@@ -576,25 +476,10 @@ mod tests {
         let t = SimTime::from_millis(1);
         assert!(schedule.delivers(3, LinkDirection::Request, t));
         assert!(!schedule.delivers(3, LinkDirection::Response, t));
-        assert_eq!(schedule.unreachable_at(5, t), vec![3]);
-    }
-
-    #[test]
-    fn observed_coloring_forces_unreachable_nodes_red() {
-        let schedule =
-            PartitionSchedule::asymmetric(vec![1], SimTime::ZERO, SimTime::from_millis(5));
-        let truth = Coloring::from_fn(4, |e| if e == 2 { Color::Red } else { Color::Green });
-        let inside = schedule.observed_coloring(&truth, SimTime::from_millis(1));
-        assert_eq!(inside.red_set().to_vec(), vec![1, 2]);
-        let after = schedule.observed_coloring(&truth, SimTime::from_millis(6));
-        assert_eq!(
-            after, truth,
-            "a healed schedule observes the ground truth unchanged"
-        );
-        // The overlay and the unreachable list must name the same nodes.
-        let unreachable = schedule.unreachable_at(4, SimTime::from_millis(1));
-        for node in unreachable {
-            assert!(inside.is_red(node));
+        for node in [0, 1, 2, 4] {
+            for direction in [LinkDirection::Request, LinkDirection::Response] {
+                assert!(schedule.delivers(node, direction, t), "unlisted node");
+            }
         }
     }
 

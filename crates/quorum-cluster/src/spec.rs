@@ -509,7 +509,10 @@ impl WorkloadSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid. (A red observation with no
+    /// Panics with "inconsistent workload configuration", before anything
+    /// is scheduled, if the configuration is invalid
+    /// ([`WorkloadConfig::is_valid`]) or the network delay or hedge delay
+    /// exceeds [`WorkloadConfig::MAX_DURATION`]. (A red observation with no
     /// failed attempts is legal: it is a *shed* probe that resolves
     /// instantly at zero cost.)
     pub fn run<F>(&self, seed: u64, mut session: F) -> SpecReport
@@ -566,8 +569,8 @@ impl WorkloadSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid or a plan's `colors` length
-    /// does not match its `sequence`.
+    /// Panics as [`run`](Self::run) does on an invalid configuration, or if
+    /// a plan's `colors` length does not match its `sequence`.
     pub fn run_plans<F>(&self, seed: u64, mut session: F) -> SpecReport
     where
         F: FnMut(u64, &LoadLedger, SimTime) -> SessionPlan,

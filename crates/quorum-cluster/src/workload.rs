@@ -2,12 +2,9 @@
 //! interleaves many simultaneous client probing sessions over simulated
 //! nodes with service queues, connected through a message-level network.
 //!
-//! [`Cluster::probe_for_quorum`](crate::Cluster::probe_for_quorum) runs *one*
-//! client at a time and charges pure network latency. This module models the
-//! regime the ROADMAP targets — heavy traffic over an unreliable network —
-//! where many clients probe concurrently, nodes take time to *serve* each
-//! probe, and every probe is a request/response message pair that can be
-//! lost or partitioned away:
+//! It models heavy traffic over an unreliable network: many clients probe
+//! concurrently, nodes take time to *serve* each probe, and every probe is
+//! a request/response message pair that can be lost or partitioned away:
 //!
 //! * **Arrivals** ([`ArrivalProcess`]): open-loop Poisson (sessions arrive at
 //!   a fixed rate regardless of completions) or closed-loop think time (a
@@ -154,6 +151,17 @@ impl Distribution {
         }
     }
 
+    /// The largest duration among the parameters (checked against
+    /// [`WorkloadConfig::MAX_DURATION`]).
+    fn largest_parameter(&self) -> SimTime {
+        match *self {
+            Distribution::Fixed(value) => value,
+            Distribution::Uniform { max, .. } => max,
+            Distribution::Exponential { mean } => mean,
+            Distribution::HeavyTail { max, slow, .. } => max.max(slow),
+        }
+    }
+
     /// Draws one duration.
     pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> SimTime {
         match self {
@@ -245,14 +253,32 @@ pub struct WorkloadConfig {
 }
 
 impl WorkloadConfig {
+    /// The longest duration a workload may configure: one hour of virtual
+    /// time. The engine adds configured durations to its 64-bit microsecond
+    /// clock, so an unbounded one could wrap it; the shipped scenarios stay
+    /// under 5 s.
+    pub const MAX_DURATION: SimTime = SimTime::from_millis(3_600_000);
+
     /// Whether the configuration is consistent: at least one session, a
-    /// positive timeout, and a closed loop with at least one client.
+    /// positive timeout, a closed loop with at least one client, and every
+    /// duration (the timeout, the mean inter-arrival, and each parameter of
+    /// the latency, service and think-time distributions) at most
+    /// [`WorkloadConfig::MAX_DURATION`].
     pub fn is_valid(&self) -> bool {
         let arrival_ok = match self.arrival {
-            ArrivalProcess::OpenPoisson { .. } => true,
-            ArrivalProcess::ClosedLoop { clients, .. } => clients >= 1,
+            ArrivalProcess::OpenPoisson { mean_interarrival } => {
+                mean_interarrival <= Self::MAX_DURATION
+            }
+            ArrivalProcess::ClosedLoop { clients, think } => {
+                clients >= 1 && think.largest_parameter() <= Self::MAX_DURATION
+            }
         };
-        self.sessions >= 1 && self.probe_timeout > SimTime::ZERO && arrival_ok
+        self.sessions >= 1
+            && self.probe_timeout > SimTime::ZERO
+            && self.probe_timeout <= Self::MAX_DURATION
+            && self.rpc_latency.largest_parameter() <= Self::MAX_DURATION
+            && self.service.largest_parameter() <= Self::MAX_DURATION
+            && arrival_ok
     }
 
     /// A rough estimate of the run's virtual-time horizon, used to place
@@ -743,7 +769,16 @@ where
     P: PlanView,
     F: FnMut(u64, &LoadLedger, SimTime, &mut StdRng) -> P,
 {
-    assert!(config.is_valid(), "inconsistent workload configuration");
+    assert!(
+        config.is_valid()
+            && network
+                .delay
+                .is_none_or(|d| d.largest_parameter() <= WorkloadConfig::MAX_DURATION)
+            && policy
+                .hedge
+                .is_none_or(|h| h <= WorkloadConfig::MAX_DURATION),
+        "inconsistent workload configuration"
+    );
     let delay = network.delay.unwrap_or(config.rpc_latency);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut state = EngineState {
@@ -1470,6 +1505,98 @@ mod tests {
             report.ledger.timeouts()[0],
             "each partitioned session times out once"
         );
+    }
+
+    /// The literal panic message of `run`, or `None` if it returned.
+    fn panic_message(run: impl FnOnce()) -> Option<&'static str> {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).err()?;
+        payload.downcast_ref::<&str>().copied()
+    }
+
+    /// Every configured duration — timeout, mean inter-arrival, think time,
+    /// latency, service, network delay and hedge delay — runs at
+    /// [`WorkloadConfig::MAX_DURATION`]. One microsecond past it, or at a
+    /// huge value, both backends stop with the documented panic before
+    /// anything is scheduled: a 2⁶⁴ µs timeout used to overflow the clock
+    /// (debug) or wrap it into "events cannot be scheduled in the past"
+    /// (release).
+    #[test]
+    fn every_duration_is_held_to_the_cap() {
+        use crate::live::LiveOptions;
+        use crate::spec::Backend;
+
+        let plan = |index: u64, _: &LoadLedger, _: SimTime| SessionPlan {
+            sequence: vec![0, 1],
+            colors: vec![Color::Green, [Color::Green, Color::Red][index as usize % 2]],
+            success: index % 2 == 0,
+        };
+        let base = WorkloadSpec::new(3).sessions(4);
+        let with = |d: SimTime| -> Vec<(&str, WorkloadSpec)> {
+            vec![
+                ("timeout", base.clone().probe_timeout(d)),
+                (
+                    "inter-arrival",
+                    base.clone().arrivals(ArrivalProcess::OpenPoisson {
+                        mean_interarrival: d,
+                    }),
+                ),
+                (
+                    "think",
+                    base.clone().arrivals(ArrivalProcess::ClosedLoop {
+                        clients: 2,
+                        think: Distribution::uniform(SimTime::ZERO, d),
+                    }),
+                ),
+                ("latency", base.clone().rpc_latency(Distribution::fixed(d))),
+                (
+                    "service",
+                    base.clone().service(Distribution::heavy_tail(
+                        SimTime::ZERO,
+                        SimTime::from_micros(10),
+                        d,
+                        500_000,
+                    )),
+                ),
+                (
+                    "delay",
+                    base.clone().network(NetworkModel {
+                        delay: Some(Distribution::exponential(d)),
+                        ..NetworkModel::clean()
+                    }),
+                ),
+                (
+                    "hedge",
+                    base.clone().policy(ProbePolicy::sequential().with_hedge(d)),
+                ),
+            ]
+        };
+        let cap = WorkloadConfig::MAX_DURATION;
+        for (field, spec) in with(cap) {
+            assert_eq!(spec.run_plans(5, plan).report.sessions, 4, "{field}");
+        }
+        let mut refused = with(cap + SimTime::from_micros(1));
+        refused.push((
+            "huge timeout",
+            base.clone()
+                .probe_timeout(SimTime::from_micros(u64::MAX - 10)),
+        ));
+        refused.push((
+            "huge service",
+            base.clone()
+                .service(Distribution::exponential(SimTime::from_micros(
+                    u64::MAX / 2,
+                ))),
+        ));
+        for (field, spec) in refused {
+            for backend in [Backend::Sim, Backend::Live(LiveOptions::default())] {
+                let spec = spec.clone().backend(backend);
+                assert_eq!(
+                    panic_message(|| drop(spec.run_plans(5, plan))),
+                    Some("inconsistent workload configuration"),
+                    "{field}"
+                );
+            }
+        }
     }
 
     #[test]

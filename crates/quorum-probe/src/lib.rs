@@ -55,9 +55,7 @@ pub use decision_tree::DecisionTree;
 pub use health::{BreakerState, GatedOutcome, HealthConfig, HealthView};
 pub use oracle::ProbeOracle;
 pub use runner::{run_strategy, ProbeRun, ProbeStrategy};
-pub use session::{
-    observed_coloring, run_strategy_with_faults, AttemptLoss, FaultySessionRun, ProbeFate,
-};
+pub use session::{observed_coloring, AttemptLoss, ProbeFate};
 pub use yao::InputDistribution;
 
 // Re-exported for doc examples and downstream convenience.

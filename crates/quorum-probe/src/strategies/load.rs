@@ -15,10 +15,10 @@
 //!   and keeps the probe order randomized.
 //!
 //! Both are generic over the quorum system (like
-//! [`SequentialScan`](super::SequentialScan)), so they run typed inside the
-//! protocols *and* type-erased through the evaluation registries. With an
-//! empty or all-zero view they degrade gracefully: least-loaded becomes a
-//! sequential scan, power-of-two a random scan.
+//! [`SequentialScan`](super::SequentialScan)), so they run typed *and*
+//! type-erased through the evaluation registries. With an empty or all-zero
+//! view they degrade gracefully: least-loaded becomes a sequential scan,
+//! power-of-two a random scan.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -807,42 +807,6 @@ fn step_words<R: Rng + ?Sized>(
     }
 }
 
-/// Draws an ε-resampling delta against `coloring`: each element is selected
-/// independently with probability `epsilon`, and every selected element has
-/// its color redrawn as Bernoulli(`p_red`) red. The returned delta records
-/// only the bits that actually changed, so applying it yields the classical
-/// ε-correlated perturbation used in noise-sensitivity analysis.
-///
-/// Word-packed: two binary-expansion draws per 64 elements (selection mask
-/// and redraw mask), independent of how many elements actually flip.
-///
-/// # Panics
-///
-/// Panics if `epsilon` or `p_red` is not a probability.
-pub fn epsilon_resample_delta<R: Rng + ?Sized>(
-    coloring: &Coloring,
-    epsilon: f64,
-    p_red: f64,
-    rng: &mut R,
-) -> ColoringDelta {
-    assert!(
-        (0.0..=1.0).contains(&epsilon),
-        "epsilon must be a probability, got {epsilon}"
-    );
-    assert!(
-        (0.0..=1.0).contains(&p_red),
-        "p_red must be a probability, got {p_red}"
-    );
-    let mut delta = ColoringDelta::empty(coloring.universe_size());
-    for w in 0..coloring.word_count() {
-        let selected = bernoulli_lanes(epsilon, || rng.next_u64());
-        let redraw_red = bernoulli_lanes(p_red, || rng.next_u64());
-        let red = coloring.red_words()[w];
-        delta.push_word(w, selected & (red ^ redraw_red));
-    }
-    delta
-}
-
 /// A generator of colorings (failure patterns) for a universe of `n` elements.
 ///
 /// The first three variants mirror the input models used in the paper; the
@@ -2236,98 +2200,6 @@ mod tests {
                 assert_eq!(select_bit(word, rank), bit, "{word:#x} rank {rank}");
             }
         }
-    }
-
-    #[test]
-    fn epsilon_resample_extremes() {
-        let coloring =
-            Coloring::from_fn(100, |e| if e % 3 == 0 { Color::Red } else { Color::Green });
-        let mut rng = StdRng::seed_from_u64(5);
-        // ε = 0: nothing is selected, the delta is empty.
-        let delta = epsilon_resample_delta(&coloring, 0.0, 0.5, &mut rng);
-        assert!(delta.is_empty());
-        // ε = 1, p_red = 1: every element is redrawn red, so the delta
-        // flips exactly the green elements.
-        let delta = epsilon_resample_delta(&coloring, 1.0, 1.0, &mut rng);
-        let mut perturbed = coloring.clone();
-        perturbed.apply_delta(&delta);
-        assert_eq!(perturbed.red_count(), 100);
-        // ε = 1, p_red = 0: everything is redrawn green.
-        let delta = epsilon_resample_delta(&coloring, 1.0, 0.0, &mut rng);
-        let mut perturbed = coloring.clone();
-        perturbed.apply_delta(&delta);
-        assert_eq!(perturbed.green_count(), 100);
-    }
-
-    #[test]
-    fn epsilon_resample_flip_rate_matches_expectation() {
-        // A flip requires both selection (prob ε) and a redraw that lands on
-        // the opposite color, so on an all-green coloring the expected flip
-        // rate is ε·p_red.
-        let coloring = Coloring::all_green(200);
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut flips = 0usize;
-        let rounds = 500;
-        for _ in 0..rounds {
-            flips += epsilon_resample_delta(&coloring, 0.25, 0.5, &mut rng).flip_count();
-        }
-        let rate = flips as f64 / (200 * rounds) as f64;
-        assert!(
-            (rate - 0.125).abs() < 0.01,
-            "flip rate {rate} should be near ε·p_red = 0.125"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "epsilon must be a probability")]
-    fn epsilon_resample_validates_epsilon() {
-        let coloring = Coloring::all_green(8);
-        let mut rng = StdRng::seed_from_u64(1);
-        let _ = epsilon_resample_delta(&coloring, 1.5, 0.5, &mut rng);
-    }
-
-    #[test]
-    fn noise_sensitivity_of_probe_transcripts_under_resampling() {
-        // End-to-end wiring of the noise-sensitivity metric: run a strategy
-        // on a base coloring and on its ε-resampled perturbation, and feed
-        // the probe transcripts to the quorum-analysis aggregator. At ε = 0
-        // the perturbation is the identity, so a deterministic strategy must
-        // score exactly zero; at large ε the transcripts must actually move.
-        use quorum_analysis::NoiseSensitivity;
-        use quorum_probe::run_strategy;
-        use quorum_probe::strategies::SequentialScan;
-        use quorum_systems::Majority;
-
-        let maj = Majority::new(21).unwrap();
-        let model = FailureModel::iid(0.4);
-        let strategy = SequentialScan;
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut zero = NoiseSensitivity::new();
-        let mut heavy = NoiseSensitivity::new();
-        for trial in 0..30u64 {
-            let base = model.sample_at(21, trial, &mut rng);
-            for (eps, sens) in [(0.0, &mut zero), (0.8, &mut heavy)] {
-                let delta = epsilon_resample_delta(&base, eps, 0.4, &mut rng);
-                let mut perturbed = base.clone();
-                perturbed.apply_delta(&delta);
-                let run_a = run_strategy(&maj, &strategy, &base, &mut rng);
-                let run_b = run_strategy(&maj, &strategy, &perturbed, &mut rng);
-                sens.record(
-                    &run_a.sequence,
-                    run_a.witness.is_green(),
-                    &run_b.sequence,
-                    run_b.witness.is_green(),
-                );
-            }
-        }
-        assert_eq!(zero.pairs(), 30);
-        assert_eq!(zero.mean_edit_distance(), Some(0.0));
-        assert_eq!(zero.verdict_flip_rate(), Some(0.0));
-        assert!(
-            heavy.mean_edit_distance().unwrap() > 0.5,
-            "heavy resampling must disturb the transcripts"
-        );
-        assert!(heavy.normalized_sensitivity().unwrap() <= 1.0);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use eval::{
     ScenarioRegistry, Shard, StrategyRegistry, SystemRegistry, TrialRng,
 };
 pub use experiment::{sweep, SweepPoint, SweepRow};
-pub use failure::{epsilon_resample_delta, ChurnTrajectory, ChurnWalker, FailureModel};
+pub use failure::{ChurnTrajectory, ChurnWalker, FailureModel};
 pub use montecarlo::{estimate_expected_probes, exhaustive_expected_probes, Estimate};
 pub use report::Table;
 pub use workload::{

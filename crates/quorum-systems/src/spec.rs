@@ -21,7 +21,10 @@ use std::sync::Arc;
 use quorum_core::{DynQuorumSystem, ElementId, Organizations, QuorumError, QuorumSystem};
 
 use crate::composition::MAX_UNIVERSE;
-use crate::{Composition, CompositionNode, CrumblingWalls, Grid, Hqs, Majority, TreeQuorum, Wheel};
+use crate::{
+    too_large, Composition, CompositionNode, CrumblingWalls, Grid, Hqs, Majority, TreeQuorum,
+    Wheel, MAX_ELEMENTS,
+};
 
 /// A declarative description of a quorum system: the paper's named families,
 /// recursive threshold compositions (`Compose` over `Leaf`s), and an
@@ -177,6 +180,26 @@ impl SpecError {
             },
         }
     }
+}
+
+/// The organization structure of `groups` over `universe` elements, or the
+/// error at `path`. [`Organizations`] keeps an owner entry per element, so a
+/// universe past [`MAX_ELEMENTS`] is refused before that table is allocated:
+/// a composition may span 2³² elements, which would ask for 32 GiB.
+fn organizations_over(
+    universe: usize,
+    groups: &[Vec<ElementId>],
+    path: &[usize],
+) -> Result<Organizations, SpecError> {
+    if universe > MAX_ELEMENTS {
+        return Err(SpecError::invalid(
+            path,
+            too_large(format_args!(
+                "an organization universe of {universe} elements"
+            )),
+        ));
+    }
+    Organizations::new(universe, groups.to_vec()).map_err(|e| SpecError::invalid(path, e))
 }
 
 impl fmt::Display for SpecError {
@@ -337,9 +360,7 @@ impl SystemSpec {
                     let mut path = vec![0];
                     inner.build_at(&mut path)?.universe_size()
                 };
-                Organizations::new(universe, groups.clone())
-                    .map(Some)
-                    .map_err(|e| SpecError::invalid(&[], e))
+                organizations_over(universe, groups, &[]).map(Some)
             }
             _ => Ok(None),
         }
@@ -386,8 +407,7 @@ impl SystemSpec {
                 path.push(0);
                 let built = inner.build_at(path)?;
                 path.pop();
-                Organizations::new(built.universe_size(), groups.clone())
-                    .map_err(|e| SpecError::invalid(path, e))?;
+                organizations_over(built.universe_size(), groups, path)?;
                 Ok(built)
             }
         }
@@ -814,7 +834,10 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use quorum_core::{Coloring, ElementSet};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn round_trip(spec: &SystemSpec) {
         let text = spec.to_string();
@@ -869,6 +892,164 @@ mod tests {
                 }
                 other => panic!("{bad}: unexpected {other:?}"),
             }
+        }
+    }
+
+    /// An `orgs(...)` wrapper over a composition is held to the family cap:
+    /// its owner table costs 8 bytes per element, and a composition may span
+    /// 2³² elements. Both sites that build the table (`build` and
+    /// `organizations`) refuse before allocating.
+    #[test]
+    fn org_universes_past_the_element_cap_are_refused() {
+        let wrapped = |leaf: usize| SystemSpec::Orgs {
+            groups: vec![vec![0]],
+            inner: Box::new(SystemSpec::Compose {
+                threshold: 1,
+                children: vec![SystemSpec::Leaf(leaf)],
+            }),
+        };
+        let refused = |err: Option<SpecError>| {
+            let err = err.expect("an org universe past the cap is refused");
+            let SpecErrorKind::Invalid { reason } = &err.kind else {
+                panic!("{err:?}")
+            };
+            assert!(
+                err.path.is_empty() && reason.contains("exceeds the limit"),
+                "{err:?}"
+            );
+        };
+        for text in [
+            "orgs([0];1(4294967295))".to_string(),
+            "orgs([0];1(2147483648))".to_string(),
+            format!("orgs([0];1({MAX_ELEMENTS}))"),
+        ] {
+            refused(SystemSpec::parse(&text).err());
+        }
+        for leaf in [MAX_ELEMENTS, 1 << 31, (1 << 32) - 1] {
+            refused(wrapped(leaf).build().err());
+            refused(wrapped(leaf).organizations().err());
+        }
+        // The cap itself builds, with its organizations.
+        let at_cap = wrapped(MAX_ELEMENTS - 1);
+        assert_eq!(at_cap.build().unwrap().universe_size(), MAX_ELEMENTS);
+        let orgs = at_cap.organizations().unwrap().unwrap();
+        assert_eq!(orgs.universe_size(), MAX_ELEMENTS);
+        assert_eq!(orgs.group_count(), 1);
+    }
+
+    /// Numbers a fuzzed spec draws: the family-cap and `u32` edges, values
+    /// past `u64`, and small values that make valid specs.
+    const FUZZ_NUMBERS: [&str; 12] = [
+        "0",
+        "1",
+        "2",
+        "3",
+        "4",
+        "5",
+        "7",
+        "9",
+        "67108864",
+        "4294967295",
+        "18446744073709551615",
+        "100000000000000000000",
+    ];
+
+    fn fuzz_number(rng: &mut StdRng) -> &'static str {
+        FUZZ_NUMBERS[rng.gen_range(0..FUZZ_NUMBERS.len())]
+    }
+
+    /// A spec drawn from the grammar: families with boundary sizes, gates
+    /// with thresholds from 0 to k + 1, bare leaves and `orgs` wrappers
+    /// with random groups.
+    fn grammar_spec(rng: &mut StdRng, depth: usize) -> String {
+        match rng.gen_range(0..if depth == 0 { 3u32 } else { 6 }) {
+            0 => {
+                let family = ["maj", "wheel", "triang", "tree", "hqs"][rng.gen_range(0..5usize)];
+                format!("{family}({})", fuzz_number(rng))
+            }
+            1 => format!("grid({},{})", fuzz_number(rng), fuzz_number(rng)),
+            2 => fuzz_number(rng).to_string(),
+            3 | 4 => gate_spec(rng, depth),
+            _ => {
+                let mut text = String::from("orgs(");
+                for _ in 0..rng.gen_range(1..=3usize) {
+                    // Mostly small members, so that some groups are valid.
+                    let members: Vec<&str> = (0..rng.gen_range(1..=3usize))
+                        .map(|_| match rng.gen_range(0..4u32) {
+                            0 => fuzz_number(rng),
+                            _ => FUZZ_NUMBERS[rng.gen_range(0..8usize)],
+                        })
+                        .collect();
+                    text.push_str(&format!("[{}];", members.join(",")));
+                }
+                text.push_str(&grammar_spec(rng, depth - 1));
+                text.push(')');
+                text
+            }
+        }
+    }
+
+    /// A threshold gate over mostly leaves and nested gates; now and then a
+    /// child is any spec, which a gate refuses unless it is a leaf or gate.
+    fn gate_spec(rng: &mut StdRng, depth: usize) -> String {
+        let k = rng.gen_range(1..=4usize);
+        let children: Vec<String> = (0..k)
+            .map(|_| match rng.gen_range(0..10u32) {
+                0..=6 => fuzz_number(rng).to_string(),
+                7 | 8 if depth > 1 => gate_spec(rng, depth - 1),
+                _ => grammar_spec(rng, depth - 1),
+            })
+            .collect();
+        format!("{}({})", rng.gen_range(0..=k + 1), children.join(","))
+    }
+
+    /// A random run of the grammar's tokens, mostly malformed.
+    fn token_soup(rng: &mut StdRng) -> String {
+        const TOKENS: [&str; 17] = [
+            "maj", "wheel", "triang", "tree", "hqs", "grid", "orgs", "frob", "(", ")", "[", "]",
+            ";", ",", " ", "1(", "2(",
+        ];
+        (0..rng.gen_range(0..24usize))
+            .map(|_| match rng.gen_range(0..4u32) {
+                0 => fuzz_number(rng),
+                _ => TOKENS[rng.gen_range(0..TOKENS.len())],
+            })
+            .collect()
+    }
+
+    /// Parses, builds and reads the organizations of `text`, valid or not:
+    /// each step returns (typed errors included) without a panic or an
+    /// abort, `build` and `organizations` agree with `parse`, and a small
+    /// built system evaluates.
+    fn exercise(text: &str) {
+        let Ok(spec) = text.parse::<SystemSpec>() else {
+            return;
+        };
+        let valid = SystemSpec::parse(text).is_ok();
+        let built = spec.build();
+        assert_eq!(built.is_ok(), valid, "{text}");
+        let organizations = spec.organizations();
+        assert!(organizations.is_ok() || !valid, "{text}");
+        if let Ok(system) = built {
+            let n = system.universe_size();
+            if n <= 1 << 12 {
+                system.has_green_quorum(&Coloring::all_green(n));
+                system.has_green_quorum(&Coloring::all_red(n));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+        /// Hostile text never panics or aborts `parse`, `build` or
+        /// `organizations`: grammar-shaped specs at boundary sizes, and
+        /// token soups.
+        #[test]
+        fn parse_build_and_organizations_never_panic(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            exercise(&grammar_spec(&mut rng, 3));
+            exercise(&token_soup(&mut rng));
         }
     }
 

@@ -112,31 +112,6 @@ fn exact_optimum_brackets_strategy_costs() {
     );
 }
 
-/// Running a probing strategy through the simulated cluster yields the same
-/// witness verdict as running it directly against the liveness coloring, and
-/// charges one RPC per probe.
-#[test]
-fn cluster_backend_is_equivalent_to_coloring_backend() {
-    let wall = CrumblingWalls::triang(6).unwrap();
-    let n = wall.universe_size();
-    let mut rng = StdRng::seed_from_u64(3);
-    for seed in 0..20u64 {
-        let mut cluster = Cluster::new(n, NetworkConfig::lan(), seed);
-        cluster.inject_iid_failures(0.4);
-        let coloring = cluster.liveness_coloring();
-        let acquisition = cluster.probe_for_quorum(&wall, &ProbeCw::new());
-        let direct = run_strategy(&wall, &ProbeCw::new(), &coloring, &mut rng);
-        assert_eq!(acquisition.witness.is_green(), direct.witness.is_green());
-        assert_eq!(acquisition.rpcs, acquisition.probes as u64);
-        acquisition.witness.verify(&wall, &coloring).unwrap();
-        // The verdict matches the ground truth availability of the coloring.
-        assert_eq!(
-            acquisition.witness.is_green(),
-            wall.has_green_quorum(&coloring)
-        );
-    }
-}
-
 /// Availability facts (Fact 2.3) hold across the catalogue at representative
 /// failure probabilities, computed exactly on small instances.
 #[test]

@@ -118,20 +118,6 @@ proptest! {
             prop_assert!(tampered.verify(&hqs, &coloring).is_err());
         }
     }
-
-    /// The cluster simulation preserves witness verdicts for arbitrary crash
-    /// sets.
-    #[test]
-    fn cluster_matches_ground_truth(bits in proptest::collection::vec(any::<bool>(), 1..32), seed in 0u64..1000) {
-        let wall = CrumblingWalls::triang(4).unwrap();
-        let n = wall.universe_size();
-        let coloring = coloring_for(n, &bits);
-        let mut cluster = Cluster::new(n, NetworkConfig::lan(), seed);
-        cluster.apply_coloring(&coloring);
-        let acq = cluster.probe_for_quorum(&wall, &ProbeCw::new());
-        prop_assert_eq!(acq.witness.is_green(), wall.has_green_quorum(&coloring));
-        prop_assert_eq!(acq.rpcs, acq.probes as u64);
-    }
 }
 
 /// Deterministic cross-check (not a proptest): for every coloring of the

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use probequorum::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 proptest! {
     /// Law: `Zoned` with `q = 0` is **exactly** `Iid(p)` — same RNG stream,
@@ -158,66 +158,6 @@ fn scenario_matrix_cells_are_deterministic() {
             "{cell:?}"
         );
     }
-}
-
-/// The cluster simulator replays a churn trajectory: applying each step's
-/// coloring drives crash/recover transitions whose liveness matches the
-/// trajectory exactly, and probing still verifies against ground truth.
-#[test]
-fn cluster_replays_churn_trajectories() {
-    let wall = CrumblingWalls::triang(6).unwrap();
-    let n = wall.universe_size();
-    let trajectory = ChurnTrajectory::generate(n, 0.1, 0.2, 40, 31);
-    let mut cluster = Cluster::new(n, NetworkConfig::lan(), 9);
-
-    for coloring in trajectory.iter() {
-        cluster.apply_coloring(&coloring);
-        assert_eq!(
-            cluster.liveness_coloring(),
-            coloring,
-            "cluster state must mirror the trajectory step"
-        );
-        let acquisition = cluster.probe_for_quorum(&wall, &ProbeCw::new());
-        acquisition
-            .witness
-            .verify(&wall, &coloring)
-            .expect("witness must verify against the trajectory coloring");
-    }
-}
-
-/// Mutual exclusion stays safe when the cluster is driven by a churn
-/// timeline instead of one-off random shakes.
-#[test]
-fn mutual_exclusion_under_churn_trajectory() {
-    let wall = CrumblingWalls::triang(7).unwrap();
-    let n = wall.universe_size();
-    let trajectory = ChurnTrajectory::generate(n, 0.05, 0.2, 120, 13);
-    let cluster = Cluster::new(n, NetworkConfig::lan(), 21);
-    let mut mutex = QuorumMutex::new(wall, cluster, ProbeCw::new());
-    let mut rng = StdRng::seed_from_u64(3);
-
-    let mut successes = 0usize;
-    let mut outages = 0usize;
-    for coloring in trajectory.iter() {
-        mutex.cluster_mut().apply_coloring(&coloring);
-        let client = rng.gen_range(1..=3u64);
-        match mutex.try_acquire(client) {
-            Ok(_) => {
-                assert!(mutex.exclusion_invariant_holds());
-                successes += 1;
-                mutex.release(client).unwrap();
-            }
-            Err(MutexError::NoLiveQuorum) => outages += 1,
-            Err(MutexError::Contended { .. }) | Err(MutexError::AlreadyHeld) => {}
-            Err(other) => panic!("unexpected error {other}"),
-        }
-    }
-    assert_eq!(successes + outages, 120);
-    // Stationary red fraction is 0.2 < 1/2, so most rounds have live quorums.
-    assert!(
-        successes > 60,
-        "the lock should usually be acquirable under mild churn, got {successes}"
-    );
 }
 
 /// The heterogeneous and zoned sources compose with the engine's paired
