@@ -1,9 +1,10 @@
 //! Reproduction harness for every table and figure of Hassin & Peleg,
 //! "Average probe complexity in quorum systems".
 //!
-//! The binary `reproduce` (in `src/bin/reproduce.rs`) dispatches to the
-//! functions of this library; each function prints a plain-text table that
-//! pairs the paper's claim with the value measured by this workspace.
+//! The binary `reproduce` (in `src/bin/reproduce.rs`) runs the functions of
+//! this library through the one declaration of every experiment,
+//! [`EXPERIMENTS`]; each function builds a plain-text table that pairs the
+//! paper's claim with the value measured by this workspace.
 //! `EXPERIMENTS.md` records a captured run.
 //!
 //! Every Monte-Carlo number is produced by the shared parallel evaluation
@@ -34,10 +35,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 pub mod artifact;
+pub mod experiments;
 pub mod regression;
 
 pub use artifact::{ArtifactStream, BenchArtifact};
-pub use regression::{check_regression, parse_artifact, BenchRun, RegressionReport};
+pub use experiments::{Experiment, Stream, EXPERIMENTS};
+pub use regression::{
+    check_regression, check_regression_and_artifact, parse_artifact, BenchRun, RegressionReport,
+};
 
 /// Configuration of a reproduction run.
 #[derive(Debug, Clone, Copy)]
@@ -1126,16 +1131,13 @@ pub fn churn(config: &ReproConfig) -> Table {
 ///   flips, verdict_changes, outage_frac, agree`) — every step of a churn
 ///   timeline evaluated both incrementally (the family's [`DeltaEvaluator`])
 ///   and from scratch, on all six catalogue families under a slow and a fast
-///   regime. The `agree` flag is "1" iff every verdict matched; it is a pure
-///   function of the seed, goes to stdout and is **enforced** by the CI
-///   regression gate (a flip to "0" is a 100 % drop).
+///   regime. The `agree` flag is "1" iff every verdict matched.
 /// * the **throughput table** (`family, n, path, steps, wall_ms,
 ///   steps_per_s, speedup, peak_rss_mib`) — delta-vs-scratch steps/second
 ///   over a pre-materialized window at steady-state low churn
 ///   (fail 1/64, repair 1/8), plus a streaming 10⁶-step walk row whose
 ///   `peak_rss_mib` cell records the process's high-water RSS (an eager
 ///   10⁶-step trajectory at n ≈ 4096 would need ~500 MiB on its own).
-///   Wall-clock data: stderr and the artifact only, informational.
 pub fn churn_delta(config: &ReproConfig) -> (Table, Table) {
     churn_delta_over(config, 1_000_000)
 }
@@ -1463,8 +1465,7 @@ fn compose_delta_agreement(system: &DynQuorumSystem, seed: u64, steps: usize) ->
 /// sampling in `agree`. The final row drives the composition through the
 /// live cluster runtime and records sim-vs-live agreement.
 ///
-/// Every `agree` is printed `1`/`0` and enforced by the CI regression gate
-/// (a flip is a 100 % drop). The whole table is a pure function of
+/// Every `agree` is printed `1`/`0`. The whole table is a pure function of
 /// `(seed, trials)`.
 pub fn compose(config: &ReproConfig) -> Table {
     let base_seed = config.section_seed("compose");
@@ -1635,8 +1636,7 @@ pub fn compose(config: &ReproConfig) -> Table {
 /// Each row reports virtual-time throughput, p50/p95/p99 session latency,
 /// mean probes per session and the per-node load-imbalance factor. All
 /// numbers are functions of virtual time and the seed — **no wall clock** —
-/// so the table is bit-identical for any `REPRO_THREADS` and belongs on
-/// stdout alongside the probe-complexity tables.
+/// so the table is bit-identical for any `REPRO_THREADS`.
 ///
 /// Sessions per cell are `REPRO_TRIALS` **capped at 1000** (36 discrete-event
 /// simulations per run; quantiles converge long before that). The `sessions`
@@ -1774,12 +1774,10 @@ pub fn network(config: &ReproConfig) -> Table {
 ///   sessions, agree, ok_rate, probes, msgs, wasted`) — the observables are
 ///   the simulator's (pure functions of the seed), and `agree` is `1`
 ///   exactly when the live replay reproduced them all and drained its node
-///   queues cleanly; goes to stdout and is enforced by the CI regression
-///   gate (an agreement flip is a 100 % drop);
+///   queues cleanly;
 /// * the **throughput table** (`system, n, scenario, policy, sessions,
 ///   wall_ms, sessions_per_s, p50_ms, p99_ms`) — wall-clock data from the
-///   live run, printed to stderr and recorded as the informational
-///   `live-throughput` artifact entry (the `throughput` convention).
+///   live run.
 pub fn live(config: &ReproConfig) -> (Table, Table) {
     // Every admitted session is a real OS thread: bound the trace length so
     // the experiment stays cheap even at full REPRO_TRIALS.
@@ -1904,12 +1902,10 @@ pub fn live(config: &ReproConfig) -> (Table, Table) {
 ///   backends); `recovered`/`recov_max_us` summarise
 ///   [`chaos_recovery_micros`] — how many disrupted nodes the trace saw
 ///   green again after their last disruption, and the slowest such recovery
-///   in virtual microseconds. Goes to stdout and is enforced by the CI
-///   regression gate (an agreement flip is a 100 % drop);
+///   in virtual microseconds;
 /// * the **throughput table** (`system, n, scenario, policy, sessions,
 ///   wall_ms, sessions_per_s, p50_ms, p99_ms`) — wall-clock data from the
-///   live run, printed to stderr and recorded as the informational
-///   `chaos-throughput` artifact entry.
+///   live run.
 pub fn chaos(config: &ReproConfig) -> (Table, Table) {
     // Every admitted session is a real OS thread; same bound as `live`.
     let sessions = config.trials.clamp(1, 200);
@@ -2072,9 +2068,7 @@ pub fn chaos(config: &ReproConfig) -> (Table, Table) {
 ///   lane word through `green_quorum_lane_block`), with its speedup over
 ///   the scalar path in the last column.
 ///
-/// Timings are wall-clock and therefore **not** deterministic; the
-/// `reproduce` binary prints this table to stderr and records it in the
-/// `BENCH_<sha>.json` artifact, keeping stdout a pure function of the seed.
+/// Timings are wall-clock and therefore **not** deterministic.
 pub fn throughput(config: &ReproConfig) -> Table {
     use std::time::Instant;
 
@@ -2215,12 +2209,10 @@ fn scale_systems() -> Vec<(&'static str, DynSystem)> {
 /// Returns two tables:
 ///
 /// * the **availability table** (`family, n, p, trials, avail, fail_prob,
-///   std_err`) — a pure function of the seed, printed to stdout and gated by
-///   the CI regression check;
+///   std_err`) — a pure function of the seed;
 /// * the **throughput table** (`family, n, width, p, trials, wall_ms,
 ///   lane_trials_per_s`) — wall-clock lane-trials/second (universe size ×
-///   trials / wall), printed to stderr and recorded as the informational
-///   `scale-throughput` artifact entry.
+///   trials / wall).
 pub fn scale(config: &ReproConfig) -> (Table, Table) {
     scale_over(config, &scale_systems())
 }
@@ -2403,6 +2395,41 @@ mod tests {
         }
     }
 
+    /// Asserts that `tables`, as experiment `name` records them, match its
+    /// declaration: each has its gate's key and metric columns with unique
+    /// keys, and passes its row-count, coverage and flag checks. Numeric
+    /// and conditional checks are left to the CI artifact: at test sizes
+    /// wall-clock floors and the 10⁶-element `scale` rows cannot hold.
+    fn assert_declared(name: &str, tables: &[&Table]) {
+        use experiments::{Check, Test};
+        let experiment = EXPERIMENTS.iter().find(|e| e.name == name).unwrap();
+        assert_eq!(experiment.tables.len(), tables.len(), "{name}");
+        for (spec, table) in experiment.tables.iter().zip(tables) {
+            let record = regression::BenchExperiment {
+                name: spec.record.to_string(),
+                wall_ms: 0.0,
+                columns: table.headers().to_vec(),
+                rows: table.rows().to_vec(),
+            };
+            if let Some(gate) = &spec.gate {
+                regression::keyed_rows(&record, gate).unwrap_or_else(|error| panic!("{error}"));
+            }
+            for check in spec.checks {
+                if matches!(
+                    check,
+                    Check::Rows(_)
+                        | Check::MinRows(_)
+                        | Check::Covers(..)
+                        | Check::Any(..)
+                        | Check::Every(_, Test::Is(_))
+                ) {
+                    let verdict = check.verify(&record, None);
+                    verdict.unwrap_or_else(|found| panic!("{}: {check:?}: {found}", spec.record));
+                }
+            }
+        }
+    }
+
     /// Parses a configuration from `NAME=value` pairs instead of the process
     /// environment, which tests running in parallel would share.
     fn parse(vars: &[(&str, &str)]) -> Result<ReproConfig, ReproConfigError> {
@@ -2470,6 +2497,7 @@ mod tests {
         // Estimates are seeded: a repeat run reproduces the table verbatim.
         let (again, _) = scale_over(&tiny(), &systems);
         assert_eq!(avail.render(), again.render());
+        assert_declared("scale", &[&avail, &lanes]);
     }
 
     #[test]
@@ -2489,6 +2517,7 @@ mod tests {
         // The equivalence table is a pure function of the seed.
         let (again, _) = churn_delta_over(&tiny(), 400);
         assert_eq!(equivalence.render(), again.render());
+        assert_declared("churn-delta", &[&equivalence, &rates]);
     }
 
     #[test]
@@ -2535,6 +2564,7 @@ mod tests {
         // (same config, fresh live threads) reproduces it verbatim.
         let (again, _) = chaos(&config);
         assert_eq!(agreement.render(), again.render());
+        assert_declared("chaos", &[&agreement, &rates]);
     }
 
     #[test]
@@ -2708,6 +2738,7 @@ mod tests {
             assert!(p50 <= p95 && p95 <= p99, "unordered quantiles in {row:?}");
             assert!(imbalance >= 1.0, "impossible imbalance in {row:?}");
         }
+        assert_declared("workload", &[&a]);
     }
 
     #[test]
@@ -2756,6 +2787,7 @@ mod tests {
                 assert_eq!(row[14], "0.000", "clean rows waste nothing: {row:?}");
             }
         }
+        assert_declared("network", &[&a]);
     }
 
     #[test]
@@ -2792,6 +2824,7 @@ mod tests {
         // flag: a repeat run (real threads and all) renders identically.
         let (again, _) = live(&config);
         assert_eq!(agreement.render(), again.render());
+        assert_declared("live", &[&agreement, &rates]);
     }
 
     #[test]
@@ -2851,6 +2884,7 @@ mod tests {
             let rate: f64 = row[5].parse().unwrap();
             assert!(rate > 0.0, "non-positive throughput in {row:?}");
         }
+        assert_declared("throughput", &[&table]);
     }
 
     #[test]

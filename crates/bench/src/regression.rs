@@ -1,23 +1,21 @@
 //! The CI performance-regression gate: parse two `BENCH_<sha>.json`
-//! artifacts (see [`crate::artifact`]), compare their throughput rows, and
-//! render a markdown delta table for `$GITHUB_STEP_SUMMARY`.
+//! artifacts (see [`crate::artifact`]), compare the gated rows that
+//! [`EXPERIMENTS`](crate::EXPERIMENTS) declares, and render a markdown delta
+//! table for `$GITHUB_STEP_SUMMARY`.
 //!
-//! The gate enforces the **deterministic** metrics — the virtual-time
-//! sessions/second of the `workload` and `network` experiments, the
-//! million-element `scale` availabilities, the sim-vs-live `agree` flag
-//! of the `live` and `chaos` experiments, and the certificate `agree` flags
-//! of the `churn-delta` and `compose` experiments — all pure functions of
+//! A gate on a stdout table is enforced: those tables are pure functions of
 //! the seed and trial count, so any drop is a genuine behavioural change,
-//! never runner noise. The wall-clock experiments (`throughput`,
-//! `scale-throughput`, `live-throughput`, `chaos-throughput`) are reported
-//! in the same table for context but never fail the gate: CI runners are
-//! too noisy for hard wall-clock thresholds.
+//! never runner noise. A gate on a wall-clock (stderr) table is reported in
+//! the same table but never fails: CI runners are too noisy for hard
+//! wall-clock thresholds.
 //!
 //! The workspace is offline (no serde), so a ~100-line recursive-descent
 //! JSON parser for the artifact's own schema lives here; it rejects input
 //! nested deeper than the artifacts ever are.
 
 use std::collections::BTreeMap;
+
+use crate::experiments::{check_artifact, tables, Gate};
 
 /// A parsed JSON value (only what the artifact schema needs).
 #[derive(Debug, Clone, PartialEq)]
@@ -370,106 +368,6 @@ pub fn parse_artifact(json: &str) -> Result<BenchRun, String> {
     })
 }
 
-/// One gated (or reported) metric: which experiment, which column carries
-/// the throughput number, which columns identify a row, and whether a drop
-/// fails the gate.
-struct Gate {
-    experiment: &'static str,
-    metric: &'static str,
-    keys: &'static [&'static str],
-    enforced: bool,
-}
-
-/// Deterministic metrics (virtual-time throughputs, the million-element
-/// `scale` availabilities) are enforced; wall-clock rates are reported only.
-const GATES: &[Gate] = &[
-    Gate {
-        experiment: "workload",
-        metric: "thr_per_s",
-        keys: &["system", "n", "strategy", "workload", "scenario"],
-        enforced: true,
-    },
-    Gate {
-        experiment: "network",
-        metric: "thr_per_s",
-        keys: &["system", "n", "strategy", "net", "policy", "scenario"],
-        enforced: true,
-    },
-    Gate {
-        experiment: "scale",
-        metric: "avail",
-        keys: &["family", "n", "p"],
-        enforced: true,
-    },
-    Gate {
-        // Delta-vs-scratch agreement, printed "1"/"0": any step of any
-        // churn timeline where the incremental evaluator disagreed with
-        // from-scratch evaluation flips the flag and fails the gate.
-        experiment: "churn-delta",
-        metric: "agree",
-        keys: &["family", "n", "regime"],
-        enforced: true,
-    },
-    Gate {
-        // Composition certificates, printed "1"/"0": the flag ANDs every
-        // cross-check a row runs (intersection, lane-vs-scalar,
-        // delta-vs-scratch, native bit-identity, availability-bound
-        // containment, sim-vs-live), so any broken certificate fails the
-        // gate as a 100 % drop.
-        experiment: "compose",
-        metric: "agree",
-        keys: &["spec", "n", "model"],
-        enforced: true,
-    },
-    Gate {
-        // Sim-vs-live agreement, printed "1"/"0": a flip to "0" is a 100 %
-        // drop, so any divergence of the live runtime fails the gate.
-        experiment: "live",
-        metric: "agree",
-        keys: &["system", "n", "strategy", "scenario", "policy"],
-        enforced: true,
-    },
-    Gate {
-        // Same flip-to-zero contract for the chaos battery: the live
-        // runtime must reproduce the simulator's observables (including the
-        // crash-loss ledger) and drain its queues on every scenario.
-        experiment: "chaos",
-        metric: "agree",
-        keys: &["system", "n", "strategy", "scenario", "policy"],
-        enforced: true,
-    },
-    Gate {
-        experiment: "live-throughput",
-        metric: "sessions_per_s",
-        keys: &["system", "n", "scenario", "policy"],
-        enforced: false,
-    },
-    Gate {
-        experiment: "chaos-throughput",
-        metric: "sessions_per_s",
-        keys: &["system", "n", "scenario", "policy"],
-        enforced: false,
-    },
-    Gate {
-        experiment: "throughput",
-        metric: "trials_per_sec",
-        keys: &["family", "n", "path"],
-        enforced: false,
-    },
-    Gate {
-        experiment: "scale-throughput",
-        metric: "lane_trials_per_s",
-        keys: &["family", "n", "width"],
-        enforced: false,
-    },
-    Gate {
-        experiment: "churn-delta-throughput",
-        metric: "steps_per_s",
-        keys: &["family", "n", "path"],
-        enforced: false,
-    },
-];
-
 /// The result of a regression check.
 #[derive(Debug)]
 pub struct RegressionReport {
@@ -486,26 +384,30 @@ impl RegressionReport {
     }
 }
 
-fn keyed_rows(
+/// The gated metric of each row of `experiment`, by the row's key.
+///
+/// # Errors
+///
+/// A key or metric column is missing, a metric does not parse, or two rows
+/// share a key.
+pub(crate) fn keyed_rows(
     experiment: &BenchExperiment,
-    keys: &[&str],
-    metric: &str,
+    gate: &Gate,
 ) -> Result<BTreeMap<String, f64>, String> {
-    let key_indices: Vec<usize> = keys
+    let column = |name: &str, what: &str| {
+        experiment
+            .columns
+            .iter()
+            .position(|c| c == name)
+            .ok_or_else(|| format!("{}: missing {what} column '{name}'", experiment.name))
+    };
+    let key_indices: Vec<usize> = gate
+        .keys
         .iter()
-        .map(|key| {
-            experiment
-                .columns
-                .iter()
-                .position(|c| c == key)
-                .ok_or_else(|| format!("{}: missing key column '{key}'", experiment.name))
-        })
+        .map(|key| column(key, "key"))
         .collect::<Result<_, _>>()?;
-    let metric_index = experiment
-        .columns
-        .iter()
-        .position(|c| c == metric)
-        .ok_or_else(|| format!("{}: missing metric column '{metric}'", experiment.name))?;
+    let metric = gate.metric;
+    let metric_index = column(metric, "metric")?;
     let mut out = BTreeMap::new();
     for row in &experiment.rows {
         let key = key_indices
@@ -517,7 +419,13 @@ fn keyed_rows(
             .get(metric_index)
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| format!("{}: unparsable {metric} in row {key}", experiment.name))?;
-        out.insert(key, value);
+        if out.insert(key.clone(), value).is_some() {
+            return Err(format!(
+                "{}: two rows share the key '{key}' ({})",
+                experiment.name,
+                gate.keys.join(", ")
+            ));
+        }
     }
     Ok(out)
 }
@@ -564,35 +472,36 @@ pub fn check_regression(
     }
     markdown.push_str("| experiment | row | baseline | current | Δ | status |\n");
     markdown.push_str("|---|---|---:|---:|---:|---|\n");
-    for gate in GATES {
-        let (Some(base_exp), Some(cur_exp)) = (
-            baseline.experiment(gate.experiment),
-            current.experiment(gate.experiment),
-        ) else {
+    for table in tables() {
+        let Some(gate) = &table.gate else {
+            continue;
+        };
+        let (name, enforced) = (table.record, table.enforced());
+        let (Some(base_exp), Some(cur_exp)) = (baseline.experiment(name), current.experiment(name))
+        else {
             // An enforced gate must have rows on BOTH sides: a baseline
             // regenerated without `workload`/`network` would otherwise
             // silently disable the check forever.
-            if gate.enforced {
-                let missing_from = if baseline.experiment(gate.experiment).is_none() {
+            if enforced {
+                let missing_from = if baseline.experiment(name).is_none() {
                     "baseline (regenerate it with the pinned recipe)"
                 } else {
                     "current artifact"
                 };
                 failures.push(format!(
-                    "enforced experiment '{}' is missing from the {missing_from}",
-                    gate.experiment
+                    "enforced experiment '{name}' is missing from the {missing_from}"
                 ));
             }
             continue;
         };
-        let base_rows = match keyed_rows(base_exp, gate.keys, gate.metric) {
+        let base_rows = match keyed_rows(base_exp, gate) {
             Ok(rows) => rows,
             Err(error) => {
                 failures.push(format!("baseline {error}"));
                 continue;
             }
         };
-        let cur_rows = match keyed_rows(cur_exp, gate.keys, gate.metric) {
+        let cur_rows = match keyed_rows(cur_exp, gate) {
             Ok(rows) => rows,
             Err(error) => {
                 failures.push(format!("current {error}"));
@@ -601,16 +510,14 @@ pub fn check_regression(
         };
         for (key, base_value) in &base_rows {
             let Some(cur_value) = cur_rows.get(key) else {
-                if gate.enforced {
+                if enforced {
                     failures.push(format!(
-                        "{}: row '{key}' disappeared from the current artifact",
-                        gate.experiment
+                        "{name}: row '{key}' disappeared from the current artifact"
                     ));
                 }
                 markdown.push_str(&format!(
-                    "| {} | {key} | {base_value:.1} | — | — | {} |\n",
-                    gate.experiment,
-                    if gate.enforced {
+                    "| {name} | {key} | {base_value:.1} | — | — | {} |\n",
+                    if enforced {
                         "**FAIL** (missing)"
                     } else {
                         "info"
@@ -623,41 +530,35 @@ pub fn check_regression(
                 // 0 → ε flip is a new signal, not a 0.0% no-op (and never
                 // Inf/NaN in the table). It cannot regress — only inform.
                 markdown.push_str(&format!(
-                    "| {} | {key} | 0.0 | {cur_value:.1} | new signal | info |\n",
-                    gate.experiment
+                    "| {name} | {key} | 0.0 | {cur_value:.1} | new signal | info |\n"
                 ));
                 continue;
             }
             let delta = (cur_value - base_value) / base_value;
-            let regressed = gate.enforced && delta < -tolerance;
+            let regressed = enforced && delta < -tolerance;
             if regressed {
                 failures.push(format!(
-                    "{}: '{key}' dropped {:.1}% ({base_value:.1} → {cur_value:.1}, \
+                    "{name}: '{key}' dropped {:.1}% ({base_value:.1} → {cur_value:.1}, \
                      tolerance {:.0}%)",
-                    gate.experiment,
                     -delta * 100.0,
                     tolerance * 100.0
                 ));
             }
             let status = if regressed {
                 "**FAIL**"
-            } else if gate.enforced {
+            } else if enforced {
                 "ok"
             } else {
                 "info"
             };
             markdown.push_str(&format!(
-                "| {} | {key} | {base_value:.1} | {cur_value:.1} | {:+.1}% | {status} |\n",
-                gate.experiment,
+                "| {name} | {key} | {base_value:.1} | {cur_value:.1} | {:+.1}% | {status} |\n",
                 delta * 100.0
             ));
         }
         for key in cur_rows.keys() {
             if !base_rows.contains_key(key) {
-                markdown.push_str(&format!(
-                    "| {} | {key} | — | new | — | info |\n",
-                    gate.experiment
-                ));
+                markdown.push_str(&format!("| {name} | {key} | — | new | — | info |\n"));
             }
         }
     }
@@ -671,6 +572,27 @@ pub fn check_regression(
         }
     }
     RegressionReport { markdown, failures }
+}
+
+/// What `reproduce --check-regression` runs: [`check_regression`], then
+/// every declared check on `current` ([`check_artifact`]), in one report.
+pub fn check_regression_and_artifact(
+    current: &BenchRun,
+    baseline: &BenchRun,
+    tolerance: f64,
+) -> RegressionReport {
+    let mut report = check_regression(current, baseline, tolerance);
+    let failures = check_artifact(current);
+    let mut markdown = String::from("\n## Declared artifact checks\n\n");
+    if failures.is_empty() {
+        markdown.push_str("**PASS** — every check holds.\n");
+    }
+    for failure in &failures {
+        markdown.push_str(&format!("- **FAIL** {failure}\n"));
+    }
+    report.markdown.push_str(&markdown);
+    report.failures.extend(failures);
+    report
 }
 
 #[cfg(test)]
@@ -1304,5 +1226,103 @@ mod tests {
             .contains("peak RSS: baseline 512 MiB → current 512 MiB"));
         let no_rss_report = check_regression(&without, &without, 0.25);
         assert!(!no_rss_report.markdown.contains("peak RSS"));
+    }
+
+    #[test]
+    fn duplicate_gate_keys_fail_naming_the_experiment_and_key() {
+        let twice = parse_artifact(&artifact_with(&[("Maj", 1000.0), ("Maj", 900.0)])).unwrap();
+        let report = check_regression(&twice, &twice, 0.25);
+        assert!(!report.passed());
+        assert!(
+            report.failures.iter().any(|f| f
+                .contains("workload: two rows share the key 'Maj · 15 · Probe_Maj · open · iid'")),
+            "{:?}",
+            report.failures
+        );
+        // `p` is part of the scale-throughput key, so all 18 rows reach the
+        // gate instead of the 9 a `family, n, width` key kept.
+        let baseline = parse_artifact(include_str!("../baseline.json")).unwrap();
+        let table = tables().find(|t| t.record == "scale-throughput").unwrap();
+        let record = baseline.experiment("scale-throughput").unwrap();
+        let rows = keyed_rows(record, table.gate.as_ref().unwrap()).unwrap();
+        assert_eq!(rows.len(), 18);
+    }
+
+    fn record<'a>(run: &'a mut BenchRun, name: &str) -> &'a mut BenchExperiment {
+        run.experiments.iter_mut().find(|e| e.name == name).unwrap()
+    }
+
+    /// Sets `column` to `value` in every row of `name` whose `when.0`
+    /// column reads `when.1`.
+    fn set(run: &mut BenchRun, name: &str, when: (&str, &str), column: &str, value: &str) {
+        let record = record(run, name);
+        let index = |name: &str| record.columns.iter().position(|c| c == name).unwrap();
+        let (when_index, column_index) = (index(when.0), index(column));
+        for row in &mut record.rows {
+            if row[when_index] == when.1 {
+                row[column_index] = value.to_string();
+            }
+        }
+    }
+
+    #[test]
+    fn each_check_kind_fails_on_a_violating_record() {
+        // The committed baseline passed CI's checks; each case breaks one.
+        let baseline = parse_artifact(include_str!("../baseline.json")).unwrap();
+        assert_eq!(check_artifact(&baseline), Vec::<String>::new());
+        let report = check_regression_and_artifact(&baseline, &baseline, 0.25);
+        assert!(report.passed(), "{:?}", report.failures);
+        assert!(report.markdown.contains("every check holds"));
+        type Violate = fn(&mut BenchRun);
+        let cases: [(Violate, &str); 7] = [
+            (
+                |run| set(run, "compose", ("agree", "1"), "agree", "0"),
+                r#"compose: Every("agree", Is("1")): 8 row(s) fail"#,
+            ),
+            (
+                |run| drop(record(run, "chaos").rows.pop()),
+                "chaos: Rows(24): found 23",
+            ),
+            (
+                |run| set(run, "live", ("scenario", "flapping"), "scenario", "flap"),
+                r#"live: Covers("scenario", ["clean", "lossy", "heavy-tail", "minority-part", "flapping", "asym-split"]): missing ["flapping"]"#,
+            ),
+            (
+                |run| {
+                    set(
+                        run,
+                        "live-throughput",
+                        ("scenario", "lossy"),
+                        "sessions_per_s",
+                        "12.5",
+                    )
+                },
+                r#"live-throughput: Every("sessions_per_s", AtLeast(50.0)): 2 row(s) fail"#,
+            ),
+            (
+                |run| set(run, "chaos", ("scenario", "crash-part"), "lost", "0"),
+                r#"chaos: When("scenario", In(["crash-minority", "crash-part"]), "lost", Above(0.0)): 6 row(s) fail"#,
+            ),
+            (
+                |run| run.peak_rss_bytes = None,
+                "scale: PeakRss: not recorded",
+            ),
+            (
+                |run| run.experiments.retain(|e| e.name != "throughput"),
+                "throughput: not in the artifact",
+            ),
+        ];
+        for (violate, expected) in cases {
+            let mut run = baseline.clone();
+            violate(&mut run);
+            let failures = check_artifact(&run);
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert!(failures[0].starts_with(expected), "{failures:?}");
+            let report = check_regression_and_artifact(&run, &baseline, 0.25);
+            assert!(!report.passed());
+            assert!(report
+                .markdown
+                .contains(&format!("- **FAIL** {}", failures[0])));
+        }
     }
 }

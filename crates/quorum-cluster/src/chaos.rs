@@ -21,7 +21,8 @@
 //! execute the same schedule, so `WorkloadSpec` cross-validation extends to
 //! crash scenarios unchanged.
 
-use crate::{NodeId, SimTime};
+use crate::network::flapping_spans;
+use crate::{NodeId, SimTime, WorkloadConfig};
 
 /// What a chaos window does to its nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,12 +137,25 @@ impl ChaosSchedule {
     /// starting `stagger` after the previous one (the first at `start`).
     /// With `stagger >= down` at most one node is ever down — the classic
     /// one-at-a-time deploy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last window ends past [`WorkloadConfig::MAX_DURATION`].
     pub fn rolling_restart(
         nodes: Vec<NodeId>,
         start: SimTime,
         stagger: SimTime,
         down: SimTime,
     ) -> Self {
+        // The last window ends latest; once it is in range no sum overflows.
+        let last = nodes.len().saturating_sub(1) as u64;
+        let end = start
+            .checked_add(stagger.saturating_mul(last))
+            .and_then(|from| from.checked_add(down));
+        assert!(
+            end.is_some_and(|end| end <= WorkloadConfig::MAX_DURATION),
+            "rolling restart ends past WorkloadConfig::MAX_DURATION"
+        );
         let windows = nodes
             .iter()
             .enumerate()
@@ -164,26 +178,24 @@ impl ChaosSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if `period` is zero or `down > period`.
+    /// Panics if `period` is zero, `down > period`, `until` is past
+    /// [`WorkloadConfig::MAX_DURATION`], or the schedule needs more than
+    /// [`PartitionSchedule::MAX_FLAPPING_WINDOWS`](crate::PartitionSchedule::MAX_FLAPPING_WINDOWS)
+    /// windows.
     pub fn stall_flapping(
         nodes: Vec<NodeId>,
         period: SimTime,
         down: SimTime,
         until: SimTime,
     ) -> Self {
-        assert!(period > SimTime::ZERO, "flapping needs a positive period");
-        assert!(down <= period, "downtime cannot exceed the period");
-        let mut windows = Vec::new();
-        let mut start = SimTime::ZERO;
-        while start < until {
-            windows.push(ChaosWindow {
-                from: start,
-                until: (start + down).min(until),
+        let windows = flapping_spans(period, down, until)
+            .map(|(from, until)| ChaosWindow {
+                from,
+                until,
                 nodes: nodes.clone(),
                 kind: ChaosKind::Stall,
-            });
-            start += period;
-        }
+            })
+            .collect();
         ChaosSchedule { windows }
     }
 
@@ -349,6 +361,35 @@ mod tests {
         assert_eq!(chaos.state_at(1, ms(2)), ChaosState::Stalled);
         assert_eq!(chaos.state_at(1, ms(6)), ChaosState::Up);
         assert_eq!(chaos.state_at(1, ms(12)), ChaosState::Stalled);
+    }
+
+    #[test]
+    #[should_panic(expected = "rolling restart ends past WorkloadConfig::MAX_DURATION")]
+    fn rolling_restart_refuses_an_overflowing_stagger() {
+        // Unchecked, release wrapped node 1's window to 0–10 µs.
+        let micros = SimTime::from_micros;
+        ChaosSchedule::rolling_restart(vec![0, 1], micros(u64::MAX), micros(1), micros(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "rolling restart ends past WorkloadConfig::MAX_DURATION")]
+    fn rolling_restart_refuses_a_window_past_max_duration() {
+        let max = WorkloadConfig::MAX_DURATION;
+        ChaosSchedule::rolling_restart(vec![0], max, ms(1), SimTime::from_micros(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "flapping horizon past WorkloadConfig::MAX_DURATION")]
+    fn stall_flapping_refuses_a_horizon_past_max_duration() {
+        let half = SimTime::from_micros(1 << 63);
+        ChaosSchedule::stall_flapping(vec![0], half, SimTime::ZERO, SimTime::from_micros(u64::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "flapping needs more than PartitionSchedule::MAX_FLAPPING_WINDOWS")]
+    fn stall_flapping_refuses_more_windows_than_the_cap() {
+        let micro = SimTime::from_micros(1);
+        ChaosSchedule::stall_flapping(vec![0], micro, micro, WorkloadConfig::MAX_DURATION);
     }
 
     #[test]

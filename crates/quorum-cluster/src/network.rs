@@ -15,7 +15,7 @@ use quorum_probe::session::{AttemptLoss, ProbeFate};
 use rand::{Rng, RngCore};
 
 use crate::chaos::{ChaosSchedule, ChaosState};
-use crate::workload::Distribution;
+use crate::workload::{Distribution, WorkloadConfig};
 use crate::{NodeId, SimTime};
 
 /// Which leg of a probe RPC a message travels.
@@ -37,6 +37,35 @@ pub enum PartitionKind {
     /// Requests are delivered — the nodes do the work — but every response
     /// is dropped: the asymmetric-link case where effort is wasted.
     DropResponses,
+}
+
+/// The `[from, until)` spans of a flapping fault: the first `down` of every
+/// `period`, up to `until`. Every bound is checked before anything is
+/// built, and no instant can overflow: each is at most `until`.
+///
+/// # Panics
+///
+/// As [`PartitionSchedule::flapping`].
+pub(crate) fn flapping_spans(
+    period: SimTime,
+    down: SimTime,
+    until: SimTime,
+) -> impl Iterator<Item = (SimTime, SimTime)> {
+    assert!(period > SimTime::ZERO, "flapping needs a positive period");
+    assert!(down <= period, "downtime cannot exceed the period");
+    assert!(
+        until <= WorkloadConfig::MAX_DURATION,
+        "flapping horizon past WorkloadConfig::MAX_DURATION"
+    );
+    let count = until.as_micros().div_ceil(period.as_micros());
+    assert!(
+        count <= PartitionSchedule::MAX_FLAPPING_WINDOWS,
+        "flapping needs more than PartitionSchedule::MAX_FLAPPING_WINDOWS windows"
+    );
+    (0..count).map(move |k| {
+        let from = period.saturating_mul(k);
+        (from, from + down.min(until - from))
+    })
 }
 
 /// One timed partition window over a set of nodes: messages matching the
@@ -114,6 +143,10 @@ impl PartitionSchedule {
         }
     }
 
+    /// The most windows [`flapping`](Self::flapping) and
+    /// [`ChaosSchedule::stall_flapping`] build; the shipped batteries build 6.
+    pub const MAX_FLAPPING_WINDOWS: u64 = 1 << 16;
+
     /// A flapping partition: `nodes` are cut for the first `down` of every
     /// `period`, repeatedly, until `until`.
     ///
@@ -123,21 +156,18 @@ impl PartitionSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if `period` is zero or `down > period`.
+    /// Panics if `period` is zero, `down > period`, `until` is past
+    /// [`WorkloadConfig::MAX_DURATION`], or the schedule needs more than
+    /// [`MAX_FLAPPING_WINDOWS`](Self::MAX_FLAPPING_WINDOWS) windows.
     pub fn flapping(nodes: Vec<NodeId>, period: SimTime, down: SimTime, until: SimTime) -> Self {
-        assert!(period > SimTime::ZERO, "flapping needs a positive period");
-        assert!(down <= period, "downtime cannot exceed the period");
-        let mut windows = Vec::new();
-        let mut start = SimTime::ZERO;
-        while start < until {
-            windows.push(PartitionWindow {
-                from: start,
-                until: (start + down).min(until),
+        let windows = flapping_spans(period, down, until)
+            .map(|(from, until)| PartitionWindow {
+                from,
+                until,
                 nodes: nodes.clone(),
                 kind: PartitionKind::Isolate,
-            });
-            start += period;
-        }
+            })
+            .collect();
         PartitionSchedule { windows }
     }
 
@@ -501,6 +531,23 @@ mod tests {
             !schedule.delivers(1, LinkDirection::Request, SimTime::from_millis(2)),
             "healing is not retroactive"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "flapping horizon past WorkloadConfig::MAX_DURATION")]
+    fn flapping_refuses_a_horizon_past_max_duration() {
+        // Unchecked, `start += period` overflowed here (and wrapped forever
+        // in release).
+        let half = SimTime::from_micros(1 << 63);
+        PartitionSchedule::flapping(vec![0], half, SimTime::ZERO, SimTime::from_micros(u64::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "flapping needs more than PartitionSchedule::MAX_FLAPPING_WINDOWS")]
+    fn flapping_refuses_more_windows_than_the_cap() {
+        // One window per microsecond for an hour: 3.6·10⁹ windows.
+        let micro = SimTime::from_micros(1);
+        PartitionSchedule::flapping(vec![0], micro, micro, WorkloadConfig::MAX_DURATION);
     }
 
     #[test]

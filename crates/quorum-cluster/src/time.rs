@@ -40,6 +40,11 @@ impl SimTime {
         SimTime(self.0.saturating_sub(other.0))
     }
 
+    /// Checked addition: `None` on overflow.
+    pub fn checked_add(self, other: SimTime) -> Option<SimTime> {
+        self.0.checked_add(other.0).map(SimTime)
+    }
+
     /// Saturating multiplication by a scalar (backoff doubling, horizon
     /// estimates).
     pub fn saturating_mul(self, factor: u64) -> SimTime {
@@ -99,6 +104,8 @@ mod tests {
         c += b;
         assert_eq!(c.as_micros(), 500);
         assert_eq!(a.saturating_mul(3).as_micros(), 900);
+        assert_eq!(a.checked_add(b), Some(SimTime::from_micros(500)));
+        assert_eq!(SimTime::from_micros(u64::MAX).checked_add(a), None);
         assert_eq!(
             SimTime::from_micros(u64::MAX).saturating_mul(2).as_micros(),
             u64::MAX
