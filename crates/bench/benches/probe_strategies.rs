@@ -4,8 +4,11 @@
 //! These complement the probe-count reproduction (`reproduce` binary) by
 //! answering the systems question a library user cares about: how much CPU
 //! does locating a live quorum actually take?
+//!
+//! `probe/session_p0.3` times the probe-sessions benchmark workload's eval
+//! layer alone: its four systems and strategies at p = 0.3.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use probequorum::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -120,9 +123,52 @@ fn bench_hqs(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `run_strategy` call per iteration, cycling through 4 000 colorings
+/// pre-sampled at p = 0.3, so the time per iteration is the time per
+/// session. The mean probe count per session goes to stderr first.
+fn session<S: QuorumSystem, T: ProbeStrategy<S>>(
+    group: &mut BenchmarkGroup<'_>,
+    label: &str,
+    system: &S,
+    strategy: &T,
+) {
+    let model = FailureModel::iid(0.3);
+    let mut rng = StdRng::seed_from_u64(11);
+    let colorings: Vec<Coloring> = (0..4_000)
+        .map(|_| model.sample(system.universe_size(), &mut rng))
+        .collect();
+    let probes: usize = colorings
+        .iter()
+        .map(|coloring| run_strategy(system, strategy, coloring, &mut rng).probes)
+        .sum();
+    eprintln!(
+        "probe/session_p0.3/{label}: {:.1} probes per session",
+        probes as f64 / colorings.len() as f64
+    );
+    let mut next = colorings.iter().cycle();
+    group.bench_function(label, |b| {
+        b.iter(|| run_strategy(system, strategy, next.next().unwrap(), &mut rng).probes)
+    });
+}
+
+/// The probe-sessions workload's systems and strategies (Maj1023, Tree9,
+/// Triang44 and HQS6) without the engine.
+fn bench_sessions(c: &mut Criterion) {
+    let mut group = c.benchmark_group("probe/session_p0.3");
+    let maj = Majority::new(1023).unwrap();
+    session(&mut group, "Probe_Maj/Maj1023", &maj, &ProbeMaj::new());
+    let tree = TreeQuorum::new(9).unwrap();
+    session(&mut group, "Probe_Tree/Tree9", &tree, &ProbeTree::new());
+    let triang = CrumblingWalls::triang(44).unwrap();
+    session(&mut group, "Probe_CW/Triang44", &triang, &ProbeCw::new());
+    let hqs = Hqs::new(6).unwrap();
+    session(&mut group, "Probe_HQS/HQS6", &hqs, &ProbeHqs::new());
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_majority, bench_crumbling_walls, bench_tree, bench_hqs
+    targets = bench_majority, bench_crumbling_walls, bench_tree, bench_hqs, bench_sessions
 }
 criterion_main!(benches);

@@ -16,7 +16,11 @@ fn configured() -> Criterion {
 
 /// The discrete-event engine without the strategies: 500 Probe_Maj sessions
 /// on Maj(1023) at p = 0.3, planned once outside the timed routine, so each
-/// iteration times `run_plans` (plus one plan copy per session).
+/// iteration times `run_plans` (plus one plan copy per session). Beside the
+/// default spec (the probe-sessions workload's), `fixed_service` replaces
+/// the exponential service time by its mean, which prices the exponential
+/// draw, and `5s_interarrival` spaces the sessions out so that one is in
+/// flight at a time. Each case's probe count per run goes to stderr first.
 fn bench_workload_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("cluster/workload_engine");
     let maj = Majority::new(1023).unwrap();
@@ -39,13 +43,29 @@ fn bench_workload_engine(c: &mut Criterion) {
         })
         .collect();
     let spec = WorkloadSpec::new(1023).sessions(plans.len());
-    group.bench_function("Maj(1023)_500_sessions_p0.3", |b| {
-        b.iter(|| {
+    let cases = [
+        ("Maj(1023)_500_sessions_p0.3", spec.clone()),
+        (
+            "Maj(1023)_500_sessions_p0.3_fixed_service",
+            spec.clone()
+                .service(Distribution::fixed(SimTime::from_micros(150))),
+        ),
+        (
+            "Maj(1023)_500_sessions_p0.3_5s_interarrival",
+            spec.arrivals(ArrivalProcess::OpenPoisson {
+                mean_interarrival: SimTime::from_millis(5_000),
+            }),
+        ),
+    ];
+    for (label, spec) in cases {
+        let run = || {
             spec.run_plans(8, |index, _, _| plans[index as usize].clone())
                 .report
                 .probes
-        })
-    });
+        };
+        eprintln!("cluster/workload_engine/{label}: {} probes per run", run());
+        group.bench_function(label, |b| b.iter(run));
+    }
     group.finish();
 }
 

@@ -37,7 +37,7 @@
 
 use std::fmt::Display;
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, ErrorKind, Write};
 use std::time::{Duration, Instant};
 
 use bench::{
@@ -119,7 +119,7 @@ fn run(experiment: &Experiment, config: &ReproConfig, artifact: &mut Recorder) {
         print(spec.stream, table);
     }
     if let Some(art) = art {
-        println!("{art}");
+        print(Stream::Stdout, art);
     }
     let wall = started.elapsed();
     let rss = peak_rss_bytes().map_or(String::new(), |bytes| {
@@ -141,8 +141,22 @@ fn run(experiment: &Experiment, config: &ReproConfig, artifact: &mut Recorder) {
 
 fn print(stream: Stream, text: impl Display) {
     match stream {
-        Stream::Stdout => println!("{text}"),
+        Stream::Stdout => print_stdout(text, 0),
         Stream::Stderr => eprintln!("{text}"),
+    }
+}
+
+/// Writes `text` and a newline to stdout. A reader that closed the pipe
+/// early (`reproduce all | head -1`) has read all it wanted, so the process
+/// ends quietly with `closed_code` instead of panicking; any other write
+/// error is a failure.
+fn print_stdout(text: impl Display, closed_code: i32) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(error) = writeln!(stdout, "{text}").and_then(|()| stdout.flush()) {
+        if error.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(closed_code);
+        }
+        exit(1, format!("failed to write to stdout: {error}"));
     }
 }
 
@@ -184,9 +198,8 @@ fn run_regression_check(args: &[String]) -> ! {
     };
     let report =
         check_regression_and_artifact(&load(current_path), &load(baseline_path), tolerance);
-    println!("{}", report.markdown);
+    let code = if report.passed() { 0 } else { 1 };
     if let Ok(summary_path) = std::env::var("GITHUB_STEP_SUMMARY") {
-        use std::io::Write;
         let file = std::fs::OpenOptions::new()
             .append(true)
             .create(true)
@@ -195,7 +208,8 @@ fn run_regression_check(args: &[String]) -> ! {
             eprintln!("could not append to GITHUB_STEP_SUMMARY: {error}");
         }
     }
-    std::process::exit(if report.passed() { 0 } else { 1 });
+    print_stdout(&report.markdown, code);
+    std::process::exit(code);
 }
 
 fn main() {

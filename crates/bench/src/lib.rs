@@ -413,7 +413,7 @@ pub fn cw_hard_coloring<R: Rng>(wall: &CrumblingWalls, rng: &mut R) -> Coloring 
     let mut greens = ElementSet::empty(n);
     for row in 0..wall.row_count() {
         let elements = wall.row_elements(row);
-        greens.insert(elements[rng.gen_range(0..elements.len())]);
+        greens.insert(elements.start + rng.gen_range(0..elements.len()));
     }
     Coloring::from_green_set(&greens)
 }
@@ -2309,7 +2309,6 @@ pub fn figures() -> String {
     for row in 0..triang.row_count() {
         let cells: Vec<String> = triang
             .row_elements(row)
-            .into_iter()
             .map(|e| {
                 if quorum.contains(&e) {
                     format!("[{:>2}*]", e + 1)

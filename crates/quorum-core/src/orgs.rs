@@ -35,9 +35,14 @@ use crate::ElementId;
 pub struct Organizations {
     universe: usize,
     groups: Vec<Vec<ElementId>>,
-    /// `group_of[e]` is the organization owning element `e`, if any.
-    group_of: Vec<Option<u32>>,
+    /// `group_of[e]` is the organization owning element `e`, or
+    /// [`INDEPENDENT`] when none does: 4 bytes per element.
+    group_of: Vec<u32>,
 }
+
+/// The owner-table entry of an element no organization claims; organization
+/// indices stay below it.
+const INDEPENDENT: u32 = u32::MAX;
 
 impl Organizations {
     /// Builds an organization structure over `universe` elements.
@@ -45,10 +50,20 @@ impl Organizations {
     /// # Errors
     ///
     /// * [`QuorumError::ElementOutOfRange`] when a group member is `>= universe`.
-    /// * [`QuorumError::InvalidConstruction`] when a group is empty or an
-    ///   element appears in more than one group (or twice in one group).
+    /// * [`QuorumError::InvalidConstruction`] when a group is empty, an
+    ///   element appears in more than one group (or twice in one group), or
+    ///   there are `u32::MAX` groups or more.
     pub fn new(universe: usize, groups: Vec<Vec<ElementId>>) -> Result<Self, QuorumError> {
-        let mut group_of: Vec<Option<u32>> = vec![None; universe];
+        if groups.len() >= INDEPENDENT as usize {
+            return Err(QuorumError::InvalidConstruction {
+                reason: format!(
+                    "{} organizations exceed the limit of {}",
+                    groups.len(),
+                    INDEPENDENT - 1
+                ),
+            });
+        }
+        let mut group_of = vec![INDEPENDENT; universe];
         for (g, members) in groups.iter().enumerate() {
             if members.is_empty() {
                 return Err(QuorumError::InvalidConstruction {
@@ -62,14 +77,15 @@ impl Organizations {
                         universe,
                     });
                 }
-                if let Some(prev) = group_of[e] {
+                let prev = group_of[e];
+                if prev != INDEPENDENT {
                     return Err(QuorumError::InvalidConstruction {
                         reason: format!(
                             "element {e} belongs to both organization {prev} and organization {g}"
                         ),
                     });
                 }
-                group_of[e] = Some(g as u32);
+                group_of[e] = g as u32;
             }
         }
         Ok(Self {
@@ -121,7 +137,10 @@ impl Organizations {
     /// The organization owning element `e`, or `None` when `e` is
     /// independent (or out of range).
     pub fn group_of(&self, e: ElementId) -> Option<usize> {
-        self.group_of.get(e).copied().flatten().map(|g| g as usize)
+        self.group_of
+            .get(e)
+            .filter(|&&g| g != INDEPENDENT)
+            .map(|&g| g as usize)
     }
 
     /// Members of organization `g` (panics when `g` is out of range).
@@ -137,7 +156,7 @@ impl Organizations {
     /// Elements claimed by no organization, in ascending order.
     pub fn independent_elements(&self) -> Vec<ElementId> {
         (0..self.universe)
-            .filter(|&e| self.group_of[e].is_none())
+            .filter(|&e| self.group_of[e] == INDEPENDENT)
             .collect()
     }
 }
@@ -191,5 +210,18 @@ mod tests {
         assert_eq!(orgs.independent_elements(), vec![0, 3, 5]);
         assert_eq!(orgs.group_of(3), None);
         assert_eq!(orgs.group_of(99), None);
+    }
+
+    #[test]
+    fn owner_table_costs_four_bytes_per_element() {
+        let orgs = Organizations::new(9, vec![vec![2, 3], vec![5, 6, 8]]).unwrap();
+        for e in [0, 1, 4, 7] {
+            assert_eq!(orgs.group_of(e), None);
+        }
+        // The last element of the last group reads its group, not the
+        // sentinel.
+        assert_eq!(orgs.group_of(8), Some(1));
+        assert_eq!(orgs.independent_elements(), vec![0, 1, 4, 7]);
+        assert_eq!(std::mem::size_of_val(orgs.group_of.as_slice()), 4 * 9);
     }
 }

@@ -208,9 +208,11 @@ impl Witness {
                 // A red certificate is a red quorum (the ND case, Lemma 2.1) or,
                 // more generally, a red transversal: either way no live quorum
                 // can exist.  A transversal is a set whose complement contains
-                // no quorum.
-                let is_transversal = !system.contains_quorum(&self.elements.complement());
-                if !system.contains_quorum(&self.elements) && !is_transversal {
+                // no quorum; the complement is only built when the set holds
+                // no quorum itself.
+                if !system.contains_quorum(&self.elements)
+                    && system.contains_quorum(&self.elements.complement())
+                {
                     return Err(WitnessError::NoQuorum);
                 }
             }
@@ -377,6 +379,25 @@ mod tests {
         let coloring = Coloring::from_colors(vec![Color::Green, Color::Red]);
         let w = Witness::red(ElementSet::from_iter(2, [1]));
         assert!(w.verify_strict(&system, &coloring).is_err());
+    }
+
+    #[test]
+    fn red_transversal_verifies_only_when_its_complement_holds_no_quorum() {
+        // The dominated coterie {{0, 1}} over three elements: the red set
+        // {0} holds no quorum but meets every quorum, so it certifies the
+        // outage; {2} holds none and misses {0, 1}, so it certifies nothing.
+        let system = Coterie::new(3, vec![ElementSet::from_iter(3, [0, 1])]).unwrap();
+        let coloring = Coloring::all_red(3);
+        assert!(Witness::red(ElementSet::from_iter(3, [0]))
+            .verify(&system, &coloring)
+            .is_ok());
+        assert_eq!(
+            Witness::red(ElementSet::from_iter(3, [2])).verify(&system, &coloring),
+            Err(WitnessError::NoQuorum)
+        );
+        assert!(Witness::red(ElementSet::from_iter(3, [0, 1]))
+            .verify(&system, &coloring)
+            .is_ok());
     }
 
     #[test]

@@ -10,6 +10,15 @@ use quorum_core::{Color, Coloring, ElementId, ElementSet};
 /// matching the paper's model in which an algorithm never needs to probe an
 /// element twice.
 ///
+/// Beside its n-bit color sets the oracle counts the green probes (the red
+/// ones are the rest of the sequence), so [`green_count`](Self::green_count)
+/// and [`red_count`](Self::red_count) are O(1) where `green_probed().len()`
+/// popcounts every word: a strategy that tests a count after each probe
+/// (Probe_Maj) pays O(1) per probe, not n/64 words. The recursive
+/// strategies (Probe_Tree, Probe_HQS and their randomized variants) likewise
+/// keep their certificates in one buffer of probed elements and build the
+/// witness set once, so no strategy touches an n-bit set per probe.
+///
 /// # Examples
 ///
 /// ```
@@ -21,6 +30,7 @@ use quorum_core::{Color, Coloring, ElementId, ElementSet};
 /// assert_eq!(oracle.probe(1), Color::Red);
 /// assert_eq!(oracle.probe(1), Color::Red); // cached, still 1 probe
 /// assert_eq!(oracle.probe_count(), 1);
+/// assert_eq!((oracle.green_count(), oracle.red_count()), (0, 1));
 /// assert_eq!(oracle.red_probed().to_vec(), vec![1]);
 /// ```
 #[derive(Debug, Clone)]
@@ -29,6 +39,7 @@ pub struct ProbeOracle<'a> {
     probed: ElementSet,
     green: ElementSet,
     red: ElementSet,
+    green_count: usize,
     sequence: Vec<ElementId>,
 }
 
@@ -41,6 +52,7 @@ impl<'a> ProbeOracle<'a> {
             probed: ElementSet::empty(n),
             green: ElementSet::empty(n),
             red: ElementSet::empty(n),
+            green_count: 0,
             sequence: Vec::new(),
         }
     }
@@ -65,6 +77,7 @@ impl<'a> ProbeOracle<'a> {
             match color {
                 Color::Green => {
                     self.green.insert(e);
+                    self.green_count += 1;
                 }
                 Color::Red => {
                     self.red.insert(e);
@@ -93,6 +106,16 @@ impl<'a> ProbeOracle<'a> {
     /// Number of (distinct) probes issued so far.
     pub fn probe_count(&self) -> usize {
         self.sequence.len()
+    }
+
+    /// Number of probed elements observed green, in O(1).
+    pub fn green_count(&self) -> usize {
+        self.green_count
+    }
+
+    /// Number of probed elements observed red, in O(1).
+    pub fn red_count(&self) -> usize {
+        self.sequence.len() - self.green_count
     }
 
     /// The set of probed elements.
@@ -181,6 +204,23 @@ mod tests {
         assert_eq!(oracle.probed_with(Color::Red).len(), 3);
         assert_eq!(oracle.probed().len(), 5);
         assert!(oracle.unprobed().is_empty());
+    }
+
+    #[test]
+    fn counters_match_the_color_sets() {
+        let c = coloring();
+        let mut oracle = ProbeOracle::new(&c);
+        for e in [3, 0, 3, 4, 0, 1, 4] {
+            oracle.probe(e);
+            assert_eq!(
+                oracle.green_count() + oracle.red_count(),
+                oracle.probe_count()
+            );
+            assert_eq!(oracle.green_count(), oracle.green_probed().len());
+            assert_eq!(oracle.red_count(), oracle.red_probed().len());
+        }
+        // The three re-probes counted nothing.
+        assert_eq!((oracle.green_count(), oracle.red_count()), (1, 3));
     }
 
     #[test]

@@ -55,33 +55,29 @@ impl ProbeStrategy<CrumblingWalls> for ProbeCw {
         let n = system.universe_size();
         let k = system.row_count();
 
-        // Row 0 has a single element.
-        let v1 = system.row_elements(0)[0];
+        // Row 0 has a single element. `W` is kept as a list and becomes a
+        // set once, at the end.
+        let v1 = system.row_elements(0).start;
         let mut mode = oracle.probe(v1);
-        let mut witness = ElementSet::singleton(n, v1);
+        let mut witness = vec![v1];
 
         for row in 1..k {
-            let mut found = None;
-            for e in system.row_elements(row) {
-                let color = oracle.probe(e);
-                if color == mode {
-                    found = Some(e);
-                    break;
-                }
-            }
-            match found {
-                Some(e) => {
-                    witness.insert(e);
-                }
+            let elements = system.row_elements(row);
+            match elements.clone().find(|&e| oracle.probe(e) == mode) {
+                Some(e) => witness.push(e),
                 None => {
                     // The whole row was probed and is monochromatic of the
                     // opposite color; it becomes the new witness.
-                    witness = ElementSet::from_iter(n, system.row_elements(row));
+                    witness.clear();
+                    witness.extend(elements);
                     mode = mode.opposite();
                 }
             }
         }
-        Witness::new(WitnessKind::for_color(mode), witness)
+        Witness::new(
+            WitnessKind::for_color(mode),
+            ElementSet::from_iter(n, witness),
+        )
     }
 }
 
@@ -125,13 +121,16 @@ impl ProbeStrategy<CrumblingWalls> for RProbeCw {
         // one red element.
         let mut green_rep: Vec<Option<usize>> = vec![None; k];
         let mut red_rep: Vec<Option<usize>> = vec![None; k];
+        // Every row's probe order is shuffled in this one buffer.
+        let mut order = Vec::new();
 
         for row in (0..k).rev() {
-            let mut elements = system.row_elements(row);
-            elements.shuffle(rng);
+            order.clear();
+            order.extend(system.row_elements(row));
+            order.shuffle(rng);
             let mut seen_green = None;
             let mut seen_red = None;
-            for e in elements {
+            for &e in &order {
                 match oracle.probe(e) {
                     Color::Green => seen_green = Some(e),
                     Color::Red => seen_red = Some(e),

@@ -1,9 +1,9 @@
 //! Probing strategies for the Hierarchical Quorum System (HQS).
 
-use quorum_core::{ElementSet, QuorumSystem, Witness, WitnessKind};
+use quorum_core::{Color, ElementId, ElementSet, QuorumSystem, Witness, WitnessKind};
 use quorum_systems::Hqs;
 use rand::seq::SliceRandom;
-use rand::RngCore;
+use rand::{Rng, RngCore};
 
 use crate::{ProbeOracle, ProbeStrategy};
 
@@ -26,44 +26,99 @@ impl Node {
     }
 }
 
-/// The value of a node together with a monochromatic set of leaves certifying
-/// it: green leaves forming a quorum of the sub-HQS when the value is `true`,
-/// red leaves forming a quorum when it is `false` (the 2-of-3 majority
-/// function is self-dual, so both certificates exist and compose by union).
-#[derive(Debug, Clone)]
-struct Eval {
-    value: bool,
-    cert: ElementSet,
+// Every evaluation below returns a node's value (its 2-of-3 majority color)
+// and leaves a monochromatic set of leaves certifying it as the suffix of
+// one certificate buffer: green leaves forming a quorum of the sub-HQS when
+// the value is green, red leaves forming one when it is red (the 2-of-3
+// majority is self-dual, so both certificates exist and compose by union).
+// The witness is built from the buffer once, at the end.
+
+fn probe_leaf(oracle: &mut ProbeOracle<'_>, leaf: usize, cert: &mut Vec<ElementId>) -> Color {
+    cert.push(leaf);
+    oracle.probe(leaf)
 }
 
-fn probe_leaf(oracle: &mut ProbeOracle<'_>, n: usize, leaf: usize) -> Eval {
-    let green = oracle.probe(leaf).is_green();
-    Eval {
-        value: green,
-        cert: ElementSet::singleton(n, leaf),
+/// Settles a gate whose children `a` (certificate `cert[start..mid]`) and
+/// `b` (`cert[mid..]`) are evaluated: if they agree the gate takes their
+/// value and keeps both certificates; otherwise `third` evaluates the last
+/// child, whose value decides, and the certificate of whichever of `a` and
+/// `b` it disagrees with is drained.
+fn settle(
+    cert: &mut Vec<ElementId>,
+    [start, mid]: [usize; 2],
+    a: Color,
+    b: Color,
+    third: impl FnOnce(&mut Vec<ElementId>) -> Color,
+) -> Color {
+    if a == b {
+        return a;
     }
+    let end = cert.len();
+    let c = third(cert);
+    cert.drain(if c == a { mid..end } else { start..mid });
+    c
 }
 
 /// Evaluates a node by evaluating its children in the given order, stopping as
 /// soon as two children agree (their shared value is the 2-of-3 majority).
-fn evaluate_in_order<F>(node: Node, order: [usize; 3], evaluate_child: &mut F) -> Eval
+fn evaluate_in_order<F>(
+    node: Node,
+    order: [usize; 3],
+    cert: &mut Vec<ElementId>,
+    evaluate_child: &mut F,
+) -> Color
 where
-    F: FnMut(Node) -> Eval,
+    F: FnMut(Node, &mut Vec<ElementId>) -> Color,
 {
-    let a = evaluate_child(node.child(order[0]));
-    let b = evaluate_child(node.child(order[1]));
-    if a.value == b.value {
-        return Eval {
-            value: a.value,
-            cert: a.cert.union(&b.cert),
-        };
+    let start = cert.len();
+    let a = evaluate_child(node.child(order[0]), cert);
+    let mid = cert.len();
+    let b = evaluate_child(node.child(order[1]), cert);
+    settle(cert, [start, mid], a, b, |cert| {
+        evaluate_child(node.child(order[2]), cert)
+    })
+}
+
+/// Evaluates `node` with every gate reading its children in the order
+/// `order` draws for it before evaluating below it.
+fn evaluate_ordered(
+    oracle: &mut ProbeOracle<'_>,
+    order: &mut dyn FnMut() -> [usize; 3],
+    node: Node,
+    cert: &mut Vec<ElementId>,
+) -> Color {
+    if node.height == 0 {
+        return probe_leaf(oracle, node.start, cert);
     }
-    let c = evaluate_child(node.child(order[2]));
-    let matching = if a.value == c.value { &a } else { &b };
-    Eval {
-        value: c.value,
-        cert: c.cert.union(&matching.cert),
-    }
+    let gate_order = order();
+    evaluate_in_order(node, gate_order, cert, &mut |child, cert| {
+        evaluate_ordered(oracle, order, child, cert)
+    })
+}
+
+/// A uniformly random order of a gate's three children.
+fn shuffled(rng: &mut dyn RngCore) -> [usize; 3] {
+    let mut order = [0, 1, 2];
+    order.shuffle(rng);
+    order
+}
+
+/// Evaluates the root with `evaluate` into a fresh certificate buffer and
+/// builds the witness from it.
+fn root_witness(
+    system: &Hqs,
+    evaluate: impl FnOnce(Node, &mut Vec<ElementId>) -> Color,
+) -> Witness {
+    let root = Node {
+        start: 0,
+        height: system.height(),
+    };
+    let mut cert = Vec::new();
+    let color = evaluate(root, &mut cert);
+    Witness::new(
+        WitnessKind::for_color(color),
+        ElementSet::from_iter(system.universe_size(), cert),
+    )
 }
 
 /// Algorithm `Probe_HQS` (Section 3.4): evaluate the first two children of
@@ -80,15 +135,6 @@ impl ProbeHqs {
     pub fn new() -> Self {
         ProbeHqs
     }
-
-    fn evaluate(&self, system: &Hqs, oracle: &mut ProbeOracle<'_>, node: Node) -> Eval {
-        let n = system.universe_size();
-        if node.height == 0 {
-            return probe_leaf(oracle, n, node.start);
-        }
-        let mut eval_child = |child: Node| self.evaluate(system, oracle, child);
-        evaluate_in_order(node, [0, 1, 2], &mut eval_child)
-    }
 }
 
 impl ProbeStrategy<Hqs> for ProbeHqs {
@@ -102,17 +148,9 @@ impl ProbeStrategy<Hqs> for ProbeHqs {
         oracle: &mut ProbeOracle<'_>,
         _rng: &mut dyn RngCore,
     ) -> Witness {
-        let root = Node {
-            start: 0,
-            height: system.height(),
-        };
-        let eval = self.evaluate(system, oracle, root);
-        let kind = if eval.value {
-            WitnessKind::GreenQuorum
-        } else {
-            WitnessKind::RedQuorum
-        };
-        Witness::new(kind, eval.cert)
+        root_witness(system, |root, cert| {
+            evaluate_ordered(oracle, &mut || [0, 1, 2], root, cert)
+        })
     }
 }
 
@@ -129,23 +167,6 @@ impl RProbeHqs {
     pub fn new() -> Self {
         RProbeHqs
     }
-
-    fn evaluate(
-        &self,
-        system: &Hqs,
-        oracle: &mut ProbeOracle<'_>,
-        rng: &mut dyn RngCore,
-        node: Node,
-    ) -> Eval {
-        let n = system.universe_size();
-        if node.height == 0 {
-            return probe_leaf(oracle, n, node.start);
-        }
-        let mut order = [0usize, 1, 2];
-        order.shuffle(rng);
-        let mut eval_child = |child: Node| self.evaluate(system, oracle, rng, child);
-        evaluate_in_order(node, order, &mut eval_child)
-    }
 }
 
 impl ProbeStrategy<Hqs> for RProbeHqs {
@@ -159,17 +180,9 @@ impl ProbeStrategy<Hqs> for RProbeHqs {
         oracle: &mut ProbeOracle<'_>,
         rng: &mut dyn RngCore,
     ) -> Witness {
-        let root = Node {
-            start: 0,
-            height: system.height(),
-        };
-        let eval = self.evaluate(system, oracle, rng, root);
-        let kind = if eval.value {
-            WitnessKind::GreenQuorum
-        } else {
-            WitnessKind::RedQuorum
-        };
-        Witness::new(kind, eval.cert)
+        root_witness(system, |root, cert| {
+            evaluate_ordered(oracle, &mut || shuffled(rng), root, cert)
+        })
     }
 }
 
@@ -194,134 +207,112 @@ impl IrProbeHqs {
     /// Entry point of the recursion: evaluate `node` with the improved rule.
     fn evaluate(
         &self,
-        system: &Hqs,
         oracle: &mut ProbeOracle<'_>,
         rng: &mut dyn RngCore,
         node: Node,
-    ) -> Eval {
-        let n = system.universe_size();
+        cert: &mut Vec<ElementId>,
+    ) -> Color {
         match node.height {
-            0 => probe_leaf(oracle, n, node.start),
-            1 => {
-                // No grandchildren to peek at: fall back to random-order
-                // evaluation of the three leaves.
-                let mut order = [0usize, 1, 2];
-                order.shuffle(rng);
-                let mut eval_child = |child: Node| self.evaluate(system, oracle, rng, child);
-                evaluate_in_order(node, order, &mut eval_child)
-            }
-            _ => self.evaluate_with_peek(system, oracle, rng, node),
+            // No grandchildren to peek at below height 2: evaluate the
+            // children in random order.
+            0 | 1 => self.evaluate_child(oracle, rng, node, cert),
+            _ => self.evaluate_with_peek(oracle, rng, node, cert),
         }
     }
 
-    /// Random-order evaluation of a child node (height ≥ 1) whose own children
-    /// are evaluated with the improved rule — the paper's notion of
-    /// "evaluating" `r_i`.
+    /// Random-order evaluation of a child node whose own children are
+    /// evaluated with the improved rule — the paper's notion of "evaluating"
+    /// `r_i`.
     fn evaluate_child(
         &self,
-        system: &Hqs,
         oracle: &mut ProbeOracle<'_>,
         rng: &mut dyn RngCore,
         node: Node,
-    ) -> Eval {
+        cert: &mut Vec<ElementId>,
+    ) -> Color {
         if node.height == 0 {
-            return probe_leaf(oracle, system.universe_size(), node.start);
+            return probe_leaf(oracle, node.start, cert);
         }
-        let mut order = [0usize, 1, 2];
-        order.shuffle(rng);
-        let mut eval_grandchild = |child: Node| self.evaluate(system, oracle, rng, child);
-        evaluate_in_order(node, order, &mut eval_grandchild)
+        let order = shuffled(rng);
+        evaluate_in_order(node, order, cert, &mut |child, cert| {
+            self.evaluate(oracle, rng, child, cert)
+        })
     }
 
     /// Completes the evaluation of `node` given that its child `known_index`
-    /// already evaluated to `known`.
+    /// already evaluated to `known`, certified by `cert[known_start..]`.
+    #[allow(clippy::too_many_arguments)]
     fn continue_child(
         &self,
-        system: &Hqs,
         oracle: &mut ProbeOracle<'_>,
         rng: &mut dyn RngCore,
         node: Node,
         known_index: usize,
-        known: &Eval,
-    ) -> Eval {
-        let mut rest: Vec<usize> = (0..3).filter(|&i| i != known_index).collect();
-        rest.shuffle(rng);
-        let second = self.evaluate(system, oracle, rng, node.child(rest[0]));
-        if second.value == known.value {
-            return Eval {
-                value: known.value,
-                cert: known.cert.union(&second.cert),
-            };
-        }
-        let third = self.evaluate(system, oracle, rng, node.child(rest[1]));
-        let matching = if third.value == known.value {
-            known
-        } else {
-            &second
+        known: Color,
+        known_start: usize,
+        cert: &mut Vec<ElementId>,
+    ) -> Color {
+        let mut rest = match known_index {
+            0 => [1, 2],
+            1 => [0, 2],
+            _ => [0, 1],
         };
-        Eval {
-            value: third.value,
-            cert: third.cert.union(&matching.cert),
-        }
+        rest.shuffle(rng);
+        let mid = cert.len();
+        let second = self.evaluate(oracle, rng, node.child(rest[0]), cert);
+        settle(cert, [known_start, mid], known, second, |cert| {
+            self.evaluate(oracle, rng, node.child(rest[1]), cert)
+        })
     }
 
     fn evaluate_with_peek(
         &self,
-        system: &Hqs,
         oracle: &mut ProbeOracle<'_>,
         rng: &mut dyn RngCore,
         node: Node,
-    ) -> Eval {
+        cert: &mut Vec<ElementId>,
+    ) -> Color {
         // Step 1–2: pick a random child r1 and evaluate it.
-        let mut children = [0usize, 1, 2];
-        children.shuffle(rng);
-        let (i1, i2, i3) = (children[0], children[1], children[2]);
-        let r1 = self.evaluate_child(system, oracle, rng, node.child(i1));
+        let [i1, i2, i3] = shuffled(rng);
+        let r1_start = cert.len();
+        let r1 = self.evaluate_child(oracle, rng, node.child(i1), cert);
 
         // Step 3–4: peek at a random grandchild of the second child r2.
         let r2_node = node.child(i2);
         let peek_index = rng.gen_range(0..3usize);
-        let peek = self.evaluate(system, oracle, rng, r2_node.child(peek_index));
+        let peek_start = cert.len();
+        let peek = self.evaluate(oracle, rng, r2_node.child(peek_index), cert);
 
-        if peek.value == r1.value {
-            // Step 5: keep evaluating r2.
-            let r2 = self.continue_child(system, oracle, rng, r2_node, peek_index, &peek);
-            if r2.value == r1.value {
-                Eval {
-                    value: r1.value,
-                    cert: r1.cert.union(&r2.cert),
-                }
-            } else {
-                // r1 and r2 disagree: the root value equals the third child's.
-                let r3 = self.evaluate_child(system, oracle, rng, node.child(i3));
-                let matching = if r3.value == r1.value { &r1 } else { &r2 };
-                Eval {
-                    value: r3.value,
-                    cert: r3.cert.union(&matching.cert),
-                }
-            }
+        if peek == r1 {
+            // Step 5: keep evaluating r2; if r1 and r2 disagree the third
+            // child decides.
+            let r2 = self.continue_child(oracle, rng, r2_node, peek_index, peek, peek_start, cert);
+            settle(cert, [r1_start, peek_start], r1, r2, |cert| {
+                self.evaluate_child(oracle, rng, node.child(i3), cert)
+            })
         } else {
             // Step 6: suspect r2 holds the minority value; try r3 first.
-            let r3 = self.evaluate_child(system, oracle, rng, node.child(i3));
-            if r3.value == r1.value {
-                Eval {
-                    value: r1.value,
-                    cert: r1.cert.union(&r3.cert),
-                }
-            } else {
-                // r1 and r3 disagree: the value of r2 decides either way.
-                let r2 = self.continue_child(system, oracle, rng, r2_node, peek_index, &peek);
-                let matching = if r2.value == r1.value { &r1 } else { &r3 };
-                Eval {
-                    value: r2.value,
-                    cert: r2.cert.union(&matching.cert),
-                }
+            let peek_len = cert.len() - peek_start;
+            let r3 = self.evaluate_child(oracle, rng, node.child(i3), cert);
+            if r3 == r1 {
+                cert.drain(peek_start..peek_start + peek_len);
+                return r1;
             }
+            // r1 and r3 disagree: the value of r2 decides either way. Move
+            // the peek's certificate behind r3's, where r2's evaluation
+            // continues from it.
+            cert[peek_start..].rotate_left(peek_len);
+            let r3_end = cert.len() - peek_len;
+            let r2 = self.continue_child(oracle, rng, r2_node, peek_index, peek, r3_end, cert);
+            cert.drain(if r2 == r1 {
+                peek_start..r3_end
+            } else {
+                r1_start..peek_start
+            });
+            r2
         }
     }
 }
-
-use rand::Rng;
 
 impl ProbeStrategy<Hqs> for IrProbeHqs {
     fn name(&self) -> String {
@@ -334,17 +325,7 @@ impl ProbeStrategy<Hqs> for IrProbeHqs {
         oracle: &mut ProbeOracle<'_>,
         rng: &mut dyn RngCore,
     ) -> Witness {
-        let root = Node {
-            start: 0,
-            height: system.height(),
-        };
-        let eval = self.evaluate(system, oracle, rng, root);
-        let kind = if eval.value {
-            WitnessKind::GreenQuorum
-        } else {
-            WitnessKind::RedQuorum
-        };
-        Witness::new(kind, eval.cert)
+        root_witness(system, |root, cert| self.evaluate(oracle, rng, root, cert))
     }
 }
 

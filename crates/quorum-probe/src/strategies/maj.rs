@@ -32,10 +32,10 @@ fn probe_until_majority(
     let threshold = maj.quorum_size();
     for e in order {
         oracle.probe(e);
-        if oracle.green_probed().len() >= threshold {
+        if oracle.green_count() >= threshold {
             return Witness::new(WitnessKind::GreenQuorum, oracle.green_probed().clone());
         }
-        if oracle.red_probed().len() >= threshold {
+        if oracle.red_count() >= threshold {
             return Witness::new(WitnessKind::RedQuorum, oracle.red_probed().clone());
         }
     }

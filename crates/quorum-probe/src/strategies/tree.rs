@@ -26,35 +26,82 @@ impl ProbeTree {
     pub fn new() -> Self {
         ProbeTree
     }
+}
 
-    fn witness_for_subtree(
-        &self,
-        system: &TreeQuorum,
-        oracle: &mut ProbeOracle<'_>,
-        v: ElementId,
-    ) -> (Color, ElementSet) {
-        let n = system.universe_size();
-        if system.is_leaf(v) {
-            let color = oracle.probe(v);
-            return (color, ElementSet::singleton(n, v));
-        }
-        let root_color = oracle.probe(v);
-        let right = system.right(v).expect("internal node has a right child");
-        let left = system.left(v).expect("internal node has a left child");
+/// The plan of an internal node: probe it, then its left subtree, and the
+/// right subtree only if needed.
+const LEFT_FIRST: u8 = 0;
+/// The same with the right subtree first: Probe_Tree's only plan.
+const RIGHT_FIRST: u8 = 1;
+// Any other plan probes the two subtrees first and the node only if they
+// disagree.
 
-        let (right_color, right_witness) = self.witness_for_subtree(system, oracle, right);
-        if right_color == root_color {
-            return (root_color, right_witness.with(v));
-        }
-        let (left_color, left_witness) = self.witness_for_subtree(system, oracle, left);
-        if left_color == root_color {
-            (root_color, left_witness.with(v))
-        } else {
-            // The left witness matches the right witness (both are the color
-            // opposite to the root), so together they cover both subtrees.
-            (left_color, left_witness.union(&right_witness))
-        }
+/// Finds the witness of the subtree rooted at `v`, drawing each internal
+/// node's plan from `plan` before probing below it. Returns the subtree's
+/// color and leaves its certificate as the suffix of `cert`; the certificate
+/// of a child that loses is drained.
+fn subtree_witness(
+    system: &TreeQuorum,
+    oracle: &mut ProbeOracle<'_>,
+    plan: &mut dyn FnMut() -> u8,
+    v: ElementId,
+    cert: &mut Vec<ElementId>,
+) -> Color {
+    if system.is_leaf(v) {
+        cert.push(v);
+        return oracle.probe(v);
     }
+    let left = system.left(v).expect("internal node has a left child");
+    let right = system.right(v).expect("internal node has a right child");
+    let start = cert.len();
+    let (first, second) = match plan() {
+        LEFT_FIRST => (left, right),
+        RIGHT_FIRST => (right, left),
+        _ => {
+            let a_color = subtree_witness(system, oracle, plan, left, cert);
+            let mid = cert.len();
+            if subtree_witness(system, oracle, plan, right, cert) == a_color {
+                return a_color;
+            }
+            let root_color = oracle.probe(v);
+            if root_color == a_color {
+                cert.truncate(mid);
+            } else {
+                cert.drain(start..mid);
+            }
+            cert.push(v);
+            return root_color;
+        }
+    };
+    let root_color = oracle.probe(v);
+    if subtree_witness(system, oracle, plan, first, cert) == root_color {
+        cert.push(v);
+        return root_color;
+    }
+    let mid = cert.len();
+    let second_color = subtree_witness(system, oracle, plan, second, cert);
+    if second_color == root_color {
+        cert.drain(start..mid);
+        cert.push(v);
+    }
+    // Otherwise both children have the color opposite to the root's, so
+    // together they cover both subtrees.
+    second_color
+}
+
+/// Runs [`subtree_witness`] from the root into one certificate buffer and
+/// builds the witness from it.
+fn tree_witness(
+    system: &TreeQuorum,
+    oracle: &mut ProbeOracle<'_>,
+    plan: &mut dyn FnMut() -> u8,
+) -> Witness {
+    let mut cert = Vec::new();
+    let color = subtree_witness(system, oracle, plan, system.root(), &mut cert);
+    Witness::new(
+        WitnessKind::for_color(color),
+        ElementSet::from_iter(system.universe_size(), cert),
+    )
 }
 
 impl ProbeStrategy<TreeQuorum> for ProbeTree {
@@ -68,8 +115,7 @@ impl ProbeStrategy<TreeQuorum> for ProbeTree {
         oracle: &mut ProbeOracle<'_>,
         _rng: &mut dyn RngCore,
     ) -> Witness {
-        let (color, elements) = self.witness_for_subtree(system, oracle, system.root());
-        Witness::new(WitnessKind::for_color(color), elements)
+        tree_witness(system, oracle, &mut || RIGHT_FIRST)
     }
 }
 
@@ -92,63 +138,6 @@ impl RProbeTree {
     pub fn new() -> Self {
         RProbeTree
     }
-
-    fn witness_for_subtree(
-        &self,
-        system: &TreeQuorum,
-        oracle: &mut ProbeOracle<'_>,
-        rng: &mut dyn RngCore,
-        v: ElementId,
-    ) -> (Color, ElementSet) {
-        let n = system.universe_size();
-        if system.is_leaf(v) {
-            let color = oracle.probe(v);
-            return (color, ElementSet::singleton(n, v));
-        }
-        let left = system.left(v).expect("internal node has a left child");
-        let right = system.right(v).expect("internal node has a right child");
-
-        match rng.gen_range(0..3u8) {
-            0 => self.root_first(system, oracle, rng, v, left, right),
-            1 => self.root_first(system, oracle, rng, v, right, left),
-            _ => {
-                // Probe the two subtrees first, the root only on disagreement.
-                let (a_color, a_witness) = self.witness_for_subtree(system, oracle, rng, left);
-                let (b_color, b_witness) = self.witness_for_subtree(system, oracle, rng, right);
-                if a_color == b_color {
-                    return (a_color, a_witness.union(&b_witness));
-                }
-                let root_color = oracle.probe(v);
-                if root_color == a_color {
-                    (root_color, a_witness.with(v))
-                } else {
-                    (root_color, b_witness.with(v))
-                }
-            }
-        }
-    }
-
-    fn root_first(
-        &self,
-        system: &TreeQuorum,
-        oracle: &mut ProbeOracle<'_>,
-        rng: &mut dyn RngCore,
-        v: ElementId,
-        first: ElementId,
-        second: ElementId,
-    ) -> (Color, ElementSet) {
-        let root_color = oracle.probe(v);
-        let (first_color, first_witness) = self.witness_for_subtree(system, oracle, rng, first);
-        if first_color == root_color {
-            return (root_color, first_witness.with(v));
-        }
-        let (second_color, second_witness) = self.witness_for_subtree(system, oracle, rng, second);
-        if second_color == root_color {
-            (root_color, second_witness.with(v))
-        } else {
-            (second_color, second_witness.union(&first_witness))
-        }
-    }
 }
 
 impl ProbeStrategy<TreeQuorum> for RProbeTree {
@@ -162,8 +151,7 @@ impl ProbeStrategy<TreeQuorum> for RProbeTree {
         oracle: &mut ProbeOracle<'_>,
         rng: &mut dyn RngCore,
     ) -> Witness {
-        let (color, elements) = self.witness_for_subtree(system, oracle, rng, system.root());
-        Witness::new(WitnessKind::for_color(color), elements)
+        tree_witness(system, oracle, &mut || rng.gen_range(0..3u8))
     }
 }
 

@@ -376,7 +376,6 @@ mod tests {
             for row in 0..wall.row_count() {
                 let greens = wall
                     .row_elements(row)
-                    .into_iter()
                     .filter(|&e| c.color(e) == Color::Green)
                     .count();
                 assert_eq!(greens, 1, "each row must have exactly one green element");

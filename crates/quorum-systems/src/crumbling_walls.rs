@@ -1,5 +1,7 @@
 //! The Crumbling Walls family (Peleg & Wool), including Triang and Wheel.
 
+use std::ops::Range;
+
 use quorum_core::lanes::Lanes;
 use quorum_core::{
     Coloring, ColoringDelta, DeltaEvaluator, ElementId, ElementSet, QuorumError, QuorumSystem,
@@ -225,14 +227,15 @@ impl CrumblingWalls {
         self.widths[row]
     }
 
-    /// The elements of row `row`, in index order.
+    /// The elements of row `row`: rows are laid out top-down in index
+    /// order, so a row is a contiguous range.
     ///
     /// # Panics
     ///
     /// Panics if `row >= row_count()`.
-    pub fn row_elements(&self, row: usize) -> Vec<ElementId> {
+    pub fn row_elements(&self, row: usize) -> Range<ElementId> {
         let start = self.offsets[row];
-        (start..start + self.widths[row]).collect()
+        start..start + self.widths[row]
     }
 
     /// The row containing element `e`.
@@ -367,7 +370,7 @@ impl QuorumSystem for CrumblingWalls {
             // Full row j plus every combination of single representatives from
             // rows below.
             let base = ElementSet::from_iter(self.n, self.row_elements(j));
-            let below: Vec<Vec<ElementId>> = (j + 1..self.row_count())
+            let below: Vec<Range<ElementId>> = (j + 1..self.row_count())
                 .map(|i| self.row_elements(i))
                 .collect();
             let mut stack = vec![(base, 0usize)];
@@ -376,7 +379,7 @@ impl QuorumSystem for CrumblingWalls {
                     out.push(set);
                     continue;
                 }
-                for &e in &below[depth] {
+                for e in below[depth].clone() {
                     stack.push((set.with(e), depth + 1));
                 }
             }
@@ -436,9 +439,9 @@ mod tests {
         let cw = CrumblingWalls::new(vec![1, 3, 4]).unwrap();
         assert_eq!(cw.universe_size(), 8);
         assert_eq!(cw.row_count(), 3);
-        assert_eq!(cw.row_elements(0), vec![0]);
-        assert_eq!(cw.row_elements(1), vec![1, 2, 3]);
-        assert_eq!(cw.row_elements(2), vec![4, 5, 6, 7]);
+        assert_eq!(cw.row_elements(0), 0..1);
+        assert_eq!(cw.row_elements(1), 1..4);
+        assert_eq!(cw.row_elements(2), 4..8);
         assert_eq!(cw.row_of(0), 0);
         assert_eq!(cw.row_of(3), 1);
         assert_eq!(cw.row_of(7), 2);

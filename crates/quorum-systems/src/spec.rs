@@ -896,7 +896,7 @@ mod tests {
     }
 
     /// An `orgs(...)` wrapper over a composition is held to the family cap:
-    /// its owner table costs 8 bytes per element, and a composition may span
+    /// its owner table costs 4 bytes per element, and a composition may span
     /// 2³² elements. Both sites that build the table (`build` and
     /// `organizations`) refuse before allocating.
     #[test]

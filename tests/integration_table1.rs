@@ -128,7 +128,7 @@ fn table1_triang_row() {
             let mut greens = ElementSet::empty(n);
             for row in 0..triang.row_count() {
                 let elements = triang.row_elements(row);
-                greens.insert(elements[rng.gen_range(0..elements.len())]);
+                greens.insert(elements.start + rng.gen_range(0..elements.len()));
             }
             Coloring::from_green_set(&greens)
         })
