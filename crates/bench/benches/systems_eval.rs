@@ -234,8 +234,8 @@ fn bench_failure_sampling(c: &mut Criterion) {
 
 fn bench_churn_walk(c: &mut Criterion) {
     // The churn walk alone: 4 096 `ChurnWalker::step` calls per iteration,
-    // restarting the walk at its horizon. Sparse rates rank their hits
-    // through the trajectory's index; a dense direction visits every word.
+    // restarting the walk at its horizon. Sparse rates fire the elements
+    // whose sojourn clocks are due; a dense direction visits every word.
     let mut group = c.benchmark_group("churn/walk_step");
     for n in [4096usize, 65_536] {
         for (label, fail, repair) in [

@@ -1,6 +1,6 @@
 //! Generic probing strategies applicable to any quorum system.
 
-use quorum_core::{QuorumSystem, Witness, WitnessKind};
+use quorum_core::{Color, QuorumSystem, Witness, WitnessKind};
 use rand::seq::SliceRandom;
 use rand::RngCore;
 
@@ -24,6 +24,23 @@ impl SequentialScan {
     }
 }
 
+/// Probes `e` and returns the certificate it completes, if any. Only the
+/// set the probe grew is tested: the scans call this after every probe, so
+/// the other set was tested when it last grew and holds no quorum.
+pub(crate) fn probe_for_witness<S: QuorumSystem + ?Sized>(
+    system: &S,
+    oracle: &mut ProbeOracle<'_>,
+    e: usize,
+) -> Option<Witness> {
+    let (kind, grown) = match oracle.probe(e) {
+        Color::Green => (WitnessKind::GreenQuorum, oracle.green_probed()),
+        Color::Red => (WitnessKind::RedQuorum, oracle.red_probed()),
+    };
+    system
+        .contains_quorum(grown)
+        .then(|| Witness::new(kind, grown.clone()))
+}
+
 /// Shared scan loop: probe the supplied order until a monochromatic
 /// certificate appears, then return it.
 pub(crate) fn scan_until_witness<S: QuorumSystem + ?Sized>(
@@ -32,12 +49,8 @@ pub(crate) fn scan_until_witness<S: QuorumSystem + ?Sized>(
     order: impl IntoIterator<Item = usize>,
 ) -> Witness {
     for e in order {
-        oracle.probe(e);
-        if system.contains_quorum(oracle.green_probed()) {
-            return Witness::new(WitnessKind::GreenQuorum, oracle.green_probed().clone());
-        }
-        if system.contains_quorum(oracle.red_probed()) {
-            return Witness::new(WitnessKind::RedQuorum, oracle.red_probed().clone());
+        if let Some(witness) = probe_for_witness(system, oracle, e) {
+            return witness;
         }
     }
     // All elements probed: for an ND coterie one of the two cases above must

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use quorum_core::{QuorumSystem, Witness, WitnessKind};
 use rand::RngCore;
 
-use super::generic::scan_until_witness;
+use super::generic::{probe_for_witness, scan_until_witness};
 use crate::{ProbeOracle, ProbeStrategy};
 
 /// A shared, cheaply clonable view of per-element load scores.
@@ -205,12 +205,8 @@ impl<S: QuorumSystem + ?Sized> ProbeStrategy<S> for PowerOfTwoScan {
             };
             let e = remaining.swap_remove(pick);
             self.view.add(e, 1);
-            oracle.probe(e);
-            if system.contains_quorum(oracle.green_probed()) {
-                return Witness::new(WitnessKind::GreenQuorum, oracle.green_probed().clone());
-            }
-            if system.contains_quorum(oracle.red_probed()) {
-                return Witness::new(WitnessKind::RedQuorum, oracle.red_probed().clone());
+            if let Some(witness) = probe_for_witness(system, oracle, e) {
+                return witness;
             }
         }
         // Everything probed without a monochromatic quorum: as in the scan

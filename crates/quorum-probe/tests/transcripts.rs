@@ -2,15 +2,17 @@
 //!
 //! Every paper strategy and its randomized variants run on 300 seeded
 //! colorings at each p ∈ {0.1, 0.3, 0.5}, on two or three sizes of their
-//! family. One 64-bit digest per (system, strategy) folds, for every run, the
-//! probe sequence, the witness kind and words, and the RNG's next word after
-//! the run (which pins how many words the strategy drew). A change to the
-//! strategies' bookkeeping must leave every digest as pinned; a change that
-//! means to alter a transcript re-pins the table and says why.
+//! family; the generic scans (SequentialScan, RandomScan, PowerOfTwo) run on
+//! Maj(101) and Tree(5). One 64-bit digest per (system, strategy) folds, for
+//! every run, the probe sequence, the witness kind and words, and the RNG's
+//! next word after the run (which pins how many words the strategy drew). A
+//! change to the strategies' bookkeeping must leave every digest as pinned;
+//! a change that means to alter a transcript re-pins the table and says why.
 
 use quorum_core::{Color, Coloring, QuorumSystem, WitnessKind};
 use quorum_probe::strategies::{
-    IrProbeHqs, ProbeCw, ProbeHqs, ProbeMaj, ProbeTree, RProbeCw, RProbeHqs, RProbeMaj, RProbeTree,
+    IrProbeHqs, PowerOfTwoScan, ProbeCw, ProbeHqs, ProbeMaj, ProbeTree, RProbeCw, RProbeHqs,
+    RProbeMaj, RProbeTree, RandomScan, SequentialScan,
 };
 use quorum_probe::{run_strategy, ProbeStrategy};
 use quorum_systems::{CrumblingWalls, Hqs, Majority, TreeQuorum};
@@ -24,7 +26,7 @@ const COLORINGS: u64 = 300;
 const PS: [f64; 3] = [0.1, 0.3, 0.5];
 
 /// `(system, strategy, digest)`, in the order [`computed`] lists them.
-const PINNED: [(&str, &str, u64); 20] = [
+const PINNED: [(&str, &str, u64); 26] = [
     ("Maj(101)", "Probe_Maj", 0x61c4ca16348978f0),
     ("Maj(101)", "R_Probe_Maj", 0x4a04cbe2bd169991),
     ("Maj(1023)", "Probe_Maj", 0x8ccdf05aea544747),
@@ -45,6 +47,12 @@ const PINNED: [(&str, &str, u64); 20] = [
     ("HQS(6)", "Probe_HQS", 0xf2d407aebf20d4f6),
     ("HQS(6)", "R_Probe_HQS", 0xe1683a2535cd0441),
     ("HQS(6)", "IR_Probe_HQS", 0x5a469fa798e253a7),
+    ("Maj(101)", "SequentialScan", 0x61c4ca16348978f0),
+    ("Maj(101)", "RandomScan", 0x4a04cbe2bd169991),
+    ("Maj(101)", "PowerOfTwo", 0x9f8a735ce5b38b12),
+    ("Tree(5)", "SequentialScan", 0x62d5d1efa8055630),
+    ("Tree(5)", "RandomScan", 0xc6407340ab2ba311),
+    ("Tree(5)", "PowerOfTwo", 0xb4b9e33dcdf33c9e),
 ];
 
 /// FNV-1a over the little-endian bytes of each folded word.
@@ -142,6 +150,24 @@ fn computed() -> Vec<(String, String, u64)> {
             &[&ProbeHqs, &RProbeHqs, &IrProbeHqs],
         );
     }
+    // The scans' load view accumulates across runs, so each cell gets its
+    // own.
+    let maj = Majority::new(101).unwrap();
+    let tree = TreeQuorum::new(5).unwrap();
+    let power_of_two = PowerOfTwoScan::unloaded();
+    push(
+        &mut out,
+        "Maj(101)".into(),
+        &maj,
+        &[&SequentialScan, &RandomScan, &power_of_two],
+    );
+    let power_of_two = PowerOfTwoScan::unloaded();
+    push(
+        &mut out,
+        "Tree(5)".into(),
+        &tree,
+        &[&SequentialScan, &RandomScan, &power_of_two],
+    );
     out
 }
 

@@ -17,11 +17,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// How many replay cursors a [`ChurnTrajectory`] keeps warm for random
-/// access. Each cursor is one coloring, one RNG state, the coloring's rank
-/// index and the flips of its last step, so the cap bounds the trajectory's
-/// memory at a fixed multiple of one coloring regardless of how many threads
-/// stream it.
+/// access, however many threads stream it. Each cursor is one coloring, one
+/// RNG state, the flips of its last step and, when both directions are
+/// sparse, its sojourn clocks (8 bytes per element), so the pool is also
+/// capped at [`POOL_BYTES`].
 const MAX_POOLED_CURSORS: usize = 32;
+
+/// The bytes one [`ChurnTrajectory`]'s cursor pool may hold; it keeps at
+/// least one cursor whatever its size. That is all 32 cursors of a
+/// both-sparse trajectory up to n = 2¹⁶ elements, and three at 2²⁰.
+const POOL_BYTES: usize = 32 << 20;
 
 /// A streaming fail/repair Markov trajectory over colorings.
 ///
@@ -46,8 +51,7 @@ const MAX_POOLED_CURSORS: usize = 32;
 ///   elements, `32 − tz(round(p·2³²))` RNG words per word whether or not
 ///   anything flips;
 /// * the **sparse** path draws geometric gaps between hits over the
-///   eligible (green or red) elements: one RNG word per flip plus one per
-///   direction per step.
+///   eligible (green or red) elements: about one RNG word per flip.
 ///
 /// Each rate takes whichever path is expected to cost less per step at
 /// stationarity, where each direction flips a `fail·repair/(fail + repair)`
@@ -58,17 +62,22 @@ const MAX_POOLED_CURSORS: usize = 32;
 /// with its rate (up to the `2⁻³³` quantisation of the dense masks and the
 /// `f64` rounding of the sparse path's inversion).
 ///
-/// When both directions are sparse, a step never visits the words without
-/// hits: a Fenwick tree over the per-word red counts (4 bytes per 64
-/// elements, built once by [`ChurnTrajectory::generate`] and copied into
-/// every walker and replay cursor) turns each hit's rank into its word in
-/// `O(log(n/64))`, so a step costs
-/// `O(flips · log n)`. Hits are consumed in ascending word order, a word's
-/// fail hits before its repair hits, and every rank is taken against the
-/// step's starting coloring, so the index takes a step's flips only after
-/// the step. When either direction is dense, a step visits every word: one
-/// mask draw per dense direction, and one popcount to rank a sparse
-/// direction's hits.
+/// When both directions are sparse, a step visits only the elements that are
+/// due. An element keeps its color for a Geometric(`fail`) number of steps
+/// while green and a Geometric(`repair`) number while red, which is the
+/// chain's law, so every walker and replay cursor keeps each element's next
+/// flip step, its *sojourn clock*, on a wheel of
+/// `n.next_power_of_two().clamp(64, 4096)` slot lists. Step `t` visits slot
+/// `t` modulo the slot count and fires the elements due at `t`, leaving
+/// those due in a later lap in place; it flips them against the step's
+/// starting coloring and then draws one sojourn per flip, in ascending
+/// element order. A cursor draws every element's first sojourn, in element
+/// order, when it starts from the baseline (never in
+/// [`ChurnTrajectory::generate`]), and a clock due at or past the horizon
+/// never fires. A step therefore costs `O(flips + n/slots)`, and the clocks
+/// cost 8 bytes per element. When either direction is dense, a step visits
+/// every word: one mask draw per dense direction, and one popcount to rank a
+/// sparse direction's hits.
 ///
 /// The coloring at step `t` is a pure function of `(seed, t)`, which is what
 /// keeps churn experiments bit-identical across engine thread counts:
@@ -91,35 +100,41 @@ pub struct ChurnTrajectory {
     /// The RNG state immediately after drawing the baseline; cloning it
     /// replays the transition stream from step 0 deterministically.
     rng_after_init: StdRng,
-    /// The baseline's rank index (empty unless both directions are sparse).
-    index: RankIndex,
     /// Warm replay cursors for random access, most recently used at the back.
     cursors: Mutex<Vec<ChurnCursor>>,
 }
 
 /// One replay position: the coloring at `position`, the RNG state ready to
-/// advance it to `position + 1`, the coloring's rank index, and the flips of
-/// the step that reached `position`.
+/// advance it to `position + 1`, the sojourn clocks (empty unless both
+/// directions are sparse), and the flips of the step that reached
+/// `position`.
 #[derive(Debug)]
 struct ChurnCursor {
     position: usize,
     coloring: Coloring,
     rng: StdRng,
-    index: RankIndex,
+    clocks: SojournClocks,
     delta: ColoringDelta,
 }
 
 impl ChurnCursor {
     /// Advances one Markov step; `delta` takes the step's flips.
     fn step(&mut self, transitions: Transitions) {
+        self.position += 1;
         churn_step(
             transitions,
+            self.position,
             &mut self.rng,
             &mut self.coloring,
-            &mut self.index,
+            &mut self.clocks,
             &mut self.delta,
         );
-        self.position += 1;
+    }
+
+    /// About the bytes the cursor holds: its coloring, its last step's flips
+    /// and its clocks.
+    fn bytes(&self) -> usize {
+        8 * self.coloring.word_count() + 16 * self.delta.entries().len() + self.clocks.bytes()
     }
 }
 
@@ -134,7 +149,6 @@ impl Clone for ChurnTrajectory {
             transitions: self.transitions,
             baseline: self.baseline.clone(),
             rng_after_init: self.rng_after_init.clone(),
-            index: self.index.clone(),
             cursors: Mutex::new(Vec::new()),
         }
     }
@@ -160,7 +174,9 @@ impl ChurnTrajectory {
     /// # Panics
     ///
     /// Panics if `fail`/`repair` are not probabilities, both are zero (the
-    /// chain would have no stationary distribution), or `steps == 0`.
+    /// chain would have no stationary distribution), `steps == 0`, or `n` or
+    /// `steps` exceeds `u32::MAX` (the sojourn clocks hold elements and steps
+    /// as `u32`).
     pub fn generate(n: usize, fail: f64, repair: f64, steps: usize, seed: u64) -> Self {
         assert!(
             (0.0..=1.0).contains(&fail),
@@ -175,26 +191,24 @@ impl ChurnTrajectory {
             "fail and repair cannot both be zero: the chain never moves"
         );
         assert!(steps > 0, "a trajectory needs at least one step");
+        assert!(
+            n <= u32::MAX as usize && steps <= u32::MAX as usize,
+            "a trajectory holds at most u32::MAX elements and steps, got {n} and {steps}"
+        );
 
         let mut rng = StdRng::seed_from_u64(seed);
         let stationary_red = fail / (fail + repair);
         let mut baseline = Coloring::all_green(n);
         fill_word_bernoulli(stationary_red, &mut rng, &mut baseline);
-        let transitions = Transitions::choose(fail, repair);
-        let index = match transitions.skips() {
-            Some(_) => RankIndex::new(&baseline),
-            None => RankIndex::default(),
-        };
         ChurnTrajectory {
             n,
             fail,
             repair,
             seed,
             steps,
-            transitions,
+            transitions: Transitions::choose(fail, repair),
             baseline,
             rng_after_init: rng,
-            index,
             cursors: Mutex::new(Vec::new()),
         }
     }
@@ -261,7 +275,7 @@ impl ChurnTrajectory {
     /// the streaming input of incremental (delta) re-evaluation.
     pub fn walk(&self) -> ChurnWalker<'_> {
         let mut cursor = self.fresh_cursor();
-        // Room for one entry per word, so a step never allocates.
+        // Room for one entry per word, so the delta never reallocates.
         for w in 0..self.baseline.word_count() {
             cursor.delta.push_word(w, 1);
         }
@@ -306,10 +320,7 @@ impl ChurnTrajectory {
                 // Wrap: jump back to the baseline and report the jump as a
                 // plain diff — the replay is a cycle, not a Markov step.
                 cursor.coloring.diff_into(&self.baseline, &mut cursor.delta);
-                cursor.coloring.copy_from(&self.baseline);
-                cursor.rng = self.rng_after_init.clone();
-                cursor.index.clone_from(&self.index);
-                cursor.position = 0;
+                self.rewind(&mut cursor);
             } else {
                 cursor.step(self.transitions);
             }
@@ -320,12 +331,29 @@ impl ChurnTrajectory {
 
     /// A fresh cursor parked at step 0.
     fn fresh_cursor(&self) -> ChurnCursor {
-        ChurnCursor {
+        let mut cursor = ChurnCursor {
             position: 0,
-            coloring: self.baseline.clone(),
+            coloring: Coloring::all_green(0),
             rng: self.rng_after_init.clone(),
-            index: self.index.clone(),
+            clocks: SojournClocks::default(),
             delta: ColoringDelta::empty(self.n),
+        };
+        self.rewind(&mut cursor);
+        cursor
+    }
+
+    /// Parks `cursor` at step 0: the baseline, the RNG state after it and,
+    /// when both directions are sparse, every element's first sojourn drawn
+    /// from that state. Drawing the clocks here, not in
+    /// [`ChurnTrajectory::generate`], keeps construction at one fill.
+    fn rewind(&self, cursor: &mut ChurnCursor) {
+        cursor.position = 0;
+        cursor.coloring.copy_from(&self.baseline);
+        cursor.rng.clone_from(&self.rng_after_init);
+        if let Some(skips) = self.transitions.skips() {
+            cursor
+                .clocks
+                .start(&self.baseline, skips, self.steps, &mut cursor.rng);
         }
     }
 
@@ -351,13 +379,16 @@ impl ChurnTrajectory {
         cursor
     }
 
-    /// Returns a cursor to the pool, evicting the least recently used one if
-    /// the pool is full (the back of the vector is the warmest).
+    /// Returns a cursor to the pool, evicting the least recently used ones
+    /// (the back of the vector is the warmest) while the pool holds more
+    /// than [`MAX_POOLED_CURSORS`], or more than one cursor and more than
+    /// [`POOL_BYTES`].
     fn checkin(&self, cursor: ChurnCursor) {
         let mut pool = self.cursors.lock().expect("cursor pool poisoned");
         pool.push(cursor);
-        if pool.len() > MAX_POOLED_CURSORS {
-            pool.remove(0);
+        let mut bytes: usize = pool.iter().map(ChurnCursor::bytes).sum();
+        while pool.len() > MAX_POOLED_CURSORS || (pool.len() > 1 && bytes > POOL_BYTES) {
+            bytes -= pool.remove(0).bytes();
         }
     }
 }
@@ -411,15 +442,15 @@ fn fill_word_bernoulli<R: Rng + ?Sized>(p_red: f64, rng: &mut R, out: &mut Color
     }
 }
 
-/// What one sparse-path hit costs, in RNG words of the dense path: the gap
-/// draw (an `ln`) plus finding the hit in its word. Measured on 4096
-/// elements (x86-64, 2-vCPU VM) against the per-word scan of
-/// [`step_words`], before both-sparse steps ranked their hits through a
-/// [`RankIndex`]: a hit took 44 ns against 1.4–1.5 ns per mask word, and at
+/// What one sparse-path hit costs, in RNG words of the dense path. It
+/// selects each rate's sampler, and with it the rate's RNG stream, so it
+/// keeps the value measured against the per-word scan of [`step_words`]: a
+/// hit took 44 ns there against 1.4–1.5 ns per mask word, and at
 /// fail:repair = 1:3 the two paths tie near fail 0.0225, where this rule
-/// with 30 ties too. It now overstates a both-sparse hit, but it stays
-/// because it selects each rate's sampler, and with it the rate's RNG
-/// stream.
+/// with 30 ties too. A hit of the sojourn-clock walk costs 17–28 dense
+/// words: criterion `churn/walk_step` read 64–67 ns per flip on
+/// (2⁻¹², 2⁻⁶) at n = 4096 and 65 536, against 2.3–3.8 ns per RNG word on
+/// the dense (0.2, 0.6) rows of the same runs (x86-64, 2-vCPU VM).
 const SKIP_HIT_COST: f64 = 30.0;
 
 /// How one direction of a churn step draws its hits.
@@ -470,8 +501,8 @@ impl Transitions {
         }
     }
 
-    /// Both directions' `1 / ln(1 − p)` when both are sparse: the steps that
-    /// rank their hits through a [`RankIndex`].
+    /// Both directions' `1 / ln(1 − p)` when both are sparse: the
+    /// trajectories that walk on [`SojournClocks`].
     fn skips(self) -> Option<(f64, f64)> {
         match (self.fail, self.repair) {
             (RateSampler::Skip(fail), RateSampler::Skip(repair)) => Some((fail, repair)),
@@ -555,216 +586,151 @@ fn skip_gap<R: Rng + ?Sized>(inv_ln_stay: f64, rng: &mut R) -> usize {
     (u.ln() * inv_ln_stay) as usize
 }
 
-/// Advances `coloring` one Markov step and records its flips in `delta`:
-/// the one step function behind [`ChurnWalker`] and the replay cursors. A
-/// both-sparse step ranks its hits through `index` ([`step_ranked`]), which
-/// takes the flips once the step is done; any other step visits every word
-/// ([`step_words`]) and leaves the (empty) index alone.
+/// Advances `coloring` from step `t − 1` to step `t` and records its flips
+/// in `delta`: the one step function behind [`ChurnWalker`] and the replay
+/// cursors. A both-sparse step fires the `clocks` that are due
+/// ([`SojournClocks::step`]); any other step visits every word
+/// ([`step_words`]) and leaves the (empty) clocks alone.
 fn churn_step<R: Rng + ?Sized>(
     transitions: Transitions,
+    t: usize,
     rng: &mut R,
     coloring: &mut Coloring,
-    index: &mut RankIndex,
+    clocks: &mut SojournClocks,
     delta: &mut ColoringDelta,
 ) {
     delta.clear();
     match transitions.skips() {
-        Some(skips) => {
-            step_ranked(skips, rng, coloring, index, |w, flips| {
-                delta.push_word(w, flips)
-            });
-            index.take_flips(coloring, delta);
-        }
+        Some(skips) => clocks.step(t, skips, rng, coloring, delta),
         None => step_words(transitions, rng, coloring, |w, flips| {
             delta.push_word(w, flips)
         }),
     }
 }
 
-/// The per-word red counts of a coloring in a Fenwick tree, so that the
-/// word holding the green or red element of a given rank is found, and a
-/// word's count changed, in `O(log(n/64))` steps. Green counts follow from
-/// the word sizes, so one `u32` per word serves both directions.
+/// Ends a wheel slot's list.
+const NIL: u32 = u32::MAX;
+
+/// An element's sojourn clock: the step its color ends at, and the next
+/// element on its wheel slot's list.
+#[derive(Debug, Clone, Copy)]
+struct Clock {
+    due: u32,
+    next: u32,
+}
+
+/// The sojourn clocks of a both-sparse cursor: each element's next flip step,
+/// listed on a wheel whose slot `s` holds the elements due at the steps
+/// congruent to `s` modulo the slot count. An element due at or past the
+/// horizon is on no list.
 #[derive(Debug, Clone, Default)]
-struct RankIndex {
-    /// Universe size, which sizes the partial tail word.
-    n: usize,
-    /// Node `i` (1-based) holds the red count of words `i − lowbit(i) .. i`.
-    tree: Vec<u32>,
+struct SojournClocks {
+    /// The trajectory's step count.
+    horizon: usize,
+    /// Per element, indexed by element.
+    clocks: Vec<Clock>,
+    /// Each slot's first element, or [`NIL`]; the count is a power of two.
+    heads: Vec<u32>,
+    /// The elements the current step fires (scratch).
+    fired: Vec<u32>,
 }
 
-impl RankIndex {
-    /// Indexes `coloring`: one popcount per word, then a linear build.
-    fn new(coloring: &Coloring) -> Self {
-        let mut tree: Vec<u32> = coloring
-            .red_words()
-            .iter()
-            .map(|w| w.count_ones())
-            .collect();
-        for node in 1..=tree.len() {
-            let parent = node + (node & node.wrapping_neg());
-            if parent <= tree.len() {
-                tree[parent - 1] += tree[node - 1];
-            }
-        }
-        RankIndex {
-            n: coloring.universe_size(),
-            tree,
-        }
-    }
-
-    /// The word holding the eligible element of rank `rank` (0-based), and
-    /// that element's rank among the word's eligible ones; the word count if
-    /// at most `rank` elements are eligible. The eligible elements are the
-    /// green ones when `green` is set, else the red ones.
-    fn locate(&self, mut rank: usize, green: bool) -> (usize, usize) {
-        let words = self.tree.len();
-        let mut word = 0;
-        let mut span = words.checked_ilog2().map_or(0, |log| 1 << log);
-        while span > 0 {
-            let end = word + span;
-            if end <= words {
-                let reds = self.tree[end - 1] as usize;
-                let count = if green {
-                    (end * WORD_BITS).min(self.n) - word * WORD_BITS - reds
-                } else {
-                    reds
-                };
-                if rank >= count {
-                    word = end;
-                    rank -= count;
-                }
-            }
-            span >>= 1;
-        }
-        (word, rank)
-    }
-
-    /// Takes a finished step's flips: `coloring` is the step's result and
-    /// `delta` its flips.
-    fn take_flips(&mut self, coloring: &Coloring, delta: &ColoringDelta) {
-        for &(w, flips) in delta.entries() {
-            let red = coloring.red_words()[w as usize];
-            let change = red.count_ones().wrapping_sub((red ^ flips).count_ones());
-            let mut node = w as usize + 1;
-            while node <= self.tree.len() {
-                self.tree[node - 1] = self.tree[node - 1].wrapping_add(change);
-                node += node & node.wrapping_neg();
-            }
-        }
-    }
-}
-
-/// The set bit of `word` with rank `rank` (0-based from the least
-/// significant bit), as a mask: byte popcounts and their running sums find
-/// its byte without a loop, then clearing low bits finds it within the byte.
-/// `rank` must be below `word.count_ones()`.
-fn select_bit(word: u64, rank: usize) -> u64 {
-    const ONES: u64 = 0x0101_0101_0101_0101;
-    const HIGHS: u64 = 0x8080_8080_8080_8080;
-    debug_assert!(rank < word.count_ones() as usize);
-    let mut bytes = word - ((word >> 1) & 0x5555_5555_5555_5555);
-    bytes = (bytes & 0x3333_3333_3333_3333) + ((bytes >> 2) & 0x3333_3333_3333_3333);
-    bytes = (bytes + (bytes >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
-    // Byte i of `through` counts the set bits of bytes 0..=i. A byte of
-    // `reached` has its high bit set iff that count is at most `rank`;
-    // those bytes form a prefix, and the byte after them holds the bit.
-    let through = bytes.wrapping_mul(ONES);
-    let reached = ((((rank as u64) * ONES) | HIGHS) - through) & HIGHS;
-    let shift = (!reached & HIGHS).trailing_zeros() & !7;
-    let before = ((through << 8) >> shift) & 0xFF;
-    let mut rest = (word >> shift) & 0xFF;
-    for _ in before..rank as u64 {
-        rest &= rest - 1;
-    }
-    (rest & rest.wrapping_neg()) << shift
-}
-
-/// One direction's hits within a both-sparse step, located through the
-/// step's starting [`RankIndex`].
-struct RankedHits {
-    inv_ln_stay: f64,
-    /// Fail hits rank the green elements, repair hits the red ones.
-    green: bool,
-    /// The rank, among the eligible elements, of the next hit.
-    next: usize,
-    /// The word holding the next hit (the word count once none is left) and
-    /// the hit's rank among that word's eligible elements.
-    word: usize,
-    rank_in_word: usize,
-}
-
-impl RankedHits {
-    /// Starts a step: draws the first gap and locates its hit.
+impl SojournClocks {
+    /// Starts the clocks at step 0 of `coloring`: one sojourn per element,
+    /// in element order, each one RNG word.
     fn start<R: Rng + ?Sized>(
-        inv_ln_stay: f64,
-        green: bool,
-        index: &RankIndex,
-        rng: &mut R,
-    ) -> Self {
-        let next = skip_gap(inv_ln_stay, rng);
-        let (word, rank_in_word) = index.locate(next, green);
-        RankedHits {
-            inv_ln_stay,
-            green,
-            next,
-            word,
-            rank_in_word,
-        }
-    }
-
-    /// The hits in word `w`, whose eligible elements are `eligible`; each
-    /// hit draws the gap to the next, which is then located.
-    fn take<R: Rng + ?Sized>(
         &mut self,
-        w: usize,
-        eligible: u64,
-        index: &RankIndex,
+        coloring: &Coloring,
+        skips: (f64, f64),
+        horizon: usize,
         rng: &mut R,
-    ) -> u64 {
-        let mut hits = 0;
-        while self.word == w {
-            hits |= select_bit(eligible, self.rank_in_word);
-            self.next = (self.next + 1).saturating_add(skip_gap(self.inv_ln_stay, rng));
-            (self.word, self.rank_in_word) = index.locate(self.next, self.green);
+    ) {
+        let n = coloring.universe_size();
+        self.horizon = horizon;
+        self.heads.clear();
+        self.heads
+            .resize(n.next_power_of_two().clamp(64, 4096), NIL);
+        self.clocks.clear();
+        self.clocks.resize(n, Clock { due: 0, next: NIL });
+        for e in 0..n {
+            self.park(e, 0, coloring.is_red(e), skips, rng);
         }
-        hits
     }
-}
 
-/// A both-sparse step (`skips` holds each direction's `1 / ln(1 − p)`)
-/// that visits only the words holding hits. It draws and consumes exactly
-/// what [`step_words`] does, in the same order: the fail gap, the repair
-/// gap, then the words with hits in ascending order, each word's fail hits
-/// (one gap each) before its repair hits. `index` holds the step's starting
-/// red counts, against which every rank is taken, so it must take the flips
-/// only after the step. `on_flips` observes each word's nonzero flip mask.
-fn step_ranked<R: Rng + ?Sized>(
-    (fail, repair): (f64, f64),
-    rng: &mut R,
-    coloring: &mut Coloring,
-    index: &RankIndex,
-    mut on_flips: impl FnMut(usize, u64),
-) {
-    let n = coloring.universe_size();
-    let words = coloring.word_count();
-    let mut fail = RankedHits::start(fail, true, index, rng);
-    let mut repair = RankedHits::start(repair, false, index, rng);
-    loop {
-        let w = fail.word.min(repair.word);
-        if w >= words {
-            break;
+    /// Draws the sojourn of element `e`, which holds its color `red` from
+    /// step `t`: Geometric(`fail`) for green, Geometric(`repair`) for red.
+    /// It lists `e` for the step that ends it, unless that step is at or
+    /// past the horizon.
+    #[inline]
+    fn park<R: Rng + ?Sized>(
+        &mut self,
+        e: usize,
+        t: usize,
+        red: bool,
+        (fail, repair): (f64, f64),
+        rng: &mut R,
+    ) {
+        let sojourn = skip_gap(if red { repair } else { fail }, rng).saturating_add(1);
+        let due = t.saturating_add(sojourn);
+        if due < self.horizon {
+            let slot = due & (self.heads.len() - 1);
+            self.clocks[e] = Clock {
+                due: due as u32,
+                next: self.heads[slot],
+            };
+            self.heads[slot] = e as u32;
         }
-        let red = coloring.red_words()[w];
-        let live = if (w + 1) * WORD_BITS > n {
-            (1u64 << (n % WORD_BITS)) - 1
-        } else {
-            u64::MAX
-        };
-        let turn_red = fail.take(w, !red & live, index, rng);
-        let flips = turn_red | repair.take(w, red, index, rng);
-        coloring.set_red_word(w, red ^ flips);
-        on_flips(w, flips);
+    }
+
+    /// Step `t`: fires the elements due at `t`, flips them in `coloring` and
+    /// records them in `delta` word by word, then draws each one's next
+    /// sojourn in ascending element order.
+    fn step<R: Rng + ?Sized>(
+        &mut self,
+        t: usize,
+        skips: (f64, f64),
+        rng: &mut R,
+        coloring: &mut Coloring,
+        delta: &mut ColoringDelta,
+    ) {
+        let slot = t & (self.heads.len() - 1);
+        let mut fired = std::mem::take(&mut self.fired);
+        let mut previous = NIL;
+        let mut e = self.heads[slot];
+        while e != NIL {
+            let clock = self.clocks[e as usize];
+            if clock.due as usize == t {
+                match previous {
+                    NIL => self.heads[slot] = clock.next,
+                    p => self.clocks[p as usize].next = clock.next,
+                }
+                fired.push(e);
+            } else {
+                previous = e;
+            }
+            e = clock.next;
+        }
+        fired.sort_unstable();
+        for word in fired.chunk_by(|a, b| a / WORD_BITS as u32 == b / WORD_BITS as u32) {
+            let w = word[0] as usize / WORD_BITS;
+            let flips = word
+                .iter()
+                .fold(0, |mask, &e| mask | 1u64 << (e as usize % WORD_BITS));
+            coloring.set_red_word(w, coloring.red_words()[w] ^ flips);
+            delta.push_word(w, flips);
+        }
+        for &e in &fired {
+            let e = e as usize;
+            self.park(e, t, coloring.is_red(e), skips, rng);
+        }
+        fired.clear();
+        self.fired = fired;
+    }
+
+    /// About the bytes the clocks hold.
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<Clock>() * self.clocks.capacity()
+            + 4 * (self.heads.capacity() + self.fired.capacity())
     }
 }
 
@@ -777,9 +743,8 @@ fn step_ranked<R: Rng + ?Sized>(
 /// word. A sparse sampler draws one gap when the step starts and one per
 /// hit, and ranks its hits by one popcount per word. A step therefore costs
 /// a visit to every word however few elements flip. Trajectories with a
-/// dense direction step here; both-sparse ones take [`step_ranked`], which
-/// consumes the same draws in the same order, and for which this loop is
-/// the test reference. `on_flips` observes each word's nonzero flip mask.
+/// dense direction step here; both-sparse ones walk on [`SojournClocks`].
+/// `on_flips` observes each word's nonzero flip mask.
 fn step_words<R: Rng + ?Sized>(
     transitions: Transitions,
     rng: &mut R,
@@ -1949,36 +1914,88 @@ mod tests {
     }
 
     #[test]
-    fn sparse_churn_draws_per_flip() {
+    fn clock_walk_draws_one_word_per_flip() {
         // At (2⁻¹², 2⁻⁶) the dense path would draw 12 + 6 words per 64
-        // elements, 1152 a step at n = 4096; the sparse path draws one gap
-        // per direction per step plus one per flip. Stepped as the walker
-        // steps, through the rank index.
+        // elements, 1152 a step at n = 4096. The clock walk draws one
+        // sojourn per element when a cursor starts and one per flip after,
+        // stepped as the cursors step.
         let n = 4096;
-        let trajectory = ChurnTrajectory::generate(n, 1.0 / 4096.0, 1.0 / 64.0, 2, 5);
-        assert!(trajectory.transitions.skips().is_some());
+        let trajectory = ChurnTrajectory::generate(n, 1.0 / 4096.0, 1.0 / 64.0, 2_001, 5);
+        let skips = trajectory
+            .transitions
+            .skips()
+            .expect("both directions are sparse");
         let mut rng = CountingRng {
             inner: StdRng::seed_from_u64(5),
             words: 0,
         };
         let mut coloring = trajectory.baseline.clone();
-        let mut index = trajectory.index.clone();
+        let mut clocks = SojournClocks::default();
+        clocks.start(&coloring, skips, trajectory.len(), &mut rng);
+        assert_eq!(rng.words, n, "a cursor's start draws one word per element");
         let mut delta = ColoringDelta::empty(n);
         let mut total_flips = 0;
-        for step in 0..2_000 {
+        for t in 1..trajectory.len() {
             rng.words = 0;
             churn_step(
                 trajectory.transitions,
+                t,
                 &mut rng,
                 &mut coloring,
-                &mut index,
+                &mut clocks,
                 &mut delta,
             );
             let flips = delta.flip_count();
-            assert_eq!(rng.words, 2 + flips, "step {step}: words for {flips} flips");
+            assert_eq!(rng.words, flips, "step {t}: words for {flips} flips");
             total_flips += flips;
         }
         assert!(total_flips > 2_000, "the walk must flip: {total_flips}");
+    }
+
+    #[test]
+    fn clock_walk_sojourns_are_geometric() {
+        // 64 elements run a 64-slot wheel, so sojourns of a lap or two test
+        // that entries due in a later lap neither fire early nor get lost:
+        // per color, the completed sojourns' mean and their frequencies at
+        // 1, slots − 1, slots, slots + 1 and 2·slots match Geometric(fail)
+        // while green and Geometric(repair) while red, each within 5σ.
+        let (n, slots, fail, repair, steps) = (64, 64, 0.01, 0.03, 200_000);
+        let trajectory = ChurnTrajectory::generate(n, fail, repair, steps, 41);
+        assert!(trajectory.transitions.skips().is_some());
+        // Per element, the step its current color began at.
+        let mut since = vec![0usize; n];
+        let mut sojourns: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
+        let mut walker = trajectory.walk();
+        let mut t = 0;
+        while let Some((coloring, delta)) = walker.step() {
+            for e in delta.flipped_elements() {
+                // A flipped element that is green now was red before.
+                sojourns[usize::from(coloring.is_green(e))].push(t - since[e]);
+                since[e] = t;
+            }
+            t += 1;
+        }
+        for (name, lengths, p) in [("green", &sojourns[0], fail), ("red", &sojourns[1], repair)] {
+            let count = lengths.len() as f64;
+            let expected = (n * steps) as f64 * fail * repair / (fail + repair);
+            assert!(count > expected / 2.0, "{name}: {count} sojourns");
+            let mean = lengths.iter().sum::<usize>() as f64 / count;
+            let sd = ((1.0 - p) / (p * p) / count).sqrt();
+            assert!(
+                (mean - 1.0 / p).abs() <= 5.0 * sd,
+                "{name} mean {mean} vs {} ± {sd}",
+                1.0 / p
+            );
+            for k in [1, slots - 1, slots, slots + 1, 2 * slots] {
+                let want = (1.0 - p).powi(k as i32 - 1) * p;
+                let got = lengths.iter().filter(|&&len| len == k).count() as f64 / count;
+                let sd = (want * (1.0 - want) / count).sqrt();
+                assert!(
+                    (got - want).abs() <= 5.0 * sd,
+                    "{name} P(k = {k}): {got} vs {want} ± {sd}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2135,71 +2152,95 @@ mod tests {
         pairs
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+    /// The clock walk's timeline by brute force: each element's next flip
+    /// step in a plain vector, every element checked at every step.
+    fn reference_clock_walk(trajectory: &ChurnTrajectory) -> Vec<Coloring> {
+        let (fail, repair) = trajectory.transitions.skips().expect("both-sparse rates");
+        let mut rng = trajectory.rng_after_init.clone();
+        let mut coloring = trajectory.baseline.clone();
+        let mut sojourn = |red: bool| skip_gap(if red { repair } else { fail }, &mut rng) + 1;
+        let n = coloring.universe_size();
+        let mut due: Vec<usize> = (0..n).map(|e| sojourn(coloring.is_red(e))).collect();
+        let mut timeline = vec![coloring.clone()];
+        for t in 1..trajectory.len() {
+            let fired: Vec<usize> = (0..n).filter(|&e| due[e] == t).collect();
+            for &e in &fired {
+                coloring.set_color(e, coloring.color(e).opposite());
+            }
+            for &e in &fired {
+                due[e] = t + sojourn(coloring.is_red(e));
+            }
+            timeline.push(coloring.clone());
+        }
+        timeline
+    }
 
-        /// The rank-indexed step replays the word loop: from one coloring
-        /// and one RNG state, consecutive steps give the same coloring
-        /// words, the same `(word, mask)` flips and the same next word of
-        /// the stream, and the index follows the coloring. n up to 5 000
-        /// spans 1–7 index levels and partial tail words; the red fractions
-        /// include all-green and all-red words.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Both-sparse timelines match the brute-force reference on
+        /// horizons past the wheel's slot count (64–4096 slots for n up to
+        /// 5 000): the walker's colorings and deltas, random access through
+        /// the cursor pool, and the lane fill's visits across the wrap back
+        /// to step 0.
         #[test]
-        fn prop_ranked_step_replays_the_word_loop(
+        fn prop_clock_walk_replays_the_reference(
             n in 1usize..=5_000,
-            red_fraction in prop::sample::select(vec![
-                0.0,
-                1.0 / 4096.0,
-                0.015,
-                0.5,
-                1.0 - 1.0 / 4096.0,
-                1.0,
-            ]),
             rates in prop::sample::select(both_sparse_rates()),
+            steps in 1usize..=9_000,
             seed in any::<u64>(),
         ) {
-            let transitions = Transitions::choose(rates.0, rates.1);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut expected = Coloring::all_green(n);
-            fill_word_bernoulli(red_fraction, &mut rng, &mut expected);
-            let mut cursor = ChurnCursor {
-                position: 0,
-                coloring: expected.clone(),
-                rng: rng.clone(),
-                index: RankIndex::new(&expected),
-                delta: ColoringDelta::empty(n),
-            };
-            for step in 0..6 {
-                let mut flips = Vec::new();
-                step_words(transitions, &mut rng, &mut expected, |w, mask| {
-                    flips.push((w as u32, mask))
-                });
-                cursor.step(transitions);
-                prop_assert_eq!(cursor.delta.entries(), &flips[..], "step {}", step);
-                prop_assert_eq!(cursor.coloring.red_words(), expected.red_words());
-                prop_assert_eq!(&cursor.index.tree, &RankIndex::new(&expected).tree);
+            let trajectory = ChurnTrajectory::generate(n, rates.0, rates.1, steps, seed);
+            let eager = reference_clock_walk(&trajectory);
+
+            let mut walker = trajectory.walk();
+            let mut replayed = eager[0].clone();
+            for (t, expected) in eager.iter().enumerate() {
+                let (coloring, delta) = walker.step().expect("the walk has steps left");
+                replayed.apply_delta(delta);
+                prop_assert_eq!(&replayed, coloring, "delta replay at step {}", t);
+                prop_assert_eq!(coloring, expected, "step {}", t);
             }
-            prop_assert_eq!(cursor.rng.next_u64(), rng.next_u64());
+            prop_assert!(walker.step().is_none());
+
+            let steps = steps as u64;
+            for t in [steps - 1, 0, steps / 2, 2 * steps + 1, steps / 3] {
+                prop_assert_eq!(trajectory.coloring_at(t), eager[(t % steps) as usize].clone());
+            }
+            let start = 3 * steps - 2.min(steps);
+            let mut previous: Option<Coloring> = None;
+            trajectory.visit_range(start, 5, |i, coloring, delta| {
+                let at = ((start + i as u64) % steps) as usize;
+                assert_eq!(coloring, &eager[at], "visit {i} at step {at}");
+                if let Some(before) = previous.as_mut() {
+                    before.apply_delta(delta);
+                    assert_eq!(&*before, coloring, "visit {i}: the delta from the last visit");
+                }
+                previous = Some(coloring.clone());
+            });
         }
     }
 
     #[test]
-    fn select_bit_picks_each_rank() {
-        for word in [
-            1u64,
-            0x8000_0000_0000_0001,
-            u64::MAX,
-            0xF0F0_0000_0001_0300,
-            0x0100_0000_0000_0000,
-        ] {
-            let bits: Vec<u64> = (0..64)
-                .map(|b| 1u64 << b)
-                .filter(|b| word & b != 0)
-                .collect();
-            for (rank, &bit) in bits.iter().enumerate() {
-                assert_eq!(select_bit(word, rank), bit, "{word:#x} rank {rank}");
-            }
+    fn cursor_pool_stays_within_its_byte_budget() {
+        // At n = 2²⁰ a both-sparse cursor holds ≈ 8 MiB of clocks, so the
+        // byte budget, not the count cap, bounds the pool. Reads in
+        // descending order each start a fresh cursor.
+        let steps = 8;
+        let trajectory = ChurnTrajectory::generate(1 << 20, 1.0 / 4096.0, 1.0 / 64.0, steps, 3);
+        let eager: Vec<Coloring> = trajectory.iter().collect();
+        for t in (0..steps).rev() {
+            assert_eq!(trajectory.coloring_at(t as u64), eager[t], "step {t}");
+            let pool = trajectory.cursors.lock().unwrap();
+            let bytes: usize = pool.iter().map(ChurnCursor::bytes).sum();
+            assert!(
+                !pool.is_empty() && bytes <= POOL_BYTES,
+                "{} cursors hold {bytes} bytes",
+                pool.len()
+            );
         }
+        let pooled = trajectory.cursors.lock().unwrap().len();
+        assert!(pooled < steps, "the budget must evict: {pooled} cursors");
     }
 
     #[test]
