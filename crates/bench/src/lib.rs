@@ -2003,7 +2003,7 @@ pub fn chaos(config: &ReproConfig) -> (Table, Table) {
                 } else {
                     sim.policy.clone()
                 };
-                let recovery = chaos_recovery_micros(&outcome.trace, &cell.network.chaos);
+                let recovery = chaos_recovery_micros(&outcome.trace, &cell.network.faults);
                 let recovered = recovery.iter().filter(|(_, at)| at.is_some()).count();
                 let recov_max = recovery.iter().filter_map(|(_, at)| *at).max();
                 agreement.add_row(vec![

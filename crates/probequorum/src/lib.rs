@@ -63,11 +63,11 @@ pub mod prelude {
         AvailabilityBounds, LogHistogram, PowerLawFit, RunningStats,
     };
     pub use quorum_cluster::{
-        cross_validate, plan_observables, AgreementReport, ArrivalProcess, Backend, ChaosKind,
-        ChaosSchedule, ChaosState, ChaosWindow, Distribution, LinkDirection, LiveOptions,
-        LiveReport, LoadLedger, NetProbe, NetSessionPlan, NetworkModel, PartitionKind,
-        PartitionSchedule, PartitionWindow, PlanCost, ProbePolicy, SessionPlan, SessionTrace,
-        SimTime, SpecReport, SupervisorPolicy, WorkloadConfig, WorkloadReport, WorkloadSpec,
+        cross_validate, plan_observables, AgreementReport, ArrivalProcess, Backend, Distribution,
+        Fault, FaultSchedule, FaultWindow, LinkDirection, LiveOptions, LiveReport, LoadLedger,
+        NetProbe, NetSessionPlan, NetworkModel, PlanCost, ProbePolicy, ProcessState, SessionPlan,
+        SessionTrace, SimTime, SpecReport, SupervisorPolicy, WorkloadConfig, WorkloadReport,
+        WorkloadSpec,
     };
     pub use quorum_core::{
         delta_evaluator_for, Color, Coloring, ColoringDelta, Coterie, DeltaEvaluator,

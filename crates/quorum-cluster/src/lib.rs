@@ -13,9 +13,11 @@
 //! interleaves concurrent probing sessions (open- or closed-loop arrivals)
 //! over per-node service queues, with a load ledger that load-aware probe
 //! strategies consult. Its message-level layer ([`NetworkModel`],
-//! [`PartitionSchedule`], [`ProbePolicy`]) makes each probe a
-//! request/response pair that loss or partitions can drop, with client-side
-//! timeouts, bounded retries and hedged probes on top.
+//! [`ProbePolicy`]) makes each probe a request/response pair that loss can
+//! drop, with client-side timeouts, bounded retries and hedged probes on
+//! top. The model's one [`FaultSchedule`] of timed windows adds the
+//! scripted faults: partitions and asymmetric links drop messages, and
+//! crashes, stalls and slow nodes hit the node process.
 //!
 //! The [`spec`] module is the single entry point over all of it: a
 //! builder-style [`WorkloadSpec`] selecting a backend — the virtual-time
@@ -63,11 +65,9 @@ pub mod time;
 mod wheel;
 pub mod workload;
 
-pub use chaos::{ChaosKind, ChaosSchedule, ChaosState, ChaosWindow};
+pub use chaos::{Fault, FaultSchedule, FaultWindow, ProcessState};
 pub use live::{LiveOptions, LiveReport, LiveSessionOutcome, SupervisorPolicy};
-pub use network::{
-    LinkDirection, NetworkModel, PartitionKind, PartitionSchedule, PartitionWindow, ProbePolicy,
-};
+pub use network::{LinkDirection, NetworkModel, ProbePolicy};
 pub use spec::{
     cross_validate, plan_observables, AgreementReport, Backend, PlanCost, SessionTrace, SpecReport,
     TracedSession, WorkloadSpec,

@@ -25,21 +25,25 @@
 //! node drain its queue before exiting, and [`LiveReport::drained_clean`]
 //! certifies that nothing in flight was lost.
 //!
-//! Chaos: when [`LiveOptions::chaos`] carries a [`ChaosSchedule`], node
-//! worker threads genuinely die inside crash windows — a crash-fated request
-//! is dropped unserved (counted in [`LiveReport::requests_lost_to_crash`])
-//! and the worker exits, abandoning whatever else is queued. A per-node
-//! *supervisor* thread restarts the worker after the window plus a
-//! [`SupervisorPolicy::restart_delay`], preferring a partition-quiescent
-//! instant (see [`PartitionSchedule::is_quiescent_at`]) within a bounded
-//! patience, with a capped restart budget: past the cap the node is pinned
-//! up and merely sheds the remaining scripted crash work. The restarted
-//! generation inherits the node's bounded queue, so shutdown still drains
-//! everything and the accounting invariant
+//! Faults: the node threads all read one shared copy of the run's
+//! [`FaultSchedule`], the one the simulator scripted the fates against.
+//! Inside a crash window a worker thread genuinely dies — a crash-fated
+//! request is dropped unserved (counted in
+//! [`LiveReport::requests_lost_to_crash`]) and the worker exits, abandoning
+//! whatever else is queued. A per-node *supervisor* thread restarts the
+//! worker after the window plus a [`SupervisorPolicy::restart_delay`],
+//! preferring an instant when no message-level window is open (see
+//! [`FaultSchedule::next_quiescent_at_or_after`]) within a bounded patience,
+//! with a capped restart budget: past the cap the node is pinned up and
+//! merely sheds the remaining scripted crash work. The restarted generation
+//! inherits the node's bounded queue, so shutdown still drains everything
+//! and the accounting invariant
 //! `requests_delivered == requests_served + requests_lost_to_crash` holds on
 //! every run. Stalled nodes sleep through their window before serving (late
 //! answers the client has given up on); slow nodes serve with inflated
-//! service time.
+//! service time. [`run_live`] holds every window end and supervisor delay
+//! to [`WorkloadConfig::MAX_DURATION`], so every node thread's sleep is
+//! bounded too.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
@@ -50,8 +54,8 @@ use std::time::{Duration, Instant};
 use quorum_core::Color;
 use quorum_probe::session::AttemptLoss;
 
-use crate::chaos::{ChaosSchedule, ChaosState};
-use crate::network::{PartitionSchedule, ProbePolicy};
+use crate::chaos::{FaultSchedule, ProcessState};
+use crate::network::ProbePolicy;
 use crate::spec::{attempt_is_wasted, SessionTrace};
 use crate::workload::{NetProbe, WorkloadConfig};
 use crate::{NodeId, SimTime};
@@ -74,9 +78,9 @@ pub struct SupervisorPolicy {
     /// final generation keeps serving (so shutdown still drains) and merely
     /// drops the remaining scripted crash work.
     pub max_restarts: u32,
-    /// How far past the due instant the supervisor will wait for the
-    /// partition schedule to go quiescent before restarting anyway —
-    /// restarting into an open partition just looks like another crash.
+    /// How far past the due instant the supervisor will wait for every
+    /// message-level window to close before restarting anyway — restarting
+    /// into an open partition just looks like another crash.
     pub partition_patience: SimTime,
 }
 
@@ -105,15 +109,8 @@ pub struct LiveOptions {
     /// Capacity of each node's bounded request queue; a full queue blocks
     /// the probing client (backpressure).
     pub queue_capacity: usize,
-    /// The chaos schedule node workers live under.
-    /// [`WorkloadSpec`](crate::WorkloadSpec) fills this from its network
-    /// model; empty means no process faults.
-    pub chaos: ChaosSchedule,
     /// How crashed workers are restarted.
     pub supervisor: SupervisorPolicy,
-    /// The partition schedule the supervisor consults to sequence restarts
-    /// (also filled in by `WorkloadSpec`).
-    pub quiesce: PartitionSchedule,
 }
 
 impl Default for LiveOptions {
@@ -122,9 +119,7 @@ impl Default for LiveOptions {
             time_scale: 0.02,
             admission_limit: 0,
             queue_capacity: 128,
-            chaos: ChaosSchedule::none(),
             supervisor: SupervisorPolicy::default(),
-            quiesce: PartitionSchedule::none(),
         }
     }
 }
@@ -156,21 +151,9 @@ impl LiveOptions {
         self
     }
 
-    /// Sets the chaos schedule.
-    pub fn chaos(mut self, chaos: ChaosSchedule) -> Self {
-        self.chaos = chaos;
-        self
-    }
-
     /// Sets the supervisor policy.
     pub fn supervisor(mut self, policy: SupervisorPolicy) -> Self {
         self.supervisor = policy;
-        self
-    }
-
-    /// Sets the partition schedule the supervisor sequences restarts around.
-    pub fn quiesce(mut self, partitions: PartitionSchedule) -> Self {
-        self.quiesce = partitions;
         self
     }
 }
@@ -396,19 +379,19 @@ fn execute_probe(ctx: &Ctx, session: usize, probe: &NetProbe) -> LiveProbe {
 }
 
 /// Everything one node's worker generations share: the (single-consumer)
-/// request queue, the response tally, and the clock that maps wall time back
-/// to the virtual chaos timeline.
+/// request queue, the response tally, the run's fault schedule, and the
+/// clock that maps wall time back to its virtual timeline.
 struct NodeHarness {
     node: NodeId,
     rx: Mutex<Receiver<NodeRequest>>,
     responses: Arc<Vec<AtomicU64>>,
-    chaos: ChaosSchedule,
+    faults: Arc<FaultSchedule>,
     scale: f64,
     start: Instant,
 }
 
 impl NodeHarness {
-    /// The current instant on the virtual timeline the chaos schedule is
+    /// The current instant on the virtual timeline the fault schedule is
     /// written against (wall elapsed divided by the time scale).
     fn virtual_now(&self) -> SimTime {
         if self.scale <= 0.0 {
@@ -454,20 +437,20 @@ fn run_worker(h: &NodeHarness, immortal: bool) -> (WorkerExit, u64, u64) {
     while let Ok(request) = rx.recv() {
         if request.doomed {
             lost += 1;
-            if !immortal && h.chaos.crashed_at(h.node, h.virtual_now()) {
+            if !immortal && h.faults.state_at(h.node, h.virtual_now()) == ProcessState::Crashed {
                 return (WorkerExit::Crashed, served, lost);
             }
             continue;
         }
         let mut service = request.service;
-        match h.chaos.state_at(h.node, h.virtual_now()) {
-            ChaosState::Stalled => {
-                if let Some(end) = h.chaos.disruption_end_at(h.node, h.virtual_now()) {
+        match h.faults.state_at(h.node, h.virtual_now()) {
+            ProcessState::Stalled => {
+                if let Some(end) = h.faults.disruption_end_at(h.node, h.virtual_now()) {
                     h.sleep_until(end);
                 }
             }
-            ChaosState::Slow => service *= SLOW_SERVICE_FACTOR,
-            ChaosState::Up | ChaosState::Crashed => {}
+            ProcessState::Slow => service *= SLOW_SERVICE_FACTOR,
+            ProcessState::Up | ProcessState::Crashed => {}
         }
         if !service.is_zero() {
             thread::sleep(service);
@@ -493,15 +476,11 @@ struct NodeOutcome {
 
 /// The per-node supervisor: spawns worker generations, observes their
 /// deaths, and restarts them — after the crash window plus the restart
-/// delay, preferring a partition-quiescent instant within the policy's
-/// patience. Past the restart budget the final generation is immortal, so
-/// shutdown always drains the queue and the accounting invariant holds
-/// unconditionally.
-fn supervise(
-    harness: Arc<NodeHarness>,
-    policy: SupervisorPolicy,
-    quiesce: PartitionSchedule,
-) -> NodeOutcome {
+/// delay, preferring an instant with no open message-level window within
+/// the policy's patience. Past the restart budget the final generation is
+/// immortal, so shutdown always drains the queue and the accounting
+/// invariant holds unconditionally.
+fn supervise(harness: Arc<NodeHarness>, policy: SupervisorPolicy) -> NodeOutcome {
     let mut outcome = NodeOutcome {
         served: 0,
         lost_to_crash: 0,
@@ -521,10 +500,10 @@ fn supervise(
                 outcome.crashes += 1;
                 let now = harness.virtual_now();
                 let mut due = now + policy.restart_delay;
-                if let Some(end) = harness.chaos.disruption_end_at(harness.node, now) {
+                if let Some(end) = harness.faults.disruption_end_at(harness.node, now) {
                     due = due.max(end);
                 }
-                if let Some(quiet) = quiesce.next_quiescent_at_or_after(due) {
+                if let Some(quiet) = harness.faults.next_quiescent_at_or_after(due) {
                     if quiet <= due + policy.partition_patience {
                         due = quiet;
                     }
@@ -647,18 +626,31 @@ fn run_session(
 /// at their scaled arrival instants (shedding above the admission limit),
 /// executes every admitted plan with real timeouts/backoff/hedging, then
 /// shuts down gracefully: the request channels close, every node drains its
-/// queue and reports how many requests it served.
+/// queue and reports how many requests it served. Node workers crash, stall
+/// and slow down, and supervisors sequence restarts, on `faults`: the
+/// schedule the trace's fates were scripted against.
 ///
 /// # Panics
 ///
-/// Panics if a traced probe names a node outside `0..nodes`.
+/// Panics if a traced probe names a node outside `0..nodes`. Panics with
+/// "inconsistent workload configuration", before any thread starts, if a
+/// fault window ends past [`WorkloadConfig::MAX_DURATION`] or the
+/// supervisor's restart delay or partition patience exceeds it.
 pub fn run_live(
     nodes: usize,
     trace: &SessionTrace,
     config: &WorkloadConfig,
+    faults: &FaultSchedule,
     policy: &ProbePolicy,
     options: &LiveOptions,
 ) -> LiveReport {
+    let supervisor = options.supervisor;
+    assert!(
+        faults.is_bounded()
+            && supervisor.restart_delay <= WorkloadConfig::MAX_DURATION
+            && supervisor.partition_patience <= WorkloadConfig::MAX_DURATION,
+        "inconsistent workload configuration"
+    );
     let scale = if options.time_scale.is_finite() && options.time_scale > 0.0 {
         options.time_scale
     } else {
@@ -679,8 +671,9 @@ pub fn run_live(
     let capacity = options.queue_capacity.max(1);
     let mut node_tx = Vec::with_capacity(nodes);
     let mut supervisors = Vec::with_capacity(nodes);
-    // The virtual timeline's origin: arrivals, chaos windows and partition
-    // windows are all measured from here.
+    let faults = Arc::new(faults.clone());
+    // The virtual timeline's origin: arrivals and fault windows are measured
+    // from here.
     let start = Instant::now();
     for node in 0..nodes {
         let (tx, rx) = mpsc::sync_channel::<NodeRequest>(capacity);
@@ -689,13 +682,11 @@ pub fn run_live(
             node,
             rx: Mutex::new(rx),
             responses: Arc::clone(&responses),
-            chaos: options.chaos.clone(),
+            faults: Arc::clone(&faults),
             scale,
             start,
         });
-        let policy = options.supervisor;
-        let quiesce = options.quiesce.clone();
-        supervisors.push(thread::spawn(move || supervise(harness, policy, quiesce)));
+        supervisors.push(thread::spawn(move || supervise(harness, supervisor)));
     }
     let ctx = Arc::new(Ctx {
         node_tx,
@@ -803,6 +794,7 @@ pub fn run_live(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::Fault;
     use crate::spec::{plan_observables, TracedSession};
     use crate::workload::{ArrivalProcess, Distribution, NetSessionPlan};
 
@@ -865,6 +857,7 @@ mod tests {
             3,
             &trace,
             &config,
+            &FaultSchedule::none(),
             &ProbePolicy::retry(2, SimTime::ZERO),
             &fast_options(),
         );
@@ -904,7 +897,15 @@ mod tests {
         }
         let config = tiny_config(16);
         let options = fast_options().admission_limit(2);
-        let report = run_live(3, &trace, &config, &ProbePolicy::sequential(), &options);
+        let none = FaultSchedule::none();
+        let report = run_live(
+            3,
+            &trace,
+            &config,
+            &none,
+            &ProbePolicy::sequential(),
+            &options,
+        );
         assert!(report.rejected > 0, "overload must shed sessions");
         assert_eq!(report.admitted + report.rejected, report.offered);
         assert!(
@@ -920,7 +921,8 @@ mod tests {
         let trace = trace_of(6);
         let config = tiny_config(6);
         let policy = ProbePolicy::retry(2, SimTime::ZERO).with_hedge(SimTime::from_micros(500));
-        let report = run_live(3, &trace, &config, &policy, &fast_options());
+        let none = FaultSchedule::none();
+        let report = run_live(3, &trace, &config, &none, &policy, &fast_options());
         assert_eq!(report.admitted, 6);
         let expect = plan_observables(&mixed_plan());
         for session in &report.sessions {
@@ -968,17 +970,19 @@ mod tests {
         // The window comfortably covers the whole run, so the worker dies on
         // the first doomed request and shutdown happens while node 0 is
         // crashed mid-drain: the restarted generation inherits the queue.
-        let options = fast_options().chaos(ChaosSchedule::crash(
+        let crash = FaultSchedule::window(
+            Fault::Crash,
             vec![0],
             SimTime::ZERO,
             SimTime::from_millis(5_000),
-        ));
+        );
         let report = run_live(
             2,
             &trace,
             &config,
+            &crash,
             &ProbePolicy::retry(2, SimTime::ZERO),
-            &options,
+            &fast_options(),
         );
         assert_eq!(report.admitted, sessions as u64);
         assert_eq!(
@@ -1025,12 +1029,14 @@ mod tests {
                 .collect(),
         };
         let config = tiny_config(sessions);
-        let options = fast_options().chaos(ChaosSchedule::stall(
+        let stall = FaultSchedule::window(
+            Fault::Stall,
             vec![0],
             SimTime::ZERO,
             SimTime::from_millis(20),
-        ));
-        let report = run_live(1, &trace, &config, &ProbePolicy::sequential(), &options);
+        );
+        let policy = ProbePolicy::sequential();
+        let report = run_live(1, &trace, &config, &stall, &policy, &fast_options());
         assert_eq!(report.requests_lost_to_crash, 0);
         assert_eq!(report.node_crashes, 0, "stalls do not kill workers");
         assert_eq!(
@@ -1039,6 +1045,103 @@ mod tests {
         );
         assert!(report.drained_clean());
         assert_eq!(report.successes, 0, "every client had given up");
+    }
+
+    /// One probe of node 0 through `probe_fate` in each of two sessions of
+    /// a three-node spec on the live backend, under `faults` and
+    /// `supervisor`.
+    fn probe_node_zero_live(faults: FaultSchedule, supervisor: SupervisorPolicy) {
+        use crate::network::NetworkModel;
+        use crate::spec::{Backend, WorkloadSpec};
+
+        let network = NetworkModel::clean().with_faults(faults);
+        let policy = ProbePolicy::sequential();
+        let spec = WorkloadSpec::new(3)
+            .sessions(2)
+            .network(network.clone())
+            .backend(Backend::Live(fast_options().supervisor(supervisor)));
+        spec.run(1, |_, _, now, rng| {
+            let fate = network.probe_fate(0, true, now, &policy, rng);
+            NetSessionPlan {
+                probes: vec![NetProbe {
+                    node: 0,
+                    observed: fate.observed,
+                    failures: fate.failures,
+                }],
+                success: false,
+            }
+        });
+    }
+
+    fn past_max_duration() -> SimTime {
+        SimTime::from_micros(u64::MAX)
+    }
+
+    /// A stalled worker sleeps until its window ends: unbounded, that was
+    /// ≈ 584 years of scaled sleep.
+    #[test]
+    #[should_panic(expected = "inconsistent workload configuration")]
+    fn a_stall_window_past_max_duration_is_refused() {
+        let stall =
+            FaultSchedule::window(Fault::Stall, vec![0], SimTime::ZERO, past_max_duration());
+        probe_node_zero_live(stall, SupervisorPolicy::default());
+    }
+
+    /// A crashed worker's supervisor sleeps until the window ends (and
+    /// debug builds overflowed adding the partition patience to it).
+    #[test]
+    #[should_panic(expected = "inconsistent workload configuration")]
+    fn a_crash_window_past_max_duration_is_refused() {
+        let crash =
+            FaultSchedule::window(Fault::Crash, vec![0], SimTime::ZERO, past_max_duration());
+        probe_node_zero_live(crash, SupervisorPolicy::default());
+    }
+
+    fn one_second_crash() -> FaultSchedule {
+        FaultSchedule::window(
+            Fault::Crash,
+            vec![0],
+            SimTime::ZERO,
+            SimTime::from_millis(1_000),
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "inconsistent workload configuration")]
+    fn a_restart_delay_past_max_duration_is_refused() {
+        let supervisor = SupervisorPolicy {
+            restart_delay: SimTime::from_micros(u64::MAX / 2),
+            ..SupervisorPolicy::default()
+        };
+        probe_node_zero_live(one_second_crash(), supervisor);
+    }
+
+    #[test]
+    #[should_panic(expected = "inconsistent workload configuration")]
+    fn a_partition_patience_past_max_duration_is_refused() {
+        let supervisor = SupervisorPolicy {
+            partition_patience: WorkloadConfig::MAX_DURATION + SimTime::from_micros(1),
+            ..SupervisorPolicy::default()
+        };
+        probe_node_zero_live(one_second_crash(), supervisor);
+    }
+
+    /// A direct caller of `run_live` gets the same check as the spec.
+    #[test]
+    #[should_panic(expected = "inconsistent workload configuration")]
+    fn run_live_refuses_a_window_past_max_duration() {
+        let cap = WorkloadConfig::MAX_DURATION;
+        let stall =
+            FaultSchedule::window(Fault::Stall, vec![0], cap, cap + SimTime::from_micros(1));
+        let policy = ProbePolicy::sequential();
+        run_live(
+            3,
+            &trace_of(2),
+            &tiny_config(2),
+            &stall,
+            &policy,
+            &fast_options(),
+        );
     }
 
     #[test]
@@ -1058,6 +1161,7 @@ mod tests {
             2,
             &trace,
             &config,
+            &FaultSchedule::none(),
             &ProbePolicy::sequential(),
             &fast_options(),
         );

@@ -1,21 +1,20 @@
-//! The message-level fault model — per-link loss, delay overrides and
-//! partition schedules — that the workload engine prices probe sessions
-//! against.
+//! The network model — per-link loss, delay overrides and the fault
+//! schedule — that the workload engine prices probe sessions against.
 //!
-//! [`NetworkModel`] + [`PartitionSchedule`] + [`ProbePolicy`] form the
-//! model: a probe is a request/response pair, either leg can be lost
-//! (`loss_ppm`) or blocked by a timed partition window, and a dropped
-//! message simply never arrives — the *client* decides how long to wait,
-//! how often to retry, and when to hedge. The model's
-//! [`NetworkModel::probe_fate`] decides each element's observable outcome;
-//! the workload engine (see [`crate::workload`]) prices the attempts in
-//! virtual time.
+//! [`NetworkModel`] + [`FaultSchedule`] + [`ProbePolicy`] form the model: a
+//! probe is a request/response pair, either leg can be lost (`loss_ppm`) or
+//! blocked by a timed message-level fault window, the node itself can be
+//! crashed, stalled or slow, and a dropped message simply never arrives —
+//! the *client* decides how long to wait, how often to retry, and when to
+//! hedge. The model's [`NetworkModel::probe_fate`] decides each element's
+//! observable outcome; the workload engine (see [`crate::workload`]) prices
+//! the attempts in virtual time.
 
 use quorum_probe::session::{AttemptLoss, ProbeFate};
 use rand::{Rng, RngCore};
 
-use crate::chaos::{ChaosSchedule, ChaosState};
-use crate::workload::{Distribution, WorkloadConfig};
+use crate::chaos::{FaultSchedule, ProcessState};
+use crate::workload::Distribution;
 use crate::{NodeId, SimTime};
 
 /// Which leg of a probe RPC a message travels.
@@ -27,230 +26,14 @@ pub enum LinkDirection {
     Response,
 }
 
-/// What a partition window does to the messages of its nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionKind {
-    /// Both directions are cut: the nodes are unreachable and mute.
-    Isolate,
-    /// Requests are dropped; responses (to earlier requests) still pass.
-    DropRequests,
-    /// Requests are delivered — the nodes do the work — but every response
-    /// is dropped: the asymmetric-link case where effort is wasted.
-    DropResponses,
-}
-
-/// The `[from, until)` spans of a flapping fault: the first `down` of every
-/// `period`, up to `until`. Every bound is checked before anything is
-/// built, and no instant can overflow: each is at most `until`.
+/// The network model: one-way delay, per-message loss and the fault
+/// schedule.
 ///
-/// # Panics
-///
-/// As [`PartitionSchedule::flapping`].
-pub(crate) fn flapping_spans(
-    period: SimTime,
-    down: SimTime,
-    until: SimTime,
-) -> impl Iterator<Item = (SimTime, SimTime)> {
-    assert!(period > SimTime::ZERO, "flapping needs a positive period");
-    assert!(down <= period, "downtime cannot exceed the period");
-    assert!(
-        until <= WorkloadConfig::MAX_DURATION,
-        "flapping horizon past WorkloadConfig::MAX_DURATION"
-    );
-    let count = until.as_micros().div_ceil(period.as_micros());
-    assert!(
-        count <= PartitionSchedule::MAX_FLAPPING_WINDOWS,
-        "flapping needs more than PartitionSchedule::MAX_FLAPPING_WINDOWS windows"
-    );
-    (0..count).map(move |k| {
-        let from = period.saturating_mul(k);
-        (from, from + down.min(until - from))
-    })
-}
-
-/// One timed partition window over a set of nodes: messages matching the
-/// window's kind are dropped for `from <= t < until`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionWindow {
-    /// First instant the window is active.
-    pub from: SimTime,
-    /// First instant after the window (exclusive).
-    pub until: SimTime,
-    /// The nodes cut off by this window.
-    pub nodes: Vec<NodeId>,
-    /// Which messages the window drops.
-    pub kind: PartitionKind,
-}
-
-impl PartitionWindow {
-    fn blocks(&self, node: NodeId, direction: LinkDirection, at: SimTime) -> bool {
-        if at < self.from || at >= self.until || !self.nodes.contains(&node) {
-            return false;
-        }
-        match self.kind {
-            PartitionKind::Isolate => true,
-            PartitionKind::DropRequests => direction == LinkDirection::Request,
-            PartitionKind::DropResponses => direction == LinkDirection::Response,
-        }
-    }
-}
-
-/// A timed schedule of partition windows: splits and heals of the node set,
-/// including asymmetric splits.
-///
-/// The schedule is piecewise: any number of (possibly overlapping) windows,
-/// each dropping the messages of its nodes for its duration. A message is
-/// delivered iff *no* window blocks it. [`PartitionSchedule::heal_all`]
-/// clamps every window, restoring full connectivity from a given instant.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PartitionSchedule {
-    windows: Vec<PartitionWindow>,
-}
-
-impl PartitionSchedule {
-    /// A schedule with no partitions: the network is always fully connected.
-    pub fn none() -> Self {
-        PartitionSchedule::default()
-    }
-
-    /// A schedule made of explicit windows.
-    pub fn from_windows(windows: Vec<PartitionWindow>) -> Self {
-        PartitionSchedule { windows }
-    }
-
-    /// One symmetric split: `nodes` are unreachable during `[from, until)`.
-    pub fn minority(nodes: Vec<NodeId>, from: SimTime, until: SimTime) -> Self {
-        PartitionSchedule {
-            windows: vec![PartitionWindow {
-                from,
-                until,
-                nodes,
-                kind: PartitionKind::Isolate,
-            }],
-        }
-    }
-
-    /// One asymmetric split: requests reach `nodes` (they do the work) but
-    /// every response is dropped during `[from, until)`.
-    pub fn asymmetric(nodes: Vec<NodeId>, from: SimTime, until: SimTime) -> Self {
-        PartitionSchedule {
-            windows: vec![PartitionWindow {
-                from,
-                until,
-                nodes,
-                kind: PartitionKind::DropResponses,
-            }],
-        }
-    }
-
-    /// The most windows [`flapping`](Self::flapping) and
-    /// [`ChaosSchedule::stall_flapping`] build; the shipped batteries build 6.
-    pub const MAX_FLAPPING_WINDOWS: u64 = 1 << 16;
-
-    /// A flapping partition: `nodes` are cut for the first `down` of every
-    /// `period`, repeatedly, until `until`.
-    ///
-    /// The windows are materialised eagerly — one per period — so `until`
-    /// must be a bounded horizon (use [`PartitionSchedule::heal_all`] for
-    /// "flaps forever, then an operator fixes it" traces).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero, `down > period`, `until` is past
-    /// [`WorkloadConfig::MAX_DURATION`], or the schedule needs more than
-    /// [`MAX_FLAPPING_WINDOWS`](Self::MAX_FLAPPING_WINDOWS) windows.
-    pub fn flapping(nodes: Vec<NodeId>, period: SimTime, down: SimTime, until: SimTime) -> Self {
-        let windows = flapping_spans(period, down, until)
-            .map(|(from, until)| PartitionWindow {
-                from,
-                until,
-                nodes: nodes.clone(),
-                kind: PartitionKind::Isolate,
-            })
-            .collect();
-        PartitionSchedule { windows }
-    }
-
-    /// The windows of the schedule.
-    pub fn windows(&self) -> &[PartitionWindow] {
-        &self.windows
-    }
-
-    /// Adds one window.
-    pub fn push(&mut self, window: PartitionWindow) {
-        self.windows.push(window);
-    }
-
-    /// Whether the schedule never partitions anything.
-    pub fn is_empty(&self) -> bool {
-        self.windows
-            .iter()
-            .all(|w| w.from >= w.until || w.nodes.is_empty())
-    }
-
-    /// Heals every partition from `at` onward: windows ending later are
-    /// clamped to `at`, so every message sent at or after `at` is delivered.
-    pub fn heal_all(&mut self, at: SimTime) {
-        if self.windows.is_empty() {
-            return;
-        }
-        for window in &mut self.windows {
-            window.until = window.until.min(at);
-        }
-        self.windows.retain(|w| w.from < w.until);
-    }
-
-    /// Whether a message to/from `node` in `direction` sent at `at` gets
-    /// through the partitions (loss is a separate, probabilistic layer).
-    pub fn delivers(&self, node: NodeId, direction: LinkDirection, at: SimTime) -> bool {
-        if self.windows.is_empty() {
-            return true;
-        }
-        !self.windows.iter().any(|w| w.blocks(node, direction, at))
-    }
-
-    /// Whether no window blocks any message at `at` — i.e. the network is
-    /// momentarily whole. The chaos supervisor consults this to sequence
-    /// restarts: restarting a node into an open partition window would just
-    /// look like another crash to clients.
-    pub fn is_quiescent_at(&self, at: SimTime) -> bool {
-        if self.windows.is_empty() {
-            return true;
-        }
-        !self
-            .windows
-            .iter()
-            .any(|w| !w.nodes.is_empty() && at >= w.from && at < w.until)
-    }
-
-    /// The earliest instant `t >= at` at which the schedule is quiescent
-    /// (see [`PartitionSchedule::is_quiescent_at`]), or `None` if every
-    /// remaining boundary still has an open window. Quiescence only changes
-    /// at window boundaries, so scanning `until` instants suffices.
-    pub fn next_quiescent_at_or_after(&self, at: SimTime) -> Option<SimTime> {
-        if self.is_quiescent_at(at) {
-            return Some(at);
-        }
-        let mut ends: Vec<SimTime> = self
-            .windows
-            .iter()
-            .filter(|w| !w.nodes.is_empty() && w.until > at)
-            .map(|w| w.until)
-            .collect();
-        ends.sort_unstable();
-        ends.dedup();
-        ends.into_iter().find(|&t| self.is_quiescent_at(t))
-    }
-}
-
-/// The message-level network model: one-way delay, per-message loss and a
-/// partition schedule.
-///
-/// A probe is two messages. Each leg independently: (1) checks the partition
-/// schedule — a blocked message is dropped deterministically; (2) flips the
-/// loss coin — `loss_ppm` parts per million. A dropped message never
-/// arrives; the client's [`ProbePolicy`] turns silence into timeouts,
-/// retries and hedges.
+/// A probe is two messages. Each leg independently: (1) checks the
+/// schedule's message-level windows — a blocked message is dropped
+/// deterministically; (2) flips the loss coin — `loss_ppm` parts per
+/// million. A dropped message never arrives; the client's [`ProbePolicy`]
+/// turns silence into timeouts, retries and hedges.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkModel {
     /// One-way delay of each delivered message; `None` uses the workload's
@@ -259,32 +42,30 @@ pub struct NetworkModel {
     pub delay: Option<Distribution>,
     /// Probability (in parts per million) that any single message is lost.
     pub loss_ppm: u32,
-    /// Timed splits and heals of the node set.
-    pub partitions: PartitionSchedule,
-    /// Timed process-level faults: crashes, stalls and slow nodes.
-    pub chaos: ChaosSchedule,
+    /// Timed faults: partitions and asymmetric links, crashes, stalls and
+    /// slow nodes.
+    pub faults: FaultSchedule,
 }
 
 impl NetworkModel {
-    /// A perfect network: no loss, no partitions, workload-configured delay.
+    /// A perfect network: no loss, no faults, workload-configured delay.
     /// Under this model the message-level engine reproduces the latency-only
     /// engine bit for bit.
     pub fn clean() -> Self {
         NetworkModel {
             delay: None,
             loss_ppm: 0,
-            partitions: PartitionSchedule::none(),
-            chaos: ChaosSchedule::none(),
+            faults: FaultSchedule::none(),
         }
     }
 
-    /// Overlays a chaos schedule onto this model.
-    pub fn with_chaos(mut self, chaos: ChaosSchedule) -> Self {
-        self.chaos = chaos;
+    /// Sets the fault schedule of this model.
+    pub fn with_faults(mut self, faults: FaultSchedule) -> Self {
+        self.faults = faults;
         self
     }
 
-    /// A lossy but unpartitioned network.
+    /// A lossy network without fault windows.
     pub fn lossy(loss_ppm: u32) -> Self {
         NetworkModel {
             loss_ppm,
@@ -292,13 +73,10 @@ impl NetworkModel {
         }
     }
 
-    /// Whether the model is fault-free (no loss, no partitions, no chaos, no
-    /// delay override).
+    /// Whether the model is fault-free (no loss, no fault window, no delay
+    /// override).
     pub fn is_clean(&self) -> bool {
-        self.delay.is_none()
-            && self.loss_ppm == 0
-            && self.partitions.is_empty()
-            && self.chaos.is_empty()
+        self.delay.is_none() && self.loss_ppm == 0 && self.faults.is_empty()
     }
 
     /// Flips the loss coin for one message leg. Draws nothing when the model
@@ -310,17 +88,17 @@ impl NetworkModel {
     /// Decides how probing `node` at `now` under `policy` turns out: which
     /// attempts fail on which leg, and the color the client records.
     ///
-    /// Partition and chaos windows are evaluated at the session's arrival
-    /// instant `now` — a session is short relative to fault timescales, so a
-    /// fault flaps *across* sessions, not within one. Loss coins are drawn
-    /// lazily (none for dead, crashed or stalled nodes, none on a lossless
-    /// network), which keeps the clean model's randomness stream untouched.
+    /// Fault windows are evaluated at the session's arrival instant `now` — a
+    /// session is short relative to fault timescales, so a fault flaps
+    /// *across* sessions, not within one. Loss coins are drawn lazily (none
+    /// for dead, crashed or stalled nodes, none on a lossless network), which
+    /// keeps the clean model's randomness stream untouched.
     ///
-    /// Chaos resolves before the message layer: a crashed node swallows
-    /// every delivered request unserved ([`AttemptLoss::Crash`]); a stalled
-    /// node serves every request too late to matter ([`AttemptLoss::Response`]
-    /// on every attempt); a slow node times out the first attempt and then
-    /// behaves normally, so retries recover.
+    /// The process state resolves before the message layer: a crashed node
+    /// swallows every delivered request unserved ([`AttemptLoss::Crash`]); a
+    /// stalled node serves every request too late to matter
+    /// ([`AttemptLoss::Response`] on every attempt); a slow node times out
+    /// the first attempt and then behaves normally, so retries recover.
     pub fn probe_fate<R: RngCore + ?Sized>(
         &self,
         node: NodeId,
@@ -334,23 +112,23 @@ impl NetworkModel {
             return ProbeFate::dead(attempts);
         }
         let mut failures = Vec::new();
-        match self.chaos.state_at(node, now) {
-            ChaosState::Crashed => return ProbeFate::crashed(attempts),
-            ChaosState::Stalled => {
+        match self.faults.state_at(node, now) {
+            ProcessState::Crashed => return ProbeFate::crashed(attempts),
+            ProcessState::Stalled => {
                 return ProbeFate {
                     observed: quorum_core::Color::Red,
                     failures: vec![AttemptLoss::Response; attempts as usize],
                 }
             }
-            ChaosState::Slow => failures.push(AttemptLoss::Response),
-            ChaosState::Up => {}
+            ProcessState::Slow => failures.push(AttemptLoss::Response),
+            ProcessState::Up => {}
         }
         while (failures.len() as u32) < attempts {
-            if !self.partitions.delivers(node, LinkDirection::Request, now) || self.loses(rng) {
+            if !self.faults.delivers(node, LinkDirection::Request, now) || self.loses(rng) {
                 failures.push(AttemptLoss::Request);
                 continue;
             }
-            if !self.partitions.delivers(node, LinkDirection::Response, now) || self.loses(rng) {
+            if !self.faults.delivers(node, LinkDirection::Response, now) || self.loses(rng) {
                 failures.push(AttemptLoss::Response);
                 continue;
             }
@@ -467,13 +245,16 @@ impl Default for ProbePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{Fault, FaultWindow};
+    use crate::workload::WorkloadConfig;
     use quorum_core::Color;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn minority_window_blocks_both_directions_inside_only() {
-        let schedule = PartitionSchedule::minority(
+        let schedule = FaultSchedule::window(
+            Fault::Isolate,
             vec![0, 1],
             SimTime::from_millis(10),
             SimTime::from_millis(20),
@@ -501,8 +282,12 @@ mod tests {
 
     #[test]
     fn asymmetric_windows_drop_only_responses() {
-        let schedule =
-            PartitionSchedule::asymmetric(vec![3], SimTime::ZERO, SimTime::from_millis(5));
+        let schedule = FaultSchedule::window(
+            Fault::DropResponses,
+            vec![3],
+            SimTime::ZERO,
+            SimTime::from_millis(5),
+        );
         let t = SimTime::from_millis(1);
         assert!(schedule.delivers(3, LinkDirection::Request, t));
         assert!(!schedule.delivers(3, LinkDirection::Response, t));
@@ -515,20 +300,21 @@ mod tests {
 
     #[test]
     fn flapping_alternates_and_heal_all_restores_connectivity() {
-        let mut schedule = PartitionSchedule::flapping(
-            vec![1],
-            SimTime::from_millis(10),
-            SimTime::from_millis(4),
-            SimTime::from_millis(35),
-        );
+        let ms = SimTime::from_millis;
+        // Windows [0, 4), [10, 14), [20, 24) and [30, 32): the last one is
+        // cut at the horizon.
+        let mut schedule = FaultSchedule::flapping(Fault::Isolate, vec![1], ms(10), ms(4), ms(32));
         assert_eq!(schedule.windows().len(), 4);
-        assert!(!schedule.delivers(1, LinkDirection::Request, SimTime::from_millis(2)));
-        assert!(schedule.delivers(1, LinkDirection::Request, SimTime::from_millis(6)));
-        assert!(!schedule.delivers(1, LinkDirection::Request, SimTime::from_millis(12)));
-        schedule.heal_all(SimTime::from_millis(11));
-        assert!(schedule.delivers(1, LinkDirection::Request, SimTime::from_millis(12)));
+        assert_eq!(schedule.state_at(1, ms(2)), ProcessState::Up);
+        assert!(!schedule.delivers(1, LinkDirection::Request, ms(2)));
+        assert!(schedule.delivers(1, LinkDirection::Request, ms(6)));
+        assert!(!schedule.delivers(1, LinkDirection::Request, ms(12)));
+        assert!(!schedule.delivers(1, LinkDirection::Response, ms(31)));
+        assert!(schedule.delivers(1, LinkDirection::Response, ms(32)));
+        schedule.heal_all(ms(11));
+        assert!(schedule.delivers(1, LinkDirection::Request, ms(12)));
         assert!(
-            !schedule.delivers(1, LinkDirection::Request, SimTime::from_millis(2)),
+            !schedule.delivers(1, LinkDirection::Request, ms(2)),
             "healing is not retroactive"
         );
     }
@@ -539,15 +325,17 @@ mod tests {
         // Unchecked, `start += period` overflowed here (and wrapped forever
         // in release).
         let half = SimTime::from_micros(1 << 63);
-        PartitionSchedule::flapping(vec![0], half, SimTime::ZERO, SimTime::from_micros(u64::MAX));
+        let until = SimTime::from_micros(u64::MAX);
+        FaultSchedule::flapping(Fault::Isolate, vec![0], half, SimTime::ZERO, until);
     }
 
     #[test]
-    #[should_panic(expected = "flapping needs more than PartitionSchedule::MAX_FLAPPING_WINDOWS")]
+    #[should_panic(expected = "flapping needs more than FaultSchedule::MAX_FLAPPING_WINDOWS")]
     fn flapping_refuses_more_windows_than_the_cap() {
         // One window per microsecond for an hour: 3.6·10⁹ windows.
         let micro = SimTime::from_micros(1);
-        PartitionSchedule::flapping(vec![0], micro, micro, WorkloadConfig::MAX_DURATION);
+        let until = WorkloadConfig::MAX_DURATION;
+        FaultSchedule::flapping(Fault::Stall, vec![0], micro, micro, until);
     }
 
     #[test]
@@ -610,14 +398,12 @@ mod tests {
 
     #[test]
     fn asymmetric_partitions_waste_the_response_leg() {
-        let model = NetworkModel {
-            partitions: PartitionSchedule::asymmetric(
-                vec![0],
-                SimTime::ZERO,
-                SimTime::from_millis(1),
-            ),
-            ..NetworkModel::clean()
-        };
+        let model = NetworkModel::clean().with_faults(FaultSchedule::window(
+            Fault::DropResponses,
+            vec![0],
+            SimTime::ZERO,
+            SimTime::from_millis(1),
+        ));
         let policy = ProbePolicy::retry(2, SimTime::ZERO);
         let mut rng = StdRng::seed_from_u64(4);
         let fate = model.probe_fate(0, true, SimTime::ZERO, &policy, &mut rng);
@@ -630,44 +416,43 @@ mod tests {
 
     #[test]
     fn quiescence_handles_boundaries_and_empty_schedules() {
-        assert!(PartitionSchedule::none().is_quiescent_at(SimTime::ZERO));
+        let ms = SimTime::from_millis;
+        let quiet =
+            |schedule: &FaultSchedule, at| schedule.next_quiescent_at_or_after(at) == Some(at);
+        assert!(quiet(&FaultSchedule::none(), SimTime::ZERO));
         // A window whose start equals its end is inert.
-        let degenerate =
-            PartitionSchedule::minority(vec![0], SimTime::from_millis(5), SimTime::from_millis(5));
-        assert!(degenerate.is_quiescent_at(SimTime::from_millis(5)));
-        assert!(degenerate.delivers(0, LinkDirection::Request, SimTime::from_millis(5)));
+        let degenerate = FaultSchedule::window(Fault::Isolate, vec![0], ms(5), ms(5));
+        assert!(quiet(&degenerate, ms(5)));
+        assert!(degenerate.delivers(0, LinkDirection::Request, ms(5)));
         // Adjacent windows [a, b) and [b, c): not quiescent at b — the second
         // window opens exactly as the first closes.
-        let mut adjacent =
-            PartitionSchedule::minority(vec![0], SimTime::from_millis(1), SimTime::from_millis(2));
-        adjacent.push(PartitionWindow {
-            from: SimTime::from_millis(2),
-            until: SimTime::from_millis(3),
+        let mut adjacent = FaultSchedule::window(Fault::Isolate, vec![0], ms(1), ms(2));
+        adjacent.push(FaultWindow {
+            from: ms(2),
+            until: ms(3),
             nodes: vec![1],
-            kind: PartitionKind::Isolate,
+            fault: Fault::DropRequests,
         });
-        assert!(!adjacent.is_quiescent_at(SimTime::from_millis(1)));
-        assert!(!adjacent.is_quiescent_at(SimTime::from_millis(2)));
-        assert!(adjacent.is_quiescent_at(SimTime::from_millis(3)));
-        assert!(adjacent.is_quiescent_at(SimTime::from_micros(999)));
+        assert!(!quiet(&adjacent, ms(1)));
+        assert!(!quiet(&adjacent, ms(2)));
+        assert!(quiet(&adjacent, ms(3)));
+        assert!(quiet(&adjacent, SimTime::from_micros(999)));
         assert_eq!(
-            adjacent.next_quiescent_at_or_after(SimTime::from_millis(1)),
-            Some(SimTime::from_millis(3)),
+            adjacent.next_quiescent_at_or_after(ms(1)),
+            Some(ms(3)),
             "the first window's end is still inside the second window"
         );
-        assert_eq!(
-            adjacent.next_quiescent_at_or_after(SimTime::from_millis(4)),
-            Some(SimTime::from_millis(4))
-        );
+        assert_eq!(adjacent.next_quiescent_at_or_after(ms(4)), Some(ms(4)));
         // Healing an empty schedule is a no-op that stays empty.
-        let mut empty = PartitionSchedule::none();
-        empty.heal_all(SimTime::from_millis(1));
+        let mut empty = FaultSchedule::none();
+        empty.heal_all(ms(1));
         assert!(empty.is_empty());
     }
 
     #[test]
     fn crashed_nodes_swallow_requests_with_a_crash_fate() {
-        let model = NetworkModel::clean().with_chaos(ChaosSchedule::crash(
+        let model = NetworkModel::clean().with_faults(FaultSchedule::window(
+            Fault::Crash,
             vec![0],
             SimTime::ZERO,
             SimTime::from_millis(10),
@@ -688,7 +473,8 @@ mod tests {
 
     #[test]
     fn stalled_nodes_serve_late_and_slow_nodes_recover_on_retry() {
-        let stall = NetworkModel::clean().with_chaos(ChaosSchedule::stall(
+        let stall = NetworkModel::clean().with_faults(FaultSchedule::window(
+            Fault::Stall,
             vec![0],
             SimTime::ZERO,
             SimTime::from_millis(10),
@@ -699,7 +485,8 @@ mod tests {
         assert_eq!(fate.observed, Color::Red);
         assert_eq!(fate.failures, vec![AttemptLoss::Response; 2]);
 
-        let slow = NetworkModel::clean().with_chaos(ChaosSchedule::slow(
+        let slow = NetworkModel::clean().with_faults(FaultSchedule::window(
+            Fault::Slow,
             vec![0],
             SimTime::ZERO,
             SimTime::from_millis(10),
@@ -717,7 +504,12 @@ mod tests {
     fn chaos_draws_no_randomness_for_disrupted_nodes() {
         let model = NetworkModel {
             loss_ppm: 500_000,
-            chaos: ChaosSchedule::crash(vec![0], SimTime::ZERO, SimTime::from_millis(1)),
+            faults: FaultSchedule::window(
+                Fault::Crash,
+                vec![0],
+                SimTime::ZERO,
+                SimTime::from_millis(1),
+            ),
             ..NetworkModel::clean()
         };
         let policy = ProbePolicy::retry(3, SimTime::ZERO);

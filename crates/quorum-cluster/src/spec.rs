@@ -446,7 +446,7 @@ impl WorkloadSpec {
         self
     }
 
-    /// Sets the message-level network model (loss, delay, partitions).
+    /// Sets the network model (loss, delay, fault schedule).
     pub fn network(mut self, network: NetworkModel) -> Self {
         self.network = network;
         self
@@ -511,10 +511,13 @@ impl WorkloadSpec {
     ///
     /// Panics with "inconsistent workload configuration", before anything
     /// is scheduled, if the configuration is invalid
-    /// ([`WorkloadConfig::is_valid`]) or the network delay or hedge delay
-    /// exceeds [`WorkloadConfig::MAX_DURATION`]. (A red observation with no
-    /// failed attempts is legal: it is a *shed* probe that resolves
-    /// instantly at zero cost.)
+    /// ([`WorkloadConfig::is_valid`]), the network delay or hedge delay
+    /// exceeds [`WorkloadConfig::MAX_DURATION`], or a fault window ends past
+    /// it. Under [`Backend::Live`] the live run panics with the same
+    /// message, before it starts, if the supervisor's restart delay or
+    /// partition patience exceeds it. (A red observation with no failed
+    /// attempts is legal: it is a *shed* probe that resolves instantly at
+    /// zero cost.)
     pub fn run<F>(&self, seed: u64, mut session: F) -> SpecReport
     where
         F: FnMut(u64, &LoadLedger, SimTime, &mut StdRng) -> NetSessionPlan,
@@ -532,20 +535,14 @@ impl WorkloadSpec {
                     });
                     plan
                 });
-                // The spec's network model is the source of truth for the
-                // process- and message-fault schedules: hand them to the
-                // live runtime so workers crash (and supervisors sequence
-                // restarts) on the same timeline the fates were scripted
-                // against. Explicitly pre-set options are preserved when the
-                // model carries no schedule of its own.
-                let mut options = options.clone();
-                if !self.network.chaos.is_empty() {
-                    options.chaos = self.network.chaos.clone();
-                }
-                if !self.network.partitions.is_empty() {
-                    options.quiesce = self.network.partitions.clone();
-                }
-                let live = run_live(self.nodes, &trace, &self.config, &self.policy, &options);
+                let live = run_live(
+                    self.nodes,
+                    &trace,
+                    &self.config,
+                    &self.network.faults,
+                    &self.policy,
+                    options,
+                );
                 let agreement = cross_validate(&trace, &report, &live);
                 SpecReport {
                     report,

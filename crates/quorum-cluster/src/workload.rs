@@ -14,8 +14,8 @@
 //!   network delay, waits for the node's FIFO queue (ordered by probe-issue
 //!   time), is served for a sampled service time, and travels back.
 //! * **Message-level faults** ([`NetworkModel`]): either leg of a probe can
-//!   be dropped by loss or a [`crate::PartitionSchedule`] window; a dropped
-//!   message never arrives, so the timeout is a *client-side policy*
+//!   be dropped by loss or a message-level [`crate::FaultSchedule`] window; a
+//!   dropped message never arrives, so the timeout is a *client-side policy*
 //!   ([`ProbePolicy`]: bounded retries with exponential backoff, hedged
 //!   probes) rather than an oracle.
 //! * **Load ledger** ([`LoadLedger`]): probes received, timeouts, busy time,
@@ -255,8 +255,10 @@ pub struct WorkloadConfig {
 impl WorkloadConfig {
     /// The longest duration a workload may configure: one hour of virtual
     /// time. The engine adds configured durations to its 64-bit microsecond
-    /// clock, so an unbounded one could wrap it; the shipped scenarios stay
-    /// under 5 s.
+    /// clock, so an unbounded one could wrap it, and the live runtime sleeps
+    /// until fault windows end; the shipped scenarios stay under 5 s. It
+    /// also bounds every fault window's end and the live supervisor's
+    /// delays.
     pub const MAX_DURATION: SimTime = SimTime::from_millis(3_600_000);
 
     /// Whether the configuration is consistent: at least one session, a
@@ -774,6 +776,7 @@ where
             && network
                 .delay
                 .is_none_or(|d| d.largest_parameter() <= WorkloadConfig::MAX_DURATION)
+            && network.faults.is_bounded()
             && policy
                 .hedge
                 .is_none_or(|h| h <= WorkloadConfig::MAX_DURATION),
@@ -984,7 +987,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::PartitionSchedule;
+    use crate::chaos::{Fault, FaultSchedule};
     use crate::spec::WorkloadSpec;
     use quorum_core::{Coloring, QuorumSystem};
     use quorum_probe::run_strategy;
@@ -1469,14 +1472,12 @@ mod tests {
             },
             40,
         );
-        let network = NetworkModel {
-            partitions: PartitionSchedule::minority(
-                vec![0],
-                SimTime::ZERO,
-                SimTime::from_millis(15),
-            ),
-            ..NetworkModel::clean()
-        };
+        let network = NetworkModel::clean().with_faults(FaultSchedule::window(
+            Fault::Isolate,
+            vec![0],
+            SimTime::ZERO,
+            SimTime::from_millis(15),
+        ));
         let policy = ProbePolicy::sequential();
         let report = WorkloadSpec::new(n)
             .config(config)
@@ -1514,7 +1515,7 @@ mod tests {
     }
 
     /// Every configured duration — timeout, mean inter-arrival, think time,
-    /// latency, service, network delay and hedge delay — runs at
+    /// latency, service, network delay, hedge delay and fault window — runs at
     /// [`WorkloadConfig::MAX_DURATION`]. One microsecond past it, or at a
     /// huge value, both backends stop with the documented panic before
     /// anything is scheduled: a 2⁶⁴ µs timeout used to overflow the clock
@@ -1531,6 +1532,7 @@ mod tests {
             success: index % 2 == 0,
         };
         let base = WorkloadSpec::new(3).sessions(4);
+        let stall = |d| FaultSchedule::window(Fault::Stall, vec![0], SimTime::ZERO, d);
         let with = |d: SimTime| -> Vec<(&str, WorkloadSpec)> {
             vec![
                 ("timeout", base.clone().probe_timeout(d)),
@@ -1567,6 +1569,11 @@ mod tests {
                 (
                     "hedge",
                     base.clone().policy(ProbePolicy::sequential().with_hedge(d)),
+                ),
+                (
+                    "fault window",
+                    base.clone()
+                        .network(NetworkModel::clean().with_faults(stall(d))),
                 ),
             ]
         };

@@ -1,7 +1,7 @@
 //! Per-node health tracking and circuit breaking for probe sessions.
 //!
 //! Under chaos (crashes, stalls, restarts — see `quorum-cluster`'s
-//! `ChaosSchedule`) a naive client keeps timing out against the same sick
+//! `FaultSchedule`) a naive client keeps timing out against the same sick
 //! node, paying the full retry ladder on every session. This module supplies
 //! the client-side defence:
 //!

@@ -19,9 +19,9 @@ use std::sync::Arc;
 
 use quorum_analysis::load_imbalance;
 use quorum_cluster::{
-    AgreementReport, ArrivalProcess, Backend, ChaosSchedule, Distribution, LiveOptions, LiveReport,
-    NetProbe, NetSessionPlan, NetworkModel, PartitionSchedule, ProbePolicy, SessionTrace, SimTime,
-    SpecReport, WorkloadConfig, WorkloadSpec,
+    AgreementReport, ArrivalProcess, Backend, Distribution, Fault, FaultSchedule, FaultWindow,
+    LiveOptions, LiveReport, NetProbe, NetSessionPlan, NetworkModel, ProbePolicy, SessionTrace,
+    SimTime, SpecReport, WorkloadConfig, WorkloadSpec,
 };
 use quorum_core::{Color, Coloring};
 use quorum_probe::session::{observed_coloring, ProbeFate};
@@ -334,30 +334,37 @@ pub fn network_scenarios(n: usize, config: &WorkloadConfig) -> Vec<NetScenario> 
             // A third of the universe is unreachable for the middle of the
             // run, then heals.
             name: "minority-part",
-            network: NetworkModel {
-                partitions: PartitionSchedule::minority(third.clone(), at(1, 4), at(5, 8)),
-                ..NetworkModel::clean()
-            },
+            network: NetworkModel::clean().with_faults(FaultSchedule::window(
+                Fault::Isolate,
+                third.clone(),
+                at(1, 4),
+                at(5, 8),
+            )),
             policy: ProbePolicy::retry(2, backoff).with_hedge(hedge),
         },
         NetScenario {
             // A quarter of the universe flaps: down for the first half of
             // every period through the first three quarters of the run.
             name: "flapping",
-            network: NetworkModel {
-                partitions: PartitionSchedule::flapping(quarter, at(1, 8), at(1, 16), at(3, 4)),
-                ..NetworkModel::clean()
-            },
+            network: NetworkModel::clean().with_faults(FaultSchedule::flapping(
+                Fault::Isolate,
+                quarter,
+                at(1, 8),
+                at(1, 16),
+                at(3, 4),
+            )),
             policy: ProbePolicy::retry(2, backoff).with_hedge(hedge),
         },
         NetScenario {
             // Requests reach a third of the universe — the nodes do the work
             // — but every response is dropped: pure wasted effort.
             name: "asym-split",
-            network: NetworkModel {
-                partitions: PartitionSchedule::asymmetric(third, at(1, 5), at(7, 10)),
-                ..NetworkModel::clean()
-            },
+            network: NetworkModel::clean().with_faults(FaultSchedule::window(
+                Fault::DropResponses,
+                third,
+                at(1, 5),
+                at(7, 10),
+            )),
             policy: ProbePolicy::retry(2, backoff),
         },
     ]
@@ -390,7 +397,8 @@ pub fn chaos_scenarios(n: usize, config: &WorkloadConfig) -> Vec<NetScenario> {
     vec![
         NetScenario {
             name: "crash-minority",
-            network: NetworkModel::clean().with_chaos(ChaosSchedule::crash(
+            network: NetworkModel::clean().with_faults(FaultSchedule::window(
+                Fault::Crash,
                 third.clone(),
                 at(1, 4),
                 at(5, 8),
@@ -399,7 +407,7 @@ pub fn chaos_scenarios(n: usize, config: &WorkloadConfig) -> Vec<NetScenario> {
         },
         NetScenario {
             name: "rolling-restart",
-            network: NetworkModel::clean().with_chaos(ChaosSchedule::rolling_restart(
+            network: NetworkModel::clean().with_faults(FaultSchedule::rolling_restart(
                 third.clone(),
                 at(1, 8),
                 at(1, 8),
@@ -409,7 +417,8 @@ pub fn chaos_scenarios(n: usize, config: &WorkloadConfig) -> Vec<NetScenario> {
         },
         NetScenario {
             name: "stall-flap",
-            network: NetworkModel::clean().with_chaos(ChaosSchedule::stall_flapping(
+            network: NetworkModel::clean().with_faults(FaultSchedule::flapping(
+                Fault::Stall,
                 quarter,
                 at(1, 8),
                 at(1, 16),
@@ -419,11 +428,20 @@ pub fn chaos_scenarios(n: usize, config: &WorkloadConfig) -> Vec<NetScenario> {
         },
         NetScenario {
             name: "crash-part",
-            network: NetworkModel {
-                partitions: PartitionSchedule::minority(split, at(3, 8), at(5, 8)),
-                ..NetworkModel::clean()
-            }
-            .with_chaos(ChaosSchedule::crash(third, at(1, 4), at(1, 2))),
+            network: NetworkModel::clean().with_faults(FaultSchedule::from_windows(vec![
+                FaultWindow {
+                    from: at(1, 4),
+                    until: at(1, 2),
+                    nodes: third,
+                    fault: Fault::Crash,
+                },
+                FaultWindow {
+                    from: at(3, 8),
+                    until: at(5, 8),
+                    nodes: split,
+                    fault: Fault::Isolate,
+                },
+            ])),
             policy,
         },
     ]
@@ -616,16 +634,17 @@ pub fn run_live_cell(
 }
 
 /// The deterministic recovery metric of one executed chaos cell: for every
-/// node a non-inert chaos window disrupted, the virtual delay (microseconds)
-/// between the end of its *last* disruption and the arrival of the first
-/// session that observed the node green again — or `None` if the trace never
-/// saw it recover. Pure function of the trace and schedule, so both backends
-/// report it identically.
+/// node a non-inert process-level window (crash, stall, slow) disrupted, the
+/// virtual delay (microseconds) between the end of its *last* such
+/// disruption and the arrival of the first session that observed the node
+/// green again — or `None` if the trace never saw it recover. Nodes hit only
+/// by message-level windows get no row. Pure function of the trace and
+/// schedule, so both backends report it identically.
 pub fn chaos_recovery_micros(
     trace: &SessionTrace,
-    chaos: &ChaosSchedule,
+    faults: &FaultSchedule,
 ) -> Vec<(usize, Option<u64>)> {
-    let mut nodes: Vec<usize> = chaos
+    let mut nodes: Vec<usize> = faults
         .windows()
         .iter()
         .flat_map(|w| w.nodes.iter().copied())
@@ -635,7 +654,7 @@ pub fn chaos_recovery_micros(
     nodes
         .into_iter()
         .filter_map(|node| {
-            let end = chaos.last_disruption_end(node)?;
+            let end = faults.last_disruption_end(node)?;
             let recovered = trace
                 .sessions
                 .iter()
@@ -963,7 +982,7 @@ mod tests {
             outcome.sim.lost_to_crash > 0,
             "a crashed third must swallow some delivered requests"
         );
-        let recovery = chaos_recovery_micros(&outcome.trace, &cell.network.chaos);
+        let recovery = chaos_recovery_micros(&outcome.trace, &cell.network.faults);
         assert_eq!(recovery.len(), n / 3, "one row per crashed node");
         for (node, recovered) in &recovery {
             assert!(*node < n / 3);
@@ -974,6 +993,40 @@ mod tests {
                 "node {node} took {micros}us to be seen green again"
             );
         }
+    }
+
+    /// `crash-part` crashes a third and partitions a disjoint quarter; only
+    /// the crashed nodes get a recovery row, even when every node is seen
+    /// green again after both windows.
+    #[test]
+    fn crash_part_recovery_rows_skip_the_partitioned_quarter() {
+        let n = 15;
+        let config = open_poisson_workload(300, SimTime::from_micros(250));
+        let crash_part = chaos_scenarios(n, &config)
+            .into_iter()
+            .find(|s| s.name == "crash-part")
+            .expect("battery has crash-part");
+        let late = SimTime::from_micros(config.horizon_hint().as_micros() * 7 / 8);
+        let trace = SessionTrace {
+            sessions: vec![quorum_cluster::TracedSession {
+                index: 0,
+                arrival: late,
+                plan: NetSessionPlan {
+                    probes: (0..n)
+                        .map(|node| NetProbe {
+                            node,
+                            observed: Color::Green,
+                            failures: vec![],
+                        })
+                        .collect(),
+                    success: true,
+                },
+            }],
+        };
+        let recovery = chaos_recovery_micros(&trace, &crash_part.network.faults);
+        let nodes: Vec<usize> = recovery.iter().map(|(node, _)| *node).collect();
+        assert_eq!(nodes, (0..n / 3).collect::<Vec<_>>(), "the crashed third");
+        assert!(recovery.iter().all(|(_, at)| at.is_some()));
     }
 
     #[test]

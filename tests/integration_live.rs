@@ -132,6 +132,7 @@ fn admission_control_sheds_overload_and_bounds_p99() {
             3,
             &trace,
             &config,
+            &FaultSchedule::none(),
             &ProbePolicy::sequential(),
             &options,
         )

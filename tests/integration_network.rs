@@ -1,5 +1,5 @@
-//! End-to-end tests of the message-level network layer: partition
-//! schedules, the fault-injection engine, robustness policies, and
+//! End-to-end tests of the message-level network layer: message-level
+//! fault windows, the fault-injection engine, robustness policies, and
 //! thread-count determinism — all through the `probequorum` facade.
 
 use probequorum::prelude::*;
@@ -65,21 +65,21 @@ proptest! {
         probe_offset in 0u64..4_000,
     ) {
         let n = 12usize;
-        let mut schedule = PartitionSchedule::none();
+        let mut schedule = FaultSchedule::none();
         for (((from, length), kind), node) in froms
             .iter()
             .zip(&lengths)
             .zip(&kinds)
             .zip(&node_picks)
         {
-            schedule.push(PartitionWindow {
+            schedule.push(FaultWindow {
                 from: SimTime::from_micros(*from),
                 until: SimTime::from_micros(from + length),
                 nodes: vec![*node, (*node + 5) % n],
-                kind: match kind {
-                    0 => PartitionKind::Isolate,
-                    1 => PartitionKind::DropRequests,
-                    _ => PartitionKind::DropResponses,
+                fault: match kind {
+                    0 => Fault::Isolate,
+                    1 => Fault::DropRequests,
+                    _ => Fault::DropResponses,
                 },
             });
         }
@@ -216,14 +216,12 @@ fn minority_partition_dips_and_heals() {
     let config = open_config(400);
     let horizon = config.horizon_hint();
     let n = 15usize;
-    let network = NetworkModel {
-        partitions: PartitionSchedule::minority(
-            (0..n / 3).collect(),
-            SimTime::from_micros(horizon.as_micros() / 4),
-            SimTime::from_micros(horizon.as_micros() * 5 / 8),
-        ),
-        ..NetworkModel::clean()
-    };
+    let network = NetworkModel::clean().with_faults(FaultSchedule::window(
+        Fault::Isolate,
+        (0..n / 3).collect(),
+        SimTime::from_micros(horizon.as_micros() / 4),
+        SimTime::from_micros(horizon.as_micros() * 5 / 8),
+    ));
     let cells = |network: NetworkModel| {
         vec![WorkloadCell {
             net: "test".into(),
