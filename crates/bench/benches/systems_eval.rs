@@ -314,9 +314,27 @@ fn bench_delta_update(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_spec_build(c: &mut Criterion) {
+    // `SystemSpec::build` alone on the four `Compose` specs that probebench's
+    // avail-circuit rebuilds in its set-up: the spec → gate-tape lowering.
+    let mut group = c.benchmark_group("systems/spec_build");
+    let specs = [
+        ("TreeC15", SystemSpec::tree_as_compose(15)),
+        ("HQSC10", SystemSpec::hqs_as_compose(10)),
+        ("GridC256x256", SystemSpec::grid_as_compose(256, 256)),
+        ("OrgMaj255x257", SystemSpec::org_majority(255, 257)),
+    ];
+    for (name, spec) in specs {
+        group.bench_function(BenchmarkId::from_parameter(name), |b| {
+            b.iter(|| spec.build().unwrap())
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_contains_quorum, bench_availability, bench_batched_availability, bench_lanes_native_vs_tape, bench_engine_probes, bench_enumeration, bench_failure_sampling, bench_churn_walk, bench_delta_update
+    targets = bench_contains_quorum, bench_spec_build, bench_availability, bench_batched_availability, bench_lanes_native_vs_tape, bench_engine_probes, bench_enumeration, bench_failure_sampling, bench_churn_walk, bench_delta_update
 }
 criterion_main!(benches);

@@ -116,12 +116,14 @@ struct Gate {
 /// A recursive threshold composition implementing [`QuorumSystem`].
 ///
 /// [`Composition::new`] compiles the node tree into one post-order gate
-/// tape: each gate records its kind (constant, AND, OR, 2-of-3 or
-/// `k`-of-`m`, fixed from its threshold and child count), its threshold,
-/// how many of its children are gates, and a range of leaf element ids.
-/// Every evaluator is one iterative sweep over the tape: a gate reads its
-/// leaves in place and its gate children off a value stack whose height is
-/// fixed at compile time, so no evaluator recurses on circuit depth.
+/// tape, and `SystemSpec::build` compiles a `Compose` spec into the same
+/// tape in place, with no node tree in between. Each gate records its kind
+/// (constant, AND, OR, 2-of-3 or `k`-of-`m`, fixed from its threshold and
+/// child count), its threshold, how many of its children are gates, and a
+/// range of leaf element ids. Every evaluator is one iterative sweep over
+/// the tape: a gate reads its leaves in place and its gate children off a
+/// value stack whose height is fixed at compile time, so no evaluator
+/// recurses on circuit depth.
 ///
 /// * `contains_quorum` sweeps booleans.
 /// * The lane evaluators sweep 64·W trials at once. AND and OR gates stop
@@ -207,23 +209,21 @@ impl Composition {
                 limit: MAX_UNIVERSE as usize,
             });
         }
-        let mut this = compile(universe, &root)?;
-        this.read_once = !has_repeated_leaf(&this.leaves, universe);
-        (this.min_q, this.max_q) = this.size_dp();
-        this.sizes_exact = this.read_once;
-        if !this.read_once && universe <= ENUM_LIMIT {
-            if let Some(quorums) = this.minimal_antichain(SIZE_DP_BUDGET) {
-                if let (Some(min), Some(max)) = (
-                    quorums.iter().map(ElementSet::len).min(),
-                    quorums.iter().map(ElementSet::len).max(),
-                ) {
-                    this.min_q = min;
-                    this.max_q = max;
-                    this.sizes_exact = true;
-                }
-            }
-        }
-        Ok(this)
+        compile(&root, Some(universe)).map_err(|fault| match fault.kind {
+            FaultKind::Quorum(err) => err,
+            FaultKind::EmptyGate => QuorumError::InvalidConstruction {
+                reason: "composition gate has no children".into(),
+            },
+            FaultKind::ThresholdExceedsChildren {
+                threshold,
+                children,
+            } => QuorumError::InvalidConstruction {
+                reason: format!(
+                    "composition gate threshold {threshold} exceeds its {children} children"
+                ),
+            },
+            FaultKind::Neither => unreachable!("a composition node is a leaf or a gate"),
+        })
     }
 
     /// Number of threshold gates in the circuit.
@@ -278,25 +278,6 @@ impl Composition {
             stack.push(value);
         }
         stack.pop().expect("a composition has a root gate")
-    }
-
-    /// The disjoint-children DP over (min, max) minimal-quorum sizes.
-    fn size_dp(&self) -> (usize, usize) {
-        let (mut mins, mut maxs) = (Vec::new(), Vec::new());
-        self.fold(|_, gate, children| {
-            mins.clear();
-            maxs.clear();
-            let leaves = std::iter::repeat_n((1, 1), self.leaves_of(gate).len());
-            for (min, max) in children.chain(leaves) {
-                mins.push(min);
-                maxs.push(max);
-            }
-            mins.sort_unstable();
-            maxs.sort_unstable_by(|a, b| b.cmp(a));
-            // A constant-true gate (k = 0) sums nothing: the empty quorum.
-            let k = gate.threshold as usize;
-            (mins[..k].iter().sum(), maxs[..k].iter().sum())
-        })
     }
 
     /// The exact minimal-quorum antichain via the circuit DP: each gate
@@ -428,117 +409,207 @@ impl Composition {
     }
 }
 
-/// Compiles the node tree into the post-order gate tape. A first pass
-/// validates the tree and counts its gates and leaves, so the second pass
-/// writes the tape into pre-sized arrays. Both walks keep their own stack,
-/// so deep trees compile without recursion. Sizes and the read-once flag
-/// are left to the caller.
-fn compile(universe: usize, root: &CompositionNode) -> Result<Composition, QuorumError> {
-    let (mut gate_count, mut leaf_count) = (0usize, 0usize);
-    let mut open = vec![std::slice::from_ref(root).iter()];
-    while let Some(siblings) = open.last_mut() {
-        let Some(node) = siblings.next() else {
+/// How the compiler sees one node of the tree it lowers.
+pub(crate) enum Shape<'a, N> {
+    /// One universe element.
+    Leaf(ElementId),
+    /// A threshold gate over `children`.
+    Gate { threshold: usize, children: &'a [N] },
+    /// A node no circuit holds, such as a named family under a spec gate.
+    Neither,
+}
+
+/// A tree that [`compile`] lowers to the gate tape. Both
+/// [`CompositionNode`] and [`SystemSpec`](crate::SystemSpec) are one, so a
+/// `Compose` spec compiles in place, without an intermediate node tree.
+pub(crate) trait CircuitNode: Sized {
+    /// What this node is to the circuit.
+    fn shape(&self) -> Shape<'_, Self>;
+}
+
+impl CircuitNode for CompositionNode {
+    fn shape(&self) -> Shape<'_, Self> {
+        match self {
+            CompositionNode::Leaf(e) => Shape::Leaf(*e),
+            CompositionNode::Gate {
+                threshold,
+                children,
+            } => Shape::Gate {
+                threshold: *threshold,
+                children,
+            },
+        }
+    }
+}
+
+/// Why [`compile`] refused a tree, at the path of child indices from the
+/// root to the offending node.
+pub(crate) struct Fault {
+    pub(crate) path: Vec<usize>,
+    pub(crate) kind: FaultKind,
+}
+
+/// What [`compile`] refused.
+pub(crate) enum FaultKind {
+    /// A leaf at or past the universe, or (at the root) a circuit of more
+    /// than [`MAX_NODES`] nodes.
+    Quorum(QuorumError),
+    /// A gate without children.
+    EmptyGate,
+    /// A gate whose threshold exceeds its child count.
+    ThresholdExceedsChildren { threshold: usize, children: usize },
+    /// A node that is neither a leaf nor a gate.
+    Neither,
+}
+
+/// A gate whose children are being compiled.
+struct Frame<'a, N> {
+    threshold: usize,
+    children: &'a [N],
+    /// Children visited so far.
+    next: usize,
+    /// Depth of the deepest gate child compiled so far.
+    below: usize,
+}
+
+impl<'a, N> Frame<'a, N> {
+    fn new(threshold: usize, children: &'a [N]) -> Self {
+        Frame {
+            threshold,
+            children,
+            next: 0,
+            below: 0,
+        }
+    }
+}
+
+/// Compiles a tree into the post-order gate tape over `universe` elements,
+/// or over the largest leaf plus one when `universe` is `None` (leaves
+/// must then be below 2³²). Both passes keep their own stack, so deep
+/// trees compile without recursion.
+///
+/// The first pass validates every node in depth-first order, each gate
+/// before its children, and counts the gates and leaves; a circuit past
+/// [`MAX_NODES`] is refused once the whole tree has been checked. The
+/// second pass writes the tape into pre-sized arrays and, as it emits each
+/// gate, runs the quorum-size DP and the repeated-leaf check.
+pub(crate) fn compile<N: CircuitNode>(
+    root: &N,
+    universe: Option<usize>,
+) -> Result<Composition, Fault> {
+    let bound = universe.map_or(MAX_UNIVERSE, |n| n as u64);
+    let (mut gate_count, mut leaf_count, mut max_leaf) = (0usize, 0usize, 0);
+    // Each open gate's children, and how many of them have been visited.
+    let mut open = vec![(std::slice::from_ref(root), 0usize)];
+    while let Some(top) = open.last_mut() {
+        let (siblings, index) = *top;
+        let Some(node) = siblings.get(index) else {
             open.pop();
             continue;
         };
-        if gate_count + leaf_count >= MAX_NODES {
-            return Err(QuorumError::InvalidConstruction {
-                reason: format!("composition exceeds {MAX_NODES} circuit nodes"),
-            });
-        }
-        match node {
-            CompositionNode::Leaf(e) if *e >= universe => {
-                return Err(QuorumError::ElementOutOfRange {
-                    element: *e,
-                    universe,
-                });
+        top.1 += 1;
+        let kind = match node.shape() {
+            Shape::Leaf(e) if e as u64 >= bound => {
+                FaultKind::Quorum(QuorumError::ElementOutOfRange {
+                    element: e,
+                    universe: bound as usize,
+                })
             }
-            CompositionNode::Leaf(_) => leaf_count += 1,
-            CompositionNode::Gate { children, .. } if children.is_empty() => {
-                return Err(QuorumError::InvalidConstruction {
-                    reason: "composition gate has no children".into(),
-                });
+            Shape::Leaf(e) => {
+                leaf_count += 1;
+                max_leaf = max_leaf.max(e);
+                continue;
             }
-            CompositionNode::Gate {
+            Shape::Gate { children: [], .. } => FaultKind::EmptyGate,
+            Shape::Gate {
                 threshold,
                 children,
-            } if *threshold > children.len() => {
-                return Err(QuorumError::InvalidConstruction {
-                    reason: format!(
-                        "composition gate threshold {threshold} exceeds its {} children",
-                        children.len()
-                    ),
-                });
-            }
-            CompositionNode::Gate { children, .. } => {
+            } if threshold > children.len() => FaultKind::ThresholdExceedsChildren {
+                threshold,
+                children: children.len(),
+            },
+            Shape::Gate { children, .. } => {
                 gate_count += 1;
-                open.push(children.iter());
+                open.push((children, 0));
+                continue;
             }
-        }
+            Shape::Neither => FaultKind::Neither,
+        };
+        // The last-visited child of every open gate below the root's own
+        // slot: the path to `node`.
+        let path = open[1..].iter().map(|&(_, visited)| visited - 1).collect();
+        return Err(Fault { path, kind });
     }
-
-    /// A gate whose children are being compiled.
-    struct Frame<'a> {
-        threshold: usize,
-        children: &'a [CompositionNode],
-        /// Children visited so far.
-        next: usize,
-        /// Depth of the deepest gate child compiled so far.
-        below: usize,
-    }
-    /// A fresh frame for a gate node; `None` for a leaf.
-    fn frame(node: &CompositionNode) -> Option<Frame<'_>> {
-        match node {
-            CompositionNode::Gate {
-                threshold,
-                children,
-            } => Some(Frame {
-                threshold: *threshold,
-                children,
-                next: 0,
-                below: 0,
+    if gate_count + leaf_count > MAX_NODES {
+        return Err(Fault {
+            path: Vec::new(),
+            kind: FaultKind::Quorum(QuorumError::InvalidConstruction {
+                reason: format!("composition exceeds {MAX_NODES} circuit nodes"),
             }),
-            CompositionNode::Leaf(_) => None,
-        }
+        });
     }
+    let universe = universe.unwrap_or(max_leaf + 1);
+
     let mut circuit = Composition {
         n: universe,
         gates: Vec::with_capacity(gate_count.max(1)),
         leaves: Vec::with_capacity(leaf_count),
         stack_height: 0,
         depth: 0,
-        read_once: false,
+        read_once: true,
         min_q: 0,
         max_q: 0,
         sizes_exact: false,
     };
-    // A bare leaf compiles to one pass-through 1-of-1 gate.
-    let mut frames = vec![frame(root).unwrap_or(Frame {
-        threshold: 1,
-        children: std::slice::from_ref(root),
-        next: 0,
-        below: 0,
-    })];
-    let mut height = 0usize;
+    // A leaf repeats when its bit is already set in a bitset over the
+    // universe, kept while the universe takes at most one word per leaf; a
+    // universe far larger than the circuit sorts a copy of the leaves.
+    let words = universe.div_ceil(64);
+    let mut seen = (words <= leaf_count).then(|| vec![0u64; words]);
+    // The (min, max) quorum sizes of compiled gates whose parent is still
+    // open: the tape's value stack, so its peak is the stack height.
+    let mut sizes: Vec<(usize, usize)> = Vec::new();
+    let mut frames = vec![match root.shape() {
+        Shape::Gate {
+            threshold,
+            children,
+        } => Frame::new(threshold, children),
+        // A bare leaf compiles to one pass-through 1-of-1 gate.
+        _ => Frame::new(1, std::slice::from_ref(root)),
+    }];
     while let Some(top) = frames.last_mut() {
         if let Some(child) = top.children.get(top.next) {
             top.next += 1;
-            frames.extend(frame(child));
+            if let Shape::Gate {
+                threshold,
+                children,
+            } = child.shape()
+            {
+                frames.push(Frame::new(threshold, children));
+            }
             continue;
         }
         let done = frames.pop().expect("the loop holds a frame");
         // The `as u32` casts cannot truncate: leaves are below the universe
-        // (at most 2³², checked by the caller) and counts below MAX_NODES.
+        // (at most 2³²) and counts below MAX_NODES.
         let leaf_start = circuit.leaves.len();
-        circuit
-            .leaves
-            .extend(done.children.iter().filter_map(|child| match child {
-                CompositionNode::Leaf(e) => Some(*e as u32),
-                CompositionNode::Gate { .. } => None,
-            }));
-        let gates = done.children.len() - (circuit.leaves.len() - leaf_start);
-        height = height + 1 - gates;
-        circuit.stack_height = circuit.stack_height.max(height);
+        for child in done.children {
+            if let Shape::Leaf(e) = child.shape() {
+                circuit.leaves.push(e as u32);
+                if let Some(seen) = &mut seen {
+                    let (word, bit) = (e / 64, 1u64 << (e % 64));
+                    circuit.read_once &= seen[word] & bit == 0;
+                    seen[word] |= bit;
+                }
+            }
+        }
+        let leaves = circuit.leaves.len() - leaf_start;
+        let gates = done.children.len() - leaves;
+        let base = sizes.len() - gates;
+        let size = gate_sizes(&mut sizes[base..], leaves, done.threshold);
+        sizes.truncate(base);
+        sizes.push(size);
+        circuit.stack_height = circuit.stack_height.max(sizes.len());
         circuit.gates.push(Gate {
             kind: Kind::of(done.threshold, done.children.len()),
             threshold: done.threshold as u32,
@@ -555,28 +626,66 @@ fn compile(universe: usize, root: &CompositionNode) -> Result<Composition, Quoru
     if gate_count == 0 {
         circuit.depth = 0;
     }
+    if seen.is_none() {
+        let mut sorted = circuit.leaves.clone();
+        sorted.sort_unstable();
+        circuit.read_once = sorted.windows(2).all(|pair| pair[0] != pair[1]);
+    }
+    (circuit.min_q, circuit.max_q) = sizes[0];
+    circuit.sizes_exact = circuit.read_once;
+    if !circuit.read_once && universe <= ENUM_LIMIT {
+        if let Some(quorums) = circuit.minimal_antichain(SIZE_DP_BUDGET) {
+            if let (Some(min), Some(max)) = (
+                quorums.iter().map(ElementSet::len).min(),
+                quorums.iter().map(ElementSet::len).max(),
+            ) {
+                circuit.min_q = min;
+                circuit.max_q = max;
+                circuit.sizes_exact = true;
+            }
+        }
+    }
     Ok(circuit)
 }
 
-/// Whether some element appears in two leaves, using no table larger than
-/// the leaves themselves: a bitset over the universe when it has at most
-/// one word per leaf, else a sorted copy of the leaves (a universe far
-/// larger than the circuit).
-fn has_repeated_leaf(leaves: &[u32], universe: usize) -> bool {
-    let words = universe.div_ceil(64);
-    if words <= leaves.len() {
-        let mut seen = vec![0u64; words];
-        leaves.iter().any(|&e| {
-            let (word, bit) = (e as usize / 64, 1u64 << (e % 64));
-            let repeat = seen[word] & bit != 0;
-            seen[word] |= bit;
-            repeat
-        })
-    } else {
-        let mut sorted = leaves.to_vec();
-        sorted.sort_unstable();
-        sorted.windows(2).any(|pair| pair[0] == pair[1])
+/// The disjoint-children DP at one gate of threshold `k`: min is the sum of
+/// the `k` smallest child minima, max the sum of the `k` largest child
+/// maxima. `gates` holds the (min, max) of the gate children and is
+/// reordered; each of the `leaves` leaf children counts as (1, 1). A
+/// constant-true gate (k = 0) sums nothing: the empty quorum.
+fn gate_sizes(gates: &mut [(usize, usize)], leaves: usize, k: usize) -> (usize, usize) {
+    gates.sort_unstable_by_key(|&(min, _)| min);
+    let min = first_k_sum(gates.iter().map(|&(min, _)| min), leaves, k, |v| v <= 1);
+    gates.sort_unstable_by_key(|&(_, max)| std::cmp::Reverse(max));
+    let max = first_k_sum(gates.iter().map(|&(_, max)| max), leaves, k, |v| v >= 1);
+    (min, max)
+}
+
+/// The sum of the first `k` values of `sorted` merged with `ones` values of
+/// 1, where a sorted value `v` goes ahead of the ones while `ahead(v)`
+/// holds (`ahead` flips once along `sorted`). Takes O(`sorted`) steps, not
+/// O(`k`): a 256-leaf line gate sums its ones at once.
+fn first_k_sum(
+    sorted: impl Iterator<Item = usize>,
+    mut ones: usize,
+    mut k: usize,
+    ahead: impl Fn(usize) -> bool,
+) -> usize {
+    let mut sum = 0;
+    for v in sorted {
+        if !ahead(v) {
+            let taken = ones.min(k);
+            (sum, k, ones) = (sum + taken, k - taken, 0);
+        }
+        if k == 0 {
+            return sum;
+        }
+        sum += v;
+        k -= 1;
     }
+    // Only ones are left, and at least `k` of them: `k` is at most the
+    // child count.
+    sum + k
 }
 
 /// Inserts `cand` into the antichain `acc`: skipped when an existing set is

@@ -20,10 +20,9 @@ use std::sync::Arc;
 
 use quorum_core::{DynQuorumSystem, ElementId, Organizations, QuorumError, QuorumSystem};
 
-use crate::composition::MAX_UNIVERSE;
+use crate::composition::{compile, CircuitNode, Fault, FaultKind, Shape};
 use crate::{
-    too_large, Composition, CompositionNode, CrumblingWalls, Grid, Hqs, Majority, TreeQuorum,
-    Wheel, MAX_ELEMENTS,
+    too_large, Composition, CrumblingWalls, Grid, Hqs, Majority, TreeQuorum, Wheel, MAX_ELEMENTS,
 };
 
 /// A declarative description of a quorum system: the paper's named families,
@@ -169,6 +168,25 @@ impl SpecError {
                 reason: err.to_string(),
             },
         )
+    }
+
+    /// The error for what the compiler refused in the `Compose` gate at
+    /// `path`.
+    fn compiling(path: &[usize], fault: Fault) -> Self {
+        let at = [path, &fault.path].concat();
+        let kind = match fault.kind {
+            FaultKind::Quorum(err) => return Self::invalid(&at, err),
+            FaultKind::EmptyGate => SpecErrorKind::EmptyChildren,
+            FaultKind::ThresholdExceedsChildren {
+                threshold,
+                children,
+            } => SpecErrorKind::ThresholdExceedsChildren {
+                threshold,
+                children,
+            },
+            FaultKind::Neither => SpecErrorKind::FamilyInsideCompose,
+        };
+        Self::at(&at, kind)
     }
 
     fn parse(offset: usize, reason: impl Into<String>) -> Self {
@@ -396,13 +414,9 @@ impl SystemSpec {
             SystemSpec::Grid { rows, cols } => Grid::new(*rows, *cols)
                 .map(BuiltSystem::Grid)
                 .map_err(|e| SpecError::invalid(path, e)),
-            SystemSpec::Compose { .. } => {
-                let mut max_leaf = 0;
-                let node = self.compose_node(path, &mut max_leaf)?;
-                Composition::new(max_leaf + 1, node)
-                    .map(BuiltSystem::Composition)
-                    .map_err(|e| SpecError::invalid(path, e))
-            }
+            SystemSpec::Compose { .. } => compile(self, None)
+                .map(BuiltSystem::Composition)
+                .map_err(|fault| SpecError::compiling(path, fault)),
             SystemSpec::Orgs { groups, inner } => {
                 path.push(0);
                 let built = inner.build_at(path)?;
@@ -410,58 +424,6 @@ impl SystemSpec {
                 organizations_over(built.universe_size(), groups, path)?;
                 Ok(built)
             }
-        }
-    }
-
-    /// Lowers a `Compose` subtree into a [`CompositionNode`], tracking the
-    /// largest leaf index.
-    fn compose_node(
-        &self,
-        path: &mut Vec<usize>,
-        max_leaf: &mut ElementId,
-    ) -> Result<CompositionNode, SpecError> {
-        match self {
-            SystemSpec::Leaf(e) => {
-                // The universe is the largest leaf plus one: a leaf at or past
-                // the composition limit would overflow it or alias a `u32`
-                // element id.
-                if *e as u64 >= MAX_UNIVERSE {
-                    return Err(SpecError::invalid(
-                        path,
-                        QuorumError::ElementOutOfRange {
-                            element: *e,
-                            universe: MAX_UNIVERSE as usize,
-                        },
-                    ));
-                }
-                *max_leaf = (*max_leaf).max(*e);
-                Ok(CompositionNode::Leaf(*e))
-            }
-            SystemSpec::Compose {
-                threshold,
-                children,
-            } => {
-                if children.is_empty() {
-                    return Err(SpecError::at(path, SpecErrorKind::EmptyChildren));
-                }
-                if *threshold > children.len() {
-                    return Err(SpecError::at(
-                        path,
-                        SpecErrorKind::ThresholdExceedsChildren {
-                            threshold: *threshold,
-                            children: children.len(),
-                        },
-                    ));
-                }
-                let mut nodes = Vec::with_capacity(children.len());
-                for (i, child) in children.iter().enumerate() {
-                    path.push(i);
-                    nodes.push(child.compose_node(path, max_leaf)?);
-                    path.pop();
-                }
-                Ok(CompositionNode::gate(*threshold, nodes))
-            }
-            _ => Err(SpecError::at(path, SpecErrorKind::FamilyInsideCompose)),
         }
     }
 
@@ -614,6 +576,24 @@ impl SystemSpec {
     }
 }
 
+/// A `Compose` gate's leaves and gates are the circuit's; any other spec
+/// under a gate is refused as a family.
+impl CircuitNode for SystemSpec {
+    fn shape(&self) -> Shape<'_, Self> {
+        match self {
+            SystemSpec::Leaf(e) => Shape::Leaf(*e),
+            SystemSpec::Compose {
+                threshold,
+                children,
+            } => Shape::Gate {
+                threshold: *threshold,
+                children,
+            },
+            _ => Shape::Neither,
+        }
+    }
+}
+
 impl fmt::Display for SystemSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -676,9 +656,11 @@ impl FromStr for SystemSpec {
 }
 
 /// How deep gates and `orgs(...)` wrappers may nest in the text form. The
-/// parser, the lowering to a [`CompositionNode`] and the drop of a spec all
-/// recurse once per level; at this depth all three fit a 2 MiB thread stack
-/// with room to spare, even in an unoptimised build.
+/// parser recurses once per level, and so do a spec's `Drop`, `Clone`,
+/// `Display` and equality, and `build` through `orgs(...)` wrappers; at this
+/// depth they fit a 2 MiB thread stack with room to spare, even in an
+/// unoptimised build. Lowering the gates to the gate tape keeps its own
+/// stacks, so it does not bound the depth.
 const MAX_NESTING: usize = 256;
 
 /// Hand-rolled recursive-descent parser for the compact text form.
@@ -834,6 +816,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CompositionNode;
     use proptest::prelude::*;
     use quorum_core::{Coloring, ElementSet};
     use rand::rngs::StdRng;
@@ -1259,5 +1242,217 @@ mod tests {
             .organizations()
             .unwrap()
             .is_none());
+    }
+
+    /// The same circuit as a [`CompositionNode`] tree, node for node.
+    fn as_node(spec: &SystemSpec) -> CompositionNode {
+        match spec {
+            SystemSpec::Leaf(e) => CompositionNode::leaf(*e),
+            SystemSpec::Compose {
+                threshold,
+                children,
+            } => CompositionNode::gate(*threshold, children.iter().map(as_node).collect()),
+            other => panic!("{other} is not a circuit"),
+        }
+    }
+
+    fn largest_leaf(spec: &SystemSpec) -> usize {
+        match spec {
+            SystemSpec::Leaf(e) => *e,
+            SystemSpec::Compose { children, .. } => {
+                children.iter().map(largest_leaf).max().unwrap_or(0)
+            }
+            other => panic!("{other} is not a circuit"),
+        }
+    }
+
+    /// `build` on a `Compose` spec, bare or under `orgs`, compiles the tape
+    /// that `Composition::new` compiles from the spec's node tree over the
+    /// universe the spec infers.
+    fn assert_lowers_as_its_node_tree(spec: &SystemSpec) {
+        let circuit = match spec {
+            SystemSpec::Orgs { inner, .. } => inner,
+            circuit => circuit,
+        };
+        let Ok(BuiltSystem::Composition(built)) = spec.build_concrete() else {
+            panic!("{spec} builds a composition");
+        };
+        let universe = largest_leaf(circuit) + 1;
+        let compiled = Composition::new(universe, as_node(circuit)).unwrap();
+        assert_eq!(built, compiled, "{spec}");
+    }
+
+    #[test]
+    fn compose_specs_lower_as_their_node_trees() {
+        for spec in [
+            SystemSpec::majority_as_compose(5),
+            SystemSpec::majority_as_compose(101),
+            SystemSpec::tree_as_compose(3),
+            SystemSpec::tree_as_compose(8),
+            SystemSpec::hqs_as_compose(2),
+            SystemSpec::hqs_as_compose(5),
+            SystemSpec::grid_as_compose(3, 4),
+            SystemSpec::grid_as_compose(16, 16),
+            SystemSpec::org_majority(3, 5),
+            SystemSpec::org_majority(15, 17),
+        ] {
+            assert_lowers_as_its_node_tree(&spec);
+        }
+        // Chains, constant gates, repeated leaves, and universes sparse
+        // enough that the repeated-leaf check sorts instead of marking.
+        for text in [
+            "1(1(1(0)))",
+            "0(0,1)",
+            "2(0,0)",
+            "2(1(0),2(0,1))",
+            "1(4294967295)",
+            "1(4294967295,0,4294967295)",
+        ] {
+            assert_lowers_as_its_node_tree(&SystemSpec::parse(text).unwrap());
+        }
+    }
+
+    /// A random circuit: gates of one to four children with thresholds
+    /// from 0 to their child count over leaves below `span`, so that small
+    /// spans repeat leaves and one-child gates chain.
+    fn random_circuit(rng: &mut StdRng, depth: usize, span: usize) -> SystemSpec {
+        let m = rng.gen_range(1..=4usize);
+        let children = (0..m)
+            .map(|_| {
+                if depth > 0 && rng.gen_range(0..3u32) == 0 {
+                    random_circuit(rng, depth - 1, span)
+                } else {
+                    SystemSpec::Leaf(rng.gen_range(0..span))
+                }
+            })
+            .collect();
+        SystemSpec::Compose {
+            threshold: rng.gen_range(0..=m),
+            children,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn random_circuits_lower_as_their_node_trees(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let span = [2, 9, 24, 100, 1 << 20][rng.gen_range(0..5usize)];
+            assert_lowers_as_its_node_tree(&random_circuit(&mut rng, 4, span));
+        }
+    }
+
+    /// Invalid circuits fail at the first offending node in depth-first
+    /// order, each gate checked before its children, with its path and
+    /// kind.
+    #[test]
+    fn invalid_circuits_keep_their_paths_and_kinds() {
+        let gate = |threshold, children| SystemSpec::Compose {
+            threshold,
+            children,
+        };
+        let out_of_range = |element: &str| SpecErrorKind::Invalid {
+            reason: format!("element {element} out of range for universe of size 4294967296"),
+        };
+        let exceeds = |threshold, children| SpecErrorKind::ThresholdExceedsChildren {
+            threshold,
+            children,
+        };
+        let cases = [
+            (gate(1, vec![]), vec![], SpecErrorKind::EmptyChildren),
+            (
+                gate(1, vec![SystemSpec::Leaf(0), gate(0, vec![])]),
+                vec![1],
+                SpecErrorKind::EmptyChildren,
+            ),
+            (
+                SystemSpec::Leaf(0),
+                vec![],
+                SpecErrorKind::LeafOutsideCompose,
+            ),
+        ];
+        for (spec, path, kind) in cases {
+            let err = spec.build_concrete().unwrap_err();
+            assert_eq!((err.path, err.kind), (path, kind), "{spec:?}");
+        }
+        let cases = [
+            ("3(0,1)", vec![], exceeds(3, 2)),
+            ("3(maj(3),1)", vec![], exceeds(3, 2)),
+            ("2(2(0),maj(3))", vec![0], exceeds(2, 1)),
+            (
+                "1(1(0),1(1,1(2,2(3,4,5(6)))))",
+                vec![1, 1, 1, 2],
+                exceeds(5, 1),
+            ),
+            ("1(grid(2,2))", vec![0], SpecErrorKind::FamilyInsideCompose),
+            (
+                "1(0,2(1,maj(3)))",
+                vec![1, 1],
+                SpecErrorKind::FamilyInsideCompose,
+            ),
+            (
+                "1(0,orgs([0];1(0)))",
+                vec![1],
+                SpecErrorKind::FamilyInsideCompose,
+            ),
+            (
+                "orgs([0];1(0,1(2,maj(3))))",
+                vec![0, 1, 1],
+                SpecErrorKind::FamilyInsideCompose,
+            ),
+            ("2(0,4294967296)", vec![1], out_of_range("4294967296")),
+            (
+                "1(18446744073709551615)",
+                vec![0],
+                out_of_range("18446744073709551615"),
+            ),
+            (
+                "1(1(1(4294967296)),3(0))",
+                vec![0, 0, 0],
+                out_of_range("4294967296"),
+            ),
+        ];
+        for (text, path, kind) in cases {
+            let err = SystemSpec::parse(text).unwrap_err();
+            assert_eq!((err.path, err.kind), (path, kind), "{text}");
+        }
+    }
+
+    /// The lowering keeps its own stacks: a 10 000-level gate chain builds on
+    /// a 64 KiB stack. Dropping the spec recurses once per level, so the
+    /// chain lives on a thread with a large stack.
+    #[test]
+    fn lowering_does_not_recurse_per_level() {
+        const LEVELS: usize = 10_000;
+        std::thread::Builder::new()
+            .stack_size(256 << 20)
+            .spawn(|| {
+                let mut spec = SystemSpec::Leaf(1);
+                for _ in 0..LEVELS {
+                    spec = SystemSpec::Compose {
+                        threshold: 1,
+                        children: vec![spec],
+                    };
+                }
+                let built = std::thread::scope(|scope| {
+                    std::thread::Builder::new()
+                        .stack_size(64 << 10)
+                        .spawn_scoped(scope, || spec.build_concrete())
+                        .unwrap()
+                        .join()
+                        .unwrap()
+                });
+                let Ok(BuiltSystem::Composition(chain)) = built else {
+                    panic!("the chain builds a composition");
+                };
+                assert_eq!(chain.universe_size(), 2);
+                assert_eq!((chain.gate_count(), chain.depth()), (LEVELS, LEVELS));
+                assert!(chain.contains_quorum(&ElementSet::singleton(2, 1)));
+                drop(spec);
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }
