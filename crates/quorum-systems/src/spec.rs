@@ -1332,6 +1332,60 @@ mod tests {
         }
     }
 
+    /// FNV-1a of `bytes`, continuing from `hash`.
+    fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(hash, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The digest of [`compose_specs_build_as_pinned`]'s circuits.
+    const PINNED_CIRCUITS: u64 = 0xe14e_adfb_d376_3ae2;
+
+    /// `build_concrete` on the `Compose` twins of the families, on
+    /// org-majorities, on chains, constant gates and repeated leaves in
+    /// dense and sparse universes, and on 20 000 seeded random circuits,
+    /// folded as `Debug` text into one digest: the whole compiled tape
+    /// (kinds, thresholds, leaf ranges, stack height, depth, quorum sizes
+    /// and their exactness) of every circuit, as it stood when a
+    /// `CompositionNode` tree and a spec still compiled through one
+    /// compiler and were checked against each other.
+    #[test]
+    fn compose_specs_build_as_pinned() {
+        let mut specs = vec![
+            SystemSpec::majority_as_compose(5),
+            SystemSpec::majority_as_compose(101),
+            SystemSpec::tree_as_compose(3),
+            SystemSpec::tree_as_compose(8),
+            SystemSpec::hqs_as_compose(2),
+            SystemSpec::hqs_as_compose(5),
+            SystemSpec::grid_as_compose(3, 4),
+            SystemSpec::grid_as_compose(16, 16),
+            SystemSpec::org_majority(3, 5),
+            SystemSpec::org_majority(15, 17),
+        ];
+        specs.extend([9, 40, 100, 1000].map(SystemSpec::org_majority_with_size_hint));
+        for text in [
+            "1(1(1(0)))",
+            "0(0,1)",
+            "2(0,0)",
+            "2(1(0),2(0,1))",
+            "1(1048575)",
+            "1(1048575,0,1048575)",
+        ] {
+            specs.push(SystemSpec::parse(text).unwrap());
+        }
+        let mut rng = StdRng::seed_from_u64(28);
+        for _ in 0..20_000 {
+            let span = [2, 9, 24, 100, 1 << 20][rng.gen_range(0..5usize)];
+            specs.push(random_circuit(&mut rng, 4, span));
+        }
+        let digest = specs.iter().fold(0xcbf2_9ce4_8422_2325, |hash, spec| {
+            fnv1a(hash, format!("{:?}", spec.build_concrete()).as_bytes())
+        });
+        assert_eq!(digest, PINNED_CIRCUITS, "digest {digest:#018x}");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2_000))]
 
