@@ -193,15 +193,6 @@ fn spec_system(spec: SystemSpec) -> DynSystem {
     erase_spec(&spec).unwrap_or_else(|e| panic!("bench specs are valid by construction: {e}"))
 }
 
-/// [`spec_system`] for sized sweeps: picks the family's parameters from a
-/// size hint through [`SystemSpec::family_with_size_hint`], the same path
-/// the system registry uses.
-fn build_spec_family(family: &str, size_hint: usize) -> DynSystem {
-    let spec = SystemSpec::family_with_size_hint(family, size_hint)
-        .unwrap_or_else(|| panic!("{family} is not a spec family"));
-    spec_system(spec)
-}
-
 /// Fits a power law through the `(universe size, mean probes)` points of a
 /// consecutive slice of engine cells (a sweep).
 fn fit_cells(cells: &[CellReport]) -> PowerLawFit {
@@ -1130,8 +1121,9 @@ pub fn churn(config: &ReproConfig) -> Table {
 /// * the **equivalence table** (`family, n, regime, fail, repair, steps,
 ///   flips, verdict_changes, outage_frac, agree`) — every step of a churn
 ///   timeline evaluated both incrementally (the family's [`DeltaEvaluator`])
-///   and from scratch, on all six catalogue families under a slow and a fast
-///   regime. The `agree` flag is "1" iff every verdict matched.
+///   and from scratch, on every family of [`SystemSpec::FAMILIES`] under a
+///   slow and a fast regime. The `agree` flag is "1" iff every verdict
+///   matched.
 /// * the **throughput table** (`family, n, path, steps, wall_ms,
 ///   steps_per_s, speedup, peak_rss_mib`) — delta-vs-scratch steps/second
 ///   over a pre-materialized window at steady-state low churn
@@ -1155,7 +1147,12 @@ fn churn_delta_over(config: &ReproConfig, walk_steps: usize) -> (Table, Table) {
     const SPEEDUP_BLOCKS: usize = 8;
 
     let base_seed = config.section_seed("churn-delta");
-    let families = catalogue();
+    // Every family, in `FAMILIES` order: each one's seeds derive from its
+    // index there.
+    let family_at = |family, hint| {
+        let spec = SystemSpec::family_with_size_hint(family, hint).expect("a spec family");
+        spec.build().expect("family specs are valid at every hint")
+    };
 
     // Equivalence: every step checked both ways, all families, two regimes.
     let steps = config.trials.clamp(64, 2_048);
@@ -1172,8 +1169,8 @@ fn churn_delta_over(config: &ReproConfig, walk_steps: usize) -> (Table, Table) {
         "outage_frac",
         "agree",
     ]);
-    for (family_index, entry) in families.iter().enumerate() {
-        let system = (entry.build)(128);
+    for (family_index, family) in SystemSpec::FAMILIES.into_iter().enumerate() {
+        let system = family_at(family, 128);
         let n = system.universe_size();
         for (regime_index, &(regime, fail, repair)) in regimes.iter().enumerate() {
             let seed = base_seed ^ ((family_index * regimes.len() + regime_index) as u64 + 1);
@@ -1203,7 +1200,7 @@ fn churn_delta_over(config: &ReproConfig, walk_steps: usize) -> (Table, Table) {
                 previous = Some(incremental);
             }
             equivalence.add_row(vec![
-                entry.family.into(),
+                family.into(),
                 n.to_string(),
                 regime.into(),
                 fmt(fail),
@@ -1234,8 +1231,8 @@ fn churn_delta_over(config: &ReproConfig, walk_steps: usize) -> (Table, Table) {
         "speedup",
         "peak_rss_mib",
     ]);
-    for (family_index, entry) in families.iter().enumerate() {
-        let system = (entry.build)(4_096);
+    for (family_index, family) in SystemSpec::FAMILIES.into_iter().enumerate() {
+        let system = family_at(family, 4_096);
         let n = system.universe_size();
         let seed = base_seed ^ 0x5eed ^ (family_index as u64 + 1);
         let trajectory = ChurnTrajectory::generate(n, fail, repair, window_steps, seed);
@@ -1280,7 +1277,7 @@ fn churn_delta_over(config: &ReproConfig, walk_steps: usize) -> (Table, Table) {
             ("delta", delta_wall, delta_rate, Some(speedup)),
         ] {
             rates.add_row(vec![
-                entry.family.into(),
+                family.into(),
                 n.to_string(),
                 path.into(),
                 timed_steps.to_string(),
@@ -1294,11 +1291,7 @@ fn churn_delta_over(config: &ReproConfig, walk_steps: usize) -> (Table, Table) {
 
     // The streaming walk: a long horizon at constant memory, delta-evaluated
     // end to end. The trajectory stores only its baseline + one cursor.
-    let grid = families
-        .iter()
-        .find(|entry| entry.family == "Grid")
-        .expect("Grid is in the catalogue");
-    let system = (grid.build)(4_096);
+    let system = family_at("Grid", 4_096);
     let n = system.universe_size();
     let trajectory = ChurnTrajectory::generate(n, fail, repair, walk_steps, base_seed ^ 0xa1c);
     let mut evaluator = delta_evaluator_for(&system);
@@ -1318,7 +1311,7 @@ fn churn_delta_over(config: &ReproConfig, walk_steps: usize) -> (Table, Table) {
     let walk_wall = started.elapsed();
     black_box(verdicts);
     rates.add_row(vec![
-        grid.family.into(),
+        "Grid".into(),
         n.to_string(),
         "stream-walk".into(),
         walk_steps.to_string(),
@@ -1377,7 +1370,7 @@ pub fn scenario_matrix(config: &ReproConfig) -> Table {
     let systems: Vec<DynSystem> = systems_registry
         .entries()
         .iter()
-        .map(|entry| (entry.build)(30))
+        .map(|entry| entry.build(30))
         .collect();
     let strategies: Vec<probequorum::sim::eval::DynProbeStrategy> = strategies_registry
         .entries()
@@ -2118,25 +2111,18 @@ pub fn throughput(config: &ReproConfig) -> Table {
         "trials_per_sec",
         "speedup_vs_scalar",
     ]);
+    let systems = SystemRegistry::paper();
     for hint in [64usize, 256, 1024] {
-        let entries: Vec<(&str, DynSystem, probequorum::sim::eval::DynProbeStrategy)> = vec![
+        let entries: [(&str, probequorum::sim::eval::DynProbeStrategy); 3] = [
             (
                 "Grid",
-                build_spec_family("Grid", hint),
                 probequorum::sim::eval::universal_strategy(SequentialScan::new()),
             ),
-            (
-                "Maj",
-                build_spec_family("Maj", hint),
-                typed_strategy::<Majority, _>(ProbeMaj::new()),
-            ),
-            (
-                "Tree",
-                build_spec_family("Tree", hint),
-                typed_strategy::<TreeQuorum, _>(ProbeTree::new()),
-            ),
+            ("Maj", typed_strategy::<Majority, _>(ProbeMaj::new())),
+            ("Tree", typed_strategy::<TreeQuorum, _>(ProbeTree::new())),
         ];
-        for (family, system, strategy) in entries {
+        for (family, strategy) in entries {
+            let system = systems.build(family, hint).expect("a registry family");
             let n = system.universe_size();
 
             let mut plan = EvalPlan::new(config.section_seed("throughput")).trials(probe_trials);

@@ -10,7 +10,8 @@
 //! * [`core`] — universes, element sets, colorings, witnesses, coteries and
 //!   the [`core::QuorumSystem`] trait (`quorum-core`);
 //! * [`systems`] — Majority, Wheel, Crumbling Walls / Triang, Tree, HQS and
-//!   Grid constructions (`quorum-systems`);
+//!   Grid constructions, `Compose` circuits and the `SystemSpec`
+//!   construction API (`quorum-systems`);
 //! * [`probe`] — probe oracles, the paper's probing algorithms, decision
 //!   trees, exact solvers and Yao lower bounds (`quorum-probe`);
 //! * [`analysis`] — availability, the technical lemmas, statistics, power-law
@@ -92,10 +93,16 @@ pub mod prelude {
         NetScenario, Table, WorkloadCell, WorkloadOutcome, WorkloadStrategy,
     };
     pub use quorum_systems::{
-        catalogue, BuiltSystem, Composition, CompositionNode, CrumblingWalls, Grid, Hqs, Majority,
-        SpecError, SpecErrorKind, SystemSpec, TreeQuorum, Wheel,
+        BuiltSystem, Composition, CrumblingWalls, Grid, Hqs, Majority, SpecError, SpecErrorKind,
+        SystemSpec, TreeQuorum, Wheel,
     };
 }
+
+/// The README's code blocks, compiled (and, unless marked `no_run`, run)
+/// as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;
 
 #[cfg(test)]
 mod tests {

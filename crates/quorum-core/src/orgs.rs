@@ -35,14 +35,15 @@ use crate::ElementId;
 pub struct Organizations {
     universe: usize,
     groups: Vec<Vec<ElementId>>,
-    /// `group_of[e]` is the organization owning element `e`, or
-    /// [`INDEPENDENT`] when none does: 4 bytes per element.
+    /// `group_of[e]` is one plus the index of the organization owning
+    /// element `e`, or [`INDEPENDENT`] when none does: 4 bytes per element,
+    /// allocated zeroed, so a large universe with few members touches only
+    /// the pages that hold members.
     group_of: Vec<u32>,
 }
 
-/// The owner-table entry of an element no organization claims; organization
-/// indices stay below it.
-const INDEPENDENT: u32 = u32::MAX;
+/// The owner-table entry of an element no organization claims.
+const INDEPENDENT: u32 = 0;
 
 impl Organizations {
     /// Builds an organization structure over `universe` elements.
@@ -54,12 +55,12 @@ impl Organizations {
     ///   element appears in more than one group (or twice in one group), or
     ///   there are `u32::MAX` groups or more.
     pub fn new(universe: usize, groups: Vec<Vec<ElementId>>) -> Result<Self, QuorumError> {
-        if groups.len() >= INDEPENDENT as usize {
+        if groups.len() >= u32::MAX as usize {
             return Err(QuorumError::InvalidConstruction {
                 reason: format!(
                     "{} organizations exceed the limit of {}",
                     groups.len(),
-                    INDEPENDENT - 1
+                    u32::MAX - 1
                 ),
             });
         }
@@ -77,15 +78,15 @@ impl Organizations {
                         universe,
                     });
                 }
-                let prev = group_of[e];
-                if prev != INDEPENDENT {
+                if group_of[e] != INDEPENDENT {
+                    let prev = group_of[e] - 1;
                     return Err(QuorumError::InvalidConstruction {
                         reason: format!(
                             "element {e} belongs to both organization {prev} and organization {g}"
                         ),
                     });
                 }
-                group_of[e] = g as u32;
+                group_of[e] = g as u32 + 1;
             }
         }
         Ok(Self {
@@ -140,7 +141,7 @@ impl Organizations {
         self.group_of
             .get(e)
             .filter(|&&g| g != INDEPENDENT)
-            .map(|&g| g as usize)
+            .map(|&g| g as usize - 1)
     }
 
     /// Members of organization `g` (panics when `g` is out of range).

@@ -21,31 +21,25 @@ use quorum_systems::{CrumblingWalls, Hqs, Majority, SystemSpec, TreeQuorum};
 use super::dynsys::{erase_spec, typed_strategy, universal_strategy, DynProbeStrategy, DynSystem};
 use super::plan::ColoringSource;
 
-/// Builds a registry family through [`SystemSpec::family_with_size_hint`]
-/// and erases the concrete result, so every registry system comes from the
-/// same construction path as user-written specs while typed strategies keep
-/// downcasting.
-fn build_family(family: &str, size_hint: usize) -> DynSystem {
-    let spec = SystemSpec::family_with_size_hint(family, size_hint)
-        .unwrap_or_else(|| panic!("{family} is not a spec family"));
-    erase_spec(&spec).unwrap_or_else(|e| panic!("{family} spec invalid for hint {size_hint}: {e}"))
-}
-
 /// A named system family, buildable from an approximate universe size.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct SystemEntry {
-    /// Family name, e.g. `"Maj"`.
+    /// Family name, one of [`SystemSpec::FAMILIES`].
     pub family: &'static str,
-    /// Builds an instance with roughly `size_hint` elements (rounded to
-    /// whatever the family supports).
-    pub build: fn(usize) -> DynSystem,
 }
 
-impl std::fmt::Debug for SystemEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SystemEntry")
-            .field("family", &self.family)
-            .finish()
+impl SystemEntry {
+    /// Builds an instance with roughly `size_hint` elements (rounded to
+    /// whatever the family supports) through
+    /// [`SystemSpec::family_with_size_hint`] and [`erase_spec`], so every
+    /// registry system comes from the same construction path as
+    /// user-written specs while typed strategies keep downcasting.
+    pub fn build(&self, size_hint: usize) -> DynSystem {
+        let family = self.family;
+        let spec = SystemSpec::family_with_size_hint(family, size_hint)
+            .unwrap_or_else(|| panic!("{family} is not a spec family"));
+        erase_spec(&spec)
+            .unwrap_or_else(|e| panic!("{family} spec invalid for hint {size_hint}: {e}"))
     }
 }
 
@@ -56,9 +50,10 @@ pub struct SystemRegistry {
 }
 
 impl SystemRegistry {
-    /// The families studied by the paper (Maj, Wheel, Triang, Tree, HQS)
-    /// plus the Grid baseline and the recursive Compose family (an
-    /// organization-aligned majority-of-majorities).
+    /// Every family of [`SystemSpec::FAMILIES`], in its order: the families
+    /// studied by the paper (Maj, Wheel, Triang, Tree, HQS) plus the Grid
+    /// baseline and the recursive Compose family (an organization-aligned
+    /// majority-of-majorities).
     ///
     /// Every entry is built through [`SystemSpec::family_with_size_hint`] +
     /// [`erase_spec`], so the registry exercises the same construction API
@@ -66,36 +61,10 @@ impl SystemRegistry {
     /// thin wrappers for direct use.
     pub fn paper() -> Self {
         SystemRegistry {
-            entries: vec![
-                SystemEntry {
-                    family: "Maj",
-                    build: |hint| build_family("Maj", hint),
-                },
-                SystemEntry {
-                    family: "Wheel",
-                    build: |hint| build_family("Wheel", hint),
-                },
-                SystemEntry {
-                    family: "Triang",
-                    build: |hint| build_family("Triang", hint),
-                },
-                SystemEntry {
-                    family: "Tree",
-                    build: |hint| build_family("Tree", hint),
-                },
-                SystemEntry {
-                    family: "HQS",
-                    build: |hint| build_family("HQS", hint),
-                },
-                SystemEntry {
-                    family: "Grid",
-                    build: |hint| build_family("Grid", hint),
-                },
-                SystemEntry {
-                    family: "Compose",
-                    build: |hint| build_family("Compose", hint),
-                },
-            ],
+            entries: SystemSpec::FAMILIES
+                .into_iter()
+                .map(|family| SystemEntry { family })
+                .collect(),
         }
     }
 
@@ -111,7 +80,7 @@ impl SystemRegistry {
 
     /// Builds an instance of `family` with roughly `size_hint` elements.
     pub fn build(&self, family: &str, size_hint: usize) -> Option<DynSystem> {
-        self.get(family).map(|e| (e.build)(size_hint))
+        self.get(family).map(|e| e.build(size_hint))
     }
 }
 
@@ -306,7 +275,7 @@ impl StrategyRegistry {
     ) -> Vec<(DynSystem, DynProbeStrategy)> {
         let mut pairs = Vec::new();
         for system_entry in systems.entries() {
-            let system = (system_entry.build)(size_hint);
+            let system = system_entry.build(size_hint);
             for strategy_entry in self.entries() {
                 let strategy = (strategy_entry.build)();
                 if strategy.supports(system.as_ref()) {
@@ -446,31 +415,43 @@ fn zone_count_for(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quorum_systems::{Composition, Grid, Wheel};
     use rand::SeedableRng;
 
     use super::super::engine::TrialRng;
 
-    /// The registry and `quorum_systems::catalogue()` are two views of the
-    /// same family inventory; layering prevents sharing code (the catalogue's
-    /// type-erased builders cannot produce downcastable [`DynSystem`]s), so
-    /// this test pins them together instead.
+    /// The registry is [`SystemSpec::FAMILIES`], in order: every name
+    /// resolves through [`SystemSpec::family_with_size_hint`], an unknown
+    /// one does not, and every family's build keeps its concrete type.
     #[test]
-    fn registry_agrees_with_the_systems_catalogue() {
+    fn registry_families_are_the_spec_families() {
         let registry = SystemRegistry::paper();
-        let catalogue = quorum_systems::catalogue();
-        let registry_families: Vec<&str> = registry.entries().iter().map(|e| e.family).collect();
-        let catalogue_families: Vec<&str> = catalogue.iter().map(|e| e.family).collect();
-        assert_eq!(
-            registry_families, catalogue_families,
-            "family inventories diverged"
-        );
-        for (reg, cat) in registry.entries().iter().zip(&catalogue) {
+        let families: Vec<&str> = registry.entries().iter().map(|e| e.family).collect();
+        assert_eq!(families, SystemSpec::FAMILIES);
+        assert!(SystemSpec::family_with_size_hint("NoSuchFamily", 10).is_none());
+        let concrete: [fn(&dyn std::any::Any) -> bool; 7] = [
+            |s| s.is::<Majority>(),
+            |s| s.is::<Wheel>(),
+            |s| s.is::<CrumblingWalls>(),
+            |s| s.is::<TreeQuorum>(),
+            |s| s.is::<Hqs>(),
+            |s| s.is::<Grid>(),
+            |s| s.is::<Composition>(),
+        ];
+        for (entry, is_concrete) in registry.entries().iter().zip(concrete) {
             for hint in [3, 10, 30, 100] {
+                let spec = SystemSpec::family_with_size_hint(entry.family, hint).unwrap();
+                let system = entry.build(hint);
+                assert!(
+                    is_concrete(system.as_ref().as_any()),
+                    "{} at hint {hint} lost its concrete type",
+                    entry.family
+                );
                 assert_eq!(
-                    (reg.build)(hint).universe_size(),
-                    (cat.build)(hint).universe_size(),
-                    "{} builds different sizes for hint {hint}",
-                    reg.family
+                    system.universe_size(),
+                    spec.build().unwrap().universe_size(),
+                    "{} at hint {hint}",
+                    entry.family
                 );
             }
         }
@@ -481,7 +462,7 @@ mod tests {
         let registry = SystemRegistry::paper();
         assert_eq!(registry.entries().len(), 7);
         for entry in registry.entries() {
-            let system = (entry.build)(20);
+            let system = entry.build(20);
             assert!(system.universe_size() >= 3, "{} too small", entry.family);
         }
         assert!(registry.build("Maj", 10).is_some());
@@ -506,7 +487,7 @@ mod tests {
             .expect("registered")
             .as_ref()
             .as_any()
-            .is::<quorum_systems::Composition>());
+            .is::<Composition>());
         let probe_maj = StrategyRegistry::paper().build("Probe_Maj").unwrap();
         assert!(probe_maj.supports(maj.as_ref()));
     }
@@ -530,7 +511,7 @@ mod tests {
             assert_eq!(strategy.name(), name);
             // Generic strategies: compatible with every family.
             for entry in SystemRegistry::paper().entries() {
-                let system = (entry.build)(12);
+                let system = entry.build(12);
                 assert!(
                     strategy.supports(system.as_ref()),
                     "{name} vs {}",

@@ -8,70 +8,32 @@
 //! the paper's recursive constructions — Tree, HQS and Grid are all
 //! expressible as compositions (see `SystemSpec::{tree_as_compose,
 //! hqs_as_compose, grid_as_compose}`), and Majority is the one-gate case.
+//! A composition is described as a [`SystemSpec::Compose`] tree over
+//! [`SystemSpec::Leaf`]s, and [`SystemSpec::build`] compiles it.
 
 use std::cell::RefCell;
 use std::vec::Drain;
 
 use quorum_core::lanes::{count_at_least_lanes, majority3_lanes, Lanes};
-use quorum_core::{
-    Coloring, ColoringDelta, DeltaEvaluator, ElementId, ElementSet, QuorumError, QuorumSystem,
-};
+use quorum_core::{Coloring, ColoringDelta, DeltaEvaluator, ElementSet, QuorumError, QuorumSystem};
 
-use crate::dispatch_lane_block;
+use crate::{dispatch_lane_block, SpecError, SpecErrorKind, SystemSpec, MAX_ELEMENTS};
 
 /// Hard cap on circuit size (leaves plus gates), matching the other
 /// families' representability guards.
 const MAX_NODES: usize = 1 << 26;
-
-/// Largest universe a composition may span: element ids are stored as
-/// `u32`.
-pub(crate) const MAX_UNIVERSE: u64 = 1 << 32;
 
 /// Largest universe for which [`Composition::enumerate_quorums`] runs the
 /// exact antichain circuit DP (same limit as the trait's brute-force
 /// default).
 const ENUM_LIMIT: usize = 24;
 
-/// Work budget of the antichain DP that [`Composition::new`] runs to make a
+/// Work budget of the antichain DP that [`compile`] runs to make a
 /// non-read-once composition's quorum sizes exact, in candidate unions
 /// formed. Each union is also checked against the antichain it joins, so a
 /// build spends at most about `budget²/2` subset tests there (tens of
 /// milliseconds).
 const SIZE_DP_BUDGET: usize = 1 << 14;
-
-/// Recursive builder input for [`Composition`]: a leaf names one universe
-/// element, a gate requires `threshold` of its children.
-///
-/// Thresholds of `0` (a constant-true gate) and single-child gates are
-/// legal — degenerate compositions evaluate and enumerate canonically
-/// rather than being rejected.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum CompositionNode {
-    /// One universe element; satisfied when the element is green.
-    Leaf(ElementId),
-    /// Satisfied when at least `threshold` of `children` are.
-    Gate {
-        /// How many children must be satisfied.
-        threshold: usize,
-        /// The child sub-compositions (at least one).
-        children: Vec<CompositionNode>,
-    },
-}
-
-impl CompositionNode {
-    /// Convenience constructor for a threshold gate.
-    pub fn gate(threshold: usize, children: Vec<CompositionNode>) -> Self {
-        CompositionNode::Gate {
-            threshold,
-            children,
-        }
-    }
-
-    /// Convenience constructor for a leaf.
-    pub fn leaf(element: ElementId) -> Self {
-        CompositionNode::Leaf(element)
-    }
-}
 
 /// How a gate combines its children, fixed at compile time from its
 /// threshold `k` and child count `m`.
@@ -115,9 +77,8 @@ struct Gate {
 
 /// A recursive threshold composition implementing [`QuorumSystem`].
 ///
-/// [`Composition::new`] compiles the node tree into one post-order gate
-/// tape, and `SystemSpec::build` compiles a `Compose` spec into the same
-/// tape in place, with no node tree in between. Each gate records its kind
+/// [`SystemSpec::build`] compiles a `Compose` spec into one post-order gate
+/// tape, in place, with no other tree in between. Each gate records its kind
 /// (constant, AND, OR, 2-of-3 or `k`-of-`m`, fixed from its threshold and
 /// child count), its threshold, how many of its children are gates, and a
 /// range of leaf element ids. Every evaluator is one iterative sweep over
@@ -149,14 +110,14 @@ struct Gate {
 ///
 /// ```
 /// use quorum_core::{ElementSet, QuorumSystem};
-/// use quorum_systems::{Composition, CompositionNode};
+/// use quorum_systems::{BuiltSystem, SystemSpec};
 ///
 /// // 2-of-3 over {0,1,2}: the 3-majority as a one-gate composition.
-/// let maj = Composition::new(
-///     3,
-///     CompositionNode::gate(2, (0..3).map(CompositionNode::leaf).collect()),
-/// )
-/// .unwrap();
+/// let spec = SystemSpec::parse("2(0,1,2)").unwrap();
+/// let Ok(BuiltSystem::Composition(maj)) = spec.build_concrete() else {
+///     unreachable!("a gate over leaves builds a composition")
+/// };
+/// assert_eq!((maj.gate_count(), maj.leaf_count(), maj.depth()), (1, 3, 1));
 /// assert!(maj.contains_quorum(&ElementSet::from_iter(3, [0, 2])));
 /// assert!(!maj.contains_quorum(&ElementSet::from_iter(3, [1])));
 /// assert_eq!(maj.min_quorum_size(), 2);
@@ -165,7 +126,7 @@ struct Gate {
 pub struct Composition {
     n: usize,
     /// The gates in post-order: every gate after its gate children, the
-    /// root last. A bare-leaf root compiles to one pass-through gate.
+    /// root last.
     gates: Vec<Gate>,
     /// Leaf element ids; each gate's leaf children are contiguous.
     leaves: Vec<u32>,
@@ -185,56 +146,9 @@ thread_local! {
 }
 
 impl Composition {
-    /// Builds a composition over `universe` elements from a recursive node
-    /// description.
-    ///
-    /// # Errors
-    ///
-    /// * [`QuorumError::ElementOutOfRange`] when a leaf names an element
-    ///   `>= universe`.
-    /// * [`QuorumError::UniverseTooLarge`] when `universe` exceeds 2³²
-    ///   elements.
-    /// * [`QuorumError::InvalidConstruction`] when the universe is empty, a
-    ///   gate has no children, a threshold exceeds its child count, or the
-    ///   circuit exceeds the representability cap.
-    pub fn new(universe: usize, root: CompositionNode) -> Result<Self, QuorumError> {
-        if universe == 0 {
-            return Err(QuorumError::InvalidConstruction {
-                reason: "a composition needs a non-empty universe".into(),
-            });
-        }
-        if universe as u64 > MAX_UNIVERSE {
-            return Err(QuorumError::UniverseTooLarge {
-                actual: universe,
-                limit: MAX_UNIVERSE as usize,
-            });
-        }
-        compile(&root, Some(universe)).map_err(|fault| match fault.kind {
-            FaultKind::Quorum(err) => err,
-            FaultKind::EmptyGate => QuorumError::InvalidConstruction {
-                reason: "composition gate has no children".into(),
-            },
-            FaultKind::ThresholdExceedsChildren {
-                threshold,
-                children,
-            } => QuorumError::InvalidConstruction {
-                reason: format!(
-                    "composition gate threshold {threshold} exceeds its {children} children"
-                ),
-            },
-            FaultKind::Neither => unreachable!("a composition node is a leaf or a gate"),
-        })
-    }
-
     /// Number of threshold gates in the circuit.
     pub fn gate_count(&self) -> usize {
-        // Depth 0 is a bare leaf, whose pass-through gate is not in the
-        // source tree.
-        if self.depth == 0 {
-            0
-        } else {
-            self.gates.len()
-        }
+        self.gates.len()
     }
 
     /// Number of leaves in the circuit (counting repeats).
@@ -242,7 +156,7 @@ impl Composition {
         self.leaves.len()
     }
 
-    /// Gate depth of the circuit (a bare leaf has depth 0).
+    /// Gate depth of the circuit (one for a single gate over leaves).
     pub fn depth(&self) -> usize {
         self.depth
     }
@@ -409,71 +323,18 @@ impl Composition {
     }
 }
 
-/// How the compiler sees one node of the tree it lowers.
-pub(crate) enum Shape<'a, N> {
-    /// One universe element.
-    Leaf(ElementId),
-    /// A threshold gate over `children`.
-    Gate { threshold: usize, children: &'a [N] },
-    /// A node no circuit holds, such as a named family under a spec gate.
-    Neither,
-}
-
-/// A tree that [`compile`] lowers to the gate tape. Both
-/// [`CompositionNode`] and [`SystemSpec`](crate::SystemSpec) are one, so a
-/// `Compose` spec compiles in place, without an intermediate node tree.
-pub(crate) trait CircuitNode: Sized {
-    /// What this node is to the circuit.
-    fn shape(&self) -> Shape<'_, Self>;
-}
-
-impl CircuitNode for CompositionNode {
-    fn shape(&self) -> Shape<'_, Self> {
-        match self {
-            CompositionNode::Leaf(e) => Shape::Leaf(*e),
-            CompositionNode::Gate {
-                threshold,
-                children,
-            } => Shape::Gate {
-                threshold: *threshold,
-                children,
-            },
-        }
-    }
-}
-
-/// Why [`compile`] refused a tree, at the path of child indices from the
-/// root to the offending node.
-pub(crate) struct Fault {
-    pub(crate) path: Vec<usize>,
-    pub(crate) kind: FaultKind,
-}
-
-/// What [`compile`] refused.
-pub(crate) enum FaultKind {
-    /// A leaf at or past the universe, or (at the root) a circuit of more
-    /// than [`MAX_NODES`] nodes.
-    Quorum(QuorumError),
-    /// A gate without children.
-    EmptyGate,
-    /// A gate whose threshold exceeds its child count.
-    ThresholdExceedsChildren { threshold: usize, children: usize },
-    /// A node that is neither a leaf nor a gate.
-    Neither,
-}
-
 /// A gate whose children are being compiled.
-struct Frame<'a, N> {
+struct Frame<'a> {
     threshold: usize,
-    children: &'a [N],
+    children: &'a [SystemSpec],
     /// Children visited so far.
     next: usize,
     /// Depth of the deepest gate child compiled so far.
     below: usize,
 }
 
-impl<'a, N> Frame<'a, N> {
-    fn new(threshold: usize, children: &'a [N]) -> Self {
+impl<'a> Frame<'a> {
+    fn new(threshold: usize, children: &'a [SystemSpec]) -> Self {
         Frame {
             threshold,
             children,
@@ -483,24 +344,45 @@ impl<'a, N> Frame<'a, N> {
     }
 }
 
-/// Compiles a tree into the post-order gate tape over `universe` elements,
-/// or over the largest leaf plus one when `universe` is `None` (leaves
-/// must then be below 2³²). Both passes keep their own stack, so deep
-/// trees compile without recursion.
+/// Why a gate of `threshold` over `children` cannot be compiled, if it
+/// cannot.
+fn gate_fault(threshold: usize, children: &[SystemSpec]) -> Option<SpecErrorKind> {
+    if children.is_empty() {
+        Some(SpecErrorKind::EmptyChildren)
+    } else if threshold > children.len() {
+        Some(SpecErrorKind::ThresholdExceedsChildren {
+            threshold,
+            children: children.len(),
+        })
+    } else {
+        None
+    }
+}
+
+/// Compiles the `Compose` gate of `threshold` over `children`, found at
+/// `path` in its spec, into the post-order gate tape over the largest leaf
+/// plus one elements. Leaves must be below [`MAX_ELEMENTS`], the cap every
+/// named family keeps. Both passes keep their own stack, so deep trees
+/// compile without recursion.
 ///
 /// The first pass validates every node in depth-first order, each gate
-/// before its children, and counts the gates and leaves; a circuit past
-/// [`MAX_NODES`] is refused once the whole tree has been checked. The
-/// second pass writes the tape into pre-sized arrays and, as it emits each
-/// gate, runs the quorum-size DP and the repeated-leaf check.
-pub(crate) fn compile<N: CircuitNode>(
-    root: &N,
-    universe: Option<usize>,
-) -> Result<Composition, Fault> {
-    let bound = universe.map_or(MAX_UNIVERSE, |n| n as u64);
-    let (mut gate_count, mut leaf_count, mut max_leaf) = (0usize, 0usize, 0);
+/// before its children, and counts the gates and leaves; a refused node's
+/// error carries `path` and then the child indices down to the node. A
+/// circuit past [`MAX_NODES`] is refused at `path` once the whole tree has
+/// been checked. The second pass writes the tape into pre-sized arrays and,
+/// as it emits each gate, runs the quorum-size DP and the repeated-leaf
+/// check.
+pub(crate) fn compile(
+    threshold: usize,
+    children: &[SystemSpec],
+    path: &[usize],
+) -> Result<Composition, SpecError> {
+    if let Some(kind) = gate_fault(threshold, children) {
+        return Err(SpecError::at(path, kind));
+    }
+    let (mut gate_count, mut leaf_count, mut max_leaf) = (1usize, 0usize, 0);
     // Each open gate's children, and how many of them have been visited.
-    let mut open = vec![(std::slice::from_ref(root), 0usize)];
+    let mut open = vec![(children, 0usize)];
     while let Some(top) = open.last_mut() {
         let (siblings, index) = *top;
         let Some(node) = siblings.get(index) else {
@@ -508,51 +390,51 @@ pub(crate) fn compile<N: CircuitNode>(
             continue;
         };
         top.1 += 1;
-        let kind = match node.shape() {
-            Shape::Leaf(e) if e as u64 >= bound => {
-                FaultKind::Quorum(QuorumError::ElementOutOfRange {
-                    element: e,
-                    universe: bound as usize,
-                })
+        let kind = match *node {
+            SystemSpec::Leaf(element) if element >= MAX_ELEMENTS => {
+                let err = QuorumError::ElementOutOfRange {
+                    element,
+                    universe: MAX_ELEMENTS,
+                };
+                SpecErrorKind::Invalid {
+                    reason: err.to_string(),
+                }
             }
-            Shape::Leaf(e) => {
+            SystemSpec::Leaf(element) => {
                 leaf_count += 1;
-                max_leaf = max_leaf.max(e);
+                max_leaf = max_leaf.max(element);
                 continue;
             }
-            Shape::Gate { children: [], .. } => FaultKind::EmptyGate,
-            Shape::Gate {
+            SystemSpec::Compose {
                 threshold,
-                children,
-            } if threshold > children.len() => FaultKind::ThresholdExceedsChildren {
-                threshold,
-                children: children.len(),
+                ref children,
+            } => match gate_fault(threshold, children) {
+                Some(kind) => kind,
+                None => {
+                    gate_count += 1;
+                    open.push((children, 0));
+                    continue;
+                }
             },
-            Shape::Gate { children, .. } => {
-                gate_count += 1;
-                open.push((children, 0));
-                continue;
-            }
-            Shape::Neither => FaultKind::Neither,
+            _ => SpecErrorKind::FamilyInsideCompose,
         };
-        // The last-visited child of every open gate below the root's own
-        // slot: the path to `node`.
-        let path = open[1..].iter().map(|&(_, visited)| visited - 1).collect();
-        return Err(Fault { path, kind });
+        // `path`, then the last-visited child of every open gate: the path
+        // to `node`.
+        let below = open.iter().map(|&(_, visited)| visited - 1);
+        let path = path.iter().copied().chain(below).collect();
+        return Err(SpecError { path, kind });
     }
     if gate_count + leaf_count > MAX_NODES {
-        return Err(Fault {
-            path: Vec::new(),
-            kind: FaultKind::Quorum(QuorumError::InvalidConstruction {
-                reason: format!("composition exceeds {MAX_NODES} circuit nodes"),
-            }),
-        });
+        let err = QuorumError::InvalidConstruction {
+            reason: format!("composition exceeds {MAX_NODES} circuit nodes"),
+        };
+        return Err(SpecError::invalid(path, err));
     }
-    let universe = universe.unwrap_or(max_leaf + 1);
+    let universe = max_leaf + 1;
 
     let mut circuit = Composition {
         n: universe,
-        gates: Vec::with_capacity(gate_count.max(1)),
+        gates: Vec::with_capacity(gate_count),
         leaves: Vec::with_capacity(leaf_count),
         stack_height: 0,
         depth: 0,
@@ -569,32 +451,25 @@ pub(crate) fn compile<N: CircuitNode>(
     // The (min, max) quorum sizes of compiled gates whose parent is still
     // open: the tape's value stack, so its peak is the stack height.
     let mut sizes: Vec<(usize, usize)> = Vec::new();
-    let mut frames = vec![match root.shape() {
-        Shape::Gate {
-            threshold,
-            children,
-        } => Frame::new(threshold, children),
-        // A bare leaf compiles to one pass-through 1-of-1 gate.
-        _ => Frame::new(1, std::slice::from_ref(root)),
-    }];
+    let mut frames = vec![Frame::new(threshold, children)];
     while let Some(top) = frames.last_mut() {
         if let Some(child) = top.children.get(top.next) {
             top.next += 1;
-            if let Shape::Gate {
+            if let SystemSpec::Compose {
                 threshold,
                 children,
-            } = child.shape()
+            } = child
             {
-                frames.push(Frame::new(threshold, children));
+                frames.push(Frame::new(*threshold, children));
             }
             continue;
         }
         let done = frames.pop().expect("the loop holds a frame");
-        // The `as u32` casts cannot truncate: leaves are below the universe
-        // (at most 2³²) and counts below MAX_NODES.
+        // The `as u32` casts cannot truncate: leaves are below MAX_ELEMENTS
+        // and counts below MAX_NODES.
         let leaf_start = circuit.leaves.len();
         for child in done.children {
-            if let Shape::Leaf(e) = child.shape() {
+            if let &SystemSpec::Leaf(e) = child {
                 circuit.leaves.push(e as u32);
                 if let Some(seen) = &mut seen {
                     let (word, bit) = (e / 64, 1u64 << (e % 64));
@@ -622,9 +497,6 @@ pub(crate) fn compile<N: CircuitNode>(
             Some(parent) => parent.below = parent.below.max(depth),
             None => circuit.depth = depth,
         }
-    }
-    if gate_count == 0 {
-        circuit.depth = 0;
     }
     if seen.is_none() {
         let mut sorted = circuit.leaves.clone();
@@ -939,15 +811,29 @@ impl QuorumSystem for Composition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BuiltSystem;
     use quorum_core::lanes::LANE_WIDTHS;
 
-    fn maj3() -> Composition {
-        Composition::new(
-            3,
-            CompositionNode::gate(2, (0..3).map(CompositionNode::leaf).collect()),
-        )
-        .unwrap()
+    /// The composition `spec` builds.
+    fn built(spec: &SystemSpec) -> Composition {
+        match spec.build_concrete() {
+            Ok(BuiltSystem::Composition(circuit)) => circuit,
+            other => panic!("{spec} built {other:?}"),
+        }
     }
+
+    /// The composition the text form `text` builds.
+    fn parsed(text: &str) -> Composition {
+        built(&SystemSpec::parse(text).unwrap())
+    }
+
+    fn maj3() -> Composition {
+        parsed("2(0,1,2)")
+    }
+
+    /// The 2×2 grid: (1-of-rows of all-of-row) AND (1-of-cols of
+    /// all-of-col), every element in two leaves.
+    const GRID_2X2: &str = "2(1(2(0,1),2(2,3)),1(2(0,2),2(1,3)))";
 
     /// Deterministic splitmix64 for test colorings.
     fn mix(mut x: u64) -> u64 {
@@ -957,72 +843,50 @@ mod tests {
         x ^ (x >> 31)
     }
 
+    /// What `compile` refuses, at the gate's own path: an empty gate, a
+    /// threshold past the child count, and a leaf at the element cap; the
+    /// largest leaf below the cap builds a universe of exactly the cap.
     #[test]
     fn construction_validation() {
-        assert!(matches!(
-            Composition::new(3, CompositionNode::leaf(3)),
-            Err(QuorumError::ElementOutOfRange {
-                element: 3,
-                universe: 3
-            })
+        let gate = |threshold, children| SystemSpec::Compose {
+            threshold,
+            children,
+        };
+        let refused = |spec: SystemSpec| spec.build_concrete().unwrap_err();
+        let err = refused(gate(0, vec![]));
+        assert_eq!((err.path, err.kind), (vec![], SpecErrorKind::EmptyChildren));
+        let err = refused(gate(3, vec![SystemSpec::Leaf(0)]));
+        let exceeds = SpecErrorKind::ThresholdExceedsChildren {
+            threshold: 3,
+            children: 1,
+        };
+        assert_eq!((err.path, err.kind), (vec![], exceeds));
+        let err = refused(gate(
+            1,
+            vec![SystemSpec::Leaf(0), SystemSpec::Leaf(MAX_ELEMENTS)],
         ));
-        assert!(matches!(
-            Composition::new(3, CompositionNode::gate(0, vec![])),
-            Err(QuorumError::InvalidConstruction { .. })
-        ));
-        assert!(matches!(
-            Composition::new(3, CompositionNode::gate(3, vec![CompositionNode::leaf(0)])),
-            Err(QuorumError::InvalidConstruction { .. })
-        ));
-        assert!(matches!(
-            Composition::new(0, CompositionNode::leaf(0)),
-            Err(QuorumError::InvalidConstruction { .. })
-        ));
-        // Element ids are u32: the universe may span at most 2³² elements.
-        assert!(matches!(
-            Composition::new((1 << 32) + 1, CompositionNode::leaf(0)),
-            Err(QuorumError::UniverseTooLarge { .. })
-        ));
-        let widest = Composition::new(1 << 32, CompositionNode::leaf(u32::MAX as usize)).unwrap();
-        assert_eq!(widest.universe_size(), 1 << 32);
+        let out_of_range = SpecErrorKind::Invalid {
+            reason: format!(
+                "element {MAX_ELEMENTS} out of range for universe of size {MAX_ELEMENTS}"
+            ),
+        };
+        assert_eq!((err.path, err.kind), (vec![1], out_of_range));
+        let widest = built(&gate(1, vec![SystemSpec::Leaf(MAX_ELEMENTS - 1)]));
+        assert_eq!(widest.universe_size(), MAX_ELEMENTS);
     }
 
     #[test]
     fn repeated_leaves_are_found_in_dense_and_sparse_universes() {
-        let pair = |a, b| {
-            CompositionNode::gate(1, vec![CompositionNode::leaf(a), CompositionNode::leaf(b)])
-        };
-        // A small universe takes the bitset, a far larger one the sorted
-        // copy of the leaves.
-        for universe in [8, 1 << 20] {
-            assert!(Composition::new(universe, pair(5, 6))
-                .unwrap()
-                .is_read_once());
-            assert!(!Composition::new(universe, pair(5, 5))
-                .unwrap()
-                .is_read_once());
+        // A small universe takes the bitset, a far larger one (its largest
+        // leaf 2²⁰ − 1) the sorted copy of the leaves.
+        for far in ["7", "1048575"] {
+            assert!(parsed(&format!("1(5,6,{far})")).is_read_once(), "{far}");
+            assert!(!parsed(&format!("1(5,5,{far})")).is_read_once(), "{far}");
+            assert!(
+                !parsed(&format!("1({far},2(5,{far}))")).is_read_once(),
+                "{far}"
+            );
         }
-    }
-
-    #[test]
-    fn bare_leaf_is_a_gateless_circuit() {
-        let c = Composition::new(3, CompositionNode::leaf(1)).unwrap();
-        assert_eq!((c.gate_count(), c.leaf_count(), c.depth()), (0, 1, 0));
-        assert_eq!((c.min_quorum_size(), c.max_quorum_size()), (1, 1));
-        assert_eq!(c.name(), "Compose(n=3,gates=0,depth=0)");
-        assert!(c.contains_quorum(&ElementSet::singleton(3, 1)));
-        assert!(!c.contains_quorum(&ElementSet::from_iter(3, [0, 2])));
-        assert_eq!(crate::lane_word(&c, &[1, 2, 3]), 2);
-        assert_eq!(
-            c.enumerate_quorums().unwrap(),
-            vec![ElementSet::singleton(3, 1)]
-        );
-        let mut evaluator = c.delta_evaluator().unwrap();
-        let green = Coloring::all_green(3);
-        assert!(evaluator.reset(&green));
-        let mut red = green.clone();
-        red.set_color(1, quorum_core::Color::Red);
-        assert!(!evaluator.update(&red, &green.diff(&red)));
     }
 
     #[test]
@@ -1030,8 +894,10 @@ mod tests {
         // 9-of-19 over 0..18 with element 0 twice: the exact antichain DP
         // forms ~8·10⁵ unions (seconds of work, ~11× more per two extra
         // elements); the budget stops it and keeps the DP bounds.
-        let children = (0..18).chain([0]).map(CompositionNode::leaf).collect();
-        let c = Composition::new(18, CompositionNode::gate(9, children)).unwrap();
+        let c = built(&SystemSpec::Compose {
+            threshold: 9,
+            children: (0..18).chain([0]).map(SystemSpec::Leaf).collect(),
+        });
         assert!(!c.is_read_once());
         assert!(!c.quorum_sizes_exact());
         assert_eq!((c.min_quorum_size(), c.max_quorum_size()), (9, 9));
@@ -1040,16 +906,19 @@ mod tests {
     #[test]
     fn deep_chains_evaluate_without_recursion() {
         const DEPTH: usize = 50_000;
-        // Building and dropping the nested node tree recurses; give that
-        // thread room. The compiled circuit is flat.
+        // Building and dropping the nested spec recurses; give that thread
+        // room. The compiled circuit is flat.
         let chain = std::thread::Builder::new()
             .stack_size(256 << 20)
             .spawn(|| {
-                let mut node = CompositionNode::leaf(1);
+                let mut spec = SystemSpec::Leaf(1);
                 for _ in 0..DEPTH {
-                    node = CompositionNode::gate(1, vec![node]);
+                    spec = SystemSpec::Compose {
+                        threshold: 1,
+                        children: vec![spec],
+                    };
                 }
-                Composition::new(2, node).unwrap()
+                built(&spec)
             })
             .unwrap()
             .join()
@@ -1085,6 +954,7 @@ mod tests {
         assert_eq!(c.gate_count(), 1);
         assert_eq!(c.leaf_count(), 3);
         assert_eq!(c.depth(), 1);
+        assert_eq!(c.name(), "Compose(n=3,gates=1,depth=1)");
         assert!(c.is_read_once());
         assert_eq!(c.min_quorum_size(), 2);
         assert_eq!(c.max_quorum_size(), 2);
@@ -1099,11 +969,7 @@ mod tests {
 
     #[test]
     fn degenerate_threshold_zero_is_constant_true() {
-        let c = Composition::new(
-            2,
-            CompositionNode::gate(0, vec![CompositionNode::leaf(0), CompositionNode::leaf(1)]),
-        )
-        .unwrap();
+        let c = parsed("0(0,1)");
         assert!(c.contains_quorum(&ElementSet::empty(2)));
         assert_eq!(c.min_quorum_size(), 0);
         assert_eq!(c.max_quorum_size(), 0);
@@ -1115,28 +981,27 @@ mod tests {
 
     #[test]
     fn degenerate_single_child_chain_acts_as_its_leaf() {
-        let chain = CompositionNode::gate(
-            1,
-            vec![CompositionNode::gate(1, vec![CompositionNode::leaf(1)])],
-        );
-        let c = Composition::new(3, chain).unwrap();
-        assert_eq!(c.depth(), 2);
-        assert!(c.contains_quorum(&ElementSet::singleton(3, 1)));
-        assert!(!c.contains_quorum(&ElementSet::from_iter(3, [0, 2])));
+        let c = parsed("1(1(1))");
+        assert_eq!((c.gate_count(), c.leaf_count(), c.depth()), (2, 1, 2));
+        assert!(c.contains_quorum(&ElementSet::singleton(2, 1)));
+        assert!(!c.contains_quorum(&ElementSet::singleton(2, 0)));
+        assert_eq!(crate::lane_word(&c, &[1, 2]), 2);
         let quorums = c.enumerate_quorums().unwrap();
-        assert_eq!(quorums, vec![ElementSet::singleton(3, 1)]);
+        assert_eq!(quorums, vec![ElementSet::singleton(2, 1)]);
         assert_eq!(c.min_quorum_size(), 1);
         assert_eq!(c.max_quorum_size(), 1);
+        let mut evaluator = c.delta_evaluator().unwrap();
+        let green = Coloring::all_green(2);
+        assert!(evaluator.reset(&green));
+        let mut red = green.clone();
+        red.set_color(1, quorum_core::Color::Red);
+        assert!(!evaluator.update(&red, &green.diff(&red)));
     }
 
     #[test]
     fn duplicate_leaves_collapse_to_a_minimal_antichain() {
         // 2-of-2 over the same element: just {0}.
-        let c = Composition::new(
-            1,
-            CompositionNode::gate(2, vec![CompositionNode::leaf(0), CompositionNode::leaf(0)]),
-        )
-        .unwrap();
+        let c = parsed("2(0,0)");
         assert!(!c.is_read_once());
         assert_eq!(
             c.enumerate_quorums().unwrap(),
@@ -1147,20 +1012,7 @@ mod tests {
         assert!(c.quorum_sizes_exact());
 
         // 1-of-2 over {0} and {0,1}: the branch needing both is dominated.
-        let c = Composition::new(
-            2,
-            CompositionNode::gate(
-                1,
-                vec![
-                    CompositionNode::gate(1, vec![CompositionNode::leaf(0)]),
-                    CompositionNode::gate(
-                        2,
-                        vec![CompositionNode::leaf(0), CompositionNode::leaf(1)],
-                    ),
-                ],
-            ),
-        )
-        .unwrap();
+        let c = parsed("1(1(0),2(0,1))");
         assert_eq!(
             c.enumerate_quorums().unwrap(),
             vec![ElementSet::singleton(2, 0)]
@@ -1169,26 +1021,12 @@ mod tests {
 
     #[test]
     fn grid_like_duplicates_get_exact_sizes() {
-        // 2x2 grid as a composition: (1-of-rows of all-of-row) AND
-        // (1-of-cols of all-of-col). Every element appears twice; a minimal
-        // quorum is a row plus a column sharing the crossing element.
-        let row = |a: usize, b: usize| {
-            CompositionNode::gate(2, vec![CompositionNode::leaf(a), CompositionNode::leaf(b)])
-        };
-        let c = Composition::new(
-            4,
-            CompositionNode::gate(
-                2,
-                vec![
-                    CompositionNode::gate(1, vec![row(0, 1), row(2, 3)]),
-                    CompositionNode::gate(1, vec![row(0, 2), row(1, 3)]),
-                ],
-            ),
-        )
-        .unwrap();
+        // A minimal quorum of the 2×2 grid is a row plus a column sharing
+        // the crossing element.
+        let c = parsed(GRID_2X2);
         assert!(!c.is_read_once());
         assert!(c.quorum_sizes_exact());
-        assert_eq!(c.min_quorum_size(), 3); // row + column share one element
+        assert_eq!(c.min_quorum_size(), 3);
         assert_eq!(c.max_quorum_size(), 3);
         let quorums = c.enumerate_quorums().unwrap();
         assert_eq!(quorums.len(), 4);
@@ -1199,14 +1037,7 @@ mod tests {
     #[test]
     fn nested_read_once_dp_is_exact() {
         // 2-of-3 over three disjoint 2-of-3 groups: min 4, max 4; n = 9.
-        let group = |base: usize| {
-            CompositionNode::gate(2, (base..base + 3).map(CompositionNode::leaf).collect())
-        };
-        let c = Composition::new(
-            9,
-            CompositionNode::gate(2, vec![group(0), group(3), group(6)]),
-        )
-        .unwrap();
+        let c = parsed("2(2(0,1,2),2(3,4,5),2(6,7,8))");
         assert!(c.is_read_once());
         assert_eq!(c.min_quorum_size(), 4);
         assert_eq!(c.max_quorum_size(), 4);
@@ -1218,14 +1049,7 @@ mod tests {
 
     #[test]
     fn lane_circuit_matches_scalar_on_random_colorings() {
-        let group = |base: usize| {
-            CompositionNode::gate(2, (base..base + 3).map(CompositionNode::leaf).collect())
-        };
-        let c = Composition::new(
-            9,
-            CompositionNode::gate(2, vec![group(0), group(3), group(6)]),
-        )
-        .unwrap();
+        let c = parsed("2(2(0,1,2),2(3,4,5),2(6,7,8))");
         let n = c.universe_size();
         let lanes: Vec<u64> = (0..n).map(|e| mix(e as u64 + 17)).collect();
         let verdicts = crate::lane_word(&c, &lanes);
@@ -1254,21 +1078,8 @@ mod tests {
 
     #[test]
     fn delta_evaluator_matches_scratch_under_random_flips() {
-        let row = |a: usize, b: usize| {
-            CompositionNode::gate(2, vec![CompositionNode::leaf(a), CompositionNode::leaf(b)])
-        };
         // Duplicate-leaf circuit to exercise multi-leaf propagation.
-        let c = Composition::new(
-            4,
-            CompositionNode::gate(
-                2,
-                vec![
-                    CompositionNode::gate(1, vec![row(0, 1), row(2, 3)]),
-                    CompositionNode::gate(1, vec![row(0, 2), row(1, 3)]),
-                ],
-            ),
-        )
-        .unwrap();
+        let c = parsed(GRID_2X2);
         let n = c.universe_size();
         let mut evaluator = c.delta_evaluator().expect("composition has a delta path");
         let mut coloring = Coloring::all_green(n);

@@ -196,7 +196,7 @@ impl CrumblingWalls {
 
     /// Creates the largest Triang system with at most `size_hint` elements,
     /// the hint clamped to `[3, 2²⁶]` (so at least 2 rows). Infallible
-    /// counterpart of [`CrumblingWalls::triang`] for catalogues and
+    /// counterpart of [`CrumblingWalls::triang`] for size-hinted sweeps and
     /// registries.
     pub fn triang_with_size_hint(size_hint: usize) -> Self {
         // Largest d with d(d+1)/2 <= the clamped hint.

@@ -144,7 +144,7 @@ impl Grid {
 
     /// Creates the largest square grid with at most `size_hint` elements,
     /// the hint clamped to `[4, 2²⁶]` (so the side is 2 to 2¹³).
-    /// Infallible counterpart of [`Grid::new`] for catalogues and
+    /// Infallible counterpart of [`Grid::new`] for size-hinted sweeps and
     /// registries.
     pub fn with_size_hint(size_hint: usize) -> Self {
         let side = (size_hint.clamp(4, MAX_ELEMENTS) as f64).sqrt().floor() as usize;

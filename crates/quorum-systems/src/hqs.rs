@@ -86,8 +86,8 @@ impl Hqs {
     }
 
     /// Creates the largest HQS with at most `max(size_hint, 3)` leaves.
-    /// Infallible counterpart of [`Hqs::with_at_most`] for catalogues and
-    /// registries.
+    /// Infallible counterpart of [`Hqs::with_at_most`] for size-hinted
+    /// sweeps and registries.
     pub fn with_size_hint(size_hint: usize) -> Self {
         Self::with_at_most(size_hint.max(3)).expect("hint >= 3 is always valid")
     }

@@ -24,6 +24,8 @@
 //! text-round-trippable description of any family or composition, with
 //! path-qualified validation errors ([`SpecError`]) and
 //! [`SystemSpec::build`] producing a shared [`quorum_core::DynQuorumSystem`].
+//! [`SystemSpec::FAMILIES`] names the families a sweep runs, and
+//! [`SystemSpec::family_with_size_hint`] sizes one of them from a hint.
 //!
 //! All constructions implement [`quorum_core::QuorumSystem`] through their
 //! monotone characteristic function, so evaluation stays polynomial even when
@@ -51,7 +53,7 @@ pub mod spec;
 pub mod tree;
 pub mod wheel;
 
-pub use composition::{Composition, CompositionNode};
+pub use composition::Composition;
 pub use crumbling_walls::CrumblingWalls;
 pub use grid::Grid;
 pub use hqs::Hqs;
@@ -60,13 +62,13 @@ pub use spec::{BuiltSystem, SpecError, SpecErrorKind, SystemSpec};
 pub use tree::TreeQuorum;
 pub use wheel::Wheel;
 
-use quorum_core::{DynQuorumSystem, QuorumError};
-use std::sync::Arc;
+use quorum_core::QuorumError;
 
-/// Largest universe the named families build: 2²⁶ elements. Every
-/// evaluator allocates per element, so Majority, Wheel, CrumblingWalls and
-/// Grid reject a larger universe (or one whose size overflows) before
-/// allocating anything; the height caps of Tree and HQS keep them under it.
+/// Largest universe any system builds: 2²⁶ elements. Every evaluator
+/// allocates per element, so Majority, Wheel, CrumblingWalls and Grid
+/// reject a larger universe (or one whose size overflows) before allocating
+/// anything, the height caps of Tree and HQS keep them under it, and a
+/// `Compose` spec refuses a leaf at or past it.
 pub(crate) const MAX_ELEMENTS: usize = 1 << 26;
 
 /// The [`QuorumError::InvalidConstruction`] for a universe past
@@ -115,141 +117,16 @@ pub(crate) fn lane_word<S: quorum_core::QuorumSystem + ?Sized>(system: &S, lanes
     word
 }
 
-/// A catalogue entry: a named family plus a constructor from a size hint.
-///
-/// Used by the benchmark harness to sweep heterogeneous families with a single
-/// loop.  `build(size_hint)` returns a system whose universe is *approximately*
-/// `size_hint` elements (rounded to whatever the family supports: odd sizes for
-/// Majority, `2^{h+1}−1` for Tree, `3^h` for HQS, triangular numbers for
-/// Triang).
-#[derive(Clone)]
-pub struct FamilyEntry {
-    /// Family name (e.g. `"Maj"`, `"Tree"`).
-    pub family: &'static str,
-    /// Constructor from an approximate universe size.
-    pub build: fn(usize) -> DynQuorumSystem,
-}
-
-impl std::fmt::Debug for FamilyEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FamilyEntry")
-            .field("family", &self.family)
-            .finish()
-    }
-}
-
-/// The catalogue of families studied in the paper (plus the Grid baseline).
-///
-/// # Examples
-///
-/// ```
-/// use quorum_systems::catalogue;
-/// for entry in catalogue() {
-///     let system = (entry.build)(30);
-///     assert!(system.universe_size() >= 3);
-/// }
-/// ```
-pub fn catalogue() -> Vec<FamilyEntry> {
-    vec![
-        FamilyEntry {
-            family: "Maj",
-            build: build_majority,
-        },
-        FamilyEntry {
-            family: "Wheel",
-            build: build_wheel,
-        },
-        FamilyEntry {
-            family: "Triang",
-            build: build_triang,
-        },
-        FamilyEntry {
-            family: "Tree",
-            build: build_tree,
-        },
-        FamilyEntry {
-            family: "HQS",
-            build: build_hqs,
-        },
-        FamilyEntry {
-            family: "Grid",
-            build: build_grid,
-        },
-        FamilyEntry {
-            family: "Compose",
-            build: build_compose,
-        },
-    ]
-}
-
-fn build_majority(size_hint: usize) -> DynQuorumSystem {
-    Arc::new(Majority::with_size_hint(size_hint))
-}
-
-fn build_wheel(size_hint: usize) -> DynQuorumSystem {
-    Arc::new(Wheel::with_size_hint(size_hint))
-}
-
-fn build_triang(size_hint: usize) -> DynQuorumSystem {
-    Arc::new(CrumblingWalls::triang_with_size_hint(size_hint))
-}
-
-fn build_tree(size_hint: usize) -> DynQuorumSystem {
-    Arc::new(TreeQuorum::with_size_hint(size_hint))
-}
-
-fn build_hqs(size_hint: usize) -> DynQuorumSystem {
-    Arc::new(Hqs::with_size_hint(size_hint))
-}
-
-fn build_grid(size_hint: usize) -> DynQuorumSystem {
-    Arc::new(Grid::with_size_hint(size_hint))
-}
-
-fn build_compose(size_hint: usize) -> DynQuorumSystem {
-    SystemSpec::org_majority_with_size_hint(size_hint)
-        .build()
-        .expect("the org-majority composition is always valid")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quorum_core::QuorumSystem;
+    use quorum_core::{DynQuorumSystem, QuorumSystem};
+    use std::sync::Arc;
 
-    #[test]
-    fn catalogue_builds_systems_of_roughly_requested_size() {
-        for entry in catalogue() {
-            for hint in [10, 30, 100] {
-                let system = (entry.build)(hint);
-                assert!(
-                    system.universe_size() >= 3,
-                    "{} produced a tiny system",
-                    entry.family
-                );
-                assert!(
-                    system.universe_size() <= 2 * hint + 3,
-                    "{} produced an oversized system for hint {hint}: {}",
-                    entry.family,
-                    system.universe_size()
-                );
-                assert!(!system.name().is_empty());
-            }
-        }
-    }
-
-    #[test]
-    fn catalogue_has_all_paper_families() {
-        let names: Vec<_> = catalogue().iter().map(|e| e.family).collect();
-        for expected in ["Maj", "Wheel", "Triang", "Tree", "HQS"] {
-            assert!(names.contains(&expected));
-        }
-    }
-
-    #[test]
-    fn family_entry_debug_is_informative() {
-        let entry = &catalogue()[0];
-        assert!(format!("{entry:?}").contains("Maj"));
+    /// The family named `family` at `hint`, built through its spec.
+    fn family_at(family: &str, hint: usize) -> DynQuorumSystem {
+        let spec = SystemSpec::family_with_size_hint(family, hint).unwrap();
+        spec.build().unwrap()
     }
 
     /// Every family's block evaluator must reproduce the single-word lane
@@ -268,9 +145,9 @@ mod tests {
             z ^ (z >> 31)
         };
 
-        for entry in catalogue() {
+        for family in SystemSpec::FAMILIES {
             for hint in [5usize, 40, 130] {
-                let system = (entry.build)(hint);
+                let system = family_at(family, hint);
                 let n = system.universe_size();
                 for &width in &LANE_WIDTHS {
                     let lanes: Vec<u64> = (0..n * width).map(|_| next()).collect();
@@ -278,7 +155,7 @@ mod tests {
                     assert!(
                         system.green_quorum_lane_block(&lanes, width, &mut out),
                         "{} rejected width {width}",
-                        entry.family
+                        family
                     );
                     for w in 0..width {
                         let word_lanes: Vec<u64> = (0..n).map(|e| lanes[e * width + w]).collect();
@@ -286,7 +163,7 @@ mod tests {
                             out[w],
                             crate::lane_word(&system, &word_lanes),
                             "{} n={n} width={width} word {w} diverged",
-                            entry.family
+                            family
                         );
                     }
                 }
@@ -313,14 +190,14 @@ mod tests {
             z ^ (z >> 31)
         };
 
-        for entry in catalogue() {
+        for family in SystemSpec::FAMILIES {
             for hint in [5usize, 16, 40, 70, 130] {
-                let system = (entry.build)(hint);
+                let system = family_at(family, hint);
                 let n = system.universe_size();
                 assert!(
                     system.delta_evaluator().is_some(),
                     "{} has no family delta evaluator",
-                    entry.family
+                    family
                 );
                 let mut eval = delta_evaluator_for(&system);
                 let mut current = Coloring::from_fn(n, |e| {
@@ -334,7 +211,7 @@ mod tests {
                     eval.reset(&current),
                     system.has_green_quorum(&current),
                     "{} n={n}: reset diverged",
-                    entry.family
+                    family
                 );
                 for step in 0..40 {
                     // Flip a small random batch of elements (sometimes none).
@@ -349,7 +226,7 @@ mod tests {
                         eval.update(&post, &delta),
                         system.has_green_quorum(&post),
                         "{} n={n} step {step} diverged from scratch",
-                        entry.family
+                        family
                     );
                     assert_eq!(eval.verdict(), system.has_green_quorum(&post));
                     current = post;
@@ -420,9 +297,9 @@ mod tests {
             z ^ (z >> 31)
         };
 
-        for entry in catalogue() {
+        for family in SystemSpec::FAMILIES {
             for hint in [5usize, 16, 40, 70, 130] {
-                let system = (entry.build)(hint);
+                let system = family_at(family, hint);
                 let n = system.universe_size();
                 for _ in 0..4 {
                     let lanes: Vec<u64> = (0..n).map(|_| next()).collect();
@@ -434,7 +311,7 @@ mod tests {
                             (lane_result >> t) & 1 == 1,
                             system.contains_quorum(&green),
                             "{} n={n} trial {t} diverged from the scalar evaluation",
-                            entry.family
+                            family
                         );
                     }
                 }

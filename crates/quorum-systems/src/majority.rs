@@ -98,8 +98,8 @@ impl Majority {
     /// from above: `size_hint` rounded up to an odd number, at least 3 and
     /// at most 2²⁶ − 1.
     ///
-    /// Infallible counterpart of [`Majority::new`] used by catalogues and
-    /// registries that sweep heterogeneous families from a single size knob.
+    /// Infallible counterpart of [`Majority::new`] used by sweeps and
+    /// registries over heterogeneous families from a single size knob.
     pub fn with_size_hint(size_hint: usize) -> Self {
         Majority::new(size_hint.clamp(3, MAX_ELEMENTS - 1) | 1)
             .expect("odd n in [3, 2^26) is always valid")

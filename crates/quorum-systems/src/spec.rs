@@ -20,10 +20,8 @@ use std::sync::Arc;
 
 use quorum_core::{DynQuorumSystem, ElementId, Organizations, QuorumError, QuorumSystem};
 
-use crate::composition::{compile, CircuitNode, Fault, FaultKind, Shape};
-use crate::{
-    too_large, Composition, CrumblingWalls, Grid, Hqs, Majority, TreeQuorum, Wheel, MAX_ELEMENTS,
-};
+use crate::composition::compile;
+use crate::{Composition, CrumblingWalls, Grid, Hqs, Majority, TreeQuorum, Wheel};
 
 /// A declarative description of a quorum system: the paper's named families,
 /// recursive threshold compositions (`Compose` over `Leaf`s), and an
@@ -91,7 +89,8 @@ pub enum SystemSpec {
     /// A threshold gate: satisfied when at least `threshold` children are.
     /// Children must be [`SystemSpec::Leaf`] or nested
     /// [`SystemSpec::Compose`] gates; the universe is inferred as the
-    /// largest leaf index plus one, and leaves must be below 2³².
+    /// largest leaf index plus one, and leaves must be below 2²⁶, the cap
+    /// every named family keeps.
     Compose {
         /// How many children must be satisfied.
         threshold: usize,
@@ -154,39 +153,20 @@ pub struct SpecError {
 }
 
 impl SpecError {
-    fn at(path: &[usize], kind: SpecErrorKind) -> Self {
+    pub(crate) fn at(path: &[usize], kind: SpecErrorKind) -> Self {
         SpecError {
             path: path.to_vec(),
             kind,
         }
     }
 
-    fn invalid(path: &[usize], err: QuorumError) -> Self {
+    pub(crate) fn invalid(path: &[usize], err: QuorumError) -> Self {
         Self::at(
             path,
             SpecErrorKind::Invalid {
                 reason: err.to_string(),
             },
         )
-    }
-
-    /// The error for what the compiler refused in the `Compose` gate at
-    /// `path`.
-    fn compiling(path: &[usize], fault: Fault) -> Self {
-        let at = [path, &fault.path].concat();
-        let kind = match fault.kind {
-            FaultKind::Quorum(err) => return Self::invalid(&at, err),
-            FaultKind::EmptyGate => SpecErrorKind::EmptyChildren,
-            FaultKind::ThresholdExceedsChildren {
-                threshold,
-                children,
-            } => SpecErrorKind::ThresholdExceedsChildren {
-                threshold,
-                children,
-            },
-            FaultKind::Neither => SpecErrorKind::FamilyInsideCompose,
-        };
-        Self::at(&at, kind)
     }
 
     fn parse(offset: usize, reason: impl Into<String>) -> Self {
@@ -201,22 +181,13 @@ impl SpecError {
 }
 
 /// The organization structure of `groups` over `universe` elements, or the
-/// error at `path`. [`Organizations`] keeps an owner entry per element, so a
-/// universe past [`MAX_ELEMENTS`] is refused before that table is allocated:
-/// a composition may span 2³² elements, which would ask for 32 GiB.
+/// error at `path`. Every system a spec builds spans at most 2²⁶ elements,
+/// so the owner table [`Organizations`] keeps per element stays bounded.
 fn organizations_over(
     universe: usize,
     groups: &[Vec<ElementId>],
     path: &[usize],
 ) -> Result<Organizations, SpecError> {
-    if universe > MAX_ELEMENTS {
-        return Err(SpecError::invalid(
-            path,
-            too_large(format_args!(
-                "an organization universe of {universe} elements"
-            )),
-        ));
-    }
     Organizations::new(universe, groups.to_vec()).map_err(|e| SpecError::invalid(path, e))
 }
 
@@ -414,9 +385,10 @@ impl SystemSpec {
             SystemSpec::Grid { rows, cols } => Grid::new(*rows, *cols)
                 .map(BuiltSystem::Grid)
                 .map_err(|e| SpecError::invalid(path, e)),
-            SystemSpec::Compose { .. } => compile(self, None)
-                .map(BuiltSystem::Composition)
-                .map_err(|fault| SpecError::compiling(path, fault)),
+            SystemSpec::Compose {
+                threshold,
+                children,
+            } => compile(*threshold, children, path).map(BuiltSystem::Composition),
             SystemSpec::Orgs { groups, inner } => {
                 path.push(0);
                 let built = inner.build_at(path)?;
@@ -503,7 +475,7 @@ impl SystemSpec {
     /// every organization and a majority gate across them, wrapped in the
     /// matching [`SystemSpec::Orgs`] structure. With odd parameters the
     /// composition is self-dual (a nondominated coterie), the FBAS-flavored
-    /// member of the catalogue.
+    /// member of [`SystemSpec::FAMILIES`].
     pub fn org_majority(group_count: usize, group_size: usize) -> SystemSpec {
         let inner = SystemSpec::Compose {
             threshold: group_count.div_ceil(2),
@@ -543,9 +515,18 @@ impl SystemSpec {
         SystemSpec::org_majority(g, m.max(3))
     }
 
-    /// The spec the registries use for a named catalogue family at a size
-    /// hint, mirroring each family's `with_size_hint` rounding. Returns
-    /// `None` for unknown family names.
+    /// The names [`SystemSpec::family_with_size_hint`] resolves, in table
+    /// order: the families the paper studies (Maj, Wheel, Triang, Tree,
+    /// HQS), the Grid baseline and the Compose family (an
+    /// organization-aligned majority-of-majorities,
+    /// [`SystemSpec::org_majority_with_size_hint`]). Every sweep over the
+    /// families, the system registry included, reads this list.
+    pub const FAMILIES: [&'static str; 7] =
+        ["Maj", "Wheel", "Triang", "Tree", "HQS", "Grid", "Compose"];
+
+    /// The spec of the family named `family` (one of
+    /// [`SystemSpec::FAMILIES`]) at a size hint, mirroring each family's
+    /// `with_size_hint` rounding. Returns `None` for unknown family names.
     pub fn family_with_size_hint(family: &str, size_hint: usize) -> Option<SystemSpec> {
         Some(match family {
             "Maj" => SystemSpec::Majority {
@@ -573,24 +554,6 @@ impl SystemSpec {
             "Compose" => SystemSpec::org_majority_with_size_hint(size_hint),
             _ => return None,
         })
-    }
-}
-
-/// A `Compose` gate's leaves and gates are the circuit's; any other spec
-/// under a gate is refused as a family.
-impl CircuitNode for SystemSpec {
-    fn shape(&self) -> Shape<'_, Self> {
-        match self {
-            SystemSpec::Leaf(e) => Shape::Leaf(*e),
-            SystemSpec::Compose {
-                threshold,
-                children,
-            } => Shape::Gate {
-                threshold: *threshold,
-                children,
-            },
-            _ => Shape::Neither,
-        }
     }
 }
 
@@ -816,7 +779,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CompositionNode;
+    use crate::MAX_ELEMENTS;
     use proptest::prelude::*;
     use quorum_core::{Coloring, ElementSet};
     use rand::rngs::StdRng;
@@ -878,10 +841,27 @@ mod tests {
         }
     }
 
-    /// An `orgs(...)` wrapper over a composition is held to the family cap:
-    /// its owner table costs 4 bytes per element, and a composition may span
-    /// 2³² elements. Both sites that build the table (`build` and
-    /// `organizations`) refuse before allocating.
+    /// A `Compose` leaf is held to the same 2²⁶ cap: a composition's
+    /// evaluators size tables by its universe (the delta evaluator's element
+    /// → gate offsets among them), so a leaf near 2³² would have
+    /// `delta_evaluator_for` ask for 16 GB.
+    #[test]
+    fn compose_leaves_are_held_to_the_element_cap() {
+        let err = SystemSpec::parse("1(0, 4000000000)").unwrap_err();
+        assert_eq!(err.path, vec![1]);
+        assert!(matches!(err.kind, SpecErrorKind::Invalid { .. }), "{err:?}");
+        let widest = SystemSpec::parse("1(67108863)").unwrap().build().unwrap();
+        assert_eq!(widest.universe_size(), 1 << 26);
+        let err = SystemSpec::parse("1(67108864)").unwrap_err();
+        assert_eq!(err.path, vec![0]);
+        assert!(matches!(err.kind, SpecErrorKind::Invalid { .. }), "{err:?}");
+    }
+
+    /// An `orgs(...)` wrapper's owner table costs 4 bytes per element, so
+    /// its inner universe is held to the family cap: a composition's leaves
+    /// are, so a leaf past it is refused at its own path, inside the
+    /// wrapper, by both sites that build the table (`build` and
+    /// `organizations`) before either allocates.
     #[test]
     fn org_universes_past_the_element_cap_are_refused() {
         let wrapped = |leaf: usize| SystemSpec::Orgs {
@@ -897,7 +877,7 @@ mod tests {
                 panic!("{err:?}")
             };
             assert!(
-                err.path.is_empty() && reason.contains("exceeds the limit"),
+                err.path == [0, 0] && reason.ends_with(&format!("universe of size {MAX_ELEMENTS}")),
                 "{err:?}"
             );
         };
@@ -920,9 +900,10 @@ mod tests {
         assert_eq!(orgs.group_count(), 1);
     }
 
-    /// Numbers a fuzzed spec draws: the family-cap and `u32` edges, values
-    /// past `u64`, and small values that make valid specs.
-    const FUZZ_NUMBERS: [&str; 12] = [
+    /// Numbers a fuzzed spec draws: small values that make valid specs (the
+    /// first eight), both sides of the element cap, the `u32` edge, and
+    /// values at and past `u64`.
+    const FUZZ_NUMBERS: [&str; 13] = [
         "0",
         "1",
         "2",
@@ -931,6 +912,7 @@ mod tests {
         "5",
         "7",
         "9",
+        "67108863",
         "67108864",
         "4294967295",
         "18446744073709551615",
@@ -1111,17 +1093,18 @@ mod tests {
             }
         );
 
-        // Leaves past the 2³² composition limit: the inferred universe
-        // would overflow, or the leaf would alias a `u32` element id.
-        for text in ["1(18446744073709551615)", "1(4294967296)"] {
+        // Leaves at or past the 2²⁶ element cap, up to ones whose inferred
+        // universe would overflow.
+        for text in [
+            "1(18446744073709551615)",
+            "1(4294967296)",
+            "1(4294967295)",
+            "1(67108864)",
+        ] {
             let err = SystemSpec::parse(text).unwrap_err();
             assert_eq!(err.path, vec![0], "{text}");
             assert!(matches!(err.kind, SpecErrorKind::Invalid { .. }), "{text}");
         }
-        // The largest representable leaf builds, allocating nothing
-        // universe-sized.
-        let system = SystemSpec::parse("1(4294967295)").unwrap().build().unwrap();
-        assert_eq!(system.universe_size(), 1 << 32);
 
         // A bare leaf at the root.
         let err = SystemSpec::Leaf(0).validate().unwrap_err();
@@ -1203,11 +1186,12 @@ mod tests {
             spec.build().unwrap().universe_size(),
             TreeQuorum::with_size_hint(30).universe_size()
         );
-        for family in ["Maj", "Wheel", "Triang", "Tree", "HQS", "Grid", "Compose"] {
+        for family in SystemSpec::FAMILIES {
             for hint in [3, 10, 30, 100] {
                 let spec = SystemSpec::family_with_size_hint(family, hint).unwrap();
                 let system = spec.build().unwrap();
                 assert!(system.universe_size() >= 3, "{family} hint {hint}");
+                assert!(!system.name().is_empty(), "{family} hint {hint}");
                 assert!(
                     system.universe_size() <= 2 * hint + 3,
                     "{family} hint {hint}: {}",
@@ -1242,74 +1226,6 @@ mod tests {
             .organizations()
             .unwrap()
             .is_none());
-    }
-
-    /// The same circuit as a [`CompositionNode`] tree, node for node.
-    fn as_node(spec: &SystemSpec) -> CompositionNode {
-        match spec {
-            SystemSpec::Leaf(e) => CompositionNode::leaf(*e),
-            SystemSpec::Compose {
-                threshold,
-                children,
-            } => CompositionNode::gate(*threshold, children.iter().map(as_node).collect()),
-            other => panic!("{other} is not a circuit"),
-        }
-    }
-
-    fn largest_leaf(spec: &SystemSpec) -> usize {
-        match spec {
-            SystemSpec::Leaf(e) => *e,
-            SystemSpec::Compose { children, .. } => {
-                children.iter().map(largest_leaf).max().unwrap_or(0)
-            }
-            other => panic!("{other} is not a circuit"),
-        }
-    }
-
-    /// `build` on a `Compose` spec, bare or under `orgs`, compiles the tape
-    /// that `Composition::new` compiles from the spec's node tree over the
-    /// universe the spec infers.
-    fn assert_lowers_as_its_node_tree(spec: &SystemSpec) {
-        let circuit = match spec {
-            SystemSpec::Orgs { inner, .. } => inner,
-            circuit => circuit,
-        };
-        let Ok(BuiltSystem::Composition(built)) = spec.build_concrete() else {
-            panic!("{spec} builds a composition");
-        };
-        let universe = largest_leaf(circuit) + 1;
-        let compiled = Composition::new(universe, as_node(circuit)).unwrap();
-        assert_eq!(built, compiled, "{spec}");
-    }
-
-    #[test]
-    fn compose_specs_lower_as_their_node_trees() {
-        for spec in [
-            SystemSpec::majority_as_compose(5),
-            SystemSpec::majority_as_compose(101),
-            SystemSpec::tree_as_compose(3),
-            SystemSpec::tree_as_compose(8),
-            SystemSpec::hqs_as_compose(2),
-            SystemSpec::hqs_as_compose(5),
-            SystemSpec::grid_as_compose(3, 4),
-            SystemSpec::grid_as_compose(16, 16),
-            SystemSpec::org_majority(3, 5),
-            SystemSpec::org_majority(15, 17),
-        ] {
-            assert_lowers_as_its_node_tree(&spec);
-        }
-        // Chains, constant gates, repeated leaves, and universes sparse
-        // enough that the repeated-leaf check sorts instead of marking.
-        for text in [
-            "1(1(1(0)))",
-            "0(0,1)",
-            "2(0,0)",
-            "2(1(0),2(0,1))",
-            "1(4294967295)",
-            "1(4294967295,0,4294967295)",
-        ] {
-            assert_lowers_as_its_node_tree(&SystemSpec::parse(text).unwrap());
-        }
     }
 
     /// A random circuit: gates of one to four children with thresholds
@@ -1347,9 +1263,9 @@ mod tests {
     /// dense and sparse universes, and on 20 000 seeded random circuits,
     /// folded as `Debug` text into one digest: the whole compiled tape
     /// (kinds, thresholds, leaf ranges, stack height, depth, quorum sizes
-    /// and their exactness) of every circuit, as it stood when a
-    /// `CompositionNode` tree and a spec still compiled through one
-    /// compiler and were checked against each other.
+    /// and their exactness) of every circuit, pinned while a second circuit
+    /// tree still compiled through the same compiler and every spec was
+    /// checked against its twin in that tree.
     #[test]
     fn compose_specs_build_as_pinned() {
         let mut specs = vec![
@@ -1386,17 +1302,6 @@ mod tests {
         assert_eq!(digest, PINNED_CIRCUITS, "digest {digest:#018x}");
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(2_000))]
-
-        #[test]
-        fn random_circuits_lower_as_their_node_trees(seed in any::<u64>()) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let span = [2, 9, 24, 100, 1 << 20][rng.gen_range(0..5usize)];
-            assert_lowers_as_its_node_tree(&random_circuit(&mut rng, 4, span));
-        }
-    }
-
     /// Invalid circuits fail at the first offending node in depth-first
     /// order, each gate checked before its children, with its path and
     /// kind.
@@ -1407,7 +1312,7 @@ mod tests {
             children,
         };
         let out_of_range = |element: &str| SpecErrorKind::Invalid {
-            reason: format!("element {element} out of range for universe of size 4294967296"),
+            reason: format!("element {element} out of range for universe of size {MAX_ELEMENTS}"),
         };
         let exceeds = |threshold, children| SpecErrorKind::ThresholdExceedsChildren {
             threshold,
@@ -1455,6 +1360,7 @@ mod tests {
                 vec![0, 1, 1],
                 SpecErrorKind::FamilyInsideCompose,
             ),
+            ("2(0,67108864)", vec![1], out_of_range("67108864")),
             ("2(0,4294967296)", vec![1], out_of_range("4294967296")),
             (
                 "1(18446744073709551615)",

@@ -90,7 +90,7 @@ impl TreeQuorum {
 
     /// Creates the largest tree system with at most `max(size_hint, 3)`
     /// elements. Infallible counterpart of [`TreeQuorum::with_at_most`] for
-    /// catalogues and registries.
+    /// size-hinted sweeps and registries.
     pub fn with_size_hint(size_hint: usize) -> Self {
         Self::with_at_most(size_hint.max(3)).expect("hint >= 3 is always valid")
     }

@@ -103,7 +103,7 @@ impl Wheel {
 
     /// Creates the wheel whose universe is closest to `size_hint`
     /// (`size_hint` clamped to `[3, 2²⁶]` elements). Infallible counterpart
-    /// of [`Wheel::new`] for catalogues and registries.
+    /// of [`Wheel::new`] for size-hinted sweeps and registries.
     pub fn with_size_hint(size_hint: usize) -> Self {
         Wheel::new(size_hint.clamp(3, MAX_ELEMENTS)).expect("n in [3, 2^26] is always valid")
     }

@@ -1,7 +1,7 @@
 //! Cross-solver agreement at small n: the same probe-complexity quantities
 //! computed by four independent code paths must coincide.
 //!
-//! For every catalogue system that fits `n ≤ 12`:
+//! For every instance of `SystemSpec::FAMILIES` that fits `n ≤ 12`:
 //!
 //! 1. the **exact expectimax solver** (`exact::optimal_expected`, a DP over
 //!    knowledge states) and
@@ -21,20 +21,21 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Every distinct catalogue instance with `n ≤ 12`, built from a spread of
+/// Every distinct family instance with `n ≤ 12`, built from a spread of
 /// size hints (families round hints to their own supported sizes).
-fn small_catalogue_systems() -> Vec<(String, Arc<dyn QuorumSystem + Send + Sync>)> {
+fn small_family_systems() -> Vec<(String, Arc<dyn QuorumSystem + Send + Sync>)> {
     let mut seen = std::collections::HashSet::new();
     let mut systems = Vec::new();
-    for entry in catalogue() {
+    for family in SystemSpec::FAMILIES {
         for hint in [3usize, 5, 7, 9, 12] {
-            let system = (entry.build)(hint);
+            let spec = SystemSpec::family_with_size_hint(family, hint).unwrap();
+            let system = spec.build().unwrap();
             let n = system.universe_size();
             if n > 12 {
                 continue;
             }
-            if seen.insert((entry.family, n)) {
-                systems.push((format!("{}(n={n})", entry.family), system));
+            if seen.insert((family, n)) {
+                systems.push((format!("{family}(n={n})"), system));
             }
         }
     }
@@ -42,8 +43,8 @@ fn small_catalogue_systems() -> Vec<(String, Arc<dyn QuorumSystem + Send + Sync>
 }
 
 #[test]
-fn catalogue_has_small_instances_of_every_family() {
-    let systems = small_catalogue_systems();
+fn every_family_has_small_instances() {
+    let systems = small_family_systems();
     assert!(systems.len() >= 6, "only {} small systems", systems.len());
     for family in ["Maj", "Wheel", "Triang", "Tree", "HQS", "Grid"] {
         assert!(
@@ -56,7 +57,7 @@ fn catalogue_has_small_instances_of_every_family() {
 #[test]
 fn exact_solver_decision_tree_monte_carlo_and_yao_agree() {
     let trials = 40_000u64;
-    for (name, system) in small_catalogue_systems() {
+    for (name, system) in small_family_systems() {
         let system = system.as_ref();
         let n = system.universe_size();
         for p in [0.3, 0.5] {

@@ -64,19 +64,20 @@ fn every_strategy_returns_valid_witnesses_on_random_colorings() {
     }
 }
 
-/// The catalogue of families builds valid nondominated coteries (except the
-/// Grid baseline, which is documented as dominated) at several size hints.
+/// Every family of `SystemSpec::FAMILIES` builds a valid nondominated
+/// coterie (except the Grid baseline, which is documented as dominated).
 #[test]
-fn catalogue_families_are_nondominated_where_claimed() {
-    for entry in catalogue() {
-        let system = (entry.build)(12);
+fn families_are_nondominated_where_claimed() {
+    for family in SystemSpec::FAMILIES {
+        let spec = SystemSpec::family_with_size_hint(family, 12).unwrap();
+        let system = spec.build().unwrap();
         if system.universe_size() <= 16 {
             let coterie = system.to_coterie().unwrap();
             let nd = coterie.is_nondominated();
-            if entry.family == "Grid" {
+            if family == "Grid" {
                 assert!(!nd, "the grid baseline is expected to be dominated");
             } else {
-                assert!(nd, "{} should be nondominated", entry.family);
+                assert!(nd, "{family} should be nondominated");
             }
         }
     }
@@ -112,7 +113,7 @@ fn exact_optimum_brackets_strategy_costs() {
     );
 }
 
-/// Availability facts (Fact 2.3) hold across the catalogue at representative
+/// Availability facts (Fact 2.3) hold across the families at representative
 /// failure probabilities, computed exactly on small instances.
 #[test]
 fn availability_facts_hold_across_families() {

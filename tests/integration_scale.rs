@@ -1,7 +1,7 @@
 //! Million-element scale equivalence: the multi-word lane engine must be a
 //! pure optimisation. Lane-block widths 4 and 8, the single-word path and
 //! the scalar (no-lane-evaluator) fallback must return bit-identical
-//! estimates on every catalogue family; failure-model lane fills must not
+//! estimates on every family; failure-model lane fills must not
 //! depend on how trial words are grouped into blocks; and the sharded
 //! evaluation engine must produce bit-identical reports for every thread
 //! count and shard size, from n = 64 up to n ≥ 10⁶.
@@ -36,15 +36,16 @@ impl QuorumSystem for NoLanes {
     }
 }
 
-/// Every catalogue family, at every supported block width and through the
+/// Every family, at every supported block width and through the
 /// scalar fallback, must produce the bit-identical failure-probability
 /// estimate — including at trial counts that leave partial words and
 /// partial superblocks.
 #[test]
 fn every_family_agrees_across_block_widths_and_the_scalar_path() {
-    for entry in catalogue() {
+    for family in SystemSpec::FAMILIES {
         for hint in [64usize, 200] {
-            let system = (entry.build)(hint);
+            let spec = SystemSpec::family_with_size_hint(family, hint).unwrap();
+            let system = spec.build().unwrap();
             for trials in [64usize, 333] {
                 let seed = 0xC0DE ^ (hint as u64) ^ ((trials as u64) << 16);
                 let baseline = batched_failure_probability_wide(&system, 0.3, trials, seed, 1);
@@ -53,8 +54,7 @@ fn every_family_agrees_across_block_widths_and_the_scalar_path() {
                     assert_eq!(
                         (baseline.mean, baseline.std_error),
                         (wide.mean, wide.std_error),
-                        "{}(hint {hint}): width {width} diverged from the single word",
-                        entry.family
+                        "{family}(hint {hint}): width {width} diverged from the single word"
                     );
                     let scalar = batched_failure_probability_wide(
                         &NoLanes(system.clone()),
@@ -66,8 +66,7 @@ fn every_family_agrees_across_block_widths_and_the_scalar_path() {
                     assert_eq!(
                         (baseline.mean, baseline.std_error),
                         (scalar.mean, scalar.std_error),
-                        "{}(hint {hint}): scalar fallback at width {width} diverged",
-                        entry.family
+                        "{family}(hint {hint}): scalar fallback at width {width} diverged"
                     );
                 }
             }
@@ -131,12 +130,11 @@ fn plan_at(hint: usize, trials: usize, seed: u64) -> EvalPlan {
     let mut plan = EvalPlan::new(seed).trials(trials);
     if hint <= 256 {
         let scan = universal_strategy(SequentialScan::new());
-        for entry in catalogue() {
-            if matches!(entry.family, "Maj" | "Grid" | "Tree") {
-                let system = erase_system((entry.build)(hint));
-                plan.probe(&system, &scan, ColoringSource::iid(0.3));
-                plan.probe(&system, &scan, ColoringSource::iid(0.5));
-            }
+        let systems = SystemRegistry::paper();
+        for family in ["Maj", "Tree", "Grid"] {
+            let system = systems.build(family, hint).unwrap();
+            plan.probe(&system, &scan, ColoringSource::iid(0.3));
+            plan.probe(&system, &scan, ColoringSource::iid(0.5));
         }
     } else {
         let maj = erase_system(Majority::new(hint | 1).unwrap());

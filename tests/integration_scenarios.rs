@@ -124,7 +124,7 @@ fn scenario_matrix_cells_are_deterministic() {
     let systems: Vec<DynSystem> = SystemRegistry::paper()
         .entries()
         .iter()
-        .map(|e| (e.build)(12))
+        .map(|e| e.build(12))
         .collect();
     let strategies: Vec<DynProbeStrategy> = ["Probe_Maj", "Probe_Tree", "SequentialScan"]
         .iter()
