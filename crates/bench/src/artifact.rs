@@ -9,10 +9,9 @@
 //! recorded, and the footer (including the process's peak RSS) closes the
 //! file. Memory stays constant no matter how many rows an experiment
 //! produces — the million-element `scale` experiment writes its cells as
-//! they complete instead of accumulating tables. [`BenchArtifact`] is the
-//! in-memory collector layered on top for tests and small tools; its
-//! `to_json` drives the same streaming writer over a byte buffer, so there
-//! is exactly one serialisation path.
+//! they complete instead of accumulating tables. A stream over a
+//! `Vec<u8>` gives the document in memory, so there is exactly one
+//! serialisation path.
 
 use std::io::{self, Write};
 use std::time::Duration;
@@ -158,70 +157,6 @@ impl<W: Write> ArtifactStream<W> {
     }
 }
 
-/// A collector of per-experiment results, serialisable to JSON.
-///
-/// This is the buffered convenience layer over [`ArtifactStream`] for tests
-/// and small tools; long-running producers (the `reproduce` binary) stream
-/// rows straight to disk instead.
-#[derive(Debug, Default)]
-pub struct BenchArtifact {
-    records: Vec<ExperimentRecord>,
-}
-
-/// One reproduced experiment: its name, wall-clock time and output table.
-#[derive(Debug)]
-struct ExperimentRecord {
-    name: String,
-    wall: Duration,
-    table: Table,
-}
-
-impl BenchArtifact {
-    /// An empty artifact.
-    pub fn new() -> Self {
-        BenchArtifact::default()
-    }
-
-    /// Records one experiment's table and wall-clock time.
-    pub fn record(&mut self, name: impl Into<String>, wall: Duration, table: Table) {
-        self.records.push(ExperimentRecord {
-            name: name.into(),
-            wall,
-            table,
-        });
-    }
-
-    /// Number of recorded experiments.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Serialises the artifact to JSON by replaying every record through
-    /// [`ArtifactStream`] over a byte buffer.
-    ///
-    /// `sha` identifies the commit (CI passes `GITHUB_SHA`); `seed`,
-    /// `trials` and `threads` pin the reproduction configuration so two
-    /// artifacts are comparable only when they match.
-    pub fn to_json(&self, sha: &str, seed: u64, trials: usize, threads: usize) -> String {
-        let mut stream = ArtifactStream::new(Vec::with_capacity(4096), sha, seed, trials, threads)
-            .expect("writing to a byte buffer cannot fail");
-        for record in &self.records {
-            stream
-                .record_table(&record.name, record.wall, &record.table)
-                .expect("writing to a byte buffer cannot fail");
-        }
-        let bytes = stream
-            .finish(None)
-            .expect("writing to a byte buffer cannot fail");
-        String::from_utf8(bytes).expect("artifact JSON is UTF-8")
-    }
-}
-
 /// Escapes a string as a JSON string literal.
 fn json_string(value: &str) -> String {
     let mut out = String::with_capacity(value.len() + 2);
@@ -258,15 +193,22 @@ mod tests {
         table
     }
 
+    /// Closes a byte-buffer stream and returns its document.
+    fn document(stream: ArtifactStream<Vec<u8>>) -> String {
+        String::from_utf8(stream.finish(None).unwrap()).unwrap()
+    }
+
     #[test]
     fn artifact_serialises_all_records() {
-        let mut artifact = BenchArtifact::new();
-        assert!(artifact.is_empty());
-        artifact.record("table1", Duration::from_millis(1500), sample_table());
-        artifact.record("zoned", Duration::from_micros(250), sample_table());
-        assert_eq!(artifact.len(), 2);
+        let mut stream = ArtifactStream::new(Vec::new(), "abc123", 2001, 200, 1).unwrap();
+        stream
+            .record_table("table1", Duration::from_millis(1500), &sample_table())
+            .unwrap();
+        stream
+            .record_table("zoned", Duration::from_micros(250), &sample_table())
+            .unwrap();
 
-        let json = artifact.to_json("abc123", 2001, 200, 1);
+        let json = document(stream);
         assert!(json.contains("\"schema\": \"probequorum-bench/1\""));
         assert!(json.contains("\"sha\": \"abc123\""));
         assert!(json.contains("\"name\": \"table1\""));
@@ -274,6 +216,7 @@ mod tests {
         assert!(json.contains("\"wall_ms\": 0.250"));
         assert!(json.contains("[\"system\", \"mean\"]"));
         assert!(json.contains("[\"Maj\", \"4.125\"]"));
+        assert_eq!(crate::parse_artifact(&json).unwrap().experiments.len(), 2);
     }
 
     #[test]
@@ -284,15 +227,17 @@ mod tests {
         assert_eq!(json_string("a\nb"), "\"a\\nb\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
         // The sample table's tricky row survives into valid JSON.
-        let mut artifact = BenchArtifact::new();
-        artifact.record("x", Duration::ZERO, sample_table());
-        let json = artifact.to_json("", 1, 1, 1);
+        let mut stream = ArtifactStream::new(Vec::new(), "", 1, 1, 1).unwrap();
+        stream
+            .record_table("x", Duration::ZERO, &sample_table())
+            .unwrap();
+        let json = document(stream);
         assert!(json.contains("\"say \\\"hi\\\"\\\\\""));
     }
 
     #[test]
     fn empty_artifact_is_valid_json_shape() {
-        let json = BenchArtifact::new().to_json("deadbeef", 7, 10, 2);
+        let json = document(ArtifactStream::new(Vec::new(), "deadbeef", 7, 10, 2).unwrap());
         assert!(json.contains("\"experiments\": []"));
     }
 
@@ -318,24 +263,6 @@ mod tests {
         assert_eq!(run.experiments.len(), 1);
         assert_eq!(run.experiments[0].rows.len(), 2);
         assert_eq!(run.peak_rss_bytes, Some(123_456_789));
-    }
-
-    #[test]
-    fn stream_and_buffered_collector_emit_identical_documents() {
-        let mut artifact = BenchArtifact::new();
-        artifact.record("a", Duration::from_millis(2), sample_table());
-        artifact.record("b", Duration::ZERO, Table::new(["x"]));
-        let buffered = artifact.to_json("sha", 9, 100, 2);
-
-        let mut stream = ArtifactStream::new(Vec::new(), "sha", 9, 100, 2).unwrap();
-        stream
-            .record_table("a", Duration::from_millis(2), &sample_table())
-            .unwrap();
-        stream
-            .record_table("b", Duration::ZERO, &Table::new(["x"]))
-            .unwrap();
-        let streamed = String::from_utf8(stream.finish(None).unwrap()).unwrap();
-        assert_eq!(buffered, streamed);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod artifact;
 pub mod experiments;
 pub mod regression;
 
-pub use artifact::{ArtifactStream, BenchArtifact};
+pub use artifact::ArtifactStream;
 pub use experiments::{Experiment, Stream, EXPERIMENTS};
 pub use regression::{
     check_regression, check_regression_and_artifact, parse_artifact, BenchRun, RegressionReport,
@@ -1364,7 +1364,7 @@ fn delta_pass(
 /// any `REPRO_THREADS`.
 pub fn scenario_matrix(config: &ReproConfig) -> Table {
     let systems_registry = SystemRegistry::paper();
-    let strategies_registry = RegistryBuilder::new().paper().build();
+    let strategies_registry = StrategyRegistry::paper();
     let scenarios = ScenarioRegistry::standard();
 
     let systems: Vec<DynSystem> = systems_registry

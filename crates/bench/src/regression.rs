@@ -305,7 +305,7 @@ impl BenchRun {
 }
 
 /// Parses a `BENCH_<sha>.json` artifact (the schema written by
-/// [`crate::BenchArtifact::to_json`]).
+/// [`crate::ArtifactStream`]).
 pub fn parse_artifact(json: &str) -> Result<BenchRun, String> {
     let mut parser = Parser::new(json);
     let root = parser.value()?;
@@ -598,9 +598,24 @@ pub fn check_regression_and_artifact(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BenchArtifact;
+    use crate::ArtifactStream;
     use probequorum::prelude::Table;
     use std::time::Duration;
+
+    /// The artifact document of `records` (name, wall time, table),
+    /// written through a byte-buffer stream with one thread.
+    fn document(
+        sha: &str,
+        seed: u64,
+        trials: usize,
+        records: &[(&str, Duration, Table)],
+    ) -> String {
+        let mut stream = ArtifactStream::new(Vec::new(), sha, seed, trials, 1).unwrap();
+        for (name, wall, table) in records {
+            stream.record_table(name, *wall, table).unwrap();
+        }
+        String::from_utf8(stream.finish(None).unwrap()).unwrap()
+    }
 
     /// A minimal but gate-complete artifact: `workload` rows as given,
     /// constant `network`, `scale`, `live`, `chaos`, `churn-delta` and
@@ -783,14 +798,16 @@ mod tests {
             "0.954".into(),
             compose_agree.into(),
         ]);
-        let mut artifact = BenchArtifact::new();
-        artifact.record("workload", Duration::from_millis(5), table);
-        artifact.record("network", Duration::from_millis(5), net);
-        artifact.record("scale", Duration::from_millis(5), scale);
-        artifact.record("live", Duration::from_millis(5), live);
-        artifact.record("chaos", Duration::from_millis(5), chaos);
-        artifact.record("churn-delta", Duration::from_millis(5), churn_delta);
-        artifact.record("compose", Duration::from_millis(5), compose);
+        let gated = Duration::from_millis(5);
+        let mut records = vec![
+            ("workload", gated, table),
+            ("network", gated, net),
+            ("scale", gated, scale),
+            ("live", gated, live),
+            ("chaos", gated, chaos),
+            ("churn-delta", gated, churn_delta),
+            ("compose", gated, compose),
+        ];
         if let Some(rate) = wall_rate {
             let mut wall = Table::new(["family", "n", "path", "trials_per_sec"]);
             wall.add_row(vec![
@@ -799,7 +816,7 @@ mod tests {
                 "probes/engine".into(),
                 format!("{rate:.1}"),
             ]);
-            artifact.record("throughput", Duration::ZERO, wall);
+            records.push(("throughput", Duration::ZERO, wall));
             let mut lanes = Table::new([
                 "family",
                 "n",
@@ -818,7 +835,7 @@ mod tests {
                 "12.0".into(),
                 format!("{:.0}", rate * 1.0e6),
             ]);
-            artifact.record("scale-throughput", Duration::ZERO, lanes);
+            records.push(("scale-throughput", Duration::ZERO, lanes));
             let mut live_rates = Table::new([
                 "system",
                 "n",
@@ -841,7 +858,7 @@ mod tests {
                 "0.050".into(),
                 "0.400".into(),
             ]);
-            artifact.record("live-throughput", Duration::ZERO, live_rates);
+            records.push(("live-throughput", Duration::ZERO, live_rates));
             let mut chaos_rates = Table::new([
                 "system",
                 "n",
@@ -864,9 +881,9 @@ mod tests {
                 "0.050".into(),
                 "0.400".into(),
             ]);
-            artifact.record("chaos-throughput", Duration::ZERO, chaos_rates);
+            records.push(("chaos-throughput", Duration::ZERO, chaos_rates));
         }
-        artifact.to_json("testsha", 2001, 500, 1)
+        document("testsha", 2001, 500, &records)
     }
 
     fn artifact_with(thr: &[(&str, f64)]) -> String {
@@ -890,9 +907,8 @@ mod tests {
     fn parser_handles_escapes_and_rejects_garbage() {
         let mut table = Table::new(["system", "mean"]);
         table.add_row(vec!["say \"hi\"\\ \n".into(), "1.0".into()]);
-        let mut artifact = BenchArtifact::new();
-        artifact.record("x", Duration::ZERO, table);
-        let run = parse_artifact(&artifact.to_json("s", 1, 1, 1)).expect("escapes survive");
+        let json = document("s", 1, 1, &[("x", Duration::ZERO, table)]);
+        let run = parse_artifact(&json).expect("escapes survive");
         assert_eq!(run.experiments[0].rows[0][0], "say \"hi\"\\ \n");
         assert!(parse_artifact("{").is_err());
         assert!(parse_artifact("[]").is_err(), "wrong root shape");
@@ -975,7 +991,7 @@ mod tests {
     fn a_baseline_without_an_enforced_experiment_fails_loudly() {
         // A baseline regenerated from a partial experiment list must not
         // silently disable the gate.
-        let empty = parse_artifact(&BenchArtifact::new().to_json("empty", 2001, 500, 1)).unwrap();
+        let empty = parse_artifact(&document("empty", 2001, 500, &[])).unwrap();
         let current = parse_artifact(&artifact_with(&[("Maj", 1000.0)])).unwrap();
         let report = check_regression(&current, &empty, 0.25);
         assert!(!report.passed());
@@ -1209,7 +1225,7 @@ mod tests {
 
     #[test]
     fn peak_rss_round_trips_and_is_reported() {
-        let mut stream = crate::ArtifactStream::new(Vec::new(), "rss-sha", 2001, 500, 1).unwrap();
+        let mut stream = ArtifactStream::new(Vec::new(), "rss-sha", 2001, 500, 1).unwrap();
         stream
             .record_table("x", Duration::ZERO, &Table::new(["a"]))
             .unwrap();

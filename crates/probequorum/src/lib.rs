@@ -17,8 +17,9 @@
 //! * [`analysis`] — availability, the technical lemmas, statistics, power-law
 //!   fitting and the paper's closed-form bounds (`quorum-analysis`);
 //! * [`sim`] — the parallel registry-driven evaluation engine
-//!   ([`sim::eval`]), Monte-Carlo estimators, failure models, sweeps and
-//!   report tables (`quorum-sim`);
+//!   ([`sim::eval`]) that produces every Monte-Carlo estimate, failure
+//!   models, the exhaustive and worst-case estimators and report tables
+//!   (`quorum-sim`);
 //! * [`cluster`] — the discrete-event workload engine that prices probe
 //!   sessions under traffic and network faults, and the live runtime that
 //!   replays its traces (`quorum-cluster`).
@@ -27,19 +28,15 @@
 //!
 //! ```
 //! use probequorum::prelude::*;
-//! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! // Build the Triang system from the paper's Fig. 1 and estimate the
-//! // expected number of probes needed to find a live quorum at p = 1/2.
-//! let triang = CrumblingWalls::triang(6)?;
-//! let mut rng = StdRng::seed_from_u64(1);
-//! let estimate = estimate_expected_probes(
-//!     &triang,
-//!     &ProbeCw::new(),
-//!     &FailureModel::iid(0.5),
-//!     2_000,
-//!     &mut rng,
-//! );
+//! // expected number of probes needed to find a live quorum at p = 1/2:
+//! // one cell of an evaluation plan, 2 000 trials.
+//! let triang = erase_system(CrumblingWalls::triang(6)?);
+//! let probe_cw = typed_strategy::<CrumblingWalls, _>(ProbeCw::new());
+//! let mut plan = EvalPlan::new(1).trials(2_000);
+//! plan.probe(&triang, &probe_cw, ColoringSource::iid(0.5));
+//! let estimate = EvalEngine::new().run(&plan).cells[0].estimate;
 //! // Theorem 3.3: at most 2k − 1 = 11 expected probes for the 6-row wall,
 //! // even though the wall has 21 elements.
 //! assert!(estimate.mean <= 11.0 + 4.0 * estimate.std_error);
@@ -82,15 +79,14 @@ pub mod prelude {
     pub use quorum_sim::eval::{
         erase_spec, erase_system, typed_strategy, universal_strategy, ColoringSource,
         DynProbeStrategy, DynStrategy, DynSystem, EvalEngine, EvalPlan, EvalReport,
-        RegistryBuilder, ScenarioRegistry, StrategyRegistry, SystemRegistry, TrialRng,
+        ScenarioRegistry, StrategyRegistry, SystemRegistry, TrialRng,
     };
     pub use quorum_sim::{
-        batched_availability, batched_failure_probability, chaos_recovery_micros, chaos_scenarios,
-        closed_loop_workload, estimate_expected_probes, estimate_worst_case,
-        exhaustive_expected_probes, net_outcomes_table, network_scenarios, open_poisson_workload,
-        outcomes_table, run_live_cell, run_workload_cells, standard_workloads, sweep,
-        worst_case_over_colorings, ChurnTrajectory, Estimate, FailureModel, LiveCellOutcome,
-        NetScenario, Table, WorkloadCell, WorkloadOutcome, WorkloadStrategy,
+        batched_failure_probability, chaos_recovery_micros, chaos_scenarios, closed_loop_workload,
+        estimate_worst_case, exhaustive_expected_probes, net_outcomes_table, network_scenarios,
+        open_poisson_workload, outcomes_table, run_live_cell, run_workload_cells,
+        standard_workloads, worst_case_over_colorings, ChurnTrajectory, Estimate, FailureModel,
+        LiveCellOutcome, NetScenario, Table, WorkloadCell, WorkloadOutcome, WorkloadStrategy,
     };
     pub use quorum_systems::{
         BuiltSystem, Composition, CrumblingWalls, Grid, Hqs, Majority, SpecError, SpecErrorKind,

@@ -602,6 +602,7 @@ impl WorkloadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{Fault, FaultSchedule};
     use crate::workload::NetProbe;
 
     fn lossy_plan() -> NetSessionPlan {
@@ -677,5 +678,182 @@ mod tests {
         assert_eq!(direct.messages, 25 * per_plan.messages);
         assert_eq!(direct.wasted_probes, 25 * per_plan.wasted);
         assert_eq!(direct.probes, 25 * per_plan.probes);
+    }
+
+    /// One small live run whose trace lost, retried, hedged and crash-fated
+    /// attempts: 6 nodes on a 10 %-loss network, node 1 crashed from 2 ms
+    /// to 6 ms, two attempts per probe and a 400 µs hedge.
+    fn recorded_live_run() -> (SessionTrace, WorkloadReport, LiveReport) {
+        let network = NetworkModel::lossy(100_000).with_faults(FaultSchedule::window(
+            Fault::Crash,
+            vec![1],
+            SimTime::from_millis(2),
+            SimTime::from_millis(6),
+        ));
+        let policy =
+            ProbePolicy::retry(2, SimTime::from_micros(100)).with_hedge(SimTime::from_micros(400));
+        let spec = WorkloadSpec::new(6)
+            .sessions(40)
+            .network(network.clone())
+            .policy(policy)
+            .backend(Backend::Live(LiveOptions::default().time_scale(0.002)));
+        let outcome = spec.run(29, |index, _, now, rng| {
+            let probes: Vec<NetProbe> = (0..3)
+                .map(|k| {
+                    let node = (index as usize + k) % 6;
+                    let fate = network.probe_fate(node, true, now, &policy, rng);
+                    NetProbe {
+                        node,
+                        observed: fate.observed,
+                        failures: fate.failures,
+                    }
+                })
+                .collect();
+            let greens = probes.iter().filter(|p| p.observed == Color::Green).count();
+            NetSessionPlan {
+                probes,
+                success: greens >= 2,
+            }
+        });
+        let agreement = outcome.agreement.expect("the live backend validates");
+        assert!(
+            agreement.agree,
+            "the recorded run must agree:\n{}",
+            agreement.mismatches.join("\n")
+        );
+        (
+            outcome.trace.expect("the live backend traces"),
+            outcome.report,
+            outcome.live.expect("the live backend reports"),
+        )
+    }
+
+    /// `cross_validate` refuses every single divergence from a run it
+    /// accepts, and names what diverged: each per-session observable, a
+    /// dropped or reordered session, shed sessions, the sim engine's
+    /// aggregates, either side's crash-loss count and an undrained node.
+    #[test]
+    fn cross_validate_refuses_each_divergence_by_name() {
+        let (trace, sim, live) = recorded_live_run();
+        let probes = || trace.sessions.iter().flat_map(|t| &t.plan.probes);
+        assert!(
+            probes().any(|p| p.observed == Color::Green && !p.failures.is_empty()),
+            "no retried probe"
+        );
+        assert!(probes().any(|p| p.failures.contains(&AttemptLoss::Request)));
+        assert!(probes().any(|p| p.failures.contains(&AttemptLoss::Response)));
+        assert!(probes().any(|p| p.failures.contains(&AttemptLoss::Crash)));
+        assert!(sim.hedges > 0, "no hedged probe");
+
+        let refuses = |sim: &WorkloadReport, live: &LiveReport, names: &str| {
+            let verdict = cross_validate(&trace, sim, live);
+            assert!(!verdict.agree, "accepted a changed {names}");
+            assert!(
+                verdict.mismatches.iter().any(|m| m.contains(names)),
+                "no mismatch names {names}: {:?}",
+                verdict.mismatches
+            );
+        };
+        let live_with = |change: &dyn Fn(&mut LiveReport)| {
+            let mut copy = live.clone();
+            change(&mut copy);
+            copy
+        };
+        let sim_with = |change: &dyn Fn(&mut WorkloadReport)| {
+            let mut copy = sim.clone();
+            change(&mut copy);
+            copy
+        };
+        let first = live.sessions[0].index;
+        let session = |field: &str| format!("session #{first} {field}");
+
+        refuses(
+            &sim,
+            &live_with(&|l| l.sessions[0].ok ^= true),
+            &session("ok/fail"),
+        );
+        refuses(
+            &sim,
+            &live_with(&|l| l.sessions[0].sequence[1] = (l.sessions[0].sequence[1] + 1) % 6),
+            &session("probe sequence"),
+        );
+        refuses(
+            &sim,
+            &live_with(&|l| {
+                let color = &mut l.sessions[0].observed[2];
+                *color = if *color == Color::Green {
+                    Color::Red
+                } else {
+                    Color::Green
+                };
+            }),
+            &session("observed colors"),
+        );
+        refuses(
+            &sim,
+            &live_with(&|l| l.sessions[0].probes += 1),
+            &session("probe attempts"),
+        );
+        refuses(
+            &sim,
+            &live_with(&|l| l.sessions[0].messages += 1),
+            &session("messages"),
+        );
+        refuses(
+            &sim,
+            &live_with(&|l| l.sessions[0].wasted += 1),
+            &session("wasted attempts"),
+        );
+        refuses(
+            &sim,
+            &live_with(&|l| l.sessions[0].timeouts += 1),
+            &session("timeouts"),
+        );
+        refuses(
+            &sim,
+            &live_with(&|l| {
+                l.sessions.remove(5);
+            }),
+            "session count",
+        );
+        refuses(
+            &sim,
+            &live_with(&|l| l.sessions.swap(3, 4)),
+            "session order",
+        );
+        refuses(&sim, &live_with(&|l| l.rejected = 1), "admission rejected");
+
+        refuses(&sim_with(&|s| s.messages += 1), &live, "aggregate messages");
+        refuses(
+            &sim_with(&|s| s.probes += 1),
+            &live,
+            "aggregate probe attempts",
+        );
+        refuses(
+            &sim_with(&|s| s.wasted_probes += 1),
+            &live,
+            "aggregate wasted attempts",
+        );
+        refuses(
+            &sim_with(&|s| s.successes += 1),
+            &live,
+            "aggregate successes",
+        );
+
+        refuses(
+            &sim,
+            &live_with(&|l| l.requests_lost_to_crash += 1),
+            "live dropped",
+        );
+        refuses(
+            &sim_with(&|s| s.lost_to_crash += 1),
+            &live,
+            "sim engine priced",
+        );
+        refuses(
+            &sim,
+            &live_with(&|l| l.requests_delivered += 1),
+            "shutdown lost requests",
+        );
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! A [`ColoringDelta`] is the sparse word-level XOR between two colorings of
 //! the same universe: a sorted list of `(word index, xor mask)` entries whose
-//! masks are nonzero. Applying a delta is a handful of word XORs, and asking
-//! whether a delta touches a given support set is a word AND over the dirty
-//! entries only — both independent of the universe size.
+//! masks are nonzero. Applying a delta is a handful of word XORs, independent
+//! of the universe size.
 //!
 //! [`DeltaEvaluator`] is the incremental counterpart of
 //! [`QuorumSystem::has_green_quorum`]: a stateful evaluator that caches
@@ -12,12 +11,12 @@
 //! cheap (green counters, per-row tallies, gate values of the quorum
 //! circuit). Families expose their evaluator through
 //! [`QuorumSystem::delta_evaluator`]; [`delta_evaluator_for`] falls back to a
-//! generic [`RescanDeltaEvaluator`] that still short-circuits empty deltas,
-//! monotone-direction flips and deltas that miss a cached witness support.
+//! generic [`RescanDeltaEvaluator`] that still short-circuits empty deltas
+//! and monotone-direction flips.
 
 use crate::set::{tail_mask, WORD_BITS};
 use crate::system::DynQuorumSystem;
-use crate::{Coloring, ElementId, ElementSet, QuorumSystem, Witness};
+use crate::{Coloring, ElementId, QuorumSystem};
 
 /// The sparse XOR between two [`Coloring`]s of the same universe.
 ///
@@ -84,26 +83,6 @@ impl ColoringDelta {
             let base = w as usize * WORD_BITS;
             BitIter { mask }.map(move |bit| base + bit)
         })
-    }
-
-    /// Whether any flipped element lies in `set` (a word AND over the dirty
-    /// entries only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn touches(&self, set: &ElementSet) -> bool {
-        assert_eq!(
-            self.universe,
-            set.universe_size(),
-            "delta universe {} does not match set universe {}",
-            self.universe,
-            set.universe_size()
-        );
-        let words = set.words();
-        self.entries
-            .iter()
-            .any(|&(w, mask)| words[w as usize] & mask != 0)
     }
 
     /// Clears the delta (keeps the allocation and universe).
@@ -245,21 +224,17 @@ pub trait DeltaEvaluator {
 }
 
 /// The generic fallback [`DeltaEvaluator`]: full re-evaluation through
-/// [`QuorumSystem::has_green_quorum`], with three shortcut layers that skip
+/// [`QuorumSystem::has_green_quorum`], with two shortcut layers that skip
 /// the rescan entirely —
 ///
 /// 1. an empty delta reuses the previous verdict;
 /// 2. a delta that only adds green elements cannot falsify a `true` verdict,
 ///    and one that only removes them cannot rescue a `false` one
-///    (monotonicity of the characteristic function);
-/// 3. a delta that misses the support of an installed [`Witness`]
-///    ([`RescanDeltaEvaluator::set_witness`]) leaves its certificate intact,
-///    so the prior verdict stands.
+///    (monotonicity of the characteristic function).
 #[derive(Debug, Clone)]
 pub struct RescanDeltaEvaluator<S: QuorumSystem> {
     system: S,
     verdict: bool,
-    witness: Option<Witness>,
     primed: bool,
 }
 
@@ -270,17 +245,8 @@ impl<S: QuorumSystem> RescanDeltaEvaluator<S> {
         RescanDeltaEvaluator {
             system,
             verdict: false,
-            witness: None,
             primed: false,
         }
-    }
-
-    /// Installs a witness certifying the current verdict. Subsequent deltas
-    /// that do not touch its support reuse the verdict without re-evaluating.
-    /// The witness is dropped as soon as a delta touches it (or on the next
-    /// [`DeltaEvaluator::reset`]).
-    pub fn set_witness(&mut self, witness: Option<Witness>) {
-        self.witness = witness;
     }
 
     /// The wrapped system.
@@ -291,7 +257,6 @@ impl<S: QuorumSystem> RescanDeltaEvaluator<S> {
 
 impl<S: QuorumSystem> DeltaEvaluator for RescanDeltaEvaluator<S> {
     fn reset(&mut self, coloring: &Coloring) -> bool {
-        self.witness = None;
         self.verdict = self.system.has_green_quorum(coloring);
         self.primed = true;
         self.verdict
@@ -301,14 +266,6 @@ impl<S: QuorumSystem> DeltaEvaluator for RescanDeltaEvaluator<S> {
         assert!(self.primed, "update before reset");
         if delta.is_empty() {
             return self.verdict;
-        }
-        // Witness-support shortcut: an untouched certificate keeps its
-        // verdict regardless of what happened elsewhere.
-        if let Some(witness) = &self.witness {
-            if !delta.touches(witness.elements()) {
-                return self.verdict;
-            }
-            self.witness = None;
         }
         // Monotone shortcut: classify the flip directions against the
         // post-delta words. A flipped bit set in `post` turned red, a
@@ -350,7 +307,7 @@ pub fn delta_evaluator_for(system: &DynQuorumSystem) -> Box<dyn DeltaEvaluator +
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Color, Coterie};
+    use crate::{Color, Coterie, ElementSet};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -406,18 +363,6 @@ mod tests {
             vec![0, 63, 64, 127, 199]
         );
         assert_eq!(delta.entries().len(), 3);
-    }
-
-    #[test]
-    fn touches_is_a_sparse_intersection_test() {
-        let a = Coloring::all_green(150);
-        let mut b = a.clone();
-        b.set_color(70, Color::Red);
-        let delta = a.diff(&b);
-        assert!(delta.touches(&ElementSet::from_iter(150, [70])));
-        assert!(delta.touches(&ElementSet::from_iter(150, [1, 70, 149])));
-        assert!(!delta.touches(&ElementSet::from_iter(150, [69, 71, 149])));
-        assert!(!delta.touches(&ElementSet::from_iter(150, [])));
     }
 
     #[test]
@@ -531,32 +476,6 @@ mod tests {
         let baseline = calls.load(Ordering::Relaxed);
         assert!(!eval.update(&all_red, &one_green.diff(&all_red)));
         assert_eq!(calls.load(Ordering::Relaxed), baseline);
-    }
-
-    #[test]
-    fn witness_support_shortcut_survives_disjoint_deltas() {
-        let calls = Arc::new(AtomicUsize::new(0));
-        let system = Counting {
-            inner: maj3(),
-            calls: calls.clone(),
-        };
-        let mut eval = RescanDeltaEvaluator::new(system);
-        let all_green = Coloring::all_green(3);
-        assert!(eval.reset(&all_green));
-        eval.set_witness(Some(Witness::green(ElementSet::from_iter(3, [0, 1]))));
-        // Flip element 2 red: touches nothing the witness needs, and the
-        // monotone path cannot help (a red flip onto a true verdict).
-        let mut two_red = all_green.clone();
-        two_red.set_color(2, Color::Red);
-        let baseline = calls.load(Ordering::Relaxed);
-        assert!(eval.update(&two_red, &all_green.diff(&two_red)));
-        assert_eq!(calls.load(Ordering::Relaxed), baseline, "witness shortcut");
-        // Flip element 0 red: touches the witness, forcing a rescan with the
-        // correct verdict.
-        let mut also_zero = two_red.clone();
-        also_zero.set_color(0, Color::Red);
-        assert!(!eval.update(&also_zero, &two_red.diff(&also_zero)));
-        assert!(calls.load(Ordering::Relaxed) > baseline);
     }
 
     #[test]

@@ -111,8 +111,7 @@ impl LeastLoadedScan {
     }
 
     /// A scan over an empty view (every score 0): equivalent to
-    /// [`SequentialScan`](super::SequentialScan), useful as a registry
-    /// default.
+    /// [`SequentialScan`](super::SequentialScan).
     pub fn unloaded() -> Self {
         Self::new(LoadView::default())
     }

@@ -145,35 +145,6 @@ where
     Estimate::from_stats(&stats)
 }
 
-/// Estimates the availability `1 − F_p(S)` with the same batched machinery.
-pub fn batched_availability<S>(system: &S, p: f64, trials: usize, base_seed: u64) -> Estimate
-where
-    S: QuorumSystem + Sync + ?Sized,
-{
-    batched_availability_wide(system, p, trials, base_seed, DEFAULT_BATCH_WIDTH)
-}
-
-/// [`batched_availability`] at an explicit lane-block width.
-pub fn batched_availability_wide<S>(
-    system: &S,
-    p: f64,
-    trials: usize,
-    base_seed: u64,
-    width: usize,
-) -> Estimate
-where
-    S: QuorumSystem + Sync + ?Sized,
-{
-    let failure = batched_failure_probability_wide(system, p, trials, base_seed, width);
-    Estimate {
-        mean: 1.0 - failure.mean,
-        std_error: failure.std_error,
-        min: 1.0 - failure.max,
-        max: 1.0 - failure.min,
-        samples: failure.samples,
-    }
-}
-
 /// Fallback for systems without a lane evaluator: transpose the block into
 /// per-trial green sets (word accumulation, one scratch set) and evaluate the
 /// scalar characteristic function per trial.
@@ -294,15 +265,6 @@ mod tests {
             );
             assert_eq!(fast, slow, "width={width}");
         }
-    }
-
-    #[test]
-    fn batched_availability_complements_failure() {
-        let grid = Grid::new(5, 5).unwrap();
-        let fail = batched_failure_probability(&grid, 0.3, 10_000, 3);
-        let avail = batched_availability(&grid, 0.3, 10_000, 3);
-        assert!((fail.mean + avail.mean - 1.0).abs() < 1e-12);
-        assert_eq!(fail.samples, avail.samples);
     }
 
     #[test]

@@ -274,9 +274,10 @@ impl EvalEngine {
     }
 
     /// Runs `op` with this engine's thread count governing every parallel
-    /// iterator inside it — including the legacy estimator entry points
-    /// ([`crate::estimate_expected_probes`], [`crate::estimate_worst_case`],
-    /// …) that call [`trial_values`] directly.
+    /// iterator inside it — including the estimators that call
+    /// [`trial_values`] directly ([`crate::exhaustive_expected_probes`],
+    /// [`crate::estimate_worst_case`], [`crate::worst_case_over_colorings`])
+    /// and the batched estimators of [`crate::batch`].
     ///
     /// An unpinned engine ([`EvalEngine::new`]) runs `op` on the ambient
     /// configuration without building a pool.

@@ -4,17 +4,21 @@
 //! exponent sweeps, the worst-case searches, even the urn-lemma simulations —
 //! is produced by one engine: an [`EvalPlan`] of `(system, strategy,
 //! coloring-source)` cells executed by [`EvalEngine::run`] into an
-//! [`EvalReport`].
+//! [`EvalReport`]. An expected probe count is one cell; a sweep over
+//! universe sizes is one cell per size, fitted through [`fit_points`]. The
+//! estimators outside a plan (the exhaustive and worst-case searches, the
+//! batched failure probability) draw their trials through the same
+//! per-trial seed derivation ([`trial_values`], [`derive_rng`]).
 //!
 //! The layer has three parts:
 //!
 //! 1. **Dyn objects** ([`dynsys`]): [`DynSystem`] / [`DynStrategy`] erase the
 //!    typed `ProbeStrategy<S>` interface so heterogeneous cells fit one plan.
 //! 2. **Registries** ([`registry`]): [`SystemRegistry`] and
-//!    [`StrategyRegistry`] enumerate every named family and paper strategy
-//!    and pair the compatible ones; [`ScenarioRegistry`] names the failure
-//!    scenarios (i.i.d., correlated zones, heterogeneous rates, churn) that
-//!    [`EvalPlan::matrix`] sweeps them under.
+//!    [`StrategyRegistry`] are the fixed tables of every named family and
+//!    paper strategy and pair the compatible ones; [`ScenarioRegistry`]
+//!    names the failure scenarios (i.i.d., correlated zones, heterogeneous
+//!    rates, churn) that [`EvalPlan::matrix`] sweeps them under.
 //! 3. **Engine** ([`engine`]): rayon-parallel execution of all trials with
 //!    deterministic per-trial seed derivation
 //!    (`base_seed, cell, trial → TrialRng`, a one-store SplitMix64 seed), so
@@ -58,6 +62,5 @@ pub use engine::{
 };
 pub use plan::{ColoringSource, EvalCell, EvalPlan};
 pub use registry::{
-    RegistryBuilder, ScenarioEntry, ScenarioRegistry, StrategyEntry, StrategyRegistry, SystemEntry,
-    SystemRegistry,
+    ScenarioEntry, ScenarioRegistry, StrategyEntry, StrategyRegistry, SystemEntry, SystemRegistry,
 };

@@ -303,26 +303,6 @@ impl EvalPlan {
         self
     }
 
-    /// Queues every compatible `(system, strategy)` pair under each source.
-    pub fn cross(
-        &mut self,
-        systems: &[DynSystem],
-        strategies: &[DynProbeStrategy],
-        sources: &[ColoringSource],
-    ) -> &mut Self {
-        for system in systems {
-            for strategy in strategies {
-                if !strategy.supports(system.as_ref()) {
-                    continue;
-                }
-                for source in sources {
-                    self.probe(system, strategy, source.clone());
-                }
-            }
-        }
-        self
-    }
-
     /// Queues the full **scenario matrix**: every compatible `(system,
     /// strategy)` pair under every scenario of `scenarios`, with
     /// time-dependent scenarios (churn) seeded from this plan's base seed so

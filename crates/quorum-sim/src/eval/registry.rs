@@ -10,8 +10,8 @@
 //! names the failure scenarios a scenario matrix sweeps them under.
 
 use quorum_probe::strategies::{
-    IrProbeHqs, LeastLoadedScan, PowerOfTwoScan, ProbeCw, ProbeHqs, ProbeMaj, ProbeTree, RProbeCw,
-    RProbeHqs, RProbeMaj, RProbeTree, RandomScan, SequentialScan,
+    IrProbeHqs, ProbeCw, ProbeHqs, ProbeMaj, ProbeTree, RProbeCw, RProbeHqs, RProbeMaj, RProbeTree,
+    RandomScan, SequentialScan,
 };
 use std::sync::Arc;
 
@@ -91,169 +91,84 @@ pub struct StrategyEntry {
     pub name: &'static str,
     /// Builds the strategy.
     pub build: fn() -> DynProbeStrategy,
-    /// Whether the strategy randomises its probe order (Section 4
-    /// algorithms and `RandomScan`).
-    pub randomized: bool,
 }
 
 impl std::fmt::Debug for StrategyEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StrategyEntry")
             .field("name", &self.name)
-            .field("randomized", &self.randomized)
             .finish()
     }
 }
 
-/// The single way to assemble a [`StrategyRegistry`] — the registry's
-/// extension point.
-///
-/// Historically strategies entered a registry through three diverging paths:
-/// the hard-coded [`StrategyRegistry::paper`] table, the
-/// [`StrategyRegistry::extended`] push-on-top variant, and ad-hoc typed
-/// construction via [`typed_strategy`] / [`universal_strategy`] generics at
-/// each call site. The builder collapses them: batteries are composable
-/// starting points ([`RegistryBuilder::paper`],
-/// [`RegistryBuilder::load_aware`]) and one [`RegistryBuilder::strategy`]
-/// call registers anything else.
-///
-/// # Extending the registry
-///
-/// A strategy tied to one system family is erased with [`typed_strategy`];
-/// a strategy that probes any [`DynSystem`] uses [`universal_strategy`].
-/// Registering a name that is already present **replaces** the earlier
-/// entry, so a custom battery can override a stock strategy in place:
-///
-/// ```
-/// use quorum_probe::strategies::SequentialScan;
-/// use quorum_sim::eval::{universal_strategy, RegistryBuilder};
-///
-/// let registry = RegistryBuilder::new()
-///     .paper()
-///     .strategy("MyScan", false, || universal_strategy(SequentialScan::new()))
-///     .build();
-/// assert!(registry.get("MyScan").is_some());
-/// assert!(registry.get("Probe_CW").is_some());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct RegistryBuilder {
-    entries: Vec<StrategyEntry>,
-}
-
-impl RegistryBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        RegistryBuilder::default()
-    }
-
-    /// Adds every strategy of the paper (Sections 3 and 4) plus the generic
-    /// scan baselines — eleven entries.
-    pub fn paper(self) -> Self {
-        self.strategy("Probe_Maj", false, || {
-            typed_strategy::<Majority, _>(ProbeMaj::new())
-        })
-        .strategy("R_Probe_Maj", true, || {
-            typed_strategy::<Majority, _>(RProbeMaj::new())
-        })
-        .strategy("Probe_CW", false, || {
-            typed_strategy::<CrumblingWalls, _>(ProbeCw::new())
-        })
-        .strategy("R_Probe_CW", true, || {
-            typed_strategy::<CrumblingWalls, _>(RProbeCw::new())
-        })
-        .strategy("Probe_Tree", false, || {
-            typed_strategy::<TreeQuorum, _>(ProbeTree::new())
-        })
-        .strategy("R_Probe_Tree", true, || {
-            typed_strategy::<TreeQuorum, _>(RProbeTree::new())
-        })
-        .strategy("Probe_HQS", false, || {
-            typed_strategy::<Hqs, _>(ProbeHqs::new())
-        })
-        .strategy("R_Probe_HQS", true, || {
-            typed_strategy::<Hqs, _>(RProbeHqs::new())
-        })
-        .strategy("IR_Probe_HQS", true, || {
-            typed_strategy::<Hqs, _>(IrProbeHqs::new())
-        })
-        .strategy("SequentialScan", false, || {
-            universal_strategy(SequentialScan::new())
-        })
-        .strategy("RandomScan", true, || universal_strategy(RandomScan::new()))
-    }
-
-    /// Adds the generic **load-aware** strategies ([`LeastLoadedScan`],
-    /// [`PowerOfTwoScan`]). Builder-built instances carry a fresh, empty
-    /// load view — useful for probe-count comparisons; workload simulations
-    /// instead build them over a live ledger (see [`crate::workload`]).
-    pub fn load_aware(self) -> Self {
-        self.strategy("LeastLoaded", false, || {
-            universal_strategy(LeastLoadedScan::unloaded())
-        })
-        .strategy("PowerOfTwo", true, || {
-            universal_strategy(PowerOfTwoScan::unloaded())
-        })
-    }
-
-    /// Registers one strategy under its canonical `name`, replacing any
-    /// existing entry of the same name. `randomized` marks strategies that
-    /// randomise their probe order (the paper's Section 4 algorithms).
-    pub fn strategy(
-        self,
-        name: &'static str,
-        randomized: bool,
-        build: fn() -> DynProbeStrategy,
-    ) -> Self {
-        self.register(StrategyEntry {
-            name,
-            build,
-            randomized,
-        })
-    }
-
-    /// Registers a pre-assembled [`StrategyEntry`], replacing any existing
-    /// entry of the same name (the replacement keeps the original position,
-    /// so battery order stays stable under overrides).
-    pub fn register(mut self, entry: StrategyEntry) -> Self {
-        if let Some(existing) = self.entries.iter_mut().find(|e| e.name == entry.name) {
-            *existing = entry;
-        } else {
-            self.entries.push(entry);
-        }
-        self
-    }
-
-    /// Finalises the registry.
-    pub fn build(self) -> StrategyRegistry {
-        StrategyRegistry {
-            entries: self.entries,
-        }
-    }
-}
+/// Every strategy of the paper (Sections 3 and 4) plus the generic scan
+/// baselines, in registry order: a survey or scenario matrix runs its
+/// strategies in this order.
+static PAPER_STRATEGIES: [StrategyEntry; 11] = [
+    StrategyEntry {
+        name: "Probe_Maj",
+        build: || typed_strategy::<Majority, _>(ProbeMaj::new()),
+    },
+    StrategyEntry {
+        name: "R_Probe_Maj",
+        build: || typed_strategy::<Majority, _>(RProbeMaj::new()),
+    },
+    StrategyEntry {
+        name: "Probe_CW",
+        build: || typed_strategy::<CrumblingWalls, _>(ProbeCw::new()),
+    },
+    StrategyEntry {
+        name: "R_Probe_CW",
+        build: || typed_strategy::<CrumblingWalls, _>(RProbeCw::new()),
+    },
+    StrategyEntry {
+        name: "Probe_Tree",
+        build: || typed_strategy::<TreeQuorum, _>(ProbeTree::new()),
+    },
+    StrategyEntry {
+        name: "R_Probe_Tree",
+        build: || typed_strategy::<TreeQuorum, _>(RProbeTree::new()),
+    },
+    StrategyEntry {
+        name: "Probe_HQS",
+        build: || typed_strategy::<Hqs, _>(ProbeHqs::new()),
+    },
+    StrategyEntry {
+        name: "R_Probe_HQS",
+        build: || typed_strategy::<Hqs, _>(RProbeHqs::new()),
+    },
+    StrategyEntry {
+        name: "IR_Probe_HQS",
+        build: || typed_strategy::<Hqs, _>(IrProbeHqs::new()),
+    },
+    StrategyEntry {
+        name: "SequentialScan",
+        build: || universal_strategy(SequentialScan::new()),
+    },
+    StrategyEntry {
+        name: "RandomScan",
+        build: || universal_strategy(RandomScan::new()),
+    },
+];
 
 /// The registry of probe strategies.
 #[derive(Debug, Clone)]
 pub struct StrategyRegistry {
-    entries: Vec<StrategyEntry>,
+    entries: &'static [StrategyEntry],
 }
 
 impl StrategyRegistry {
     /// Every strategy of the paper (Sections 3 and 4) plus the generic
-    /// scan baselines — [`RegistryBuilder::paper`] finalised as is.
+    /// scan baselines — eleven entries.
     pub fn paper() -> Self {
-        RegistryBuilder::new().paper().build()
-    }
-
-    /// The paper battery plus the load-aware strategies —
-    /// [`RegistryBuilder::paper`] + [`RegistryBuilder::load_aware`]
-    /// finalised as is.
-    pub fn extended() -> Self {
-        RegistryBuilder::new().paper().load_aware().build()
+        StrategyRegistry {
+            entries: &PAPER_STRATEGIES,
+        }
     }
 
     /// All entries.
     pub fn entries(&self) -> &[StrategyEntry] {
-        &self.entries
+        self.entries
     }
 
     /// Looks an entry up by canonical name.
@@ -492,76 +407,33 @@ mod tests {
         assert!(probe_maj.supports(maj.as_ref()));
     }
 
+    /// The table's order is the order `scenario-matrix` and the survey
+    /// run their strategies in, so it is pinned here name by name.
     #[test]
     fn strategy_registry_names_match_the_strategies() {
         let registry = StrategyRegistry::paper();
-        assert_eq!(registry.entries().len(), 11);
+        let names: Vec<&str> = registry.entries().iter().map(|e| e.name).collect();
+        assert_eq!(
+            names,
+            [
+                "Probe_Maj",
+                "R_Probe_Maj",
+                "Probe_CW",
+                "R_Probe_CW",
+                "Probe_Tree",
+                "R_Probe_Tree",
+                "Probe_HQS",
+                "R_Probe_HQS",
+                "IR_Probe_HQS",
+                "SequentialScan",
+                "RandomScan",
+            ]
+        );
+        assert!(registry.build("NoSuchStrategy").is_none());
         for entry in registry.entries() {
             let strategy = (entry.build)();
             assert_eq!(strategy.name(), entry.name, "registry name drifted");
         }
-    }
-
-    #[test]
-    fn extended_registry_adds_the_load_aware_strategies() {
-        let registry = StrategyRegistry::extended();
-        assert_eq!(registry.entries().len(), 13);
-        for name in ["LeastLoaded", "PowerOfTwo"] {
-            let strategy = registry.build(name).expect("registered");
-            assert_eq!(strategy.name(), name);
-            // Generic strategies: compatible with every family.
-            for entry in SystemRegistry::paper().entries() {
-                let system = entry.build(12);
-                assert!(
-                    strategy.supports(system.as_ref()),
-                    "{name} vs {}",
-                    entry.family
-                );
-            }
-        }
-        // The paper registry stays untouched.
-        assert!(StrategyRegistry::paper().get("LeastLoaded").is_none());
-    }
-
-    #[test]
-    fn builder_subsumes_the_stock_batteries() {
-        let paper = RegistryBuilder::new().paper().build();
-        let stock: Vec<&str> = StrategyRegistry::paper()
-            .entries()
-            .iter()
-            .map(|e| e.name)
-            .collect();
-        let built: Vec<&str> = paper.entries().iter().map(|e| e.name).collect();
-        assert_eq!(built, stock, "builder battery drifted from the registry");
-        let extended = RegistryBuilder::new().paper().load_aware().build();
-        assert_eq!(extended.entries().len(), 13);
-    }
-
-    #[test]
-    fn builder_overrides_replace_in_place() {
-        let registry = RegistryBuilder::new()
-            .paper()
-            .strategy("RandomScan", false, || {
-                universal_strategy(SequentialScan::new())
-            })
-            .strategy(
-                "Custom",
-                false,
-                || universal_strategy(SequentialScan::new()),
-            )
-            .build();
-        assert_eq!(
-            registry.entries().len(),
-            12,
-            "an override must not append a duplicate"
-        );
-        let overridden = registry.get("RandomScan").expect("still registered");
-        assert!(!overridden.randomized, "the replacement entry wins");
-        assert_eq!(
-            registry.entries().last().expect("non-empty").name,
-            "Custom",
-            "fresh names append; overrides keep their position"
-        );
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! Monte-Carlo and exhaustive estimation of expected probe counts.
+//! The [`Estimate`] every engine cell reports, and exhaustive expected probe
+//! counts over all colorings of a small system.
+//!
+//! Monte-Carlo expected probe counts come from an
+//! [`EvalPlan`](crate::eval::EvalPlan) cell run by the
+//! [`EvalEngine`](crate::eval::EvalEngine).
 
 use quorum_analysis::RunningStats;
 use quorum_core::{Coloring, QuorumSystem};
 use quorum_probe::{run_strategy, ProbeStrategy};
 use rand::Rng;
-
-use crate::FailureModel;
 
 /// An estimate of an expected probe count.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,48 +41,6 @@ impl Estimate {
     pub fn is_consistent_with(&self, value: f64, z: f64) -> bool {
         (value - self.mean).abs() <= z * self.std_error.max(1e-12)
     }
-}
-
-/// Estimates the expected probe count of `strategy` on `system` when inputs
-/// are drawn from `model`, using `trials` independent runs.
-///
-/// This is the estimator behind every "probabilistic model" number in the
-/// benchmark harness: with [`FailureModel::Iid`] it estimates
-/// `PPC_p(strategy, system)`.
-///
-/// The trials execute on the parallel evaluation engine
-/// ([`crate::eval::trial_values`]): the caller's `rng` only contributes the
-/// base seed, each trial derives its own deterministic RNG, and the estimate
-/// is identical for any worker-thread count.
-///
-/// # Panics
-///
-/// Panics if `trials == 0`, or propagates the panic of
-/// [`run_strategy`] if the strategy returns an invalid witness.
-pub fn estimate_expected_probes<S, T, R>(
-    system: &S,
-    strategy: &T,
-    model: &FailureModel,
-    trials: usize,
-    rng: &mut R,
-) -> Estimate
-where
-    S: QuorumSystem + Sync + ?Sized,
-    T: ProbeStrategy<S> + Sync + ?Sized,
-    R: Rng,
-{
-    assert!(trials > 0, "at least one trial is required");
-    let base_seed = rng.next_u64();
-    let n = system.universe_size();
-    let values = crate::eval::trial_values(trials, base_seed, 0, |_, trial_rng| {
-        let coloring = model.sample(n, trial_rng);
-        run_strategy(system, strategy, &coloring, trial_rng).probes as f64
-    });
-    let mut stats = RunningStats::new();
-    for value in values {
-        stats.push(value);
-    }
-    Estimate::from_stats(&stats)
 }
 
 /// Computes the *exact* expected probe count of a deterministic strategy under
@@ -141,23 +102,55 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quorum_probe::strategies::{ProbeCw, ProbeMaj, SequentialScan};
-    use quorum_systems::{CrumblingWalls, Majority, Wheel};
+    use crate::eval::{
+        erase_system, fit_points, typed_strategy, CellReport, ColoringSource, DynProbeStrategy,
+        DynSystem, EvalEngine, EvalPlan,
+    };
+    use quorum_analysis::fit_power_law;
+    use quorum_probe::strategies::{ProbeCw, ProbeHqs, ProbeMaj, ProbeTree, SequentialScan};
+    use quorum_systems::{CrumblingWalls, Hqs, Majority, TreeQuorum, Wheel};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// One engine cell whose base seed is the next word of `rng`.
+    fn one_cell(
+        system: &DynSystem,
+        strategy: &DynProbeStrategy,
+        source: ColoringSource,
+        trials: usize,
+        rng: &mut StdRng,
+    ) -> CellReport {
+        let mut plan = EvalPlan::new(rng.next_u64()).trials(trials);
+        plan.probe(system, strategy, source);
+        EvalEngine::new().run(&plan).cells.remove(0)
+    }
+
+    /// The fitted exponent of a sweep at p = 1/2: one cell per system.
+    fn sweep_exponent(
+        systems: &[DynSystem],
+        strategy: &DynProbeStrategy,
+        trials: usize,
+        rng: &mut StdRng,
+    ) -> f64 {
+        let cells: Vec<CellReport> = systems
+            .iter()
+            .map(|system| one_cell(system, strategy, ColoringSource::iid(0.5), trials, rng))
+            .collect();
+        fit_power_law(&fit_points(&cells)).exponent
+    }
 
     #[test]
     fn estimate_matches_exact_value_for_maj() {
         // PPC_{1/2}(Maj3) = 2.5 and Probe_Maj is optimal for Maj.
-        let maj = Majority::new(3).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let estimate = estimate_expected_probes(
-            &maj,
-            &ProbeMaj::new(),
-            &FailureModel::iid(0.5),
+        let estimate = one_cell(
+            &erase_system(Majority::new(3).unwrap()),
+            &typed_strategy::<Majority, _>(ProbeMaj::new()),
+            ColoringSource::iid(0.5),
             20_000,
             &mut rng,
-        );
+        )
+        .estimate;
         assert!(
             estimate.is_consistent_with(2.5, 4.0),
             "estimate {estimate:?}"
@@ -184,15 +177,12 @@ mod tests {
     fn crumbling_walls_meets_theorem_3_3_bound() {
         let wall = CrumblingWalls::new(vec![1, 5, 3, 7, 4]).unwrap();
         let k = wall.row_count();
+        let wall = erase_system(wall);
+        let probe_cw = typed_strategy::<CrumblingWalls, _>(ProbeCw::new());
         let mut rng = StdRng::seed_from_u64(3);
         for p in [0.2, 0.5, 0.8] {
-            let estimate = estimate_expected_probes(
-                &wall,
-                &ProbeCw::new(),
-                &FailureModel::iid(p),
-                4_000,
-                &mut rng,
-            );
+            let estimate =
+                one_cell(&wall, &probe_cw, ColoringSource::iid(p), 4_000, &mut rng).estimate;
             let bound = (2 * k - 1) as f64;
             assert!(
                 estimate.mean <= bound + 4.0 * estimate.std_error,
@@ -206,21 +196,22 @@ mod tests {
     fn wheel_meets_corollary_3_4_bound() {
         let wheel = Wheel::new(50).unwrap();
         let wall = CrumblingWalls::wheel(50).unwrap();
+        // Sanity: the wheel and its CW representation agree on the universe.
+        assert_eq!(wheel.universe_size(), wall.universe_size());
         let mut rng = StdRng::seed_from_u64(4);
-        let estimate = estimate_expected_probes(
-            &wall,
-            &ProbeCw::new(),
-            &FailureModel::iid(0.5),
+        let estimate = one_cell(
+            &erase_system(wall),
+            &typed_strategy::<CrumblingWalls, _>(ProbeCw::new()),
+            ColoringSource::iid(0.5),
             4_000,
             &mut rng,
-        );
+        )
+        .estimate;
         assert!(
             estimate.mean <= 3.0 + 4.0 * estimate.std_error,
             "estimate {}",
             estimate.mean
         );
-        // Sanity: the wheel and its CW representation agree on the universe.
-        assert_eq!(wheel.universe_size(), wall.universe_size());
     }
 
     #[test]
@@ -228,15 +219,15 @@ mod tests {
         // Probing Maj under the "exactly k+1 reds" model: expected probes of
         // the sequential scan is the urn expectation of Lemma 2.8, which for
         // n = 5 (k = 2) is (k+1)(n+1)/(k+2) = 4.5.
-        let maj = Majority::new(5).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        let estimate = estimate_expected_probes(
-            &maj,
-            &SequentialScan::new(),
-            &FailureModel::exact_red_count(3),
+        let estimate = one_cell(
+            &erase_system(Majority::new(5).unwrap()),
+            &typed_strategy::<Majority, _>(SequentialScan::new()),
+            ColoringSource::exact_red_count(3),
             30_000,
             &mut rng,
-        );
+        )
+        .estimate;
         assert!(
             estimate.is_consistent_with(4.5, 4.0),
             "estimate {estimate:?}"
@@ -244,12 +235,39 @@ mod tests {
     }
 
     #[test]
+    fn tree_sweep_exponent_is_sublinear() {
+        // Corollary 3.7: PPC(Tree) = O(n^0.585); the fitted exponent over a
+        // few sizes must be well below 1 and in the vicinity of 0.585.
+        let systems: Vec<DynSystem> = (2..=7)
+            .map(|h| erase_system(TreeQuorum::new(h).unwrap()))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(2);
+        let probe_tree = typed_strategy::<TreeQuorum, _>(ProbeTree::new());
+        let exponent = sweep_exponent(&systems, &probe_tree, 1_500, &mut rng);
+        assert!(
+            exponent > 0.4 && exponent < 0.75,
+            "Tree exponent {exponent} should be near 0.585"
+        );
+    }
+
+    #[test]
+    fn hqs_sweep_exponent_is_near_0_834() {
+        let systems: Vec<DynSystem> = (1..=5)
+            .map(|h| erase_system(Hqs::new(h).unwrap()))
+            .collect();
+        let mut rng = StdRng::seed_from_u64(3);
+        let probe_hqs = typed_strategy::<Hqs, _>(ProbeHqs::new());
+        let exponent = sweep_exponent(&systems, &probe_hqs, 1_500, &mut rng);
+        assert!(
+            exponent > 0.75 && exponent < 0.92,
+            "HQS exponent {exponent} should be near 0.834"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "at least one trial")]
     fn zero_trials_panics() {
-        let maj = Majority::new(3).unwrap();
-        let mut rng = StdRng::seed_from_u64(6);
-        let _ =
-            estimate_expected_probes(&maj, &ProbeMaj::new(), &FailureModel::iid(0.5), 0, &mut rng);
+        let _ = EvalPlan::new(6).trials(0);
     }
 
     #[test]

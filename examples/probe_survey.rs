@@ -26,7 +26,7 @@ struct Sweep {
 
 fn main() -> Result<(), QuorumError> {
     let systems = SystemRegistry::paper();
-    let strategies = RegistryBuilder::new().paper().build();
+    let strategies = StrategyRegistry::paper();
     // `EXAMPLE_TRIALS` bounds the work in CI smoke runs.
     let trials = std::env::var("EXAMPLE_TRIALS")
         .ok()

@@ -1,11 +1,11 @@
 //! Integration tests for the registry-driven parallel evaluation engine:
-//! thread-count-independent determinism, registry coverage, and agreement
-//! with the legacy estimator entry points.
+//! thread-count-independent determinism, registry coverage, and paper
+//! values read off plan cells.
 
 use probequorum::prelude::*;
 use probequorum::sim::eval::{trial_values, TrialRng};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 /// Builds a representative plan: several systems × strategies × sources,
 /// including a custom Monte-Carlo cell.
@@ -145,29 +145,22 @@ fn every_registry_pair_runs_on_small_universes() {
     }
 }
 
-/// The legacy estimator (`estimate_expected_probes`) now routes through the
-/// engine: still statistically correct and reproducible from the caller rng.
+/// An expected probe count is one plan cell: PPC_{1/2}(Maj5) = 4.125 exactly
+/// (Probe_Maj is optimal), the cell's estimate is consistent with it, and
+/// the same plan reproduces the estimate bit for bit.
 #[test]
-fn legacy_estimator_is_engine_backed_and_reproducible() {
+fn one_cell_plan_matches_the_exact_probe_complexity() {
     let maj = Majority::new(5).unwrap();
-    let run = |seed: u64| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        estimate_expected_probes(
-            &maj,
-            &ProbeMaj::new(),
-            &FailureModel::iid(0.5),
-            5_000,
-            &mut rng,
-        )
-    };
-    let first = run(11);
-    let second = run(11);
-    assert_eq!(
-        first, second,
-        "same caller seed must reproduce the estimate"
-    );
-    // PPC_{1/2}(Maj5) = 4.125 exactly; the estimate must be consistent.
     let exact = exact::optimal_expected(&maj, 0.5).unwrap();
+    let mut plan = EvalPlan::new(StdRng::seed_from_u64(11).next_u64()).trials(5_000);
+    plan.probe(
+        &erase_system(maj),
+        &typed_strategy::<Majority, _>(ProbeMaj::new()),
+        ColoringSource::iid(0.5),
+    );
+    let first = EvalEngine::new().run(&plan).cells[0].estimate;
+    let second = EvalEngine::with_threads(1).run(&plan).cells[0].estimate;
+    assert_eq!(first, second, "the same plan must reproduce the estimate");
     assert!(
         first.is_consistent_with(exact, 5.0),
         "estimate {first:?} vs exact {exact}"

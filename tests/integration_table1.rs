@@ -4,8 +4,37 @@
 //! reproduce`); these tests keep the claims under `cargo test`.
 
 use probequorum::prelude::*;
+use probequorum::sim::eval::{fit_points, CellReport};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+
+/// One engine cell whose base seed is the next word of `rng`.
+fn one_cell(
+    system: &DynSystem,
+    strategy: &DynProbeStrategy,
+    source: ColoringSource,
+    trials: usize,
+    rng: &mut StdRng,
+) -> CellReport {
+    let mut plan = EvalPlan::new(rng.next_u64()).trials(trials);
+    plan.probe(system, strategy, source);
+    EvalEngine::new().run(&plan).cells.remove(0)
+}
+
+/// The power-law fit of a sweep at p: one cell per system.
+fn sweep_fit(
+    systems: &[DynSystem],
+    strategy: &DynProbeStrategy,
+    p: f64,
+    trials: usize,
+    rng: &mut StdRng,
+) -> PowerLawFit {
+    let cells: Vec<CellReport> = systems
+        .iter()
+        .map(|system| one_cell(system, strategy, ColoringSource::iid(p), trials, rng))
+        .collect();
+    fit_power_law(&fit_points(&cells))
+}
 
 /// Section 2.3: PC(Maj3) = 3, PC_R(Maj3) = 8/3, PPC_{1/2}(Maj3) = 5/2.
 #[test]
@@ -39,17 +68,12 @@ fn maj3_worked_example() {
 #[test]
 fn table1_majority_row() {
     let n = 21;
-    let maj = Majority::new(n).unwrap();
+    let maj = erase_system(Majority::new(n).unwrap());
+    let probe_maj = typed_strategy::<Majority, _>(ProbeMaj::new());
     let mut rng = StdRng::seed_from_u64(2);
 
     // Probabilistic model at p = 1/2: between n − 3√n and n.
-    let estimate = estimate_expected_probes(
-        &maj,
-        &ProbeMaj::new(),
-        &FailureModel::iid(0.5),
-        20_000,
-        &mut rng,
-    );
+    let estimate = one_cell(&maj, &probe_maj, ColoringSource::iid(0.5), 20_000, &mut rng).estimate;
     let sqrt_n = (n as f64).sqrt();
     assert!(
         estimate.mean < n as f64,
@@ -62,13 +86,7 @@ fn table1_majority_row() {
     );
 
     // Probabilistic model at p = 0.2: about (n/2)/0.8.
-    let estimate = estimate_expected_probes(
-        &maj,
-        &ProbeMaj::new(),
-        &FailureModel::iid(0.2),
-        20_000,
-        &mut rng,
-    );
+    let estimate = one_cell(&maj, &probe_maj, ColoringSource::iid(0.2), 20_000, &mut rng).estimate;
     let predicted = bounds::maj_probabilistic(n, 0.2);
     assert!(
         (estimate.mean - predicted).abs() < 1.0,
@@ -78,13 +96,14 @@ fn table1_majority_row() {
 
     // Randomized worst case: the hard input has exactly (n+1)/2 red elements;
     // on that distribution R_Probe_Maj pays n − (n−1)/(n+3) in expectation.
-    let estimate = estimate_expected_probes(
+    let estimate = one_cell(
         &maj,
-        &RProbeMaj::new(),
-        &FailureModel::exact_red_count(n.div_ceil(2)),
+        &typed_strategy::<Majority, _>(RProbeMaj::new()),
+        ColoringSource::exact_red_count(n.div_ceil(2)),
         20_000,
         &mut rng,
-    );
+    )
+    .estimate;
     let predicted = bounds::maj_randomized_exact(n);
     assert!(
         (estimate.mean - predicted).abs() < 4.0 * estimate.std_error + 0.05,
@@ -103,13 +122,14 @@ fn table1_triang_row() {
     let mut rng = StdRng::seed_from_u64(3);
 
     // Probabilistic model.
-    let estimate = estimate_expected_probes(
-        &triang,
-        &ProbeCw::new(),
-        &FailureModel::iid(0.5),
+    let estimate = one_cell(
+        &erase_system(triang.clone()),
+        &typed_strategy::<CrumblingWalls, _>(ProbeCw::new()),
+        ColoringSource::iid(0.5),
         20_000,
         &mut rng,
-    );
+    )
+    .estimate;
     assert!(
         estimate.mean <= (2 * k - 1) as f64 + 4.0 * estimate.std_error,
         "Theorem 3.3"
@@ -158,16 +178,11 @@ fn table1_tree_row() {
     let mut rng = StdRng::seed_from_u64(4);
 
     // Probabilistic exponent.
-    let trees: Vec<TreeQuorum> = (3..=8).map(|h| TreeQuorum::new(h).unwrap()).collect();
-    let row = sweep(
-        "Tree",
-        &trees,
-        &ProbeTree::new(),
-        &FailureModel::iid(0.5),
-        3_000,
-        &mut rng,
-    );
-    let fit = fit_power_law(&row.as_fit_points());
+    let trees: Vec<DynSystem> = (3..=8)
+        .map(|h| erase_system(TreeQuorum::new(h).unwrap()))
+        .collect();
+    let probe_tree = typed_strategy::<TreeQuorum, _>(ProbeTree::new());
+    let fit = sweep_fit(&trees, &probe_tree, 0.5, 3_000, &mut rng);
     assert!(
         fit.exponent < 0.75 && fit.exponent > 0.45,
         "Tree probabilistic exponent {} should be near 0.585",
@@ -205,18 +220,13 @@ fn table1_tree_row() {
 #[test]
 fn table1_hqs_row() {
     let mut rng = StdRng::seed_from_u64(5);
-    let hqss: Vec<Hqs> = (2..=6).map(|h| Hqs::new(h).unwrap()).collect();
+    let hqss: Vec<DynSystem> = (2..=6)
+        .map(|h| erase_system(Hqs::new(h).unwrap()))
+        .collect();
+    let probe_hqs = typed_strategy::<Hqs, _>(ProbeHqs::new());
 
     // Probabilistic exponent at p = 1/2.
-    let row = sweep(
-        "HQS",
-        &hqss,
-        &ProbeHqs::new(),
-        &FailureModel::iid(0.5),
-        3_000,
-        &mut rng,
-    );
-    let fit = fit_power_law(&row.as_fit_points());
+    let fit = sweep_fit(&hqss, &probe_hqs, 0.5, 3_000, &mut rng);
     let expected = bounds::hqs_probabilistic_exponent_symmetric();
     assert!(
         (fit.exponent - expected).abs() < 0.08,
@@ -225,15 +235,7 @@ fn table1_hqs_row() {
     );
 
     // Biased p is strictly cheaper (O(n^0.63)).
-    let biased = sweep(
-        "HQS",
-        &hqss,
-        &ProbeHqs::new(),
-        &FailureModel::iid(0.2),
-        3_000,
-        &mut rng,
-    );
-    let biased_fit = fit_power_law(&biased.as_fit_points());
+    let biased_fit = sweep_fit(&hqss, &probe_hqs, 0.2, 3_000, &mut rng);
     assert!(
         biased_fit.exponent < fit.exponent - 0.05,
         "biased exponent {} should be visibly below the symmetric one {}",
