@@ -11,10 +11,10 @@
 //! the attempts in virtual time.
 
 use quorum_probe::session::{AttemptLoss, ProbeFate};
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use crate::chaos::{FaultSchedule, ProcessState};
-use crate::workload::Distribution;
+use crate::workload::{parts_per_million, Distribution};
 use crate::{NodeId, SimTime};
 
 /// Which leg of a probe RPC a message travels.
@@ -82,7 +82,7 @@ impl NetworkModel {
     /// Flips the loss coin for one message leg. Draws nothing when the model
     /// is lossless, so a clean network consumes no randomness.
     fn loses<R: RngCore + ?Sized>(&self, rng: &mut R) -> bool {
-        self.loss_ppm > 0 && rng.gen_range(0u32..1_000_000) < self.loss_ppm
+        self.loss_ppm > 0 && parts_per_million(rng) < self.loss_ppm
     }
 
     /// Decides how probing `node` at `now` under `policy` turns out: which

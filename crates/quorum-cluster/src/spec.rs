@@ -32,8 +32,8 @@ use rand::rngs::StdRng;
 use crate::live::{run_live, LiveOptions, LiveReport};
 use crate::network::{NetworkModel, ProbePolicy};
 use crate::workload::{
-    run_net_engine, ArrivalProcess, Distribution, LoadLedger, NetSessionPlan, PlanView,
-    SessionPlan, WorkloadConfig, WorkloadReport,
+    run_net_engine, ArrivalProcess, Distribution, LoadLedger, NetSessionPlan, Plan, SessionPlan,
+    WorkloadConfig, WorkloadReport,
 };
 use crate::{NodeId, SimTime};
 
@@ -511,13 +511,14 @@ impl WorkloadSpec {
     ///
     /// Panics with "inconsistent workload configuration", before anything
     /// is scheduled, if the configuration is invalid
-    /// ([`WorkloadConfig::is_valid`]), the network delay or hedge delay
-    /// exceeds [`WorkloadConfig::MAX_DURATION`], or a fault window ends past
-    /// it. Under [`Backend::Live`] the live run panics with the same
+    /// ([`WorkloadConfig::is_valid`]), the network delay is malformed or
+    /// exceeds [`WorkloadConfig::MAX_DURATION`] (as a latency distribution
+    /// would be refused), the hedge delay exceeds the cap, or a fault window
+    /// ends past it. Under [`Backend::Live`] the live run panics with the same
     /// message, before it starts, if the supervisor's restart delay or
-    /// partition patience exceeds it. (A red observation with no failed
-    /// attempts is legal: it is a *shed* probe that resolves instantly at
-    /// zero cost.)
+    /// partition patience exceeds it. Panics if a plan probes a node outside
+    /// `0..nodes`. (A red observation with no failed attempts is legal: it
+    /// is a *shed* probe that resolves instantly at zero cost.)
     pub fn run<F>(&self, seed: u64, mut session: F) -> SpecReport
     where
         F: FnMut(u64, &LoadLedger, SimTime, &mut StdRng) -> NetSessionPlan,
@@ -561,8 +562,9 @@ impl WorkloadSpec {
     /// runs a (possibly load-aware) probe strategy.
     ///
     /// The report is the one [`run`](Self::run) gives for the same plans
-    /// widened by [`NetSessionPlan::from_plan`]. The sim backend prices the
-    /// plans as they stand; the live backend widens them for its trace.
+    /// widened by [`NetSessionPlan::from_plan`]. The sim backend packs each
+    /// plan at its arrival without widening it, and drops it at once; the
+    /// live backend widens the plans for its trace.
     ///
     /// # Panics
     ///
@@ -573,9 +575,9 @@ impl WorkloadSpec {
         F: FnMut(u64, &LoadLedger, SimTime) -> SessionPlan,
     {
         match self.backend {
-            Backend::Sim => SpecReport::sim(self.engine(seed, |index, ledger, now, _rng| {
-                session(index, ledger, now).checked()
-            })),
+            Backend::Sim => SpecReport::sim(
+                self.engine(seed, |index, ledger, now, _rng| session(index, ledger, now)),
+            ),
             Backend::Live(_) => self.run(seed, |index, ledger, now, _rng| {
                 NetSessionPlan::from_plan(session(index, ledger, now))
             }),
@@ -585,7 +587,7 @@ impl WorkloadSpec {
     /// Runs the discrete-event engine on this spec's parameters.
     fn engine<P, F>(&self, seed: u64, session: F) -> WorkloadReport
     where
-        P: PlanView,
+        P: Plan,
         F: FnMut(u64, &LoadLedger, SimTime, &mut StdRng) -> P,
     {
         run_net_engine(

@@ -41,10 +41,17 @@
 //! clock wait in an overflow heap until the clock comes within the span.
 //! The wheel fires events in `(time, schedule order)`, exactly like a binary
 //! heap keyed on a schedule counter, because the engine never schedules an
-//! event before the instant it is processing. The engine reads both plan
-//! types through one view, so a latency-only [`SessionPlan`] is priced as it
-//! stands, without being widened into a [`NetSessionPlan`], and the engine
-//! allocates nothing per probe.
+//! event before the instant it is processing.
+//!
+//! The engine consumes each plan at its session's arrival: it packs the
+//! plan into a pooled session record of its own and drops the caller's
+//! copy at once. A record holds one `u32` word per probe, `node << 1 |
+//! red`; a red probe of a latency-only [`SessionPlan`] implies one
+//! unanswered request, and a [`NetSessionPlan`]'s failed attempts sit as
+//! per-probe ranges of one buffer. The record's slot and buffers are reused
+//! once its session completes, and each [`Distribution`] is prepared once
+//! per run, so the engine allocates nothing per probe and holds plans only
+//! for the sessions in flight.
 
 use std::collections::VecDeque;
 
@@ -52,7 +59,7 @@ use quorum_analysis::{load_imbalance, wasted_work_fraction, LogHistogram};
 use quorum_core::Color;
 use quorum_probe::session::AttemptLoss;
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 use crate::network::{NetworkModel, ProbePolicy};
 use crate::wheel::TimingWheel;
@@ -128,7 +135,8 @@ impl Distribution {
         }
     }
 
-    /// The mean duration.
+    /// The mean duration. A hand-built `slow_ppm` above one million counts
+    /// as one million, as [`sample`](Self::sample) treats it.
     pub fn mean(&self) -> SimTime {
         match self {
             Distribution::Fixed(value) => *value,
@@ -143,7 +151,7 @@ impl Distribution {
                 slow_ppm,
             } => {
                 let body = (min.as_micros() + max.as_micros()) / 2;
-                let ppm = u64::from(*slow_ppm);
+                let ppm = u64::from(*slow_ppm).min(1_000_000);
                 SimTime::from_micros(
                     (body * (1_000_000 - ppm) + slow.as_micros() * ppm) / 1_000_000,
                 )
@@ -151,54 +159,172 @@ impl Distribution {
         }
     }
 
-    /// The largest duration among the parameters (checked against
-    /// [`WorkloadConfig::MAX_DURATION`]).
-    fn largest_parameter(&self) -> SimTime {
+    /// Whether the distribution is well formed, however it was built: a
+    /// uniform or heavy-tail body with `min <= max`, a straggler probability
+    /// of at most one million parts per million, and every duration at most
+    /// [`WorkloadConfig::MAX_DURATION`].
+    pub(crate) fn is_valid(&self) -> bool {
+        let cap = WorkloadConfig::MAX_DURATION;
         match *self {
-            Distribution::Fixed(value) => value,
-            Distribution::Uniform { max, .. } => max,
-            Distribution::Exponential { mean } => mean,
-            Distribution::HeavyTail { max, slow, .. } => max.max(slow),
-        }
-    }
-
-    /// Draws one duration.
-    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> SimTime {
-        match self {
-            Distribution::Fixed(value) => *value,
-            Distribution::Uniform { min, max } => {
-                let (lo, hi) = (min.as_micros(), max.as_micros());
-                if hi > lo {
-                    SimTime::from_micros(rng.gen_range(lo..=hi))
-                } else {
-                    *min
-                }
-            }
-            Distribution::Exponential { mean } => {
-                // Inverse CDF on a 53-bit uniform in [0, 1); `1 - u` keeps the
-                // argument of `ln` strictly positive.
-                let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                let draw = -(mean.as_micros() as f64) * (1.0 - u).ln();
-                SimTime::from_micros(draw.round() as u64)
-            }
+            Distribution::Fixed(value) => value <= cap,
+            Distribution::Uniform { min, max } => min <= max && max <= cap,
+            Distribution::Exponential { mean } => mean <= cap,
             Distribution::HeavyTail {
                 min,
                 max,
                 slow,
                 slow_ppm,
+            } => min <= max && max <= cap && slow <= cap && slow_ppm <= 1_000_000,
+        }
+    }
+
+    /// Draws one duration.
+    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> SimTime {
+        self.prepare().sample(rng)
+    }
+
+    /// The sampler that draws this distribution with every per-draw
+    /// constant computed once.
+    pub(crate) fn prepare(&self) -> Sampler {
+        // A body with `max <= min` draws nothing and returns `min`.
+        let body = |min: SimTime, max: SimTime| {
+            (max > min).then(|| UniformRange::new(min.as_micros(), max.as_micros()))
+        };
+        match *self {
+            Distribution::Fixed(value) => Sampler::Fixed(value),
+            Distribution::Uniform { min, max } => {
+                body(min, max).map_or(Sampler::Fixed(min), Sampler::Uniform)
+            }
+            Distribution::Exponential { mean } => Sampler::Exponential {
+                neg_mean: -(mean.as_micros() as f64),
+            },
+            Distribution::HeavyTail {
+                min,
+                max,
+                slow,
+                slow_ppm,
+            } => Sampler::HeavyTail {
+                slow_ppm,
+                neg_slow: -(slow.as_micros() as f64),
+                min,
+                body: body(min, max),
+            },
+        }
+    }
+}
+
+/// `rng.gen_range(lo..=hi)` over `u64` with its rejection zone computed
+/// once: every draw consumes the words `gen_range` consumes and returns the
+/// value it returns.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct UniformRange {
+    lo: u64,
+    /// `hi - lo`, the mask when the range holds a power of two of values.
+    span: u64,
+    /// The number of values, `span + 1` (wrapping to 0 for all of `u64`).
+    values: u64,
+    /// Whether a draw masks one word instead of rejection sampling.
+    masked: bool,
+    /// The largest word the rejection loop accepts.
+    zone: u64,
+}
+
+impl UniformRange {
+    /// The range `[lo, hi]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi`.
+    pub(crate) const fn new(lo: u64, hi: u64) -> Self {
+        assert!(lo <= hi, "cannot sample empty range");
+        let span = hi - lo;
+        let values = span.wrapping_add(1);
+        let masked = values & span == 0;
+        let zone = if masked {
+            u64::MAX
+        } else {
+            u64::MAX - (u64::MAX % values + 1) % values
+        };
+        UniformRange {
+            lo,
+            span,
+            values,
+            masked,
+            zone,
+        }
+    }
+
+    /// Draws one value.
+    #[inline]
+    pub(crate) fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u64 {
+        if self.masked {
+            return self.lo.wrapping_add(rng.next_u64() & self.span);
+        }
+        loop {
+            let word = rng.next_u64();
+            if word <= self.zone {
+                return self.lo + word % self.values;
+            }
+        }
+    }
+}
+
+/// A uniform draw from `0..1_000_000`, as `rng.gen_range(0u32..1_000_000)`
+/// draws it: the coin of a parts-per-million probability.
+pub(crate) fn parts_per_million<R: RngCore + ?Sized>(rng: &mut R) -> u32 {
+    const PPM: UniformRange = UniformRange::new(0, 999_999);
+    PPM.sample(rng) as u32
+}
+
+/// A [`Distribution`] prepared for repeated draws; the engine prepares each
+/// of its distributions once per run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Sampler {
+    /// Always this duration; draws nothing.
+    Fixed(SimTime),
+    /// Uniform over a range of microseconds holding at least two values.
+    Uniform(UniformRange),
+    /// Exponential by the inverse CDF, holding the negated mean.
+    Exponential { neg_mean: f64 },
+    /// The straggler coin, then the exponential tail or the uniform body
+    /// (`None`: fixed at `min`).
+    HeavyTail {
+        slow_ppm: u32,
+        neg_slow: f64,
+        min: SimTime,
+        body: Option<UniformRange>,
+    },
+}
+
+impl Sampler {
+    /// Draws one duration.
+    #[inline]
+    pub(crate) fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> SimTime {
+        match *self {
+            Sampler::Fixed(value) => value,
+            Sampler::Uniform(range) => SimTime::from_micros(range.sample(rng)),
+            Sampler::Exponential { neg_mean } => exponential(neg_mean, rng),
+            Sampler::HeavyTail {
+                slow_ppm,
+                neg_slow,
+                min,
+                body,
             } => {
-                if rng.gen_range(0u32..1_000_000) < *slow_ppm {
-                    Distribution::Exponential { mean: *slow }.sample(rng)
+                if parts_per_million(rng) < slow_ppm {
+                    exponential(neg_slow, rng)
                 } else {
-                    Distribution::Uniform {
-                        min: *min,
-                        max: *max,
-                    }
-                    .sample(rng)
+                    body.map_or(min, |range| SimTime::from_micros(range.sample(rng)))
                 }
             }
         }
     }
+}
+
+/// An exponential draw of mean `-neg_mean` by the inverse CDF on a 53-bit
+/// uniform in [0, 1); `1 - u` keeps the argument of `ln` strictly positive.
+fn exponential<R: RngCore + ?Sized>(neg_mean: f64, rng: &mut R) -> SimTime {
+    let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    SimTime::from_micros((neg_mean * (1.0 - u).ln()).round() as u64)
 }
 
 /// How client sessions arrive at the system.
@@ -262,24 +388,23 @@ impl WorkloadConfig {
     pub const MAX_DURATION: SimTime = SimTime::from_millis(3_600_000);
 
     /// Whether the configuration is consistent: at least one session, a
-    /// positive timeout, a closed loop with at least one client, and every
-    /// duration (the timeout, the mean inter-arrival, and each parameter of
-    /// the latency, service and think-time distributions) at most
-    /// [`WorkloadConfig::MAX_DURATION`].
+    /// positive timeout, a closed loop with at least one client, the timeout
+    /// and the mean inter-arrival at most [`WorkloadConfig::MAX_DURATION`],
+    /// and well-formed latency, service and think-time distributions (each
+    /// body with `min <= max`, each straggler probability at most one
+    /// million parts per million, each duration within the cap).
     pub fn is_valid(&self) -> bool {
         let arrival_ok = match self.arrival {
             ArrivalProcess::OpenPoisson { mean_interarrival } => {
                 mean_interarrival <= Self::MAX_DURATION
             }
-            ArrivalProcess::ClosedLoop { clients, think } => {
-                clients >= 1 && think.largest_parameter() <= Self::MAX_DURATION
-            }
+            ArrivalProcess::ClosedLoop { clients, think } => clients >= 1 && think.is_valid(),
         };
         self.sessions >= 1
             && self.probe_timeout > SimTime::ZERO
             && self.probe_timeout <= Self::MAX_DURATION
-            && self.rpc_latency.largest_parameter() <= Self::MAX_DURATION
-            && self.service.largest_parameter() <= Self::MAX_DURATION
+            && self.rpc_latency.is_valid()
+            && self.service.is_valid()
             && arrival_ok
     }
 
@@ -306,10 +431,19 @@ impl WorkloadConfig {
 pub struct LoadLedger {
     probes: Vec<u64>,
     timeouts: Vec<u64>,
-    busy: Vec<SimTime>,
-    /// Outstanding service completion times per node, in FIFO order.
-    outstanding: Vec<VecDeque<SimTime>>,
-    peak_backlog: Vec<usize>,
+    nodes: Vec<NodeLoad>,
+}
+
+/// What the ledger tracks of one node besides its probe and timeout counts.
+#[derive(Debug, Clone, Default)]
+struct NodeLoad {
+    /// Cumulative service time.
+    busy: SimTime,
+    /// The most requests ever queued or in service at once.
+    peak_backlog: usize,
+    /// Outstanding service completion times, in FIFO order. Finish times
+    /// are non-decreasing along it (see `EngineState::serve`).
+    queue: VecDeque<SimTime>,
 }
 
 impl LoadLedger {
@@ -317,9 +451,7 @@ impl LoadLedger {
         LoadLedger {
             probes: vec![0; n],
             timeouts: vec![0; n],
-            busy: vec![SimTime::ZERO; n],
-            outstanding: vec![VecDeque::new(); n],
-            peak_backlog: vec![0; n],
+            nodes: vec![NodeLoad::default(); n],
         }
     }
 
@@ -345,19 +477,19 @@ impl LoadLedger {
 
     /// Cumulative service time of node `node`.
     pub fn busy_time(&self, node: NodeId) -> SimTime {
-        self.busy[node]
+        self.nodes[node].busy
     }
 
     /// The peak backlog (requests queued or in service) node `node` reached.
     pub fn peak_backlog(&self, node: NodeId) -> usize {
-        self.peak_backlog[node]
+        self.nodes[node].peak_backlog
     }
 
     /// Requests queued or in service at `node` as of `now`.
     pub fn backlog(&self, node: NodeId, now: SimTime) -> usize {
-        // Finish times are non-decreasing along the queue (see `serve`), so
-        // the unfinished requests are a suffix.
-        let queue = &self.outstanding[node];
+        // Finish times are non-decreasing along the queue, so the
+        // unfinished requests are a suffix.
+        let queue = &self.nodes[node].queue;
         queue.len() - queue.partition_point(|&finish| finish <= now)
     }
 
@@ -372,14 +504,6 @@ impl LoadLedger {
     pub fn imbalance(&self) -> f64 {
         load_imbalance(&self.probes)
     }
-
-    /// Drops completed requests (finish `<= now`) from a node's queue; the
-    /// queue is FIFO in finish time, so this is a pop-front loop.
-    fn prune(&mut self, node: NodeId, now: SimTime) {
-        while self.outstanding[node].front().is_some_and(|&f| f <= now) {
-            self.outstanding[node].pop_front();
-        }
-    }
 }
 
 /// What one client session will do, decided by the caller's session closure:
@@ -388,8 +512,8 @@ impl LoadLedger {
 /// This is the latency-only plan of
 /// [`WorkloadSpec::run_plans`](crate::spec::WorkloadSpec::run_plans): a green
 /// probe answers first try and a red probe is one unanswered request. The
-/// sim engine prices it as it stands; [`NetSessionPlan`]s add arbitrary
-/// per-attempt fates.
+/// sim engine packs it at arrival without widening it; [`NetSessionPlan`]s
+/// add arbitrary per-attempt fates.
 #[derive(Debug, Clone)]
 pub struct SessionPlan {
     /// The elements to probe, in order.
@@ -432,7 +556,7 @@ pub struct NetSessionPlan {
 impl SessionPlan {
     /// Returns the plan after checking that its `colors` align with its
     /// `sequence`.
-    pub(crate) fn checked(self) -> Self {
+    fn checked(self) -> Self {
         assert_eq!(
             self.sequence.len(),
             self.colors.len(),
@@ -445,7 +569,7 @@ impl SessionPlan {
 impl NetSessionPlan {
     /// Adapts a latency-only [`SessionPlan`]: green probes answer first try,
     /// red probes are one unanswered attempt — the oracle semantics of the
-    /// pre-network engine. The sim engine prices a [`SessionPlan`] without
+    /// pre-network engine. The sim engine packs a [`SessionPlan`] without
     /// this conversion; the live backend's trace needs it.
     ///
     /// # Panics
@@ -472,65 +596,110 @@ impl NetSessionPlan {
     }
 }
 
-/// One probe as the engine prices it: the node, the color the client
-/// records, and the failed attempts before that (see [`NetProbe`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ProbeView<'a> {
-    pub(crate) node: NodeId,
-    pub(crate) observed: Color,
-    pub(crate) failures: &'a [AttemptLoss],
+/// A session plan the engine can pack into its own record. The engine packs
+/// each plan the moment its session arrives and drops the caller's copy.
+pub(crate) trait Plan {
+    /// Appends the plan to `session`, whose buffers are empty, checking
+    /// every probed node against `nodes`.
+    fn pack(self, nodes: usize, session: &mut Session);
 }
 
-/// The engine's read-only view of a session plan. Both plan types implement
-/// it, so the engine prices a latency-only [`SessionPlan`] in place instead
-/// of widening it into a [`NetSessionPlan`].
-pub(crate) trait PlanView {
-    /// The number of probes.
-    fn len(&self) -> usize;
+impl Plan for SessionPlan {
+    fn pack(self, nodes: usize, session: &mut Session) {
+        let plan = self.checked();
+        session.probes.extend(
+            plan.sequence
+                .iter()
+                .zip(&plan.colors)
+                .map(|(&node, &color)| probe_word(node, color, nodes)),
+        );
+        session.success = plan.success;
+    }
+}
+
+impl Plan for NetSessionPlan {
+    fn pack(self, nodes: usize, session: &mut Session) {
+        for probe in &self.probes {
+            session
+                .probes
+                .push(probe_word(probe.node, probe.observed, nodes));
+            session.failures.extend_from_slice(&probe.failures);
+            session.failure_ends.push(
+                u32::try_from(session.failures.len())
+                    .expect("a session plan has fewer than 2^32 failed attempts"),
+            );
+        }
+        session.success = self.success;
+    }
+}
+
+/// The most nodes the engine prices: a probe packs its node into 31 bits.
+const MAX_NODES: usize = 1 << 31;
+
+/// One probe as the engine stores it: `node << 1 | red`.
+fn probe_word(node: NodeId, observed: Color, nodes: usize) -> u32 {
+    assert!(node < nodes, "session plan probes node {node} of {nodes}");
+    ((node as u32) << 1) | u32::from(observed == Color::Red)
+}
+
+/// One admitted session as the engine holds it, packed from its plan at
+/// arrival. The slot, buffers included, is reused once the session
+/// completes: by then every probe has resolved, and a hedge timer fires
+/// strictly before its probe resolves, so no pending event names the slot.
+#[derive(Debug, Default)]
+pub(crate) struct Session {
+    /// Per probe, in issue order, `node << 1 | red`.
+    probes: Vec<u32>,
+    /// A message-level plan's failed attempts, probe after probe. Empty for
+    /// a latency-only plan, whose red probes are one [`AttemptLoss::Request`]
+    /// each and whose green probes answer first try.
+    failures: Vec<AttemptLoss>,
+    /// Per probe of a message-level plan, the end of its attempts in
+    /// `failures`; empty for a latency-only plan.
+    failure_ends: Vec<u32>,
+    next_issue: u32,
+    in_flight: u32,
+    done: u32,
+    started: SimTime,
+    /// Whether a hedge-launched pair is currently racing; cleared (and
+    /// counted as one cancellation) when the race's first probe resolves.
+    hedge_race: bool,
     /// Whether the session located a live quorum.
-    fn success(&self) -> bool;
-    /// Probe `index`, in issue order.
-    fn probe(&self, index: usize) -> ProbeView<'_>;
+    success: bool,
 }
 
-impl PlanView for SessionPlan {
-    fn len(&self) -> usize {
-        self.sequence.len()
+impl Session {
+    /// Packs `plan` into the record for a session arriving at `now`,
+    /// reusing its buffers.
+    fn admit<P: Plan>(&mut self, plan: P, nodes: usize, now: SimTime) {
+        self.probes.clear();
+        self.failures.clear();
+        self.failure_ends.clear();
+        plan.pack(nodes, self);
+        assert!(
+            u32::try_from(self.probes.len()).is_ok(),
+            "a session plan has fewer than 2^32 probes"
+        );
+        self.next_issue = 0;
+        self.in_flight = 0;
+        self.done = 0;
+        self.started = now;
+        self.hedge_race = false;
     }
 
-    fn success(&self) -> bool {
-        self.success
+    /// The probe count.
+    fn len(&self) -> u32 {
+        self.probes.len() as u32
     }
 
-    fn probe(&self, index: usize) -> ProbeView<'_> {
-        let observed = self.colors[index];
-        ProbeView {
-            node: self.sequence[index],
-            observed,
-            failures: match observed {
-                Color::Green => &[],
-                Color::Red => &[AttemptLoss::Request],
-            },
+    /// The failed attempts of probe `index`, whose color is red when `red`.
+    fn failures(&self, index: u32, red: bool) -> &[AttemptLoss] {
+        if self.failure_ends.is_empty() {
+            return if red { &[AttemptLoss::Request] } else { &[] };
         }
-    }
-}
-
-impl PlanView for NetSessionPlan {
-    fn len(&self) -> usize {
-        self.probes.len()
-    }
-
-    fn success(&self) -> bool {
-        self.success
-    }
-
-    fn probe(&self, index: usize) -> ProbeView<'_> {
-        let probe = &self.probes[index];
-        ProbeView {
-            node: probe.node,
-            observed: probe.observed,
-            failures: &probe.failures,
-        }
+        let index = index as usize;
+        let start = index.checked_sub(1).map_or(0, |i| self.failure_ends[i]);
+        &self.failures[start as usize..self.failure_ends[index] as usize]
     }
 }
 
@@ -622,30 +791,19 @@ enum EventKind {
     Arrival(u64),
     /// Probe `1` of session slot `0` resolves at the client: its answer
     /// arrived, or its last attempt timed out.
-    Resolved(usize, usize),
+    Resolved(u32, u32),
     /// The hedging delay of probe `1` in session slot `0` elapsed without a
     /// resolution: consider launching the next candidate.
-    HedgeDue(usize, usize),
+    HedgeDue(u32, u32),
 }
 
-#[derive(Debug)]
-struct ActiveSession<P> {
-    /// The plan, until the session completes and its buffers are freed.
-    plan: Option<P>,
-    /// The plan's probe count.
-    len: usize,
-    next_issue: usize,
-    in_flight: usize,
-    done: usize,
-    started: SimTime,
-    /// Whether a hedge-launched pair is currently racing; cleared (and
-    /// counted as one cancellation) when the race's first probe resolves.
-    hedge_race: bool,
-}
-
-/// Mutable engine counters shared by the pricing helpers.
+/// The engine's pricing parameters and mutable counters.
 struct EngineState {
     ledger: LoadLedger,
+    delay: Sampler,
+    service: Sampler,
+    timeout: SimTime,
+    policy: ProbePolicy,
     probes_total: u64,
     messages: u64,
     wasted: u64,
@@ -658,60 +816,59 @@ impl EngineState {
     /// Queues one delivered request at `node` (arriving at `request_at`) and
     /// returns its service-finish instant.
     fn serve(&mut self, node: NodeId, request_at: SimTime, service: SimTime) -> SimTime {
-        self.ledger.prune(node, request_at);
+        let load = &mut self.ledger.nodes[node];
+        // Drop the requests finished by `request_at`: a pop-front loop,
+        // since the queue is FIFO in finish time.
+        while load.queue.front().is_some_and(|&f| f <= request_at) {
+            load.queue.pop_front();
+        }
         // The queue is FIFO in probe-*issue* order (the order the pricing
         // code runs), not request-arrival order: a request issued earlier but
         // with a longer network delay is still served first. The modelling
         // simplification keeps each probe's full timeline computable at issue
         // time.
-        let queue_free = self.ledger.outstanding[node]
+        let queue_free = load
+            .queue
             .back()
             .copied()
             .unwrap_or(request_at)
             .max(request_at);
         let finish = queue_free + service;
         // `LoadLedger::backlog` binary-searches on this order.
-        debug_assert!(self.ledger.outstanding[node]
-            .back()
-            .is_none_or(|&last| last <= finish));
-        self.ledger.busy[node] += service;
-        self.ledger.outstanding[node].push_back(finish);
-        let depth = self.ledger.outstanding[node].len();
-        if depth > self.ledger.peak_backlog[node] {
-            self.ledger.peak_backlog[node] = depth;
-        }
+        debug_assert!(load.queue.back().is_none_or(|&last| last <= finish));
+        load.busy += service;
+        load.queue.push_back(finish);
+        load.peak_backlog = load.peak_backlog.max(load.queue.len());
         finish
     }
 
-    /// Prices one probe issued at `now`, returning the instant it resolves
-    /// at the client. Failed attempts cost the timeout (plus backoff);
-    /// attempts whose response leg was dropped additionally make the node do
-    /// the work. The answering attempt of a green observation goes through
-    /// the delay → queue → service → delay pipeline.
+    /// Prices one probe of `node` issued at `now`, returning the instant it
+    /// resolves at the client. Failed attempts cost the timeout (plus
+    /// backoff); attempts whose response leg was dropped additionally make
+    /// the node do the work. The answering attempt of a green observation
+    /// goes through the delay → queue → service → delay pipeline.
     fn price_probe(
         &mut self,
-        probe: ProbeView<'_>,
+        node: NodeId,
+        observed: Color,
+        failures: &[AttemptLoss],
         now: SimTime,
-        config: &WorkloadConfig,
-        delay: &Distribution,
-        policy: &ProbePolicy,
         rng: &mut StdRng,
     ) -> SimTime {
-        let node = probe.node;
         let mut send_at = now;
         let mut last_failure = now;
-        for (attempt, loss) in probe.failures.iter().enumerate() {
+        for (attempt, loss) in failures.iter().enumerate() {
             self.ledger.probes[node] += 1;
             self.ledger.timeouts[node] += 1;
             self.probes_total += 1;
             self.messages += 1; // the request was transmitted
-            if crate::spec::attempt_is_wasted(probe.observed, attempt, probe.failures) {
+            if crate::spec::attempt_is_wasted(observed, attempt, failures) {
                 self.wasted += 1;
             }
             if *loss == AttemptLoss::Response {
                 // Delivered and served; only the answer was dropped.
-                let request_at = send_at + delay.sample(rng);
-                let service = config.service.sample(rng);
+                let request_at = send_at + self.delay.sample(rng);
+                let service = self.service.sample(rng);
                 self.serve(node, request_at, service);
                 self.messages += 1; // the response was transmitted, then lost
             }
@@ -722,25 +879,52 @@ impl EngineState {
                 // can be cross-validated against the live runtime.
                 self.lost_to_crash += 1;
             }
-            last_failure = send_at + config.probe_timeout;
-            send_at = last_failure + policy.backoff_before(attempt as u32);
+            last_failure = send_at + self.timeout;
+            send_at = last_failure + self.policy.backoff_before(attempt as u32);
         }
-        match probe.observed {
+        match observed {
             Color::Green => {
                 self.ledger.probes[node] += 1;
                 self.probes_total += 1;
                 self.messages += 1;
-                let request_at = send_at + delay.sample(rng);
-                let service = config.service.sample(rng);
+                let request_at = send_at + self.delay.sample(rng);
+                let service = self.service.sample(rng);
                 let finish = self.serve(node, request_at, service);
                 self.messages += 1;
-                finish + delay.sample(rng)
+                finish + self.delay.sample(rng)
             }
             Color::Red => {
                 // A red observation with no failures is a *shed* probe: the
                 // health layer declined to send, so it resolves immediately
                 // (`last_failure` is still `now`) at zero cost.
                 last_failure
+            }
+        }
+    }
+
+    /// Issues probe `index` of `session` (in `slot`) at `now`: prices it,
+    /// schedules its resolution and (when hedging) its hedge timer.
+    fn issue(
+        &mut self,
+        session: &mut Session,
+        slot: u32,
+        index: u32,
+        now: SimTime,
+        events: &mut TimingWheel<EventKind>,
+        rng: &mut StdRng,
+    ) {
+        let word = session.probes[index as usize];
+        let (node, red) = ((word >> 1) as NodeId, word & 1 == 1);
+        let observed = if red { Color::Red } else { Color::Green };
+        let resolve_at = self.price_probe(node, observed, session.failures(index, red), now, rng);
+        session.next_issue = index + 1;
+        session.in_flight += 1;
+        events.push(resolve_at, EventKind::Resolved(slot, index));
+        if let Some(hedge) = self.policy.hedge {
+            // Only meaningful if the probe is still unresolved at the timer
+            // and a next candidate exists.
+            if resolve_at > now + hedge && index + 1 < session.len() {
+                events.push(now + hedge, EventKind::HedgeDue(slot, index));
             }
         }
     }
@@ -756,9 +940,19 @@ impl EngineState {
 /// scheduling before the instant it is processing: arrivals, resolutions
 /// and hedge timers all lie at or after `now`.
 ///
-/// The engine reads plans through [`PlanView`], so latency-only
-/// [`SessionPlan`]s are priced as they stand, without being widened into
-/// [`NetSessionPlan`]s. Nothing is allocated per probe.
+/// Each plan is packed at its session's arrival into a pooled [`Session`]
+/// record, and the caller's plan is dropped at once: latency-only and
+/// message-level plans alike become one `u32` word per probe, with a
+/// message-level plan's failed attempts as ranges of one buffer. A record's
+/// slot and buffers are reused once its session completes, and every
+/// distribution is prepared once per run, so nothing is allocated per
+/// probe and memory follows the sessions in flight, not the sessions run.
+///
+/// # Panics
+///
+/// Panics with "inconsistent workload configuration" on an invalid
+/// configuration, network delay, fault schedule or hedge delay, before
+/// anything is scheduled; and if a plan probes a node outside `0..n`.
 pub(crate) fn run_net_engine<P, F>(
     n: usize,
     config: &WorkloadConfig,
@@ -768,24 +962,29 @@ pub(crate) fn run_net_engine<P, F>(
     mut session: F,
 ) -> WorkloadReport
 where
-    P: PlanView,
+    P: Plan,
     F: FnMut(u64, &LoadLedger, SimTime, &mut StdRng) -> P,
 {
     assert!(
         config.is_valid()
-            && network
-                .delay
-                .is_none_or(|d| d.largest_parameter() <= WorkloadConfig::MAX_DURATION)
+            && network.delay.is_none_or(|d| d.is_valid())
             && network.faults.is_bounded()
             && policy
                 .hedge
                 .is_none_or(|h| h <= WorkloadConfig::MAX_DURATION),
         "inconsistent workload configuration"
     );
-    let delay = network.delay.unwrap_or(config.rpc_latency);
+    assert!(
+        n <= MAX_NODES,
+        "the workload engine prices at most 2^31 nodes"
+    );
     let mut rng = StdRng::seed_from_u64(seed);
     let mut state = EngineState {
         ledger: LoadLedger::new(n),
+        delay: network.delay.unwrap_or(config.rpc_latency).prepare(),
+        service: config.service.prepare(),
+        timeout: config.probe_timeout,
+        policy: *policy,
         probes_total: 0,
         messages: 0,
         wasted: 0,
@@ -796,147 +995,78 @@ where
     let mut latency = LogHistogram::new();
     let mut events = TimingWheel::new();
 
-    // Seed the arrival stream.
-    let total_sessions = config.sessions as u64;
-    let mut sessions_issued: u64;
-    match config.arrival {
+    // The gap before each arrival: an exponential inter-arrival time in
+    // open loop, a client's think time in closed loop.
+    let (gap, open_loop, first_arrivals) = match config.arrival {
         ArrivalProcess::OpenPoisson { mean_interarrival } => {
-            let first = Distribution::exponential(mean_interarrival).sample(&mut rng);
-            events.push(first, EventKind::Arrival(0));
-            sessions_issued = 1;
+            (Distribution::exponential(mean_interarrival), true, 1)
         }
-        ArrivalProcess::ClosedLoop { clients, think } => {
-            sessions_issued = (clients as u64).min(total_sessions);
-            for client in 0..sessions_issued {
-                let at = think.sample(&mut rng);
-                events.push(at, EventKind::Arrival(client));
-            }
-        }
+        ArrivalProcess::ClosedLoop { clients, think } => (think, false, clients as u64),
+    };
+    let gap = gap.prepare();
+    let total_sessions = config.sessions as u64;
+    let mut sessions_issued = first_arrivals.min(total_sessions);
+    for client in 0..sessions_issued {
+        events.push(gap.sample(&mut rng), EventKind::Arrival(client));
     }
 
-    let mut active: Vec<ActiveSession<P>> = Vec::new();
+    let mut slots: Vec<Session> = Vec::new();
+    let mut free: Vec<u32> = Vec::new();
     let mut completed = 0usize;
     let mut successes = 0usize;
     let mut last_completion = SimTime::ZERO;
 
-    // Issues probe `index` of session `slot` at `now`: prices it, schedules
-    // its resolution and (when hedging) its hedge timer.
-    let issue = |session: &mut ActiveSession<P>,
-                 slot: usize,
-                 index: usize,
-                 now: SimTime,
-                 events: &mut TimingWheel<EventKind>,
-                 state: &mut EngineState,
-                 rng: &mut StdRng| {
-        let plan = session
-            .plan
-            .as_ref()
-            .expect("an unfinished session keeps its plan");
-        let resolve_at = state.price_probe(plan.probe(index), now, config, &delay, policy, rng);
-        session.next_issue = index + 1;
-        session.in_flight += 1;
-        events.push(resolve_at, EventKind::Resolved(slot, index));
-        if let Some(hedge) = policy.hedge {
-            // Only meaningful if the probe is still unresolved at the timer
-            // and a next candidate exists.
-            if resolve_at > now + hedge && index + 1 < session.len {
-                events.push(now + hedge, EventKind::HedgeDue(slot, index));
-            }
-        }
-    };
-
     while let Some((now, kind)) = events.pop() {
-        match kind {
+        // The start instant and the outcome of a session completing now.
+        let finished = match kind {
             EventKind::Arrival(session_index) => {
                 // Open-loop arrivals breed the next arrival immediately, so
                 // the offered rate never reacts to completions.
-                if let ArrivalProcess::OpenPoisson { mean_interarrival } = config.arrival {
-                    if sessions_issued < total_sessions {
-                        let gap = Distribution::exponential(mean_interarrival).sample(&mut rng);
-                        events.push(now + gap, EventKind::Arrival(sessions_issued));
-                        sessions_issued += 1;
-                    }
+                if open_loop && sessions_issued < total_sessions {
+                    events.push(
+                        now + gap.sample(&mut rng),
+                        EventKind::Arrival(sessions_issued),
+                    );
+                    sessions_issued += 1;
                 }
                 let plan = session(session_index, &state.ledger, now, &mut rng);
-                let len = plan.len();
-                if len == 0 {
+                let slot = free.pop().unwrap_or_else(|| {
+                    slots.push(Session::default());
+                    u32::try_from(slots.len() - 1).expect("fewer than 2^32 sessions in flight")
+                });
+                let record = &mut slots[slot as usize];
+                record.admit(plan, n, now);
+                if record.probes.is_empty() {
                     // A zero-probe session (degenerate but legal): completes
                     // instantly.
-                    completed += 1;
-                    successes += usize::from(plan.success());
-                    latency.record(0);
-                    last_completion = last_completion.max(now);
-                    if let ArrivalProcess::ClosedLoop { think, .. } = config.arrival {
-                        if sessions_issued < total_sessions {
-                            let gap = think.sample(&mut rng);
-                            events.push(now + gap, EventKind::Arrival(sessions_issued));
-                            sessions_issued += 1;
-                        }
-                    }
-                    continue;
+                    free.push(slot);
+                    Some((now, record.success))
+                } else {
+                    state.issue(record, slot, 0, now, &mut events, &mut rng);
+                    None
                 }
-                let slot = active.len();
-                active.push(ActiveSession {
-                    plan: Some(plan),
-                    len,
-                    next_issue: 0,
-                    in_flight: 0,
-                    done: 0,
-                    started: now,
-                    hedge_race: false,
-                });
-                issue(
-                    &mut active[slot],
-                    slot,
-                    0,
-                    now,
-                    &mut events,
-                    &mut state,
-                    &mut rng,
-                );
             }
             EventKind::Resolved(slot, index) => {
-                let session = &mut active[slot];
+                let record = &mut slots[slot as usize];
                 // A hedge race ends the moment the faster of its two probes
                 // resolves: the one still in flight is cancelled in the
                 // ledger. Counted once per race (a pipeline that keeps
                 // running past a stalled probe is not a new race), so
                 // `cancelled <= hedges` always holds.
-                if session.hedge_race && session.in_flight == 2 {
+                if record.hedge_race && record.in_flight == 2 {
                     state.cancelled += 1;
-                    session.hedge_race = false;
+                    record.hedge_race = false;
                 }
-                session.done += 1;
-                session.in_flight -= 1;
-                if session.next_issue == index + 1 && session.next_issue < session.len {
-                    issue(
-                        session,
-                        slot,
-                        index + 1,
-                        now,
-                        &mut events,
-                        &mut state,
-                        &mut rng,
-                    );
-                    continue;
-                }
-                if session.done == session.len {
-                    // Session complete: free the plan's buffers. The entry
-                    // itself stays, because events name sessions by their
-                    // index in `active`, so `active` keeps one small record
-                    // per admitted session.
-                    let plan = session.plan.take().expect("a session completes once");
-                    latency.record((now - session.started).as_micros());
-                    completed += 1;
-                    successes += usize::from(plan.success());
-                    last_completion = last_completion.max(now);
-                    if let ArrivalProcess::ClosedLoop { think, .. } = config.arrival {
-                        if sessions_issued < total_sessions {
-                            let gap = think.sample(&mut rng);
-                            events.push(now + gap, EventKind::Arrival(sessions_issued));
-                            sessions_issued += 1;
-                        }
-                    }
+                record.done += 1;
+                record.in_flight -= 1;
+                if record.next_issue == index + 1 && record.next_issue < record.len() {
+                    state.issue(record, slot, index + 1, now, &mut events, &mut rng);
+                    None
+                } else if record.done == record.len() {
+                    free.push(slot);
+                    Some((record.started, record.success))
+                } else {
+                    None
                 }
             }
             EventKind::HedgeDue(slot, index) => {
@@ -947,23 +1077,31 @@ where
                 // `index` resolves with `next_issue == index + 1`, it
                 // issues its successor itself or has none, so the test
                 // below can only pass while `index` is in flight.
-                let session = &mut active[slot];
-                if session.next_issue == index + 1
-                    && session.next_issue < session.len
-                    && session.in_flight < 2
+                let record = &mut slots[slot as usize];
+                if record.next_issue == index + 1
+                    && record.next_issue < record.len()
+                    && record.in_flight < 2
                 {
                     state.hedges += 1;
-                    session.hedge_race = true;
-                    issue(
-                        session,
-                        slot,
-                        index + 1,
-                        now,
-                        &mut events,
-                        &mut state,
-                        &mut rng,
-                    );
+                    record.hedge_race = true;
+                    state.issue(record, slot, index + 1, now, &mut events, &mut rng);
                 }
+                None
+            }
+        };
+        if let Some((started, success)) = finished {
+            latency.record((now - started).as_micros());
+            completed += 1;
+            successes += usize::from(success);
+            last_completion = last_completion.max(now);
+            // A closed-loop client starts its next session one think time
+            // after this one completed.
+            if !open_loop && sessions_issued < total_sessions {
+                events.push(
+                    now + gap.sample(&mut rng),
+                    EventKind::Arrival(sessions_issued),
+                );
+                sessions_issued += 1;
             }
         }
     }
@@ -989,10 +1127,12 @@ mod tests {
     use super::*;
     use crate::chaos::{Fault, FaultSchedule};
     use crate::spec::WorkloadSpec;
+    use proptest::prelude::*;
     use quorum_core::{Coloring, QuorumSystem};
     use quorum_probe::run_strategy;
     use quorum_probe::strategies::SequentialScan;
     use quorum_systems::Majority;
+    use rand::Rng;
 
     fn lan_config(arrival: ArrivalProcess, sessions: usize) -> WorkloadConfig {
         WorkloadConfig {
@@ -1177,7 +1317,7 @@ mod tests {
     fn ledger_scores_expose_backlog_and_history() {
         let mut ledger = LoadLedger::new(2);
         ledger.probes[0] = 10;
-        ledger.outstanding[1].push_back(SimTime::from_millis(5));
+        ledger.nodes[1].queue.push_back(SimTime::from_millis(5));
         let now = SimTime::from_millis(1);
         assert_eq!(ledger.backlog(0, now), 0);
         assert_eq!(ledger.backlog(1, now), 1);
@@ -1197,11 +1337,14 @@ mod tests {
         let mut ledger = LoadLedger::new(1);
         // Non-decreasing, with runs of equal finish times, as `serve` builds.
         for finish in [3, 5, 5, 5, 8, 13, 13, 20] {
-            ledger.outstanding[0].push_back(SimTime::from_micros(finish));
+            ledger.nodes[0]
+                .queue
+                .push_back(SimTime::from_micros(finish));
         }
         for micros in 0..=22 {
             let now = SimTime::from_micros(micros);
-            let linear = ledger.outstanding[0]
+            let linear = ledger.nodes[0]
+                .queue
                 .iter()
                 .filter(|&&finish| finish > now)
                 .count();
@@ -1227,6 +1370,136 @@ mod tests {
             .sum::<f64>()
             / 4_000.0;
         assert!((mean - 1_000.0).abs() < 100.0, "exponential mean {mean}");
+    }
+
+    /// The per-call `Distribution::sample` as it read before distributions
+    /// were prepared: the reference the prepared samplers must replay.
+    fn per_call_sample(distribution: &Distribution, rng: &mut StdRng) -> SimTime {
+        match *distribution {
+            Distribution::Fixed(value) => value,
+            Distribution::Uniform { min, max } => {
+                let (lo, hi) = (min.as_micros(), max.as_micros());
+                if hi > lo {
+                    SimTime::from_micros(rng.gen_range(lo..=hi))
+                } else {
+                    min
+                }
+            }
+            Distribution::Exponential { mean } => {
+                let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+                let draw = -(mean.as_micros() as f64) * (1.0 - u).ln();
+                SimTime::from_micros(draw.round() as u64)
+            }
+            Distribution::HeavyTail {
+                min,
+                max,
+                slow,
+                slow_ppm,
+            } => {
+                if rng.gen_range(0u32..1_000_000) < slow_ppm {
+                    per_call_sample(&Distribution::Exponential { mean: slow }, rng)
+                } else {
+                    per_call_sample(&Distribution::Uniform { min, max }, rng)
+                }
+            }
+        }
+    }
+
+    /// The bounds of a prepared-uniform case: one value, two values, a
+    /// power of two of values, 301 values, just over 2⁶³ values (where
+    /// about half the words are rejected), all of `u64`, or any span.
+    fn uniform_case(class: u8, lo: u64, raw: u64) -> (u64, u64) {
+        let lo = lo % (1 << 40);
+        match class {
+            0 => (lo, lo),
+            1 => (lo, lo + 1),
+            2 => (lo, lo + (1u64 << (raw % 24 + 1)) - 1),
+            3 => (lo, lo + 300),
+            4 => (lo, lo + (1u64 << 63) + raw % (1 << 20)),
+            5 => (0, u64::MAX),
+            _ => (lo, lo + raw % (1 << 50)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The prepared uniform draws what `rng.gen_range(lo..=hi)` draws,
+        /// word for word, and leaves the RNG in the same state.
+        #[test]
+        fn prepared_uniform_replays_gen_range(
+            class in 0u8..7,
+            lo in any::<u64>(),
+            raw in any::<u64>(),
+            seed in any::<u64>(),
+        ) {
+            let (lo, hi) = uniform_case(class, lo, raw);
+            let prepared = UniformRange::new(lo, hi);
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = StdRng::seed_from_u64(seed);
+            for _ in 0..64 {
+                prop_assert_eq!(prepared.sample(&mut a), b.gen_range(lo..=hi));
+            }
+            prop_assert_eq!(a.next_u64(), b.next_u64());
+        }
+
+        /// Every prepared distribution (fixed, uniform, exponential and
+        /// heavy-tail, hand-built out-of-range values included) draws what
+        /// the per-call sampler drew, and so does `Distribution::sample`.
+        #[test]
+        fn prepared_samplers_replay_the_per_call_sampler(
+            kind in 0u8..4,
+            a in 0u64..10_000,
+            b in 0u64..10_000,
+            slow in 0u64..200_000,
+            slow_ppm in prop::sample::select(vec![0u32, 1, 250_000, 999_999, 1_000_000, 2_000_000]),
+            seed in any::<u64>(),
+        ) {
+            let (min, max) = (SimTime::from_micros(a), SimTime::from_micros(b));
+            let distribution = match kind {
+                0 => Distribution::Fixed(min),
+                1 => Distribution::Uniform { min, max },
+                2 => Distribution::Exponential { mean: SimTime::from_micros(slow) },
+                _ => Distribution::HeavyTail { min, max, slow: SimTime::from_micros(slow), slow_ppm },
+            };
+            let prepared = distribution.prepare();
+            let mut reference = StdRng::seed_from_u64(seed);
+            let mut reused = StdRng::seed_from_u64(seed);
+            let mut per_call = StdRng::seed_from_u64(seed);
+            for _ in 0..64 {
+                let expected = per_call_sample(&distribution, &mut reference);
+                prop_assert_eq!(prepared.sample(&mut reused), expected);
+                prop_assert_eq!(distribution.sample(&mut per_call), expected);
+            }
+            let next = reference.next_u64();
+            prop_assert_eq!(reused.next_u64(), next);
+            prop_assert_eq!(per_call.next_u64(), next);
+        }
+    }
+
+    /// A hand-built straggler probability past one million parts per
+    /// million means a straggler on every draw, and the mean says so
+    /// instead of wrapping (or overflowing, in debug builds, inside
+    /// `horizon_hint`).
+    #[test]
+    fn mean_clamps_a_hand_built_straggler_probability() {
+        let overdrawn = Distribution::HeavyTail {
+            min: SimTime::from_micros(100),
+            max: SimTime::from_micros(200),
+            slow: SimTime::from_millis(5),
+            slow_ppm: 2_000_000,
+        };
+        assert_eq!(overdrawn.mean(), SimTime::from_millis(5));
+        let mut config = lan_config(
+            ArrivalProcess::ClosedLoop {
+                clients: 2,
+                think: overdrawn,
+            },
+            10,
+        );
+        config.service = overdrawn;
+        assert!(!config.is_valid());
+        assert_eq!(config.horizon_hint(), SimTime::from_micros(5 * 25_500));
     }
 
     #[test]
@@ -1508,10 +1781,14 @@ mod tests {
         );
     }
 
-    /// The literal panic message of `run`, or `None` if it returned.
-    fn panic_message(run: impl FnOnce()) -> Option<&'static str> {
+    /// The panic message of `run`, literal or formatted, or `None` if it
+    /// returned.
+    fn panic_message(run: impl FnOnce()) -> Option<String> {
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).err()?;
-        payload.downcast_ref::<&str>().copied()
+        payload
+            .downcast_ref::<&str>()
+            .map(|message| message.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
     }
 
     /// Every configured duration — timeout, mean inter-arrival, think time,
@@ -1594,11 +1871,55 @@ mod tests {
                     u64::MAX / 2,
                 ))),
         ));
+        // Hand-built distributions skip the constructors' asserts: a
+        // straggler probability past one million parts per million, and a
+        // body whose `min` exceeds its `max`.
+        let (short, long) = (SimTime::from_micros(100), SimTime::from_micros(400));
+        let overdrawn = Distribution::HeavyTail {
+            min: SimTime::ZERO,
+            max: SimTime::from_micros(10),
+            slow: SimTime::from_millis(5),
+            slow_ppm: 2_000_000,
+        };
+        let inverted = Distribution::Uniform {
+            min: long,
+            max: short,
+        };
+        let inverted_tail = Distribution::HeavyTail {
+            min: long,
+            max: short,
+            slow: SimTime::from_millis(5),
+            slow_ppm: 1_000,
+        };
+        refused.push(("service slow_ppm", base.clone().service(overdrawn)));
+        refused.push((
+            "think slow_ppm",
+            base.clone().arrivals(ArrivalProcess::ClosedLoop {
+                clients: 2,
+                think: overdrawn,
+            }),
+        ));
+        refused.push(("inverted latency", base.clone().rpc_latency(inverted)));
+        refused.push(("inverted service", base.clone().service(inverted_tail)));
+        refused.push((
+            "inverted think",
+            base.clone().arrivals(ArrivalProcess::ClosedLoop {
+                clients: 2,
+                think: inverted,
+            }),
+        ));
+        refused.push((
+            "inverted delay",
+            base.clone().network(NetworkModel {
+                delay: Some(inverted),
+                ..NetworkModel::clean()
+            }),
+        ));
         for (field, spec) in refused {
             for backend in [Backend::Sim, Backend::Live(LiveOptions::default())] {
                 let spec = spec.clone().backend(backend);
                 assert_eq!(
-                    panic_message(|| drop(spec.run_plans(5, plan))),
+                    panic_message(|| drop(spec.run_plans(5, plan))).as_deref(),
                     Some("inconsistent workload configuration"),
                     "{field}"
                 );
@@ -1644,6 +1965,33 @@ mod tests {
                 colors: vec![Color::Green],
                 success: true,
             });
+    }
+
+    /// Both plan types have their node ids checked against the cluster
+    /// when the engine packs them.
+    #[test]
+    fn plans_probing_past_the_cluster_are_refused() {
+        let spec = WorkloadSpec::new(3).sessions(2);
+        let latency_only = || {
+            drop(spec.run_plans(1, |_, _, _| SessionPlan {
+                sequence: vec![0, 3],
+                colors: vec![Color::Green, Color::Red],
+                success: false,
+            }))
+        };
+        let message_level = || {
+            drop(spec.run(1, |_, _, _, _| NetSessionPlan {
+                probes: vec![NetProbe {
+                    node: 7,
+                    observed: Color::Red,
+                    failures: vec![AttemptLoss::Request],
+                }],
+                success: false,
+            }))
+        };
+        let expected = |node: usize| Some(format!("session plan probes node {node} of 3"));
+        assert_eq!(panic_message(latency_only), expected(3));
+        assert_eq!(panic_message(message_level), expected(7));
     }
 
     #[test]

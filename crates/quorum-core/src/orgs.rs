@@ -55,6 +55,29 @@ impl Organizations {
     ///   element appears in more than one group (or twice in one group), or
     ///   there are `u32::MAX` groups or more.
     pub fn new(universe: usize, groups: Vec<Vec<ElementId>>) -> Result<Self, QuorumError> {
+        Self::validate(universe, &groups)?;
+        let mut group_of = vec![INDEPENDENT; universe];
+        for (g, members) in groups.iter().enumerate() {
+            for &e in members {
+                group_of[e] = g as u32 + 1;
+            }
+        }
+        Ok(Self {
+            universe,
+            groups,
+            group_of,
+        })
+    }
+
+    /// Checks `groups` over `universe` elements as [`Organizations::new`]
+    /// does, in place: the same checks in the same order, so the same
+    /// error, without copying the groups or building the owner table. It
+    /// marks claimed elements in a bitmap of one bit per element.
+    ///
+    /// # Errors
+    ///
+    /// As [`Organizations::new`].
+    pub fn validate(universe: usize, groups: &[Vec<ElementId>]) -> Result<(), QuorumError> {
         if groups.len() >= u32::MAX as usize {
             return Err(QuorumError::InvalidConstruction {
                 reason: format!(
@@ -64,7 +87,7 @@ impl Organizations {
                 ),
             });
         }
-        let mut group_of = vec![INDEPENDENT; universe];
+        let mut claimed = vec![0u64; universe.div_ceil(64)];
         for (g, members) in groups.iter().enumerate() {
             if members.is_empty() {
                 return Err(QuorumError::InvalidConstruction {
@@ -78,22 +101,23 @@ impl Organizations {
                         universe,
                     });
                 }
-                if group_of[e] != INDEPENDENT {
-                    let prev = group_of[e] - 1;
+                let (word, bit) = (e / 64, 1u64 << (e % 64));
+                if claimed[word] & bit != 0 {
+                    // The first organization listing `e` claimed it.
+                    let prev = groups
+                        .iter()
+                        .position(|m| m.contains(&e))
+                        .expect("a claimed element is listed");
                     return Err(QuorumError::InvalidConstruction {
                         reason: format!(
                             "element {e} belongs to both organization {prev} and organization {g}"
                         ),
                     });
                 }
-                group_of[e] = g as u32 + 1;
+                claimed[word] |= bit;
             }
         }
-        Ok(Self {
-            universe,
-            groups,
-            group_of,
-        })
+        Ok(())
     }
 
     /// Partitions `universe` elements into `group_count` contiguous
@@ -188,6 +212,62 @@ mod tests {
             Organizations::new(3, vec![vec![0, 0]]),
             Err(QuorumError::InvalidConstruction { .. })
         ));
+    }
+
+    /// The in-place check returns exactly what construction returns, on
+    /// valid groups and on every kind of refusal.
+    #[test]
+    fn validate_agrees_with_new() {
+        let invalid = |reason: &str| {
+            Err(QuorumError::InvalidConstruction {
+                reason: reason.to_string(),
+            })
+        };
+        let cases = [
+            (5, vec![vec![0, 1], vec![2, 3, 4]], Ok(())),
+            (200, vec![vec![199, 0], vec![64, 63, 65]], Ok(())),
+            (
+                5,
+                vec![vec![0, 1], vec![2, 5]],
+                Err(QuorumError::ElementOutOfRange {
+                    element: 5,
+                    universe: 5,
+                }),
+            ),
+            (
+                70,
+                vec![vec![0, 69], vec![3], vec![4, 69]],
+                invalid("element 69 belongs to both organization 0 and organization 2"),
+            ),
+            (
+                3,
+                vec![vec![1], vec![0, 2, 0]],
+                invalid("element 0 belongs to both organization 1 and organization 1"),
+            ),
+            (
+                5,
+                vec![vec![0], vec![], vec![9]],
+                invalid("organization 1 has no members"),
+            ),
+            // The first refusal in group order wins.
+            (
+                5,
+                vec![vec![0, 7], vec![0]],
+                Err(QuorumError::ElementOutOfRange {
+                    element: 7,
+                    universe: 5,
+                }),
+            ),
+        ];
+        for (universe, groups, expected) in cases {
+            let checked = Organizations::validate(universe, &groups);
+            assert_eq!(checked, expected, "{groups:?}");
+            assert_eq!(
+                Organizations::new(universe, groups.clone()).map(drop),
+                checked,
+                "{groups:?}"
+            );
+        }
     }
 
     #[test]

@@ -180,17 +180,6 @@ impl SpecError {
     }
 }
 
-/// The organization structure of `groups` over `universe` elements, or the
-/// error at `path`. Every system a spec builds spans at most 2²⁶ elements,
-/// so the owner table [`Organizations`] keeps per element stays bounded.
-fn organizations_over(
-    universe: usize,
-    groups: &[Vec<ElementId>],
-    path: &[usize],
-) -> Result<Organizations, SpecError> {
-    Organizations::new(universe, groups.to_vec()).map_err(|e| SpecError::invalid(path, e))
-}
-
 impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if let SpecErrorKind::Parse { offset, reason } = &self.kind {
@@ -349,7 +338,9 @@ impl SystemSpec {
                     let mut path = vec![0];
                     inner.build_at(&mut path)?.universe_size()
                 };
-                organizations_over(universe, groups, &[]).map(Some)
+                Organizations::new(universe, groups.clone())
+                    .map(Some)
+                    .map_err(|e| SpecError::invalid(&[], e))
             }
             _ => Ok(None),
         }
@@ -393,7 +384,8 @@ impl SystemSpec {
                 path.push(0);
                 let built = inner.build_at(path)?;
                 path.pop();
-                organizations_over(built.universe_size(), groups, path)?;
+                Organizations::validate(built.universe_size(), groups)
+                    .map_err(|e| SpecError::invalid(path, e))?;
                 Ok(built)
             }
         }
