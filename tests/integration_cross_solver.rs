@@ -130,3 +130,61 @@ fn yao_hard_distributions_stay_below_the_worst_case() {
         yao::best_deterministic_cost(&wall, &InputDistribution::cw_hard(&wall)).unwrap();
     assert!(wall_bound <= exact::optimal_worst_case(&wall).unwrap() as f64 + 1e-9);
 }
+
+/// FNV-1a of `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The digest of [`exact_solver_outputs_are_pinned`].
+const PINNED_EXACT: u64 = 0xa0c7_1007_f136_b456;
+
+/// Every value and optimal tree of the exact solver on the small family
+/// instances, under the adversary and under i.i.d. failures at
+/// p ∈ {0.1, 0.3, 0.5}; the values of the nine hard supports `reproduce
+/// lower-bounds` prints; and Maj₃'s Figure 4 tree: the `f64` bits of each
+/// value and the `render_ascii` text of each tree, folded into one digest.
+#[test]
+fn exact_solver_outputs_are_pinned() {
+    let value = |hash: u64, v: f64| fnv1a(hash, &v.to_bits().to_le_bytes());
+    let tree = |hash: u64, t: &DecisionTree| fnv1a(hash, t.render_ascii().as_bytes());
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for (_, system) in small_family_systems() {
+        let system = system.as_ref();
+        hash = value(hash, exact::optimal_worst_case(system).unwrap() as f64);
+        let (pc, pc_tree) = exact::optimal_worst_case_tree(system).unwrap();
+        hash = tree(value(hash, pc as f64), &pc_tree);
+        for p in [0.1, 0.3, 0.5] {
+            hash = value(hash, exact::optimal_expected(system, p).unwrap());
+            let (ppc, ppc_tree) = exact::optimal_expected_tree(system, p).unwrap();
+            hash = tree(value(hash, ppc), &ppc_tree);
+        }
+    }
+    let mut hard: Vec<(Box<dyn QuorumSystem>, InputDistribution)> = Vec::new();
+    for n in [3, 5, 7, 9] {
+        let maj = Majority::new(n).unwrap();
+        let d = InputDistribution::majority_hard(&maj);
+        hard.push((Box::new(maj), d));
+    }
+    for widths in [vec![1, 2, 3], vec![1, 3, 4], vec![1, 4, 2, 3]] {
+        let wall = CrumblingWalls::new(widths).unwrap();
+        let d = InputDistribution::cw_hard(&wall);
+        hard.push((Box::new(wall), d));
+    }
+    for h in [1, 2] {
+        let t = TreeQuorum::new(h).unwrap();
+        let d = InputDistribution::tree_hard(&t);
+        hard.push((Box::new(t), d));
+    }
+    for (system, d) in &hard {
+        hash = value(
+            hash,
+            yao::best_deterministic_cost(system.as_ref(), d).unwrap(),
+        );
+    }
+    let (_, figure_4) = exact::optimal_worst_case_tree(&Majority::new(3).unwrap()).unwrap();
+    hash = tree(hash, &figure_4);
+    assert_eq!(hash, PINNED_EXACT, "digest {hash:#018x}");
+}
