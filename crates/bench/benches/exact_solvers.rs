@@ -1,9 +1,10 @@
-//! Criterion micro-benchmarks: the exponential-time exact solvers (optimal
-//! `PC`, optimal `PPC_p`, Yao lower bounds) on small instances — these bound
-//! how far the exact machinery scales.
+//! Criterion micro-benchmarks: the exponential-time exact solver under its
+//! three laws (optimal `PC`, optimal `PPC_p`, Yao lower bounds) on small
+//! instances — these bound how far the exact machinery scales.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use probequorum::prelude::*;
+use probequorum::probe::exact::{optimal_cost, Law};
 use std::time::Duration;
 
 fn configured() -> Criterion {
@@ -18,16 +19,16 @@ fn bench_exact_expected(c: &mut Criterion) {
     for &n in &[7usize, 9, 11] {
         let maj = Majority::new(n).unwrap();
         group.bench_with_input(BenchmarkId::new("Maj", n), &n, |b, _| {
-            b.iter(|| exact::optimal_expected(&maj, 0.5).unwrap())
+            b.iter(|| optimal_cost(&maj, Law::Iid(0.5)).unwrap())
         });
     }
     let hqs = Hqs::new(2).unwrap();
     group.bench_function("HQS(h=2)", |b| {
-        b.iter(|| exact::optimal_expected(&hqs, 0.5).unwrap())
+        b.iter(|| optimal_cost(&hqs, Law::Iid(0.5)).unwrap())
     });
     let tree = TreeQuorum::new(2).unwrap();
     group.bench_function("Tree(h=2)", |b| {
-        b.iter(|| exact::optimal_expected(&tree, 0.5).unwrap())
+        b.iter(|| optimal_cost(&tree, Law::Iid(0.5)).unwrap())
     });
     group.finish();
 }
@@ -37,12 +38,12 @@ fn bench_exact_worst_case(c: &mut Criterion) {
     for &n in &[7usize, 9, 11] {
         let maj = Majority::new(n).unwrap();
         group.bench_with_input(BenchmarkId::new("Maj", n), &n, |b, _| {
-            b.iter(|| exact::optimal_worst_case(&maj).unwrap())
+            b.iter(|| optimal_cost(&maj, Law::Adversary).unwrap())
         });
     }
     let wall = CrumblingWalls::new(vec![1, 3, 4]).unwrap();
     group.bench_function("CW(1,3,4)", |b| {
-        b.iter(|| exact::optimal_worst_case(&wall).unwrap())
+        b.iter(|| optimal_cost(&wall, Law::Adversary).unwrap())
     });
     group.finish();
 }
@@ -53,13 +54,13 @@ fn bench_yao(c: &mut Criterion) {
         let maj = Majority::new(n).unwrap();
         let d = InputDistribution::majority_hard(&maj);
         group.bench_with_input(BenchmarkId::new("Maj", n), &n, |b, _| {
-            b.iter(|| yao::best_deterministic_cost(&maj, &d).unwrap())
+            b.iter(|| optimal_cost(&maj, Law::Support(&d)).unwrap())
         });
     }
     let tree = TreeQuorum::new(2).unwrap();
     let d = InputDistribution::tree_hard(&tree);
     group.bench_function("Tree(h=2)", |b| {
-        b.iter(|| yao::best_deterministic_cost(&tree, &d).unwrap())
+        b.iter(|| optimal_cost(&tree, Law::Support(&d)).unwrap())
     });
     group.finish();
 }

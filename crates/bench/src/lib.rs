@@ -490,14 +490,14 @@ pub fn maj3(config: &ReproConfig) -> (Table, String) {
     let maj = Majority::new(3).unwrap();
     let mut table = Table::new(["quantity", "measured", "paper value"]);
 
-    let (pc, tree) = exact::optimal_worst_case_tree(&maj).unwrap();
+    let (pc, tree) = exact::optimal_tree(&maj, exact::Law::Adversary).unwrap();
     table.add_row(vec!["PC(Maj3)".into(), pc.to_string(), "3".into()]);
 
-    let ppc = exact::optimal_expected(&maj, 0.5).unwrap();
+    let ppc = exact::optimal_cost(&maj, exact::Law::Iid(0.5)).unwrap();
     table.add_row(vec!["PPC_1/2(Maj3)".into(), fmt(ppc), "2.5".into()]);
 
-    let yao_bound =
-        yao::best_deterministic_cost(&maj, &InputDistribution::majority_hard(&maj)).unwrap();
+    let hard = InputDistribution::majority_hard(&maj);
+    let yao_bound = exact::optimal_cost(&maj, exact::Law::Support(&hard)).unwrap();
     table.add_row(vec![
         "Yao bound (hard distribution)".into(),
         fmt(yao_bound),
@@ -728,8 +728,8 @@ pub fn lower_bounds(_config: &ReproConfig) -> Table {
 
     for n in [3usize, 5, 7, 9] {
         let maj = Majority::new(n).unwrap();
-        let bound =
-            yao::best_deterministic_cost(&maj, &InputDistribution::majority_hard(&maj)).unwrap();
+        let hard = InputDistribution::majority_hard(&maj);
+        let bound = exact::optimal_cost(&maj, exact::Law::Support(&hard)).unwrap();
         table.add_row(vec![
             format!("Maj({n})"),
             "exactly (n+1)/2 red".into(),
@@ -742,8 +742,8 @@ pub fn lower_bounds(_config: &ReproConfig) -> Table {
         let wall = CrumblingWalls::new(widths.clone()).unwrap();
         let n = wall.universe_size();
         let k = wall.row_count();
-        let bound =
-            yao::best_deterministic_cost(&wall, &InputDistribution::cw_hard(&wall)).unwrap();
+        let hard = InputDistribution::cw_hard(&wall);
+        let bound = exact::optimal_cost(&wall, exact::Law::Support(&hard)).unwrap();
         table.add_row(vec![
             format!("CW{widths:?}"),
             "one green per row".into(),
@@ -755,8 +755,8 @@ pub fn lower_bounds(_config: &ReproConfig) -> Table {
     for h in [1usize, 2] {
         let tree = TreeQuorum::new(h).unwrap();
         let n = tree.universe_size();
-        let bound =
-            yao::best_deterministic_cost(&tree, &InputDistribution::tree_hard(&tree)).unwrap();
+        let hard = InputDistribution::tree_hard(&tree);
+        let bound = exact::optimal_cost(&tree, exact::Law::Support(&hard)).unwrap();
         table.add_row(vec![
             format!("Tree(h={h})"),
             "2 red per bottom subtree".into(),
@@ -2392,7 +2392,7 @@ pub fn figures() -> String {
     out.push_str("Figure 4 — an optimal probe decision tree for Maj3 (elements 1-based,\n");
     out.push_str("[+] = green quorum found, [-] = red quorum found):\n\n");
     let maj = Majority::new(3).unwrap();
-    let (_, decision_tree) = exact::optimal_worst_case_tree(&maj).unwrap();
+    let (_, decision_tree) = exact::optimal_tree(&maj, exact::Law::Adversary).unwrap();
     out.push_str(&decision_tree.render_ascii());
 
     out

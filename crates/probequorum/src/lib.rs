@@ -13,7 +13,8 @@
 //!   Grid constructions, `Compose` circuits and the `SystemSpec`
 //!   construction API (`quorum-systems`);
 //! * [`probe`] — probe oracles, the paper's probing algorithms, decision
-//!   trees, exact solvers and Yao lower bounds (`quorum-probe`);
+//!   trees, and the exact solver behind `PC`, `PPC_p` and the Yao lower
+//!   bounds (`quorum-probe`);
 //! * [`analysis`] — availability, the technical lemmas, statistics, power-law
 //!   fitting and the paper's closed-form bounds (`quorum-analysis`);
 //! * [`sim`] — the parallel registry-driven evaluation engine
@@ -108,7 +109,7 @@ mod tests {
     fn prelude_exposes_the_main_types() {
         let maj = Majority::new(3).unwrap();
         assert_eq!(maj.universe_size(), 3);
-        let value = exact::optimal_expected(&maj, 0.5).unwrap();
+        let value = exact::optimal_cost(&maj, exact::Law::Iid(0.5)).unwrap();
         assert!((value - 2.5).abs() < 1e-12);
         assert!((bounds::maj_randomized_exact(3) - 8.0 / 3.0).abs() < 1e-12);
     }

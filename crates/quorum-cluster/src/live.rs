@@ -25,7 +25,7 @@
 //! node drain its queue before exiting, and [`LiveReport::drained_clean`]
 //! certifies that nothing in flight was lost.
 //!
-//! Faults: the node threads all read one shared copy of the run's
+//! Faults: the node threads all borrow the run's
 //! [`FaultSchedule`], the one the simulator scripted the fates against.
 //! Inside a crash window a worker thread genuinely dies — a crash-fated
 //! request is dropped unserved (counted in
@@ -47,7 +47,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -381,16 +381,16 @@ fn execute_probe(ctx: &Ctx, session: usize, probe: &NetProbe) -> LiveProbe {
 /// Everything one node's worker generations share: the (single-consumer)
 /// request queue, the response tally, the run's fault schedule, and the
 /// clock that maps wall time back to its virtual timeline.
-struct NodeHarness {
+struct NodeHarness<'a> {
     node: NodeId,
     rx: Mutex<Receiver<NodeRequest>>,
-    responses: Arc<Vec<AtomicU64>>,
-    faults: Arc<FaultSchedule>,
+    responses: &'a [AtomicU64],
+    faults: &'a FaultSchedule,
     scale: f64,
     start: Instant,
 }
 
-impl NodeHarness {
+impl NodeHarness<'_> {
     /// The current instant on the virtual timeline the fault schedule is
     /// written against (wall elapsed divided by the time scale).
     fn virtual_now(&self) -> SimTime {
@@ -480,7 +480,7 @@ struct NodeOutcome {
 /// the policy's patience. Past the restart budget the final generation is
 /// immortal, so shutdown always drains the queue and the accounting
 /// invariant holds unconditionally.
-fn supervise(harness: Arc<NodeHarness>, policy: SupervisorPolicy) -> NodeOutcome {
+fn supervise(harness: &NodeHarness, policy: SupervisorPolicy) -> NodeOutcome {
     let mut outcome = NodeOutcome {
         served: 0,
         lost_to_crash: 0,
@@ -489,9 +489,10 @@ fn supervise(harness: Arc<NodeHarness>, policy: SupervisorPolicy) -> NodeOutcome
     };
     loop {
         let immortal = outcome.crashes >= u64::from(policy.max_restarts);
-        let generation = Arc::clone(&harness);
-        let worker = thread::spawn(move || run_worker(&generation, immortal));
-        let (exit, served, lost) = worker.join().expect("node worker completes");
+        let (exit, served, lost) = thread::scope(|s| {
+            let worker = s.spawn(|| run_worker(harness, immortal));
+            worker.join().expect("node worker completes")
+        });
         outcome.served += served;
         outcome.lost_to_crash += lost;
         match exit {
@@ -518,7 +519,7 @@ fn supervise(harness: Arc<NodeHarness>, policy: SupervisorPolicy) -> NodeOutcome
 /// Runs one admitted session: sequential probe execution, or a two-in-flight
 /// hedged race when the policy hedges.
 fn run_session(
-    ctx: &Arc<Ctx>,
+    ctx: &Ctx,
     index: u64,
     session: usize,
     plan: &crate::workload::NetSessionPlan,
@@ -535,19 +536,18 @@ fn run_session(
                 slots[i] = Some(execute_probe(ctx, session, probe));
             }
         }
-        Some(hedge) if total >= 1 => {
+        // The runners borrow the plan and the context; the scope joins
+        // them all before the session reports.
+        Some(hedge) if total >= 1 => thread::scope(|s| {
             let (done_tx, done_rx) = mpsc::channel::<(usize, LiveProbe)>();
-            let mut handles = Vec::with_capacity(total);
-            let launch = |i: usize, handles: &mut Vec<thread::JoinHandle<()>>| {
-                let ctx = Arc::clone(ctx);
-                let probe = plan.probes[i].clone();
+            let launch = |i: usize| {
                 let tx = done_tx.clone();
-                handles.push(thread::spawn(move || {
-                    let out = execute_probe(&ctx, session, &probe);
+                s.spawn(move || {
+                    let out = execute_probe(ctx, session, &plan.probes[i]);
                     let _ = tx.send((i, out));
-                }));
+                });
             };
-            launch(0, &mut handles);
+            launch(0);
             let mut next = 1usize;
             let mut in_flight = 1usize;
             let mut resolved = 0usize;
@@ -561,7 +561,7 @@ fn run_session(
                             // delay: launch its successor in parallel.
                             hedges += 1;
                             racing = true;
-                            launch(next, &mut handles);
+                            launch(next);
                             next += 1;
                             in_flight += 1;
                             None
@@ -582,16 +582,13 @@ fn run_session(
                     resolved += 1;
                     in_flight -= 1;
                     if in_flight == 0 && next < total {
-                        launch(next, &mut handles);
+                        launch(next);
                         next += 1;
                         in_flight = 1;
                     }
                 }
             }
-            for handle in handles {
-                let _ = handle.join();
-            }
-        }
+        }),
         Some(_) => {}
     }
     let mut outcome = LiveSessionOutcome {
@@ -666,83 +663,90 @@ pub fn run_live(
             );
         }
     }
-    let responses: Arc<Vec<AtomicU64>> =
-        Arc::new((0..offered).map(|_| AtomicU64::new(0)).collect());
+    let responses: Vec<AtomicU64> = (0..offered).map(|_| AtomicU64::new(0)).collect();
     let capacity = options.queue_capacity.max(1);
-    let mut node_tx = Vec::with_capacity(nodes);
-    let mut supervisors = Vec::with_capacity(nodes);
-    let faults = Arc::new(faults.clone());
     // The virtual timeline's origin: arrivals and fault windows are measured
     // from here.
     let start = Instant::now();
-    for node in 0..nodes {
-        let (tx, rx) = mpsc::sync_channel::<NodeRequest>(capacity);
-        node_tx.push(tx);
-        let harness = Arc::new(NodeHarness {
-            node,
-            rx: Mutex::new(rx),
-            responses: Arc::clone(&responses),
-            faults: Arc::clone(&faults),
-            scale,
-            start,
-        });
-        supervisors.push(thread::spawn(move || supervise(harness, supervisor)));
-    }
-    let ctx = Arc::new(Ctx {
+    let (node_tx, harnesses): (Vec<_>, Vec<_>) = (0..nodes)
+        .map(|node| {
+            let (tx, rx) = mpsc::sync_channel::<NodeRequest>(capacity);
+            let harness = NodeHarness {
+                node,
+                rx: Mutex::new(rx),
+                responses: &responses,
+                faults,
+                scale,
+                start,
+            };
+            (tx, harness)
+        })
+        .collect();
+    let ctx = Ctx {
         node_tx,
         delivered: AtomicU64::new(0),
         policy: *policy,
         timeout: scaled(config.probe_timeout, scale),
         service: scaled(config.service.mean(), scale),
         scale,
-    });
+    };
 
-    let in_flight = Arc::new(AtomicUsize::new(0));
-    let peak = Arc::new(AtomicUsize::new(0));
+    // Node supervisors and session workers are scoped threads: they borrow
+    // the harnesses, the context and the traced plans.
+    let in_flight = AtomicUsize::new(0);
+    let mut peak = 0;
     let mut rejected = 0u64;
-    let mut workers = Vec::with_capacity(offered);
-    for (position, traced) in trace.sessions.iter().enumerate() {
-        let target = scaled(traced.arrival, scale);
-        let elapsed = start.elapsed();
-        if target > elapsed {
-            thread::sleep(target - elapsed);
-        }
-        if options.admission_limit > 0
-            && in_flight.load(Ordering::Acquire) >= options.admission_limit
-        {
-            rejected += 1;
-            continue;
-        }
-        let current = in_flight.fetch_add(1, Ordering::AcqRel) + 1;
-        peak.fetch_max(current, Ordering::AcqRel);
-        let ctx = Arc::clone(&ctx);
-        let in_flight = Arc::clone(&in_flight);
-        let plan = traced.plan.clone();
-        let index = traced.index;
-        workers.push(thread::spawn(move || {
-            let outcome = run_session(&ctx, index, position, &plan);
-            in_flight.fetch_sub(1, Ordering::AcqRel);
-            (position, outcome)
-        }));
-    }
-    let mut admitted_sessions: Vec<(usize, LiveSessionOutcome)> = workers
-        .into_iter()
-        .map(|handle| handle.join().expect("session worker completes"))
-        .collect();
-    let wall = start.elapsed();
+    let (mut admitted_sessions, wall, delivered, node_outcomes) = thread::scope(|nodes_scope| {
+        let supervisors: Vec<_> = harnesses
+            .iter()
+            .map(|harness| nodes_scope.spawn(move || supervise(harness, supervisor)))
+            .collect();
+        let admitted_sessions: Vec<(usize, LiveSessionOutcome)> = thread::scope(|s| {
+            let mut workers = Vec::with_capacity(offered);
+            for (position, traced) in trace.sessions.iter().enumerate() {
+                let target = scaled(traced.arrival, scale);
+                let elapsed = start.elapsed();
+                if target > elapsed {
+                    thread::sleep(target - elapsed);
+                }
+                if options.admission_limit > 0
+                    && in_flight.load(Ordering::Acquire) >= options.admission_limit
+                {
+                    rejected += 1;
+                    continue;
+                }
+                peak = peak.max(in_flight.fetch_add(1, Ordering::AcqRel) + 1);
+                let (ctx, in_flight) = (&ctx, &in_flight);
+                workers.push(s.spawn(move || {
+                    let outcome = run_session(ctx, traced.index, position, &traced.plan);
+                    in_flight.fetch_sub(1, Ordering::AcqRel);
+                    (position, outcome)
+                }));
+            }
+            workers
+                .into_iter()
+                .map(|handle| handle.join().expect("session worker completes"))
+                .collect()
+        });
+        let wall = start.elapsed();
 
-    // Graceful shutdown: dropping the last client handle closes every
-    // request channel; each node's current worker generation drains what is
-    // queued (serving it, or dropping it if scripted to die in a crash),
-    // then exits, and its supervisor reports the node's totals.
-    let delivered = ctx.delivered.load(Ordering::Relaxed);
-    drop(ctx);
+        // Graceful shutdown: dropping the client context closes every
+        // request channel; each node's current worker generation drains what
+        // is queued (serving it, or dropping it if scripted to die in a
+        // crash), then exits, and its supervisor reports the node's totals.
+        let delivered = ctx.delivered.load(Ordering::Relaxed);
+        drop(ctx);
+        let node_outcomes: Vec<NodeOutcome> = supervisors
+            .into_iter()
+            .map(|handle| handle.join().expect("node supervisor completes"))
+            .collect();
+        (admitted_sessions, wall, delivered, node_outcomes)
+    });
     let mut served = 0u64;
     let mut lost_to_crash = 0u64;
     let mut node_restarts = 0u64;
     let mut node_crashes = 0u64;
-    for handle in supervisors {
-        let outcome = handle.join().expect("node supervisor completes");
+    for outcome in node_outcomes {
         served += outcome.served;
         lost_to_crash += outcome.lost_to_crash;
         node_restarts += outcome.restarts;
@@ -775,7 +779,7 @@ pub fn run_live(
         requests_lost_to_crash: lost_to_crash,
         node_restarts,
         node_crashes,
-        peak_in_flight: peak.load(Ordering::Acquire),
+        peak_in_flight: peak,
         wall,
         sessions,
     };

@@ -1,352 +1,248 @@
-//! Exact (exponential-time) probe-complexity solvers for small systems.
+//! The exact (exponential-time) probe-complexity solver for small systems.
 //!
-//! These compute the paper's quantities *exactly* by dynamic programming over
-//! knowledge states (which elements have been probed and what was observed):
+//! One memoised recursion runs over knowledge states: the elements probed
+//! green and the elements probed red so far, as two `u64` masks. At each
+//! undetermined state it takes the cheapest unprobed element to probe: one
+//! probe plus the costs of the two continuations, combined by an outcome
+//! [`Law`]:
 //!
-//! * [`optimal_worst_case`] — the deterministic worst-case probe complexity
-//!   `PC(S)` (a minimax game value against an adversary choosing outcomes);
-//! * [`optimal_expected`] — the probabilistic probe complexity `PPC_p(S)`
-//!   (an expectimax value under iid failures);
-//! * [`optimal_worst_case_tree`] / [`optimal_expected_tree`] — the same values
-//!   together with an optimal [`DecisionTree`].
+//! * [`Law::Adversary`] charges the costlier outcome, `1 + max(g, r)`. The
+//!   value is the deterministic worst-case probe complexity `PC(S)`.
+//! * [`Law::Iid`] makes every element red independently with probability
+//!   `p`, `1 + q·g + p·r`. The value is `PPC_p(S)`.
+//! * [`Law::Support`] draws a coloring from an explicit distribution,
+//!   conditioned on the observations: `1 + (g_mass/mass)·g +
+//!   (r_mass/mass)·r`, skipping branches of zero mass. The value is the
+//!   best deterministic cost against that distribution, which by Yao's
+//!   principle lower-bounds the randomized `PC_R(S)` (see [`crate::yao`]
+//!   for the paper's hard distributions).
 //!
-//! The state space is `3^n`, so the solvers are guarded to `n ≤ 20` (values)
-//! and `n ≤ 12` (explicit trees).  They are used to validate the strategies on
-//! small instances — e.g. the paper's `Maj_3` example: `PC = 3`,
-//! `PPC_{1/2} = 2.5`.
-
-use std::collections::HashMap;
+//! [`optimal_cost`] returns the value and [`optimal_tree`] also returns an
+//! optimal [`DecisionTree`], read back from the memo's argmins: ties go to
+//! the lowest element, unless a later one is better by more than `1e-15`.
+//!
+//! The memo holds a value and an argmin for each of the `3^n` states, so
+//! values are held to `n ≤ 15` (at most 9 · 3¹⁵ bytes ≈ 129 MB) and trees
+//! to `n ≤ 12`. The paper's `Maj_3` example: `PC = 3`, `PPC_{1/2} = 2.5`.
 
 use quorum_core::{ElementSet, QuorumError, QuorumSystem};
 
-use crate::DecisionTree;
+use crate::{DecisionTree, InputDistribution};
 
-const VALUE_LIMIT: usize = 20;
+const VALUE_LIMIT: usize = 15;
 const TREE_LIMIT: usize = 12;
 
-/// A partial-information state: the elements observed green and red so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct State {
-    green: u64,
-    red: u64,
+/// How the outcome of each probe is drawn.
+#[derive(Debug, Clone, Copy)]
+pub enum Law<'a> {
+    /// An adversary picks the costlier outcome.
+    Adversary,
+    /// Every element is red independently with probability `p`.
+    Iid(f64),
+    /// The coloring is drawn from an explicit distribution.
+    Support(&'a InputDistribution),
 }
+
+// Memo codes: a state not solved yet, a determined state (green or red
+// quorum), or `PROBE + e` for the element an optimal strategy probes there.
+const UNSOLVED: u8 = 0;
+const GREEN: u8 = 1;
+const RED: u8 = 2;
+const PROBE: u8 = 3;
 
 struct Solver<'a, S: QuorumSystem + ?Sized> {
     system: &'a S,
+    law: Law<'a>,
+    /// The support's red masks and weights (empty for the other laws).
+    support: Vec<(u64, f64)>,
     n: usize,
     full: u64,
+    /// Scratch set handed to `contains_quorum`.
+    set: ElementSet,
+    /// The memo, indexed by a state's base-3 code: element `e` adds `3^e`
+    /// when green and `2·3^e` when red.
+    value: Vec<f64>,
+    choice: Vec<u8>,
 }
 
 impl<'a, S: QuorumSystem + ?Sized> Solver<'a, S> {
-    fn new(system: &'a S) -> Self {
+    fn new(system: &'a S, law: Law<'a>, limit: usize) -> Result<Self, QuorumError> {
         let n = system.universe_size();
-        let full = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        Solver { system, n, full }
-    }
-
-    fn contains_quorum(&self, mask: u64) -> bool {
-        self.system
-            .contains_quorum(&ElementSet::from_mask(self.n, mask))
-    }
-
-    /// The value of the characteristic function is already determined: the
-    /// probed greens contain a quorum, or no completion of the unprobed
-    /// elements can produce one (the probed reds form a transversal).
-    fn is_determined(&self, state: State) -> bool {
-        if self.contains_quorum(state.green) {
-            return true;
+        if n > limit {
+            return Err(QuorumError::UniverseTooLarge { actual: n, limit });
         }
-        let unprobed = self.full & !(state.green | state.red);
-        !self.contains_quorum(state.green | unprobed)
-    }
-
-    fn worst_case(&self, state: State, memo: &mut HashMap<State, usize>) -> usize {
-        if self.is_determined(state) {
-            return 0;
-        }
-        if let Some(&v) = memo.get(&state) {
-            return v;
-        }
-        let unprobed = self.full & !(state.green | state.red);
-        let mut best = usize::MAX;
-        for e in 0..self.n {
-            let bit = 1u64 << e;
-            if unprobed & bit == 0 {
-                continue;
+        let support = match law {
+            Law::Adversary => Vec::new(),
+            Law::Iid(p) if (0.0..=1.0).contains(&p) => Vec::new(),
+            Law::Iid(p) => {
+                return Err(QuorumError::InvalidConstruction {
+                    reason: format!("p must be a probability, got {p}"),
+                })
             }
-            let if_green = self.worst_case(
-                State {
-                    green: state.green | bit,
-                    ..state
-                },
-                memo,
-            );
-            let if_red = self.worst_case(
-                State {
-                    red: state.red | bit,
-                    ..state
-                },
-                memo,
-            );
-            best = best.min(1 + if_green.max(if_red));
-        }
-        memo.insert(state, best);
-        best
+            Law::Support(distribution) if distribution.universe_size() != n => {
+                return Err(QuorumError::UniverseMismatch {
+                    left: distribution.universe_size(),
+                    right: n,
+                })
+            }
+            Law::Support(distribution) => distribution
+                .support()
+                .iter()
+                .map(|(c, w)| (c.red_set().as_mask(), *w))
+                .collect(),
+        };
+        let states = 3usize.pow(n as u32);
+        Ok(Solver {
+            system,
+            law,
+            support,
+            n,
+            full: (1u64 << n) - 1,
+            set: ElementSet::empty(n),
+            value: vec![0.0; states],
+            choice: vec![UNSOLVED; states],
+        })
     }
 
-    fn expected(&self, state: State, p: f64, memo: &mut HashMap<State, f64>) -> f64 {
-        if self.is_determined(state) {
+    fn contains_quorum(&mut self, mask: u64) -> bool {
+        self.set.set_word(0, mask);
+        self.system.contains_quorum(&self.set)
+    }
+
+    /// The optimal expected number of probes left after observing `green`
+    /// and `red`, whose base-3 code is `index`.
+    fn solve(&mut self, green: u64, red: u64, index: usize) -> f64 {
+        match self.choice[index] {
+            UNSOLVED => {}
+            GREEN | RED => return 0.0,
+            _ => return self.value[index],
+        }
+        // Determined: the greens hold a quorum, or the reds meet every quorum.
+        if self.contains_quorum(green) {
+            self.choice[index] = GREEN;
             return 0.0;
         }
-        if let Some(&v) = memo.get(&state) {
-            return v;
+        if !self.contains_quorum(self.full & !red) {
+            self.choice[index] = RED;
+            return 0.0;
         }
-        let unprobed = self.full & !(state.green | state.red);
-        let q = 1.0 - p;
-        let mut best = f64::INFINITY;
+        let consistent: Vec<(u64, f64)> = self
+            .support
+            .iter()
+            .copied()
+            .filter(|&(reds, _)| reds & green == 0 && red & !reds == 0)
+            .collect();
+        let mass: f64 = consistent.iter().map(|(_, w)| w).sum();
+        let (mut best, mut pick, mut pick_cost) = (f64::INFINITY, 0, f64::INFINITY);
+        let mut step = 1;
         for e in 0..self.n {
             let bit = 1u64 << e;
-            if unprobed & bit == 0 {
+            let (to_green, to_red) = (index + step, index + 2 * step);
+            step *= 3;
+            if (green | red) & bit != 0 {
                 continue;
             }
-            let if_green = self.expected(
-                State {
-                    green: state.green | bit,
-                    ..state
-                },
-                p,
-                memo,
-            );
-            let if_red = self.expected(
-                State {
-                    red: state.red | bit,
-                    ..state
-                },
-                p,
-                memo,
-            );
-            best = best.min(1.0 + q * if_green + p * if_red);
+            // The chances of a green and a red outcome; none for the adversary.
+            let chances = match self.law {
+                Law::Adversary => None,
+                Law::Iid(p) => Some((1.0 - p, p)),
+                Law::Support(_) => {
+                    let red_mass: f64 = consistent
+                        .iter()
+                        .filter(|(reds, _)| reds & bit != 0)
+                        .map(|(_, w)| w)
+                        .sum();
+                    let share = |m: f64| if m > 0.0 { m / mass } else { 0.0 };
+                    Some((share(mass - red_mass), share(red_mass)))
+                }
+            };
+            let cost = match chances {
+                None => {
+                    let if_green = self.solve(green | bit, red, to_green);
+                    1.0 + if_green.max(self.solve(green, red | bit, to_red))
+                }
+                Some((q, p)) => {
+                    let mut cost = 1.0;
+                    if q > 0.0 {
+                        cost += q * self.solve(green | bit, red, to_green);
+                    }
+                    if p > 0.0 {
+                        cost += p * self.solve(green, red | bit, to_red);
+                    }
+                    cost
+                }
+            };
+            best = best.min(cost);
+            if cost < pick_cost - 1e-15 {
+                (pick, pick_cost) = (e, cost);
+            }
         }
-        memo.insert(state, best);
+        self.value[index] = best;
+        self.choice[index] = PROBE + pick as u8;
         best
     }
 
-    fn worst_case_tree(&self, state: State, memo: &mut HashMap<State, usize>) -> DecisionTree {
-        if self.is_determined(state) {
-            return if self.contains_quorum(state.green) {
-                DecisionTree::green_leaf()
-            } else {
-                DecisionTree::red_leaf()
-            };
-        }
-        let unprobed = self.full & !(state.green | state.red);
-        let mut best: Option<(usize, usize)> = None;
-        for e in 0..self.n {
-            let bit = 1u64 << e;
-            if unprobed & bit == 0 {
-                continue;
-            }
-            let if_green = self.worst_case(
-                State {
-                    green: state.green | bit,
-                    ..state
-                },
-                memo,
-            );
-            let if_red = self.worst_case(
-                State {
-                    red: state.red | bit,
-                    ..state
-                },
-                memo,
-            );
-            let value = 1 + if_green.max(if_red);
-            if best.is_none_or(|(bv, _)| value < bv) {
-                best = Some((value, e));
+    /// An optimal tree from the state `(green, red)`, read off the memo.
+    fn tree(&mut self, green: u64, red: u64, index: usize) -> DecisionTree {
+        self.solve(green, red, index);
+        match self.choice[index] {
+            GREEN => DecisionTree::green_leaf(),
+            RED => DecisionTree::red_leaf(),
+            code => {
+                let e = usize::from(code - PROBE);
+                let (bit, step) = (1u64 << e, 3usize.pow(e as u32));
+                let on_green = self.tree(green | bit, red, index + step);
+                DecisionTree::probe(e, on_green, self.tree(green, red | bit, index + 2 * step))
             }
         }
-        let (_, e) = best.expect("an undetermined state has at least one unprobed element");
-        let bit = 1u64 << e;
-        DecisionTree::probe(
-            e,
-            self.worst_case_tree(
-                State {
-                    green: state.green | bit,
-                    ..state
-                },
-                memo,
-            ),
-            self.worst_case_tree(
-                State {
-                    red: state.red | bit,
-                    ..state
-                },
-                memo,
-            ),
-        )
-    }
-
-    fn expected_tree(&self, state: State, p: f64, memo: &mut HashMap<State, f64>) -> DecisionTree {
-        if self.is_determined(state) {
-            return if self.contains_quorum(state.green) {
-                DecisionTree::green_leaf()
-            } else {
-                DecisionTree::red_leaf()
-            };
-        }
-        let unprobed = self.full & !(state.green | state.red);
-        let q = 1.0 - p;
-        let mut best: Option<(f64, usize)> = None;
-        for e in 0..self.n {
-            let bit = 1u64 << e;
-            if unprobed & bit == 0 {
-                continue;
-            }
-            let if_green = self.expected(
-                State {
-                    green: state.green | bit,
-                    ..state
-                },
-                p,
-                memo,
-            );
-            let if_red = self.expected(
-                State {
-                    red: state.red | bit,
-                    ..state
-                },
-                p,
-                memo,
-            );
-            let value = 1.0 + q * if_green + p * if_red;
-            if best.is_none_or(|(bv, _)| value < bv - 1e-15) {
-                best = Some((value, e));
-            }
-        }
-        let (_, e) = best.expect("an undetermined state has at least one unprobed element");
-        let bit = 1u64 << e;
-        DecisionTree::probe(
-            e,
-            self.expected_tree(
-                State {
-                    green: state.green | bit,
-                    ..state
-                },
-                p,
-                memo,
-            ),
-            self.expected_tree(
-                State {
-                    red: state.red | bit,
-                    ..state
-                },
-                p,
-                memo,
-            ),
-        )
     }
 }
 
-fn check_limit<S: QuorumSystem + ?Sized>(system: &S, limit: usize) -> Result<(), QuorumError> {
-    let n = system.universe_size();
-    if n > limit {
-        return Err(QuorumError::UniverseTooLarge { actual: n, limit });
-    }
-    Ok(())
-}
-
-/// Computes the deterministic worst-case probe complexity `PC(S)` exactly.
+/// The optimal expected number of probes that decide `system` when the
+/// outcomes follow `law`: `PC(S)` under [`Law::Adversary`], `PPC_p(S)` under
+/// [`Law::Iid`], and the best deterministic cost against a distribution
+/// under [`Law::Support`].
 ///
 /// # Errors
 ///
-/// Returns [`QuorumError::UniverseTooLarge`] when `n > 20`.
-pub fn optimal_worst_case<S: QuorumSystem + ?Sized>(system: &S) -> Result<usize, QuorumError> {
-    check_limit(system, VALUE_LIMIT)?;
-    let solver = Solver::new(system);
-    let mut memo = HashMap::new();
-    Ok(solver.worst_case(State { green: 0, red: 0 }, &mut memo))
-}
-
-/// Computes the probabilistic probe complexity `PPC_p(S)` exactly.
-///
-/// # Errors
-///
-/// Returns [`QuorumError::UniverseTooLarge`] when `n > 20`, or
-/// [`QuorumError::InvalidConstruction`] if `p` is not a probability.
-pub fn optimal_expected<S: QuorumSystem + ?Sized>(system: &S, p: f64) -> Result<f64, QuorumError> {
-    check_limit(system, VALUE_LIMIT)?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(QuorumError::InvalidConstruction {
-            reason: format!("p must be a probability, got {p}"),
-        });
-    }
-    let solver = Solver::new(system);
-    let mut memo = HashMap::new();
-    Ok(solver.expected(State { green: 0, red: 0 }, p, &mut memo))
-}
-
-/// Computes `PC(S)` together with an optimal decision tree achieving it.
-///
-/// # Errors
-///
-/// Returns [`QuorumError::UniverseTooLarge`] when `n > 12`.
-pub fn optimal_worst_case_tree<S: QuorumSystem + ?Sized>(
+/// Returns [`QuorumError::UniverseTooLarge`] when `n > 15`,
+/// [`QuorumError::InvalidConstruction`] when `Law::Iid`'s `p` is not a
+/// probability, and [`QuorumError::UniverseMismatch`] when a support ranges
+/// over another universe.
+pub fn optimal_cost<S: QuorumSystem + ?Sized>(
     system: &S,
-) -> Result<(usize, DecisionTree), QuorumError> {
-    check_limit(system, TREE_LIMIT)?;
-    let solver = Solver::new(system);
-    let mut memo = HashMap::new();
-    let value = solver.worst_case(State { green: 0, red: 0 }, &mut memo);
-    let tree = solver.worst_case_tree(State { green: 0, red: 0 }, &mut memo);
-    Ok((value, tree))
+    law: Law<'_>,
+) -> Result<f64, QuorumError> {
+    Ok(Solver::new(system, law, VALUE_LIMIT)?.solve(0, 0, 0))
 }
 
-/// Computes `PPC_p(S)` together with an optimal decision tree achieving it.
+/// [`optimal_cost`] together with an optimal decision tree achieving it.
 ///
 /// # Errors
 ///
-/// Returns [`QuorumError::UniverseTooLarge`] when `n > 12`, or
-/// [`QuorumError::InvalidConstruction`] if `p` is not a probability.
-pub fn optimal_expected_tree<S: QuorumSystem + ?Sized>(
+/// As [`optimal_cost`], but [`QuorumError::UniverseTooLarge`] already when
+/// `n > 12`.
+pub fn optimal_tree<S: QuorumSystem + ?Sized>(
     system: &S,
-    p: f64,
+    law: Law<'_>,
 ) -> Result<(f64, DecisionTree), QuorumError> {
-    check_limit(system, TREE_LIMIT)?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(QuorumError::InvalidConstruction {
-            reason: format!("p must be a probability, got {p}"),
-        });
-    }
-    let solver = Solver::new(system);
-    let mut memo = HashMap::new();
-    let value = solver.expected(State { green: 0, red: 0 }, p, &mut memo);
-    let tree = solver.expected_tree(State { green: 0, red: 0 }, p, &mut memo);
-    Ok((value, tree))
-}
-
-/// Whether the system is *evasive*: its deterministic worst-case probe
-/// complexity equals the universe size.
-///
-/// Lemma 2.2 of the paper: Maj, Wheel, CW and Tree are all evasive.
-///
-/// # Errors
-///
-/// Returns [`QuorumError::UniverseTooLarge`] when `n > 20`.
-pub fn is_evasive<S: QuorumSystem + ?Sized>(system: &S) -> Result<bool, QuorumError> {
-    Ok(optimal_worst_case(system)? == system.universe_size())
+    let mut solver = Solver::new(system, law, TREE_LIMIT)?;
+    let value = solver.solve(0, 0, 0);
+    Ok((value, solver.tree(0, 0, 0)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quorum_core::Coloring;
     use quorum_systems::{CrumblingWalls, Hqs, Majority, TreeQuorum, Wheel};
 
     #[test]
     fn maj3_worked_example() {
         // Section 2.3 of the paper: PC(Maj3) = 3, PPC_{1/2}(Maj3) = 2.5.
         let maj = Majority::new(3).unwrap();
-        assert_eq!(optimal_worst_case(&maj).unwrap(), 3);
-        let ppc = optimal_expected(&maj, 0.5).unwrap();
+        assert_eq!(optimal_cost(&maj, Law::Adversary).unwrap(), 3.0);
+        let ppc = optimal_cost(&maj, Law::Iid(0.5)).unwrap();
         assert!(
             (ppc - 2.5).abs() < 1e-12,
             "PPC(Maj3) should be 2.5, got {ppc}"
@@ -356,30 +252,50 @@ mod tests {
     #[test]
     fn maj3_optimal_trees_achieve_the_values() {
         let maj = Majority::new(3).unwrap();
-        let (pc, tree) = optimal_worst_case_tree(&maj).unwrap();
-        assert_eq!(pc, 3);
+        let (pc, tree) = optimal_tree(&maj, Law::Adversary).unwrap();
+        assert_eq!(pc, 3.0);
         assert_eq!(tree.depth(), 3);
         tree.validate(&maj).unwrap();
-        let (ppc, tree) = optimal_expected_tree(&maj, 0.5).unwrap();
+        let (ppc, tree) = optimal_tree(&maj, Law::Iid(0.5)).unwrap();
         assert!((ppc - 2.5).abs() < 1e-12);
         assert!((tree.expected_depth(0.5) - 2.5).abs() < 1e-12);
         tree.validate(&maj).unwrap();
     }
 
     #[test]
+    fn support_trees_are_valid_and_achieve_the_value() {
+        // Under a support some branches carry no mass; the tree still
+        // covers them, and its cost over the support is the value.
+        let maj = Majority::new(5).unwrap();
+        let hard = InputDistribution::majority_hard(&maj);
+        let (value, tree) = optimal_tree(&maj, Law::Support(&hard)).unwrap();
+        tree.validate(&maj).unwrap();
+        let cost: f64 = hard
+            .support()
+            .iter()
+            .map(|(c, w)| w * tree.evaluate(c).probes as f64)
+            .sum();
+        assert!((cost - value).abs() < 1e-12, "{cost} vs {value}");
+        assert_eq!(value, optimal_cost(&maj, Law::Support(&hard)).unwrap());
+    }
+
+    #[test]
     fn evasive_systems_of_lemma_2_2() {
-        // Maj, Wheel, CW and Tree are evasive.
-        assert!(is_evasive(&Majority::new(5).unwrap()).unwrap());
-        assert!(is_evasive(&Wheel::new(5).unwrap()).unwrap());
-        assert!(is_evasive(&CrumblingWalls::triang(3).unwrap()).unwrap());
-        assert!(is_evasive(&TreeQuorum::new(2).unwrap()).unwrap());
+        // Maj, Wheel, CW and Tree are evasive: PC(S) = n.
+        let evasive = |system: &dyn QuorumSystem| {
+            optimal_cost(system, Law::Adversary).unwrap() == system.universe_size() as f64
+        };
+        assert!(evasive(&Majority::new(5).unwrap()));
+        assert!(evasive(&Wheel::new(5).unwrap()));
+        assert!(evasive(&CrumblingWalls::triang(3).unwrap()));
+        assert!(evasive(&TreeQuorum::new(2).unwrap()));
     }
 
     #[test]
     fn hqs_height_one_is_maj3() {
         let hqs = Hqs::new(1).unwrap();
-        assert_eq!(optimal_worst_case(&hqs).unwrap(), 3);
-        assert!((optimal_expected(&hqs, 0.5).unwrap() - 2.5).abs() < 1e-12);
+        assert_eq!(optimal_cost(&hqs, Law::Adversary).unwrap(), 3.0);
+        assert!((optimal_cost(&hqs, Law::Iid(0.5)).unwrap() - 2.5).abs() < 1e-12);
     }
 
     #[test]
@@ -393,7 +309,7 @@ mod tests {
         // see EXPERIMENTS.md for the discussion of Theorem 3.9.)  It is also
         // at least the quorum size 4, the trivial information bound.
         let hqs = Hqs::new(2).unwrap();
-        let value = optimal_expected(&hqs, 0.5).unwrap();
+        let value = optimal_cost(&hqs, Law::Iid(0.5)).unwrap();
         assert!(
             value <= 6.25 + 1e-9,
             "optimum must not exceed Probe_HQS's 6.25, got {value}"
@@ -413,8 +329,8 @@ mod tests {
         // PPC at p=1/2 for Maj5 must exceed Maj3's.
         let maj3 = Majority::new(3).unwrap();
         let maj5 = Majority::new(5).unwrap();
-        let a = optimal_expected(&maj3, 0.5).unwrap();
-        let b = optimal_expected(&maj5, 0.5).unwrap();
+        let a = optimal_cost(&maj3, Law::Iid(0.5)).unwrap();
+        let b = optimal_cost(&maj5, Law::Iid(0.5)).unwrap();
         assert!(b > a);
     }
 
@@ -423,7 +339,7 @@ mod tests {
         // Corollary 3.4: Probe_CW achieves <= 3 expected probes on the Wheel,
         // so the optimum is at most 3 (and at least 2, the minimal quorum).
         let wheel = Wheel::new(9).unwrap();
-        let value = optimal_expected(&wheel, 0.5).unwrap();
+        let value = optimal_cost(&wheel, Law::Iid(0.5)).unwrap();
         assert!(value <= 3.0 + 1e-12);
         assert!(value >= 2.0);
     }
@@ -432,31 +348,40 @@ mod tests {
     fn probabilities_are_validated() {
         let maj = Majority::new(3).unwrap();
         assert!(matches!(
-            optimal_expected(&maj, 1.5),
+            optimal_cost(&maj, Law::Iid(1.5)),
             Err(QuorumError::InvalidConstruction { .. })
         ));
         assert!(matches!(
-            optimal_expected_tree(&maj, -0.1),
+            optimal_tree(&maj, Law::Iid(-0.1)),
+            Err(QuorumError::InvalidConstruction { .. })
+        ));
+        assert!(matches!(
+            optimal_cost(&maj, Law::Iid(f64::NAN)),
             Err(QuorumError::InvalidConstruction { .. })
         ));
     }
 
     #[test]
     fn limits_are_enforced() {
-        let maj = Majority::new(23).unwrap();
+        let maj = Majority::new(13).unwrap();
         assert!(matches!(
-            optimal_worst_case_tree(&maj),
-            Err(QuorumError::UniverseTooLarge { .. })
+            optimal_tree(&maj, Law::Adversary),
+            Err(QuorumError::UniverseTooLarge { limit: 12, .. })
         ));
-        let maj = Majority::new(25).unwrap();
-        assert!(matches!(
-            optimal_worst_case(&maj),
-            Err(QuorumError::UniverseTooLarge { .. })
-        ));
-        assert!(matches!(
-            optimal_expected(&maj, 0.5),
-            Err(QuorumError::UniverseTooLarge { .. })
-        ));
+        // Values stop at n = 15, where the memo's 3^n states fit in
+        // 129 MB; Maj(17) would need 1.1·10⁸ states. Every law is refused
+        // before anything is allocated.
+        let maj = Majority::new(17).unwrap();
+        let support = InputDistribution::uniform(vec![Coloring::all_red(17)]).unwrap();
+        for law in [Law::Adversary, Law::Iid(0.5), Law::Support(&support)] {
+            assert!(matches!(
+                optimal_cost(&maj, law),
+                Err(QuorumError::UniverseTooLarge {
+                    actual: 17,
+                    limit: 15
+                })
+            ));
+        }
     }
 
     #[test]
@@ -464,8 +389,8 @@ mod tests {
         // With p close to 0 (few failures) the expected cost approaches the
         // minimal quorum size; with p = 1/2 it is larger.
         let maj = Majority::new(7).unwrap();
-        let cheap = optimal_expected(&maj, 0.01).unwrap();
-        let hard = optimal_expected(&maj, 0.5).unwrap();
+        let cheap = optimal_cost(&maj, Law::Iid(0.01)).unwrap();
+        let hard = optimal_cost(&maj, Law::Iid(0.5)).unwrap();
         assert!(cheap < hard);
         assert!(cheap >= maj.quorum_size() as f64);
     }

@@ -20,10 +20,13 @@
 //! 3. **Decision trees** ([`DecisionTree`]): explicit probe-strategy trees
 //!    with depth / expected-depth computations and validation — the object the
 //!    paper's definitions are phrased in terms of.
-//! 4. **Exact solvers & lower bounds** ([`exact`], [`yao`]): exponential-time
-//!    but exact computation of `PC(S)` and `PPC_p(S)` for small systems, and
-//!    Yao-principle lower bounds for randomized algorithms via the paper's
-//!    hard input distributions.
+//! 4. **The exact solver & lower bounds** ([`exact`], [`yao`]): one
+//!    exponential-time but exact recursion over (green, red) knowledge
+//!    states, under three outcome laws: the adversary gives `PC(S)`, i.i.d.
+//!    failures give `PPC_p(S)`, and an explicit distribution gives the
+//!    Yao-principle lower bound for randomized algorithms (the paper's hard
+//!    input distributions live in [`yao`]). Values for `n ≤ 15`, optimal
+//!    decision trees for `n ≤ 12`.
 //!
 //! ```
 //! use quorum_core::{Coloring, QuorumSystem};

@@ -107,6 +107,7 @@ mod tests {
         DynSystem, EvalEngine, EvalPlan,
     };
     use quorum_analysis::fit_power_law;
+    use quorum_probe::exact::{optimal_cost, Law};
     use quorum_probe::strategies::{ProbeCw, ProbeHqs, ProbeMaj, ProbeTree, SequentialScan};
     use quorum_systems::{CrumblingWalls, Hqs, Majority, TreeQuorum, Wheel};
     use rand::rngs::StdRng;
@@ -164,7 +165,7 @@ mod tests {
         let maj = Majority::new(5).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let exact_probe_maj = exhaustive_expected_probes(&maj, &ProbeMaj::new(), 0.5, 1, &mut rng);
-        let optimum = quorum_probe::exact::optimal_expected(&maj, 0.5).unwrap();
+        let optimum = optimal_cost(&maj, Law::Iid(0.5)).unwrap();
         // Probe_Maj is optimal for Majority in the probabilistic model
         // (Proposition 3.2), so the two must agree exactly.
         assert!(

@@ -3,18 +3,18 @@
 //!
 //! For every instance of `SystemSpec::FAMILIES` that fits `n ≤ 12`:
 //!
-//! 1. the **exact expectimax solver** (`exact::optimal_expected`, a DP over
-//!    knowledge states) and
-//! 2. the **decision-tree evaluation** (`optimal_expected_tree` plus
+//! 1. the **exact expectimax solver** (`exact::optimal_cost` under
+//!    `Law::Iid`, a DP over knowledge states) and
+//! 2. the **decision-tree evaluation** (`exact::optimal_tree` plus
 //!    `DecisionTree::expected_depth`, a recursion over an explicit tree)
 //!    must agree to floating-point precision;
 //! 3. a **high-trial Monte-Carlo** run of that optimal tree over i.i.d.
 //!    colorings must land inside its own confidence interval around the
 //!    exact value;
-//! 4. the **Yao machinery** (`best_deterministic_cost` against the explicit
-//!    i.i.d. distribution — a different DP over an enumerated support) must
-//!    reproduce the exact value, and as a *lower bound* it must never exceed
-//!    the deterministic worst case `PC(S)`.
+//! 4. the **Yao machinery** (`Law::Support` against the i.i.d. law written
+//!    out as an explicit distribution over all `2^n` colorings, conditioned
+//!    on each observation) must reproduce the exact value, and as a *lower
+//!    bound* it must never exceed the deterministic worst case `PC(S)`.
 
 use probequorum::prelude::*;
 use rand::rngs::StdRng;
@@ -62,12 +62,12 @@ fn exact_solver_decision_tree_monte_carlo_and_yao_agree() {
         let n = system.universe_size();
         for p in [0.3, 0.5] {
             // Path 1: the expectimax DP.
-            let exact_value = exact::optimal_expected(system, p).unwrap();
+            let exact_value = exact::optimal_cost(system, exact::Law::Iid(p)).unwrap();
 
             // Path 2: an optimal decision tree, evaluated by its own
             // recursion. Its claimed value and its recomputed expected depth
             // must both match the DP.
-            let (tree_value, tree) = exact::optimal_expected_tree(system, p).unwrap();
+            let (tree_value, tree) = exact::optimal_tree(system, exact::Law::Iid(p)).unwrap();
             assert!(
                 (tree_value - exact_value).abs() < 1e-9,
                 "{name} p={p}: tree solver {tree_value} vs DP {exact_value}"
@@ -98,8 +98,16 @@ fn exact_solver_decision_tree_monte_carlo_and_yao_agree() {
             // Path 4: the Yao-principle solver against the explicit iid
             // distribution is the same minimisation phrased over an
             // enumerated support — equality, not just a bound.
-            let distribution = InputDistribution::iid(n, p).unwrap();
-            let yao_value = yao::best_deterministic_cost(system, &distribution).unwrap();
+            let product = Coloring::enumerate_all(n)
+                .into_iter()
+                .map(|c| {
+                    let (r, g) = (c.red_count() as f64, c.green_count() as f64);
+                    (c, p.powf(r) * (1.0 - p).powf(g))
+                })
+                .collect();
+            let distribution = InputDistribution::new(product).unwrap();
+            let yao_value =
+                exact::optimal_cost(system, exact::Law::Support(&distribution)).unwrap();
             assert!(
                 (yao_value - exact_value).abs() < 1e-9,
                 "{name} p={p}: Yao solver {yao_value} vs DP {exact_value}"
@@ -107,7 +115,7 @@ fn exact_solver_decision_tree_monte_carlo_and_yao_agree() {
 
             // Yao's principle: any distributional lower bound is at most the
             // deterministic worst case PC(S).
-            let pc = exact::optimal_worst_case(system).unwrap() as f64;
+            let pc = exact::optimal_cost(system, exact::Law::Adversary).unwrap();
             assert!(
                 yao_value <= pc + 1e-9,
                 "{name} p={p}: Yao bound {yao_value} exceeds PC {pc}"
@@ -121,14 +129,14 @@ fn yao_hard_distributions_stay_below_the_worst_case() {
     // The paper's named hard distributions, on the families that define
     // them: each certified lower bound must respect PC(S) too.
     let maj = Majority::new(5).unwrap();
-    let maj_bound =
-        yao::best_deterministic_cost(&maj, &InputDistribution::majority_hard(&maj)).unwrap();
-    assert!(maj_bound <= exact::optimal_worst_case(&maj).unwrap() as f64 + 1e-9);
+    let hard = InputDistribution::majority_hard(&maj);
+    let maj_bound = exact::optimal_cost(&maj, exact::Law::Support(&hard)).unwrap();
+    assert!(maj_bound <= exact::optimal_cost(&maj, exact::Law::Adversary).unwrap() + 1e-9);
 
     let wall = CrumblingWalls::new(vec![1, 2, 3]).unwrap();
-    let wall_bound =
-        yao::best_deterministic_cost(&wall, &InputDistribution::cw_hard(&wall)).unwrap();
-    assert!(wall_bound <= exact::optimal_worst_case(&wall).unwrap() as f64 + 1e-9);
+    let hard = InputDistribution::cw_hard(&wall);
+    let wall_bound = exact::optimal_cost(&wall, exact::Law::Support(&hard)).unwrap();
+    assert!(wall_bound <= exact::optimal_cost(&wall, exact::Law::Adversary).unwrap() + 1e-9);
 }
 
 /// FNV-1a of `bytes`, continuing from `hash`.
@@ -153,13 +161,11 @@ fn exact_solver_outputs_are_pinned() {
     let mut hash = 0xcbf2_9ce4_8422_2325;
     for (_, system) in small_family_systems() {
         let system = system.as_ref();
-        hash = value(hash, exact::optimal_worst_case(system).unwrap() as f64);
-        let (pc, pc_tree) = exact::optimal_worst_case_tree(system).unwrap();
-        hash = tree(value(hash, pc as f64), &pc_tree);
-        for p in [0.1, 0.3, 0.5] {
-            hash = value(hash, exact::optimal_expected(system, p).unwrap());
-            let (ppc, ppc_tree) = exact::optimal_expected_tree(system, p).unwrap();
-            hash = tree(value(hash, ppc), &ppc_tree);
+        let laws = [0.1, 0.3, 0.5].map(exact::Law::Iid);
+        for law in [exact::Law::Adversary].into_iter().chain(laws) {
+            hash = value(hash, exact::optimal_cost(system, law).unwrap());
+            let (optimum, best) = exact::optimal_tree(system, law).unwrap();
+            hash = tree(value(hash, optimum), &best);
         }
     }
     let mut hard: Vec<(Box<dyn QuorumSystem>, InputDistribution)> = Vec::new();
@@ -179,12 +185,11 @@ fn exact_solver_outputs_are_pinned() {
         hard.push((Box::new(t), d));
     }
     for (system, d) in &hard {
-        hash = value(
-            hash,
-            yao::best_deterministic_cost(system.as_ref(), d).unwrap(),
-        );
+        let law = exact::Law::Support(d);
+        hash = value(hash, exact::optimal_cost(system.as_ref(), law).unwrap());
     }
-    let (_, figure_4) = exact::optimal_worst_case_tree(&Majority::new(3).unwrap()).unwrap();
+    let maj3 = Majority::new(3).unwrap();
+    let (_, figure_4) = exact::optimal_tree(&maj3, exact::Law::Adversary).unwrap();
     hash = tree(hash, &figure_4);
     assert_eq!(hash, PINNED_EXACT, "digest {hash:#018x}");
 }

@@ -93,7 +93,7 @@ fn exact_optimum_brackets_strategy_costs() {
 
     // Tree of height 2 (n = 7).
     let tree = TreeQuorum::new(2).unwrap();
-    let optimum = exact::optimal_expected(&tree, p).unwrap();
+    let optimum = exact::optimal_cost(&tree, exact::Law::Iid(p)).unwrap();
     let strategy_cost = exhaustive_expected_probes(&tree, &ProbeTree::new(), p, 1, &mut rng);
     assert!(
         optimum <= strategy_cost + 1e-9,
@@ -104,7 +104,7 @@ fn exact_optimum_brackets_strategy_costs() {
 
     // Crumbling wall (1,2,3).
     let wall = CrumblingWalls::triang(3).unwrap();
-    let optimum = exact::optimal_expected(&wall, p).unwrap();
+    let optimum = exact::optimal_cost(&wall, exact::Law::Iid(p)).unwrap();
     let strategy_cost = exhaustive_expected_probes(&wall, &ProbeCw::new(), p, 1, &mut rng);
     assert!(optimum <= strategy_cost + 1e-9);
     assert!(

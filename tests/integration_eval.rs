@@ -151,7 +151,7 @@ fn every_registry_pair_runs_on_small_universes() {
 #[test]
 fn one_cell_plan_matches_the_exact_probe_complexity() {
     let maj = Majority::new(5).unwrap();
-    let exact = exact::optimal_expected(&maj, 0.5).unwrap();
+    let exact = exact::optimal_cost(&maj, exact::Law::Iid(0.5)).unwrap();
     let mut plan = EvalPlan::new(StdRng::seed_from_u64(11).next_u64()).trials(5_000);
     plan.probe(
         &erase_system(maj),

@@ -42,18 +42,18 @@ fn maj3_worked_example() {
     let maj = Majority::new(3).unwrap();
 
     // Deterministic worst case.
-    let (pc, tree) = exact::optimal_worst_case_tree(&maj).unwrap();
-    assert_eq!(pc, 3);
+    let (pc, tree) = exact::optimal_tree(&maj, exact::Law::Adversary).unwrap();
+    assert_eq!(pc, 3.0);
     tree.validate(&maj).unwrap();
 
     // Probabilistic model.
-    let ppc = exact::optimal_expected(&maj, 0.5).unwrap();
+    let ppc = exact::optimal_cost(&maj, exact::Law::Iid(0.5)).unwrap();
     assert!((ppc - 2.5).abs() < 1e-12);
 
     // Randomized worst case: lower bound via Yao on the hard distribution and
     // the matching algorithm R_Probe_Maj.
-    let lower =
-        yao::best_deterministic_cost(&maj, &InputDistribution::majority_hard(&maj)).unwrap();
+    let hard = InputDistribution::majority_hard(&maj);
+    let lower = exact::optimal_cost(&maj, exact::Law::Support(&hard)).unwrap();
     assert!((lower - 8.0 / 3.0).abs() < 1e-9);
     let mut rng = StdRng::seed_from_u64(1);
     let worst = estimate_worst_case(&maj, &RProbeMaj::new(), 2_000, &mut rng);
@@ -206,8 +206,8 @@ fn table1_tree_row() {
     // Yao lower bound computed exactly on the hard distribution of the
     // height-2 tree (n = 7): Theorem 4.8 says it forces exactly 2(n+1)/3.
     let small = TreeQuorum::new(2).unwrap();
-    let lower =
-        yao::best_deterministic_cost(&small, &InputDistribution::tree_hard(&small)).unwrap();
+    let hard = InputDistribution::tree_hard(&small);
+    let lower = exact::optimal_cost(&small, exact::Law::Support(&hard)).unwrap();
     assert!(
         (lower - bounds::tree_randomized_lower(7)).abs() < 1e-6,
         "Theorem 4.8: hard distribution forces exactly 2(n+1)/3, got {lower}"
@@ -267,19 +267,22 @@ fn deterministic_worst_case_and_trivial_randomized_lower_bound() {
         ("Tree", Box::new(TreeQuorum::new(2).unwrap())),
     ];
     for (name, system) in &systems {
-        let pc = exact::optimal_worst_case(system.as_ref()).unwrap();
+        let pc = exact::optimal_cost(system.as_ref(), exact::Law::Adversary).unwrap();
         assert_eq!(
             pc,
-            system.universe_size(),
+            system.universe_size() as f64,
             "{name} should be evasive (Lemma 2.2)"
         );
         assert!(
-            bounds::randomized_lower_max_quorum(system.max_quorum_size()) <= pc as f64,
+            bounds::randomized_lower_max_quorum(system.max_quorum_size()) <= pc,
             "{name}: Theorem 4.1 sanity"
         );
     }
     // HQS is NOT known to be evasive from Lemma 2.2; its deterministic probe
     // complexity for h=1 equals 3 — still n for that size.
     let hqs = Hqs::new(1).unwrap();
-    assert_eq!(exact::optimal_worst_case(&hqs).unwrap(), 3);
+    assert_eq!(
+        exact::optimal_cost(&hqs, exact::Law::Adversary).unwrap(),
+        3.0
+    );
 }
