@@ -15,10 +15,13 @@
 //!   before anything else can be scheduled at their instants.
 //!
 //! The slots' lists live in one shared arena whose entries are recycled
-//! through a free list, and a bitmap of occupied slots finds the next
-//! event. A scan only passes over slots the clock then moves past, so all
-//! scans together read one bitmap word per 64 µs of virtual time plus one
-//! per pop.
+//! through a free list. A bitmap of occupied slots, one word per 64 slots,
+//! finds the next event, and a summary bitmap, one bit per bitmap word set
+//! while that word is non-zero, skips the empty words: a pop reads the
+//! word of the clock's slot, at most five summary words and the word it
+//! lands in, however sparse the wheel is. Without the summary a pop would
+//! read one word per 64 µs the clock moves, up to 256 when a lone event
+//! waits most of the span ahead.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -31,6 +34,9 @@ const SPAN: u64 = 1 << 14;
 
 /// Words in the occupied-slot bitmap.
 const WORDS: usize = (SPAN / 64) as usize;
+
+/// Words in the summary bitmap, one bit per occupied-slot word.
+const GROUPS: usize = WORDS / 64;
 
 /// Ends a slot's list and the free list.
 const NIL: u32 = u32::MAX;
@@ -55,7 +61,10 @@ pub(crate) struct TimingWheel<T> {
     /// where `occupied` has the slot's bit set.
     heads: Vec<u32>,
     tails: Vec<u32>,
+    /// One bit per slot, set while the slot holds an event.
     occupied: Vec<u64>,
+    /// One bit per word of `occupied`, set while that word is non-zero.
+    summary: [u64; GROUPS],
     arena: Vec<Entry<T>>,
     /// Head of the list of recycled arena entries.
     free: u32,
@@ -74,6 +83,7 @@ impl<T: Copy + Ord> TimingWheel<T> {
             heads: vec![0; SPAN as usize],
             tails: vec![0; SPAN as usize],
             occupied: vec![0; WORDS],
+            summary: [0; GROUPS],
             arena: Vec::new(),
             free: NIL,
             on_wheel: 0,
@@ -110,7 +120,11 @@ impl<T: Copy + Ord> TimingWheel<T> {
         let index = self.heads[slot];
         let Entry { item, next } = self.arena[index as usize];
         if next == NIL {
-            self.occupied[slot / 64] &= !(1 << (slot % 64));
+            let word = slot / 64;
+            self.occupied[word] &= !(1 << (slot % 64));
+            if self.occupied[word] == 0 {
+                self.summary[word / 64] &= !(1 << (word % 64));
+            }
         } else {
             self.heads[slot] = next;
         }
@@ -141,9 +155,10 @@ impl<T: Copy + Ord> TimingWheel<T> {
             index
         };
         let slot = self.slot(at);
-        let bit = 1 << (slot % 64);
-        if self.occupied[slot / 64] & bit == 0 {
-            self.occupied[slot / 64] |= bit;
+        let (word, bit) = (slot / 64, 1 << (slot % 64));
+        if self.occupied[word] & bit == 0 {
+            self.occupied[word] |= bit;
+            self.summary[word / 64] |= 1 << (word % 64);
             self.heads[slot] = index;
         } else {
             self.arena[self.tails[slot] as usize].next = index;
@@ -171,13 +186,22 @@ impl<T: Copy + Ord> TimingWheel<T> {
     /// The first occupied slot at or after `start`, going round the wheel.
     /// The wheel must hold at least one event.
     fn next_occupied(&self, start: usize) -> usize {
-        let mut word = start / 64;
-        let mut bits = self.occupied[word] & (!0u64 << (start % 64));
-        while bits == 0 {
-            word = (word + 1) % WORDS;
-            bits = self.occupied[word];
+        let word = start / 64;
+        let bits = self.occupied[word] & (!0u64 << (start % 64));
+        if bits != 0 {
+            return word * 64 + bits.trailing_zeros() as usize;
         }
-        word * 64 + bits.trailing_zeros() as usize
+        // The next non-zero word after `word`, going round through the
+        // summary; `word` itself comes last, for its slots before `start`.
+        let from = (word + 1) % WORDS;
+        let mut group = from / 64;
+        let mut words = self.summary[group] & (!0u64 << (from % 64));
+        while words == 0 {
+            group = (group + 1) % GROUPS;
+            words = self.summary[group];
+        }
+        let word = group * 64 + words.trailing_zeros() as usize;
+        word * 64 + self.occupied[word].trailing_zeros() as usize
     }
 }
 
@@ -197,6 +221,13 @@ mod tests {
             3 => raw % SPAN,
             // Just inside and just outside the span.
             4 => SPAN - 3 + raw % 6,
+            // Lone events: more than a bitmap word ahead, so that a pop
+            // from a near-empty wheel skips whole words, and past the end
+            // of the ring whenever the clock's slot is far enough round.
+            5 => 65 + raw % (SPAN - 65),
+            // Across the wrap, into the slots just behind the clock's: the
+            // scan comes round to the clock's own word or the ones before.
+            6 => SPAN - 1 - raw % 256,
             // Far beyond it, in the overflow heap.
             _ => SPAN * (2 + raw % 40) + raw % 97,
         }
@@ -210,7 +241,7 @@ mod tests {
         /// the clock, single pops and runs of pops that empty the wheel.
         #[test]
         fn wheel_pops_in_heap_order(
-            script in prop::collection::vec((0u8..10, 0u64..1 << 20), 1..400)
+            script in prop::collection::vec((0u8..12, 0u64..1 << 20), 1..400)
         ) {
             let mut wheel = TimingWheel::new();
             let mut heap = BinaryHeap::new();
@@ -218,17 +249,18 @@ mod tests {
             let mut pushed = 0u64;
             for (op, raw) in script {
                 let pops = match op {
-                    0..=5 => {
+                    0..=7 => {
                         let at = now + SimTime::from_micros(ahead(op, raw));
                         wheel.push(at, pushed);
                         heap.push(Reverse((at, pushed, pushed)));
                         pushed += 1;
                         0
                     }
-                    6 | 7 => 1,
+                    8 | 9 => 1,
                     // Empty the wheel, so that the next pop must jump the
-                    // clock to the overflow heap (when it holds anything).
-                    8 => wheel.on_wheel + 1,
+                    // clock to the overflow heap (when it holds anything),
+                    // and later pushes land on a near-empty wheel.
+                    10 => wheel.on_wheel + 1,
                     _ => 2,
                 };
                 for _ in 0..pops {
@@ -245,6 +277,28 @@ mod tests {
             }
             prop_assert_eq!(wheel.pop(), None);
         }
+    }
+
+    /// A lone event is found wherever it waits: in the clock's own word
+    /// past the wrap, in the word before it, or words ahead, and the
+    /// summary forgets each word its pop empties.
+    #[test]
+    fn lone_events_are_found_round_the_wheel() {
+        let mut wheel = TimingWheel::new();
+        let mut now = 100;
+        wheel.push(SimTime::from_micros(now), 0);
+        assert_eq!(wheel.pop(), Some((SimTime::from_micros(now), 0)));
+        for (item, ahead) in [SPAN - 1, SPAN - 40, SPAN - 64 * 5, 65, 64 * 200 + 3, 1, 0]
+            .into_iter()
+            .enumerate()
+        {
+            let at = SimTime::from_micros(now + ahead);
+            wheel.push(at, item + 1);
+            assert_eq!(wheel.pop(), Some((at, item + 1)), "{ahead} ahead");
+            assert_eq!(wheel.summary, [0; GROUPS], "{ahead} ahead");
+            now += ahead;
+        }
+        assert_eq!(wheel.pop(), None);
     }
 
     #[test]

@@ -52,6 +52,16 @@
 //! once its session completes, and each [`Distribution`] is prepared once
 //! per run, so the engine allocates nothing per probe and holds plans only
 //! for the sessions in flight.
+//!
+//! A packed plan is immutable until its session completes, so the engine
+//! reads each probe's word ahead of time: issuing probe `i` copies the word
+//! of probe `i + 1` into `i`'s resolution event, and the resolution issues
+//! the successor from the event without going back to the record's buffer.
+//! Each node's record keeps the finish time of its newest request, which is
+//! the instant its FIFO queue frees up; the queue of finish times itself is
+//! read only to drop finished requests and to answer
+//! [`LoadLedger::backlog`], and is cleared unread once its newest request
+//! has finished.
 
 use std::collections::VecDeque;
 
@@ -324,7 +334,17 @@ impl Sampler {
 /// uniform in [0, 1); `1 - u` keeps the argument of `ln` strictly positive.
 fn exponential<R: RngCore + ?Sized>(neg_mean: f64, rng: &mut R) -> SimTime {
     let u = (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    SimTime::from_micros((neg_mean * (1.0 - u).ln()).round() as u64)
+    SimTime::from_micros(round_to_u64(neg_mean * (1.0 - u).ln()))
+}
+
+/// `x.round() as u64` without `f64::round`, which baseline x86-64 compiles
+/// to a library call: truncate, then add one when the dropped fraction is
+/// at least one half. Below 2⁶⁴ the truncation and the fraction are exact;
+/// the saturating casts and add give `round`'s answer on negative values,
+/// values past 2⁶⁴, infinities and NaN.
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
 }
 
 /// How client sessions arrive at the system.
@@ -437,13 +457,46 @@ pub struct LoadLedger {
 /// What the ledger tracks of one node besides its probe and timeout counts.
 #[derive(Debug, Clone, Default)]
 struct NodeLoad {
+    /// The finish time of the node's newest request (zero before the
+    /// first): the instant its FIFO queue frees up.
+    last: SimTime,
     /// Cumulative service time.
     busy: SimTime,
     /// The most requests ever queued or in service at once.
     peak_backlog: usize,
-    /// Outstanding service completion times, in FIFO order. Finish times
-    /// are non-decreasing along it (see `EngineState::serve`).
+    /// Outstanding service completion times, in FIFO order, kept only for
+    /// the backlog and its peak. Finish times are non-decreasing along it,
+    /// and the back, when there is one, is `last` (see [`NodeLoad::serve`]).
     queue: VecDeque<SimTime>,
+}
+
+impl NodeLoad {
+    /// Queues one delivered request arriving at `request_at` and returns its
+    /// service-finish instant.
+    fn serve(&mut self, request_at: SimTime, service: SimTime) -> SimTime {
+        debug_assert!(self.queue.back().is_none_or(|&back| back == self.last));
+        if self.last <= request_at {
+            // Every queued request has finished: drop them unread.
+            self.queue.clear();
+        } else {
+            // Drop the finished prefix; the newest request is still queued.
+            while self.queue.front().is_some_and(|&f| f <= request_at) {
+                self.queue.pop_front();
+            }
+        }
+        // The queue is FIFO in probe-*issue* order (the order the pricing
+        // code runs), not request-arrival order: a request issued earlier but
+        // with a longer network delay is still served first. The modelling
+        // simplification keeps each probe's full timeline computable at issue
+        // time. `finish >= last` keeps the queue sorted for
+        // `LoadLedger::backlog`'s binary search.
+        let finish = self.last.max(request_at) + service;
+        self.busy += service;
+        self.queue.push_back(finish);
+        self.last = finish;
+        self.peak_backlog = self.peak_backlog.max(self.queue.len());
+        finish
+    }
 }
 
 impl LoadLedger {
@@ -790,16 +843,20 @@ enum EventKind {
     /// A new session arrives (index into the session count).
     Arrival(u64),
     /// Probe `1` of session slot `0` resolves at the client: its answer
-    /// arrived, or its last attempt timed out.
-    Resolved(u32, u32),
+    /// arrived, or its last attempt timed out. `2` is the word of probe
+    /// `1 + 1`, read when probe `1` was issued (0 when there is none), so
+    /// that the resolution issues the successor without reading the
+    /// session's probe buffer.
+    Resolved(u32, u32, u32),
     /// The hedging delay of probe `1` in session slot `0` elapsed without a
     /// resolution: consider launching the next candidate.
     HedgeDue(u32, u32),
 }
 
-/// The engine's pricing parameters and mutable counters.
+/// The engine's pricing parameters, pending events and mutable counters.
 struct EngineState {
     ledger: LoadLedger,
+    events: TimingWheel<EventKind>,
     delay: Sampler,
     service: Sampler,
     timeout: SimTime,
@@ -813,35 +870,6 @@ struct EngineState {
 }
 
 impl EngineState {
-    /// Queues one delivered request at `node` (arriving at `request_at`) and
-    /// returns its service-finish instant.
-    fn serve(&mut self, node: NodeId, request_at: SimTime, service: SimTime) -> SimTime {
-        let load = &mut self.ledger.nodes[node];
-        // Drop the requests finished by `request_at`: a pop-front loop,
-        // since the queue is FIFO in finish time.
-        while load.queue.front().is_some_and(|&f| f <= request_at) {
-            load.queue.pop_front();
-        }
-        // The queue is FIFO in probe-*issue* order (the order the pricing
-        // code runs), not request-arrival order: a request issued earlier but
-        // with a longer network delay is still served first. The modelling
-        // simplification keeps each probe's full timeline computable at issue
-        // time.
-        let queue_free = load
-            .queue
-            .back()
-            .copied()
-            .unwrap_or(request_at)
-            .max(request_at);
-        let finish = queue_free + service;
-        // `LoadLedger::backlog` binary-searches on this order.
-        debug_assert!(load.queue.back().is_none_or(|&last| last <= finish));
-        load.busy += service;
-        load.queue.push_back(finish);
-        load.peak_backlog = load.peak_backlog.max(load.queue.len());
-        finish
-    }
-
     /// Prices one probe of `node` issued at `now`, returning the instant it
     /// resolves at the client. Failed attempts cost the timeout (plus
     /// backoff); attempts whose response leg was dropped additionally make
@@ -869,7 +897,7 @@ impl EngineState {
                 // Delivered and served; only the answer was dropped.
                 let request_at = send_at + self.delay.sample(rng);
                 let service = self.service.sample(rng);
-                self.serve(node, request_at, service);
+                self.ledger.nodes[node].serve(request_at, service);
                 self.messages += 1; // the response was transmitted, then lost
             }
             if *loss == AttemptLoss::Crash {
@@ -889,7 +917,7 @@ impl EngineState {
                 self.messages += 1;
                 let request_at = send_at + self.delay.sample(rng);
                 let service = self.service.sample(rng);
-                let finish = self.serve(node, request_at, service);
+                let finish = self.ledger.nodes[node].serve(request_at, service);
                 self.messages += 1;
                 finish + self.delay.sample(rng)
             }
@@ -902,29 +930,36 @@ impl EngineState {
         }
     }
 
-    /// Issues probe `index` of `session` (in `slot`) at `now`: prices it,
-    /// schedules its resolution and (when hedging) its hedge timer.
+    /// Issues probe `index` of `session` (in `slot`), whose word the caller
+    /// read, at `now`: prices it, schedules its resolution and (when
+    /// hedging) its hedge timer.
     fn issue(
         &mut self,
         session: &mut Session,
         slot: u32,
         index: u32,
+        word: u32,
         now: SimTime,
-        events: &mut TimingWheel<EventKind>,
         rng: &mut StdRng,
     ) {
-        let word = session.probes[index as usize];
+        debug_assert_eq!(word, session.probes[index as usize], "issued a stale probe");
         let (node, red) = ((word >> 1) as NodeId, word & 1 == 1);
         let observed = if red { Color::Red } else { Color::Green };
         let resolve_at = self.price_probe(node, observed, session.failures(index, red), now, rng);
         session.next_issue = index + 1;
         session.in_flight += 1;
-        events.push(resolve_at, EventKind::Resolved(slot, index));
+        // The successor's word rides on the resolution event: read here,
+        // next to this probe's word, it spares the resolution a dependent
+        // load through the session record.
+        let next = session.probes.get(index as usize + 1).copied();
+        let resolved = EventKind::Resolved(slot, index, next.unwrap_or(0));
+        self.events.push(resolve_at, resolved);
         if let Some(hedge) = self.policy.hedge {
             // Only meaningful if the probe is still unresolved at the timer
             // and a next candidate exists.
-            if resolve_at > now + hedge && index + 1 < session.len() {
-                events.push(now + hedge, EventKind::HedgeDue(slot, index));
+            if resolve_at > now + hedge && next.is_some() {
+                self.events
+                    .push(now + hedge, EventKind::HedgeDue(slot, index));
             }
         }
     }
@@ -947,6 +982,13 @@ impl EngineState {
 /// slot and buffers are reused once its session completes, and every
 /// distribution is prepared once per run, so nothing is allocated per
 /// probe and memory follows the sessions in flight, not the sessions run.
+///
+/// A record is immutable from admission to completion, so the word of each
+/// probe's successor travels in the probe's resolution event: an arrival
+/// issues probe 0 from the record it has just packed, a resolution issues
+/// the next probe straight from the event, and only a hedge timer reads
+/// the record's buffer. A node's queue-free instant is the finish time its
+/// record keeps, not the back of its queue.
 ///
 /// # Panics
 ///
@@ -981,6 +1023,7 @@ where
     let mut rng = StdRng::seed_from_u64(seed);
     let mut state = EngineState {
         ledger: LoadLedger::new(n),
+        events: TimingWheel::new(),
         delay: network.delay.unwrap_or(config.rpc_latency).prepare(),
         service: config.service.prepare(),
         timeout: config.probe_timeout,
@@ -993,7 +1036,6 @@ where
         lost_to_crash: 0,
     };
     let mut latency = LogHistogram::new();
-    let mut events = TimingWheel::new();
 
     // The gap before each arrival: an exponential inter-arrival time in
     // open loop, a client's think time in closed loop.
@@ -1007,7 +1049,9 @@ where
     let total_sessions = config.sessions as u64;
     let mut sessions_issued = first_arrivals.min(total_sessions);
     for client in 0..sessions_issued {
-        events.push(gap.sample(&mut rng), EventKind::Arrival(client));
+        state
+            .events
+            .push(gap.sample(&mut rng), EventKind::Arrival(client));
     }
 
     let mut slots: Vec<Session> = Vec::new();
@@ -1016,14 +1060,14 @@ where
     let mut successes = 0usize;
     let mut last_completion = SimTime::ZERO;
 
-    while let Some((now, kind)) = events.pop() {
+    while let Some((now, kind)) = state.events.pop() {
         // The start instant and the outcome of a session completing now.
         let finished = match kind {
             EventKind::Arrival(session_index) => {
                 // Open-loop arrivals breed the next arrival immediately, so
                 // the offered rate never reacts to completions.
                 if open_loop && sessions_issued < total_sessions {
-                    events.push(
+                    state.events.push(
                         now + gap.sample(&mut rng),
                         EventKind::Arrival(sessions_issued),
                     );
@@ -1036,17 +1080,17 @@ where
                 });
                 let record = &mut slots[slot as usize];
                 record.admit(plan, n, now);
-                if record.probes.is_empty() {
+                if let Some(&first) = record.probes.first() {
+                    state.issue(record, slot, 0, first, now, &mut rng);
+                    None
+                } else {
                     // A zero-probe session (degenerate but legal): completes
                     // instantly.
                     free.push(slot);
                     Some((now, record.success))
-                } else {
-                    state.issue(record, slot, 0, now, &mut events, &mut rng);
-                    None
                 }
             }
-            EventKind::Resolved(slot, index) => {
+            EventKind::Resolved(slot, index, next) => {
                 let record = &mut slots[slot as usize];
                 // A hedge race ends the moment the faster of its two probes
                 // resolves: the one still in flight is cancelled in the
@@ -1060,7 +1104,7 @@ where
                 record.done += 1;
                 record.in_flight -= 1;
                 if record.next_issue == index + 1 && record.next_issue < record.len() {
-                    state.issue(record, slot, index + 1, now, &mut events, &mut rng);
+                    state.issue(record, slot, index + 1, next, now, &mut rng);
                     None
                 } else if record.done == record.len() {
                     free.push(slot);
@@ -1084,7 +1128,8 @@ where
                 {
                     state.hedges += 1;
                     record.hedge_race = true;
-                    state.issue(record, slot, index + 1, now, &mut events, &mut rng);
+                    let word = record.probes[index as usize + 1];
+                    state.issue(record, slot, index + 1, word, now, &mut rng);
                 }
                 None
             }
@@ -1097,7 +1142,7 @@ where
             // A closed-loop client starts its next session one think time
             // after this one completed.
             if !open_loop && sessions_issued < total_sessions {
-                events.push(
+                state.events.push(
                     now + gap.sample(&mut rng),
                     EventKind::Arrival(sessions_issued),
                 );
@@ -1351,6 +1396,138 @@ mod tests {
             assert_eq!(ledger.backlog(0, now), linear, "at {now}");
         }
         assert_eq!(ledger.backlog(0, SimTime::from_micros(5)), 4);
+    }
+
+    /// A node's queue as `serve` walked it before the node record kept its
+    /// last finish: pop the finished front, then queue behind the back.
+    #[derive(Default)]
+    struct DequeWalk {
+        busy: SimTime,
+        peak_backlog: usize,
+        queue: VecDeque<SimTime>,
+    }
+
+    impl DequeWalk {
+        fn serve(&mut self, request_at: SimTime, service: SimTime) -> SimTime {
+            while self.queue.front().is_some_and(|&f| f <= request_at) {
+                self.queue.pop_front();
+            }
+            let queue_free = self
+                .queue
+                .back()
+                .copied()
+                .unwrap_or(request_at)
+                .max(request_at);
+            let finish = queue_free + service;
+            self.busy += service;
+            self.queue.push_back(finish);
+            self.peak_backlog = self.peak_backlog.max(self.queue.len());
+            finish
+        }
+
+        fn backlog(&self, now: SimTime) -> usize {
+            self.queue.iter().filter(|&&finish| finish > now).count()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `NodeLoad::serve` prices every request as the deque walk did:
+        /// the same finish, busy time and peak backlog after each request,
+        /// and the same backlog at random instants. Requests reach three
+        /// nodes in issue order (a clock that only moves forward, at a
+        /// per-case pace that drains or floods the queues), each after a
+        /// short or long delay or at a tie: exactly a node's last finish,
+        /// or exactly a finish still queued in front of it.
+        #[test]
+        fn serve_matches_the_deque_walk(
+            pace in 1u64..800,
+            script in prop::collection::vec(
+                (0usize..3, 0u8..4, 0u64..1 << 16, 0u64..1 << 16),
+                1..300,
+            ),
+        ) {
+            let mut ledger = LoadLedger::new(3);
+            let mut walks: Vec<DequeWalk> = (0..3).map(|_| DequeWalk::default()).collect();
+            let mut clock = SimTime::ZERO;
+            for (node, class, a, b) in script {
+                clock += SimTime::from_micros(a % pace);
+                let walk = &mut walks[node];
+                let tie = match class {
+                    0 => walk.queue.back().copied(),
+                    1 => walk.queue.get(b as usize % walk.queue.len().max(1)).copied(),
+                    _ => None,
+                };
+                let request_at = match (class, tie) {
+                    (0 | 1, Some(finish)) => finish.max(clock),
+                    (2, _) => clock + SimTime::from_micros(b % 16),
+                    _ => clock + SimTime::from_micros(b % 4_096),
+                };
+                let service = SimTime::from_micros(a % 400);
+                let finish = ledger.nodes[node].serve(request_at, service);
+                prop_assert_eq!(finish, walk.serve(request_at, service));
+                prop_assert_eq!(ledger.busy_time(node), walk.busy);
+                prop_assert_eq!(ledger.peak_backlog(node), walk.peak_backlog);
+                for now in [clock + SimTime::from_micros(b % 2_048), request_at, finish] {
+                    for (node, walk) in walks.iter().enumerate() {
+                        prop_assert_eq!(ledger.backlog(node, now), walk.backlog(now));
+                    }
+                }
+            }
+        }
+    }
+
+    /// `round_to_u64` is `f64::round() as u64` on random bit patterns, on
+    /// random values near half-integers, and at the edges: `k ± ½` and the
+    /// floats next to them, the powers 2⁵², 2⁵³, 2⁶³ and 2⁶⁴ and their
+    /// neighbours, infinities, NaN and negative values.
+    #[test]
+    fn rounding_matches_the_library_round() {
+        // `x` and the floats on either side of it.
+        let with_neighbours = |x: f64| {
+            let bits = x.to_bits();
+            [f64::from_bits(bits - 1), x, f64::from_bits(bits + 1)]
+        };
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut halves: Vec<u64> = vec![1, 2, 3, 1_000, (1 << 51) - 1, (1 << 51) + 1];
+        halves.extend((0..1_000).map(|_| rng.next_u64() % (1 << 51)));
+        for k in halves {
+            for x in [k as f64 - 0.5, k as f64 + 0.5] {
+                inputs.extend(with_neighbours(x));
+                inputs.extend(with_neighbours(x).map(|x| -x));
+            }
+        }
+        for power in [52, 53, 63, 64] {
+            let x = 2f64.powi(power);
+            inputs.extend(with_neighbours(x));
+            inputs.extend(with_neighbours(x).map(|x| -x));
+        }
+        for _ in 0..100_000 {
+            inputs.push(f64::from_bits(rng.next_u64()));
+            let scale = 2f64.powi((rng.next_u64() % 70) as i32);
+            inputs.push((rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * scale);
+        }
+        for x in inputs {
+            assert_eq!(round_to_u64(x), x.round() as u64, "{x:e}");
+        }
+    }
+
+    /// A resolution carries its successor's word and every event still
+    /// fits in 16 bytes.
+    #[test]
+    fn events_stay_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<EventKind>(), 16);
     }
 
     #[test]

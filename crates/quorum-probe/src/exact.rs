@@ -126,13 +126,7 @@ impl<'a, S: QuorumSystem + ?Sized> Solver<'a, S> {
             self.choice[index] = RED;
             return 0.0;
         }
-        let consistent: Vec<(u64, f64)> = self
-            .support
-            .iter()
-            .copied()
-            .filter(|&(reds, _)| reds & green == 0 && red & !reds == 0)
-            .collect();
-        let mass: f64 = consistent.iter().map(|(_, w)| w).sum();
+        let masses = matches!(self.law, Law::Support(_)).then(|| self.masses(green, red));
         let (mut best, mut pick, mut pick_cost) = (f64::INFINITY, 0, f64::INFINITY);
         let mut step = 1;
         for e in 0..self.n {
@@ -146,15 +140,10 @@ impl<'a, S: QuorumSystem + ?Sized> Solver<'a, S> {
             let chances = match self.law {
                 Law::Adversary => None,
                 Law::Iid(p) => Some((1.0 - p, p)),
-                Law::Support(_) => {
-                    let red_mass: f64 = consistent
-                        .iter()
-                        .filter(|(reds, _)| reds & bit != 0)
-                        .map(|(_, w)| w)
-                        .sum();
+                Law::Support(_) => masses.as_ref().map(|&(mass, ref red_mass)| {
                     let share = |m: f64| if m > 0.0 { m / mass } else { 0.0 };
-                    Some((share(mass - red_mass), share(red_mass)))
-                }
+                    (share(mass - red_mass[e]), share(red_mass[e]))
+                }),
             };
             let cost = match chances {
                 None => {
@@ -180,6 +169,26 @@ impl<'a, S: QuorumSystem + ?Sized> Solver<'a, S> {
         self.value[index] = best;
         self.choice[index] = PROBE + pick as u8;
         best
+    }
+
+    /// In one pass over the support: the mass consistent with `green` and
+    /// `red`, and per unprobed element the part of it in which that element
+    /// is red. Each sum adds its weights in support order from `-0.0`, as
+    /// `Iterator::sum` does; `exact_solver_outputs_are_pinned` pins the
+    /// values these exact sums give.
+    fn masses(&self, green: u64, red: u64) -> (f64, [f64; 64]) {
+        let (mut mass, mut red_mass) = (-0.0, [-0.0; 64]);
+        for &(reds, w) in &self.support {
+            if reds & green == 0 && red & !reds == 0 {
+                mass += w;
+                let mut unprobed = reds & !red;
+                while unprobed != 0 {
+                    red_mass[unprobed.trailing_zeros() as usize] += w;
+                    unprobed &= unprobed - 1;
+                }
+            }
+        }
+        (mass, red_mass)
     }
 
     /// An optimal tree from the state `(green, red)`, read off the memo.
