@@ -75,20 +75,24 @@ fn bench_availability(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_enumeration(c: &mut Criterion) {
-    let mut group = c.benchmark_group("systems/enumerate_quorums");
-    let wheel = Wheel::new(1000).unwrap();
-    group.bench_function("Wheel(1000)", |b| {
-        b.iter(|| wheel.enumerate_quorums().unwrap().len())
-    });
-    let wall = CrumblingWalls::new(vec![1, 4, 4, 4, 4]).unwrap();
-    group.bench_function("CW(1,4,4,4,4)", |b| {
-        b.iter(|| wall.enumerate_quorums().unwrap().len())
-    });
-    let maj = Majority::new(17).unwrap();
-    group.bench_function("Maj(17)", |b| {
-        b.iter(|| maj.enumerate_quorums().unwrap().len())
-    });
+/// The one minimal-set enumerator (the branch-and-bound behind
+/// `minimal_quorums` and `minimal_blocking_sets`) on the 15-element
+/// organization majority (21 119 search nodes per list) and on Maj(17)
+/// (97 239 nodes): the baseline for a gate-by-gate counting DP.
+fn bench_minimal_sets(c: &mut Criterion) {
+    let mut group = c.benchmark_group("systems/minimal_sets");
+    let systems: Vec<(&str, DynQuorumSystem)> = vec![
+        ("OrgMaj3x5", SystemSpec::org_majority(3, 5).build().unwrap()),
+        ("Maj17", std::sync::Arc::new(Majority::new(17).unwrap())),
+    ];
+    for (name, system) in &systems {
+        group.bench_function(BenchmarkId::new("quorums", *name), |b| {
+            b.iter(|| minimal_quorums(system).unwrap().len())
+        });
+        group.bench_function(BenchmarkId::new("blocking_sets", *name), |b| {
+            b.iter(|| minimal_blocking_sets(system).unwrap().len())
+        });
+    }
     group.finish();
 }
 
@@ -335,6 +339,6 @@ fn bench_spec_build(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = bench_contains_quorum, bench_spec_build, bench_availability, bench_batched_availability, bench_lanes_native_vs_tape, bench_engine_probes, bench_enumeration, bench_failure_sampling, bench_churn_walk, bench_delta_update
+    targets = bench_contains_quorum, bench_spec_build, bench_availability, bench_batched_availability, bench_lanes_native_vs_tape, bench_engine_probes, bench_minimal_sets, bench_failure_sampling, bench_churn_walk, bench_delta_update
 }
 criterion_main!(benches);

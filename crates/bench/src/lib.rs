@@ -1470,7 +1470,7 @@ fn compose_delta_agreement(system: &DynQuorumSystem, seed: u64, steps: usize) ->
 /// and report, under i.i.d. failures at p = 0.3:
 ///
 /// * exact minimal-quorum / minimal-blocking-set counts from the
-///   oracle-driven branch-and-bound of `quorum_analysis::minimal`, with
+///   oracle-driven branch-and-bound of `quorum_core::minimal`, with
 ///   `intersect = 1` certifying every pair of minimal quorums intersects
 ///   (the composition really is a quorum system);
 /// * certified availability bounds `[avail_lo, avail_hi]` from the blocking
@@ -1534,8 +1534,8 @@ pub fn compose(config: &ReproConfig) -> Table {
         let seed = base_seed ^ (index as u64 + 1);
         let model = FailureModel::iid(p);
 
-        let quorums = minimal_quorums(system.as_ref()).expect("within the enumeration limit");
-        let blocking = minimal_blocking_sets(system.as_ref()).expect("within the limit");
+        let quorums = minimal_quorums(system.as_ref()).expect("within the enumeration limits");
+        let blocking = minimal_blocking_sets(system.as_ref()).expect("within the limits");
         let intersect = find_disjoint_pair(&quorums).is_none();
         let bounds = availability_bounds(&blocking, p);
 

@@ -58,8 +58,8 @@ pub use quorum_systems as systems;
 pub mod prelude {
     pub use quorum_analysis::{
         availability::exact_failure_probability, availability_bounds, bounds, find_disjoint_pair,
-        fit_power_law, lemmas, load_imbalance, minimal_blocking_sets, minimal_quorums,
-        AvailabilityBounds, LogHistogram, PowerLawFit, RunningStats,
+        fit_power_law, lemmas, load_imbalance, AvailabilityBounds, LogHistogram, PowerLawFit,
+        RunningStats,
     };
     pub use quorum_cluster::{
         cross_validate, plan_observables, AgreementReport, ArrivalProcess, Backend, Distribution,
@@ -69,9 +69,9 @@ pub mod prelude {
         WorkloadSpec,
     };
     pub use quorum_core::{
-        delta_evaluator_for, Color, Coloring, ColoringDelta, Coterie, DeltaEvaluator,
-        DynQuorumSystem, ElementId, ElementSet, Organizations, QuorumError, QuorumSystem,
-        RescanDeltaEvaluator, Witness, WitnessKind,
+        delta_evaluator_for, minimal_blocking_sets, minimal_quorums, Color, Coloring,
+        ColoringDelta, Coterie, DeltaEvaluator, DynQuorumSystem, ElementId, ElementSet,
+        Organizations, QuorumError, QuorumSystem, RescanDeltaEvaluator, Witness, WitnessKind,
     };
     pub use quorum_probe::{
         exact, run_strategy, strategies::*, yao, BreakerState, DecisionTree, GatedOutcome,

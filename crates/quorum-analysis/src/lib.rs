@@ -4,10 +4,10 @@
 //! systems under iid failures, the paper's technical lemmas (urn expectations,
 //! grid random walks, product and recursion bounds), summary statistics for
 //! Monte-Carlo estimates, log–log exponent fitting, the closed-form bound
-//! formulas quoted in Table 1 and Sections 3–4 of Hassin & Peleg, and
-//! oracle-driven minimal-quorum / minimal-blocking-set enumeration
-//! ([`minimal`]) that certifies intersection and availability bounds for
-//! recursive compositions.
+//! formulas quoted in Table 1 and Sections 3–4 of Hassin & Peleg, and the
+//! certificates ([`minimal`]) that the minimal quorums and minimal blocking
+//! sets of a recursive composition give: intersection and availability
+//! bounds.
 //!
 //! ```
 //! use quorum_analysis::{availability, bounds, lemmas};
@@ -40,8 +40,5 @@ pub use availability::{
 };
 pub use fit::{fit_power_law, PowerLawFit};
 pub use histogram::{load_imbalance, wasted_work_fraction, LogHistogram};
-pub use minimal::{
-    availability_bounds, find_disjoint_pair, minimal_blocking_sets, minimal_quorums,
-    AvailabilityBounds, MINIMAL_ENUM_LIMIT,
-};
+pub use minimal::{availability_bounds, find_disjoint_pair, AvailabilityBounds};
 pub use stats::{RunningStats, Summary};

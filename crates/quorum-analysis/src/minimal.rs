@@ -1,66 +1,11 @@
-//! Oracle-driven enumeration of minimal quorums and minimal blocking sets,
-//! with the certificates a composition deployment needs: pairwise
-//! intersection and availability bounds.
-//!
-//! Unlike the exhaustive `2^n` sweeps of `quorum_core` (which cap at 24
-//! elements), the search here is a branch-and-bound over the monotone
-//! characteristic function in the style of FBAS quorum analysers: elements
-//! are decided one at a time, and a branch is pruned as soon as the selected
-//! elements plus everything still undecided can no longer satisfy the
-//! predicate. The cost therefore scales with the number of minimal sets and
-//! the oracle's evaluation cost, not with `2^n` — the shipped composition
-//! scenarios (up to the 25-element organization majority) enumerate in
-//! milliseconds.
-//!
-//! The two enumerations are dual views of one search:
-//!
-//! * [`minimal_quorums`] runs it on `S ↦ contains_quorum(S)`;
-//! * [`minimal_blocking_sets`] runs it on the dual predicate
-//!   `S ↦ !contains_quorum(U \ S)` — a blocking set (transversal) is a set
-//!   whose failure kills every quorum.
+//! Certificates read off the minimal sets of a composition: pairwise
+//! intersection ([`find_disjoint_pair`] over the minimal quorums) and
+//! availability bounds ([`availability_bounds`] over the minimal blocking
+//! sets). The sets themselves come from `quorum_core`'s one enumerator,
+//! [`quorum_core::minimal_quorums`] and
+//! [`quorum_core::minimal_blocking_sets`].
 
-use quorum_core::{ElementId, ElementSet, QuorumError, QuorumSystem};
-
-/// Largest universe the minimal-set searches accept.
-///
-/// The bound guards against accidentally pointing the enumeration at a
-/// million-element lane benchmark; within the limit, the practical cost is
-/// governed by the number of minimal sets, not by `2^n`.
-pub const MINIMAL_ENUM_LIMIT: usize = 32;
-
-/// Enumerates the minimal quorums of `system`, sorted canonically by
-/// `(size, elements)`.
-///
-/// # Errors
-///
-/// Returns [`QuorumError::UniverseTooLarge`] when the universe exceeds
-/// [`MINIMAL_ENUM_LIMIT`].
-pub fn minimal_quorums<S: QuorumSystem + ?Sized>(
-    system: &S,
-) -> Result<Vec<ElementSet>, QuorumError> {
-    let n = check_universe(system.universe_size())?;
-    Ok(minimal_true_sets(n, |s| system.contains_quorum(s)))
-}
-
-/// Enumerates the minimal blocking sets (minimal transversals) of `system`,
-/// sorted canonically by `(size, elements)`.
-///
-/// A blocking set intersects every quorum: once all of its elements fail, no
-/// live quorum remains. For a nondominated coterie the blocking sets are
-/// exactly the quorums (self-duality).
-///
-/// # Errors
-///
-/// Returns [`QuorumError::UniverseTooLarge`] when the universe exceeds
-/// [`MINIMAL_ENUM_LIMIT`].
-pub fn minimal_blocking_sets<S: QuorumSystem + ?Sized>(
-    system: &S,
-) -> Result<Vec<ElementSet>, QuorumError> {
-    let n = check_universe(system.universe_size())?;
-    Ok(minimal_true_sets(n, |s| {
-        !system.contains_quorum(&s.complement())
-    }))
-}
+use quorum_core::ElementSet;
 
 /// Finds a disjoint pair among `sets`, if any — the counterexample format
 /// for intersection certification: `None` certifies that every pair of
@@ -114,64 +59,10 @@ pub fn availability_bounds(blocking_sets: &[ElementSet], p: f64) -> Availability
     }
 }
 
-fn check_universe(n: usize) -> Result<usize, QuorumError> {
-    if n > MINIMAL_ENUM_LIMIT {
-        return Err(QuorumError::UniverseTooLarge {
-            actual: n,
-            limit: MINIMAL_ENUM_LIMIT,
-        });
-    }
-    Ok(n)
-}
-
-/// Enumerates the minimal satisfying sets of the monotone predicate `f` by
-/// include/exclude branch-and-bound over elements `0..n`.
-fn minimal_true_sets(n: usize, f: impl Fn(&ElementSet) -> bool) -> Vec<ElementSet> {
-    let mut out = Vec::new();
-    let mut selection = ElementSet::empty(n);
-    search(n, &f, 0, &mut selection, &mut out);
-    out.sort_by_key(|s| (s.len(), s.to_vec()));
-    out
-}
-
-fn search(
-    n: usize,
-    f: &impl Fn(&ElementSet) -> bool,
-    next: ElementId,
-    selection: &mut ElementSet,
-    out: &mut Vec<ElementSet>,
-) {
-    if f(selection) {
-        // A satisfying selection never expands further (supersets are
-        // dominated), so each set is visited at most once; it is recorded
-        // only if every member is critical.
-        let minimal = selection.iter().all(|e| !f(&selection.without(e)));
-        if minimal {
-            out.push(selection.clone());
-        }
-        return;
-    }
-    if next == n {
-        return;
-    }
-    // Prune: even selecting every undecided element cannot satisfy `f`.
-    let mut upper = selection.clone();
-    for e in next..n {
-        upper.insert(e);
-    }
-    if !f(&upper) {
-        return;
-    }
-    selection.insert(next);
-    search(n, f, next + 1, selection, out);
-    selection.remove(next);
-    search(n, f, next + 1, selection, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quorum_core::minimal_transversals;
+    use quorum_core::{minimal_blocking_sets, minimal_quorums, ElementId, QuorumError};
     use quorum_systems::{Majority, SystemSpec};
 
     fn sets(universe: usize, lists: &[&[ElementId]]) -> Vec<ElementSet> {
@@ -182,32 +73,29 @@ mod tests {
     }
 
     #[test]
-    fn majority_minimal_quorums_are_the_pairs() {
-        let maj = Majority::new(3).unwrap();
-        let quorums = minimal_quorums(&maj).unwrap();
-        assert_eq!(quorums, sets(3, &[&[0, 1], &[0, 2], &[1, 2]]));
-        // Majority is self-dual: blocking sets coincide with quorums.
-        assert_eq!(minimal_blocking_sets(&maj).unwrap(), quorums);
-        assert_eq!(find_disjoint_pair(&quorums), None);
-    }
-
-    #[test]
-    fn blocking_sets_match_the_exhaustive_transversal_sweep() {
-        let maj = Majority::new(5).unwrap();
-        let mut exhaustive = minimal_transversals(&maj).unwrap();
-        exhaustive.sort_by_key(|s| (s.len(), s.to_vec()));
-        assert_eq!(minimal_blocking_sets(&maj).unwrap(), exhaustive);
-    }
-
-    #[test]
     fn composition_quorums_match_the_circuit_enumeration() {
         let spec = SystemSpec::parse("2(2(0,1,2),2(3,4,5),2(6,7,8))").unwrap();
         let system = spec.build().unwrap();
         let quorums = minimal_quorums(system.as_ref()).unwrap();
-        assert_eq!(quorums.len(), 27, "2-of-3 over 2-of-3 has 3·9 minterms");
-        assert!(quorums.iter().all(|q| q.len() == 4));
-        let mut circuit = system.enumerate_quorums().unwrap();
+        // The circuit's minterms by hand: two of the three groups, and two
+        // of the three elements in each.
+        let pairs = |g: usize| {
+            [
+                [3 * g, 3 * g + 1],
+                [3 * g, 3 * g + 2],
+                [3 * g + 1, 3 * g + 2],
+            ]
+        };
+        let mut circuit = Vec::new();
+        for (g, h) in [(0, 1), (0, 2), (1, 2)] {
+            for a in pairs(g) {
+                for b in pairs(h) {
+                    circuit.push(ElementSet::from_iter(9, a.into_iter().chain(b)));
+                }
+            }
+        }
         circuit.sort_by_key(|s| (s.len(), s.to_vec()));
+        assert_eq!(quorums.len(), 27, "2-of-3 over 2-of-3 has 3·9 minterms");
         assert_eq!(quorums, circuit);
         assert_eq!(find_disjoint_pair(&quorums), None);
     }
@@ -246,8 +134,8 @@ mod tests {
 
     #[test]
     fn org_majority_enumerates_past_the_exhaustive_limit() {
-        // 25 elements: out of reach for the 2^n sweeps, easy for the
-        // branch-and-bound.
+        // 25 elements: out of reach for the 2^n sweeps, within the
+        // branch-and-bound's budget.
         let spec = SystemSpec::org_majority_with_size_hint(25);
         let system = spec.build().unwrap();
         assert_eq!(system.universe_size(), 25);
@@ -258,16 +146,26 @@ mod tests {
         assert_eq!(find_disjoint_pair(&quorums), None);
     }
 
+    /// Both systems are within the 32-element limit, so only the work
+    /// budgets stop them: Maj(31)'s 3·10⁸ minimal quorums run past the set
+    /// budget, and the lone quorum {31} of `1(31)` sits behind 2³³ search
+    /// nodes, past the node budget. (The blocking-set search shares both
+    /// budgets; refusing `1(31)` there too would double the test's seconds.)
     #[test]
-    fn oversized_universes_are_rejected() {
-        let maj = Majority::new(35).unwrap();
-        assert!(matches!(
-            minimal_quorums(&maj),
-            Err(QuorumError::UniverseTooLarge { actual: 35, .. })
-        ));
-        assert!(matches!(
-            minimal_blocking_sets(&maj),
-            Err(QuorumError::UniverseTooLarge { actual: 35, .. })
-        ));
+    fn budgets_refuse_maj31_and_a_lone_leaf_at_31() {
+        let maj = Majority::new(31).unwrap();
+        let too_many_sets = QuorumError::EnumerationBudgetExceeded {
+            budget: "minimal sets",
+            limit: 1 << 20,
+        };
+        assert_eq!(minimal_quorums(&maj), Err(too_many_sets.clone()));
+        assert_eq!(minimal_blocking_sets(&maj), Err(too_many_sets));
+        let lone = SystemSpec::parse("1(31)").unwrap().build().unwrap();
+        assert_eq!(lone.universe_size(), 32);
+        let too_many_nodes = QuorumError::EnumerationBudgetExceeded {
+            budget: "search nodes",
+            limit: 1 << 25,
+        };
+        assert_eq!(minimal_quorums(lone.as_ref()), Err(too_many_nodes));
     }
 }

@@ -8,8 +8,10 @@ use crate::{ElementSet, QuorumError, QuorumSystem};
 /// intersecting quorums over a common universe.
 ///
 /// `Coterie` is the "reference" representation used to validate the implicit
-/// constructions in `quorum-systems`, to enumerate minterms, and to run the
-/// exact (exponential-time) probe-complexity solvers on small instances.
+/// constructions in `quorum-systems` (`Coterie::new(n,
+/// minimal_quorums(&system)?)` materialises any of them on a small
+/// universe), to check nondomination, and to run the exact
+/// (exponential-time) probe-complexity solvers on small instances.
 ///
 /// # Examples
 ///
@@ -41,8 +43,8 @@ impl Coterie {
     /// # Errors
     ///
     /// * [`QuorumError::Empty`] if the list is empty or any quorum is empty.
-    /// * [`QuorumError::ElementOutOfRange`] if a quorum mentions an element
-    ///   outside the universe.
+    /// * [`QuorumError::UniverseMismatch`] if a quorum ranges over a universe
+    ///   of another size.
     /// * [`QuorumError::NotIntersecting`] if two quorums are disjoint.
     /// * [`QuorumError::NotMinimal`] if one quorum contains another.
     pub fn new(universe: usize, quorums: Vec<ElementSet>) -> Result<Self, QuorumError> {
@@ -132,18 +134,6 @@ impl Coterie {
         self
     }
 
-    /// Whether `other` dominates `self`: `other ≠ self` and every quorum of
-    /// `self` contains some quorum of `other`.
-    pub fn is_dominated_by(&self, other: &Coterie) -> bool {
-        if self.universe != other.universe || self.quorums_as_sorted() == other.quorums_as_sorted()
-        {
-            return false;
-        }
-        self.quorums
-            .iter()
-            .all(|s| other.quorums.iter().any(|r| r.is_subset(s)))
-    }
-
     /// Whether the coterie is nondominated (ND).
     ///
     /// Uses the classical characterisation (Garcia-Molina & Barbara): a coterie
@@ -168,72 +158,6 @@ impl Coterie {
             }
         }
         true
-    }
-
-    /// Returns a dominating coterie if one exists (i.e. if `self` is
-    /// dominated), or `None` when `self` is nondominated.
-    ///
-    /// The returned coterie extends `self` with one additional quorum — the
-    /// standard construction from the self-duality argument.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universe has more than 24 elements.
-    pub fn dominating_coterie(&self) -> Option<Coterie> {
-        assert!(
-            self.universe <= 24,
-            "domination search is limited to universes of <= 24 elements"
-        );
-        for mask in 0u64..(1u64 << self.universe) {
-            let set = ElementSet::from_mask(self.universe, mask);
-            if self.contains_quorum(&set) || self.contains_quorum(&set.complement()) {
-                continue;
-            }
-            // `set` is a transversal-free "hole": adding a minimal subset of
-            // `set`'s complement... The standard construction: since neither
-            // `set` nor its complement contains a quorum, `set.complement()`
-            // intersects every quorum, so adding a minimal transversal
-            // contained in `set.complement()` yields a dominating coterie.
-            // We add `set.complement()` reduced to minimality.
-            let mut extra = set.complement();
-            // Greedily shrink while it still intersects every quorum and is
-            // not a superset of an existing quorum.
-            loop {
-                let mut shrunk = false;
-                for e in extra.to_vec() {
-                    let candidate = extra.without(e);
-                    if !candidate.is_empty()
-                        && self.quorums.iter().all(|q| q.intersects(&candidate))
-                        && !self.contains_quorum(&candidate)
-                    {
-                        extra = candidate;
-                        shrunk = true;
-                        break;
-                    }
-                }
-                if !shrunk {
-                    break;
-                }
-            }
-            let mut new_quorums: Vec<ElementSet> = self
-                .quorums
-                .iter()
-                .filter(|q| !extra.is_subset(q))
-                .cloned()
-                .collect();
-            new_quorums.push(extra);
-            let dominating = Coterie::new(self.universe, new_quorums)
-                .expect("domination construction must yield a valid coterie");
-            debug_assert!(self.is_dominated_by(&dominating));
-            return Some(dominating);
-        }
-        None
-    }
-
-    fn quorums_as_sorted(&self) -> Vec<ElementSet> {
-        let mut v = self.quorums.clone();
-        v.sort();
-        v
     }
 }
 
@@ -273,10 +197,6 @@ impl QuorumSystem for Coterie {
     fn max_quorum_size(&self) -> usize {
         self.quorums.iter().map(ElementSet::len).max().unwrap_or(0)
     }
-
-    fn enumerate_quorums(&self) -> Result<Vec<ElementSet>, QuorumError> {
-        Ok(self.quorums.clone())
-    }
 }
 
 #[cfg(test)]
@@ -302,7 +222,7 @@ mod tests {
         assert_eq!(c.min_quorum_size(), 2);
         assert_eq!(c.max_quorum_size(), 2);
         assert!(c.is_nondominated());
-        assert!(c.dominating_coterie().is_none());
+        assert_eq!(QuorumSystem::name(&c), "Coterie(n=3)");
     }
 
     #[test]
@@ -360,36 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn dominated_coterie_detected_and_dominator_constructed() {
-        // Over {0,1,2,3}, the coterie {{0,1},{1,2},{0,2}} (Maj on the first
-        // three elements, ignoring 3) IS nondominated as a function of all 4
-        // elements? No: take T = {3}: neither {3} nor {0,1,2} minus... {0,1,2}
-        // contains {0,1}. So self-duality may still hold. Use a genuinely
-        // dominated example instead: the 2-out-of-4 "pairs through element 0
-        // only" coterie {{0,1},{0,2},{0,3}} is dominated by the star {{0}}.
-        let c = Coterie::new(
-            4,
-            vec![
-                ElementSet::from_iter(4, [0, 1]),
-                ElementSet::from_iter(4, [0, 2]),
-                ElementSet::from_iter(4, [0, 3]),
-            ],
-        )
-        .unwrap();
-        assert!(!c.is_nondominated());
-        let dom = c
-            .dominating_coterie()
-            .expect("a dominating coterie must exist");
-        assert!(c.is_dominated_by(&dom));
-    }
-
-    #[test]
-    fn domination_is_irreflexive() {
-        let c = maj3();
-        assert!(!c.is_dominated_by(&c.clone()));
-    }
-
-    #[test]
     fn contains_quorum_checks_supersets() {
         let c = maj3();
         assert!(c.contains_quorum(&ElementSet::from_iter(3, [0, 1, 2])));
@@ -404,13 +294,6 @@ mod tests {
         let s = c.to_string();
         assert!(s.contains("Maj3"));
         assert!(s.contains("{0, 1}"));
-    }
-
-    #[test]
-    fn enumerate_quorums_returns_the_list() {
-        let c = maj3();
-        assert_eq!(c.enumerate_quorums().unwrap().len(), 3);
-        assert_eq!(QuorumSystem::name(&c), "Coterie(n=3)");
     }
 
     #[test]

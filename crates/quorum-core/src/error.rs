@@ -51,6 +51,14 @@ pub enum QuorumError {
         /// Maximum supported universe size for this operation.
         limit: usize,
     },
+    /// A minimal-set enumeration ran past one of its fixed work budgets
+    /// (see [`crate::minimal`]), although the universe was within its limit.
+    EnumerationBudgetExceeded {
+        /// What the budget counts: `"search nodes"` or `"minimal sets"`.
+        budget: &'static str,
+        /// The budget.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for QuorumError {
@@ -79,6 +87,12 @@ impl fmt::Display for QuorumError {
                 write!(
                     f,
                     "universe of size {actual} exceeds the limit {limit} for this operation"
+                )
+            }
+            QuorumError::EnumerationBudgetExceeded { budget, limit } => {
+                write!(
+                    f,
+                    "minimal-set enumeration exceeded its budget of {limit} {budget}"
                 )
             }
         }
@@ -114,6 +128,10 @@ mod tests {
             QuorumError::UniverseTooLarge {
                 actual: 100,
                 limit: 24,
+            },
+            QuorumError::EnumerationBudgetExceeded {
+                budget: "search nodes",
+                limit: 1 << 25,
             },
         ];
         for err in cases {

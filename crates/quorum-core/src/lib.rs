@@ -22,9 +22,11 @@
 //!   an explicit list of quorums, so that exponentially large systems (e.g.
 //!   Majority) remain cheap to evaluate.
 //! * [`Coterie`] — an explicit, enumerated quorum system together with
-//!   intersection / minimality / domination / nondomination checks.
-//! * [`CharacteristicFunction`] — utilities for viewing a system as a monotone
-//!   boolean function: evaluation, minterm enumeration, self-duality.
+//!   intersection / minimality / nondomination checks.
+//! * [`minimal_quorums`] and [`minimal_blocking_sets`] — the one enumerator
+//!   of the characteristic function's minterms (the minimal quorums) and
+//!   maxterms (the minimal transversals), a work-budgeted branch-and-bound
+//!   over universes of at most [`MINIMAL_ENUM_LIMIT`] elements.
 //!
 //! # Quick example
 //!
@@ -46,27 +48,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod boolean;
 pub mod coloring;
 pub mod coterie;
 pub mod delta;
 pub mod error;
 pub mod lanes;
+pub mod minimal;
 pub mod orgs;
 pub mod set;
 pub mod system;
-pub mod transversal;
 pub mod witness;
 
-pub use boolean::CharacteristicFunction;
 pub use coloring::{Color, Coloring};
 pub use coterie::Coterie;
 pub use delta::{delta_evaluator_for, ColoringDelta, DeltaEvaluator, RescanDeltaEvaluator};
 pub use error::QuorumError;
+pub use minimal::{minimal_blocking_sets, minimal_quorums, MINIMAL_ENUM_LIMIT};
 pub use orgs::Organizations;
 pub use set::{ElementSet, WORD_BITS};
 pub use system::{DynQuorumSystem, QuorumSystem};
-pub use transversal::{is_transversal, minimal_transversals};
 pub use witness::{Witness, WitnessKind};
 
 /// Identifier of an element (processor) of the universe `U = {0, …, n−1}`.

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use crate::delta::DeltaEvaluator;
-use crate::{Coloring, Coterie, ElementSet, QuorumError};
+use crate::{Coloring, ElementSet};
 
 /// A quorum system over the universe `{0, …, n−1}`, exposed through its
 /// monotone characteristic boolean function.
@@ -12,9 +12,9 @@ use crate::{Coloring, Coterie, ElementSet, QuorumError};
 /// Implementations answer the question "does this set of elements contain a
 /// quorum?" ([`QuorumSystem::contains_quorum`]) rather than enumerating
 /// quorums, because systems such as Majority have exponentially many quorums.
-/// Explicit enumeration is still available via
-/// [`QuorumSystem::enumerate_quorums`] (with a brute-force default suitable for
-/// small universes) and [`QuorumSystem::to_coterie`].
+/// The trait only evaluates; on small universes [`crate::minimal_quorums`]
+/// lists the quorums of any implementation through this oracle, and
+/// `Coterie::new(n, minimal_quorums(&system)?)` materialises it.
 ///
 /// All the constructions studied by the paper (Majority, Wheel, Crumbling
 /// Walls, Triang, Tree, HQS) are nondominated coteries; implementations of
@@ -89,51 +89,6 @@ pub trait QuorumSystem {
     fn delta_evaluator(&self) -> Option<Box<dyn DeltaEvaluator + Send>> {
         None
     }
-
-    /// Enumerates all minimal quorums (the minterms of the characteristic
-    /// function).
-    ///
-    /// The default implementation brute-forces over all `2^n` subsets and is
-    /// therefore restricted to universes of at most 24 elements; constructions
-    /// with structure should override it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuorumError::UniverseTooLarge`] if the default implementation
-    /// is invoked on a universe with more than 24 elements.
-    fn enumerate_quorums(&self) -> Result<Vec<ElementSet>, QuorumError> {
-        let n = self.universe_size();
-        if n > 24 {
-            return Err(QuorumError::UniverseTooLarge {
-                actual: n,
-                limit: 24,
-            });
-        }
-        let mut quorums = Vec::new();
-        for mask in 0u64..(1u64 << n) {
-            let set = ElementSet::from_mask(n, mask);
-            if !self.contains_quorum(&set) {
-                continue;
-            }
-            // Minimal iff removing any single element breaks the property.
-            let minimal = set.iter().all(|e| !self.contains_quorum(&set.without(e)));
-            if minimal {
-                quorums.push(set);
-            }
-        }
-        Ok(quorums)
-    }
-
-    /// Materialises the system as an explicit [`Coterie`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`QuorumSystem::enumerate_quorums`] and from
-    /// coterie validation (e.g. if an implementation's characteristic function
-    /// is not actually an intersecting antichain).
-    fn to_coterie(&self) -> Result<Coterie, QuorumError> {
-        Coterie::new(self.universe_size(), self.enumerate_quorums()?)
-    }
 }
 
 /// A dynamically typed, shareable quorum system.
@@ -164,9 +119,6 @@ impl<T: QuorumSystem + ?Sized> QuorumSystem for &T {
     fn delta_evaluator(&self) -> Option<Box<dyn DeltaEvaluator + Send>> {
         (**self).delta_evaluator()
     }
-    fn enumerate_quorums(&self) -> Result<Vec<ElementSet>, QuorumError> {
-        (**self).enumerate_quorums()
-    }
 }
 
 impl<T: QuorumSystem + ?Sized> QuorumSystem for Arc<T> {
@@ -191,9 +143,6 @@ impl<T: QuorumSystem + ?Sized> QuorumSystem for Arc<T> {
     fn delta_evaluator(&self) -> Option<Box<dyn DeltaEvaluator + Send>> {
         (**self).delta_evaluator()
     }
-    fn enumerate_quorums(&self) -> Result<Vec<ElementSet>, QuorumError> {
-        (**self).enumerate_quorums()
-    }
 }
 
 impl<T: QuorumSystem + ?Sized> QuorumSystem for Box<T> {
@@ -217,9 +166,6 @@ impl<T: QuorumSystem + ?Sized> QuorumSystem for Box<T> {
     }
     fn delta_evaluator(&self) -> Option<Box<dyn DeltaEvaluator + Send>> {
         (**self).delta_evaluator()
-    }
-    fn enumerate_quorums(&self) -> Result<Vec<ElementSet>, QuorumError> {
-        (**self).enumerate_quorums()
     }
 }
 
@@ -251,22 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn default_enumeration_finds_all_pairs() {
-        let quorums = TestMaj3.enumerate_quorums().unwrap();
-        assert_eq!(quorums.len(), 3);
-        for q in &quorums {
-            assert_eq!(q.len(), 2);
-        }
-    }
-
-    #[test]
-    fn to_coterie_validates() {
-        let coterie = TestMaj3.to_coterie().unwrap();
-        assert_eq!(coterie.quorums().len(), 3);
-        assert!(coterie.is_nondominated());
-    }
-
-    #[test]
     fn green_and_red_quorum_checks() {
         let coloring = Coloring::from_colors(vec![Color::Green, Color::Green, Color::Red]);
         assert!(TestMaj3.has_green_quorum(&coloring));
@@ -286,36 +216,5 @@ mod tests {
         let boxed: Box<dyn QuorumSystem + Send + Sync> = Box::new(TestMaj3);
         assert_eq!(boxed.max_quorum_size(), 2);
         assert!(boxed.contains_quorum(&ElementSet::from_iter(3, [0, 1])));
-    }
-
-    struct Huge;
-    impl QuorumSystem for Huge {
-        fn name(&self) -> String {
-            "Huge".into()
-        }
-        fn universe_size(&self) -> usize {
-            100
-        }
-        fn contains_quorum(&self, set: &ElementSet) -> bool {
-            set.len() > 50
-        }
-        fn min_quorum_size(&self) -> usize {
-            51
-        }
-        fn max_quorum_size(&self) -> usize {
-            51
-        }
-    }
-
-    #[test]
-    fn default_enumeration_rejects_large_universe() {
-        let err = Huge.enumerate_quorums().unwrap_err();
-        assert!(matches!(
-            err,
-            QuorumError::UniverseTooLarge {
-                actual: 100,
-                limit: 24
-            }
-        ));
     }
 }

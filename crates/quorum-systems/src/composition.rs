@@ -23,9 +23,8 @@ use crate::{dispatch_lane_block, SpecError, SpecErrorKind, SystemSpec, MAX_ELEME
 /// families' representability guards.
 const MAX_NODES: usize = 1 << 26;
 
-/// Largest universe for which [`Composition::enumerate_quorums`] runs the
-/// exact antichain circuit DP (same limit as the trait's brute-force
-/// default).
+/// Largest universe for which [`compile`] runs the exact antichain circuit
+/// DP on a non-read-once composition.
 const ENUM_LIMIT: usize = 24;
 
 /// Work budget of the antichain DP that [`compile`] runs to make a
@@ -794,25 +793,17 @@ impl QuorumSystem for Composition {
     fn max_quorum_size(&self) -> usize {
         self.max_q
     }
-
-    fn enumerate_quorums(&self) -> Result<Vec<ElementSet>, QuorumError> {
-        if self.n > ENUM_LIMIT {
-            return Err(QuorumError::UniverseTooLarge {
-                actual: self.n,
-                limit: ENUM_LIMIT,
-            });
-        }
-        Ok(self
-            .minimal_antichain(usize::MAX)
-            .expect("an unbounded antichain DP finishes"))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::BuiltSystem;
+    use proptest::prelude::*;
     use quorum_core::lanes::LANE_WIDTHS;
+    use quorum_core::{minimal_quorums, Coterie, ElementId};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// The composition `spec` builds.
     fn built(spec: &SystemSpec) -> Composition {
@@ -829,6 +820,16 @@ mod tests {
 
     fn maj3() -> Composition {
         parsed("2(0,1,2)")
+    }
+
+    /// The minimal quorums of `c` by the antichain DP, which must equal the
+    /// branch-and-bound's.
+    fn quorums_of(c: &Composition) -> Vec<ElementSet> {
+        let dp = c
+            .minimal_antichain(usize::MAX)
+            .expect("an unbounded antichain DP finishes");
+        assert_eq!(minimal_quorums(c).unwrap(), dp, "antichain DP vs search");
+        dp
     }
 
     /// The 2×2 grid: (1-of-rows of all-of-row) AND (1-of-cols of
@@ -962,7 +963,7 @@ mod tests {
             let set = ElementSet::from_mask(3, mask);
             assert_eq!(c.contains_quorum(&set), set.len() >= 2, "mask {mask}");
         }
-        let quorums = c.enumerate_quorums().unwrap();
+        let quorums = quorums_of(&c);
         assert_eq!(quorums.len(), 3);
         assert!(quorums.iter().all(|q| q.len() == 2));
     }
@@ -973,10 +974,10 @@ mod tests {
         assert!(c.contains_quorum(&ElementSet::empty(2)));
         assert_eq!(c.min_quorum_size(), 0);
         assert_eq!(c.max_quorum_size(), 0);
-        let quorums = c.enumerate_quorums().unwrap();
+        let quorums = quorums_of(&c);
         assert_eq!(quorums, vec![ElementSet::empty(2)]);
         // The empty quorum is not a valid coterie: typed error, no panic.
-        assert!(matches!(c.to_coterie(), Err(QuorumError::Empty)));
+        assert_eq!(Coterie::new(2, quorums), Err(QuorumError::Empty));
     }
 
     #[test]
@@ -986,7 +987,7 @@ mod tests {
         assert!(c.contains_quorum(&ElementSet::singleton(2, 1)));
         assert!(!c.contains_quorum(&ElementSet::singleton(2, 0)));
         assert_eq!(crate::lane_word(&c, &[1, 2]), 2);
-        let quorums = c.enumerate_quorums().unwrap();
+        let quorums = quorums_of(&c);
         assert_eq!(quorums, vec![ElementSet::singleton(2, 1)]);
         assert_eq!(c.min_quorum_size(), 1);
         assert_eq!(c.max_quorum_size(), 1);
@@ -1003,20 +1004,14 @@ mod tests {
         // 2-of-2 over the same element: just {0}.
         let c = parsed("2(0,0)");
         assert!(!c.is_read_once());
-        assert_eq!(
-            c.enumerate_quorums().unwrap(),
-            vec![ElementSet::singleton(1, 0)]
-        );
+        assert_eq!(quorums_of(&c), vec![ElementSet::singleton(1, 0)]);
         assert_eq!(c.min_quorum_size(), 1);
         assert_eq!(c.max_quorum_size(), 1);
         assert!(c.quorum_sizes_exact());
 
         // 1-of-2 over {0} and {0,1}: the branch needing both is dominated.
         let c = parsed("1(1(0),2(0,1))");
-        assert_eq!(
-            c.enumerate_quorums().unwrap(),
-            vec![ElementSet::singleton(2, 0)]
-        );
+        assert_eq!(quorums_of(&c), vec![ElementSet::singleton(2, 0)]);
     }
 
     #[test]
@@ -1028,10 +1023,10 @@ mod tests {
         assert!(c.quorum_sizes_exact());
         assert_eq!(c.min_quorum_size(), 3);
         assert_eq!(c.max_quorum_size(), 3);
-        let quorums = c.enumerate_quorums().unwrap();
+        let quorums = quorums_of(&c);
         assert_eq!(quorums.len(), 4);
         assert!(quorums.iter().all(|q| q.len() == 3));
-        assert!(c.to_coterie().is_ok());
+        assert!(Coterie::new(4, quorums).is_ok());
     }
 
     #[test]
@@ -1041,7 +1036,7 @@ mod tests {
         assert!(c.is_read_once());
         assert_eq!(c.min_quorum_size(), 4);
         assert_eq!(c.max_quorum_size(), 4);
-        let quorums = c.enumerate_quorums().unwrap();
+        let quorums = quorums_of(&c);
         assert!(quorums.iter().all(|q| q.len() == 4));
         // 3 pairs of groups x 3 quorums each per group.
         assert_eq!(quorums.len(), 27);
@@ -1104,7 +1099,76 @@ mod tests {
     #[test]
     fn coterie_round_trip_is_valid() {
         let c = maj3();
-        let coterie = c.to_coterie().unwrap();
+        let coterie = Coterie::new(3, minimal_quorums(&c).unwrap()).unwrap();
         assert!(coterie.is_nondominated());
+    }
+
+    /// A random composition tree over `elements`, each appearing as at
+    /// least one leaf: the slice is cut into 2–4 contiguous chunks,
+    /// singleton chunks become leaves, larger chunks recurse. One gate in
+    /// three also takes an extra leaf repeating an element of `0..n`, and
+    /// the threshold is drawn from `1..=children`, or is 0 (constant true)
+    /// one time in eight.
+    fn random_compose(rng: &mut StdRng, elements: &[ElementId], n: usize) -> SystemSpec {
+        let chunk_count = rng.gen_range(2..=elements.len().min(4));
+        let mut cuts = vec![0, elements.len()];
+        while cuts.len() < chunk_count + 1 {
+            let cut = rng.gen_range(1..elements.len());
+            if !cuts.contains(&cut) {
+                cuts.push(cut);
+            }
+        }
+        cuts.sort_unstable();
+        let mut children: Vec<SystemSpec> = cuts
+            .windows(2)
+            .map(|w| {
+                let chunk = &elements[w[0]..w[1]];
+                if chunk.len() == 1 {
+                    SystemSpec::Leaf(chunk[0])
+                } else {
+                    random_compose(rng, chunk, n)
+                }
+            })
+            .collect();
+        if rng.gen_range(0..3) == 0 {
+            children.push(SystemSpec::Leaf(rng.gen_range(0..n)));
+        }
+        let threshold = if rng.gen_range(0..8) == 0 {
+            0
+        } else {
+            rng.gen_range(1..=children.len())
+        };
+        SystemSpec::Compose {
+            threshold,
+            children,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// On random composition trees (repeated leaves and constant-true
+        /// gates included) the antichain DP that `compile` runs lists the
+        /// canonical minimal antichain: sorted by `(size, elements)`, no
+        /// quorum dominated by another, and identical to the
+        /// branch-and-bound's minimal quorums.
+        #[test]
+        fn random_trees_enumerate_the_minimal_antichain(seed in 0u64..10_000, n in 2usize..=12) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let elements: Vec<ElementId> = (0..n).collect();
+            let c = built(&random_compose(&mut rng, &elements, n));
+            let quorums = c.minimal_antichain(usize::MAX).expect("an unbounded antichain DP finishes");
+            for (i, a) in quorums.iter().enumerate() {
+                for (j, b) in quorums.iter().enumerate() {
+                    if i != j {
+                        prop_assert!(!a.is_subset(b), "dominated quorum survived the DP");
+                    }
+                }
+            }
+            let mut sorted = quorums.clone();
+            sorted.sort_by_key(|s| (s.len(), s.to_vec()));
+            prop_assert_eq!(&sorted, &quorums, "the DP's order is canonical");
+            prop_assert_eq!(minimal_quorums(&c).unwrap(), quorums, "DP vs branch-and-bound");
+        }
     }
 }

@@ -348,50 +348,12 @@ impl QuorumSystem for CrumblingWalls {
             .max()
             .expect("at least one row")
     }
-
-    fn enumerate_quorums(&self) -> Result<Vec<ElementSet>, QuorumError> {
-        // Count before materialising: sum over j of prod_{i>j} n_i.
-        let mut count: u128 = 0;
-        for j in 0..self.row_count() {
-            let mut c: u128 = 1;
-            for i in j + 1..self.row_count() {
-                c = c.saturating_mul(self.widths[i] as u128);
-            }
-            count = count.saturating_add(c);
-        }
-        if count > 2_000_000 {
-            return Err(QuorumError::UniverseTooLarge {
-                actual: self.n,
-                limit: 24,
-            });
-        }
-        let mut out = Vec::with_capacity(count as usize);
-        for j in 0..self.row_count() {
-            // Full row j plus every combination of single representatives from
-            // rows below.
-            let base = ElementSet::from_iter(self.n, self.row_elements(j));
-            let below: Vec<Range<ElementId>> = (j + 1..self.row_count())
-                .map(|i| self.row_elements(i))
-                .collect();
-            let mut stack = vec![(base, 0usize)];
-            while let Some((set, depth)) = stack.pop() {
-                if depth == below.len() {
-                    out.push(set);
-                    continue;
-                }
-                for e in below[depth].clone() {
-                    stack.push((set.with(e), depth + 1));
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quorum_core::{CharacteristicFunction, Coloring};
+    use quorum_core::Coloring;
 
     #[test]
     fn construction_validates_widths() {
@@ -524,41 +486,11 @@ mod tests {
     }
 
     #[test]
-    fn enumeration_matches_brute_force() {
-        let cw = CrumblingWalls::new(vec![1, 2, 3]).unwrap();
-        let mut direct = cw.enumerate_quorums().unwrap();
-        struct Shadow(CrumblingWalls);
-        impl QuorumSystem for Shadow {
-            fn name(&self) -> String {
-                "shadow".into()
-            }
-            fn universe_size(&self) -> usize {
-                self.0.universe_size()
-            }
-            fn contains_quorum(&self, set: &ElementSet) -> bool {
-                self.0.contains_quorum(set)
-            }
-            fn min_quorum_size(&self) -> usize {
-                self.0.min_quorum_size()
-            }
-            fn max_quorum_size(&self) -> usize {
-                self.0.max_quorum_size()
-            }
-        }
-        let mut brute = Shadow(cw).enumerate_quorums().unwrap();
-        direct.sort();
-        brute.sort();
-        assert_eq!(direct, brute);
-    }
-
-    #[test]
     fn nd_shapes_are_nondominated_coteries() {
         for widths in [vec![1, 2], vec![1, 2, 3], vec![1, 3, 2], vec![1, 4, 2, 3]] {
-            let cw = CrumblingWalls::new(widths.clone()).unwrap();
+            let cw = CrumblingWalls::new(widths).unwrap();
             assert!(cw.is_nd_shape());
-            let f = CharacteristicFunction::new(&cw);
-            assert!(f.is_monotone().unwrap(), "CW{widths:?} must be monotone");
-            assert!(f.is_self_dual().unwrap(), "CW{widths:?} must be ND");
+            crate::assert_nd_claim(&cw, true);
         }
     }
 
@@ -566,8 +498,8 @@ mod tests {
     fn non_nd_shape_is_dominated() {
         // First row wider than 1: the coterie is dominated.
         let cw = CrumblingWalls::new(vec![2, 3]).unwrap();
-        let f = CharacteristicFunction::new(&cw);
-        assert!(!f.is_self_dual().unwrap());
+        assert!(!cw.is_nd_shape());
+        crate::assert_nd_claim(&cw, false);
     }
 
     #[test]

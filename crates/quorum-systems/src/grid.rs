@@ -258,7 +258,7 @@ impl QuorumSystem for Grid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quorum_core::CharacteristicFunction;
+    use quorum_core::minimal_quorums;
 
     /// Products that overflow or pass the cap are rejected as too large —
     /// not as "non-trivial", and not wrapped into a tiny universe.
@@ -343,18 +343,15 @@ mod tests {
 
     #[test]
     fn grid_is_monotone_but_dominated() {
-        let g = Grid::new(2, 2).unwrap();
-        let f = CharacteristicFunction::new(&g);
-        assert!(f.is_monotone().unwrap());
         // Dominated: e.g. the coloring splitting the grid into two diagonals
         // gives neither side a full row+column.
-        assert!(!f.is_self_dual().unwrap());
+        crate::assert_nd_claim(&Grid::new(2, 2).unwrap(), false);
     }
 
     #[test]
     fn minterms_are_row_column_unions() {
         let g = Grid::new(2, 2).unwrap();
-        let quorums = g.enumerate_quorums().unwrap();
+        let quorums = minimal_quorums(&g).unwrap();
         // 2 rows × 2 cols = 4 minterms of size 3.
         assert_eq!(quorums.len(), 4);
         assert!(quorums.iter().all(|q| q.len() == 3));

@@ -214,7 +214,7 @@ impl QuorumSystem for Hqs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quorum_core::{CharacteristicFunction, Coloring};
+    use quorum_core::{minimal_quorums, Coloring};
 
     #[test]
     fn construction() {
@@ -284,7 +284,7 @@ mod tests {
     #[test]
     fn all_minterms_have_uniform_size() {
         let hqs = Hqs::new(2).unwrap();
-        let quorums = hqs.enumerate_quorums().unwrap();
+        let quorums = minimal_quorums(&hqs).unwrap();
         assert!(!quorums.is_empty());
         assert!(quorums.iter().all(|q| q.len() == hqs.quorum_size()));
         // 2-of-3 at the root, each child contributing a 2-of-3 of leaves:
@@ -295,10 +295,7 @@ mod tests {
     #[test]
     fn hqs_is_a_nondominated_coterie() {
         for h in [1, 2] {
-            let hqs = Hqs::new(h).unwrap();
-            let f = CharacteristicFunction::new(&hqs);
-            assert!(f.is_monotone().unwrap(), "HQS(h={h}) must be monotone");
-            assert!(f.is_self_dual().unwrap(), "HQS(h={h}) must be ND");
+            crate::assert_nd_claim(&Hqs::new(h).unwrap(), true);
         }
     }
 

@@ -117,6 +117,26 @@ pub(crate) fn lane_word<S: quorum_core::QuorumSystem + ?Sized>(system: &S, lanes
     word
 }
 
+/// Asserts that `system`'s `contains_quorum` is the coterie of its
+/// enumerated minimal quorums on all `2^n` subsets (so it is monotone and
+/// the enumerator lists exactly its minterms), and that this coterie is
+/// nondominated exactly when `nd` says so.
+#[cfg(test)]
+pub(crate) fn assert_nd_claim<S: quorum_core::QuorumSystem>(system: &S, nd: bool) {
+    use quorum_core::{minimal_quorums, Coterie, ElementSet, QuorumSystem};
+    let (name, n) = (system.name(), system.universe_size());
+    let coterie = Coterie::new(n, minimal_quorums(system).unwrap()).unwrap();
+    for mask in 0u64..1 << n {
+        let set = ElementSet::from_mask(n, mask);
+        assert_eq!(
+            system.contains_quorum(&set),
+            coterie.contains_quorum(&set),
+            "{name}: the enumerated coterie disagrees on {set}"
+        );
+    }
+    assert_eq!(coterie.is_nondominated(), nd, "{name}: ND claim");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -154,46 +154,13 @@ impl QuorumSystem for Majority {
     fn max_quorum_size(&self) -> usize {
         self.quorum_size()
     }
-
-    fn enumerate_quorums(&self) -> Result<Vec<ElementSet>, QuorumError> {
-        if self.n > 24 {
-            return Err(QuorumError::UniverseTooLarge {
-                actual: self.n,
-                limit: 24,
-            });
-        }
-        let mut out = Vec::new();
-        let k = self.quorum_size();
-        // Enumerate all k-subsets of {0..n} with a simple recursive builder.
-        let mut current = Vec::with_capacity(k);
-        fn recurse(
-            n: usize,
-            k: usize,
-            start: usize,
-            current: &mut Vec<usize>,
-            out: &mut Vec<ElementSet>,
-        ) {
-            if current.len() == k {
-                out.push(ElementSet::from_iter(n, current.iter().copied()));
-                return;
-            }
-            let remaining = k - current.len();
-            for e in start..=(n - remaining) {
-                current.push(e);
-                recurse(n, k, e + 1, current, out);
-                current.pop();
-            }
-        }
-        recurse(self.n, k, 0, &mut current, &mut out);
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use quorum_core::{CharacteristicFunction, Coloring};
+    use quorum_core::{minimal_quorums, Coloring, Coterie};
 
     #[test]
     fn universe_is_capped_at_two_to_the_26() {
@@ -253,30 +220,17 @@ mod tests {
     fn enumeration_counts_binomials() {
         // C(5,3) = 10 quorums.
         let maj = Majority::new(5).unwrap();
-        let quorums = maj.enumerate_quorums().unwrap();
+        let quorums = minimal_quorums(&maj).unwrap();
         assert_eq!(quorums.len(), 10);
         assert!(quorums.iter().all(|q| q.len() == 3));
-        // Matches the brute-force minterm enumeration from the trait default.
-        let coterie = maj.to_coterie().unwrap();
+        let coterie = Coterie::new(5, quorums).unwrap();
         assert_eq!(coterie.quorum_count(), 10);
-    }
-
-    #[test]
-    fn enumeration_rejects_large_universes() {
-        let maj = Majority::new(31).unwrap();
-        assert!(matches!(
-            maj.enumerate_quorums(),
-            Err(QuorumError::UniverseTooLarge { .. })
-        ));
     }
 
     #[test]
     fn majority_is_nondominated() {
         for n in [3, 5, 7, 9] {
-            let maj = Majority::new(n).unwrap();
-            let f = CharacteristicFunction::new(&maj);
-            assert!(f.is_monotone().unwrap(), "Maj({n}) must be monotone");
-            assert!(f.is_self_dual().unwrap(), "Maj({n}) must be self-dual (ND)");
+            crate::assert_nd_claim(&Majority::new(n).unwrap(), true);
         }
     }
 

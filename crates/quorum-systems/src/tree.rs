@@ -217,7 +217,7 @@ impl QuorumSystem for TreeQuorum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quorum_core::{CharacteristicFunction, Coloring};
+    use quorum_core::{minimal_quorums, Coloring};
 
     #[test]
     fn construction_and_sizes() {
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn minimum_quorum_is_a_path_maximum_is_the_leaves() {
         let t = TreeQuorum::new(2).unwrap();
-        let quorums = t.enumerate_quorums().unwrap();
+        let quorums = minimal_quorums(&t).unwrap();
         let min = quorums.iter().map(ElementSet::len).min().unwrap();
         let max = quorums.iter().map(ElementSet::len).max().unwrap();
         assert_eq!(min, t.min_quorum_size());
@@ -307,12 +307,7 @@ mod tests {
     #[test]
     fn tree_is_a_nondominated_coterie() {
         for h in [1, 2, 3] {
-            let t = TreeQuorum::new(h).unwrap();
-            let f = CharacteristicFunction::new(&t);
-            assert!(f.is_monotone().unwrap(), "Tree(h={h}) must be monotone");
-            if t.universe_size() <= 24 {
-                assert!(f.is_self_dual().unwrap(), "Tree(h={h}) must be ND");
-            }
+            crate::assert_nd_claim(&TreeQuorum::new(h).unwrap(), true);
         }
     }
 

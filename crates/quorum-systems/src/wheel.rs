@@ -176,20 +176,12 @@ impl QuorumSystem for Wheel {
     fn max_quorum_size(&self) -> usize {
         self.n - 1
     }
-
-    fn enumerate_quorums(&self) -> Result<Vec<ElementSet>, QuorumError> {
-        let mut out: Vec<ElementSet> = (1..self.n)
-            .map(|i| ElementSet::from_iter(self.n, [0, i]))
-            .collect();
-        out.push(self.rim());
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quorum_core::{CharacteristicFunction, Coloring};
+    use quorum_core::{minimal_quorums, Coloring};
 
     #[test]
     fn universe_is_capped_at_two_to_the_26() {
@@ -225,47 +217,15 @@ mod tests {
         assert_eq!(wheel.rim().to_vec(), vec![1, 2, 3, 4]);
         assert_eq!(wheel.min_quorum_size(), 2);
         assert_eq!(wheel.max_quorum_size(), 4);
-        let quorums = wheel.enumerate_quorums().unwrap();
+        let quorums = minimal_quorums(&wheel).unwrap();
         assert_eq!(quorums.len(), 5); // 4 spokes + the rim
-    }
-
-    #[test]
-    fn enumeration_matches_brute_force_minterms() {
-        let wheel = Wheel::new(6).unwrap();
-        let mut direct = wheel.enumerate_quorums().unwrap();
-        // Brute-force via the explicit coterie machinery (default impl path).
-        struct Shadow(Wheel);
-        impl QuorumSystem for Shadow {
-            fn name(&self) -> String {
-                "shadow".into()
-            }
-            fn universe_size(&self) -> usize {
-                self.0.universe_size()
-            }
-            fn contains_quorum(&self, set: &ElementSet) -> bool {
-                self.0.contains_quorum(set)
-            }
-            fn min_quorum_size(&self) -> usize {
-                self.0.min_quorum_size()
-            }
-            fn max_quorum_size(&self) -> usize {
-                self.0.max_quorum_size()
-            }
-        }
-        let mut brute = Shadow(wheel).enumerate_quorums().unwrap();
-        direct.sort();
-        brute.sort();
-        assert_eq!(direct, brute);
+        assert_eq!(quorums.last(), Some(&wheel.rim()));
     }
 
     #[test]
     fn wheel_is_a_nondominated_coterie() {
         for n in [3, 4, 5, 6, 7] {
-            let wheel = Wheel::new(n).unwrap();
-            let coterie = wheel.to_coterie().unwrap();
-            assert!(coterie.is_nondominated(), "Wheel({n}) must be ND");
-            let f = CharacteristicFunction::new(&wheel);
-            assert!(f.is_monotone().unwrap());
+            crate::assert_nd_claim(&Wheel::new(n).unwrap(), true);
         }
     }
 

@@ -100,11 +100,11 @@ proptest! {
         let system = spec.build().unwrap();
         prop_assert_eq!(system.universe_size(), n);
 
-        // Random trees need not be intersecting; `to_coterie` must return
-        // the typed error exactly when the oracle finds a disjoint pair,
-        // never panic.
-        let quorums = system.enumerate_quorums().unwrap();
-        match system.to_coterie() {
+        // Random trees need not be intersecting; the coterie of the
+        // enumerated minimal quorums must be refused with the typed error
+        // exactly when they hold a disjoint pair, never panic.
+        let quorums = minimal_quorums(system.as_ref()).unwrap();
+        match Coterie::new(n, quorums.clone()) {
             Ok(coterie) => {
                 prop_assert_eq!(find_disjoint_pair(coterie.quorums()), None);
             }
@@ -162,29 +162,6 @@ proptest! {
         }
     }
 
-    /// The coterie of a random composition is the canonical minimal
-    /// antichain: sorted by `(size, elements)`, no quorum dominated by
-    /// another, and identical to the oracle-driven minimal-quorum
-    /// enumeration.
-    #[test]
-    fn random_trees_enumerate_the_minimal_antichain(seed in 0u64..10_000, n in 2usize..=12) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let elements: Vec<ElementId> = (0..n).collect();
-        let spec = random_compose(&mut rng, &elements, n);
-        let system = spec.build().unwrap();
-        let quorums = system.enumerate_quorums().unwrap();
-        for (i, a) in quorums.iter().enumerate() {
-            for (j, b) in quorums.iter().enumerate() {
-                if i != j {
-                    prop_assert!(!a.is_subset(b), "dominated quorum survived enumeration");
-                }
-            }
-        }
-        let mut sorted = quorums.clone();
-        sorted.sort_by_key(|s| (s.len(), s.to_vec()));
-        let oracle = minimal_quorums(system.as_ref()).unwrap();
-        prop_assert_eq!(sorted, oracle, "circuit vs oracle enumeration");
-    }
 }
 
 /// The Tree/HQS/Grid-as-Compose pairs of the construction API, with their
@@ -346,20 +323,20 @@ fn degenerate_and_org_compositions_stay_canonical() {
     // (repeated-leaf) quorum {0} collapse to the minimal antichain {{0}}.
     let spec = SystemSpec::parse("2(0,0,1)").unwrap();
     let system = spec.build().unwrap();
-    let quorums = system.enumerate_quorums().unwrap();
+    let quorums = minimal_quorums(system.as_ref()).unwrap();
     assert_eq!(quorums, vec![ElementSet::from_iter(2, [0])]);
-    let coterie = system.to_coterie().unwrap();
+    let coterie = Coterie::new(2, quorums).unwrap();
     assert_eq!(coterie.quorum_count(), 1);
 
     // A 1-of-2 of overlapping majorities is NOT intersecting ({0,1} and
     // {2,3} are disjoint quorums) — the certificate must catch it and
-    // `to_coterie` must return the typed error, not a dominated coterie.
+    // `Coterie::new` must return the typed error, not a dominated coterie.
     let spec = SystemSpec::parse("1(2(0,1,2),2(1,2,3))").unwrap();
     let system = spec.build().unwrap();
     let quorums = minimal_quorums(system.as_ref()).unwrap();
     assert!(find_disjoint_pair(&quorums).is_some());
     assert!(matches!(
-        system.to_coterie(),
+        Coterie::new(4, quorums),
         Err(QuorumError::NotIntersecting { .. })
     ));
     // Raising the gate to 2-of-2 restores intersection.

@@ -5,6 +5,7 @@
 use probequorum::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Every strategy must return a verified witness whose verdict matches the
 /// ground truth on iid-random colorings, across all families and several
@@ -64,22 +65,57 @@ fn every_strategy_returns_valid_witnesses_on_random_colorings() {
     }
 }
 
-/// Every family of `SystemSpec::FAMILIES` builds a valid nondominated
-/// coterie (except the Grid baseline, which is documented as dominated).
+/// Every family builds a valid coterie that is nondominated exactly where
+/// claimed: the paper's families at their small sizes and every family of
+/// `SystemSpec::FAMILIES` at size hint 12 are ND, while the Grid baseline
+/// and crumbling walls with a first row wider than 1 are dominated. At
+/// each point the coterie of the enumerated minimal quorums must have the
+/// system's own characteristic function on all `2^n` subsets, which checks
+/// both that `contains_quorum` is monotone and that the enumerator found
+/// every minimal quorum and nothing else.
 #[test]
 fn families_are_nondominated_where_claimed() {
+    let mut points: Vec<(String, DynQuorumSystem, bool)> = Vec::new();
+    let mut claim = |system: DynQuorumSystem, nd: bool| points.push((system.name(), system, nd));
+    for n in [3, 5, 7, 9] {
+        claim(Arc::new(Majority::new(n).unwrap()), true);
+    }
+    for h in [1, 2, 3] {
+        claim(Arc::new(TreeQuorum::new(h).unwrap()), true);
+    }
+    for h in [1, 2] {
+        claim(Arc::new(Hqs::new(h).unwrap()), true);
+    }
+    for n in 3..=7 {
+        claim(Arc::new(Wheel::new(n).unwrap()), true);
+    }
+    for widths in [vec![1, 2], vec![1, 2, 3], vec![1, 3, 2], vec![1, 4, 2, 3]] {
+        claim(Arc::new(CrumblingWalls::new(widths).unwrap()), true);
+    }
+    claim(Arc::new(CrumblingWalls::new(vec![2, 3]).unwrap()), false);
+    claim(Arc::new(Grid::new(2, 2).unwrap()), false);
     for family in SystemSpec::FAMILIES {
-        let spec = SystemSpec::family_with_size_hint(family, 12).unwrap();
-        let system = spec.build().unwrap();
+        let system = SystemSpec::family_with_size_hint(family, 12)
+            .unwrap()
+            .build()
+            .unwrap();
         if system.universe_size() <= 16 {
-            let coterie = system.to_coterie().unwrap();
-            let nd = coterie.is_nondominated();
-            if family == "Grid" {
-                assert!(!nd, "the grid baseline is expected to be dominated");
-            } else {
-                assert!(nd, "{family} should be nondominated");
-            }
+            claim(system, family != "Grid");
         }
+    }
+    for (name, system, nd) in points {
+        let n = system.universe_size();
+        let coterie = Coterie::new(n, minimal_quorums(&system).unwrap())
+            .unwrap_or_else(|err| panic!("{name}: minimal quorums are no coterie: {err}"));
+        for mask in 0u64..1 << n {
+            let set = ElementSet::from_mask(n, mask);
+            assert_eq!(
+                system.contains_quorum(&set),
+                coterie.contains_quorum(&set),
+                "{name}: the enumerated coterie disagrees on {set}"
+            );
+        }
+        assert_eq!(coterie.is_nondominated(), nd, "{name}: ND claim");
     }
 }
 
