@@ -31,7 +31,6 @@ use probequorum::sim::eval::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 pub mod artifact;
@@ -436,25 +435,16 @@ pub fn hqs_hard_coloring<R: Rng>(height: usize, rng: &mut R) -> Coloring {
 /// of Lemma 4.11 (two cells per height) and returns the executed report
 /// cells, interleaved `[plain, improved]` per height.
 ///
-/// These are the slowest cells in the harness and both `table1` and
-/// `hqs_randomized` need them, so the (deterministic) result is memoised per
-/// `(seed, trials, heights)`.
+/// These are the slowest cells in the harness. Both `table1` and
+/// `hqs_randomized` need them and each computes its own, so each table's
+/// wall time is its own cost; the cells are a pure function of the seed and
+/// trial count, so the two agree.
 fn run_hqs_randomized_cells(
     config: &ReproConfig,
     heights: std::ops::RangeInclusive<usize>,
 ) -> Vec<CellReport> {
-    type CacheKey = (u64, usize, usize, usize);
-    static CACHE: std::sync::OnceLock<std::sync::Mutex<HashMap<CacheKey, Vec<CellReport>>>> =
-        std::sync::OnceLock::new();
-
     let trials = (config.trials / 5).max(200);
     let base_seed = config.section_seed("hqs-randomized");
-    let key = (base_seed, trials, *heights.start(), *heights.end());
-    let cache = CACHE.get_or_init(Default::default);
-    if let Some(cells) = cache.lock().expect("cache lock").get(&key) {
-        return cells.clone();
-    }
-
     let mut plan = EvalPlan::new(base_seed).trials(trials);
     let r_probe = typed_strategy::<Hqs, _>(RProbeHqs::new());
     let ir_probe = typed_strategy::<Hqs, _>(IrProbeHqs::new());
@@ -467,9 +457,7 @@ fn run_hqs_randomized_cells(
         plan.probe(&hqs, &r_probe, hqs_hard_source(height, pair_seed));
         plan.probe(&hqs, &ir_probe, hqs_hard_source(height, pair_seed));
     }
-    let cells = config.engine().run(&plan).cells;
-    cache.lock().expect("cache lock").insert(key, cells.clone());
-    cells
+    config.engine().run(&plan).cells
 }
 
 /// Fits the growth exponents of `R_Probe_HQS` and `IR_Probe_HQS` on the hard
@@ -1611,7 +1599,6 @@ pub fn compose(config: &ReproConfig) -> Table {
     // The live runtime probes the composition end to end: one
     // open-Poisson cell on the first network scenario, sim-vs-live.
     let sessions = config.trials.clamp(1, 100);
-    let options = LiveOptions::default().time_scale(0.005);
     let workload_config = open_poisson_workload(sessions, SimTime::from_micros(250));
     let scenario = network_scenarios(n, &workload_config)
         .into_iter()
@@ -1625,7 +1612,7 @@ pub fn compose(config: &ReproConfig) -> Table {
         workload_config,
     )
     .with_scenario(&scenario);
-    let outcome = run_live_cell(base_seed ^ 0x11fe, 0, &cell, &options);
+    let outcome = run_live_cell(base_seed ^ 0x11fe, 0, &cell);
     if !outcome.agreement.agree {
         eprintln!(
             "[compose: live {} diverged:\n{}]",
@@ -1802,12 +1789,9 @@ pub fn network(config: &ReproConfig) -> Table {
 ///   wall_ms, sessions_per_s, p50_ms, p99_ms`) — wall-clock data from the
 ///   live run.
 pub fn live(config: &ReproConfig) -> (Table, Table) {
-    // Every admitted session is a real OS thread: bound the trace length so
-    // the experiment stays cheap even at full REPRO_TRIALS.
+    // Every session is a real OS thread: bound the trace length so the
+    // experiment stays cheap even at full REPRO_TRIALS.
     let sessions = config.trials.clamp(1, 200);
-    // Time compressed 200×: arrivals, rpc latencies and timeouts keep their
-    // ratios, the wall stays in the milliseconds.
-    let options = LiveOptions::default().time_scale(0.005);
 
     let systems: Vec<(DynSystem, probequorum::sim::eval::DynProbeStrategy)> = vec![
         (
@@ -1849,7 +1833,7 @@ pub fn live(config: &ReproConfig) -> (Table, Table) {
                 workload_config,
             )
             .with_scenario(&scenario);
-            let outcome = run_live_cell(seed, index, &cell, &options);
+            let outcome = run_live_cell(seed, index, &cell);
             index += 1;
             if !outcome.agreement.agree {
                 // Stdout must stay a pure function of the seed; the details
@@ -1909,7 +1893,7 @@ pub fn live(config: &ReproConfig) -> (Table, Table) {
 /// battery (crash-minority, rolling-restart, stall-flap, crash+partition
 /// compound), each run twice — once with the **naive** client (no health
 /// tracking) and once **health-aware** (the per-node EWMA circuit breaker of
-/// `quorum_probe::health` sheds probes to open nodes and degrades typed
+/// `quorum_probe::health` sheds probes to open nodes and degrades
 /// instead of timing out) — so each row pair shows what the breaker buys
 /// while nodes crash, restart under supervision and stall.
 ///
@@ -1930,9 +1914,8 @@ pub fn live(config: &ReproConfig) -> (Table, Table) {
 ///   wall_ms, sessions_per_s, p50_ms, p99_ms`) — wall-clock data from the
 ///   live run.
 pub fn chaos(config: &ReproConfig) -> (Table, Table) {
-    // Every admitted session is a real OS thread; same bound as `live`.
+    // Every session is a real OS thread; same bound as `live`.
     let sessions = config.trials.clamp(1, 200);
-    let options = LiveOptions::default().time_scale(0.005);
 
     let systems: Vec<(DynSystem, probequorum::sim::eval::DynProbeStrategy)> = vec![
         (
@@ -1982,8 +1965,8 @@ pub fn chaos(config: &ReproConfig) -> (Table, Table) {
     for (system, paper) in &systems {
         let n = system.universe_size();
         for scenario in chaos_scenarios(n, &workload_config) {
-            for health in [None, Some(HealthConfig::default())] {
-                let mut cell = WorkloadCell::new(
+            for health in [false, true] {
+                let cell = WorkloadCell::new(
                     system.clone(),
                     WorkloadStrategy::Paper(Arc::clone(paper)),
                     ColoringSource::iid(0.05),
@@ -1991,10 +1974,8 @@ pub fn chaos(config: &ReproConfig) -> (Table, Table) {
                     workload_config,
                 )
                 .with_scenario(&scenario);
-                if let Some(breaker) = health {
-                    cell = cell.with_health(breaker);
-                }
-                let outcome = run_live_cell(seed, index, &cell, &options);
+                let cell = WorkloadCell { health, ..cell };
+                let outcome = run_live_cell(seed, index, &cell);
                 index += 1;
                 if !outcome.agreement.agree {
                     // Stdout must stay a pure function of the seed; the
@@ -2021,7 +2002,7 @@ pub fn chaos(config: &ReproConfig) -> (Table, Table) {
                 // Naive and health-aware rows share the scenario's policy;
                 // the suffix keeps the regression-gate key (system, n,
                 // strategy, scenario, policy) unique per row.
-                let policy_label = if health.is_some() {
+                let policy_label = if health {
                     format!("{}+health", sim.policy)
                 } else {
                     sim.policy.clone()

@@ -63,10 +63,9 @@ pub mod prelude {
     };
     pub use quorum_cluster::{
         cross_validate, plan_observables, AgreementReport, ArrivalProcess, Backend, Distribution,
-        Fault, FaultSchedule, FaultWindow, LinkDirection, LiveOptions, LiveReport, LoadLedger,
-        NetProbe, NetSessionPlan, NetworkModel, PlanCost, ProbePolicy, ProcessState, SessionPlan,
-        SessionTrace, SimTime, SpecReport, SupervisorPolicy, WorkloadConfig, WorkloadReport,
-        WorkloadSpec,
+        Fault, FaultSchedule, FaultWindow, LinkDirection, LiveReport, LoadLedger, NetProbe,
+        NetSessionPlan, NetworkModel, PlanCost, ProbePolicy, ProcessState, SessionPlan,
+        SessionTrace, SimTime, SpecReport, WorkloadConfig, WorkloadReport, WorkloadSpec,
     };
     pub use quorum_core::{
         delta_evaluator_for, minimal_blocking_sets, minimal_quorums, Color, Coloring,
@@ -74,8 +73,8 @@ pub mod prelude {
         Organizations, QuorumError, QuorumSystem, RescanDeltaEvaluator, Witness, WitnessKind,
     };
     pub use quorum_probe::{
-        exact, run_strategy, strategies::*, yao, BreakerState, DecisionTree, GatedOutcome,
-        HealthConfig, HealthView, InputDistribution, ProbeOracle, ProbeRun, ProbeStrategy,
+        exact, run_strategy, strategies::*, yao, BreakerState, DecisionTree, HealthView,
+        InputDistribution, ProbeOracle, ProbeRun, ProbeStrategy,
     };
     pub use quorum_sim::eval::{
         erase_spec, erase_system, typed_strategy, universal_strategy, ColoringSource,

@@ -16,7 +16,7 @@
 //!     (and requests delivered into the window) are dropped unserved, which
 //!     the client observes as [`AttemptLoss::Crash`](quorum_probe::AttemptLoss)
 //!     timeouts. A supervisor restarts the worker after the window plus a
-//!     restart delay (see [`SupervisorPolicy`](crate::SupervisorPolicy)).
+//!     restart delay (see [`crate::live`]).
 //!   - [`Fault::Stall`]: the node accepts and eventually serves requests,
 //!     but not before the client has given up: the work is done and wasted,
 //!     like a response-leg fault but burning server time.

@@ -66,7 +66,7 @@ mod wheel;
 pub mod workload;
 
 pub use chaos::{Fault, FaultSchedule, FaultWindow, ProcessState};
-pub use live::{LiveOptions, LiveReport, LiveSessionOutcome, SupervisorPolicy};
+pub use live::{LiveReport, LiveSessionOutcome};
 pub use network::{LinkDirection, NetworkModel, ProbePolicy};
 pub use spec::{
     cross_validate, plan_observables, AgreementReport, Backend, PlanCost, SessionTrace, SpecReport,

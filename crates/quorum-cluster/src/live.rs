@@ -5,14 +5,14 @@
 //! [`ProbePolicy`] the simulator prices.
 //!
 //! Topology: one OS thread per node, each behind a *bounded* request
-//! channel (a full queue blocks the sender — backpressure, not loss). A
-//! driver thread admits sessions at their scaled arrival instants, subject
-//! to an admission limit: when the in-flight session count is at the limit,
-//! new arrivals are shed and counted, which keeps tail latency bounded under
-//! overload instead of letting queues grow without bound. Each admitted
-//! session runs on its own thread and executes its plan probe by probe; a
+//! channel of 128 requests (a full queue blocks the sender — backpressure,
+//! not loss). A driver thread starts every traced session at its arrival
+//! instant, on its own thread, which executes its plan probe by probe; a
 //! hedging policy races at most two probes on runner threads, exactly like
-//! the simulator's two-in-flight cap.
+//! the simulator's two-in-flight cap. The replay compresses virtual time
+//! 200×: timeouts, backoffs, hedging delays, service times and arrival gaps
+//! all take 0.005 of their virtual length in wall-clock time, and the
+//! logical observables do not depend on the scale.
 //!
 //! Fate adjudication is the trace's: the network layer here drops exactly
 //! the messages the recorded [`NetProbe`] fates say were dropped, so the
@@ -31,19 +31,19 @@
 //! request is dropped unserved (counted in
 //! [`LiveReport::requests_lost_to_crash`]) and the worker exits, abandoning
 //! whatever else is queued. A per-node *supervisor* thread restarts the
-//! worker after the window plus a [`SupervisorPolicy::restart_delay`],
-//! preferring an instant when no message-level window is open (see
-//! [`FaultSchedule::next_quiescent_at_or_after`]) within a bounded patience,
-//! with a capped restart budget: past the cap the node is pinned up and
-//! merely sheds the remaining scripted crash work. The restarted generation
-//! inherits the node's bounded queue, so shutdown still drains everything
-//! and the accounting invariant
+//! worker after the window plus a 500 µs restart delay, preferring an
+//! instant when no message-level window is open (see
+//! [`FaultSchedule::next_quiescent_at_or_after`]) within 5 ms, with 8
+//! restarts per node: past them the node is pinned up and merely sheds the
+//! remaining scripted crash work. The restarted generation inherits the
+//! node's bounded queue, so shutdown still drains everything and the
+//! accounting invariant
 //! `requests_delivered == requests_served + requests_lost_to_crash` holds on
 //! every run. Stalled nodes sleep through their window before serving (late
 //! answers the client has given up on); slow nodes serve with inflated
-//! service time. [`run_live`] holds every window end and supervisor delay
-//! to [`WorkloadConfig::MAX_DURATION`], so every node thread's sleep is
-//! bounded too.
+//! service time. [`run_live`] holds every window end to
+//! [`WorkloadConfig::MAX_DURATION`], so every node thread's sleep is bounded
+//! too.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
@@ -68,95 +68,27 @@ const ANSWER_DEADLINE: Duration = Duration::from_secs(30);
 /// How much longer a slow node takes to serve a request.
 const SLOW_SERVICE_FACTOR: u32 = 4;
 
-/// How the per-node supervisor restarts crashed workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisorPolicy {
-    /// Virtual delay between detecting a crash (the worker exiting) and the
-    /// earliest restart, on top of the crash window itself.
-    pub restart_delay: SimTime,
-    /// Restarts allowed per node. Once exhausted the node is pinned up: its
-    /// final generation keeps serving (so shutdown still drains) and merely
-    /// drops the remaining scripted crash work.
-    pub max_restarts: u32,
-    /// How far past the due instant the supervisor will wait for every
-    /// message-level window to close before restarting anyway — restarting
-    /// into an open partition just looks like another crash.
-    pub partition_patience: SimTime,
-}
+/// Wall-clock seconds per virtual second: time runs 200× compressed, so a
+/// replay's wall stays in the milliseconds.
+const TIME_SCALE: f64 = 0.005;
 
-impl Default for SupervisorPolicy {
-    fn default() -> Self {
-        SupervisorPolicy {
-            restart_delay: SimTime::from_micros(500),
-            max_restarts: 8,
-            partition_patience: SimTime::from_millis(5),
-        }
-    }
-}
+/// Capacity of each node's bounded request queue; a full queue blocks the
+/// probing client (backpressure).
+const QUEUE_CAPACITY: usize = 128;
 
-/// Tuning of the live runtime.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LiveOptions {
-    /// Wall-clock seconds per virtual second: timeouts, backoffs, hedging
-    /// delays, service times and arrival gaps are all multiplied by this.
-    /// `1.0` replays in real time; the default compresses time so test and
-    /// bench runs finish quickly. Logical observables are scale-invariant.
-    pub time_scale: f64,
-    /// Maximum sessions in flight at once; arrivals beyond it are shed (and
-    /// counted in [`LiveReport::rejected`]). `0` means unbounded — required
-    /// for cross-validation runs, where every traced session must execute.
-    pub admission_limit: usize,
-    /// Capacity of each node's bounded request queue; a full queue blocks
-    /// the probing client (backpressure).
-    pub queue_capacity: usize,
-    /// How crashed workers are restarted.
-    pub supervisor: SupervisorPolicy,
-}
+/// Virtual delay between a supervisor seeing its worker die and the
+/// earliest restart, on top of the crash window itself.
+const RESTART_DELAY: SimTime = SimTime::from_micros(500);
 
-impl Default for LiveOptions {
-    fn default() -> Self {
-        LiveOptions {
-            time_scale: 0.02,
-            admission_limit: 0,
-            queue_capacity: 128,
-            supervisor: SupervisorPolicy::default(),
-        }
-    }
-}
+/// Restarts allowed per node. Once they are spent the node is pinned up:
+/// its final generation keeps serving (so shutdown still drains) and merely
+/// drops the remaining scripted crash work.
+const MAX_RESTARTS: u64 = 8;
 
-impl LiveOptions {
-    /// Replays in real time (scale 1.0) with the default limits.
-    pub fn realtime() -> Self {
-        LiveOptions {
-            time_scale: 1.0,
-            ..LiveOptions::default()
-        }
-    }
-
-    /// Sets the time scale.
-    pub fn time_scale(mut self, scale: f64) -> Self {
-        self.time_scale = scale;
-        self
-    }
-
-    /// Sets the admission limit (`0` = unbounded).
-    pub fn admission_limit(mut self, limit: usize) -> Self {
-        self.admission_limit = limit;
-        self
-    }
-
-    /// Sets the per-node queue capacity.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
-        self
-    }
-
-    /// Sets the supervisor policy.
-    pub fn supervisor(mut self, policy: SupervisorPolicy) -> Self {
-        self.supervisor = policy;
-        self
-    }
-}
+/// How far past the due instant a supervisor waits for every message-level
+/// window to close before restarting anyway — restarting into an open
+/// partition just looks like another crash.
+const PARTITION_PATIENCE: SimTime = SimTime::from_millis(5);
 
 /// What one admitted session measured while executing its plan.
 #[derive(Debug, Clone)]
@@ -185,7 +117,8 @@ pub struct LiveSessionOutcome {
     pub hedges: u64,
     /// Hedge races whose slower probe was cancelled.
     pub cancelled: u64,
-    /// Wall-clock duration from admission to the last probe's resolution.
+    /// Wall-clock duration from the session's start to its last probe's
+    /// resolution.
     pub wall: Duration,
 }
 
@@ -194,10 +127,8 @@ pub struct LiveSessionOutcome {
 pub struct LiveReport {
     /// Sessions the trace offered.
     pub offered: u64,
-    /// Sessions admitted (and run to completion).
+    /// Sessions started (and run to completion): every offered one.
     pub admitted: u64,
-    /// Sessions shed by admission control.
-    pub rejected: u64,
     /// Admitted sessions whose strategy verdict was a located quorum.
     pub successes: u64,
     /// Probe attempts issued across all sessions.
@@ -230,7 +161,7 @@ pub struct LiveReport {
     /// Wall-clock duration from the first arrival to the last session
     /// completion.
     pub wall: Duration,
-    /// Per-session outcomes, in admission order.
+    /// Per-session outcomes, in arrival order.
     pub sessions: Vec<LiveSessionOutcome>,
 }
 
@@ -268,8 +199,8 @@ impl LiveReport {
 }
 
 /// Converts a virtual duration to a scaled wall-clock duration.
-fn scaled(t: SimTime, scale: f64) -> Duration {
-    Duration::from_nanos((t.as_micros() as f64 * 1_000.0 * scale).round() as u64)
+fn scaled(t: SimTime) -> Duration {
+    Duration::from_nanos((t.as_micros() as f64 * 1_000.0 * TIME_SCALE).round() as u64)
 }
 
 /// The response path of one delivered request.
@@ -298,7 +229,6 @@ struct Ctx {
     policy: ProbePolicy,
     timeout: Duration,
     service: Duration,
-    scale: f64,
 }
 
 impl Ctx {
@@ -362,7 +292,7 @@ fn execute_probe(ctx: &Ctx, session: usize, probe: &NetProbe) -> LiveProbe {
         drop(reply_tx);
         let backoff = ctx.policy.backoff_before(attempt as u32);
         if backoff > SimTime::ZERO {
-            thread::sleep(scaled(backoff, ctx.scale));
+            thread::sleep(scaled(backoff));
         }
     }
     if probe.observed == Color::Green {
@@ -386,7 +316,6 @@ struct NodeHarness<'a> {
     rx: Mutex<Receiver<NodeRequest>>,
     responses: &'a [AtomicU64],
     faults: &'a FaultSchedule,
-    scale: f64,
     start: Instant,
 }
 
@@ -394,17 +323,12 @@ impl NodeHarness<'_> {
     /// The current instant on the virtual timeline the fault schedule is
     /// written against (wall elapsed divided by the time scale).
     fn virtual_now(&self) -> SimTime {
-        if self.scale <= 0.0 {
-            // Degenerate zero scale: everything is instantaneous, so every
-            // window is long past.
-            return SimTime::from_micros(u64::MAX / 2);
-        }
-        SimTime::from_micros((self.start.elapsed().as_secs_f64() / self.scale * 1e6) as u64)
+        SimTime::from_micros((self.start.elapsed().as_secs_f64() / TIME_SCALE * 1e6) as u64)
     }
 
     /// Sleeps until virtual instant `until` (no-op if already past).
     fn sleep_until(&self, until: SimTime) {
-        let target = scaled(until, self.scale);
+        let target = scaled(until);
         let elapsed = self.start.elapsed();
         if target > elapsed {
             thread::sleep(target - elapsed);
@@ -475,12 +399,12 @@ struct NodeOutcome {
 }
 
 /// The per-node supervisor: spawns worker generations, observes their
-/// deaths, and restarts them — after the crash window plus the restart
-/// delay, preferring an instant with no open message-level window within
-/// the policy's patience. Past the restart budget the final generation is
-/// immortal, so shutdown always drains the queue and the accounting
-/// invariant holds unconditionally.
-fn supervise(harness: &NodeHarness, policy: SupervisorPolicy) -> NodeOutcome {
+/// deaths, and restarts them — after the crash window plus
+/// [`RESTART_DELAY`], preferring an instant with no open message-level
+/// window within [`PARTITION_PATIENCE`]. Past [`MAX_RESTARTS`] the final
+/// generation is immortal, so shutdown always drains the queue and the
+/// accounting invariant holds unconditionally.
+fn supervise(harness: &NodeHarness) -> NodeOutcome {
     let mut outcome = NodeOutcome {
         served: 0,
         lost_to_crash: 0,
@@ -488,7 +412,7 @@ fn supervise(harness: &NodeHarness, policy: SupervisorPolicy) -> NodeOutcome {
         crashes: 0,
     };
     loop {
-        let immortal = outcome.crashes >= u64::from(policy.max_restarts);
+        let immortal = outcome.crashes >= MAX_RESTARTS;
         let (exit, served, lost) = thread::scope(|s| {
             let worker = s.spawn(|| run_worker(harness, immortal));
             worker.join().expect("node worker completes")
@@ -500,12 +424,12 @@ fn supervise(harness: &NodeHarness, policy: SupervisorPolicy) -> NodeOutcome {
             WorkerExit::Crashed => {
                 outcome.crashes += 1;
                 let now = harness.virtual_now();
-                let mut due = now + policy.restart_delay;
+                let mut due = now + RESTART_DELAY;
                 if let Some(end) = harness.faults.disruption_end_at(harness.node, now) {
                     due = due.max(end);
                 }
                 if let Some(quiet) = harness.faults.next_quiescent_at_or_after(due) {
-                    if quiet <= due + policy.partition_patience {
+                    if quiet <= due + PARTITION_PATIENCE {
                         due = quiet;
                     }
                 }
@@ -529,7 +453,7 @@ fn run_session(
     let mut slots: Vec<Option<LiveProbe>> = vec![None; total];
     let mut hedges = 0u64;
     let mut cancelled = 0u64;
-    let hedge_delay = ctx.policy.hedge.map(|h| scaled(h, ctx.scale));
+    let hedge_delay = ctx.policy.hedge.map(scaled);
     match hedge_delay {
         None => {
             for (i, probe) in plan.probes.iter().enumerate() {
@@ -619,40 +543,27 @@ fn run_session(
 
 /// Replays a captured trace on the live runtime.
 ///
-/// Spawns one node thread per node behind a bounded queue, admits sessions
-/// at their scaled arrival instants (shedding above the admission limit),
-/// executes every admitted plan with real timeouts/backoff/hedging, then
-/// shuts down gracefully: the request channels close, every node drains its
-/// queue and reports how many requests it served. Node workers crash, stall
-/// and slow down, and supervisors sequence restarts, on `faults`: the
-/// schedule the trace's fates were scripted against.
+/// Spawns one node thread per node behind a bounded queue, starts every
+/// session at its scaled arrival instant, executes every plan with real
+/// timeouts/backoff/hedging, then shuts down gracefully: the request
+/// channels close, every node drains its queue and reports how many
+/// requests it served. Node workers crash, stall and slow down, and
+/// supervisors sequence restarts, on `faults`: the schedule the trace's
+/// fates were scripted against.
 ///
 /// # Panics
 ///
 /// Panics if a traced probe names a node outside `0..nodes`. Panics with
 /// "inconsistent workload configuration", before any thread starts, if a
-/// fault window ends past [`WorkloadConfig::MAX_DURATION`] or the
-/// supervisor's restart delay or partition patience exceeds it.
+/// fault window ends past [`WorkloadConfig::MAX_DURATION`].
 pub fn run_live(
     nodes: usize,
     trace: &SessionTrace,
     config: &WorkloadConfig,
     faults: &FaultSchedule,
     policy: &ProbePolicy,
-    options: &LiveOptions,
 ) -> LiveReport {
-    let supervisor = options.supervisor;
-    assert!(
-        faults.is_bounded()
-            && supervisor.restart_delay <= WorkloadConfig::MAX_DURATION
-            && supervisor.partition_patience <= WorkloadConfig::MAX_DURATION,
-        "inconsistent workload configuration"
-    );
-    let scale = if options.time_scale.is_finite() && options.time_scale > 0.0 {
-        options.time_scale
-    } else {
-        0.0
-    };
+    assert!(faults.is_bounded(), "inconsistent workload configuration");
     let offered = trace.sessions.len();
     for traced in &trace.sessions {
         for probe in &traced.plan.probes {
@@ -664,19 +575,17 @@ pub fn run_live(
         }
     }
     let responses: Vec<AtomicU64> = (0..offered).map(|_| AtomicU64::new(0)).collect();
-    let capacity = options.queue_capacity.max(1);
     // The virtual timeline's origin: arrivals and fault windows are measured
     // from here.
     let start = Instant::now();
     let (node_tx, harnesses): (Vec<_>, Vec<_>) = (0..nodes)
         .map(|node| {
-            let (tx, rx) = mpsc::sync_channel::<NodeRequest>(capacity);
+            let (tx, rx) = mpsc::sync_channel::<NodeRequest>(QUEUE_CAPACITY);
             let harness = NodeHarness {
                 node,
                 rx: Mutex::new(rx),
                 responses: &responses,
                 faults,
-                scale,
                 start,
             };
             (tx, harness)
@@ -686,41 +595,33 @@ pub fn run_live(
         node_tx,
         delivered: AtomicU64::new(0),
         policy: *policy,
-        timeout: scaled(config.probe_timeout, scale),
-        service: scaled(config.service.mean(), scale),
-        scale,
+        timeout: scaled(config.probe_timeout),
+        service: scaled(config.service.mean()),
     };
 
     // Node supervisors and session workers are scoped threads: they borrow
     // the harnesses, the context and the traced plans.
     let in_flight = AtomicUsize::new(0);
     let mut peak = 0;
-    let mut rejected = 0u64;
-    let (mut admitted_sessions, wall, delivered, node_outcomes) = thread::scope(|nodes_scope| {
+    let (mut sessions, wall, delivered, node_outcomes) = thread::scope(|nodes_scope| {
         let supervisors: Vec<_> = harnesses
             .iter()
-            .map(|harness| nodes_scope.spawn(move || supervise(harness, supervisor)))
+            .map(|harness| nodes_scope.spawn(move || supervise(harness)))
             .collect();
-        let admitted_sessions: Vec<(usize, LiveSessionOutcome)> = thread::scope(|s| {
+        let sessions: Vec<LiveSessionOutcome> = thread::scope(|s| {
             let mut workers = Vec::with_capacity(offered);
             for (position, traced) in trace.sessions.iter().enumerate() {
-                let target = scaled(traced.arrival, scale);
+                let target = scaled(traced.arrival);
                 let elapsed = start.elapsed();
                 if target > elapsed {
                     thread::sleep(target - elapsed);
-                }
-                if options.admission_limit > 0
-                    && in_flight.load(Ordering::Acquire) >= options.admission_limit
-                {
-                    rejected += 1;
-                    continue;
                 }
                 peak = peak.max(in_flight.fetch_add(1, Ordering::AcqRel) + 1);
                 let (ctx, in_flight) = (&ctx, &in_flight);
                 workers.push(s.spawn(move || {
                     let outcome = run_session(ctx, traced.index, position, &traced.plan);
                     in_flight.fetch_sub(1, Ordering::AcqRel);
-                    (position, outcome)
+                    outcome
                 }));
             }
             workers
@@ -740,7 +641,7 @@ pub fn run_live(
             .into_iter()
             .map(|handle| handle.join().expect("node supervisor completes"))
             .collect();
-        (admitted_sessions, wall, delivered, node_outcomes)
+        (sessions, wall, delivered, node_outcomes)
     });
     let mut served = 0u64;
     let mut lost_to_crash = 0u64;
@@ -753,20 +654,15 @@ pub fn run_live(
         node_crashes += outcome.crashes;
     }
 
-    // Attribute node-sent responses to their sessions now that every count
-    // is settled.
-    for (position, outcome) in &mut admitted_sessions {
-        outcome.messages += responses[*position].load(Ordering::Relaxed);
+    // Attribute node-sent responses to their sessions (in trace order, like
+    // `responses`) now that every count is settled.
+    for (outcome, sent) in sessions.iter_mut().zip(&responses) {
+        outcome.messages += sent.load(Ordering::Relaxed);
     }
-    let sessions: Vec<LiveSessionOutcome> = admitted_sessions
-        .into_iter()
-        .map(|(_, outcome)| outcome)
-        .collect();
 
     let mut report = LiveReport {
         offered: offered as u64,
         admitted: sessions.len() as u64,
-        rejected,
         successes: 0,
         probes: 0,
         messages: 0,
@@ -849,10 +745,6 @@ mod tests {
         }
     }
 
-    fn fast_options() -> LiveOptions {
-        LiveOptions::default().time_scale(0.002)
-    }
-
     #[test]
     fn live_counts_match_the_plan_observables() {
         let trace = trace_of(12);
@@ -863,11 +755,9 @@ mod tests {
             &config,
             &FaultSchedule::none(),
             &ProbePolicy::retry(2, SimTime::ZERO),
-            &fast_options(),
         );
         assert_eq!(report.offered, 12);
         assert_eq!(report.admitted, 12);
-        assert_eq!(report.rejected, 0);
         assert!(report.drained_clean(), "shutdown must drain the queues");
         let expect = plan_observables(&mixed_plan());
         for session in &report.sessions {
@@ -893,40 +783,12 @@ mod tests {
     }
 
     #[test]
-    fn admission_control_sheds_load_and_bounds_concurrency() {
-        // Arrivals all at t=0 against a 2-session limit: most are shed.
-        let mut trace = trace_of(16);
-        for traced in &mut trace.sessions {
-            traced.arrival = SimTime::ZERO;
-        }
-        let config = tiny_config(16);
-        let options = fast_options().admission_limit(2);
-        let none = FaultSchedule::none();
-        let report = run_live(
-            3,
-            &trace,
-            &config,
-            &none,
-            &ProbePolicy::sequential(),
-            &options,
-        );
-        assert!(report.rejected > 0, "overload must shed sessions");
-        assert_eq!(report.admitted + report.rejected, report.offered);
-        assert!(
-            report.peak_in_flight <= 2,
-            "admission must bound concurrency, saw {}",
-            report.peak_in_flight
-        );
-        assert!(report.drained_clean());
-    }
-
-    #[test]
     fn hedged_sessions_still_resolve_every_probe() {
         let trace = trace_of(6);
         let config = tiny_config(6);
         let policy = ProbePolicy::retry(2, SimTime::ZERO).with_hedge(SimTime::from_micros(500));
         let none = FaultSchedule::none();
-        let report = run_live(3, &trace, &config, &none, &policy, &fast_options());
+        let report = run_live(3, &trace, &config, &none, &policy);
         assert_eq!(report.admitted, 6);
         let expect = plan_observables(&mixed_plan());
         for session in &report.sessions {
@@ -986,7 +848,6 @@ mod tests {
             &config,
             &crash,
             &ProbePolicy::retry(2, SimTime::ZERO),
-            &fast_options(),
         );
         assert_eq!(report.admitted, sessions as u64);
         assert_eq!(
@@ -1040,7 +901,7 @@ mod tests {
             SimTime::from_millis(20),
         );
         let policy = ProbePolicy::sequential();
-        let report = run_live(1, &trace, &config, &stall, &policy, &fast_options());
+        let report = run_live(1, &trace, &config, &stall, &policy);
         assert_eq!(report.requests_lost_to_crash, 0);
         assert_eq!(report.node_crashes, 0, "stalls do not kill workers");
         assert_eq!(
@@ -1052,9 +913,8 @@ mod tests {
     }
 
     /// One probe of node 0 through `probe_fate` in each of two sessions of
-    /// a three-node spec on the live backend, under `faults` and
-    /// `supervisor`.
-    fn probe_node_zero_live(faults: FaultSchedule, supervisor: SupervisorPolicy) {
+    /// a three-node spec on the live backend, under `faults`.
+    fn probe_node_zero_live(faults: FaultSchedule) {
         use crate::network::NetworkModel;
         use crate::spec::{Backend, WorkloadSpec};
 
@@ -1063,7 +923,7 @@ mod tests {
         let spec = WorkloadSpec::new(3)
             .sessions(2)
             .network(network.clone())
-            .backend(Backend::Live(fast_options().supervisor(supervisor)));
+            .backend(Backend::Live);
         spec.run(1, |_, _, now, rng| {
             let fate = network.probe_fate(0, true, now, &policy, rng);
             NetSessionPlan {
@@ -1088,7 +948,7 @@ mod tests {
     fn a_stall_window_past_max_duration_is_refused() {
         let stall =
             FaultSchedule::window(Fault::Stall, vec![0], SimTime::ZERO, past_max_duration());
-        probe_node_zero_live(stall, SupervisorPolicy::default());
+        probe_node_zero_live(stall);
     }
 
     /// A crashed worker's supervisor sleeps until the window ends (and
@@ -1098,36 +958,7 @@ mod tests {
     fn a_crash_window_past_max_duration_is_refused() {
         let crash =
             FaultSchedule::window(Fault::Crash, vec![0], SimTime::ZERO, past_max_duration());
-        probe_node_zero_live(crash, SupervisorPolicy::default());
-    }
-
-    fn one_second_crash() -> FaultSchedule {
-        FaultSchedule::window(
-            Fault::Crash,
-            vec![0],
-            SimTime::ZERO,
-            SimTime::from_millis(1_000),
-        )
-    }
-
-    #[test]
-    #[should_panic(expected = "inconsistent workload configuration")]
-    fn a_restart_delay_past_max_duration_is_refused() {
-        let supervisor = SupervisorPolicy {
-            restart_delay: SimTime::from_micros(u64::MAX / 2),
-            ..SupervisorPolicy::default()
-        };
-        probe_node_zero_live(one_second_crash(), supervisor);
-    }
-
-    #[test]
-    #[should_panic(expected = "inconsistent workload configuration")]
-    fn a_partition_patience_past_max_duration_is_refused() {
-        let supervisor = SupervisorPolicy {
-            partition_patience: WorkloadConfig::MAX_DURATION + SimTime::from_micros(1),
-            ..SupervisorPolicy::default()
-        };
-        probe_node_zero_live(one_second_crash(), supervisor);
+        probe_node_zero_live(crash);
     }
 
     /// A direct caller of `run_live` gets the same check as the spec.
@@ -1138,14 +969,7 @@ mod tests {
         let stall =
             FaultSchedule::window(Fault::Stall, vec![0], cap, cap + SimTime::from_micros(1));
         let policy = ProbePolicy::sequential();
-        run_live(
-            3,
-            &trace_of(2),
-            &tiny_config(2),
-            &stall,
-            &policy,
-            &fast_options(),
-        );
+        run_live(3, &trace_of(2), &tiny_config(2), &stall, &policy);
     }
 
     #[test]
@@ -1167,7 +991,6 @@ mod tests {
             &config,
             &FaultSchedule::none(),
             &ProbePolicy::sequential(),
-            &fast_options(),
         );
         assert_eq!(report.admitted, 1);
         assert_eq!(report.probes, 0);

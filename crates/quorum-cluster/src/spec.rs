@@ -29,7 +29,7 @@ use quorum_core::Color;
 use quorum_probe::session::AttemptLoss;
 use rand::rngs::StdRng;
 
-use crate::live::{run_live, LiveOptions, LiveReport};
+use crate::live::{run_live, LiveReport};
 use crate::network::{NetworkModel, ProbePolicy};
 use crate::workload::{
     run_net_engine, ArrivalProcess, Distribution, LoadLedger, NetSessionPlan, Plan, SessionPlan,
@@ -38,7 +38,7 @@ use crate::workload::{
 use crate::{NodeId, SimTime};
 
 /// Which execution engine a [`WorkloadSpec`] runs on.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// The deterministic discrete-event simulator (virtual time).
     Sim,
@@ -46,7 +46,7 @@ pub enum Backend {
     /// session trace, then the trace replays over OS threads and bounded
     /// per-node channels under wall-clock time, and the two executions are
     /// cross-validated observable by observable.
-    Live(LiveOptions),
+    Live,
 }
 
 /// One captured session of a sim run: when it arrived and what it did.
@@ -182,13 +182,6 @@ pub fn cross_validate(
         sessions_checked: 0,
         mismatches: Vec::new(),
     };
-    if live.rejected > 0 {
-        report.note(format!(
-            "live admission rejected {} sessions the sim ran — raise the admission limit for \
-             cross-validation runs",
-            live.rejected
-        ));
-    }
     if live.sessions.len() != trace.sessions.len() {
         report.note(format!(
             "session count: sim ran {}, live completed {}",
@@ -464,31 +457,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// The node count of the spec.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
-    /// The assembled workload configuration.
-    pub fn workload_config(&self) -> &WorkloadConfig {
-        &self.config
-    }
-
-    /// The network model of the spec.
-    pub fn network_model(&self) -> &NetworkModel {
-        &self.network
-    }
-
-    /// The probe policy of the spec.
-    pub fn probe_policy(&self) -> &ProbePolicy {
-        &self.policy
-    }
-
-    /// The selected backend.
-    pub fn selected_backend(&self) -> &Backend {
-        &self.backend
-    }
-
     /// Runs the spec. `session(index, ledger, now, rng)` is called once per
     /// session at its (virtual) arrival time, with the live ledger and the
     /// engine's RNG: the caller samples the failure scenario, decides each
@@ -514,18 +482,16 @@ impl WorkloadSpec {
     /// ([`WorkloadConfig::is_valid`]), the network delay is malformed or
     /// exceeds [`WorkloadConfig::MAX_DURATION`] (as a latency distribution
     /// would be refused), the hedge delay exceeds the cap, or a fault window
-    /// ends past it. Under [`Backend::Live`] the live run panics with the same
-    /// message, before it starts, if the supervisor's restart delay or
-    /// partition patience exceeds it. Panics if a plan probes a node outside
-    /// `0..nodes`. (A red observation with no failed attempts is legal: it
-    /// is a *shed* probe that resolves instantly at zero cost.)
+    /// ends past it. Panics if a plan probes a node outside `0..nodes`. (A
+    /// red observation with no failed attempts is legal: it is a *shed*
+    /// probe that resolves instantly at zero cost.)
     pub fn run<F>(&self, seed: u64, mut session: F) -> SpecReport
     where
         F: FnMut(u64, &LoadLedger, SimTime, &mut StdRng) -> NetSessionPlan,
     {
-        match &self.backend {
+        match self.backend {
             Backend::Sim => SpecReport::sim(self.engine(seed, session)),
-            Backend::Live(options) => {
+            Backend::Live => {
                 let mut trace = SessionTrace::default();
                 let report = self.engine(seed, |index, ledger, now, rng| {
                     let plan = session(index, ledger, now, rng);
@@ -542,7 +508,6 @@ impl WorkloadSpec {
                     &self.config,
                     &self.network.faults,
                     &self.policy,
-                    options,
                 );
                 let agreement = cross_validate(&trace, &report, &live);
                 SpecReport {
@@ -578,7 +543,7 @@ impl WorkloadSpec {
             Backend::Sim => SpecReport::sim(
                 self.engine(seed, |index, ledger, now, _rng| session(index, ledger, now)),
             ),
-            Backend::Live(_) => self.run(seed, |index, ledger, now, _rng| {
+            Backend::Live => self.run(seed, |index, ledger, now, _rng| {
                 NetSessionPlan::from_plan(session(index, ledger, now))
             }),
         }
@@ -658,16 +623,29 @@ mod tests {
 
     #[test]
     fn sim_backend_matches_the_engine() {
-        let spec = WorkloadSpec::new(3).sessions(25);
-        let via_spec = spec.run(11, |_, _, _, _| lossy_plan());
+        let config = WorkloadConfig {
+            arrival: ArrivalProcess::OpenPoisson {
+                mean_interarrival: SimTime::from_micros(250),
+            },
+            sessions: 25,
+            rpc_latency: Distribution::uniform(
+                SimTime::from_micros(100),
+                SimTime::from_micros(400),
+            ),
+            service: Distribution::exponential(SimTime::from_micros(150)),
+            probe_timeout: SimTime::from_millis(5),
+        };
+        let via_spec = WorkloadSpec::new(3)
+            .config(config)
+            .run(11, |_, _, _, _| lossy_plan());
         assert!(via_spec.trace.is_none());
         assert!(via_spec.live.is_none());
         assert!(via_spec.agrees(), "sim backend agrees vacuously");
         let direct = run_net_engine(
             3,
-            spec.workload_config(),
-            spec.network_model(),
-            spec.probe_policy(),
+            &config,
+            &NetworkModel::clean(),
+            &ProbePolicy::sequential(),
             11,
             |_, _, _, _| lossy_plan(),
         );
@@ -698,7 +676,7 @@ mod tests {
             .sessions(40)
             .network(network.clone())
             .policy(policy)
-            .backend(Backend::Live(LiveOptions::default().time_scale(0.002)));
+            .backend(Backend::Live);
         let outcome = spec.run(29, |index, _, now, rng| {
             let probes: Vec<NetProbe> = (0..3)
                 .map(|k| {
@@ -732,8 +710,8 @@ mod tests {
 
     /// `cross_validate` refuses every single divergence from a run it
     /// accepts, and names what diverged: each per-session observable, a
-    /// dropped or reordered session, shed sessions, the sim engine's
-    /// aggregates, either side's crash-loss count and an undrained node.
+    /// dropped or reordered session, the sim engine's aggregates, either
+    /// side's crash-loss count and an undrained node.
     #[test]
     fn cross_validate_refuses_each_divergence_by_name() {
         let (trace, sim, live) = recorded_live_run();
@@ -823,7 +801,6 @@ mod tests {
             &live_with(&|l| l.sessions.swap(3, 4)),
             "session order",
         );
-        refuses(&sim, &live_with(&|l| l.rejected = 1), "admission rejected");
 
         refuses(&sim_with(&|s| s.messages += 1), &live, "aggregate messages");
         refuses(

@@ -1977,7 +1977,6 @@ mod tests {
     /// (release).
     #[test]
     fn every_duration_is_held_to_the_cap() {
-        use crate::live::LiveOptions;
         use crate::spec::Backend;
 
         let plan = |index: u64, _: &LoadLedger, _: SimTime| SessionPlan {
@@ -2093,7 +2092,7 @@ mod tests {
             }),
         ));
         for (field, spec) in refused {
-            for backend in [Backend::Sim, Backend::Live(LiveOptions::default())] {
+            for backend in [Backend::Sim, Backend::Live] {
                 let spec = spec.clone().backend(backend);
                 assert_eq!(
                     panic_message(|| drop(spec.run_plans(5, plan))).as_deref(),

@@ -5,9 +5,8 @@
 
 use proptest::prelude::*;
 use quorum_cluster::{
-    ArrivalProcess, Backend, Distribution, Fault, FaultSchedule, FaultWindow, LiveOptions,
-    NetProbe, NetSessionPlan, NetworkModel, ProbePolicy, SimTime, SpecReport, WorkloadConfig,
-    WorkloadSpec,
+    ArrivalProcess, Backend, Distribution, Fault, FaultSchedule, FaultWindow, NetProbe,
+    NetSessionPlan, NetworkModel, ProbePolicy, SimTime, SpecReport, WorkloadConfig, WorkloadSpec,
 };
 use quorum_probe::AttemptLoss;
 
@@ -146,7 +145,6 @@ proptest! {
 /// simulation.
 #[test]
 fn mixed_soups_agree_on_the_live_runtime() {
-    let options = LiveOptions::default().time_scale(0.002);
     for soup in 0..8u64 {
         // Six windows per soup, one of each kind, every one on at least one
         // node; the 24 low bits (start and length) are hashed.
@@ -156,8 +154,7 @@ fn mixed_soups_agree_on_the_live_runtime() {
                 (mix & 0x00ff_ffff) | (((soup + k) % 31 + 1) << 24) | (((soup + k) % 6) << 29)
             })
             .collect();
-        let (outcome, scripted_crashes) =
-            run_soup(window_seeds, 24, Backend::Live(options.clone()), soup);
+        let (outcome, scripted_crashes) = run_soup(window_seeds, 24, Backend::Live, soup);
         let live = outcome.live.as_ref().expect("the live backend reports");
         assert!(
             outcome.agrees(),

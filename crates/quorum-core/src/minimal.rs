@@ -78,8 +78,15 @@ pub fn minimal_quorums<S: QuorumSystem + ?Sized>(
 pub fn minimal_blocking_sets<S: QuorumSystem + ?Sized>(
     system: &S,
 ) -> Result<Vec<ElementSet>, QuorumError> {
-    minimal_true_sets(system.universe_size(), |s| {
-        !system.contains_quorum(&s.complement())
+    let n = system.universe_size();
+    // One scratch set holds each queried set's complement. A universe past
+    // the limit is refused before the first query, so it needs no scratch.
+    let mut complement = ElementSet::empty(n.min(MINIMAL_ENUM_LIMIT));
+    minimal_true_sets(n, |s| {
+        for (index, &word) in s.words().iter().enumerate() {
+            complement.set_word(index, !word);
+        }
+        !system.contains_quorum(&complement)
     })
 }
 
@@ -87,7 +94,7 @@ pub fn minimal_blocking_sets<S: QuorumSystem + ?Sized>(
 /// elements `0..n`, within the module's limits.
 fn minimal_true_sets(
     n: usize,
-    f: impl Fn(&ElementSet) -> bool,
+    f: impl FnMut(&ElementSet) -> bool,
 ) -> Result<Vec<ElementSet>, QuorumError> {
     if n > MINIMAL_ENUM_LIMIT {
         return Err(QuorumError::UniverseTooLarge {
@@ -123,7 +130,7 @@ struct Search<F> {
     found: Vec<ElementSet>,
 }
 
-impl<F: Fn(&ElementSet) -> bool> Search<F> {
+impl<F: FnMut(&ElementSet) -> bool> Search<F> {
     /// Visits the node whose undecided elements are `next..n`.
     fn visit(&mut self, next: ElementId) -> Result<(), QuorumError> {
         self.nodes += 1;
@@ -137,8 +144,7 @@ impl<F: Fn(&ElementSet) -> bool> Search<F> {
             // A satisfying selection never expands further (supersets are
             // dominated), so each set is visited at most once; it is
             // recorded only if every member is critical.
-            let selection = &self.selection;
-            if selection.iter().all(|e| !(self.f)(&selection.without(e))) {
+            if self.members_are_critical() {
                 if self.found.len() == SET_BUDGET {
                     return Err(QuorumError::EnumerationBudgetExceeded {
                         budget: "minimal sets",
@@ -160,6 +166,22 @@ impl<F: Fn(&ElementSet) -> bool> Search<F> {
         self.visit(next + 1)?;
         self.upper.insert(next);
         Ok(())
+    }
+
+    /// Whether removing any one member of the selection falsifies `f`,
+    /// asked member by member in increasing order until one is not: each
+    /// member is toggled out of the selection in place and back.
+    fn members_are_critical(&mut self) -> bool {
+        for e in 0..self.n {
+            if self.selection.remove(e) {
+                let still = (self.f)(&self.selection);
+                self.selection.insert(e);
+                if still {
+                    return false;
+                }
+            }
+        }
+        true
     }
 }
 

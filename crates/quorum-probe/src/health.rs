@@ -9,15 +9,20 @@
 //!   circuit breaker (Closed → Open → HalfOpen). Like
 //!   [`LoadView`](crate::strategies::LoadView) it is a cheaply clonable
 //!   handle over shared atomics, so every session of a workload cell can
-//!   feed and consult the same view.
-//! * [`HealthView::gate_fate`] wraps any per-element fate closure: probes to
-//!   open nodes are *shed* ([`ProbeFate::shed`] — observed red at zero cost)
-//!   and outcomes of real probes are recorded, so sessions route around sick
-//!   nodes and the breaker heals through half-open probation probes.
+//!   feed and consult the same view. A caller sheds the probes of nodes
+//!   whose breaker [`is_open`](HealthView::is_open) (as
+//!   [`ProbeFate::shed`](crate::session::ProbeFate::shed): observed red at
+//!   zero cost) and [`record`](HealthView::record)s the outcome of every
+//!   real probe, so sessions route around sick nodes and the breaker heals
+//!   through half-open probation probes.
 //! * [`HealthView::quorum_reachable`] asks whether the currently healthy
 //!   nodes can still host a quorum at all; when they cannot, a session can
-//!   degrade gracefully ([`GatedOutcome::Degraded`]) instead of timing out
-//!   every probe.
+//!   degrade gracefully instead of timing out every probe.
+//!
+//! The breaker's tuning is fixed: each sample weighs 40 % in the EWMA, a
+//! failure that lifts it to 60 % or more opens the breaker (about two
+//! consecutive failures), and an open breaker allows a probation probe
+//! after 5 virtual milliseconds.
 //!
 //! Time is expressed as plain `u64` microseconds of virtual time (the same
 //! unit as `quorum-cluster`'s `SimTime`, on which this crate cannot depend).
@@ -27,45 +32,20 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use quorum_core::{Color, ElementId, ElementSet, QuorumSystem};
-
-use crate::session::ProbeFate;
+use quorum_core::{ElementId, ElementSet, QuorumSystem};
 
 /// Parts per million: the fixed-point scale for EWMA weights and values.
 pub const PPM: u64 = 1_000_000;
 
-/// Tuning knobs for a [`HealthView`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthConfig {
-    /// EWMA weight of the newest sample, in parts per million. Larger means
-    /// faster reaction to failures *and* faster forgiveness.
-    pub alpha_ppm: u64,
-    /// Failure EWMA (ppm) at or above which a failing node's breaker opens.
-    pub open_threshold_ppm: u64,
-    /// How long an open breaker stays open before allowing a half-open
-    /// probation probe, in microseconds of virtual time.
-    pub cooldown_micros: u64,
-}
+/// EWMA weight of the newest sample, in parts per million.
+const ALPHA_PPM: u64 = 400_000;
 
-impl Default for HealthConfig {
-    /// React after roughly two consecutive failures, forgive after one
-    /// probation success, and retry a sick node every 5 virtual milliseconds.
-    fn default() -> Self {
-        HealthConfig {
-            alpha_ppm: 400_000,
-            open_threshold_ppm: 600_000,
-            cooldown_micros: 5_000,
-        }
-    }
-}
+/// Failure EWMA (ppm) at or above which a failing node's breaker opens.
+const OPEN_THRESHOLD_PPM: u64 = 600_000;
 
-impl HealthConfig {
-    /// Sets the cooldown, in microseconds of virtual time.
-    pub fn cooldown_micros(mut self, micros: u64) -> Self {
-        self.cooldown_micros = micros;
-        self
-    }
-}
+/// How long an open breaker stays open before allowing a half-open
+/// probation probe, in microseconds of virtual time.
+const COOLDOWN_MICROS: u64 = 5_000;
 
 /// The classic circuit-breaker states, per node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,21 +79,19 @@ struct NodeHealth {
 #[derive(Clone)]
 pub struct HealthView {
     nodes: Arc<Vec<NodeHealth>>,
-    config: HealthConfig,
 }
 
 impl std::fmt::Debug for HealthView {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HealthView")
             .field("nodes", &self.nodes.len())
-            .field("config", &self.config)
             .finish()
     }
 }
 
 impl HealthView {
     /// A fresh all-healthy view over `n` nodes.
-    pub fn new(n: usize, config: HealthConfig) -> Self {
+    pub fn new(n: usize) -> Self {
         let nodes = (0..n)
             .map(|_| NodeHealth {
                 ewma_ppm: AtomicU64::new(0),
@@ -123,7 +101,6 @@ impl HealthView {
             .collect();
         HealthView {
             nodes: Arc::new(nodes),
-            config,
         }
     }
 
@@ -135,11 +112,6 @@ impl HealthView {
     /// Whether the view tracks zero nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// The configuration this view was built with.
-    pub fn config(&self) -> HealthConfig {
-        self.config
     }
 
     /// The failure EWMA of `e` in ppm (0 for out-of-range elements).
@@ -161,7 +133,7 @@ impl HealthView {
         match node.state.load(Ordering::Relaxed) {
             STATE_OPEN => {
                 let opened = node.opened_at.load(Ordering::Relaxed);
-                if now_micros >= opened.saturating_add(self.config.cooldown_micros) {
+                if now_micros >= opened.saturating_add(COOLDOWN_MICROS) {
                     BreakerState::HalfOpen
                 } else {
                     BreakerState::Open
@@ -185,14 +157,13 @@ impl HealthView {
         let Some(node) = self.nodes.get(e) else {
             return;
         };
-        let alpha = self.config.alpha_ppm.min(PPM);
         let prev = node.ewma_ppm.load(Ordering::Relaxed);
         let sample = if ok { 0 } else { PPM };
-        let next = (prev * (PPM - alpha) + sample * alpha) / PPM;
+        let next = (prev * (PPM - ALPHA_PPM) + sample * ALPHA_PPM) / PPM;
         node.ewma_ppm.store(next, Ordering::Relaxed);
         match self.state(e, now_micros) {
             BreakerState::Closed => {
-                if !ok && next >= self.config.open_threshold_ppm {
+                if !ok && next >= OPEN_THRESHOLD_PPM {
                     node.state.store(STATE_OPEN, Ordering::Relaxed);
                     node.opened_at.store(now_micros, Ordering::Relaxed);
                 }
@@ -207,21 +178,6 @@ impl HealthView {
             }
             BreakerState::Open => {}
         }
-    }
-
-    /// Gates one element's fate: open breakers shed ([`ProbeFate::shed`]),
-    /// everything else runs `underlying` and records whether the element
-    /// answered. The closure runs at most once.
-    pub fn gate_fate<F>(&self, e: ElementId, now_micros: u64, underlying: F) -> ProbeFate
-    where
-        F: FnOnce() -> ProbeFate,
-    {
-        if self.is_open(e, now_micros) {
-            return ProbeFate::shed();
-        }
-        let fate = underlying();
-        self.record(e, fate.observed == Color::Green, now_micros);
-        fate
     }
 
     /// The set of nodes whose breaker is not open at `now_micros`.
@@ -252,62 +208,21 @@ impl HealthView {
     }
 }
 
-/// How a health-gated session ends, one level above plain ok/fail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GatedOutcome {
-    /// A green quorum was assembled.
-    Served,
-    /// The witness is red and every probed element was genuinely attempted.
-    Failed,
-    /// The session was shed in whole or in part: either no healthy quorum
-    /// was reachable (zero probes sent) or at least one probe was declined
-    /// by an open breaker.
-    Degraded,
-}
-
-impl GatedOutcome {
-    /// Classifies a finished session from its success flag and probe fates.
-    /// A session that sent zero probes and failed is degraded by definition.
-    pub fn classify<'a, I>(ok: bool, fates: I) -> Self
-    where
-        I: IntoIterator<Item = &'a ProbeFate>,
-    {
-        if ok {
-            return GatedOutcome::Served;
-        }
-        let mut any = false;
-        let mut shed = false;
-        for fate in fates {
-            any = true;
-            shed |= fate.is_shed();
-        }
-        if shed || !any {
-            GatedOutcome::Degraded
-        } else {
-            GatedOutcome::Failed
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use quorum_systems::Majority;
 
-    fn config() -> HealthConfig {
-        HealthConfig::default()
-    }
-
     #[test]
     fn failures_open_the_breaker_and_cooldown_half_opens_it() {
-        let view = HealthView::new(3, config());
+        let view = HealthView::new(3);
         assert_eq!(view.state(0, 0), BreakerState::Closed);
         view.record(0, false, 100);
         assert_eq!(view.state(0, 100), BreakerState::Closed, "one failure");
         view.record(0, false, 200);
         assert_eq!(view.state(0, 200), BreakerState::Open, "two failures");
         assert!(view.is_open(0, 200));
-        let half_open_at = 200 + config().cooldown_micros;
+        let half_open_at = 200 + COOLDOWN_MICROS;
         assert_eq!(view.state(0, half_open_at - 1), BreakerState::Open);
         assert_eq!(view.state(0, half_open_at), BreakerState::HalfOpen);
         // Probation success closes, and the EWMA decays below threshold so
@@ -318,26 +233,20 @@ mod tests {
 
     #[test]
     fn probation_failure_reopens_with_a_fresh_cooldown() {
-        let view = HealthView::new(1, config());
+        let view = HealthView::new(1);
         view.record(0, false, 0);
         view.record(0, false, 0);
-        let t = config().cooldown_micros;
+        let t = COOLDOWN_MICROS;
         assert_eq!(view.state(0, t), BreakerState::HalfOpen);
         view.record(0, false, t);
         assert_eq!(view.state(0, t), BreakerState::Open);
-        assert_eq!(
-            view.state(0, t + config().cooldown_micros - 1),
-            BreakerState::Open
-        );
-        assert_eq!(
-            view.state(0, t + config().cooldown_micros),
-            BreakerState::HalfOpen
-        );
+        assert_eq!(view.state(0, t + COOLDOWN_MICROS - 1), BreakerState::Open);
+        assert_eq!(view.state(0, t + COOLDOWN_MICROS), BreakerState::HalfOpen);
     }
 
     #[test]
     fn successes_keep_the_breaker_closed() {
-        let view = HealthView::new(2, config());
+        let view = HealthView::new(2);
         for t in 0..50 {
             view.record(1, true, t);
         }
@@ -350,22 +259,9 @@ mod tests {
     }
 
     #[test]
-    fn gate_fate_sheds_open_nodes_and_records_real_probes() {
-        let view = HealthView::new(2, config());
-        view.record(0, false, 0);
-        view.record(0, false, 0);
-        let fate = view.gate_fate(0, 1, || panic!("open nodes must not probe"));
-        assert!(fate.is_shed());
-        assert_eq!(fate.attempts(), 0);
-        let fate = view.gate_fate(1, 1, ProbeFate::answered);
-        assert_eq!(fate, ProbeFate::answered());
-        assert_eq!(view.failure_ppm(1), 0);
-    }
-
-    #[test]
     fn quorum_reachability_tracks_open_breakers() {
         let maj = Majority::new(3).unwrap();
-        let view = HealthView::new(3, config());
+        let view = HealthView::new(3);
         assert!(view.quorum_reachable(&maj, 0));
         for e in 0..2 {
             view.record(e, false, 0);
@@ -377,28 +273,14 @@ mod tests {
             "1 of 3 cannot host a majority"
         );
         // After cooldown the half-open nodes count as reachable again.
-        assert!(view.quorum_reachable(&maj, config().cooldown_micros));
+        assert!(view.quorum_reachable(&maj, COOLDOWN_MICROS));
     }
 
     #[test]
     fn out_of_range_elements_are_inert() {
-        let view = HealthView::new(1, config());
+        let view = HealthView::new(1);
         view.record(7, false, 0);
         assert_eq!(view.state(7, 0), BreakerState::Closed);
         assert_eq!(view.failure_ppm(7), 0);
-    }
-
-    #[test]
-    fn outcomes_classify_shed_and_empty_sessions_as_degraded() {
-        let served = [ProbeFate::answered()];
-        assert_eq!(GatedOutcome::classify(true, &served), GatedOutcome::Served);
-        let failed = [ProbeFate::dead(2)];
-        assert_eq!(GatedOutcome::classify(false, &failed), GatedOutcome::Failed);
-        let mixed = [ProbeFate::dead(1), ProbeFate::shed()];
-        assert_eq!(
-            GatedOutcome::classify(false, &mixed),
-            GatedOutcome::Degraded
-        );
-        assert_eq!(GatedOutcome::classify(false, &[]), GatedOutcome::Degraded);
     }
 }

@@ -55,7 +55,7 @@ pub mod strategies;
 pub mod yao;
 
 pub use decision_tree::DecisionTree;
-pub use health::{BreakerState, GatedOutcome, HealthConfig, HealthView};
+pub use health::{BreakerState, HealthView};
 pub use oracle::ProbeOracle;
 pub use runner::{run_strategy, ProbeRun, ProbeStrategy};
 pub use session::{observed_coloring, AttemptLoss, ProbeFate};

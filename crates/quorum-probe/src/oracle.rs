@@ -10,8 +10,9 @@ use quorum_core::{Color, Coloring, ElementId, ElementSet};
 /// matching the paper's model in which an algorithm never needs to probe an
 /// element twice.
 ///
-/// Beside its n-bit color sets the oracle counts the green probes (the red
-/// ones are the rest of the sequence), so [`green_count`](Self::green_count)
+/// The oracle keeps one n-bit set per color (their union is the probed
+/// set) and counts the green probes (the red ones are the rest of the
+/// sequence), so [`green_count`](Self::green_count)
 /// and [`red_count`](Self::red_count) are O(1) where `green_probed().len()`
 /// popcounts every word: a strategy that tests a count after each probe
 /// (Probe_Maj) pays O(1) per probe, not n/64 words. The recursive
@@ -36,7 +37,6 @@ use quorum_core::{Color, Coloring, ElementId, ElementSet};
 #[derive(Debug, Clone)]
 pub struct ProbeOracle<'a> {
     coloring: &'a Coloring,
-    probed: ElementSet,
     green: ElementSet,
     red: ElementSet,
     green_count: usize,
@@ -49,7 +49,6 @@ impl<'a> ProbeOracle<'a> {
         let n = coloring.universe_size();
         ProbeOracle {
             coloring,
-            probed: ElementSet::empty(n),
             green: ElementSet::empty(n),
             red: ElementSet::empty(n),
             green_count: 0,
@@ -72,24 +71,22 @@ impl<'a> ProbeOracle<'a> {
     /// Panics if `e` is outside the universe.
     pub fn probe(&mut self, e: ElementId) -> Color {
         let color = self.coloring.color(e);
-        if self.probed.insert(e) {
+        // An element only ever enters its own color's set, so the insert
+        // tells a first probe from a repeat.
+        let seen = match color {
+            Color::Green => &mut self.green,
+            Color::Red => &mut self.red,
+        };
+        if seen.insert(e) {
             self.sequence.push(e);
-            match color {
-                Color::Green => {
-                    self.green.insert(e);
-                    self.green_count += 1;
-                }
-                Color::Red => {
-                    self.red.insert(e);
-                }
-            }
+            self.green_count += usize::from(color == Color::Green);
         }
         color
     }
 
     /// Whether element `e` has already been probed.
     pub fn is_probed(&self, e: ElementId) -> bool {
-        self.probed.contains(e)
+        self.green.contains(e) || self.red.contains(e)
     }
 
     /// The color of `e` if it has been probed, without issuing a new probe.
@@ -118,11 +115,6 @@ impl<'a> ProbeOracle<'a> {
         self.sequence.len() - self.green_count
     }
 
-    /// The set of probed elements.
-    pub fn probed(&self) -> &ElementSet {
-        &self.probed
-    }
-
     /// The probed elements observed green.
     pub fn green_probed(&self) -> &ElementSet {
         &self.green
@@ -146,10 +138,11 @@ impl<'a> ProbeOracle<'a> {
         &self.sequence
     }
 
-    /// The elements not probed yet, in index order (one word-complement pass
-    /// plus a word-skipping iteration — no per-element membership tests).
+    /// The elements not probed yet, in index order (word-wise union and
+    /// complement passes plus a word-skipping iteration — no per-element
+    /// membership tests).
     pub fn unprobed(&self) -> Vec<ElementId> {
-        self.probed.complement().to_vec()
+        self.green.union(&self.red).complement().to_vec()
     }
 }
 
@@ -202,7 +195,6 @@ mod tests {
         assert_eq!(oracle.red_probed().to_vec(), vec![1, 3, 4]);
         assert_eq!(oracle.probed_with(Color::Green).len(), 2);
         assert_eq!(oracle.probed_with(Color::Red).len(), 3);
-        assert_eq!(oracle.probed().len(), 5);
         assert!(oracle.unprobed().is_empty());
     }
 

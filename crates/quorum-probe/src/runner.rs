@@ -99,7 +99,9 @@ where
         )
     });
     assert!(
-        witness.elements().is_subset(oracle.probed()),
+        witness
+            .elements()
+            .is_subset(oracle.probed_with(witness.color())),
         "strategy {} claimed unprobed elements in its witness",
         strategy.name()
     );

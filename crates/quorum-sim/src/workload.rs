@@ -20,13 +20,13 @@ use std::sync::Arc;
 use quorum_analysis::load_imbalance;
 use quorum_cluster::{
     AgreementReport, ArrivalProcess, Backend, Distribution, Fault, FaultSchedule, FaultWindow,
-    LiveOptions, LiveReport, NetProbe, NetSessionPlan, NetworkModel, ProbePolicy, SessionTrace,
-    SimTime, SpecReport, WorkloadConfig, WorkloadSpec,
+    LiveReport, NetProbe, NetSessionPlan, NetworkModel, ProbePolicy, SessionTrace, SimTime,
+    SpecReport, WorkloadConfig, WorkloadSpec,
 };
 use quorum_core::{Color, Coloring};
 use quorum_probe::session::{observed_coloring, ProbeFate};
 use quorum_probe::strategies::{LeastLoadedScan, LoadView, PowerOfTwoScan};
-use quorum_probe::{HealthConfig, HealthView};
+use quorum_probe::HealthView;
 use rayon::prelude::*;
 
 use crate::eval::{
@@ -89,7 +89,7 @@ pub struct WorkloadCell {
     /// breaker: probes to open nodes are shed, sessions that cannot reach a
     /// healthy quorum degrade without probing, and probe outcomes feed the
     /// per-node failure EWMA.
-    pub health: Option<HealthConfig>,
+    pub health: bool,
 }
 
 impl WorkloadCell {
@@ -116,7 +116,7 @@ impl WorkloadCell {
             net: name.to_string(),
             network,
             policy,
-            health: None,
+            health: false,
         }
     }
 
@@ -130,8 +130,8 @@ impl WorkloadCell {
     }
 
     /// Puts the cell's sessions behind a health-aware circuit breaker.
-    pub fn with_health(mut self, config: HealthConfig) -> Self {
-        self.health = Some(config);
+    pub fn with_health(mut self) -> Self {
+        self.health = true;
         self
     }
 }
@@ -488,7 +488,7 @@ fn run_cell(
         .rotate_left(17)
         .wrapping_add((cell_index + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut scratch = Coloring::all_green(n);
-    let health = cell.health.map(|config| HealthView::new(n, config));
+    let health = cell.health.then(|| HealthView::new(n));
     let mut degraded = 0u64;
     let report = WorkloadSpec::new(n)
         .config(cell.config)
@@ -618,13 +618,8 @@ pub struct LiveCellOutcome {
 /// (bit-identical to [`run_workload_cells`] for the same seed and cell
 /// index), its trace replays on the real-concurrency runtime, and every
 /// logical observable is cross-validated between the two executions.
-pub fn run_live_cell(
-    base_seed: u64,
-    cell_index: u64,
-    cell: &WorkloadCell,
-    options: &LiveOptions,
-) -> LiveCellOutcome {
-    let (spec, degraded) = run_cell(base_seed, cell_index, cell, Backend::Live(options.clone()));
+pub fn run_live_cell(base_seed: u64, cell_index: u64, cell: &WorkloadCell) -> LiveCellOutcome {
+    let (spec, degraded) = run_cell(base_seed, cell_index, cell, Backend::Live);
     LiveCellOutcome {
         sim: outcome_from_report(cell, &spec.report, degraded),
         live: spec.live.expect("the live backend always reports"),
@@ -774,7 +769,7 @@ mod tests {
         assert_eq!(cell.network, NetworkModel::clean());
         assert!(cell.network.is_clean());
         assert_eq!(cell.policy, ProbePolicy::sequential());
-        assert!(cell.health.is_none());
+        assert!(!cell.health);
         let lifted = cell.with_scenario(&NetScenario::clean());
         assert_eq!(lifted.net, "clean");
         assert_eq!(lifted.policy, ProbePolicy::sequential());
@@ -924,9 +919,9 @@ mod tests {
         n: usize,
         config: WorkloadConfig,
         scenario: &NetScenario,
-        health: Option<HealthConfig>,
+        health: bool,
     ) -> WorkloadCell {
-        let mut cell = WorkloadCell::new(
+        let cell = WorkloadCell::new(
             erase_system(Majority::new(n).unwrap()),
             WorkloadStrategy::Paper(universal_strategy(SequentialScan::new())),
             ColoringSource::iid(0.02),
@@ -934,20 +929,16 @@ mod tests {
             config,
         )
         .with_scenario(scenario);
-        if let Some(config) = health {
-            cell = cell.with_health(config);
-        }
-        cell
+        WorkloadCell { health, ..cell }
     }
 
     #[test]
     fn chaos_cells_cross_validate_on_the_live_runtime() {
         let n = 15;
         let config = open_poisson_workload(80, SimTime::from_micros(250));
-        let options = LiveOptions::default().time_scale(0.002);
         for (index, scenario) in chaos_scenarios(n, &config).iter().enumerate() {
-            let cell = chaos_cell(n, config, scenario, None);
-            let outcome = run_live_cell(21, index as u64, &cell, &options);
+            let cell = chaos_cell(n, config, scenario, false);
+            let outcome = run_live_cell(21, index as u64, &cell);
             assert!(
                 outcome.agreement.agree,
                 "{}: sim and live disagreed: {:?}",
@@ -975,9 +966,8 @@ mod tests {
             .iter()
             .find(|s| s.name == "crash-minority")
             .expect("battery has crash-minority");
-        let cell = chaos_cell(n, config, crash, None);
-        let options = LiveOptions::default().time_scale(0.002);
-        let outcome = run_live_cell(33, 0, &cell, &options);
+        let cell = chaos_cell(n, config, crash, false);
+        let outcome = run_live_cell(33, 0, &cell);
         assert!(
             outcome.sim.lost_to_crash > 0,
             "a crashed third must swallow some delivered requests"
@@ -1036,8 +1026,8 @@ mod tests {
         let scenarios = chaos_scenarios(n, &config);
         for name in ["crash-minority", "rolling-restart"] {
             let scenario = scenarios.iter().find(|s| s.name == name).unwrap();
-            let naive = chaos_cell(n, config, scenario, None);
-            let aware = chaos_cell(n, config, scenario, Some(HealthConfig::default()));
+            let naive = chaos_cell(n, config, scenario, false);
+            let aware = chaos_cell(n, config, scenario, true);
             let outcomes = run_workload_cells(&EvalEngine::with_threads(0), 17, &[naive, aware]);
             let (naive, aware) = (&outcomes[0], &outcomes[1]);
             assert_eq!(naive.degraded, 0, "health-blind cells never degrade");
@@ -1064,8 +1054,8 @@ mod tests {
             .iter()
             .flat_map(|scenario| {
                 [
-                    chaos_cell(n, config, scenario, None),
-                    chaos_cell(n, config, scenario, Some(HealthConfig::default())),
+                    chaos_cell(n, config, scenario, false),
+                    chaos_cell(n, config, scenario, true),
                 ]
             })
             .collect();

@@ -15,7 +15,7 @@
 //! change to the live runtime's plumbing must leave every digest as pinned;
 //! a change that means to move an outcome re-pins the table and says why.
 
-use quorum_cluster::{LiveOptions, SimTime};
+use quorum_cluster::SimTime;
 use quorum_probe::strategies::{ProbeCw, ProbeMaj, ProbeTree};
 use quorum_sim::eval::{erase_spec, typed_strategy};
 use quorum_sim::{
@@ -144,7 +144,6 @@ fn system(spec: SystemSpec) -> DynSystem {
 /// Runs every cell of the battery, in order.
 fn battery() -> Vec<(String, u64)> {
     let config = open_poisson_workload(SESSIONS, SimTime::from_micros(250));
-    let options = LiveOptions::default().time_scale(0.005);
     let cell = |system: &DynSystem, paper: &DynProbeStrategy| {
         WorkloadCell::new(
             system.clone(),
@@ -172,7 +171,7 @@ fn battery() -> Vec<(String, u64)> {
     for (name, system, paper) in &live {
         for scenario in network_scenarios(system.universe_size(), &config) {
             let cell = cell(system, paper).with_scenario(&scenario);
-            let outcome = run_live_cell(35, index, &cell, &options);
+            let outcome = run_live_cell(35, index, &cell);
             index += 1;
             cases.push((
                 format!("live/{name}/{}", scenario.name),
@@ -204,9 +203,9 @@ fn battery() -> Vec<(String, u64)> {
             for health in [false, true] {
                 let mut cell = cell(system, paper).with_scenario(&scenario);
                 if health {
-                    cell = cell.with_health(Default::default());
+                    cell = cell.with_health();
                 }
-                let outcome = run_live_cell(36, index, &cell, &options);
+                let outcome = run_live_cell(36, index, &cell);
                 index += 1;
                 let client = if health { "health" } else { "naive" };
                 cases.push((
