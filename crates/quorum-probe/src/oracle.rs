@@ -12,8 +12,8 @@ use quorum_core::{Color, Coloring, ElementId, ElementSet};
 ///
 /// The oracle keeps one n-bit set per color (their union is the probed
 /// set) and counts the green probes (the red ones are the rest of the
-/// sequence), so [`green_count`](Self::green_count)
-/// and [`red_count`](Self::red_count) are O(1) where `green_probed().len()`
+/// sequence), so [`green_count`](Self::green_count) and
+/// [`red_count`](Self::red_count) are O(1) where `green_probed().len()`
 /// popcounts every word: a strategy that tests a count after each probe
 /// (Probe_Maj) pays O(1) per probe, not n/64 words. The recursive
 /// strategies (Probe_Tree, Probe_HQS and their randomized variants) likewise
