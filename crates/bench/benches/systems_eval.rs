@@ -240,29 +240,50 @@ fn bench_churn_walk(c: &mut Criterion) {
     // The churn walk alone: 4 096 `ChurnWalker::step` calls per iteration,
     // restarting the walk at its horizon. Sparse rates fire the elements
     // whose sojourn clocks are due; a dense direction visits every word.
+    // `sparse/8191` is the Tree12 and TreeC12 walk of churn-delta, and
+    // `slow/1048576` fires about two elements a step out of 2²⁰. stderr gives
+    // each row's flips per step, for the time per flip.
+    let sparse = (1.0 / 4096.0, 1.0 / 64.0);
     let mut group = c.benchmark_group("churn/walk_step");
-    for n in [4096usize, 65_536] {
-        for (label, fail, repair) in [
-            ("sparse", 1.0 / 4096.0, 1.0 / 64.0),
-            ("mixed", 0.01, 0.5),
-            ("dense", 0.2, 0.6),
-        ] {
-            let trajectory = ChurnTrajectory::generate(n, fail, repair, 1 << 20, 1);
-            let mut walker = trajectory.walk();
-            group.bench_function(BenchmarkId::new(label, n), |b| {
-                b.iter(|| {
-                    let mut flipped_words = 0;
-                    for _ in 0..4096 {
-                        if walker.remaining() == 0 {
-                            walker = trajectory.walk();
-                        }
-                        let (_, delta) = walker.step().expect("the walk has steps left");
-                        flipped_words += delta.entries().len();
+    for (label, n, (fail, repair)) in [
+        ("sparse", 4096usize, sparse),
+        ("mixed", 4096, (0.01, 0.5)),
+        ("dense", 4096, (0.2, 0.6)),
+        ("sparse", 8191, sparse),
+        ("sparse", 65_536, sparse),
+        ("mixed", 65_536, (0.01, 0.5)),
+        ("dense", 65_536, (0.2, 0.6)),
+        ("slow", 1 << 20, (1.0 / (1 << 20) as f64, 1.0 / 16_384.0)),
+    ] {
+        let trajectory = ChurnTrajectory::generate(n, fail, repair, 1 << 20, 1);
+        let mut walker = trajectory.walk();
+        let flips: usize = (0..4096)
+            .map(|_| {
+                walker
+                    .step()
+                    .expect("the walk has steps left")
+                    .1
+                    .flip_count()
+            })
+            .sum();
+        eprintln!(
+            "churn/walk_step/{label}/{n}: {:.2} flips per step",
+            flips as f64 / 4096.0
+        );
+        let mut walker = trajectory.walk();
+        group.bench_function(BenchmarkId::new(label, n), |b| {
+            b.iter(|| {
+                let mut flipped_words = 0;
+                for _ in 0..4096 {
+                    if walker.remaining() == 0 {
+                        walker = trajectory.walk();
                     }
-                    flipped_words
-                })
-            });
-        }
+                    let (_, delta) = walker.step().expect("the walk has steps left");
+                    flipped_words += delta.entries().len();
+                }
+                flipped_words
+            })
+        });
     }
     group.finish();
 }

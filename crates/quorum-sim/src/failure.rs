@@ -19,13 +19,14 @@ use rand::{Rng, SeedableRng};
 /// How many replay cursors a [`ChurnTrajectory`] keeps warm for random
 /// access, however many threads stream it. Each cursor is one coloring, one
 /// RNG state, the flips of its last step and, when both directions are
-/// sparse, its sojourn clocks (8 bytes per element), so the pool is also
-/// capped at [`POOL_BYTES`].
+/// sparse, its sojourn clocks (8 bytes and one mark bit per element, plus
+/// 4 bytes per wheel slot), so the pool is also capped at [`POOL_BYTES`].
 const MAX_POOLED_CURSORS: usize = 32;
 
 /// The bytes one [`ChurnTrajectory`]'s cursor pool may hold; it keeps at
 /// least one cursor whatever its size. That is all 32 cursors of a
-/// both-sparse trajectory up to n = 2¹⁶ elements, and three at 2²⁰.
+/// both-sparse trajectory up to n = 2¹⁶ elements (≈ 0.6 MiB each, 64 KiB of
+/// it the 16 384-slot wheel), and three at 2²⁰ (≈ 8.3 MiB each).
 const POOL_BYTES: usize = 32 << 20;
 
 /// A streaming fail/repair Markov trajectory over colorings.
@@ -67,17 +68,19 @@ const POOL_BYTES: usize = 32 << 20;
 /// while green and a Geometric(`repair`) number while red, which is the
 /// chain's law, so every walker and replay cursor keeps each element's next
 /// flip step, its *sojourn clock*, on a wheel of
-/// `n.next_power_of_two().clamp(64, 4096)` slot lists. Step `t` visits slot
-/// `t` modulo the slot count and fires the elements due at `t`, leaving
-/// those due in a later lap in place; it flips them against the step's
-/// starting coloring and then draws one sojourn per flip, in ascending
-/// element order. A cursor draws every element's first sojourn, in element
-/// order, when it starts from the baseline (never in
-/// [`ChurnTrajectory::generate`]), and a clock due at or past the horizon
-/// never fires. A step therefore costs `O(flips + n/slots)`, and the clocks
-/// cost 8 bytes per element. When either direction is dense, a step visits
-/// every word: one mask draw per dense direction, and one popcount to rank a
-/// sparse direction's hits.
+/// `(2n).next_power_of_two().clamp(64, 16384)` slot lists. Step `t` visits
+/// slot `t` modulo the slot count and marks the elements due at `t` in a
+/// bitmap, leaving those due in a later lap in place. It then walks the
+/// marked words upward: it flips each word against the step's starting
+/// coloring and draws one sojourn per flip with the rate of the color just
+/// taken, so the draws come in ascending element order. A cursor draws every
+/// element's first sojourn, in element order, when it starts from the
+/// baseline (never in [`ChurnTrajectory::generate`]), and a clock due at or
+/// past the horizon never fires. A step therefore costs
+/// `O(flips + n/slots + n/2¹⁸)`, and the clocks cost 8 bytes and one mark
+/// bit per element plus 4 bytes per slot. When either direction is dense, a
+/// step visits every word: one mask draw per dense direction, and one
+/// popcount to rank a sparse direction's hits.
 ///
 /// The coloring at step `t` is a pure function of `(seed, t)`, which is what
 /// keeps churn experiments bit-identical across engine thread counts:
@@ -447,10 +450,11 @@ fn fill_word_bernoulli<R: Rng + ?Sized>(p_red: f64, rng: &mut R, out: &mut Color
 /// keeps the value measured against the per-word scan of [`step_words`]: a
 /// hit took 44 ns there against 1.4–1.5 ns per mask word, and at
 /// fail:repair = 1:3 the two paths tie near fail 0.0225, where this rule
-/// with 30 ties too. A hit of the sojourn-clock walk costs 17–28 dense
-/// words: criterion `churn/walk_step` read 64–67 ns per flip on
-/// (2⁻¹², 2⁻⁶) at n = 4096 and 65 536, against 2.3–3.8 ns per RNG word on
-/// the dense (0.2, 0.6) rows of the same runs (x86-64, 2-vCPU VM).
+/// with 30 ties too. A hit of the sojourn-clock walk costs 14–23 dense
+/// words: criterion `churn/walk_step` read 25–41 ns per flip on
+/// (2⁻¹², 2⁻⁶) at n = 4096, 8191 and 65 536, against 1.6–2.2 ns per RNG
+/// word on the dense (0.2, 0.6) rows of the same runs (three runs, x86-64,
+/// 2-vCPU VM).
 const SKIP_HIT_COST: f64 = 30.0;
 
 /// How one direction of a churn step draws its hits.
@@ -601,7 +605,7 @@ fn churn_step<R: Rng + ?Sized>(
 ) {
     delta.clear();
     match transitions.skips() {
-        Some(skips) => clocks.step(t, skips, rng, coloring, delta),
+        Some(_) => clocks.step(t, rng, coloring, delta),
         None => step_words(transitions, rng, coloring, |w, flips| {
             delta.push_word(w, flips)
         }),
@@ -610,6 +614,14 @@ fn churn_step<R: Rng + ?Sized>(
 
 /// Ends a wheel slot's list.
 const NIL: u32 = u32::MAX;
+
+/// The slot count of the wheel of `n` sojourn clocks: `2n` rounded up to a
+/// power of two, from 64 to 16 384. At churn-delta's rates a slot then
+/// lists little more than the elements it fires: ≈ 3.98 visits a step for
+/// 3.94 fires at n = 8 191, against 5.09 on 4 096 slots.
+fn wheel_slots(n: usize) -> usize {
+    (2 * n).next_power_of_two().clamp(64, 1 << 14)
+}
 
 /// An element's sojourn clock: the step its color ends at, and the next
 /// element on its wheel slot's list.
@@ -623,16 +635,28 @@ struct Clock {
 /// listed on a wheel whose slot `s` holds the elements due at the steps
 /// congruent to `s` modulo the slot count. An element due at or past the
 /// horizon is on no list.
+///
+/// A step marks the elements it fires in `marks`, one bit each, and in two
+/// summary levels above it (a bit per marked word, a bit per marked summary
+/// word), then walks the marks upward and clears them as it goes, so it
+/// reads `O(flips + n/2¹⁸)` words and the marks are all zero between steps.
 #[derive(Debug, Clone, Default)]
 struct SojournClocks {
     /// The trajectory's step count.
     horizon: usize,
+    /// `1 / ln(1 − p)` of the rate that ends each color, indexed by the
+    /// color's red bit: `[fail, repair]`.
+    rates: [f64; 2],
     /// Per element, indexed by element.
     clocks: Vec<Clock>,
     /// Each slot's first element, or [`NIL`]; the count is a power of two.
     heads: Vec<u32>,
-    /// The elements the current step fires (scratch).
-    fired: Vec<u32>,
+    /// The elements the current step fires, one bit per element (scratch).
+    marks: Vec<u64>,
+    /// One bit per word of `marks` that holds a mark (scratch).
+    marked_words: Vec<u64>,
+    /// One bit per word of `marked_words` that holds a bit (scratch).
+    marked_summaries: Vec<u64>,
 }
 
 impl SojournClocks {
@@ -641,36 +665,38 @@ impl SojournClocks {
     fn start<R: Rng + ?Sized>(
         &mut self,
         coloring: &Coloring,
-        skips: (f64, f64),
+        (fail, repair): (f64, f64),
         horizon: usize,
         rng: &mut R,
     ) {
         let n = coloring.universe_size();
+        let words = coloring.word_count();
         self.horizon = horizon;
+        self.rates = [fail, repair];
         self.heads.clear();
-        self.heads
-            .resize(n.next_power_of_two().clamp(64, 4096), NIL);
+        self.heads.resize(wheel_slots(n), NIL);
         self.clocks.clear();
         self.clocks.resize(n, Clock { due: 0, next: NIL });
+        self.marks.clear();
+        self.marks.resize(words, 0);
+        self.marked_words.clear();
+        self.marked_words.resize(words.div_ceil(WORD_BITS), 0);
+        self.marked_summaries.clear();
+        self.marked_summaries
+            .resize(words.div_ceil(WORD_BITS * WORD_BITS), 0);
         for e in 0..n {
-            self.park(e, 0, coloring.is_red(e), skips, rng);
+            let red = coloring.red_words()[e / WORD_BITS] >> (e % WORD_BITS) & 1;
+            self.park(e, 0, red as usize, rng);
         }
     }
 
-    /// Draws the sojourn of element `e`, which holds its color `red` from
-    /// step `t`: Geometric(`fail`) for green, Geometric(`repair`) for red.
-    /// It lists `e` for the step that ends it, unless that step is at or
-    /// past the horizon.
+    /// Draws the sojourn of element `e`, which holds its color from step
+    /// `t` (`red` is 1 for red, 0 for green): Geometric(`fail`) for green,
+    /// Geometric(`repair`) for red. It lists `e` for the step that ends it,
+    /// unless that step is at or past the horizon.
     #[inline]
-    fn park<R: Rng + ?Sized>(
-        &mut self,
-        e: usize,
-        t: usize,
-        red: bool,
-        (fail, repair): (f64, f64),
-        rng: &mut R,
-    ) {
-        let sojourn = skip_gap(if red { repair } else { fail }, rng).saturating_add(1);
+    fn park<R: Rng + ?Sized>(&mut self, e: usize, t: usize, red: usize, rng: &mut R) {
+        let sojourn = skip_gap(self.rates[red], rng).saturating_add(1);
         let due = t.saturating_add(sojourn);
         if due < self.horizon {
             let slot = due & (self.heads.len() - 1);
@@ -682,19 +708,19 @@ impl SojournClocks {
         }
     }
 
-    /// Step `t`: fires the elements due at `t`, flips them in `coloring` and
-    /// records them in `delta` word by word, then draws each one's next
-    /// sojourn in ascending element order.
+    /// Step `t`: marks the elements due at `t`, then walks the marked words
+    /// upward. Each word's flips go to `delta`, and its elements draw their
+    /// next sojourns in ascending order, each with the rate of the color it
+    /// takes, read from the flipped word. `coloring` takes the whole delta
+    /// at the end.
     fn step<R: Rng + ?Sized>(
         &mut self,
         t: usize,
-        skips: (f64, f64),
         rng: &mut R,
         coloring: &mut Coloring,
         delta: &mut ColoringDelta,
     ) {
         let slot = t & (self.heads.len() - 1);
-        let mut fired = std::mem::take(&mut self.fired);
         let mut previous = NIL;
         let mut e = self.heads[slot];
         while e != NIL {
@@ -704,33 +730,47 @@ impl SojournClocks {
                     NIL => self.heads[slot] = clock.next,
                     p => self.clocks[p as usize].next = clock.next,
                 }
-                fired.push(e);
+                let w = e as usize / WORD_BITS;
+                self.marks[w] |= 1 << (e as usize % WORD_BITS);
+                self.marked_words[w / WORD_BITS] |= 1 << (w % WORD_BITS);
+                self.marked_summaries[w / (WORD_BITS * WORD_BITS)] |=
+                    1 << (w / WORD_BITS % WORD_BITS);
             } else {
                 previous = e;
             }
             e = clock.next;
         }
-        fired.sort_unstable();
-        for word in fired.chunk_by(|a, b| a / WORD_BITS as u32 == b / WORD_BITS as u32) {
-            let w = word[0] as usize / WORD_BITS;
-            let flips = word
-                .iter()
-                .fold(0, |mask, &e| mask | 1u64 << (e as usize % WORD_BITS));
-            coloring.set_red_word(w, coloring.red_words()[w] ^ flips);
-            delta.push_word(w, flips);
+        for top in 0..self.marked_summaries.len() {
+            let mut summaries = std::mem::take(&mut self.marked_summaries[top]);
+            while summaries != 0 {
+                let s = top * WORD_BITS + summaries.trailing_zeros() as usize;
+                summaries &= summaries - 1;
+                let mut words = std::mem::take(&mut self.marked_words[s]);
+                while words != 0 {
+                    let w = s * WORD_BITS + words.trailing_zeros() as usize;
+                    words &= words - 1;
+                    let flips = std::mem::take(&mut self.marks[w]);
+                    let red = coloring.red_words()[w] ^ flips;
+                    delta.push_word(w, flips);
+                    let mut rest = flips;
+                    while rest != 0 {
+                        let bit = rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        self.park(w * WORD_BITS + bit, t, (red >> bit & 1) as usize, rng);
+                    }
+                }
+            }
         }
-        for &e in &fired {
-            let e = e as usize;
-            self.park(e, t, coloring.is_red(e), skips, rng);
-        }
-        fired.clear();
-        self.fired = fired;
+        coloring.apply_delta(delta);
     }
 
     /// About the bytes the clocks hold.
     fn bytes(&self) -> usize {
         std::mem::size_of::<Clock>() * self.clocks.capacity()
-            + 4 * (self.heads.capacity() + self.fired.capacity())
+            + 4 * self.heads.capacity()
+            + 8 * (self.marks.capacity()
+                + self.marked_words.capacity()
+                + self.marked_summaries.capacity())
     }
 }
 
@@ -1954,12 +1994,14 @@ mod tests {
 
     #[test]
     fn clock_walk_sojourns_are_geometric() {
-        // 64 elements run a 64-slot wheel, so sojourns of a lap or two test
+        // 32 elements run a 64-slot wheel, so sojourns of a lap or two test
         // that entries due in a later lap neither fire early nor get lost:
         // per color, the completed sojourns' mean and their frequencies at
         // 1, slots − 1, slots, slots + 1 and 2·slots match Geometric(fail)
         // while green and Geometric(repair) while red, each within 5σ.
-        let (n, slots, fail, repair, steps) = (64, 64, 0.01, 0.03, 200_000);
+        let (n, fail, repair, steps) = (32, 0.01, 0.03, 200_000);
+        let slots = wheel_slots(n);
+        assert_eq!(slots, 64);
         let trajectory = ChurnTrajectory::generate(n, fail, repair, steps, 41);
         assert!(trajectory.transitions.skips().is_some());
         // Per element, the step its current color began at.
@@ -2175,21 +2217,79 @@ mod tests {
         timeline
     }
 
+    #[test]
+    fn clock_steps_flush_their_marks_in_element_order() {
+        // Fast both-sparse rates fire many elements a step: several in one
+        // word, in the partial last word, and across summary and top words
+        // (the first and last entries of a step lie in different top words
+        // at the larger n, so every summary level is walked). Driven
+        // step by step, the clocks must give the reference's colorings and
+        // leave every mark and summary bit clear after each step. At
+        // n = 2¹⁸ + 357 the marks span 4 102 words (the last holds 37
+        // elements), 65 summary words and two top words.
+        for (n, steps) in [(130, 3_000), ((1 << 18) + 357, 64)] {
+            let trajectory = ChurnTrajectory::generate(n, 0.02, 0.06, steps, 9);
+            let reference = reference_clock_walk(&trajectory);
+            let skips = trajectory
+                .transitions
+                .skips()
+                .expect("both directions are sparse");
+            let mut rng = trajectory.rng_after_init.clone();
+            let mut coloring = trajectory.baseline.clone();
+            let mut clocks = SojournClocks::default();
+            clocks.start(&coloring, skips, steps, &mut rng);
+            let mut delta = ColoringDelta::empty(n);
+            let last_word = coloring.word_count() - 1;
+            let (mut shared_word, mut last_word_fired, mut tops_crossed) = (0, 0, 0);
+            for (t, expected) in reference.iter().enumerate().skip(1) {
+                churn_step(
+                    trajectory.transitions,
+                    t,
+                    &mut rng,
+                    &mut coloring,
+                    &mut clocks,
+                    &mut delta,
+                );
+                assert_eq!(&coloring, expected, "n = {n}, step {t}");
+                assert!(
+                    clocks.marks.iter().all(|&w| w == 0)
+                        && clocks.marked_words.iter().all(|&w| w == 0)
+                        && clocks.marked_summaries.iter().all(|&w| w == 0),
+                    "n = {n}, step {t}: marks left set"
+                );
+                let entries = delta.entries();
+                shared_word += entries.iter().filter(|e| e.1.count_ones() > 1).count();
+                last_word_fired += entries.iter().filter(|e| e.0 as usize == last_word).count();
+                // The top word above an entry's summary word.
+                let top = |e: &(u32, u64)| e.0 as usize / (WORD_BITS * WORD_BITS);
+                if let (Some(first), Some(last)) = (entries.first(), entries.last()) {
+                    tops_crossed += top(last) - top(first);
+                }
+            }
+            assert!(
+                shared_word > 0 && last_word_fired > 0 && (n < 1 << 18 || tops_crossed > 0),
+                "n = {n}: {shared_word} shared words, {last_word_fired} last-word fires, \
+                 {tops_crossed} top words crossed"
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Both-sparse timelines match the brute-force reference on
-        /// horizons past the wheel's slot count (64–4096 slots for n up to
-        /// 5 000): the walker's colorings and deltas, random access through
-        /// the cursor pool, and the lane fill's visits across the wrap back
-        /// to step 0.
+        /// horizons of up to three laps of the wheel (64–8 192 slots for n
+        /// up to 2 500): the walker's colorings and deltas, random access
+        /// through the cursor pool, and the lane fill's visits across the
+        /// wrap back to step 0.
         #[test]
         fn prop_clock_walk_replays_the_reference(
-            n in 1usize..=5_000,
+            n in 1usize..=2_500,
             rates in prop::sample::select(both_sparse_rates()),
-            steps in 1usize..=9_000,
+            laps in 0.0f64..3.0,
             seed in any::<u64>(),
         ) {
+            let steps = 1 + (laps * wheel_slots(n) as f64) as usize;
             let trajectory = ChurnTrajectory::generate(n, rates.0, rates.1, steps, seed);
             let eager = reference_clock_walk(&trajectory);
 
