@@ -270,7 +270,6 @@ fn bench_churn_walk(c: &mut Criterion) {
             "churn/walk_step/{label}/{n}: {:.2} flips per step",
             flips as f64 / 4096.0
         );
-        let mut walker = trajectory.walk();
         group.bench_function(BenchmarkId::new(label, n), |b| {
             b.iter(|| {
                 let mut flipped_words = 0;
