@@ -77,7 +77,7 @@ const POOL_BYTES: usize = 32 << 20;
 /// element's first sojourn, in element order, when it starts from the
 /// baseline (never in [`ChurnTrajectory::generate`]), and a clock due at or
 /// past the horizon never fires. A step therefore costs
-/// `O(flips + n/slots + n/2¹⁸)`, and the clocks cost 8 bytes and one mark
+/// `O(flips + n/slots + n/4096)`, and the clocks cost 8 bytes and one mark
 /// bit per element plus 4 bytes per slot. When either direction is dense, a
 /// step visits every word: one mask draw per dense direction, and one
 /// popcount to rank a sparse direction's hits.
@@ -450,11 +450,11 @@ fn fill_word_bernoulli<R: Rng + ?Sized>(p_red: f64, rng: &mut R, out: &mut Color
 /// keeps the value measured against the per-word scan of [`step_words`]: a
 /// hit took 44 ns there against 1.4–1.5 ns per mask word, and at
 /// fail:repair = 1:3 the two paths tie near fail 0.0225, where this rule
-/// with 30 ties too. A hit of the sojourn-clock walk costs 14–23 dense
-/// words: criterion `churn/walk_step` read 25–41 ns per flip on
-/// (2⁻¹², 2⁻⁶) at n = 4096, 8191 and 65 536, against 1.6–2.2 ns per RNG
-/// word on the dense (0.2, 0.6) rows of the same runs (three runs, x86-64,
-/// 2-vCPU VM).
+/// with 30 ties too. A hit of the sojourn-clock walk costs 14–20 dense
+/// words: criterion `churn/walk_step` read 28–35 ns per flip on
+/// (2⁻¹², 2⁻⁶) at n = 4096, 8191 and 65 536, against 1.7–2.0 ns per RNG
+/// word on the dense (0.2, 0.6) rows of the same runs (medians of three
+/// runs, x86-64, 2-vCPU VM).
 const SKIP_HIT_COST: f64 = 30.0;
 
 /// How one direction of a churn step draws its hits.
@@ -636,10 +636,10 @@ struct Clock {
 /// congruent to `s` modulo the slot count. An element due at or past the
 /// horizon is on no list.
 ///
-/// A step marks the elements it fires in `marks`, one bit each, and in two
-/// summary levels above it (a bit per marked word, a bit per marked summary
-/// word), then walks the marks upward and clears them as it goes, so it
-/// reads `O(flips + n/2¹⁸)` words and the marks are all zero between steps.
+/// A step marks the elements it fires in `marks`, one bit each, and their
+/// words in `marked_words`, one bit per word of marks, then walks the marks
+/// upward and clears them as it goes, so it reads `O(flips + n/4096)` words
+/// and the marks are all zero between steps.
 #[derive(Debug, Clone, Default)]
 struct SojournClocks {
     /// The trajectory's step count.
@@ -655,8 +655,6 @@ struct SojournClocks {
     marks: Vec<u64>,
     /// One bit per word of `marks` that holds a mark (scratch).
     marked_words: Vec<u64>,
-    /// One bit per word of `marked_words` that holds a bit (scratch).
-    marked_summaries: Vec<u64>,
 }
 
 impl SojournClocks {
@@ -681,9 +679,6 @@ impl SojournClocks {
         self.marks.resize(words, 0);
         self.marked_words.clear();
         self.marked_words.resize(words.div_ceil(WORD_BITS), 0);
-        self.marked_summaries.clear();
-        self.marked_summaries
-            .resize(words.div_ceil(WORD_BITS * WORD_BITS), 0);
         for e in 0..n {
             let red = coloring.red_words()[e / WORD_BITS] >> (e % WORD_BITS) & 1;
             self.park(e, 0, red as usize, rng);
@@ -733,31 +728,24 @@ impl SojournClocks {
                 let w = e as usize / WORD_BITS;
                 self.marks[w] |= 1 << (e as usize % WORD_BITS);
                 self.marked_words[w / WORD_BITS] |= 1 << (w % WORD_BITS);
-                self.marked_summaries[w / (WORD_BITS * WORD_BITS)] |=
-                    1 << (w / WORD_BITS % WORD_BITS);
             } else {
                 previous = e;
             }
             e = clock.next;
         }
-        for top in 0..self.marked_summaries.len() {
-            let mut summaries = std::mem::take(&mut self.marked_summaries[top]);
-            while summaries != 0 {
-                let s = top * WORD_BITS + summaries.trailing_zeros() as usize;
-                summaries &= summaries - 1;
-                let mut words = std::mem::take(&mut self.marked_words[s]);
-                while words != 0 {
-                    let w = s * WORD_BITS + words.trailing_zeros() as usize;
-                    words &= words - 1;
-                    let flips = std::mem::take(&mut self.marks[w]);
-                    let red = coloring.red_words()[w] ^ flips;
-                    delta.push_word(w, flips);
-                    let mut rest = flips;
-                    while rest != 0 {
-                        let bit = rest.trailing_zeros() as usize;
-                        rest &= rest - 1;
-                        self.park(w * WORD_BITS + bit, t, (red >> bit & 1) as usize, rng);
-                    }
+        for s in 0..self.marked_words.len() {
+            let mut words = std::mem::take(&mut self.marked_words[s]);
+            while words != 0 {
+                let w = s * WORD_BITS + words.trailing_zeros() as usize;
+                words &= words - 1;
+                let flips = std::mem::take(&mut self.marks[w]);
+                let red = coloring.red_words()[w] ^ flips;
+                delta.push_word(w, flips);
+                let mut rest = flips;
+                while rest != 0 {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    self.park(w * WORD_BITS + bit, t, (red >> bit & 1) as usize, rng);
                 }
             }
         }
@@ -768,9 +756,7 @@ impl SojournClocks {
     fn bytes(&self) -> usize {
         std::mem::size_of::<Clock>() * self.clocks.capacity()
             + 4 * self.heads.capacity()
-            + 8 * (self.marks.capacity()
-                + self.marked_words.capacity()
-                + self.marked_summaries.capacity())
+            + 8 * (self.marks.capacity() + self.marked_words.capacity())
     }
 }
 
@@ -1999,7 +1985,9 @@ mod tests {
         // per color, the completed sojourns' mean and their frequencies at
         // 1, slots − 1, slots, slots + 1 and 2·slots match Geometric(fail)
         // while green and Geometric(repair) while red, each within 5σ.
-        let (n, fail, repair, steps) = (32, 0.01, 0.03, 200_000);
+        // 400 000 steps give the ≈ 96 000 sojourns per color that 64
+        // elements gave in 200 000 steps on a wheel of the same size.
+        let (n, fail, repair, steps) = (32, 0.01, 0.03, 400_000);
         let slots = wheel_slots(n);
         assert_eq!(slots, 64);
         let trajectory = ChurnTrajectory::generate(n, fail, repair, steps, 41);
@@ -2220,14 +2208,13 @@ mod tests {
     #[test]
     fn clock_steps_flush_their_marks_in_element_order() {
         // Fast both-sparse rates fire many elements a step: several in one
-        // word, in the partial last word, and across summary and top words
-        // (the first and last entries of a step lie in different top words
-        // at the larger n, so every summary level is walked). Driven
-        // step by step, the clocks must give the reference's colorings and
-        // leave every mark and summary bit clear after each step. At
-        // n = 2¹⁸ + 357 the marks span 4 102 words (the last holds 37
-        // elements), 65 summary words and two top words.
-        for (n, steps) in [(130, 3_000), ((1 << 18) + 357, 64)] {
+        // word, in the partial last word, and across summary words (at the
+        // larger n a step's first and last entries lie under different
+        // words of `marked_words`). Driven step by step, the clocks must
+        // give the reference's colorings and leave every mark and summary
+        // bit clear after each step. At n = 3·4096 + 357 the marks span 198
+        // words (the last holds 37 elements) under 4 summary words.
+        for (n, steps) in [(130, 3_000), (3 * 4096 + 357, 1_000)] {
             let trajectory = ChurnTrajectory::generate(n, 0.02, 0.06, steps, 9);
             let reference = reference_clock_walk(&trajectory);
             let skips = trajectory
@@ -2240,7 +2227,7 @@ mod tests {
             clocks.start(&coloring, skips, steps, &mut rng);
             let mut delta = ColoringDelta::empty(n);
             let last_word = coloring.word_count() - 1;
-            let (mut shared_word, mut last_word_fired, mut tops_crossed) = (0, 0, 0);
+            let (mut shared_word, mut last_word_fired, mut summaries_crossed) = (0, 0, 0);
             for (t, expected) in reference.iter().enumerate().skip(1) {
                 churn_step(
                     trajectory.transitions,
@@ -2253,23 +2240,25 @@ mod tests {
                 assert_eq!(&coloring, expected, "n = {n}, step {t}");
                 assert!(
                     clocks.marks.iter().all(|&w| w == 0)
-                        && clocks.marked_words.iter().all(|&w| w == 0)
-                        && clocks.marked_summaries.iter().all(|&w| w == 0),
+                        && clocks.marked_words.iter().all(|&w| w == 0),
                     "n = {n}, step {t}: marks left set"
                 );
                 let entries = delta.entries();
                 shared_word += entries.iter().filter(|e| e.1.count_ones() > 1).count();
                 last_word_fired += entries.iter().filter(|e| e.0 as usize == last_word).count();
-                // The top word above an entry's summary word.
-                let top = |e: &(u32, u64)| e.0 as usize / (WORD_BITS * WORD_BITS);
+                // The summary word above an entry's word of marks.
+                let summary = |e: &(u32, u64)| e.0 as usize / WORD_BITS;
                 if let (Some(first), Some(last)) = (entries.first(), entries.last()) {
-                    tops_crossed += top(last) - top(first);
+                    summaries_crossed += summary(last) - summary(first);
                 }
             }
+            let summary_words = clocks.marked_words.len();
             assert!(
-                shared_word > 0 && last_word_fired > 0 && (n < 1 << 18 || tops_crossed > 0),
+                shared_word > 0
+                    && last_word_fired > 0
+                    && (summary_words == 1 || summaries_crossed > 0),
                 "n = {n}: {shared_word} shared words, {last_word_fired} last-word fires, \
-                 {tops_crossed} top words crossed"
+                 {summaries_crossed} of {summary_words} summary words crossed"
             );
         }
     }
@@ -2278,18 +2267,19 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Both-sparse timelines match the brute-force reference on
-        /// horizons of up to three laps of the wheel (64–8 192 slots for n
-        /// up to 2 500): the walker's colorings and deltas, random access
+        /// horizons of up to three laps of the wheel (64–16 384 slots for n
+        /// up to 5 000), and of up to 9 000 steps on wheels of fewer than
+        /// 3 000 slots: the walker's colorings and deltas, random access
         /// through the cursor pool, and the lane fill's visits across the
         /// wrap back to step 0.
         #[test]
         fn prop_clock_walk_replays_the_reference(
-            n in 1usize..=2_500,
+            n in 1usize..=5_000,
             rates in prop::sample::select(both_sparse_rates()),
             laps in 0.0f64..3.0,
             seed in any::<u64>(),
         ) {
-            let steps = 1 + (laps * wheel_slots(n) as f64) as usize;
+            let steps = 1 + (laps * wheel_slots(n).max(3_000) as f64) as usize;
             let trajectory = ChurnTrajectory::generate(n, rates.0, rates.1, steps, seed);
             let eager = reference_clock_walk(&trajectory);
 
